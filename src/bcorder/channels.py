@@ -24,8 +24,8 @@ from .probcore import (
     SIMPLEX_TOL,
     Dist,
     DomainError,
-    Joint2,
     entropy_vec,
+    stochastic_array,
 )
 
 SYMMETRY_TOL = 1e-12
@@ -52,21 +52,13 @@ class Dmc:
     output_labels: tuple[str, ...]
 
     def __post_init__(self):
-        arr = np.array(self.rows, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        shape = np.shape(self.rows)
+        if len(shape) != 2 or shape[0] < 1 or shape[1] < 1:
             raise DomainError("Dmc expects a 2-d row-stochastic matrix")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("Dmc rows contain non-finite entries")
-        if np.any(arr < -CELL_FLOOR):
-            raise DomainError("Dmc rows contain negative entries")
-        arr = np.clip(arr, 0.0, None)
-        bad = np.abs(arr.sum(axis=1) - 1.0) > SIMPLEX_TOL
-        if np.any(bad):
-            raise DomainError(f"Dmc row {int(np.argmax(bad))} does not sum to 1")
+        arr = stochastic_array(self.rows, "Dmc")
         labels = tuple(str(s) for s in self.output_labels)
         if len(labels) != arr.shape[1]:
             raise DomainError("output label count does not match column count")
-        arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
         object.__setattr__(self, "output_labels", labels)
 
@@ -120,9 +112,7 @@ def channel_mi(c: Dmc, px: Dist) -> float:
     """I(X;Y) in bits for input law px through channel c."""
     if px.size != c.input_size:
         raise DomainError("input distribution size does not match channel")
-    py = px.probs @ c.rows
-    h_rows = entropy_vec(c.rows, axis=1)
-    return max(0.0, float(entropy_vec(py) - px.probs @ h_rows))
+    return float(mi_batch(c.rows, px.probs[None, :])[0])
 
 
 def mi_batch(rows: np.ndarray, pxs: np.ndarray) -> np.ndarray:
@@ -209,61 +199,57 @@ def detect_c_symmetry(c: Dmc) -> CSymmetryWitness | None:
 class SymmetrizedJoint:
     """Output of ``symmetrize``: a (shift, aux) pair as the new auxiliary.
 
-    ``joint`` is over (U~, X) where U~ = (shift j, original u) is flattened
-    shift-major, so index j * base_aux_size + u.  The X marginal is exactly
-    uniform by construction.
+    ``joint`` is a read-only (U~, X) table where U~ = (shift j, original u)
+    is flattened shift-major, so index j * base_aux_size + u.  The X
+    marginal is exactly uniform by construction.
     """
 
-    joint: Joint2
+    joint: np.ndarray
     num_shifts: int
     base_aux_size: int
 
-    def aux_index(self, shift: int, u: int) -> int:
-        return shift * self.base_aux_size + u
-
     def shift_marginal(self) -> Dist:
-        t = self.joint.table.reshape(self.num_shifts, self.base_aux_size, -1)
+        t = self.joint.reshape(self.num_shifts, self.base_aux_size, -1)
         return Dist(t.sum(axis=(1, 2)))
 
-    def conditional_given_shift(self, j: int) -> Joint2:
-        """The (U, X) joint conditioned on shift value j."""
-        t = self.joint.table.reshape(self.num_shifts, self.base_aux_size, -1)
-        block = t[j]
+    def conditional_given_shift(self, j: int) -> np.ndarray:
+        """The read-only (U, X) joint conditioned on shift value j."""
+        block = self.joint.reshape(self.num_shifts, self.base_aux_size, -1)[j]
         mass = float(block.sum())
         if mass <= CELL_FLOOR:
             raise DomainError("shift value has no mass")
-        return Joint2(block / mass)
+        out = block / mass
+        out.setflags(write=False)
+        return out
 
 
 def symmetrize(
-    joint: Joint2,
+    joint,
     witness_1: CSymmetryWitness,
     witness_2: CSymmetryWitness,
 ) -> SymmetrizedJoint:
     """Average an auxiliary decomposition over all cyclic input shifts.
 
-    ``joint`` is over (U, X).  Both witnesses must certify c-symmetry of
-    their channels on the same input alphabet as X.  The result uses the
-    pair (shift, U) as its auxiliary; its X marginal is uniform, and for
-    each receiver the contained per-shift joints carry exactly the same
-    conditional information as the original decomposition.
+    ``joint`` is a (U, X) table summing to 1.  Both witnesses must certify
+    c-symmetry of their channels on the same input alphabet as X.  The
+    result uses the pair (shift, U) as its auxiliary; its X marginal is
+    uniform, and for each receiver the contained per-shift joints carry
+    exactly the same conditional information as the original decomposition.
     """
-    m = joint.table.shape[1]
+    if np.ndim(joint) != 2 or np.size(joint) == 0:
+        raise DomainError("symmetrize expects a 2-d (U, X) joint table")
+    table = stochastic_array(joint, "joint", axis=None)
+    nu, m = table.shape
     for w in (witness_1, witness_2):
         if w.channel.input_size != m:
             raise DomainError("witness channel input size does not match joint")
         w.validate()
-    nu = joint.table.shape[0]
-    blocks = []
-    for j in range(m):
-        # new aux (j, u) with X = original X shifted back by j
-        blocks.append(np.roll(joint.table, -j, axis=1))
-    table = np.concatenate(blocks, axis=0) / m
-    out = SymmetrizedJoint(Joint2(table), num_shifts=m, base_aux_size=nu)
-    marg = out.joint.col_marginal().probs
-    if float(np.max(np.abs(marg - 1.0 / m))) > SIMPLEX_TOL:
+    # new aux (j, u) with X = original X shifted back by j
+    sym = np.concatenate([np.roll(table, -j, axis=1) for j in range(m)], axis=0) / m
+    if float(np.max(np.abs(sym.sum(axis=0) - 1.0 / m))) > SIMPLEX_TOL:
         raise DomainError("symmetrized X marginal failed to be uniform")
-    return out
+    sym.setflags(write=False)
+    return SymmetrizedJoint(sym, num_shifts=m, base_aux_size=nu)
 
 
 def split_input_pair() -> tuple[Dmc, Dmc]:

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .channels import (
     Dmc,
@@ -32,9 +31,9 @@ from .channels import (
 )
 from .probcore import (
     CELL_FLOOR,
-    SIMPLEX_TOL,
     Dist,
     DomainError,
+    stochastic_array,
 )
 
 VERDICT_TOL = 1e-9        # violation size that flips a verdict to Fails
@@ -74,18 +73,10 @@ class AuxDecomposition:
     px_given_u: np.ndarray
 
     def __post_init__(self):
-        rows = np.array(self.px_given_u, dtype=float, copy=True)
-        if rows.ndim != 2 or rows.shape[0] != self.pu.size:
+        shape = np.shape(self.px_given_u)
+        if len(shape) != 2 or shape[0] != self.pu.size:
             raise DomainError("px_given_u must be a (|U|, |X|) matrix")
-        if not np.all(np.isfinite(rows)):
-            raise DomainError("px_given_u contains non-finite entries")
-        if np.any(rows < -CELL_FLOOR):
-            raise DomainError("px_given_u contains negative entries")
-        rows = np.clip(rows, 0.0, None)
-        if np.any(np.abs(rows.sum(axis=1) - 1.0) > SIMPLEX_TOL):
-            raise DomainError("px_given_u rows must each sum to 1")
-        rows.setflags(write=False)
-        object.__setattr__(self, "px_given_u", rows)
+        object.__setattr__(self, "px_given_u", stochastic_array(self.px_given_u, "px_given_u"))
 
     @property
     def aux_size(self) -> int:
@@ -214,6 +205,10 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     ``tol``; otherwise Fails with the worst-matched cell in diagnostics.
     This test is exact up to the tolerance, never Inconclusive.
     """
+    # imported here: scipy.optimize dominates the package import time and
+    # only this test solves an LP
+    from scipy.optimize import linprog
+
     m = _require_same_input(a, b)
     na, nb = a.output_size, b.output_size
     nvars = na * nb + 1  # W entries then t
@@ -292,7 +287,7 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
 def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     """Is I(U;Y_b) <= I(U;Y_a) for every auxiliary chain U -> X -> Y?
 
-    Checks midpoint convexity of the gap I(X;Y_a) - I(X;Y_b) over all pairs
+    Checks midpoint convexity of the gap I(X;Y_b) - I(X;Y_a) over all pairs
     of grid points: a midpoint bump converts constructively into a two-point
     auxiliary witness with I(U;Y_b) > I(U;Y_a) by exactly the bump height.
     Convexity is equivalent to the ordering for binary inputs; on larger
@@ -301,7 +296,7 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     m = _require_same_input(a, b)
     eff = _bounded_step(m, step, _PAIR_GRID_CAP)
     grid = simplex_grid(m, eff)
-    g = _gap_vec(a, b, grid)
+    g = _gap_vec(b, a, grid)
     n = grid.shape[0]
     ii, jj = np.triu_indices(n, k=1)
     worst_val = -np.inf
@@ -311,7 +306,7 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
         si = ii[lo : lo + chunk]
         sj = jj[lo : lo + chunk]
         mids = 0.5 * (grid[si] + grid[sj])
-        viol = _gap_vec(a, b, mids) - 0.5 * (g[si] + g[sj])
+        viol = _gap_vec(b, a, mids) - 0.5 * (g[si] + g[sj])
         k = int(np.argmax(viol))
         if float(viol[k]) > worst_val:
             worst_val = float(viol[k])

@@ -36,7 +36,6 @@ from .regions import (
     RegionFrontier,
     frontier_csv,
     outer_bound_eq_ob,
-    outer_bound_vx,
     superposition_region,
     theorem1_region,
     theorem2_region,
@@ -46,7 +45,7 @@ from .verifysuite import check_names, run_suite
 __all__ = ["RunConfig", "CliError", "build_parser", "main", "entrypoint"]
 
 BUILTIN_PAIR = "paper6vi"
-REGION_NAMES = ("ib", "theorem1", "theorem2", "ob", "vx")
+REGION_NAMES = ("ib", "theorem1", "theorem2", "ob")
 
 SVG_W, SVG_H = 800, 600
 _ML, _MR, _MT, _MB = 80, 24, 40, 56
@@ -366,8 +365,8 @@ def cmd_classify(cfg: RunConfig) -> int:
     res = {
         "degraded_2_wrt_1": test_degraded(c1, c2, tol=cfg.tol),
         "degraded_1_wrt_2": test_degraded(c2, c1, tol=cfg.tol),
-        "less_noisy_1": test_less_noisy(c2, c1, step=step),
-        "less_noisy_2": test_less_noisy(c1, c2, step=step),
+        "less_noisy_1": test_less_noisy(c1, c2, step=step),
+        "less_noisy_2": test_less_noisy(c2, c1, step=step),
         "more_capable_1": test_more_capable(c1, c2, step=step),
         "more_capable_2": test_more_capable(c2, c1, step=step),
         "essentially_less_noisy_1": test_essentially_less_noisy(c1, c2, step=step),
@@ -564,10 +563,8 @@ def cmd_region(cfg: RunConfig) -> int:
             frontiers[name] = theorem1_region(a, b, members or [Dist.uniform(m)], step=step)
         elif name == "theorem2":
             frontiers[name] = theorem2_region(a, b, members or [Dist.uniform(m)], step=step)
-        elif name == "ob":
-            frontiers[name] = outer_bound_eq_ob(a, b, step=step)
         else:
-            frontiers[name] = outer_bound_vx(a, b, step=step)
+            frontiers[name] = outer_bound_eq_ob(a, b, step=step)
     print(f"dominant: {n1}; weak: {n2}; step {step:g}", file=sys.stderr)
     if cfg.fmt == "csv":
         if len(frontiers) == 1:

@@ -1,9 +1,10 @@
 """Finite-alphabet probability and information primitives.
 
 All information quantities are in bits (log base 2).  Distributions live on
-small finite alphabets and are stored as immutable numpy vectors; joints over
-two or three variables are dense tables.  The convention 0*log2(0) = 0 is
-applied everywhere by skipping cells below CELL_FLOOR.
+small finite alphabets and are stored as immutable numpy vectors.  The
+convention 0*log2(0) = 0 is applied everywhere by skipping cells below
+CELL_FLOOR.  Information quantities themselves come from the batched kernels
+``mi_batch`` and ``aux_mi_batch`` in ``bcorder.channels``.
 
 Validation policy: constructors reject malformed input instead of repairing
 it.  Renormalization happens only through the explicit ``normalized``
@@ -18,27 +19,35 @@ import numpy as np
 
 SIMPLEX_TOL = 1e-12   # how far a probability vector may miss summing to 1
 CELL_FLOOR = 1e-15    # cells below this are treated as exact zeros
-MARKOV_TOL = 1e-10    # tolerance for the U -> X -> Y factorization check
 
 
 class DomainError(ValueError):
     """An argument lies outside its mathematical domain."""
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+def stochastic_array(values, what: str, axis: int | None = -1) -> np.ndarray:
+    """A read-only float copy of ``values`` whose laws along ``axis`` sum to 1.
 
-
-def _check_prob_array(arr: np.ndarray, what: str) -> np.ndarray:
+    Entries must be finite and non-negative; negatives above -CELL_FLOOR are
+    rounding noise and are clipped to 0.  Each sum along ``axis`` (the whole
+    array when ``axis`` is None) must be 1 within SIMPLEX_TOL.  Shape checks
+    are the caller's.  Raises DomainError naming ``what`` otherwise.
+    """
+    arr = np.array(values, dtype=float, copy=True)
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{what} contains non-finite entries")
     if np.any(arr < -CELL_FLOOR):
         raise DomainError(f"{what} contains negative entries")
-    if np.any(arr > 1.0 + SIMPLEX_TOL):
-        raise DomainError(f"{what} contains entries above 1")
-    # forgive sub-floor negative noise from upstream arithmetic
-    return np.clip(arr, 0.0, None)
+    arr = np.clip(arr, 0.0, None)
+    sums = arr.sum(axis=axis)
+    bad = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if np.ndim(bad) == 0:
+        if bad:
+            raise DomainError(f"{what} does not sum to 1 (sum={float(sums)!r})")
+    elif np.any(bad):
+        raise DomainError(f"{what} row {int(np.argmax(bad))} does not sum to 1")
+    arr.setflags(write=False)
+    return arr
 
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
@@ -87,13 +96,9 @@ class Dist:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=float, copy=True)
-        if arr.ndim != 1 or arr.size == 0:
+        if np.ndim(self.probs) != 1 or np.size(self.probs) == 0:
             raise DomainError("Dist expects a non-empty 1-d vector")
-        arr = _check_prob_array(arr, "Dist")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(f"Dist does not sum to 1 (sum={arr.sum()!r})")
-        object.__setattr__(self, "probs", _freeze(arr))
+        object.__setattr__(self, "probs", stochastic_array(self.probs, "Dist"))
 
     @property
     def size(self) -> int:
@@ -105,20 +110,6 @@ class Dist:
     @classmethod
     def uniform(cls, n: int) -> "Dist":
         return cls(np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, i: int, n: int) -> "Dist":
-        v = np.zeros(n)
-        v[i] = 1.0
-        return cls(v)
-
-    @classmethod
-    def binary(cls, x: float) -> "Dist":
-        """Binary distribution with P(X=0) = x."""
-        if x < -SIMPLEX_TOL or x > 1.0 + SIMPLEX_TOL:
-            raise DomainError("binary parameter outside [0, 1]")
-        x = min(max(x, 0.0), 1.0)
-        return cls(np.array([x, 1.0 - x]))
 
     @classmethod
     def normalized(cls, values) -> "Dist":
@@ -133,141 +124,3 @@ class Dist:
 def entropy(d: Dist) -> float:
     """H(d) in bits.  0 <= H <= log2(alphabet size)."""
     return float(entropy_vec(d.probs))
-
-
-@dataclass(frozen=True, eq=False)
-class Joint2:
-    """A joint distribution on a product of two finite alphabets."""
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.table, dtype=float, copy=True)
-        if arr.ndim != 2 or arr.size == 0:
-            raise DomainError("Joint2 expects a 2-d table")
-        arr = _check_prob_array(arr, "Joint2")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError("Joint2 does not sum to 1")
-        object.__setattr__(self, "table", _freeze(arr))
-
-    @classmethod
-    def from_input_and_channel(cls, px: Dist, channel) -> "Joint2":
-        """Joint (X, Y) of an input distribution pushed through channel rows."""
-        rows = np.asarray(getattr(channel, "rows", channel), dtype=float)
-        if rows.shape[0] != px.size:
-            raise DomainError("input size does not match channel input size")
-        return cls(px.probs[:, None] * rows)
-
-    def row_marginal(self) -> Dist:
-        return Dist(self.table.sum(axis=1))
-
-    def col_marginal(self) -> Dist:
-        return Dist(self.table.sum(axis=0))
-
-    def conditionals(self) -> np.ndarray:
-        """p(col | row); rows with zero mass fall back to uniform."""
-        t = self.table
-        mass = t.sum(axis=1, keepdims=True)
-        n = t.shape[1]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = np.where(mass > CELL_FLOOR, t / np.maximum(mass, CELL_FLOOR), 1.0 / n)
-        return cond
-
-
-def mutual_information(j: Joint2) -> float:
-    """I between the two coordinates of a Joint2, in bits, clamped to >= 0."""
-    t = j.table
-    pa = t.sum(axis=1)
-    pb = t.sum(axis=0)
-    mask = t > CELL_FLOOR
-    denom = np.outer(pa, pb)
-    val = float(np.sum(t[mask] * np.log2(t[mask] / denom[mask])))
-    return max(0.0, val)
-
-
-@dataclass(frozen=True, eq=False)
-class Joint3:
-    """A joint distribution on (U, X, Y) satisfying the chain U -> X -> Y.
-
-    The factorization p(y | x, u) = p(y | x) is required to hold within
-    MARKOV_TOL wherever p(x) > 0; constructions that break it are rejected.
-    """
-
-    table: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.table, dtype=float, copy=True)
-        if arr.ndim != 3 or arr.size == 0:
-            raise DomainError("Joint3 expects a 3-d table")
-        arr = _check_prob_array(arr, "Joint3")
-        if abs(float(arr.sum()) - 1.0) > SIMPLEX_TOL:
-            raise DomainError("Joint3 does not sum to 1")
-        px = arr.sum(axis=(0, 2))
-        pux = arr.sum(axis=2)
-        pxy = arr.sum(axis=0)
-        lhs = arr * px[None, :, None]
-        rhs = pux[:, :, None] * pxy[None, :, :]
-        live = px > CELL_FLOOR
-        if live.any():
-            resid = float(np.max(np.abs(lhs[:, live, :] - rhs[:, live, :])))
-            if resid > MARKOV_TOL:
-                raise DomainError(
-                    f"Joint3 violates the U->X->Y factorization (residual {resid:.3e})"
-                )
-        object.__setattr__(self, "table", _freeze(arr))
-
-    def aux_marginal(self) -> Dist:
-        return Dist(self.table.sum(axis=(1, 2)))
-
-    def input_marginal(self) -> Dist:
-        return Dist(self.table.sum(axis=(0, 2)))
-
-    def ux_joint(self) -> Joint2:
-        return Joint2(self.table.sum(axis=2))
-
-    def uy_joint(self) -> Joint2:
-        return Joint2(self.table.sum(axis=1))
-
-    def xy_joint(self) -> Joint2:
-        return Joint2(self.table.sum(axis=0))
-
-
-def conditional_mi(j: Joint3) -> float:
-    """I(X;Y | U) in bits: the U-average of per-slice mutual informations."""
-    t = j.table
-    pu = t.sum(axis=(1, 2))
-    total = 0.0
-    for u in range(t.shape[0]):
-        if pu[u] <= CELL_FLOOR:
-            continue
-        total += pu[u] * mutual_information(Joint2(t[u] / pu[u]))
-    return max(0.0, total)
-
-
-def assemble_joint(pu: Dist, px_given_u, channel) -> Joint3:
-    """Build the (U, X, Y) joint p(u) p(x|u) W(y|x) from its three factors.
-
-    ``px_given_u`` is one distribution row over X per U symbol; ``channel``
-    is anything with row-stochastic ``rows`` (or a bare matrix).
-    """
-    rows = np.asarray(getattr(channel, "rows", channel), dtype=float)
-    cond = np.asarray(px_given_u, dtype=float)
-    if cond.ndim != 2:
-        raise DomainError("px_given_u must be a (|U|, |X|) matrix")
-    if cond.shape[0] != pu.size:
-        raise DomainError("px_given_u row count does not match |U|")
-    if cond.shape[1] != rows.shape[0]:
-        raise DomainError("px_given_u column count does not match channel input size")
-    cond = _check_prob_array(cond, "px_given_u")
-    if np.any(np.abs(cond.sum(axis=1) - 1.0) > SIMPLEX_TOL):
-        raise DomainError("px_given_u rows must each sum to 1")
-    table = pu.probs[:, None, None] * cond[:, :, None] * rows[None, :, :]
-    return Joint3(table)
-
-
-def joint_through_channel(j: Joint2, channel) -> Joint2:
-    """Map a joint (A, X) to (A, Y) by pushing X through channel rows."""
-    rows = np.asarray(getattr(channel, "rows", channel), dtype=float)
-    if rows.shape[0] != j.table.shape[1]:
-        raise DomainError("joint column count does not match channel input size")
-    return Joint2(j.table @ rows)

@@ -1,8 +1,8 @@
 """Rate regions for two-receiver broadcast channels.
 
 Computes superposition-coding achievable regions, the two class-restricted
-capacity regions, and two outer bounds, all as Pareto frontiers in the
-(r1, r2) plane.  Every region is assembled the same way: sweep a grid of
+capacity regions, and the r1-capped outer bound, all as Pareto frontiers in
+the (r1, r2) plane.  Every region is assembled the same way: sweep a grid of
 auxiliary decompositions (U, X | U), emit the corner points of the rate
 polygon each decomposition permits, and take the upper concave envelope of
 the union.  Time sharing justifies the hull.
@@ -26,6 +26,8 @@ import numpy as np
 from .channels import Dmc, aux_mi_batch, mi_batch
 from .classify import (
     AuxDecomposition,
+    _bounded_step,
+    _require_same_input,
     constrained_two_point_batch,
     simplex_grid,
 )
@@ -323,13 +325,6 @@ def _aux3_constrained_binary(t0: float):
     return weights, rows
 
 
-def _bounded_simplex(m: int, step: float, cap: int) -> np.ndarray:
-    eff = step
-    while math.comb(max(1, round(1.0 / eff)) + m - 1, m - 1) > cap and eff < 1.0:
-        eff = min(1.0, eff * 2.0)
-    return simplex_grid(m, eff)
-
-
 def _coarse_pair_batch(m: int):
     k_parts = 1
     while math.comb(k_parts + m, m - 1) <= _COARSE_PAIR_CAP:
@@ -375,7 +370,7 @@ def _free_batches(m: int, step: float, refine_aux3: bool):
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
         aux3 = [_aux3_free_binary()] if refine_aux3 else []
         return batches, aux3
-    grid = _bounded_simplex(m, step, _SINGLE_CAP)
+    grid = simplex_grid(m, _bounded_step(m, step, _SINGLE_CAP))
     n = grid.shape[0]
     k1 = (np.ones((n, 1)), grid[:, None, :])
     ux = (grid, np.broadcast_to(np.eye(m), (n, m, m)))
@@ -403,14 +398,6 @@ def _constrained_batches(target: Dist, m: int, step: float, refine_aux3: bool):
         if extra[0].shape[0]:
             aux3.append(extra)
     return batches, aux3
-
-
-def _same_input(a: Dmc, b: Dmc) -> int:
-    if a.input_size != b.input_size:
-        raise DomainError(
-            f"input alphabets differ: {a.input_size} vs {b.input_size}"
-        )
-    return a.input_size
 
 
 def _sweep_frontier(
@@ -500,7 +487,7 @@ def superposition_region(
     second conditional row is derived from the constraint, so the match is
     exact to rounding, far inside the 1e-9 requirement).
     """
-    m = _same_input(dominant, weak)
+    m = _require_same_input(dominant, weak)
     if marginal_constraint is None:
         batches, aux3 = _free_batches(m, step, refine_aux3)
     else:
@@ -518,7 +505,7 @@ def _class_region(
     kind: str,
     name: str,
 ) -> RegionFrontier:
-    m = _same_input(a, b)
+    m = _require_same_input(a, b)
     members = list(sufficient_class)
     if not members:
         raise DomainError("the sufficient class must be nonempty")
@@ -574,25 +561,7 @@ def outer_bound_eq_ob(
     Constraints per decomposition: r2 <= I(U;Y_b), r1+r2 <= I(U;Y_b) +
     I(X;Y_a|U), r1 <= I(X;Y_a), swept over unconstrained decompositions.
     """
-    m = _same_input(a, b)
+    m = _require_same_input(a, b)
     batches, aux3 = _free_batches(m, step, refine_aux3)
     diag = {"bound": "ob", "step": step, "constrained": False}
     return _sweep_frontier(a, b, batches, aux3, "r1cap", diag)
-
-
-def outer_bound_vx(
-    a: Dmc,
-    b: Dmc,
-    step: float = 0.02,
-    refine_aux3: bool = True,
-) -> RegionFrontier:
-    """Outer bound with the sum cap r1+r2 <= I(X;Y_a).
-
-    Same constraint set as the superposition sweep (the second auxiliary
-    collapses onto X), evaluated over unconstrained decompositions; the
-    bound differs from the achievable region only through the sweep.
-    """
-    m = _same_input(a, b)
-    batches, aux3 = _free_batches(m, step, refine_aux3)
-    diag = {"bound": "vx", "step": step, "constrained": False}
-    return _sweep_frontier(a, b, batches, aux3, "sum", diag)

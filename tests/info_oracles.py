@@ -1,0 +1,43 @@
+"""Brute-force information oracles shared by the tests.
+
+The oracles loop over table cells one at a time and share no code with the
+batched kernels in ``bcorder.channels``, so agreement between the two is
+evidence rather than a tautology.  ``decomposition`` turns a joint table
+into the form the kernels take.
+"""
+
+import numpy as np
+
+from bcorder.classify import AuxDecomposition
+from bcorder.probcore import Dist
+
+
+def brute_mi(table):
+    """I(A;B) of a joint table by a direct double sum over its cells."""
+    table = np.asarray(table, dtype=float)
+    pa = table.sum(axis=1)
+    pb = table.sum(axis=0)
+    total = 0.0
+    for i in range(table.shape[0]):
+        for j in range(table.shape[1]):
+            if table[i, j] > 1e-15:
+                total += table[i, j] * np.log2(table[i, j] / (pa[i] * pb[j]))
+    return total
+
+
+def brute_conditional_mi(t):
+    """I(X;Y|U) of a (U, X, Y) table: the U-weighted per-slice brute_mi."""
+    t = np.asarray(t, dtype=float)
+    total = 0.0
+    for u in range(t.shape[0]):
+        mass = t[u].sum()
+        if mass > 1e-15:
+            total += mass * brute_mi(t[u] / mass)
+    return total
+
+
+def decomposition(joint):
+    """The auxiliary decomposition p(u), p(x|u) of a (U, X) joint table."""
+    joint = np.asarray(joint, dtype=float)
+    pu = joint.sum(axis=1)
+    return AuxDecomposition(Dist(pu), joint / pu[:, None])

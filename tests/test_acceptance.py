@@ -21,46 +21,26 @@ from bcorder.channels import (
     cascade,
     channel_mi,
     detect_c_symmetry,
+    mi_batch,
     split_input_pair,
     symmetrize,
 )
 from bcorder.classify import AuxDecomposition
 from bcorder.cli import main
-from bcorder.probcore import (
-    Dist,
-    Joint2,
-    assemble_joint,
-    binary_entropy,
-    conditional_mi,
-    joint_through_channel,
-    mutual_information,
-)
+from bcorder.probcore import Dist, binary_entropy
 from bcorder.regions import (
     frontier_contains,
     frontier_distance,
     outer_bound_eq_ob,
-    outer_bound_vx,
     superposition_region,
     theorem1_region,
 )
+from info_oracles import brute_conditional_mi, decomposition
 
 
 def _brute_cond_mi(pu, rows, chan):
-    # independent oracle: entropy sums over the explicit (U, X, Y) table
-    t = np.einsum("u,ux,xy->uxy", pu, rows, chan.rows)
-    total = 0.0
-    for u in range(t.shape[0]):
-        blk = t[u]
-        mass = blk.sum()
-        if mass < 1e-15:
-            continue
-        px = blk.sum(axis=1)
-        py = blk.sum(axis=0)
-        for i in range(blk.shape[0]):
-            for j in range(blk.shape[1]):
-                if blk[i, j] > 1e-15:
-                    total += blk[i, j] * np.log2(blk[i, j] * mass / (px[i] * py[j]))
-    return float(total)
+    # independent oracle on the explicit (U, X, Y) table
+    return brute_conditional_mi(np.einsum("u,ux,xy->uxy", pu, rows, chan.rows))
 
 
 def test_01_auxiliary_informations():
@@ -104,7 +84,7 @@ def test_02_threshold_grid_50():
             chan_b, chan_s = bec(e), bsc(p)
             ok = (
                 ordering.test_degraded(chan_b, chan_s).holds == (e <= 2.0 * p)
-                and ordering.test_less_noisy(chan_s, chan_b).holds == (e <= 4.0 * p * (1.0 - p))
+                and ordering.test_less_noisy(chan_b, chan_s).holds == (e <= 4.0 * p * (1.0 - p))
                 and ordering.test_more_capable(chan_b, chan_s).holds == (e <= hp)
                 and ordering.test_dominant_c_symmetry(chan_s, chan_b).holds == (e > hp)
             )
@@ -168,23 +148,18 @@ def test_06_symmetrization_postconditions():
     for _ in range(100):
         k = int(rng.integers(1, 4))
         table = rng.gamma(1.0, 1.0, size=(k, 2))
-        joint = Joint2(table / table.sum())
+        joint = table / table.sum()
         sym = symmetrize(joint, wit_a, wit_b)
-        assert float(np.max(np.abs(sym.joint.col_marginal().probs - 0.5))) <= 1e-12
-        pu, conds = joint.row_marginal(), joint.conditionals()
-        pu_s, conds_s = sym.joint.row_marginal(), sym.joint.conditionals()
-        px = joint.col_marginal().probs
+        assert float(np.max(np.abs(sym.joint.sum(axis=0) - 0.5))) <= 1e-12
+        dec, dec_s = decomposition(joint), decomposition(sym.joint)
+        px = joint.sum(axis=0)
         for chan in (chan_a, chan_b):
-            i_aux = mutual_information(joint_through_channel(joint, chan))
-            i_aux_s = mutual_information(joint_through_channel(sym.joint, chan))
-            worst = max(worst, i_aux - i_aux_s)  # information must not drop
-            i_cond = conditional_mi(assemble_joint(pu, conds, chan))
-            i_cond_s = conditional_mi(assemble_joint(pu_s, conds_s, chan))
-            worst = max(worst, abs(i_cond - i_cond_s))
-            base = mutual_information(Joint2(px[:, None] * chan.rows))
+            worst = max(worst, dec.mi_aux(chan) - dec_s.mi_aux(chan))  # information must not drop
+            worst = max(worst, abs(dec.mi_conditional(chan) - dec_s.mi_conditional(chan)))
+            base = mi_batch(chan.rows, px[None, :])[0]
             for j in range(sym.num_shifts):
-                blk_px = sym.conditional_given_shift(j).col_marginal().probs
-                i_blk = mutual_information(Joint2(blk_px[:, None] * chan.rows))
+                blk_px = sym.conditional_given_shift(j).sum(axis=0)
+                i_blk = mi_batch(chan.rows, blk_px[None, :])[0]
                 worst = max(worst, abs(i_blk - base))
     assert worst <= 1e-10
     print(f"[PASS] criterion 6: 100 symmetrized joints, uniform marginal exact, worst inequality slack {worst:.2e}")
@@ -243,12 +218,10 @@ def test_10_region_containments():
             dom, weak = bec(e), bsc(p)
         inner = superposition_region(dom, weak, step=0.04)
         ob = outer_bound_eq_ob(dom, weak, step=0.04)
-        vx = outer_bound_vx(dom, weak, step=0.04)
         for pt in inner.points:
             assert frontier_contains(ob, pt, tol=1e-9)
-            assert frontier_contains(vx, pt, tol=1e-9)
             checked += 1
-    print(f"[PASS] criterion 10: {checked} achievable frontier points inside both outer bounds on 10 regime-spanning pairs")
+    print(f"[PASS] criterion 10: {checked} achievable frontier points inside the outer bound on 10 regime-spanning pairs")
 
 
 def test_11_ordering_hierarchy():
@@ -260,7 +233,7 @@ def test_11_ordering_hierarchy():
         chan_b, chan_s = bec(e), bsc(p)
         if ordering.test_degraded(chan_b, chan_s).holds:
             instances += 1
-            assert ordering.test_less_noisy(chan_s, chan_b).holds
+            assert ordering.test_less_noisy(chan_b, chan_s).holds
             assert ordering.test_more_capable(chan_b, chan_s).holds
     labels = ("0", "1", "2")
     for _ in range(3):
@@ -268,7 +241,7 @@ def test_11_ordering_hierarchy():
         b = cascade(a, Dmc.normalized(rng.gamma(1.0, 1.0, size=(3, 3)), labels))
         if ordering.test_degraded(a, b).holds:
             instances += 1
-            assert ordering.test_less_noisy(b, a).holds
+            assert ordering.test_less_noisy(a, b).holds
             assert ordering.test_more_capable(a, b).holds
     assert instances > 0
     print(f"[PASS] criterion 11: degraded implies less noisy and more capable on all {instances} tested instances")

@@ -66,14 +66,14 @@ def test_degraded_is_reflexive_and_respects_composition():
 
 def test_less_noisy_examples():
     # convex regime: the erasure side is less noisy
-    assert ordering.test_less_noisy(bsc(0.1), bec(0.3)).holds
+    assert ordering.test_less_noisy(bec(0.3), bsc(0.1)).holds
     # above the convexity threshold the ordering breaks
-    verdict = ordering.test_less_noisy(bsc(0.1), bec(0.4))
+    verdict = ordering.test_less_noisy(bec(0.4), bsc(0.1))
     assert verdict.fails
 
 
 def test_less_noisy_failure_witness_revalidates():
-    verdict = ordering.test_less_noisy(bsc(0.1), bec(0.4))
+    verdict = ordering.test_less_noisy(bec(0.4), bsc(0.1))
     assert verdict.fails
     dec = verdict.witness
     assert isinstance(dec, AuxDecomposition)
@@ -148,7 +148,7 @@ def test_hierarchy_composition_on_random_cascades():
         assert ordering.test_degraded(a, b).holds
         checked += 1
         # degradedness implies a is less noisy than b and more capable than b
-        assert ordering.test_less_noisy(b, a).holds
+        assert ordering.test_less_noisy(a, b).holds
         assert ordering.test_more_capable(a, b).holds
     assert checked == 4
 

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
+import bcorder
 from bcorder.cli import main
 from bcorder.verifysuite import check_names
 
@@ -198,9 +202,10 @@ def test_region_ib_rejects_multi_member_class(tmp_path):
 
 
 def test_region_unknown_name():
-    code, _, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", "foo")
-    assert code == 2
-    assert "unknown region name" in err
+    for name in ("foo", "vx"):
+        code, _, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", name)
+        assert code == 2
+        assert "unknown region name" in err
 
 
 def test_region_svg():
@@ -281,3 +286,13 @@ def test_help_exits_zero():
 def test_no_command_exits_two():
     code, _, _ = run_cli()
     assert code == 2
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # scipy.optimize is most of the cold import time and only the
+    # degradedness LP needs it, so importing the CLI must not load it
+    src = os.path.dirname(os.path.dirname(bcorder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, bcorder.cli; sys.exit(int('scipy.optimize' in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
+    assert res.returncode == 0

@@ -1,43 +1,9 @@
 import numpy as np
 import pytest
 
-from bcorder.probcore import (
-    Dist,
-    DomainError,
-    Joint2,
-    Joint3,
-    assemble_joint,
-    binary_convolve,
-    binary_entropy,
-    conditional_mi,
-    entropy,
-    joint_through_channel,
-    mutual_information,
-)
-from bcorder.channels import bec, bsc
-
-
-def brute_mi(table):
-    # direct double sum, no vectorization, as an independent oracle
-    table = np.asarray(table, dtype=float)
-    px = table.sum(axis=1)
-    py = table.sum(axis=0)
-    total = 0.0
-    for i in range(table.shape[0]):
-        for j in range(table.shape[1]):
-            if table[i, j] > 1e-15:
-                total += table[i, j] * np.log2(table[i, j] / (px[i] * py[j]))
-    return total
-
-
-def brute_conditional_mi(t):
-    t = np.asarray(t, dtype=float)
-    total = 0.0
-    for u in range(t.shape[0]):
-        mass = t[u].sum()
-        if mass > 1e-15:
-            total += mass * brute_mi(t[u] / mass)
-    return total
+from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, mi_batch
+from bcorder.probcore import Dist, DomainError, binary_convolve, binary_entropy, entropy
+from info_oracles import brute_conditional_mi, brute_mi, decomposition
 
 
 def test_dist_validates_simplex():
@@ -77,43 +43,30 @@ def test_binary_convolve_basics():
     assert binary_convolve(0.2, 0.35) == pytest.approx(binary_convolve(0.35, 0.2), abs=1e-15)
 
 
-def test_joint2_validation():
-    with pytest.raises(DomainError):
-        Joint2(np.array([0.5, 0.5]))
-    with pytest.raises(DomainError):
-        Joint2(np.array([[0.5, 0.6], [0.2, 0.2]]))
-
-
 def test_mutual_information_against_oracle():
     rng = np.random.default_rng(7)
     for _ in range(50):
         shape = (int(rng.integers(2, 5)), int(rng.integers(2, 5)))
         t = rng.gamma(1.0, 1.0, size=shape)
         t /= t.sum()
-        assert mutual_information(Joint2(t)) == pytest.approx(brute_mi(t), abs=1e-12)
+        px = t.sum(axis=1)
+        assert mi_batch(t / px[:, None], px[None, :])[0] == pytest.approx(brute_mi(t), abs=1e-12)
 
 
 def test_mutual_information_independent_is_zero():
     px = np.array([0.3, 0.7])
     py = np.array([0.2, 0.5, 0.3])
-    assert mutual_information(Joint2(np.outer(px, py))) == pytest.approx(0.0, abs=1e-12)
+    rows = np.tile(py, (2, 1))  # every input sees the same output law
+    assert mi_batch(rows, px[None, :])[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_deterministic_channel():
-    t = np.diag([0.25, 0.25, 0.5])
-    assert mutual_information(Joint2(t)) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_joint3_rejects_non_markov_tables():
-    rng = np.random.default_rng(3)
-    t = rng.gamma(1.0, 1.0, size=(2, 2, 2))
-    t /= t.sum()
-    with pytest.raises(DomainError):
-        Joint3(t)
+    px = np.array([[0.25, 0.25, 0.5]])
+    assert mi_batch(np.eye(3), px)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_conditional_mi_against_oracle():
-    # tables must factor as p(u,x) p(y|x); build them that way, then compare
+    # tables factor as p(u,x) p(y|x); build them that way, then compare
     rng = np.random.default_rng(11)
     for _ in range(50):
         k = int(rng.integers(1, 4))
@@ -123,12 +76,14 @@ def test_conditional_mi_against_oracle():
         pux /= pux.sum()
         rows = rng.gamma(1.0, 1.0, size=(m, n))
         rows /= rows.sum(axis=1, keepdims=True)
+        chan = Dmc(rows, tuple(str(y) for y in range(n)))
         t = pux[:, :, None] * rows[None, :, :]
-        assert conditional_mi(Joint3(t)) == pytest.approx(brute_conditional_mi(t), abs=1e-12)
+        got = decomposition(pux).mi_conditional(chan)
+        assert got == pytest.approx(brute_conditional_mi(t), abs=1e-12)
 
 
-def test_assemble_joint_two_routes_agree():
-    # I(X;Y|U) from assemble_joint must match the weighted per-u sum
+def test_conditional_information_is_weighted_per_symbol_sum():
+    # I(X;Y|U) must match the p(u)-weighted sum of per-symbol informations
     rng = np.random.default_rng(13)
     chan = bec(0.3)
     for _ in range(20):
@@ -137,36 +92,37 @@ def test_assemble_joint_two_routes_agree():
         pu /= pu.sum()
         rows = rng.gamma(1.0, 1.0, size=(k, 2))
         rows /= rows.sum(axis=1, keepdims=True)
-        j3 = assemble_joint(Dist(pu), rows, chan)
         direct = sum(
             pu[u] * brute_mi(rows[u][:, None] * chan.rows)
             for u in range(k)
         )
-        assert conditional_mi(j3) == pytest.approx(direct, abs=1e-12)
+        got = decomposition(pu[:, None] * rows).mi_conditional(chan)
+        assert got == pytest.approx(direct, abs=1e-12)
 
 
-def test_joint_through_channel_matches_assembled_marginal():
+def test_aux_mi_batch_matches_pushed_joint():
+    # I(U;Y) from the kernel equals the oracle on the (U, Y) table obtained
+    # by pushing X through the channel
     rng = np.random.default_rng(17)
     chan = bsc(0.15)
-    t = rng.gamma(1.0, 1.0, size=(3, 2))
-    t /= t.sum()
-    j_uy = joint_through_channel(Joint2(t), chan)
-    # same joint via the 3-way assembly, marginalized over x
-    j3 = assemble_joint(Joint2(t).row_marginal(), Joint2(t).conditionals(), chan)
-    uy = j3.table.sum(axis=1)
-    assert np.allclose(j_uy.table, uy, atol=1e-15)
+    for _ in range(20):
+        t = rng.gamma(1.0, 1.0, size=(3, 2))
+        t /= t.sum()
+        pu = t.sum(axis=1)
+        got = aux_mi_batch(chan.rows, pu[None, :], (t / pu[:, None])[None, :, :])[0]
+        assert got == pytest.approx(brute_mi(t @ chan.rows), abs=1e-12)
 
 
 def test_data_processing_never_creates_information():
     # I(U;Y) <= I(U;X) through any channel
     rng = np.random.default_rng(19)
+    identity = Dmc(np.eye(2), ("0", "1"))
     for _ in range(25):
         t = rng.gamma(1.0, 1.0, size=(3, 2))
         t /= t.sum()
         chan = bsc(float(rng.uniform(0.05, 0.45)))
-        i_ux = mutual_information(Joint2(t))
-        i_uy = mutual_information(joint_through_channel(Joint2(t), chan))
-        assert i_uy <= i_ux + 1e-12
+        dec = decomposition(t)
+        assert dec.mi_aux(chan) <= dec.mi_aux(identity) + 1e-12
 
 
 def test_chain_rule_identity():
@@ -176,10 +132,6 @@ def test_chain_rule_identity():
     for _ in range(25):
         t = rng.gamma(1.0, 1.0, size=(3, 2))
         t /= t.sum()
-        j2 = Joint2(t)
-        j3 = assemble_joint(j2.row_marginal(), j2.conditionals(), chan)
-        i_uy = mutual_information(joint_through_channel(j2, chan))
-        i_xy_given_u = conditional_mi(j3)
-        px = j2.col_marginal()
-        i_xy = mutual_information(Joint2(px.probs[:, None] * chan.rows))
-        assert i_uy + i_xy_given_u == pytest.approx(i_xy, abs=1e-11)
+        dec = decomposition(t)
+        i_xy = mi_batch(chan.rows, t.sum(axis=0)[None, :])[0]
+        assert dec.mi_aux(chan) + dec.mi_conditional(chan) == pytest.approx(i_xy, abs=1e-11)

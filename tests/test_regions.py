@@ -10,7 +10,6 @@ from bcorder.regions import (
     frontier_csv,
     frontier_distance,
     outer_bound_eq_ob,
-    outer_bound_vx,
     superposition_region,
     theorem1_region,
     theorem2_region,
@@ -93,8 +92,8 @@ def test_refinement_monotonicity_binary():
 
 def test_refinement_monotonicity_four_letter():
     y1, y2 = split_input_pair()
-    coarse = outer_bound_vx(y1, y2, step=0.05)
-    fine = outer_bound_vx(y1, y2, step=0.025)
+    coarse = superposition_region(y1, y2, step=0.05)
+    fine = superposition_region(y1, y2, step=0.025)
     for pt in coarse.points:
         assert frontier_contains(fine, pt, tol=1e-12)
 
@@ -104,11 +103,7 @@ def test_inner_bound_inside_outer_bounds():
         dom, weak = (bsc(p), bec(e)) if e > binary_entropy(p) else (bec(e), bsc(p))
         inner = superposition_region(dom, weak, step=0.04)
         ob = outer_bound_eq_ob(dom, weak, step=0.04)
-        vx = outer_bound_vx(dom, weak, step=0.04)
         for pt in inner.points:
-            assert frontier_contains(ob, pt, tol=1e-9)
-            assert frontier_contains(vx, pt, tol=1e-9)
-        for pt in vx.points:
             assert frontier_contains(ob, pt, tol=1e-9)
 
 
