@@ -16,6 +16,7 @@ explicit seed.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -38,8 +39,9 @@ from .probcore import (
 
 VERDICT_TOL = 1e-9        # violation size that flips a verdict to Fails
 REFINE_FLOOR = 1e-7       # coordinate-descent step is halved down to this
-_PAIR_GRID_CAP = 2000     # max grid points for all-pairs midpoint scans
+_PAIR_GRID_CAP = 2000     # max first-row grid points of a pinned two-point sweep
 _POINT_GRID_CAP = 300_000  # max grid points for single-point scans
+_HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 
 
 class Outcome(enum.Enum):
@@ -119,22 +121,16 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     if step <= 0 or step > 1:
         raise DomainError("grid step must lie in (0, 1]")
     k_parts = max(1, round(1.0 / step))
-    if m == 1:
-        return np.ones((1, 1))
-    out: list[list[int]] = []
-    comp = [0] * m
-
-    def rec(pos: int, remaining: int) -> None:
-        if pos == m - 1:
-            comp[pos] = remaining
-            out.append(comp.copy())
-            return
-        for v in range(remaining + 1):
-            comp[pos] = v
-            rec(pos + 1, remaining - v)
-
-    rec(0, k_parts)
-    return np.asarray(out, dtype=float) / k_parts
+    # extend every prefix by each value its remaining mass allows, in order
+    comps = np.zeros((1, 0), dtype=np.int64)
+    remaining = np.array([k_parts])
+    for _ in range(m - 1):
+        counts = remaining + 1
+        parent = np.repeat(np.arange(remaining.size), counts)
+        v = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        comps = np.column_stack([comps[parent], v])
+        remaining = remaining[parent] - v
+    return np.column_stack([comps, remaining]).astype(float) / k_parts
 
 
 def _grid_size(m: int, step: float) -> int:
@@ -257,79 +253,156 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
 
 
-def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
-    """Is I(X;Y_b) <= I(X;Y_a) for every input law?
+def _gap_extremum(
+    a: Dmc, b: Dmc, step: float, maximize: bool, probes: np.ndarray | None = None
+) -> tuple[np.ndarray, float, dict]:
+    """Extremum of I(X;Y_a) - I(X;Y_b) over a simplex grid plus refinement.
 
-    Minimizes the gap over a simplex grid plus local refinement.  Fails with
-    the violating input law if the minimum drops below -VERDICT_TOL.
+    ``probes`` are extra starting candidates considered after the grid (ties
+    keep the grid point).  Returns the refined point, its gap and the
+    search diagnostics.
     """
     m = _require_same_input(a, b)
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
-    gaps = _gap_vec(a, b, grid)
-    i0 = int(np.argmin(gaps))
+    cands = grid if probes is None else np.vstack([grid, probes])
+    gaps = _gap_vec(a, b, cands)
+    i0 = int(np.argmax(gaps) if maximize else np.argmin(gaps))
     x, v = _refine_extremum(
-        lambda q: float(_gap_vec(a, b, q[None, :])[0]), grid[i0], eff, maximize=False
+        lambda q: float(_gap_vec(a, b, q[None, :])[0]), cands[i0], eff, maximize=maximize
     )
+    key = "max" if maximize else "min"
     diagnostics = {
         "grid_step": eff,
         "grid_points": int(grid.shape[0]),
-        "min_gap": float(v),
-        "argmin": [float(t) for t in x],
+        f"{key}_gap": float(v),
+        f"arg{key}": [float(t) for t in x],
     }
     if step != eff:
         diagnostics["requested_step"] = step
+    return x, float(v), diagnostics
+
+
+def _face_chords(a: Dmc, b: Dmc, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+    """Chords leaving the faces next to which I(X;Y_a) - I(X;Y_b) bends up.
+
+    For a face with support S and an input i outside it, the pull is
+    s = sum of b[i, o] over the outputs o that no input of S reaches through
+    b, minus the same sum through a.  Moving mass t from the face toward e_i
+    changes the gap by -s t log(1/t) + O(t), so for s > 0 the gap's slope
+    goes to -inf and its curvature to +inf as mass leaves the face.  For
+    every positive pull, returns the chords from x, the uniform law on S, to
+    x + t (e_i - x) for t halved down from t_max, as (starts, ends) rows.
+    """
+    m = a.input_size
+    bases, dirs = [], []
+    for size in range(1, m):
+        for support in itertools.combinations(range(m), size):
+            s_idx = list(support)
+            unseen_a = np.all(a.rows[s_idx] <= CELL_FLOOR, axis=0)
+            unseen_b = np.all(b.rows[s_idx] <= CELL_FLOOR, axis=0)
+            pull = b.rows[:, unseen_b].sum(axis=1) - a.rows[:, unseen_a].sum(axis=1)
+            base = np.zeros(m)
+            base[s_idx] = 1.0 / size
+            for i in range(m):
+                if i not in support and pull[i] > CELL_FLOOR:
+                    bases.append(base)
+                    dirs.append(np.eye(m)[i] - base)
+    bases, dirs = np.reshape(bases, (-1, 1, m)), np.reshape(dirs, (-1, 1, m))
+    ts = _halvings(t_max)[None, :, None]
+    starts = np.broadcast_to(bases, (bases.shape[0], ts.size, m))
+    return starts.reshape(-1, m), (bases + ts * dirs).reshape(-1, m)
+
+
+def _halvings(t_max: float) -> np.ndarray:
+    """t_max, t_max/2, ..., the spreads tried along a chord."""
+    return t_max * 0.5 ** np.arange(_HALVINGS + 1)
+
+
+def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
+    """Is I(X;Y_b) <= I(X;Y_a) for every input law?
+
+    Minimizes the gap over a simplex grid plus local refinement.  Faces with
+    a positive pull (see _face_chords) add probes x + t (e_i - x) for t
+    halved down from ``step``, since the gap can dip below zero far inside
+    the first grid cell there.  Fails with the violating input law if the
+    minimum drops below -VERDICT_TOL.
+    """
+    _require_same_input(a, b)
+    probes = _face_chords(a, b, step)[1]
+    x, v, diagnostics = _gap_extremum(a, b, step, maximize=False, probes=probes)
+    diagnostics["face_probes"] = int(probes.shape[0])
     if v < -VERDICT_TOL:
         return ClassVerdict(Outcome.FAILS, witness=Dist(x), diagnostics=diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
 
 
+def _tangent_hessian(a: Dmc, b: Dmc, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per point.
+
+    It is Q^T [B diag(1/q_b) B^T - A diag(1/q_a) A^T] Q / ln 2, with q = p rows
+    and Q an orthonormal basis of {v : sum v = 0}, returned alongside.
+    ``pts`` must lie in the open simplex.
+    """
+    m = pts.shape[1]
+    # the trailing left singular vectors of the all-ones column span its complement
+    q_basis = np.linalg.svd(np.ones((m, 1)))[0][:, 1:]
+    hess = np.zeros((pts.shape[0], m - 1, m - 1))
+    for rows, sign in ((b.rows, 1.0), (a.rows, -1.0)):
+        rows = rows[:, rows.max(axis=0) > CELL_FLOOR]  # drop outputs no input reaches
+        proj = q_basis.T @ rows
+        hess += sign * ((proj[None, :, :] / (pts @ rows)[:, None, :]) @ proj.T)
+    return hess / math.log(2.0), q_basis
+
+
 def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     """Is I(U;Y_b) <= I(U;Y_a) for every auxiliary chain U -> X -> Y?
 
-    Checks midpoint convexity of the gap I(X;Y_b) - I(X;Y_a) over all pairs
-    of grid points: a midpoint bump converts constructively into a two-point
-    auxiliary witness with I(U;Y_b) > I(U;Y_a) by exactly the bump height.
-    Convexity is equivalent to the ordering for binary inputs; on larger
-    alphabets the same scan is applied and flagged heuristic in diagnostics.
+    Y_a is less noisy than Y_b exactly when f = I(X;Y_a) - I(X;Y_b) is
+    concave in p(x), on any input alphabet (van Dijk, IEEE Trans. IT 1997).
+    The test looks for curvature of f in two exact parts: the largest
+    eigenvalue of its tangent-space Hessian at every interior grid point,
+    and the face pulls, whose curvature diverges between the face and the
+    first grid layer.  Each positive eigenvalue at its worst point, and each
+    positive pull, becomes two-point auxiliary chords with weights 1/2
+    (x +- t v for the eigenvector v; the uniform law on the face and a point
+    toward e_i for a pull), t halved down from its largest feasible value.
+    Fails with the best chord when its I(U;Y_b) - I(U;Y_a) exceeds
+    VERDICT_TOL; otherwise Holds at the grid resolution.
     """
     m = _require_same_input(a, b)
-    eff = _bounded_step(m, step, _PAIR_GRID_CAP)
+    eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
-    g = _gap_vec(b, a, grid)
-    n = grid.shape[0]
-    ii, jj = np.triu_indices(n, k=1)
-    worst_val = -np.inf
-    worst_pair = (0, 0)
-    chunk = 400_000
-    for lo in range(0, ii.size, chunk):
-        si = ii[lo : lo + chunk]
-        sj = jj[lo : lo + chunk]
-        mids = 0.5 * (grid[si] + grid[sj])
-        viol = _gap_vec(b, a, mids) - 0.5 * (g[si] + g[sj])
-        k = int(np.argmax(viol))
-        if float(viol[k]) > worst_val:
-            worst_val = float(viol[k])
-            worst_pair = (int(si[k]), int(sj[k]))
-    diagnostics = {
-        "grid_step": eff,
-        "grid_points": int(n),
-        "pairs": int(ii.size),
-        "worst_midpoint_bump": worst_val,
-        "heuristic_beyond_binary": m > 2,
-    }
+    interior = grid[np.all(grid > 0.0, axis=1)]
+    diagnostics: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
     if step != eff:
         diagnostics["requested_step"] = step
-    if worst_val > VERDICT_TOL:
-        i, j = worst_pair
-        witness = AuxDecomposition(
-            Dist(np.array([0.5, 0.5])), np.vstack([grid[i], grid[j]])
-        )
-        diagnostics["witness_pair"] = [
-            [float(t) for t in grid[i]],
-            [float(t) for t in grid[j]],
-        ]
-        return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
+    starts, ends = [], []  # witness chords
+    if m > 1 and interior.shape[0]:
+        hess, q_basis = _tangent_hessian(a, b, interior)
+        curv = np.linalg.eigvalsh(hess)[:, -1]
+        k = int(np.argmax(curv))
+        diagnostics["max_curvature"] = float(curv[k])
+        if curv[k] > 0.0:
+            x, v = interior[k], q_basis @ np.linalg.eigh(hess[k])[1][:, -1]
+            moving = np.abs(v) > CELL_FLOOR
+            ts = _halvings(float(np.min(x[moving] / np.abs(v[moving]))))
+            starts.append(x - ts[:, None] * v)
+            ends.append(x + ts[:, None] * v)
+    face_starts, face_ends = _face_chords(a, b, 1.0)
+    starts.append(face_starts)
+    ends.append(face_ends)
+    rows = np.clip(np.stack([np.vstack(starts), np.vstack(ends)], axis=1), 0.0, None)
+    rows /= rows.sum(axis=2, keepdims=True)
+    if rows.shape[0]:
+        weights = np.full((rows.shape[0], 2), 0.5)
+        viol = aux_mi_batch(b.rows, weights, rows) - aux_mi_batch(a.rows, weights, rows)
+        k = int(np.argmax(viol))
+        if viol[k] > VERDICT_TOL:
+            diagnostics["violation"] = float(viol[k])
+            diagnostics["witness_pair"] = [[float(t) for t in r] for r in rows[k]]
+            witness = AuxDecomposition(Dist(np.array([0.5, 0.5])), rows[k])
+            return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
 
 
@@ -344,24 +417,9 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
     for name, ch in (("first", a), ("second", b)):
         if detect_c_symmetry(ch) is None:
             raise NotCSymmetricError(f"{name} channel is not c-symmetric")
-    eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = simplex_grid(m, eff)
-    gaps = _gap_vec(a, b, grid)
-    i0 = int(np.argmax(gaps))
-    x, v = _refine_extremum(
-        lambda q: float(_gap_vec(a, b, q[None, :])[0]), grid[i0], eff, maximize=True
-    )
-    uniform = np.full(m, 1.0 / m)
-    gu = float(_gap_vec(a, b, uniform[None, :])[0])
-    diagnostics = {
-        "grid_step": eff,
-        "grid_points": int(grid.shape[0]),
-        "max_gap": float(v),
-        "uniform_gap": gu,
-        "argmax": [float(t) for t in x],
-    }
-    if step != eff:
-        diagnostics["requested_step"] = step
+    x, v, diagnostics = _gap_extremum(a, b, step, maximize=True)
+    gu = float(_gap_vec(a, b, np.full((1, m), 1.0 / m))[0])
+    diagnostics["uniform_gap"] = gu
     if v > gu + VERDICT_TOL:
         return ClassVerdict(Outcome.FAILS, witness=Dist(x), diagnostics=diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
@@ -525,14 +583,11 @@ def test_essentially_more_capable(
         "max_conditional_gap": float(best_val),
         "sufficiency_assumed": True,
     }
-    if best_val > VERDICT_TOL and best_weights is not None:
-        witness = AuxDecomposition(Dist(best_weights), best_rows)
-        # re-check through the exact per-object route before reporting
-        recheck = witness.mi_conditional(b) - witness.mi_conditional(a)
-        diagnostics["violation"] = float(recheck)
+    if best_val > VERDICT_TOL:
+        diagnostics["violation"] = float(best_val)
         diagnostics["class_index"] = best_class_idx
-        if recheck > VERDICT_TOL / 2:
-            return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
+        witness = AuxDecomposition(Dist(best_weights), best_rows)
+        return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
 
 
@@ -542,63 +597,3 @@ def _cond_gap_batch(a: Dmc, b: Dmc, weights: np.ndarray, rows: np.ndarray) -> np
     flat = rows.reshape(n * k, m)
     per_u = (mi_batch(b.rows, flat) - mi_batch(a.rows, flat)).reshape(n, k)
     return np.einsum("nk,nk->n", weights, per_u)
-
-
-def search_less_noisy_counterexample(
-    a: Dmc, b: Dmc, seed: int = 0, budget: int = 20000
-) -> AuxDecomposition | None:
-    """Hunt for a chain with I(U;Y_a) < I(U;Y_b) - VERDICT_TOL.
-
-    Two-point mixtures suffice to witness a failure of the less-noisy
-    ordering (it is a convexity property), so the search sweeps a coarse
-    deterministic grid of |U|=2 decompositions and then seeded random ones,
-    up to ``budget`` candidates total.  Returns the best witness found, or
-    None if nothing beats the tolerance.
-    """
-    m = _require_same_input(a, b)
-    rng = np.random.default_rng(seed)
-    best_val = -np.inf
-    best: tuple[np.ndarray, np.ndarray] | None = None
-    examined = 0
-
-    def value(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return aux_mi_batch(b.rows, weights, rows) - aux_mi_batch(a.rows, weights, rows)
-
-    def consider(weights: np.ndarray, rows: np.ndarray):
-        nonlocal best_val, best, examined
-        vals = value(weights, rows)
-        examined += int(vals.size)
-        k = int(np.argmax(vals))
-        if float(vals[k]) > best_val:
-            best_val = float(vals[k])
-            best = (weights[k], rows[k])
-
-    # deterministic coarse pass
-    coarse = 0.05
-    grid = simplex_grid(m, _bounded_step(m, coarse, 64))
-    g = grid.shape[0]
-    wn = 19
-    if wn * g * g > max(budget // 2, 1000):
-        wn = 9
-    ws = np.linspace(0.05, 0.95, wn)
-    ii, jj = np.meshgrid(np.arange(g), np.arange(g), indexing="ij")
-    ii, jj = ii.ravel(), jj.ravel()
-    for w in ws:
-        if examined >= budget:
-            break
-        weights = np.column_stack([np.full(ii.size, w), np.full(ii.size, 1.0 - w)])
-        rows = np.stack([grid[ii], grid[jj]], axis=1)
-        consider(weights, rows)
-    # seeded random pass
-    chunk = 512
-    while examined < budget:
-        nrem = min(chunk, budget - examined)
-        w = rng.uniform(0.02, 0.98, size=nrem)
-        weights = np.column_stack([w, 1.0 - w])
-        rows = rng.dirichlet(np.ones(m), size=(nrem, 2))
-        consider(weights, rows)
-
-    if best is None or best_val <= VERDICT_TOL:
-        return None
-    weights, rows = best
-    return AuxDecomposition(Dist(weights), rows)

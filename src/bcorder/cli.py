@@ -401,7 +401,11 @@ def cmd_classify(cfg: RunConfig) -> int:
         f"channel 2: {n2} ({c2.input_size} inputs, {c2.output_size} outputs)",
     ]
     for key, verdict in res.items():
-        lines.append(f"{labels[key]}: {verdict.outcome.value}")
+        line = f"{labels[key]}: {verdict.outcome.value}"
+        if "requested_step" in verdict.diagnostics:
+            d = verdict.diagnostics
+            line += f" (searched at step {d['grid_step']:.3g}; asked {d['requested_step']:.3g})"
+        lines.append(line)
     lines.append(f"finest class: {finest}")
     _emit(cfg, "\n".join(lines) + "\n")
     return 0

@@ -361,15 +361,14 @@ def _face_batches(m: int, step: float):
     return out
 
 
-def _free_batches(m: int, step: float, refine_aux3: bool):
+def _free_batches(m: int, step: float):
     if m == 2:
         # the mesh only hits induced marginals on the w grid, so pin the
         # uniform-marginal corners explicitly (constant set, keeps nesting)
         canon_ux = (np.full((1, 2), 0.5), np.eye(2)[None, :, :])
         canon_k1 = (np.ones((1, 1)), np.full((1, 1, 2), 0.5))
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
-        aux3 = [_aux3_free_binary()] if refine_aux3 else []
-        return batches, aux3
+        return batches, [_aux3_free_binary()]
     grid = simplex_grid(m, _bounded_step(m, step, _SINGLE_CAP))
     n = grid.shape[0]
     k1 = (np.ones((n, 1)), grid[:, None, :])
@@ -379,7 +378,7 @@ def _free_batches(m: int, step: float, refine_aux3: bool):
     return batches, []
 
 
-def _constrained_batches(target: Dist, m: int, step: float, refine_aux3: bool):
+def _constrained_batches(target: Dist, m: int, step: float):
     if target.size != m:
         raise DomainError("marginal constraint size does not match the channels")
     t = target.probs
@@ -393,7 +392,7 @@ def _constrained_batches(target: Dist, m: int, step: float, refine_aux3: bool):
     if two[0].shape[0]:
         batches.append(two)
     aux3 = []
-    if m == 2 and refine_aux3:
+    if m == 2:
         extra = _aux3_constrained_binary(float(t[0]))
         if extra[0].shape[0]:
             aux3.append(extra)
@@ -477,7 +476,6 @@ def superposition_region(
     weak: Dmc,
     marginal_constraint: Dist | None = None,
     step: float = 0.02,
-    refine_aux3: bool = True,
 ) -> RegionFrontier:
     """Achievable frontier of superposition coding.
 
@@ -489,9 +487,9 @@ def superposition_region(
     """
     m = _require_same_input(dominant, weak)
     if marginal_constraint is None:
-        batches, aux3 = _free_batches(m, step, refine_aux3)
+        batches, aux3 = _free_batches(m, step)
     else:
-        batches, aux3 = _constrained_batches(marginal_constraint, m, step, refine_aux3)
+        batches, aux3 = _constrained_batches(marginal_constraint, m, step)
     diag = {"bound": "ib", "step": step, "constrained": marginal_constraint is not None}
     return _sweep_frontier(dominant, weak, batches, aux3, "sum", diag)
 
@@ -501,7 +499,6 @@ def _class_region(
     b: Dmc,
     sufficient_class,
     step: float,
-    refine_aux3: bool,
     kind: str,
     name: str,
 ) -> RegionFrontier:
@@ -512,7 +509,7 @@ def _class_region(
     batches: list = []
     aux3: list = []
     for member in members:
-        mb, ma = _constrained_batches(member, m, step, refine_aux3)
+        mb, ma = _constrained_batches(member, m, step)
         batches.extend(mb)
         aux3.extend(ma)
     diag = {"bound": name, "step": step, "class_size": len(members)}
@@ -524,7 +521,6 @@ def theorem1_region(
     b: Dmc,
     sufficient_class,
     step: float = 0.02,
-    refine_aux3: bool = True,
 ) -> RegionFrontier:
     """Capacity frontier when receiver a is essentially less noisy than b.
 
@@ -532,7 +528,7 @@ def theorem1_region(
     input law restricted to the given class.  The caller is responsible for
     the class actually being sufficient (see test_essentially_less_noisy).
     """
-    return _class_region(a, b, sufficient_class, step, refine_aux3, "two", "theorem1")
+    return _class_region(a, b, sufficient_class, step, "two", "theorem1")
 
 
 def theorem2_region(
@@ -540,21 +536,19 @@ def theorem2_region(
     b: Dmc,
     sufficient_class,
     step: float = 0.02,
-    refine_aux3: bool = True,
 ) -> RegionFrontier:
     """Capacity frontier when receiver a is essentially more capable than b.
 
     Constraints: r2 <= I(U;Y_b), r1+r2 <= I(U;Y_b) + I(X;Y_a|U), and
     r1+r2 <= I(X;Y_a), with the input law restricted to the given class.
     """
-    return _class_region(a, b, sufficient_class, step, refine_aux3, "sum", "theorem2")
+    return _class_region(a, b, sufficient_class, step, "sum", "theorem2")
 
 
 def outer_bound_eq_ob(
     a: Dmc,
     b: Dmc,
     step: float = 0.02,
-    refine_aux3: bool = True,
 ) -> RegionFrontier:
     """Outer bound with the per-receiver cap r1 <= I(X;Y_a).
 
@@ -562,6 +556,6 @@ def outer_bound_eq_ob(
     I(X;Y_a|U), r1 <= I(X;Y_a), swept over unconstrained decompositions.
     """
     m = _require_same_input(a, b)
-    batches, aux3 = _free_batches(m, step, refine_aux3)
+    batches, aux3 = _free_batches(m, step)
     diag = {"bound": "ob", "step": step, "constrained": False}
     return _sweep_frontier(a, b, batches, aux3, "r1cap", diag)

@@ -3,7 +3,8 @@
 The oracles loop over table cells one at a time and share no code with the
 batched kernels in ``bcorder.channels``, so agreement between the two is
 evidence rather than a tautology.  ``decomposition`` turns a joint table
-into the form the kernels take.
+into the form the kernels take, and ``chain_table`` turns a decomposition
+and a channel back into the (U, X, Y) table the oracles read.
 """
 
 import numpy as np
@@ -41,3 +42,8 @@ def decomposition(joint):
     joint = np.asarray(joint, dtype=float)
     pu = joint.sum(axis=1)
     return AuxDecomposition(Dist(pu), joint / pu[:, None])
+
+
+def chain_table(dec, chan):
+    """The (U, X, Y) joint table of an auxiliary decomposition through a channel."""
+    return dec.pu.probs[:, None, None] * dec.px_given_u[:, :, None] * chan.rows[None, :, :]

@@ -1,16 +1,41 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcorder.channels import Dmc, bec, bsc, cascade, split_input_pair
 from bcorder import classify as ordering
 from bcorder.classify import (
+    VERDICT_TOL,
     AuxDecomposition,
     Outcome,
     gap_functional,
-    search_less_noisy_counterexample,
     simplex_grid,
 )
 from bcorder.probcore import Dist, DomainError
+from info_oracles import brute_conditional_mi, brute_mi, chain_table
+
+# cheap, reproducible property runs: fixed example sequence, no example database
+_PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
+
+
+def _aux_gap(dec, better, worse):
+    """I(U;Y_worse) - I(U;Y_better) through the brute-force oracle."""
+    return brute_mi(chain_table(dec, worse).sum(axis=1)) - brute_mi(chain_table(dec, better).sum(axis=1))
+
+
+def _conditional_gap(dec, better, worse):
+    """I(X;Y_worse|U) - I(X;Y_better|U) through the brute-force oracle."""
+    return brute_conditional_mi(chain_table(dec, worse)) - brute_conditional_mi(chain_table(dec, better))
+
+
+def _random_channel(rng, m, n, sparse):
+    rows = rng.dirichlet(np.ones(n), size=m)
+    if sparse:
+        # the largest entry of a row is at least 1/n > 0.2, so no row empties
+        rows = np.where(rows < 0.2, 0.0, rows)
+    return Dmc.normalized(rows, tuple(str(i) for i in range(n)))
 
 
 def test_simplex_grid_covers_simplex():
@@ -18,6 +43,10 @@ def test_simplex_grid_covers_simplex():
     assert np.allclose(g.sum(axis=1), 1.0, atol=1e-15)
     assert g.shape[0] == 15  # compositions of 4 into 3 parts
     assert (g >= 0).all()
+    # reference: every composition of K, in lexicographic order, by brute force
+    for m, k_parts in ((1, 3), (2, 50), (3, 4), (4, 10)):
+        ref = [c for c in itertools.product(range(k_parts + 1), repeat=m) if sum(c) == k_parts]
+        assert np.array_equal(simplex_grid(m, 1.0 / k_parts), np.array(ref, dtype=float) / k_parts)
 
 
 def test_aux_decomposition_validates():
@@ -79,6 +108,66 @@ def test_less_noisy_failure_witness_revalidates():
     assert isinstance(dec, AuxDecomposition)
     # the witness decomposition must actually reverse the information order
     assert dec.mi_aux(bsc(0.1)) - dec.mi_aux(bec(0.4)) > 5e-10
+    assert _aux_gap(dec, bec(0.4), bsc(0.1)) > VERDICT_TOL / 2
+
+
+@pytest.mark.parametrize("p, e", [(0.1, 0.995), (0.3, 0.999)])
+def test_less_noisy_face_pull_fails_near_erasure_one(p, e):
+    # every BEC with e < 1 reveals the input exactly with probability 1 - e,
+    # so the gap bends without bound next to each vertex; the violation is
+    # far inside the first grid cell, where only the face term finds it
+    verdict = ordering.test_less_noisy(bsc(p), bec(e))
+    assert verdict.fails
+    assert _aux_gap(verdict.witness, bsc(p), bec(e)) > VERDICT_TOL / 2
+
+
+def test_less_noisy_diagnostics_keys():
+    y1, y2 = split_input_pair()
+    fails = ordering.test_less_noisy(y1, y2)
+    assert fails.fails
+    assert set(fails.diagnostics) == {"grid_step", "grid_points", "max_curvature", "violation", "witness_pair"}
+    assert fails.diagnostics["grid_step"] == 0.02
+    holds = ordering.test_less_noisy(bec(0.3), bsc(0.1))
+    assert holds.holds
+    assert set(holds.diagnostics) == {"grid_step", "grid_points", "max_curvature"}
+    six = Dmc.normalized(np.ones((6, 2)), ("0", "1"))
+    capped = ordering.test_less_noisy(six, six, step=1.0 / 30)
+    assert capped.diagnostics["requested_step"] == 1.0 / 30
+    assert capped.diagnostics["grid_step"] > 1.0 / 30
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    n=st.integers(2, 4),
+    k=st.integers(2, 4),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_less_noisy_holds_on_random_cascades(m, n, k, sparse, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_channel(rng, m, n, sparse)
+    w = _random_channel(rng, n, k, False)
+    assert ordering.test_less_noisy(a, cascade(a, w)).holds
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    n=st.integers(2, 4),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_less_noisy_fails_witness_revalidates(m, n, sparse, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_channel(rng, m, n, sparse)
+    b = _random_channel(rng, m, n, not sparse)
+    for better, worse in ((a, b), (b, a)):
+        verdict = ordering.test_less_noisy(better, worse)
+        if verdict.fails:
+            brute = _aux_gap(verdict.witness, better, worse)
+            assert brute > VERDICT_TOL / 2
+            assert brute == pytest.approx(verdict.diagnostics["violation"], abs=1e-9)
 
 
 def test_more_capable_examples():
@@ -88,6 +177,17 @@ def test_more_capable_examples():
     assert verdict.fails
     px = verdict.witness
     assert gap_functional(bec(0.6), bsc(0.1), px) < -1e-9
+
+
+@pytest.mark.parametrize("p, e", [(0.143641, 0.925798), (0.132669, 0.919705)])
+def test_more_capable_face_probes_find_the_dip(p, e):
+    # the gap dips to about -3.8e-9 at x ~ 3.6e-8, far inside the first grid cell
+    verdict = ordering.test_more_capable(bsc(p), bec(e))
+    assert verdict.fails
+    assert verdict.diagnostics["min_gap"] < -VERDICT_TOL
+    px = verdict.witness.probs
+    brute = brute_mi(px[:, None] * bsc(p).rows) - brute_mi(px[:, None] * bec(e).rows)
+    assert brute < -VERDICT_TOL
 
 
 def test_dominant_c_symmetry_examples():
@@ -117,9 +217,7 @@ def test_essentially_more_capable_four_letter_pair():
     assert holds.diagnostics["sufficiency_assumed"] is True
     fails = ordering.test_essentially_more_capable(y1, y2, [u23], step=0.02, seed=0)
     assert fails.outcome is Outcome.FAILS
-    dec = fails.witness
-    gap = dec.mi_conditional(y2) - dec.mi_conditional(y1)
-    assert gap > 5e-10
+    assert _conditional_gap(fails.witness, y1, y2) > VERDICT_TOL / 2
 
 
 def test_essentially_more_capable_fails_on_plain_bsc_bec():
@@ -127,14 +225,18 @@ def test_essentially_more_capable_fails_on_plain_bsc_bec():
     # crossover side dominates unconditionally
     verdict = ordering.test_essentially_more_capable(bsc(0.1), bec(0.5), [Dist.uniform(2)], seed=0)
     assert verdict.fails
+    brute = _conditional_gap(verdict.witness, bsc(0.1), bec(0.5))
+    assert brute > VERDICT_TOL / 2
+    assert brute == pytest.approx(verdict.diagnostics["violation"], abs=1e-9)
 
 
 def test_counterexample_search_finds_and_respects():
-    found = search_less_noisy_counterexample(bec(0.5), bsc(0.1101), seed=0)
-    assert found is not None
-    assert found.mi_aux(bsc(0.1101)) - found.mi_aux(bec(0.5)) > 1e-9
-    absent = search_less_noisy_counterexample(bec(0.3), bsc(0.1), seed=0)
-    assert absent is None
+    found = ordering.test_less_noisy(bec(0.5), bsc(0.1101))
+    assert found.fails
+    assert _aux_gap(found.witness, bec(0.5), bsc(0.1101)) > VERDICT_TOL
+    absent = ordering.test_less_noisy(bec(0.3), bsc(0.1))
+    assert absent.holds
+    assert "witness_pair" not in absent.diagnostics
 
 
 def test_hierarchy_composition_on_random_cascades():

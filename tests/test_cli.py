@@ -6,6 +6,7 @@ import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 import bcorder
@@ -65,6 +66,28 @@ def test_classify_builtin_pair_json_deterministic():
     doc = json.loads(out1)
     assert doc["finest_class"] == "none established at the tested resolution"
     assert doc["tests"]["more_capable_1"]["outcome"] == "fails"
+
+
+def test_classify_text_shows_grid_coarsening(tmp_path):
+    # six inputs at step 1/30 exceed the single-point grid cap, so the tests
+    # search at 1/15; the text output must say so after the outcome
+    rng = np.random.default_rng(5)
+    paths = []
+    for name in ("a", "b"):
+        rows = rng.dirichlet([1.0, 1.0, 1.0], size=6)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"input_size": 6, "output_labels": ["0", "1", "2"], "rows": rows.tolist()}))
+        paths.append(str(path))
+    code, out, _ = run_cli("classify", "--channel1", paths[0], "--channel2", paths[1], "--grid", "30")
+    assert code == 0
+    verdicts = {}
+    for line in out.splitlines():
+        label, _, value = line.rpartition(": ")
+        verdicts[label] = value
+    less_noisy = verdicts[f"{paths[0]} less noisy"]
+    assert less_noisy.split()[0] in ("holds", "fails")
+    assert less_noisy.endswith("(searched at step 0.0667; asked 0.0333)")
+    assert verdicts[f"{paths[0]} degraded w.r.t. {paths[1]}"] in ("holds", "fails")
 
 
 def test_classify_rejects_mixed_pair_style():
