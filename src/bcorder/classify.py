@@ -42,6 +42,7 @@ REFINE_FLOOR = 1e-7       # coordinate-descent step is halved down to this
 _PAIR_GRID_CAP = 2000     # max first-row grid points of a pinned two-point sweep
 _POINT_GRID_CAP = 300_000  # max grid points for single-point scans
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
+_FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 
 
 class Outcome(enum.Enum):
@@ -121,27 +122,28 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     if step <= 0 or step > 1:
         raise DomainError("grid step must lie in (0, 1]")
     k_parts = max(1, round(1.0 / step))
-    # extend every prefix by each value its remaining mass allows, in order
-    comps = np.zeros((1, 0), dtype=np.int64)
-    remaining = np.array([k_parts])
-    for _ in range(m - 1):
-        counts = remaining + 1
-        parent = np.repeat(np.arange(remaining.size), counts)
-        v = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        comps = np.column_stack([comps[parent], v])
-        remaining = remaining[parent] - v
-    return np.column_stack([comps, remaining]).astype(float) / k_parts
+    if m == 1:
+        return np.ones((1, 1))
+    out: list[list[int]] = []
+    comp = [0] * m
 
+    def rec(pos: int, remaining: int) -> None:
+        if pos == m - 1:
+            comp[pos] = remaining
+            out.append(comp.copy())
+            return
+        for v in range(remaining + 1):
+            comp[pos] = v
+            rec(pos + 1, remaining - v)
 
-def _grid_size(m: int, step: float) -> int:
-    k_parts = max(1, round(1.0 / step))
-    return math.comb(k_parts + m - 1, m - 1)
+    rec(0, k_parts)
+    return np.asarray(out, dtype=float) / k_parts
 
 
 def _bounded_step(m: int, step: float, cap: int) -> float:
     """Coarsen step until the simplex grid fits under cap points."""
     eff = step
-    while _grid_size(m, eff) > cap and eff < 1.0:
+    while math.comb(max(1, round(1.0 / eff)) + m - 1, m - 1) > cap and eff < 1.0:
         eff = min(1.0, eff * 2.0)
     return eff
 
@@ -210,26 +212,12 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     nvars = na * nb + 1  # W entries then t
     c = np.zeros(nvars)
     c[-1] = 1.0
-    # cellwise |sum_o a[i,o] W[o,y] - b[i,y]| <= t
-    n_cells = m * nb
-    a_ub = np.zeros((2 * n_cells, nvars))
-    b_ub = np.zeros(2 * n_cells)
-    r = 0
-    for i in range(m):
-        for y in range(nb):
-            coeffs = np.zeros(nvars)
-            for o in range(na):
-                coeffs[o * nb + y] = a.rows[i, o]
-            coeffs[-1] = -1.0
-            a_ub[r] = coeffs
-            b_ub[r] = b.rows[i, y]
-            a_ub[r + 1] = -coeffs
-            a_ub[r + 1, -1] = -1.0
-            b_ub[r + 1] = -b.rows[i, y]
-            r += 2
-    a_eq = np.zeros((na, nvars))
-    for o in range(na):
-        a_eq[o, o * nb : (o + 1) * nb] = 1.0
+    # cellwise |sum_o a[i,o] W[o,y] - b[i,y]| <= t: rows +cell, -cell per (i, y)
+    upper = np.hstack([np.kron(a.rows, np.eye(nb)), -np.ones((m * nb, 1))])
+    lower = np.hstack([-upper[:, :-1], -np.ones((m * nb, 1))])
+    a_ub = np.stack([upper, lower], axis=1).reshape(2 * m * nb, nvars)
+    b_ub = np.stack([b.rows.ravel(), -b.rows.ravel()], axis=1).ravel()
+    a_eq = np.hstack([np.kron(np.eye(na), np.ones((1, nb))), np.zeros((na, 1))])
     b_eq = np.ones(na)
     bounds = [(0.0, 1.0)] * (na * nb) + [(0.0, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
@@ -283,7 +271,7 @@ def _gap_extremum(
     return x, float(v), diagnostics
 
 
-def _face_chords(a: Dmc, b: Dmc, t_max: float) -> tuple[np.ndarray, np.ndarray]:
+def _face_chords(a: Dmc, b: Dmc, t_max: float) -> tuple[np.ndarray, np.ndarray, bool]:
     """Chords leaving the faces next to which I(X;Y_a) - I(X;Y_b) bends up.
 
     For a face with support S and an input i outside it, the pull is
@@ -293,30 +281,32 @@ def _face_chords(a: Dmc, b: Dmc, t_max: float) -> tuple[np.ndarray, np.ndarray]:
     goes to -inf and its curvature to +inf as mass leaves the face.  For
     every positive pull, returns the chords from x, the uniform law on S, to
     x + t (e_i - x) for t halved down from t_max, as (starts, ends) rows.
+    Supports are taken by size, and only the first _FACE_PAIR_CAP (face,
+    input) pairs are examined; the flag says whether that cap cut the scan.
     """
     m = a.input_size
     bases, dirs = [], []
-    for size in range(1, m):
-        for support in itertools.combinations(range(m), size):
-            s_idx = list(support)
-            unseen_a = np.all(a.rows[s_idx] <= CELL_FLOOR, axis=0)
-            unseen_b = np.all(b.rows[s_idx] <= CELL_FLOOR, axis=0)
-            pull = b.rows[:, unseen_b].sum(axis=1) - a.rows[:, unseen_a].sum(axis=1)
-            base = np.zeros(m)
-            base[s_idx] = 1.0 / size
-            for i in range(m):
-                if i not in support and pull[i] > CELL_FLOOR:
-                    bases.append(base)
-                    dirs.append(np.eye(m)[i] - base)
+    budget = _FACE_PAIR_CAP
+    # a positive pull needs an output that some face misses through b
+    sizes = range(1, m) if np.any(b.rows <= CELL_FLOOR) else ()
+    for support in itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in sizes):
+        budget -= m - len(support)
+        if budget < 0:
+            break
+        s_idx = list(support)
+        unseen_a = np.all(a.rows[s_idx] <= CELL_FLOOR, axis=0)
+        unseen_b = np.all(b.rows[s_idx] <= CELL_FLOOR, axis=0)
+        pull = b.rows[:, unseen_b].sum(axis=1) - a.rows[:, unseen_a].sum(axis=1)
+        base = np.zeros(m)
+        base[s_idx] = 1.0 / len(support)
+        for i in range(m):
+            if i not in support and pull[i] > CELL_FLOOR:
+                bases.append(base)
+                dirs.append(np.eye(m)[i] - base)
     bases, dirs = np.reshape(bases, (-1, 1, m)), np.reshape(dirs, (-1, 1, m))
-    ts = _halvings(t_max)[None, :, None]
+    ts = (t_max * 0.5 ** np.arange(_HALVINGS + 1))[None, :, None]
     starts = np.broadcast_to(bases, (bases.shape[0], ts.size, m))
-    return starts.reshape(-1, m), (bases + ts * dirs).reshape(-1, m)
-
-
-def _halvings(t_max: float) -> np.ndarray:
-    """t_max, t_max/2, ..., the spreads tried along a chord."""
-    return t_max * 0.5 ** np.arange(_HALVINGS + 1)
+    return starts.reshape(-1, m), (bases + ts * dirs).reshape(-1, m), budget < 0
 
 
 def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -329,9 +319,11 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     minimum drops below -VERDICT_TOL.
     """
     _require_same_input(a, b)
-    probes = _face_chords(a, b, step)[1]
+    _, probes, capped = _face_chords(a, b, step)
     x, v, diagnostics = _gap_extremum(a, b, step, maximize=False, probes=probes)
     diagnostics["face_probes"] = int(probes.shape[0])
+    if capped:
+        diagnostics["face_pair_cap"] = _FACE_PAIR_CAP
     if v < -VERDICT_TOL:
         return ClassVerdict(Outcome.FAILS, witness=Dist(x), diagnostics=diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
@@ -368,17 +360,21 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     (x +- t v for the eigenvector v; the uniform law on the face and a point
     toward e_i for a pull), t halved down from its largest feasible value.
     Fails with the best chord when its I(U;Y_b) - I(U;Y_a) exceeds
-    VERDICT_TOL; otherwise Holds at the grid resolution.
+    VERDICT_TOL; otherwise Holds at the grid resolution.  A grid with fewer
+    parts than inputs has no interior point; the Hessian is then taken on
+    the grid pulled halfway toward the uniform law.
     """
     m = _require_same_input(a, b)
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
     interior = grid[np.all(grid > 0.0, axis=1)]
+    if not interior.shape[0]:
+        interior = 0.5 * grid + 0.5 / m
     diagnostics: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
     if step != eff:
         diagnostics["requested_step"] = step
     starts, ends = [], []  # witness chords
-    if m > 1 and interior.shape[0]:
+    if m > 1:
         hess, q_basis = _tangent_hessian(a, b, interior)
         curv = np.linalg.eigvalsh(hess)[:, -1]
         k = int(np.argmax(curv))
@@ -386,14 +382,19 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
         if curv[k] > 0.0:
             x, v = interior[k], q_basis @ np.linalg.eigh(hess[k])[1][:, -1]
             moving = np.abs(v) > CELL_FLOOR
-            ts = _halvings(float(np.min(x[moving] / np.abs(v[moving]))))
+            ts = np.min(x[moving] / np.abs(v[moving])) * 0.5 ** np.arange(_HALVINGS + 1)
             starts.append(x - ts[:, None] * v)
             ends.append(x + ts[:, None] * v)
-    face_starts, face_ends = _face_chords(a, b, 1.0)
+    face_starts, face_ends, capped = _face_chords(a, b, 1.0)
+    if capped:
+        diagnostics["face_pair_cap"] = _FACE_PAIR_CAP
     starts.append(face_starts)
     ends.append(face_ends)
     rows = np.clip(np.stack([np.vstack(starts), np.vstack(ends)], axis=1), 0.0, None)
     rows /= rows.sum(axis=2, keepdims=True)
+    # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
+    # variation between its ends, so ends within VERDICT_TOL cannot fail
+    rows = rows[np.abs(rows[:, 0] - rows[:, 1]).sum(axis=1) > 2.0 * VERDICT_TOL]
     if rows.shape[0]:
         weights = np.full((rows.shape[0], 2), 0.5)
         viol = aux_mi_batch(b.rows, weights, rows) - aux_mi_batch(a.rows, weights, rows)

