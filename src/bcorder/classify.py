@@ -41,6 +41,7 @@ VERDICT_TOL = 1e-9        # violation size that flips a verdict to Fails
 REFINE_FLOOR = 1e-7       # coordinate-descent step is halved down to this
 _PAIR_GRID_CAP = 2000     # max first-row grid points of a pinned two-point sweep
 _POINT_GRID_CAP = 300_000  # max grid points for single-point scans
+_HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 
@@ -122,22 +123,15 @@ def simplex_grid(m: int, step: float) -> np.ndarray:
     if step <= 0 or step > 1:
         raise DomainError("grid step must lie in (0, 1]")
     k_parts = max(1, round(1.0 / step))
-    if m == 1:
-        return np.ones((1, 1))
-    out: list[list[int]] = []
-    comp = [0] * m
-
-    def rec(pos: int, remaining: int) -> None:
-        if pos == m - 1:
-            comp[pos] = remaining
-            out.append(comp.copy())
-            return
-        for v in range(remaining + 1):
-            comp[pos] = v
-            rec(pos + 1, remaining - v)
-
-    rec(0, k_parts)
-    return np.asarray(out, dtype=float) / k_parts
+    # expand each prefix by every value its remaining mass allows, in order
+    comp = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([k_parts])
+    for _ in range(m - 1):
+        counts = rem + 1
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        comp = np.column_stack([np.repeat(comp, counts, axis=0), value])
+        rem = np.repeat(rem, counts) - value
+    return np.column_stack([comp, rem]) / k_parts
 
 
 def _bounded_step(m: int, step: float, cap: int) -> float:
@@ -163,36 +157,28 @@ def _gap_vec(a: Dmc, b: Dmc, pxs: np.ndarray) -> np.ndarray:
 def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool):
     """Coordinate descent on the simplex by pairwise mass moves.
 
-    From x0, repeatedly applies the best single move of ``step`` mass from
-    one coordinate to another, halving the step (down to REFINE_FLOOR) when
-    no move improves.  Deterministic: moves are scanned in index order and
-    only strict improvements are taken.
+    ``fn`` maps an (N, m) stack of laws to N values.  Each sweep evaluates
+    every move of ``step`` mass from one coordinate to another in one call
+    and applies the best one, or halves the step (down to REFINE_FLOOR) when
+    none improves by more than CELL_FLOOR.  Deterministic: ties go to the
+    first move, with the source coordinate outer and the target inner.
     """
     sign = 1.0 if maximize else -1.0
     x = np.array(x0, dtype=float)
-    best = fn(x)
+    best = fn(x[None, :])[0]
     step = step0
-    m = x.size
+    eye = np.eye(x.size)
+    src, dst = np.nonzero(1.0 - eye)
+    dirs = eye[dst] - eye[src]
     while step > REFINE_FLOOR:
-        move_val = None
-        move_x = None
-        for j in range(m):
-            if x[j] < step - CELL_FLOOR:
-                continue
-            for i in range(m):
-                if i == j:
-                    continue
-                y = x.copy()
-                y[i] += step
-                y[j] -= step
-                v = fn(y)
-                if move_val is None or sign * (v - move_val) > 0:
-                    move_val, move_x = v, y
-        if move_val is not None and sign * (move_val - best) > CELL_FLOOR:
-            best, x = move_val, move_x
+        moves = x + step * dirs[x[src] >= step - CELL_FLOOR]
+        vals = fn(moves) if moves.shape[0] else np.full(1, best)
+        k = int(np.argmax(sign * vals))
+        if sign * (vals[k] - best) > CELL_FLOOR:
+            best, x = vals[k], moves[k]
         else:
             step *= 0.5
-    return x, best
+    return x, float(best)
 
 
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
@@ -256,9 +242,7 @@ def _gap_extremum(
     cands = grid if probes is None else np.vstack([grid, probes])
     gaps = _gap_vec(a, b, cands)
     i0 = int(np.argmax(gaps) if maximize else np.argmin(gaps))
-    x, v = _refine_extremum(
-        lambda q: float(_gap_vec(a, b, q[None, :])[0]), cands[i0], eff, maximize=maximize
-    )
+    x, v = _refine_extremum(lambda q: _gap_vec(a, b, q), cands[i0], eff, maximize=maximize)
     key = "max" if maximize else "min"
     diagnostics = {
         "grid_step": eff,
@@ -347,6 +331,25 @@ def _tangent_hessian(a: Dmc, b: Dmc, pts: np.ndarray) -> tuple[np.ndarray, np.nd
     return hess / math.log(2.0), q_basis
 
 
+def _max_curvature(a: Dmc, b: Dmc, pts: np.ndarray) -> tuple[float, int, np.ndarray]:
+    """Largest tangent-space eigenvalue over ``pts``, its first point and eigenvector.
+
+    The Hessians are taken in blocks of about _HESSIAN_BLOCK array entries,
+    so memory stays bounded on large alphabets.
+    """
+    m = pts.shape[1]
+    per_point = (m - 1) * max(m - 1, a.output_size, b.output_size)
+    size = max(1, _HESSIAN_BLOCK // per_point)
+    best = (-np.inf, -1, np.zeros(m))
+    for lo in range(0, pts.shape[0], size):
+        hess, q_basis = _tangent_hessian(a, b, pts[lo:lo + size])
+        curv = np.linalg.eigvalsh(hess)[:, -1]
+        k = int(np.argmax(curv))
+        if curv[k] > best[0]:
+            best = (float(curv[k]), lo + k, q_basis @ np.linalg.eigh(hess[k])[1][:, -1])
+    return best
+
+
 def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     """Is I(U;Y_b) <= I(U;Y_a) for every auxiliary chain U -> X -> Y?
 
@@ -375,12 +378,10 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
         diagnostics["requested_step"] = step
     starts, ends = [], []  # witness chords
     if m > 1:
-        hess, q_basis = _tangent_hessian(a, b, interior)
-        curv = np.linalg.eigvalsh(hess)[:, -1]
-        k = int(np.argmax(curv))
-        diagnostics["max_curvature"] = float(curv[k])
-        if curv[k] > 0.0:
-            x, v = interior[k], q_basis @ np.linalg.eigh(hess[k])[1][:, -1]
+        curv, k, v = _max_curvature(a, b, interior)
+        diagnostics["max_curvature"] = curv
+        if curv > 0.0:
+            x = interior[k]
             moving = np.abs(v) > CELL_FLOOR
             ts = np.min(x[moving] / np.abs(v[moving])) * 0.5 ** np.arange(_HALVINGS + 1)
             starts.append(x - ts[:, None] * v)
@@ -468,11 +469,13 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
 
 def constrained_two_point_batch(
     target: np.ndarray, support: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """All (weights, rows) for |U|=2 decompositions hitting a target marginal.
 
     Grids P(U=0) and the first conditional row over the support, derives the
     second row from the marginal constraint and keeps the feasible ones.
+    Also returns the step of the first-row grid, coarsened from ``step``
+    until it fits under _PAIR_GRID_CAP points.
     """
     m = target.size
     s = support.size
@@ -495,7 +498,7 @@ def constrained_two_point_batch(
     rows = np.zeros((n, 2, m))
     rows[:, 0, support] = q0_grid
     rows[:, 1, support] = q1_grid
-    return weights, rows
+    return weights, rows, eff
 
 
 def test_essentially_more_capable(
@@ -513,7 +516,9 @@ def test_essentially_more_capable(
     decompositions with |U| up to input size + 1.  Fails with a witness
     decomposition on any violation.  Holds does NOT certify that the class
     is a sufficient class; that assumption is the caller's, and diagnostics
-    carry sufficiency_assumed=True as a reminder.
+    carry sufficiency_assumed=True as a reminder.  ``grid_step`` is the
+    coarsest step a pinned |U|=2 grid actually ran at, with
+    ``requested_step`` added when that differs from ``step``.
     """
     m = _require_same_input(a, b)
     if not candidate_class:
@@ -524,6 +529,7 @@ def test_essentially_more_capable(
     best_rows: np.ndarray | None = None
     best_class_idx = -1
     examined = 0
+    pinned_step = step
 
     def consider(vals: np.ndarray, weights: np.ndarray, rows: np.ndarray, idx: int):
         nonlocal best_val, best_weights, best_rows, best_class_idx, examined
@@ -548,7 +554,8 @@ def test_essentially_more_capable(
         v1 = _cond_gap_batch(a, b, w1, r1)
         consider(v1, w1, r1, idx)
         if support.size >= 2:
-            weights, rows = constrained_two_point_batch(target, support, step)
+            weights, rows, eff = constrained_two_point_batch(target, support, step)
+            pinned_step = max(pinned_step, eff)
             if weights.shape[0] > 0:
                 vals = _cond_gap_batch(a, b, weights, rows)
                 consider(vals, weights, rows, idx)
@@ -578,12 +585,14 @@ def test_essentially_more_capable(
                 done += nrem
 
     diagnostics = {
-        "grid_step": step,
+        "grid_step": pinned_step,
         "seed": seed,
         "candidates_examined": examined,
         "max_conditional_gap": float(best_val),
         "sufficiency_assumed": True,
     }
+    if pinned_step != step:
+        diagnostics["requested_step"] = step
     if best_val > VERDICT_TOL:
         diagnostics["violation"] = float(best_val)
         diagnostics["class_index"] = best_class_idx

@@ -647,7 +647,8 @@ def cmd_symmetry(cfg: RunConfig) -> int:
             report["channels"].append(
                 {"name": name, "status": "c-symmetric", "generator": list(wit.generator)}
             )
-    if len(chans) == 2:
+    # dominance is only defined for a c-symmetric pair; the status lines say why it is missing
+    if len(chans) == 2 and all(entry["status"] == "c-symmetric" for entry in report["channels"]):
         dom = test_dominant_c_symmetry(chans[0][1], chans[1][1], step=1.0 / cfg.grid)
         report["uniform_dominance"] = {
             "first_over_second": dom.outcome.value,

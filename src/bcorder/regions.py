@@ -388,9 +388,9 @@ def _constrained_batches(target: Dist, m: int, step: float):
     rows_ux = np.zeros((1, support.size, m))
     rows_ux[0, np.arange(support.size), support] = 1.0
     batches = [k1, (w_ux[None, :], rows_ux)]
-    two = constrained_two_point_batch(t, support, step)
-    if two[0].shape[0]:
-        batches.append(two)
+    weights, rows, _ = constrained_two_point_batch(t, support, step)
+    if weights.shape[0]:
+        batches.append((weights, rows))
     aux3 = []
     if m == 2:
         extra = _aux3_constrained_binary(float(t[0]))

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 from bcorder.channels import Dmc, bec, bsc, cascade, split_input_pair
 from bcorder import classify as ordering
 from bcorder.classify import (
+    CELL_FLOOR,
+    REFINE_FLOOR,
     VERDICT_TOL,
     AuxDecomposition,
     Outcome,
@@ -43,6 +47,109 @@ def test_simplex_grid_covers_simplex():
     assert np.allclose(g.sum(axis=1), 1.0, atol=1e-15)
     assert g.shape[0] == 15  # compositions of 4 into 3 parts
     assert (g >= 0).all()
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_simplex_grid_matches_brute_force_compositions(m):
+    # every composition of K into m parts, in the lexicographic order of
+    # itertools.product; K = 50 is enumerated that way only up to 4 parts
+    for k in sorted({max(1, m - 1), m, 50}):
+        got = simplex_grid(m, 1.0 / k)
+        if k == 50 and m > 4:
+            assert got.shape[0] == math.comb(k + m - 1, m - 1)
+            assert np.all(got >= 0.0) and np.allclose(got.sum(axis=1), 1.0, atol=1e-15)
+            assert np.unique(got, axis=0).shape[0] == got.shape[0]
+            continue
+        heads = [h for h in itertools.product(range(k + 1), repeat=m - 1) if sum(h) <= k]
+        want = np.array([[*h, k - sum(h)] for h in heads], dtype=float) / k
+        assert np.array_equal(got, want)
+
+
+def _sequential_refine(fn, x0, step0, maximize):
+    """Reference coordinate descent: one fn call per pairwise move.
+
+    Returns the point, its value and the number of sweeps taken.
+    """
+    sign = 1.0 if maximize else -1.0
+    x = np.array(x0, dtype=float)
+    best = fn(x[None, :])[0]
+    step, sweeps = step0, 0
+    while step > REFINE_FLOOR:
+        sweeps += 1
+        move_val = move_x = None
+        for j in range(x.size):
+            if x[j] < step - CELL_FLOOR:
+                continue
+            for i in range(x.size):
+                if i != j:
+                    y = x.copy()
+                    y[i] += step
+                    y[j] -= step
+                    v = fn(y[None, :])[0]
+                    if move_val is None or sign * (v - move_val) > 0:
+                        move_val, move_x = v, y
+        if move_val is not None and sign * (move_val - best) > CELL_FLOOR:
+            best, x = move_val, move_x
+        else:
+            step *= 0.5
+    return x, best, sweeps
+
+
+def _final_step(step0):
+    step = step0
+    while step * 0.5 > REFINE_FLOOR:
+        step *= 0.5
+    return step
+
+
+def test_refine_extremum_calls_fn_once_per_sweep():
+    a, b = bec(0.4), bsc(0.1)
+    calls = []
+
+    def counted(q):
+        calls.append(q.shape[0])
+        return ordering._gap_vec(a, b, q)
+
+    x0 = np.array([0.3, 0.7])
+    for maximize in (False, True):
+        calls.clear()
+        ordering._refine_extremum(counted, x0, 0.02, maximize=maximize)
+        *_, sweeps = _sequential_refine(lambda q: ordering._gap_vec(a, b, q), x0, 0.02, maximize)
+        assert calls[0] == 1
+        assert len(calls) == 1 + sweeps
+        assert all(n == 2 for n in calls[1:])  # both moves of each sweep in one stack
+
+
+def test_refine_extremum_breaks_ties_toward_first_move():
+    # moving mass from input 2 to input 0 or to input 1 gains the same, so
+    # each sweep must take the first of the tied moves (target 0)
+    fn = lambda q: q[:, 0] + q[:, 1]  # noqa: E731
+    x, v = ordering._refine_extremum(fn, np.array([0.0, 0.0, 1.0]), 0.5, maximize=True)
+    x_ref, v_ref, _ = _sequential_refine(fn, np.array([0.0, 0.0, 1.0]), 0.5, True)
+    assert np.array_equal(x, [1.0, 0.0, 0.0]) and np.array_equal(x_ref, x)
+    assert v == v_ref == 1.0
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    n=st.integers(2, 4),
+    sparse=st.booleans(),
+    maximize=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_refine_extremum_agrees_with_sequential_reference(m, n, sparse, maximize, seed):
+    rng = np.random.default_rng(seed)
+    a = _random_channel(rng, m, n, sparse)
+    b = _random_channel(rng, m, n, not sparse)
+    grid = simplex_grid(m, 0.05)
+    gaps = ordering._gap_vec(a, b, grid)
+    x0 = grid[int(np.argmax(gaps) if maximize else np.argmin(gaps))]
+    fn = lambda q: ordering._gap_vec(a, b, q)  # noqa: E731
+    x, v = ordering._refine_extremum(fn, x0, 0.05, maximize=maximize)
+    x_ref, v_ref, _ = _sequential_refine(fn, x0, 0.05, maximize)
+    assert v == pytest.approx(v_ref, abs=1e-12)
+    assert np.max(np.abs(x - x_ref)) <= _final_step(0.05) * (1.0 + 1e-9)
 
 
 def test_aux_decomposition_validates():
@@ -153,6 +260,27 @@ def test_face_scan_is_bounded_on_twelve_inputs():
     assert probes.shape[0] <= ordering._FACE_PAIR_CAP * (ordering._HALVINGS + 1)
 
 
+def test_curvature_scan_is_bounded_on_sixteen_inputs():
+    # the 16-input grid coarsens to 54,264 points with no interior point, so
+    # all of them take a 15 x 15 Hessian built from 17 outputs; the scan runs
+    # in blocks, and the whole test stays well under what one block per grid
+    # would take (about 315 MB)
+    m = 16
+    labels = tuple(str(o) for o in range(m + 1))
+    erasure = Dmc.normalized(np.hstack([0.5 * np.eye(m), np.full((m, 1), 0.5)]), labels)
+    dense = Dmc.normalized(np.random.default_rng(0).dirichlet(np.ones(m + 1), size=m), labels)
+    tracemalloc.start()
+    try:
+        verdict = ordering.test_less_noisy(dense, erasure)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.fails
+    assert verdict.diagnostics["grid_points"] == 54_264
+    assert verdict.diagnostics["max_curvature"] > 0.0
+    assert peak < 100 * 2**20
+
+
 def test_less_noisy_diagnostics_keys():
     y1, y2 = split_input_pair()
     fails = ordering.test_less_noisy(y1, y2)
@@ -260,6 +388,19 @@ def test_essentially_more_capable_fails_on_plain_bsc_bec():
     brute = _conditional_gap(verdict.witness, bsc(0.1), bec(0.5))
     assert brute > VERDICT_TOL / 2
     assert brute == pytest.approx(verdict.diagnostics["violation"], abs=1e-9)
+
+
+def test_essentially_more_capable_reports_pinned_grid_step():
+    # a full-support class on 4 inputs pins its |U|=2 grid over all 4
+    # letters, which the pair-grid cap coarsens from 0.02 to 0.08
+    y1, y2 = split_input_pair()
+    full = ordering.test_essentially_more_capable(y1, y2, [Dist.uniform(4)], step=0.02, seed=0)
+    assert full.diagnostics["grid_step"] == 0.08
+    assert full.diagnostics["requested_step"] == 0.02
+    pair = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
+    exact = ordering.test_essentially_more_capable(y1, y2, [pair], step=0.02, seed=0)
+    assert exact.diagnostics["grid_step"] == 0.02
+    assert "requested_step" not in exact.diagnostics
 
 
 def test_counterexample_search_finds_and_respects():

@@ -262,6 +262,20 @@ def test_symmetry_report():
     assert "uniform-input dominance of BSC(0.1) over BEC(0.5): holds" in out
 
 
+def test_symmetry_report_without_c_symmetric_pair():
+    # uniform dominance is defined for c-symmetric pairs only; the status
+    # lines say why it is missing
+    code, out, _ = run_cli("symmetry", "--channel1", "paper6vi", "--channel2", "paper6vi")
+    assert code == 0
+    assert out == "paper6vi: no cyclic symmetry found\npaper6vi: no cyclic symmetry found\n"
+    code, out, _ = run_cli("symmetry", "--channel1", "paper6vi", "--channel2", "paper6vi",
+                           "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert "uniform_dominance" not in doc
+    assert [c["status"] for c in doc["channels"]] == ["no cyclic symmetry found"] * 2
+
+
 def test_malformed_channel_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"input_size": 2}))
