@@ -303,6 +303,8 @@ def channel_from_dict(obj: dict, normalize: bool = False) -> Dmc:
         rows = obj["rows"]
     except (KeyError, TypeError) as exc:
         raise ChannelFormatError(f"missing channel field: {exc}") from exc
+    if not isinstance(labels, list):
+        raise ChannelFormatError("output_labels must be a list")
     if not isinstance(rows, list) or len(rows) != input_size:
         raise ChannelFormatError("rows count does not match input_size")
     try:

@@ -243,6 +243,8 @@ def _jsonable(v):
         return [_jsonable(x) for x in v]
     if isinstance(v, np.ndarray):
         return [_jsonable(x) for x in v.tolist()]
+    if v is None or isinstance(v, (str, bool)):
+        return v
     if isinstance(v, (np.floating, float)):
         return float(v)
     if isinstance(v, (np.integer, int)):
@@ -251,8 +253,6 @@ def _jsonable(v):
         return [float(x) for x in v.probs]
     if isinstance(v, Dmc):
         return {"rows": v.rows.tolist(), "output_labels": list(v.output_labels)}
-    if v is None or isinstance(v, (str, bool)):
-        return v
     return str(v)
 
 
@@ -522,7 +522,10 @@ def _load_input_class(source: str, m: int, normalize: bool) -> list[Dist]:
         raise CliError(f"class file {source} must hold a nonempty list of input laws")
     out = []
     for row in members:
-        arr = np.asarray(row, dtype=float)
+        try:
+            arr = np.asarray(row, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"class file {source}: every member must be a list of numbers") from exc
         if arr.ndim != 1 or arr.size != m:
             raise CliError(f"class member of length {arr.size} does not match input size {m}")
         if normalize:

@@ -10,7 +10,14 @@ the union.  Time sharing justifies the hull.
 Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and then reduced by a single
 deterministic Pareto-and-hull pass, so the result does not depend on
-evaluation order or batch chunking.
+evaluation order or batch chunking.  That pass first drops, in linear time,
+every candidate whose r2 is at most the largest r2 of a higher r1 bin, so the
+sort sees thousands of candidates instead of millions; the frontier and its
+provenance are exactly those of sorting them all.
+
+Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
+with ``requested_step`` added when a point cap or the face-sweep floor
+coarsened it.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -40,6 +47,7 @@ _SINGLE_CAP = 300_000   # max grid points for one-distribution sweeps
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _FACE_STEP_FLOOR = 0.02
 _CHUNK = 200_000
+_PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
 _SEG_SAMPLES = 33       # samples per segment for Hausdorff distance
 
 
@@ -176,8 +184,33 @@ def frontier_csv(frontier: RegionFrontier) -> str:
 # frontier assembly
 
 
+def _drop_dominated(points: np.ndarray, idx: np.ndarray):
+    """Linear pre-pass: drop points beaten by a point in a higher r1 bin.
+
+    r1 is cut into _PARETO_BINS equal-width bins (a monotone map, so a higher
+    bin means a strictly larger r1).  A point whose r2 is at most the largest
+    r2 of the bins strictly to its right has a dominator that sorts before
+    it, so it can neither pass the running-max test in _pareto_filter nor
+    raise the running max; the survivors, kept in input order, give the
+    same output.  A NaN r2, or a NaN among the bounds, drops nothing.
+    """
+    if points.shape[0] <= _PARETO_BINS:
+        return points, idx
+    r1, r2 = points[:, 0], points[:, 1]
+    lo, hi = r1.min(), r1.max()
+    if not (lo < hi and np.isfinite(hi - lo)):
+        return points, idx
+    bins = np.minimum(((r1 - lo) / (hi - lo) * _PARETO_BINS).astype(np.intp), _PARETO_BINS - 1)
+    top = np.full(_PARETO_BINS + 1, -np.inf)
+    np.maximum.at(top, bins, r2)
+    right = np.maximum.accumulate(top[::-1])[::-1]  # right[k] = max r2 over bins >= k
+    live = ~(r2 <= right[bins + 1])
+    return points[live], idx[live]
+
+
 def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     """Keep Pareto-maximal points, returned sorted by r1 ascending."""
+    points, idx = _drop_dominated(points, idx)
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     pts = points[order]
     ids = idx[order]
@@ -361,24 +394,35 @@ def _face_batches(m: int, step: float):
     return out
 
 
+def _step_diagnostics(step: float, swept: float) -> dict:
+    """``step`` is the coarsest grid step swept; ``requested_step`` if coarsened."""
+    diag = {"step": swept}
+    if swept != step:
+        diag["requested_step"] = step
+    return diag
+
+
 def _free_batches(m: int, step: float):
+    """Unconstrained sweep batches, |U|=3 batches and the coarsest step swept."""
     if m == 2:
         # the mesh only hits induced marginals on the w grid, so pin the
         # uniform-marginal corners explicitly (constant set, keeps nesting)
         canon_ux = (np.full((1, 2), 0.5), np.eye(2)[None, :, :])
         canon_k1 = (np.ones((1, 1)), np.full((1, 1, 2), 0.5))
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
-        return batches, [_aux3_free_binary()]
-    grid = simplex_grid(m, _bounded_step(m, step, _SINGLE_CAP))
+        return batches, [_aux3_free_binary()], step
+    eff = _bounded_step(m, step, _SINGLE_CAP)
+    grid = simplex_grid(m, eff)
     n = grid.shape[0]
     k1 = (np.ones((n, 1)), grid[:, None, :])
     ux = (grid, np.broadcast_to(np.eye(m), (n, m, m)))
     batches = [k1, ux, _coarse_pair_batch(m)]
     batches.extend(_face_batches(m, step))
-    return batches, []
+    return batches, [], max(eff, _FACE_STEP_FLOOR)
 
 
 def _constrained_batches(target: Dist, m: int, step: float):
+    """Batches pinned to one input law, |U|=3 batches and the pinned grid's step."""
     if target.size != m:
         raise DomainError("marginal constraint size does not match the channels")
     t = target.probs
@@ -388,7 +432,7 @@ def _constrained_batches(target: Dist, m: int, step: float):
     rows_ux = np.zeros((1, support.size, m))
     rows_ux[0, np.arange(support.size), support] = 1.0
     batches = [k1, (w_ux[None, :], rows_ux)]
-    weights, rows, _ = constrained_two_point_batch(t, support, step)
+    weights, rows, eff = constrained_two_point_batch(t, support, step)
     if weights.shape[0]:
         batches.append((weights, rows))
     aux3 = []
@@ -396,7 +440,7 @@ def _constrained_batches(target: Dist, m: int, step: float):
         extra = _aux3_constrained_binary(float(t[0]))
         if extra[0].shape[0]:
             aux3.append(extra)
-    return batches, aux3
+    return batches, aux3, eff
 
 
 def _sweep_frontier(
@@ -487,10 +531,10 @@ def superposition_region(
     """
     m = _require_same_input(dominant, weak)
     if marginal_constraint is None:
-        batches, aux3 = _free_batches(m, step)
+        batches, aux3, swept = _free_batches(m, step)
     else:
-        batches, aux3 = _constrained_batches(marginal_constraint, m, step)
-    diag = {"bound": "ib", "step": step, "constrained": marginal_constraint is not None}
+        batches, aux3, swept = _constrained_batches(marginal_constraint, m, step)
+    diag = {"bound": "ib", "constrained": marginal_constraint is not None, **_step_diagnostics(step, swept)}
     return _sweep_frontier(dominant, weak, batches, aux3, "sum", diag)
 
 
@@ -508,11 +552,13 @@ def _class_region(
         raise DomainError("the sufficient class must be nonempty")
     batches: list = []
     aux3: list = []
+    swept = step
     for member in members:
-        mb, ma = _constrained_batches(member, m, step)
+        mb, ma, eff = _constrained_batches(member, m, step)
         batches.extend(mb)
         aux3.extend(ma)
-    diag = {"bound": name, "step": step, "class_size": len(members)}
+        swept = max(swept, eff)
+    diag = {"bound": name, "class_size": len(members), **_step_diagnostics(step, swept)}
     return _sweep_frontier(a, b, batches, aux3, kind, diag)
 
 
@@ -556,6 +602,6 @@ def outer_bound_eq_ob(
     I(X;Y_a|U), r1 <= I(X;Y_a), swept over unconstrained decompositions.
     """
     m = _require_same_input(a, b)
-    batches, aux3 = _free_batches(m, step)
-    diag = {"bound": "ob", "step": step, "constrained": False}
+    batches, aux3, swept = _free_batches(m, step)
+    diag = {"bound": "ob", "constrained": False, **_step_diagnostics(step, swept)}
     return _sweep_frontier(a, b, batches, aux3, "r1cap", diag)

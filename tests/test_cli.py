@@ -238,6 +238,26 @@ def test_region_ib_rejects_multi_member_class(tmp_path):
     assert "exactly one member" in err
 
 
+def test_region_json_prints_booleans():
+    code, out, _ = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", "ib",
+                           "--grid", "10", "--format", "json")
+    assert code == 0
+    assert '"constrained": false' in out and '"aux3_swept": true' in out
+    diag = json.loads(out)["frontiers"]["ib"]["diagnostics"]
+    assert diag["constrained"] is False and diag["aux3_swept"] is True
+
+
+@pytest.mark.parametrize("content", [[["a", "b"]], {"members": [{"x": 1}]}, [[0.5, [0.5]]]])
+def test_region_malformed_class_file(tmp_path, content):
+    path = tmp_path / "laws.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5",
+                             "--which", "theorem1", "--class", str(path), "--grid", "10")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_region_unknown_name():
     for name in ("foo", "vx"):
         code, _, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", name)
@@ -282,6 +302,14 @@ def test_malformed_channel_file(tmp_path):
     code, _, err = run_cli("classify", "--channel1", str(path), "--channel2", str(path))
     assert code == 2
     assert "error:" in err
+
+
+def test_channel_file_with_non_list_labels(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"input_size": 2, "output_labels": 5, "rows": [[1, 0], [0, 1]]}))
+    code, _, err = run_cli("classify", "--channel1", str(path), "--channel2", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and "output_labels" in err
 
 
 def test_missing_channel_file():

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bcorder.channels import bec, bsc, channel_mi, split_input_pair
+from bcorder import regions
+from bcorder.channels import Dmc, bec, bsc, channel_mi, split_input_pair
 from bcorder.probcore import Dist, DomainError, binary_entropy
 from bcorder.regions import (
     RatePoint,
@@ -16,6 +18,8 @@ from bcorder.regions import (
 )
 
 BSC_CAP = 1.0 - binary_entropy(0.1)  # capacity of the crossover-0.1 side
+
+_PROPERTY = settings(max_examples=40, deadline=None, derandomize=True, database=None)
 
 
 def test_rate_point_validation():
@@ -178,3 +182,98 @@ def test_mismatched_inputs_rejected():
     y1, _ = split_input_pair()
     with pytest.raises(DomainError):
         superposition_region(y1, bsc(0.1))
+
+
+def _lexsort_pareto(points, idx):
+    """Reference Pareto filter: the lexsort and running-max keep alone."""
+    order = np.lexsort((-points[:, 1], -points[:, 0]))
+    pts = points[order]
+    ids = idx[order]
+    r2 = pts[:, 1]
+    keep = np.empty(r2.size, dtype=bool)
+    keep[0] = True
+    if r2.size > 1:
+        acc = np.maximum.accumulate(r2)
+        keep[1:] = r2[1:] > acc[:-1] + regions.PARETO_TOL
+    return pts[keep][::-1], ids[keep][::-1]
+
+
+@_PROPERTY
+@given(
+    n=st.sampled_from([1, 2, 7, 300, regions._PARETO_BINS, regions._PARETO_BINS + 1, 9000]),
+    lattice=st.sampled_from([1, 3, 16, 250, 0]),
+    r1_mode=st.sampled_from(["free", "columns", "constant"]),
+    duplicates=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pareto_filter_matches_lexsort_reference(n, lattice, r1_mode, duplicates, seed):
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    if lattice:  # coarse lattice: many exact ties in r1, r2 or both
+        pts = np.round(pts * lattice) / lattice
+    if r1_mode == "columns":
+        pts[:, 0] = rng.integers(0, 5, n) / 4.0
+    elif r1_mode == "constant":
+        pts[:, 0] = 0.375
+    if duplicates:
+        pts = np.vstack([pts, pts[rng.integers(0, n, n // 2 + 1)]])
+    idx = rng.permutation(pts.shape[0])
+    got_pts, got_ids = regions._pareto_filter(pts, idx)
+    want_pts, want_ids = _lexsort_pareto(pts, idx)
+    assert np.array_equal(got_pts, want_pts)
+    assert np.array_equal(got_ids, want_ids)
+
+
+def test_pareto_prepass_on_outer_bound_sweep(monkeypatch):
+    sizes = []
+    drop = regions._drop_dominated
+
+    def counted(points, idx):
+        kept = drop(points, idx)
+        sizes.append((points.shape[0], kept[0].shape[0]))
+        return kept
+
+    monkeypatch.setattr(regions, "_drop_dominated", counted)
+    fast = outer_bound_eq_ob(bec(0.5), bsc(0.1))
+    assert sizes and all(kept < 0.05 * total for total, kept in sizes)
+    monkeypatch.setattr(regions, "_pareto_filter", _lexsort_pareto)
+    ref = outer_bound_eq_ob(bec(0.5), bsc(0.1))
+    assert fast.points == ref.points
+    assert len(fast.provenance) == len(ref.provenance)
+    for d, e in zip(fast.provenance, ref.provenance):
+        assert np.array_equal(d.pu.probs, e.pu.probs)
+        assert np.array_equal(d.px_given_u, e.px_given_u)
+
+
+def test_constrained_sweep_reports_coarsened_step():
+    y1, y2 = split_input_pair()
+    fr = theorem2_region(y1, y2, [Dist.uniform(4)], step=0.02)
+    # the pinned |U|=2 grid over 4 inputs runs at 0.08 under its point cap
+    assert fr.diagnostics["step"] == 0.08
+    assert fr.diagnostics["requested_step"] == 0.02
+    assert fr.diagnostics["num_decompositions"] == 10707
+    assert [p.as_tuple() for p in fr.points] == [
+        (0.0, 0.28002690597802515),
+        (0.31127812445913283, 0.18872187554086717),
+        (0.5000000000000001, 0.0),
+    ]
+    binary = theorem2_region(bsc(0.1), bec(0.5), [Dist.uniform(2)], step=0.02)
+    assert binary.diagnostics["step"] == 0.02
+    assert "requested_step" not in binary.diagnostics
+
+
+def test_free_sweep_reports_coarsened_step(monkeypatch):
+    a = Dmc(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]), ("0", "1"))
+    b = Dmc(np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]), ("0", "1"))
+    fine = outer_bound_eq_ob(a, b, step=0.1)
+    assert fine.diagnostics["step"] == 0.1
+    assert "requested_step" not in fine.diagnostics
+    # the two-letter face sweeps never run finer than _FACE_STEP_FLOOR
+    assert regions._free_batches(3, 0.01)[2] == regions._FACE_STEP_FLOOR
+    monkeypatch.setattr(regions, "_SINGLE_CAP", 30)  # 66 points at 0.1, 21 at 0.2
+    coarse = outer_bound_eq_ob(a, b, step=0.1)
+    assert coarse.diagnostics["step"] == 0.2
+    assert coarse.diagnostics["requested_step"] == 0.1
+    assert coarse.diagnostics["num_decompositions"] < fine.diagnostics["num_decompositions"]
+    for pt in coarse.points:
+        assert frontier_contains(fine, pt, tol=1e-12)
