@@ -116,21 +116,31 @@ def channel_mi(c: Dmc, px: Dist) -> float:
 
 
 def mi_batch(rows: np.ndarray, pxs: np.ndarray) -> np.ndarray:
-    """I(X;Y) for a (N, m) stack of input laws through (m, n) channel rows."""
+    """I(X;Y) for a (..., N, m) stack of input laws through (..., m, n) channel rows.
+
+    Leading axes broadcast: (m, n) rows and (N, m) laws give N values, and
+    a (P, m, n) stack of channels with one (N, m) grid gives a (P, N) table.
+    """
+    return mi_from_entropies(rows, entropy_vec(rows, axis=-1), pxs)
+
+
+def mi_from_entropies(rows: np.ndarray, h_rows: np.ndarray, pxs: np.ndarray) -> np.ndarray:
+    """``mi_batch`` given the rows' entropies H(Y | X = x), for callers that reuse a channel."""
     py = pxs @ rows
-    h_rows = entropy_vec(rows, axis=1)
-    return np.maximum(0.0, entropy_vec(py, axis=-1) - pxs @ h_rows)
+    return np.maximum(0.0, entropy_vec(py, axis=-1) - (pxs @ h_rows[..., None])[..., 0])
 
 
 def aux_mi_batch(rows: np.ndarray, weights: np.ndarray, conds: np.ndarray) -> np.ndarray:
     """I(U;Y) for a batch of auxiliary decompositions through channel rows.
 
-    ``weights`` is (N, k) with each row a law on U; ``conds`` is (N, k, m)
-    with conds[n, u] the law of X given U = u.
+    ``weights`` is (..., N, k) with each row a law on U; ``conds`` is
+    (..., N, k, m) with conds[..., n, u] the law of X given U = u.  Leading
+    axes broadcast against those of the (..., m, n) ``rows``, so a (P, m, n)
+    stack of channels takes (P, N, k) weights, one batch per channel.
     """
-    ry = conds @ rows                      # (N, k, n) output law per u
-    py = np.einsum("nk,nkj->nj", weights, ry)
-    h_given_u = np.einsum("nk,nk->n", weights, entropy_vec(ry, axis=2))
+    ry = conds @ rows[..., None, :, :]     # (..., N, k, n) output law per u
+    py = np.einsum("...k,...kj->...j", weights, ry)
+    h_given_u = np.einsum("...k,...k->...", weights, entropy_vec(ry, axis=-1))
     return np.maximum(0.0, entropy_vec(py, axis=-1) - h_given_u)
 
 

@@ -29,11 +29,13 @@ from .channels import (
     aux_mi_batch,
     detect_c_symmetry,
     mi_batch,
+    mi_from_entropies,
 )
 from .probcore import (
     CELL_FLOOR,
     Dist,
     DomainError,
+    entropy_vec,
     stochastic_array,
 )
 
@@ -44,6 +46,7 @@ _POINT_GRID_CAP = 300_000  # max grid points for single-point scans
 _HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
+_LP_BLOCKS = 256          # pairs per block-diagonal degradedness LP
 
 
 class Outcome(enum.Enum):
@@ -150,35 +153,239 @@ def gap_functional(a: Dmc, b: Dmc, px: Dist) -> float:
     return float(mi_batch(a.rows, px.probs[None, :])[0] - mi_batch(b.rows, px.probs[None, :])[0])
 
 
-def _gap_vec(a: Dmc, b: Dmc, pxs: np.ndarray) -> np.ndarray:
-    return mi_batch(a.rows, pxs) - mi_batch(b.rows, pxs)
+def _gap_vec(a: np.ndarray, b: np.ndarray, pxs: np.ndarray) -> np.ndarray:
+    """I(X;Y_a) - I(X;Y_b) through channel rows; leading axes broadcast as in mi_batch."""
+    return mi_batch(a, pxs) - mi_batch(b, pxs)
+
+
+def _stacked_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (P, m, na) and (P, m, nb) channel-row stacks of P pairs."""
+    sa, sb = np.shape(a), np.shape(b)
+    if len(sa) != 3 or len(sb) != 3 or sa[:2] != sb[:2] or min(sa[1:] + sb[2:]) < 1:
+        raise DomainError("stacked pairs need (P, m, na) and (P, m, nb) row arrays")
+    return stochastic_array(a, "first channel rows"), stochastic_array(b, "second channel rows")
+
+
+def _first_best(vals: np.ndarray, owner: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each owner's extreme value among ``vals``, as np.argmax/argmin would pick it.
+
+    Returns the owners present, ascending, and the index of each one's
+    largest (or smallest) value; ties go to the lowest index.
+    """
+    if owner.size and owner[0] == owner[-1] and (owner == owner[0]).all():
+        return owner[:1], np.array([vals.argmax() if maximize else vals.argmin()])
+    order = np.lexsort((np.arange(vals.size), -vals if maximize else vals, owner))
+    ranked = owner[order]
+    lead = np.ones(order.size, dtype=bool)
+    lead[1:] = ranked[1:] != ranked[:-1]
+    return ranked[lead], order[lead]
 
 
 def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool):
-    """Coordinate descent on the simplex by pairwise mass moves.
+    """Coordinate descent on the simplex by pairwise mass moves, from P starts in lockstep.
 
-    ``fn`` maps an (N, m) stack of laws to N values.  Each sweep evaluates
-    every move of ``step`` mass from one coordinate to another in one call
-    and applies the best one, or halves the step (down to REFINE_FLOOR) when
-    none improves by more than CELL_FLOOR.  Deterministic: ties go to the
-    first move, with the source coordinate outer and the target inner.
+    ``x0`` is a (P, m) stack of start laws.  ``fn(q, idx)`` maps a
+    (len(idx), k, m) stack of laws, where q[j] belongs to start idx[j], to
+    their (len(idx), k) values.  Each sweep evaluates, in one call, every
+    move of its own step's mass from one coordinate to another for every
+    start still refining, and each such start applies its best move, or
+    halves its step (down to REFINE_FLOOR) when none improves by more than
+    CELL_FLOOR.  A move that needs more mass than its source holds is
+    evaluated at the unmoved law and never taken, so every start sends the
+    same m(m-1) rows and its values do not depend on the other starts.
+    Deterministic: ties go to the first move, with the source coordinate
+    outer and the target inner.  Returns the points, their values and each
+    start's number of sweeps.
     """
-    sign = 1.0 if maximize else -1.0
+    pick, worst = (np.ndarray.argmax, -np.inf) if maximize else (np.ndarray.argmin, np.inf)
     x = np.array(x0, dtype=float)
-    best = fn(x[None, :])[0]
-    step = step0
-    eye = np.eye(x.size)
+    count, m = x.shape
+    best = fn(x[:, None, :], np.arange(count))[:, 0]
+    sweeps = np.zeros(count, dtype=np.int64)
+    if m == 1:  # no move exists: every sweep only halves the step
+        step = step0
+        while step > REFINE_FLOOR:
+            step *= 0.5
+            sweeps += 1
+        return x, best, sweeps
+    eye = np.eye(m)
     src, dst = np.nonzero(1.0 - eye)
     dirs = eye[dst] - eye[src]
-    while step > REFINE_FLOOR:
-        moves = x + step * dirs[x[src] >= step - CELL_FLOOR]
-        vals = fn(moves) if moves.shape[0] else np.full(1, best)
-        k = int(np.argmax(sign * vals))
-        if sign * (vals[k] - best) > CELL_FLOOR:
-            best, x = vals[k], moves[k]
-        else:
-            step *= 0.5
-    return x, float(best)
+    # the starts still refining, with their point, value and step
+    live = np.arange(count) if step0 > REFINE_FLOOR else np.arange(0)
+    xl, bl, sl = x[live], best[live], np.full((live.size, 1), float(step0))
+    lane = np.arange(live.size)
+    sweep = 0
+    while live.size:
+        sweep += 1
+        feasible = xl.take(src, 1) >= sl - CELL_FLOOR
+        moves = xl[:, None, :] + (sl * feasible)[:, :, None] * dirs
+        vals = np.where(feasible, fn(moves, live), worst)
+        k = pick(vals, 1)
+        top = vals[lane, k]
+        gain = (top - bl if maximize else bl - top) > CELL_FLOOR
+        col = gain[:, None]
+        xl = np.where(col, moves[lane, k], xl)
+        bl = np.where(gain, top, bl)
+        sl = np.where(col, sl, sl * 0.5)
+        if sl.min() <= REFINE_FLOOR:
+            done = sl[:, 0] <= REFINE_FLOOR
+            x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], sweep
+            live, xl, bl, sl = live[~done], xl[~done], bl[~done], sl[~done]
+            lane = np.arange(live.size)
+    return x, best, sweeps
+
+
+def _gap_extremum(
+    a: np.ndarray,
+    b: np.ndarray,
+    step: float,
+    maximize: bool,
+    probes: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray, list[dict]]:
+    """Extremum of I(X;Y_a) - I(X;Y_b) over a simplex grid plus refinement, per pair.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  All pairs are
+    scored on one shared grid and refined in lockstep.  ``probes`` are extra
+    starting candidates as (points, owner), points[c] being a (k, m) stack
+    of laws for pair owner[c]; they are considered after the grid (ties
+    keep the grid point).  Returns the refined points, their gaps and each
+    pair's search diagnostics.
+    """
+    m = a.shape[1]
+    eff = _bounded_step(m, step, _POINT_GRID_CAP)
+    grid = simplex_grid(m, eff)
+    gaps = _gap_vec(a, b, grid)
+    pick = gaps.argmax(axis=1) if maximize else gaps.argmin(axis=1)
+    x0 = grid[pick]
+    if probes is not None and probes[1].size:
+        pts, owner = probes
+        vals = _gap_vec(a[owner], b[owner], pts).ravel()
+        pairs, first = _first_best(vals, np.repeat(owner, pts.shape[1]), maximize)
+        at_grid = gaps[pairs, pick[pairs]]
+        wins = vals[first] > at_grid if maximize else vals[first] < at_grid
+        x0[pairs[wins]] = pts.reshape(-1, m)[first[wins]]
+    # the refinement reuses each channel's row entropies across its sweeps
+    ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
+    x, v, sweeps = _refine_extremum(
+        lambda q, idx: mi_from_entropies(a.take(idx, 0), ha.take(idx, 0), q)
+        - mi_from_entropies(b.take(idx, 0), hb.take(idx, 0), q),
+        x0,
+        eff,
+        maximize=maximize,
+    )
+    key = "max" if maximize else "min"
+    diagnostics = []
+    for xp, vp, sp in zip(x.tolist(), v.tolist(), sweeps.tolist()):
+        d = {
+            "grid_step": eff,
+            "grid_points": int(grid.shape[0]),
+            f"{key}_gap": vp,
+            f"arg{key}": xp,
+            "refine_sweeps": sp,
+        }
+        if step != eff:
+            d["requested_step"] = step
+        diagnostics.append(d)
+    return x, v, diagnostics
+
+
+def _block_lp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve the degradedness LPs of a (k, m, na), (k, m, nb) stack as one LP.
+
+    The pairs share no variable and the objective sum_k t_k is separable,
+    so one block-diagonal LP, whose blocks are the single-pair LPs, yields
+    each block's optimum.  Returns the (k, na*nb + 1) optima: W row-major,
+    then t.
+    """
+    # imported here: scipy.optimize dominates the package import time and
+    # only this test solves an LP
+    from scipy.optimize import linprog
+    from scipy.sparse import coo_array
+
+    count, m, na = a.shape
+    nb = b.shape[2]
+    nvars = na * nb + 1
+    rows_ub = 2 * m * nb
+    blk = np.arange(count)[:, None, None, None]
+    i, y, o = np.arange(m)[:, None, None], np.arange(nb)[:, None], np.arange(na)
+    # cellwise |sum_o a[i,o] W[o,y] - b[i,y]| <= t: rows +cell, -cell per (i, y)
+    row, col, coef = np.broadcast_arrays(
+        blk * rows_ub + 2 * (i * nb + y), blk * nvars + o * nb + y, a[:, :, None, :]
+    )
+    nz = coef != 0.0
+    row, col, coef = row[nz], col[nz], coef[nz]
+    t_col = np.repeat(np.arange(count) * nvars + nvars - 1, rows_ub)
+    ub_val = np.concatenate([coef, -coef, -np.ones(t_col.size)])
+    ub_row = np.concatenate([row, row + 1, np.arange(t_col.size)])
+    ub_col = np.concatenate([col, col, t_col])
+    # each row of W sums to 1
+    eq_row = np.repeat(np.arange(count * na), nb)
+    eq_col = (np.arange(count)[:, None, None] * nvars + o[:, None] * nb + np.arange(nb)).ravel()
+    ub_shape, eq_shape = (count * rows_ub, count * nvars), (count * na, count * nvars)
+    if count == 1:
+        # linprog's sparse-input handling costs more than a whole one-pair solve
+        a_ub, a_eq = np.zeros(ub_shape), np.zeros(eq_shape)
+        a_ub[ub_row, ub_col] = ub_val
+        a_eq[eq_row, eq_col] = 1.0
+    else:
+        a_ub = coo_array((ub_val, (ub_row, ub_col)), shape=ub_shape)
+        a_eq = coo_array((np.ones(eq_col.size), (eq_row, eq_col)), shape=eq_shape)
+    flat_b = b.reshape(count, m * nb)
+    c = np.zeros(count * nvars)
+    c[nvars - 1::nvars] = 1.0
+    bounds = np.tile(np.append(np.tile([0.0, 1.0], (na * nb, 1)), [[0.0, np.inf]], axis=0), (count, 1))
+    res = linprog(
+        c,
+        A_ub=a_ub,
+        b_ub=np.stack([flat_b, -flat_b], axis=2).ravel(),
+        A_eq=a_eq,
+        b_eq=np.ones(count * na),
+        bounds=bounds,
+        method="highs",
+    )
+    if not res.success:
+        raise RuntimeError(f"degradedness LP did not solve: {res.message}")
+    return res.x.reshape(count, nvars)
+
+
+def _degraded(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[list[ClassVerdict], np.ndarray, np.ndarray]:
+    """Degradedness verdicts for row stacks, _LP_BLOCKS pairs to an LP.
+
+    The verdicts carry the residual and the LP optimum, which equal the
+    pair's own LP's up to rounding.  The optimal W and its worst cell need
+    not: where a pair's optimum is degenerate, the block LP can pick
+    another optimal W.  They are returned beside the verdicts, as
+    (P, na, nb) and (P,) flat cell indices.
+    """
+    count, m, na = a.shape
+    nb = b.shape[2]
+    solution = np.empty((count, na * nb + 1))
+    for lo in range(0, count, _LP_BLOCKS):
+        solution[lo:lo + _LP_BLOCKS] = _block_lp(a[lo:lo + _LP_BLOCKS], b[lo:lo + _LP_BLOCKS])
+    w = np.clip(solution[:, :-1].reshape(count, na, nb), 0.0, None)
+    sums = w.sum(axis=2, keepdims=True)
+    w = np.where(sums > CELL_FLOOR, w / np.maximum(sums, CELL_FLOOR), 1.0 / nb)
+    resid_table = np.abs(a @ w - b).reshape(count, m * nb)
+    worst = np.argmax(resid_table, axis=1)
+    resid = resid_table[np.arange(count), worst]
+    verdicts = []
+    for r, objective in zip(resid.tolist(), solution[:, -1].tolist()):
+        outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
+        verdicts.append(ClassVerdict(outcome, diagnostics={"residual": r, "lp_objective": objective, "tol": tol}))
+    return verdicts, w, worst
+
+
+def degraded_stack(a, b) -> list[ClassVerdict]:
+    """``test_degraded`` for P pairs at once, one verdict per pair.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  Each
+    run of up to _LP_BLOCKS pairs is solved as one block-diagonal LP.  The
+    verdicts carry the outcome, residual and LP optimum of ``test_degraded``
+    but no witness W and no worst cell: where a pair's optimum is
+    degenerate, those would depend on the other pairs in its block.
+    """
+    return _degraded(*_stacked_pairs(a, b), VERDICT_TOL)[0]
 
 
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
@@ -187,110 +394,84 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     Solves min_t { |cascade(a, W) - b| <= t cellwise, W row-stochastic } as
     a linear program.  Holds (with the witness W) iff the optimum is within
     ``tol``; otherwise Fails with the worst-matched cell in diagnostics.
-    This test is exact up to the tolerance, never Inconclusive.
+    This test is exact up to the tolerance, never Inconclusive.  It is the
+    one-pair case of ``degraded_stack``.
     """
-    # imported here: scipy.optimize dominates the package import time and
-    # only this test solves an LP
-    from scipy.optimize import linprog
-
-    m = _require_same_input(a, b)
-    na, nb = a.output_size, b.output_size
-    nvars = na * nb + 1  # W entries then t
-    c = np.zeros(nvars)
-    c[-1] = 1.0
-    # cellwise |sum_o a[i,o] W[o,y] - b[i,y]| <= t: rows +cell, -cell per (i, y)
-    upper = np.hstack([np.kron(a.rows, np.eye(nb)), -np.ones((m * nb, 1))])
-    lower = np.hstack([-upper[:, :-1], -np.ones((m * nb, 1))])
-    a_ub = np.stack([upper, lower], axis=1).reshape(2 * m * nb, nvars)
-    b_ub = np.stack([b.rows.ravel(), -b.rows.ravel()], axis=1).ravel()
-    a_eq = np.hstack([np.kron(np.eye(na), np.ones((1, nb))), np.zeros((na, 1))])
-    b_eq = np.ones(na)
-    bounds = [(0.0, 1.0)] * (na * nb) + [(0.0, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-    if not res.success:
-        raise RuntimeError(f"degradedness LP did not solve: {res.message}")
-    w = np.clip(res.x[:-1].reshape(na, nb), 0.0, None)
-    sums = w.sum(axis=1, keepdims=True)
-    w = np.where(sums > CELL_FLOOR, w / np.maximum(sums, CELL_FLOOR), 1.0 / nb)
-    witness = Dmc(w, b.output_labels)
-    resid_table = np.abs(a.rows @ w - b.rows)
-    resid = float(resid_table.max())
-    worst = np.unravel_index(int(np.argmax(resid_table)), resid_table.shape)
-    diagnostics = {
-        "residual": resid,
-        "worst_cell": [int(worst[0]), int(worst[1])],
-        "lp_objective": float(res.x[-1]),
-        "tol": tol,
-    }
-    if resid <= tol:
-        return ClassVerdict(Outcome.HOLDS, witness=witness, diagnostics=diagnostics)
-    return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
+    _require_same_input(a, b)
+    [verdict], w, worst = _degraded(a.rows[None], b.rows[None], tol)
+    d = verdict.diagnostics
+    diagnostics = {"residual": d["residual"], "worst_cell": list(divmod(int(worst[0]), b.output_size)), **d}
+    return ClassVerdict(verdict.outcome, witness=Dmc(w[0], b.output_labels), diagnostics=diagnostics)
 
 
-def _gap_extremum(
-    a: Dmc, b: Dmc, step: float, maximize: bool, probes: np.ndarray | None = None
-) -> tuple[np.ndarray, float, dict]:
-    """Extremum of I(X;Y_a) - I(X;Y_b) over a simplex grid plus refinement.
+def _face_chords(
+    a: np.ndarray, b: np.ndarray, t_max: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chords leaving the faces next to which I(X;Y_a) - I(X;Y_b) bends up, per pair.
 
-    ``probes`` are extra starting candidates considered after the grid (ties
-    keep the grid point).  Returns the refined point, its gap and the
-    search diagnostics.
+    ``a`` and ``b`` are (P, m, n) row stacks.  For a face with support S and
+    an input i outside it, the pull is s = sum of b[i, o] over the outputs o
+    that no input of S reaches through b, minus the same sum through a.
+    Moving mass t from the face toward e_i changes the gap by
+    -s t log(1/t) + O(t), so for s > 0 the gap's slope goes to -inf and its
+    curvature to +inf as mass leaves the face.  For every positive pull,
+    returns the chords from x, the uniform law on S, to x + t (e_i - x) for
+    t halved down from t_max, as (C, _HALVINGS + 1, m) start and end
+    stacks, with owner[c] the pair of chord c; a pair's chords are
+    contiguous, in face-then-input order.  Supports are taken by size, and
+    only the first _FACE_PAIR_CAP (face, input) pairs are examined, all at
+    once (P x faces x m x outputs entries); the (P,) flags say which pairs'
+    scans that cap cut.
     """
-    m = _require_same_input(a, b)
-    eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = simplex_grid(m, eff)
-    cands = grid if probes is None else np.vstack([grid, probes])
-    gaps = _gap_vec(a, b, cands)
-    i0 = int(np.argmax(gaps) if maximize else np.argmin(gaps))
-    x, v = _refine_extremum(lambda q: _gap_vec(a, b, q), cands[i0], eff, maximize=maximize)
-    key = "max" if maximize else "min"
-    diagnostics = {
-        "grid_step": eff,
-        "grid_points": int(grid.shape[0]),
-        f"{key}_gap": float(v),
-        f"arg{key}": [float(t) for t in x],
-    }
-    if step != eff:
-        diagnostics["requested_step"] = step
-    return x, float(v), diagnostics
-
-
-def _face_chords(a: Dmc, b: Dmc, t_max: float) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Chords leaving the faces next to which I(X;Y_a) - I(X;Y_b) bends up.
-
-    For a face with support S and an input i outside it, the pull is
-    s = sum of b[i, o] over the outputs o that no input of S reaches through
-    b, minus the same sum through a.  Moving mass t from the face toward e_i
-    changes the gap by -s t log(1/t) + O(t), so for s > 0 the gap's slope
-    goes to -inf and its curvature to +inf as mass leaves the face.  For
-    every positive pull, returns the chords from x, the uniform law on S, to
-    x + t (e_i - x) for t halved down from t_max, as (starts, ends) rows.
-    Supports are taken by size, and only the first _FACE_PAIR_CAP (face,
-    input) pairs are examined; the flag says whether that cap cut the scan.
-    """
-    m = a.input_size
-    bases, dirs = [], []
-    budget = _FACE_PAIR_CAP
+    m = a.shape[1]
     # a positive pull needs an output that some face misses through b
-    sizes = range(1, m) if np.any(b.rows <= CELL_FLOOR) else ()
+    open_pairs = (b <= CELL_FLOOR).any(axis=(1, 2))
+    faces, budget = [], _FACE_PAIR_CAP
+    sizes = range(1, m) if open_pairs.any() else ()
     for support in itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in sizes):
         budget -= m - len(support)
         if budget < 0:
             break
-        s_idx = list(support)
-        unseen_a = np.all(a.rows[s_idx] <= CELL_FLOOR, axis=0)
-        unseen_b = np.all(b.rows[s_idx] <= CELL_FLOOR, axis=0)
-        pull = b.rows[:, unseen_b].sum(axis=1) - a.rows[:, unseen_a].sum(axis=1)
-        base = np.zeros(m)
-        base[s_idx] = 1.0 / len(support)
-        for i in range(m):
-            if i not in support and pull[i] > CELL_FLOOR:
-                bases.append(base)
-                dirs.append(np.eye(m)[i] - base)
-    bases, dirs = np.reshape(bases, (-1, 1, m)), np.reshape(dirs, (-1, 1, m))
+        faces.append([i in support for i in range(m)])
+    capped = open_pairs & (budget < 0)
+    on = np.array(faces, dtype=bool).reshape(-1, m)
+    # unseen[p, s, o]: no input of face s reaches output o, as (P, faces, outputs)
+    unseen_a = ~((a > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
+    unseen_b = ~((b > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
+    pull = (b[:, None] * unseen_b[:, :, None, :]).sum(axis=3) - (a[:, None] * unseen_a[:, :, None, :]).sum(axis=3)
+    # pair-major, then face, then input: each pair's chords are contiguous
+    owner, face, target = ((pull > CELL_FLOOR) & ~on & open_pairs[:, None, None]).nonzero()
+    base = (on / on.sum(axis=1, keepdims=True))[face][:, None, :]
+    dirs = np.eye(m)[target][:, None, :] - base
     ts = (t_max * 0.5 ** np.arange(_HALVINGS + 1))[None, :, None]
-    starts = np.broadcast_to(bases, (bases.shape[0], ts.size, m))
-    return starts.reshape(-1, m), (bases + ts * dirs).reshape(-1, m), budget < 0
+    ends = base + ts * dirs
+    return np.broadcast_to(base, ends.shape), ends, owner, capped
+
+
+def _more_capable(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
+    """More-capable verdicts for row stacks: one grid, one lockstep refinement."""
+    _, probes, owner, capped = _face_chords(a, b, step)
+    x, v, diagnostics = _gap_extremum(a, b, step, maximize=False, probes=(probes, owner))
+    counts = np.bincount(owner, minlength=a.shape[0]) * probes.shape[1]
+    verdicts = []
+    for p, d in enumerate(diagnostics):
+        d["face_probes"] = int(counts[p])
+        if capped[p]:
+            d["face_pair_cap"] = _FACE_PAIR_CAP
+        if v[p] < -VERDICT_TOL:
+            verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
+        else:
+            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+    return verdicts
+
+
+def more_capable_stack(a, b) -> list[ClassVerdict]:
+    """``test_more_capable`` at its default step for P pairs at once, one verdict per pair.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
+    pairs share one grid and one lockstep refinement.
+    """
+    return _more_capable(*_stacked_pairs(a, b), 0.02)
 
 
 def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -300,54 +481,140 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     a positive pull (see _face_chords) add probes x + t (e_i - x) for t
     halved down from ``step``, since the gap can dip below zero far inside
     the first grid cell there.  Fails with the violating input law if the
-    minimum drops below -VERDICT_TOL.
+    minimum drops below -VERDICT_TOL.  It is the one-pair case of
+    ``more_capable_stack``.
     """
     _require_same_input(a, b)
-    _, probes, capped = _face_chords(a, b, step)
-    x, v, diagnostics = _gap_extremum(a, b, step, maximize=False, probes=probes)
-    diagnostics["face_probes"] = int(probes.shape[0])
-    if capped:
-        diagnostics["face_pair_cap"] = _FACE_PAIR_CAP
-    if v < -VERDICT_TOL:
-        return ClassVerdict(Outcome.FAILS, witness=Dist(x), diagnostics=diagnostics)
-    return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
+    return _more_capable(a.rows[None], b.rows[None], step)[0]
 
 
-def _tangent_hessian(a: Dmc, b: Dmc, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per point.
+def _tangent_hessian(a: np.ndarray, b: np.ndarray, pts: np.ndarray, q_basis: np.ndarray) -> np.ndarray:
+    """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per pair and point.
 
     It is Q^T [B diag(1/q_b) B^T - A diag(1/q_a) A^T] Q / ln 2, with q = p rows
-    and Q an orthonormal basis of {v : sum v = 0}, returned alongside.
-    ``pts`` must lie in the open simplex.
+    and Q = ``q_basis`` an orthonormal basis of {v : sum v = 0}, as a
+    (P, len(pts), m-1, m-1) array.  ``a`` and ``b`` are (P, m, n) row stacks
+    in which some input reaches every output, and ``pts`` must lie in the
+    open simplex.
     """
-    m = pts.shape[1]
+    hess = 0.0
+    for rows, sign in ((b, 1.0), (a, -1.0)):
+        proj = q_basis.T @ rows
+        hess = hess + sign * (
+            (proj[:, None, :, :] / (pts @ rows)[:, :, None, :]) @ proj.transpose(0, 2, 1)[:, None]
+        )
+    return hess / math.log(2.0)
+
+
+def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Largest tangent-space eigenvalue over ``pts`` per pair, its first point and eigenvector.
+
+    Pairs whose channels reach the same outputs are taken together, without
+    the outputs no input reaches.  The Hessians are taken in blocks of about
+    _HESSIAN_BLOCK array entries, whole pairs to a block when a pair's
+    points fit, so memory stays bounded on large alphabets.
+    """
+    count, m = a.shape[:2]
+    na = a.shape[2]
     # the trailing left singular vectors of the all-ones column span its complement
     q_basis = np.linalg.svd(np.ones((m, 1)))[0][:, 1:]
-    hess = np.zeros((pts.shape[0], m - 1, m - 1))
-    for rows, sign in ((b.rows, 1.0), (a.rows, -1.0)):
-        rows = rows[:, rows.max(axis=0) > CELL_FLOOR]  # drop outputs no input reaches
-        proj = q_basis.T @ rows
-        hess += sign * ((proj[None, :, :] / (pts @ rows)[:, None, :]) @ proj.T)
-    return hess / math.log(2.0), q_basis
+    size = max(1, _HESSIAN_BLOCK // ((m - 1) * max(m - 1, na, b.shape[2])))
+    span = max(1, size // pts.shape[0])
+    curv = np.full(count, -np.inf)
+    where = np.full(count, -1)
+    top = np.zeros((count, m - 1, m - 1))
+    reach = np.concatenate((a.max(axis=1), b.max(axis=1)), axis=1) > CELL_FLOOR
+    if count > 1:
+        # pairs that reach the same outputs are contiguous in this order
+        order = np.lexsort(reach.T)
+        ranked = reach[order]
+        cuts = [0, *((ranked[1:] != ranked[:-1]).any(axis=1).nonzero()[0] + 1), count]
+    else:  # no pair or one: at most one group
+        order, ranked, cuts = np.arange(count), reach, [0, count] if count else []
+    for lo_pair, hi_pair in zip(cuts[:-1], cuts[1:]):
+        members, keep = order[lo_pair:hi_pair], ranked[lo_pair]
+        # this indexing lays rows out as the one-pair test always did, and
+        # BLAS rounds by layout, so keep it
+        ga, gb = a[members][:, :, keep[:na]], b[members][:, :, keep[na:]]
+        for p0 in range(0, members.size, span):
+            ids = members[p0:p0 + span]
+            for lo in range(0, pts.shape[0], size):
+                hess = _tangent_hessian(ga[p0:p0 + span], gb[p0:p0 + span], pts[lo:lo + size], q_basis)
+                blk = np.linalg.eigvalsh(hess)[..., -1]
+                lane = np.arange(ids.size)
+                k = blk.argmax(axis=1)
+                up = blk[lane, k] > curv[ids]
+                curv[ids[up]] = blk[lane[up], k[up]]
+                where[ids[up]] = lo + k[up]
+                top[ids[up]] = hess[lane[up], k[up]]
+    vecs = np.linalg.eigh(top)[1][..., -1]
+    return curv, where, (q_basis @ vecs[..., None])[..., 0]
 
 
-def _max_curvature(a: Dmc, b: Dmc, pts: np.ndarray) -> tuple[float, int, np.ndarray]:
-    """Largest tangent-space eigenvalue over ``pts``, its first point and eigenvector.
+def _less_noisy(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
+    """Less-noisy verdicts for row stacks: one grid, one chord-scoring pass."""
+    count, m = a.shape[:2]
+    eff = _bounded_step(m, step, _POINT_GRID_CAP)
+    grid = simplex_grid(m, eff)
+    interior = grid[np.all(grid > 0.0, axis=1)]
+    if not interior.shape[0]:
+        interior = 0.5 * grid + 0.5 / m
+    diagnostics = []
+    for _ in range(count):
+        d: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
+        if step != eff:
+            d["requested_step"] = step
+        diagnostics.append(d)
+    starts, ends, owner, capped = _face_chords(a, b, 1.0)
+    chords, owners = [np.stack([starts, ends], axis=2)], [owner]
+    if m > 1:
+        curv, k, v = _max_curvature(a, b, interior)
+        for d, c in zip(diagnostics, curv):
+            d["max_curvature"] = float(c)
+        bent = np.flatnonzero(curv > 0.0)
+        x, v = interior[k[bent]][:, None, :], v[bent][:, None, :]
+        moving = np.abs(v) > CELL_FLOOR
+        room = np.divide(x, np.abs(v), out=np.full(x.shape, np.inf), where=moving)
+        ts = np.min(room, axis=2, keepdims=True) * (0.5 ** np.arange(_HALVINGS + 1))[:, None]
+        # a pair's curvature chord goes before its face chords
+        chords.insert(0, np.stack([x - ts * v, x + ts * v], axis=2))
+        owners.insert(0, bent)
+    owner = np.concatenate(owners)
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    rows = np.clip(np.concatenate(chords)[order], 0.0, None)
+    rows /= rows.sum(axis=3, keepdims=True)
+    weights = np.full(rows.shape[:3], 0.5)
+    viol = aux_mi_batch(b[owner], weights, rows) - aux_mi_batch(a[owner], weights, rows)
+    # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
+    # variation between its ends, so ends within VERDICT_TOL cannot fail
+    spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
+    viol = np.where(spread, viol, -np.inf).ravel()
+    rows = rows.reshape(-1, 2, m)
+    worst = dict(zip(*_first_best(viol, np.repeat(owner, _HALVINGS + 1), maximize=True)))
+    verdicts = []
+    for p, d in enumerate(diagnostics):
+        if capped[p]:
+            d["face_pair_cap"] = _FACE_PAIR_CAP
+        i = worst.get(p)
+        if i is not None and viol[i] > VERDICT_TOL:
+            d["violation"] = float(viol[i])
+            d["witness_pair"] = [[float(t) for t in r] for r in rows[i]]
+            witness = AuxDecomposition(Dist(np.array([0.5, 0.5])), rows[i])
+            verdicts.append(ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=d))
+        else:
+            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+    return verdicts
 
-    The Hessians are taken in blocks of about _HESSIAN_BLOCK array entries,
-    so memory stays bounded on large alphabets.
+
+def less_noisy_stack(a, b) -> list[ClassVerdict]:
+    """``test_less_noisy`` at its default step for P pairs at once, one verdict per pair.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
+    pairs share one grid; the witness chords of every pair are scored in
+    one pass of the auxiliary-information kernel.
     """
-    m = pts.shape[1]
-    per_point = (m - 1) * max(m - 1, a.output_size, b.output_size)
-    size = max(1, _HESSIAN_BLOCK // per_point)
-    best = (-np.inf, -1, np.zeros(m))
-    for lo in range(0, pts.shape[0], size):
-        hess, q_basis = _tangent_hessian(a, b, pts[lo:lo + size])
-        curv = np.linalg.eigvalsh(hess)[:, -1]
-        k = int(np.argmax(curv))
-        if curv[k] > best[0]:
-            best = (float(curv[k]), lo + k, q_basis @ np.linalg.eigh(hess[k])[1][:, -1])
-    return best
+    return _less_noisy(*_stacked_pairs(a, b), 0.02)
 
 
 def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -365,47 +632,46 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     Fails with the best chord when its I(U;Y_b) - I(U;Y_a) exceeds
     VERDICT_TOL; otherwise Holds at the grid resolution.  A grid with fewer
     parts than inputs has no interior point; the Hessian is then taken on
-    the grid pulled halfway toward the uniform law.
+    the grid pulled halfway toward the uniform law.  It is the one-pair
+    case of ``less_noisy_stack``.
     """
-    m = _require_same_input(a, b)
-    eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = simplex_grid(m, eff)
-    interior = grid[np.all(grid > 0.0, axis=1)]
-    if not interior.shape[0]:
-        interior = 0.5 * grid + 0.5 / m
-    diagnostics: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
-    if step != eff:
-        diagnostics["requested_step"] = step
-    starts, ends = [], []  # witness chords
-    if m > 1:
-        curv, k, v = _max_curvature(a, b, interior)
-        diagnostics["max_curvature"] = curv
-        if curv > 0.0:
-            x = interior[k]
-            moving = np.abs(v) > CELL_FLOOR
-            ts = np.min(x[moving] / np.abs(v[moving])) * 0.5 ** np.arange(_HALVINGS + 1)
-            starts.append(x - ts[:, None] * v)
-            ends.append(x + ts[:, None] * v)
-    face_starts, face_ends, capped = _face_chords(a, b, 1.0)
-    if capped:
-        diagnostics["face_pair_cap"] = _FACE_PAIR_CAP
-    starts.append(face_starts)
-    ends.append(face_ends)
-    rows = np.clip(np.stack([np.vstack(starts), np.vstack(ends)], axis=1), 0.0, None)
-    rows /= rows.sum(axis=2, keepdims=True)
-    # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
-    # variation between its ends, so ends within VERDICT_TOL cannot fail
-    rows = rows[np.abs(rows[:, 0] - rows[:, 1]).sum(axis=1) > 2.0 * VERDICT_TOL]
-    if rows.shape[0]:
-        weights = np.full((rows.shape[0], 2), 0.5)
-        viol = aux_mi_batch(b.rows, weights, rows) - aux_mi_batch(a.rows, weights, rows)
-        k = int(np.argmax(viol))
-        if viol[k] > VERDICT_TOL:
-            diagnostics["violation"] = float(viol[k])
-            diagnostics["witness_pair"] = [[float(t) for t in r] for r in rows[k]]
-            witness = AuxDecomposition(Dist(np.array([0.5, 0.5])), rows[k])
-            return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
-    return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
+    _require_same_input(a, b)
+    return _less_noisy(a.rows[None], b.rows[None], step)[0]
+
+
+def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
+    """Uniform-dominance verdicts for row stacks: one grid, one lockstep refinement.
+
+    Raises NotCSymmetricError, naming the side and the pair, unless every
+    channel is c-symmetric.
+    """
+    for name, side in (("first", a), ("second", b)):
+        labels = tuple(str(y) for y in range(side.shape[2]))
+        # each distinct channel is searched once, at its first pair
+        _, firsts = np.unique(side.reshape(side.shape[0], -1), axis=0, return_index=True)
+        for p in np.sort(firsts):
+            if detect_c_symmetry(Dmc(side[p], labels)) is None:
+                raise NotCSymmetricError(f"{name} channel of pair {p} is not c-symmetric")
+    x, v, diagnostics = _gap_extremum(a, b, step, maximize=True)
+    uniform = _gap_vec(a, b, np.full((1, a.shape[1]), 1.0 / a.shape[1]))[:, 0]
+    verdicts = []
+    for p, d in enumerate(diagnostics):
+        d["uniform_gap"] = float(uniform[p])
+        if v[p] > uniform[p] + VERDICT_TOL:
+            verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
+        else:
+            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+    return verdicts
+
+
+def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
+    """``test_dominant_c_symmetry`` at its default step for P pairs at once, one verdict per pair.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks; every
+    channel must be c-symmetric.  All pairs share one grid and one lockstep
+    refinement.
+    """
+    return _dominant(*_stacked_pairs(a, b), 0.02)
 
 
 def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -413,18 +679,11 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
 
     Both channels must be c-symmetric (that is the setting in which the
     property implies an ordering).  Maximizes the gap over a simplex grid
-    plus refinement and compares with the gap at uniform.
+    plus refinement and compares with the gap at uniform.  It is the
+    one-pair case of ``dominant_c_symmetry_stack``.
     """
-    m = _require_same_input(a, b)
-    for name, ch in (("first", a), ("second", b)):
-        if detect_c_symmetry(ch) is None:
-            raise NotCSymmetricError(f"{name} channel is not c-symmetric")
-    x, v, diagnostics = _gap_extremum(a, b, step, maximize=True)
-    gu = float(_gap_vec(a, b, np.full((1, m), 1.0 / m))[0])
-    diagnostics["uniform_gap"] = gu
-    if v > gu + VERDICT_TOL:
-        return ClassVerdict(Outcome.FAILS, witness=Dist(x), diagnostics=diagnostics)
-    return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
+    _require_same_input(a, b)
+    return _dominant(a.rows[None], b.rows[None], step)[0]
 
 
 def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:

@@ -574,7 +574,10 @@ def cmd_region(cfg: RunConfig) -> int:
             frontiers[name] = theorem2_region(a, b, members or [Dist.uniform(m)], step=step)
         else:
             frontiers[name] = outer_bound_eq_ob(a, b, step=step)
-    print(f"dominant: {n1}; weak: {n2}; step {step:g}", file=sys.stderr)
+    # a point cap or the face-sweep floor can coarsen a sweep past 1/grid
+    swept = max(fr.diagnostics["step"] for fr in frontiers.values())
+    asked = f" (asked {step:g})" if swept != step else ""
+    print(f"dominant: {n1}; weak: {n2}; step {swept:g}{asked}", file=sys.stderr)
     if cfg.fmt == "csv":
         if len(frontiers) == 1:
             _emit(cfg, frontier_csv(next(iter(frontiers.values()))))
@@ -587,7 +590,8 @@ def cmd_region(cfg: RunConfig) -> int:
         doc = {
             "dominant": n1,
             "weak": n2,
-            "step": step,
+            "step": swept,
+            **({"requested_step": step} if swept != step else {}),
             "frontiers": {
                 name: {
                     "points": [[pt.r1, pt.r2] for pt in fr.points],

@@ -29,11 +29,11 @@ from .channels import (
 )
 from .classify import (
     AuxDecomposition,
-    test_degraded,
-    test_dominant_c_symmetry,
+    degraded_stack,
+    dominant_c_symmetry_stack,
+    less_noisy_stack,
+    more_capable_stack,
     test_essentially_more_capable,
-    test_less_noisy,
-    test_more_capable,
 )
 from .probcore import Dist, binary_entropy
 from .regions import (
@@ -141,34 +141,49 @@ def _regime_label(p: float, e: float) -> int:
     return 3
 
 
+def _erasure_crossover_rows(cells: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked rows of BEC(e) and BSC(p) for (p, e) cells, one pair per cell."""
+    chan_b = np.array([bec(e).rows for _, e in cells]).reshape(-1, 2, 3)
+    chan_s = np.array([bsc(p).rows for p, _ in cells]).reshape(-1, 2, 2)
+    return chan_b, chan_s
+
+
 def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     n = max(grid, 2)
     dp = 0.5 / n
     de = 1.0 / n
     ps = (np.arange(n) + 0.5) * dp
     es = (np.arange(n) + 0.5) * de
-    tested = 0
-    mismatches = 0
+    cells = []
     for p in ps:
-        hp = binary_entropy(p)
         for e in es:
             corners = {
                 _regime_label(pc, ec)
                 for pc in (p - dp / 2.0, p + dp / 2.0)
                 for ec in (e - de / 2.0, e + de / 2.0)
             }
-            if len(corners) > 1:
-                continue  # a threshold crosses this cell; skip the band
-            tested += 1
-            chan_b, chan_s = bec(e), bsc(p)
-            ok = (
-                test_degraded(chan_b, chan_s).holds == (e <= 2.0 * p)
-                and test_less_noisy(chan_b, chan_s).holds == (e <= 4.0 * p * (1.0 - p))
-                and test_more_capable(chan_b, chan_s).holds == (e <= hp)
-                and test_dominant_c_symmetry(chan_s, chan_b).holds == (e > hp)
-            )
-            if not ok:
-                mismatches += 1
+            if len(corners) == 1:  # no threshold crosses this cell
+                cells.append((p, e))
+    chan_b, chan_s = _erasure_crossover_rows(cells)
+    # keep only the outcomes, so one test's verdicts are alive at a time
+    holds = zip(
+        [v.holds for v in degraded_stack(chan_b, chan_s)],
+        [v.holds for v in less_noisy_stack(chan_b, chan_s)],
+        [v.holds for v in more_capable_stack(chan_b, chan_s)],
+        [v.holds for v in dominant_c_symmetry_stack(chan_s, chan_b)],
+    )
+    mismatches = 0
+    for (p, e), (degraded, less_noisy, more_capable, dominant) in zip(cells, holds):
+        hp = binary_entropy(p)
+        ok = (
+            degraded == (e <= 2.0 * p)
+            and less_noisy == (e <= 4.0 * p * (1.0 - p))
+            and more_capable == (e <= hp)
+            and dominant == (e > hp)
+        )
+        if not ok:
+            mismatches += 1
+    tested = len(cells)
     passed = mismatches == 0 and tested > 0
     return CheckResult(
         name="threshold-grid",
@@ -240,21 +255,21 @@ def _check_derivative(grid: int, seed: int, tol: float) -> CheckResult:
 def _check_degrading_cascade(grid: int, seed: int, tol: float) -> CheckResult:
     rng = np.random.default_rng(seed + 1)
     worst_resid = 0.0
-    holds = 0
+    cells = []
     for _ in range(20):
         p = rng.uniform(0.05, 0.45)
         e = rng.uniform(0.0, 2.0 * p)
         w = degrading_channel(BscBecPair(p, e))
         resid = float(np.max(np.abs(cascade(bec(e), w).rows - bsc(p).rows)))
         worst_resid = max(worst_resid, resid)
-        if test_degraded(bec(e), bsc(p)).holds:
-            holds += 1
-    fails = 0
+        cells.append((p, e))
     for _ in range(20):
         p = rng.uniform(0.05, 0.45)
         e = rng.uniform(2.0 * p + 0.02, 1.0)
-        if test_degraded(bec(e), bsc(p)).fails:
-            fails += 1
+        cells.append((p, e))
+    verdicts = degraded_stack(*_erasure_crossover_rows(cells))
+    holds = sum(v.holds for v in verdicts[:20])
+    fails = sum(v.fails for v in verdicts[20:])
     passed = worst_resid <= tol and holds == 20 and fails == 20
     return CheckResult(
         name="degrading-cascade",
@@ -451,31 +466,28 @@ def _check_region_containments(grid: int, seed: int, tol: float) -> CheckResult:
 
 def _check_ordering_hierarchy(grid: int, seed: int, tol: float) -> CheckResult:
     rng = np.random.default_rng(seed + 5)
-    violations = 0
-    instances = 0
+    cells = []
     for _ in range(12):
         p = rng.uniform(0.05, 0.45)
         e = rng.uniform(0.0, 2.0 * p)
-        chan_b, chan_s = bec(e), bsc(p)
-        if test_degraded(chan_b, chan_s).holds:
-            instances += 1
-            # degradedness of the crossover side implies the erasure side is
-            # less noisy (convexity direction) and more capable (gap sign)
-            if not test_less_noisy(chan_b, chan_s).holds:
-                violations += 1
-            if not test_more_capable(chan_b, chan_s).holds:
-                violations += 1
+        cells.append((p, e))
     labels = ("0", "1", "2")
+    tops, cascades = [], []
     for _ in range(3):
         a = Dmc.normalized(rng.gamma(1.0, 1.0, size=(3, 3)), labels)
         w = Dmc.normalized(rng.gamma(1.0, 1.0, size=(3, 3)), labels)
-        b = cascade(a, w)
-        if test_degraded(a, b).holds:
-            instances += 1
-            if not test_less_noisy(a, b).holds:
-                violations += 1
-            if not test_more_capable(a, b).holds:
-                violations += 1
+        tops.append(a.rows)
+        cascades.append(cascade(a, w).rows)
+    violations = 0
+    instances = 0
+    # the erasure-crossover cells and the 3x3 cascades stack separately, by shape
+    for better, worse in (_erasure_crossover_rows(cells), (np.array(tops), np.array(cascades))):
+        degraded = np.array([v.holds for v in degraded_stack(better, worse)], dtype=bool)
+        instances += int(degraded.sum())
+        # degradedness of the worse side implies the better side is less
+        # noisy (convexity direction) and more capable (gap sign)
+        for test in (less_noisy_stack, more_capable_stack):
+            violations += sum(not v.holds for v in test(better[degraded], worse[degraded]))
     passed = violations == 0 and instances > 0
     return CheckResult(
         name="ordering-hierarchy",

@@ -66,11 +66,9 @@ def _regime(p, e):
 def test_02_threshold_grid_50():
     n = 50
     dp, de = 0.5 / n, 1.0 / n
-    tested = 0
-    mismatches = 0
+    cells = []
     for i in range(n):
         p = (i + 0.5) * dp
-        hp = binary_entropy(p)
         for j in range(n):
             e = (j + 0.5) * de
             corners = {
@@ -78,18 +76,29 @@ def test_02_threshold_grid_50():
                 for pc in (p - dp / 2.0, p + dp / 2.0)
                 for ec in (e - de / 2.0, e + de / 2.0)
             }
-            if len(corners) > 1:
-                continue  # a threshold curve crosses this cell
-            tested += 1
-            chan_b, chan_s = bec(e), bsc(p)
-            ok = (
-                ordering.test_degraded(chan_b, chan_s).holds == (e <= 2.0 * p)
-                and ordering.test_less_noisy(chan_b, chan_s).holds == (e <= 4.0 * p * (1.0 - p))
-                and ordering.test_more_capable(chan_b, chan_s).holds == (e <= hp)
-                and ordering.test_dominant_c_symmetry(chan_s, chan_b).holds == (e > hp)
-            )
-            if not ok:
-                mismatches += 1
+            if len(corners) == 1:  # no threshold curve crosses this cell
+                cells.append((p, e))
+    # each ordering test runs once over the stack of all tested cells
+    chan_b = np.stack([bec(e).rows for _, e in cells])
+    chan_s = np.stack([bsc(p).rows for p, _ in cells])
+    verdicts = zip(
+        ordering.degraded_stack(chan_b, chan_s),
+        ordering.less_noisy_stack(chan_b, chan_s),
+        ordering.more_capable_stack(chan_b, chan_s),
+        ordering.dominant_c_symmetry_stack(chan_s, chan_b),
+    )
+    mismatches = 0
+    for (p, e), (degraded, less_noisy, more_capable, dominant) in zip(cells, verdicts):
+        hp = binary_entropy(p)
+        ok = (
+            degraded.holds == (e <= 2.0 * p)
+            and less_noisy.holds == (e <= 4.0 * p * (1.0 - p))
+            and more_capable.holds == (e <= hp)
+            and dominant.holds == (e > hp)
+        )
+        if not ok:
+            mismatches += 1
+    tested = len(cells)
     assert tested > 2000
     assert mismatches == 0
     print(f"[PASS] criterion 2: 4 ordering tests match closed-form thresholds on {tested}/2500 non-boundary cells")

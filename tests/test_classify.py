@@ -58,7 +58,10 @@ def test_simplex_grid_matches_brute_force_compositions(m):
         if k == 50 and m > 4:
             assert got.shape[0] == math.comb(k + m - 1, m - 1)
             assert np.all(got >= 0.0) and np.allclose(got.sum(axis=1), 1.0, atol=1e-15)
-            assert np.unique(got, axis=0).shape[0] == got.shape[0]
+            # rows strictly increase in lexicographic order: distinct, and in order
+            rise = np.diff(got, axis=0)
+            lead = np.argmax(rise != 0.0, axis=1)
+            assert np.all(rise[np.arange(rise.shape[0]), lead] > 0.0)
             continue
         heads = [h for h in itertools.product(range(k + 1), repeat=m - 1) if sum(h) <= k]
         want = np.array([[*h, k - sum(h)] for h in heads], dtype=float) / k
@@ -102,32 +105,44 @@ def _final_step(step0):
     return step
 
 
+def _pair_gap(a, b):
+    """The gap of one channel pair as the (laws -> values) map _sequential_refine takes."""
+    return lambda q: ordering._gap_vec(a.rows, b.rows, q)
+
+
+def _stacked_gap(a, b):
+    """The gap of one channel pair as the (stack, starts) map _refine_extremum takes."""
+    return lambda q, idx: ordering._gap_vec(a.rows, b.rows, q)
+
+
 def test_refine_extremum_calls_fn_once_per_sweep():
     a, b = bec(0.4), bsc(0.1)
     calls = []
 
-    def counted(q):
-        calls.append(q.shape[0])
-        return ordering._gap_vec(a, b, q)
+    def counted(q, idx):
+        calls.append(q.shape)
+        return ordering._gap_vec(a.rows, b.rows, q)
 
     x0 = np.array([0.3, 0.7])
     for maximize in (False, True):
         calls.clear()
-        ordering._refine_extremum(counted, x0, 0.02, maximize=maximize)
-        *_, sweeps = _sequential_refine(lambda q: ordering._gap_vec(a, b, q), x0, 0.02, maximize)
-        assert calls[0] == 1
-        assert len(calls) == 1 + sweeps
-        assert all(n == 2 for n in calls[1:])  # both moves of each sweep in one stack
+        *_, sweeps = ordering._refine_extremum(counted, x0[None], 0.02, maximize=maximize)
+        *_, ref_sweeps = _sequential_refine(_pair_gap(a, b), x0, 0.02, maximize)
+        assert calls[0] == (1, 1, 2)
+        assert len(calls) == 1 + ref_sweeps == 1 + sweeps[0]
+        assert all(shape == (1, 2, 2) for shape in calls[1:])  # both moves of each sweep in one stack
 
 
 def test_refine_extremum_breaks_ties_toward_first_move():
     # moving mass from input 2 to input 0 or to input 1 gains the same, so
     # each sweep must take the first of the tied moves (target 0)
     fn = lambda q: q[:, 0] + q[:, 1]  # noqa: E731
-    x, v = ordering._refine_extremum(fn, np.array([0.0, 0.0, 1.0]), 0.5, maximize=True)
+    x, v, _ = ordering._refine_extremum(
+        lambda q, idx: q[..., 0] + q[..., 1], np.array([[0.0, 0.0, 1.0]]), 0.5, maximize=True
+    )
     x_ref, v_ref, _ = _sequential_refine(fn, np.array([0.0, 0.0, 1.0]), 0.5, True)
-    assert np.array_equal(x, [1.0, 0.0, 0.0]) and np.array_equal(x_ref, x)
-    assert v == v_ref == 1.0
+    assert np.array_equal(x[0], [1.0, 0.0, 0.0]) and np.array_equal(x_ref, x[0])
+    assert v[0] == v_ref == 1.0
 
 
 @_PROPERTY
@@ -143,13 +158,111 @@ def test_refine_extremum_agrees_with_sequential_reference(m, n, sparse, maximize
     a = _random_channel(rng, m, n, sparse)
     b = _random_channel(rng, m, n, not sparse)
     grid = simplex_grid(m, 0.05)
-    gaps = ordering._gap_vec(a, b, grid)
+    gaps = ordering._gap_vec(a.rows, b.rows, grid)
     x0 = grid[int(np.argmax(gaps) if maximize else np.argmin(gaps))]
-    fn = lambda q: ordering._gap_vec(a, b, q)  # noqa: E731
-    x, v = ordering._refine_extremum(fn, x0, 0.05, maximize=maximize)
-    x_ref, v_ref, _ = _sequential_refine(fn, x0, 0.05, maximize)
-    assert v == pytest.approx(v_ref, abs=1e-12)
-    assert np.max(np.abs(x - x_ref)) <= _final_step(0.05) * (1.0 + 1e-9)
+    x, v, sweeps = ordering._refine_extremum(_stacked_gap(a, b), x0[None], 0.05, maximize=maximize)
+    x_ref, v_ref, ref_sweeps = _sequential_refine(_pair_gap(a, b), x0, 0.05, maximize)
+    assert v[0] == pytest.approx(v_ref, abs=1e-12)
+    assert np.max(np.abs(x[0] - x_ref)) <= _final_step(0.05) * (1.0 + 1e-9)
+    # the search diagnostics count this pair's own sweeps, also inside a stack
+    # where the other pair refines for longer or shorter
+    rows_a = np.stack([a.rows, b.rows])
+    rows_b = np.stack([b.rows, a.rows])
+    *_, diagnostics = ordering._gap_extremum(rows_a, rows_b, 0.05, maximize)
+    assert sweeps[0] == ref_sweeps == diagnostics[0]["refine_sweeps"]
+    *_, ref_swapped = _sequential_refine(
+        _pair_gap(b, a), grid[int(np.argmax(-gaps) if maximize else np.argmin(-gaps))], 0.05, maximize
+    )
+    assert diagnostics[1]["refine_sweeps"] == ref_swapped
+
+
+def _circulant(rng, m, sparse):
+    """A c-symmetric channel: row i is a random law on m outputs shifted by i."""
+    law = rng.dirichlet(np.ones(m))
+    if sparse:
+        law = np.where(law < 0.2, 0.0, law)
+    return Dmc.normalized(np.array([np.roll(law, i) for i in range(m)]), tuple(str(i) for i in range(m)))
+
+
+def _assert_close_diagnostics(got, want):
+    assert list(got) == list(want)
+    for key, value in want.items():
+        if value is None:
+            assert got[key] is None
+        else:
+            np.testing.assert_allclose(np.asarray(got[key], float), np.asarray(value, float), rtol=0, atol=1e-12)
+
+
+def _witness_arrays(verdict):
+    w = verdict.witness
+    if w is None:
+        return []
+    if isinstance(w, AuxDecomposition):
+        return [w.pu.probs, w.px_given_u]
+    return [w.probs]
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    na=st.integers(2, 4),
+    nb=st.integers(2, 4),
+    count=st.integers(2, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_tests_equal_scalar_calls(m, na, nb, count, seed):
+    # a stack mixes cascades (every ordering holds) with unrelated pairs
+    # (most fail), dense rows with rows that have zero cells, so face chords
+    # and probes differ in number from pair to pair
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for k in range(count):
+        a = _random_channel(rng, m, na, sparse=k % 2 == 0)
+        if k % 3 == 0:
+            b = cascade(a, _random_channel(rng, na, nb, sparse=True))
+        else:
+            b = _random_channel(rng, m, nb, sparse=k % 2 == 1)
+        pairs.append((a, b))
+    rows_a = np.stack([a.rows for a, _ in pairs])
+    rows_b = np.stack([b.rows for _, b in pairs])
+    for stacked, scalar in (
+        (ordering.less_noisy_stack, ordering.test_less_noisy),
+        (ordering.more_capable_stack, ordering.test_more_capable),
+    ):
+        for (a, b), got in zip(pairs, stacked(rows_a, rows_b)):
+            want = scalar(a, b)
+            assert got.outcome is want.outcome
+            _assert_close_diagnostics(got.diagnostics, want.diagnostics)
+            assert all(map(np.array_equal, _witness_arrays(got), _witness_arrays(want)))
+    circ = [(_circulant(rng, m, k % 2 == 0), _circulant(rng, m, k % 3 == 0)) for k in range(count)]
+    got_dom = ordering.dominant_c_symmetry_stack(
+        np.stack([a.rows for a, _ in circ]), np.stack([b.rows for _, b in circ])
+    )
+    for (a, b), got in zip(circ, got_dom):
+        want = ordering.test_dominant_c_symmetry(a, b)
+        assert got.outcome is want.outcome
+        _assert_close_diagnostics(got.diagnostics, want.diagnostics)
+        assert all(map(np.array_equal, _witness_arrays(got), _witness_arrays(want)))
+    # a stacked degradedness verdict leaves out the witness W and its worst
+    # cell, which a degenerate optimum would tie to the other pairs of the
+    # block LP; everything it does carry equals the one-pair call
+    for (a, b), got in zip(pairs, ordering.degraded_stack(rows_a, rows_b)):
+        want = ordering.test_degraded(a, b)
+        assert got.outcome is want.outcome and got.witness is None
+        _assert_close_diagnostics(
+            got.diagnostics, {k: v for k, v in want.diagnostics.items() if k != "worst_cell"}
+        )
+
+
+def test_stacked_tests_validate_their_rows():
+    with pytest.raises(DomainError):
+        ordering.less_noisy_stack(np.ones((2, 2, 2)), np.full((2, 2, 2), 0.5))
+    with pytest.raises(DomainError):
+        ordering.degraded_stack(np.full((2, 3, 2), 0.5), np.full((2, 2, 2), 0.5))
+    with pytest.raises(ordering.NotCSymmetricError, match="second channel of pair 1"):
+        skew = np.array([[0.9, 0.1], [0.3, 0.7]])
+        ordering.dominant_c_symmetry_stack(np.stack([bsc(0.1).rows] * 2), np.stack([bsc(0.2).rows, skew]))
+    assert ordering.more_capable_stack(np.zeros((0, 2, 3)), np.zeros((0, 2, 2))) == []
 
 
 def test_aux_decomposition_validates():
@@ -255,9 +368,9 @@ def test_face_scan_is_bounded_on_twelve_inputs():
     assert verdict.fails
     assert verdict.diagnostics["face_pair_cap"] == ordering._FACE_PAIR_CAP
     assert peak < 100 * 2**20
-    _, probes, capped = ordering._face_chords(dense, erasure, 0.02)
-    assert capped
-    assert probes.shape[0] <= ordering._FACE_PAIR_CAP * (ordering._HALVINGS + 1)
+    _, probes, _, capped = ordering._face_chords(dense.rows[None], erasure.rows[None], 0.02)
+    assert capped[0]
+    assert probes.shape[0] <= ordering._FACE_PAIR_CAP
 
 
 def test_curvature_scan_is_bounded_on_sixteen_inputs():

@@ -220,6 +220,25 @@ def test_region_theorem2_builtin_pair():
     assert fr["max_r2"] == pytest.approx(0.5310044064107188, abs=1e-9)
 
 
+def test_region_reports_the_coarsest_swept_step():
+    # a full-support class on 4 inputs pins its |U|=2 grid over all 4
+    # letters, which the pair-grid cap coarsens from 1/50 to 0.08
+    args = ("region", "--channel1", "paper6vi", "--channel2", "paper6vi",
+            "--which", "theorem2", "--class", "uniform", "--grid", "50")
+    code, out, err = run_cli(*args, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["frontiers"]["theorem2"]["diagnostics"]["step"] == 0.08
+    assert doc["step"] == 0.08 and doc["requested_step"] == 0.02
+    assert "step 0.08 (asked 0.02)" in err
+    code, _, err = run_cli(*args)
+    assert code == 0 and "step 0.08 (asked 0.02)" in err
+    code, out, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", "ib",
+                             "--grid", "10", "--format", "json")
+    assert code == 0 and "step 0.1\n" in err
+    assert json.loads(out)["step"] == 0.1 and "requested_step" not in json.loads(out)
+
+
 def test_region_class_file(tmp_path):
     path = tmp_path / "laws.json"
     path.write_text(json.dumps({"members": [[0.5, 0.5]]}))
