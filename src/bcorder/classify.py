@@ -8,9 +8,8 @@ Holds means "no counterexample at the stated resolution" and carries the
 search metadata in ``diagnostics``.  Degradedness is the exception: it is a
 finite linear feasibility problem and is decided exactly up to tolerance.
 
-Searches are deterministic: grids are enumerated in lexicographic order,
-ties resolve to the first index, and random restarts are driven by an
-explicit seed.
+Searches are deterministic: grids are enumerated in lexicographic order
+and ties resolve to the first index.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ from .probcore import (
 
 VERDICT_TOL = 1e-9        # violation size that flips a verdict to Fails
 REFINE_FLOOR = 1e-7       # coordinate-descent step is halved down to this
-_PAIR_GRID_CAP = 2000     # max first-row grid points of a pinned two-point sweep
 _POINT_GRID_CAP = 300_000  # max grid points for single-point scans
 _HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
@@ -299,7 +297,7 @@ def _block_lp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     then t.
     """
     # imported here: scipy.optimize dominates the package import time and
-    # only this test solves an LP
+    # only the LP-based tests need it
     from scipy.optimize import linprog
     from scipy.sparse import coo_array
 
@@ -726,143 +724,64 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
     return ClassVerdict(Outcome.FAILS, witness=dom.witness, diagnostics=diagnostics)
 
 
-def constrained_two_point_batch(
-    target: np.ndarray, support: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """All (weights, rows) for |U|=2 decompositions hitting a target marginal.
-
-    Grids P(U=0) and the first conditional row over the support, derives the
-    second row from the marginal constraint and keeps the feasible ones.
-    Also returns the step of the first-row grid, coarsened from ``step``
-    until it fits under _PAIR_GRID_CAP points.
-    """
-    m = target.size
-    s = support.size
-    eff = _bounded_step(s, step, _PAIR_GRID_CAP)
-    q0_s = simplex_grid(s, eff)
-    k_parts = max(1, round(1.0 / step))
-    ws = np.arange(1, k_parts) / k_parts  # open interval: endpoints are |U|=1
-    t_s = target[support]
-    nw, g = ws.size, q0_s.shape[0]
-    w_grid = np.repeat(ws, g)
-    q0_grid = np.tile(q0_s, (nw, 1))
-    q1_grid = (t_s[None, :] - w_grid[:, None] * q0_grid) / (1.0 - w_grid)[:, None]
-    feasible = np.all(q1_grid >= -1e-12, axis=1) & np.all(q1_grid <= 1.0 + 1e-12, axis=1)
-    w_grid, q0_grid, q1_grid = w_grid[feasible], q0_grid[feasible], q1_grid[feasible]
-    q1_grid = np.clip(q1_grid, 0.0, None)
-    # the division by (1 - w) amplifies rounding; keep rows exactly stochastic
-    q1_grid = q1_grid / np.maximum(q1_grid.sum(axis=1, keepdims=True), 1e-300)
-    n = w_grid.size
-    weights = np.column_stack([w_grid, 1.0 - w_grid])
-    rows = np.zeros((n, 2, m))
-    rows[:, 0, support] = q0_grid
-    rows[:, 1, support] = q1_grid
-    return weights, rows, eff
-
-
 def test_essentially_more_capable(
-    a: Dmc,
-    b: Dmc,
-    candidate_class: Sequence[Dist],
-    step: float = 0.02,
-    seed: int = 0,
-    restarts: int = 2000,
+    a: Dmc, b: Dmc, candidate_class: Sequence[Dist], step: float = 0.02
 ) -> ClassVerdict:
     """Is I(X;Y_b|U) <= I(X;Y_a|U) for every chain whose marginal is in the class?
 
-    For each class member the search covers the trivial |U|=1 decomposition,
-    a grid of |U|=2 decompositions pinned to the marginal, and seeded random
-    decompositions with |U| up to input size + 1.  Fails with a witness
-    decomposition on any violation.  Holds does NOT certify that the class
-    is a sufficient class; that assumption is the caller's, and diagnostics
-    carry sufficiency_assumed=True as a reminder.  ``grid_step`` is the
-    coarsest step a pinned |U|=2 grid actually ran at, with
+    With g = I(X;Y_a) - I(X;Y_b), a chain with marginal p* has
+    I(X;Y_b|U) - I(X;Y_a|U) = -sum_u p(u) g(p_u), so the ordering holds on
+    the class iff the lower convex envelope of g is >= 0 at every member.
+    Every atom of a decomposition averaging to p* lies on the face
+    supp(p*); for each member the envelope is one LP over that face's
+    simplex grid plus p* itself: min sum_j w_j g(x_j) subject to
+    sum_j w_j x_j = p*, w >= 0.  Fails when some member's envelope is below
+    -VERDICT_TOL, with the LP's optimal basis, at most |supp(p*)| atoms
+    (Caratheodory), as the witness decomposition.  Holds does NOT certify
+    that the class is a sufficient class; that assumption is the caller's,
+    and diagnostics carry sufficiency_assumed=True as a reminder.
+    ``grid_step`` is the coarsest step a face grid ran at, with
     ``requested_step`` added when that differs from ``step``.
     """
+    from scipy.optimize import linprog  # imported here for the reason _block_lp gives
+
     m = _require_same_input(a, b)
     if not candidate_class:
         raise DomainError("candidate class must contain at least one input law")
-    rng = np.random.default_rng(seed)
-    best_val = -np.inf
-    best_weights: np.ndarray | None = None
-    best_rows: np.ndarray | None = None
-    best_class_idx = -1
-    examined = 0
-    pinned_step = step
-
-    def consider(vals: np.ndarray, weights: np.ndarray, rows: np.ndarray, idx: int):
-        nonlocal best_val, best_weights, best_rows, best_class_idx, examined
-        examined += int(vals.size)
-        if vals.size == 0:
-            return
-        k = int(np.argmax(vals))
-        if float(vals[k]) > best_val:
-            best_val = float(vals[k])
-            best_weights = weights[k]
-            best_rows = rows[k]
-            best_class_idx = idx
-
+    best_val, best = -np.inf, None
+    eff_max, points = step, 0
     for idx, pdist in enumerate(candidate_class):
         if pdist.size != m:
             raise DomainError("class member size does not match the channels")
         target = pdist.probs
         support = np.flatnonzero(target > 1e-12)
-        # |U| = 1: the conditional inequality reduces to the plain gap
-        w1 = np.ones((1, 1))
-        r1 = target[None, None, :]
-        v1 = _cond_gap_batch(a, b, w1, r1)
-        consider(v1, w1, r1, idx)
-        if support.size >= 2:
-            weights, rows, eff = constrained_two_point_batch(target, support, step)
-            pinned_step = max(pinned_step, eff)
-            if weights.shape[0] > 0:
-                vals = _cond_gap_batch(a, b, weights, rows)
-                consider(vals, weights, rows, idx)
-            # seeded random restarts with larger auxiliary alphabets
-            k_max = min(m + 1, support.size + 1)
-            per_chunk = 256
-            done = 0
-            while done < restarts:
-                nrem = min(per_chunk, restarts - done)
-                k = 2 + (done // per_chunk) % max(1, k_max - 1)
-                weights = rng.dirichlet(np.ones(k), size=nrem)
-                rows_s = rng.dirichlet(np.ones(support.size), size=(nrem, k - 1))
-                w_last = weights[:, -1]
-                partial = np.einsum("nk,nkj->nj", weights[:, :-1], rows_s)
-                last = (target[support][None, :] - partial) / w_last[:, None]
-                ok = (
-                    np.all(last >= -1e-12, axis=1)
-                    & np.all(last <= 1.0 + 1e-12, axis=1)
-                    & (w_last > 1e-9)
-                )
-                if np.any(ok):
-                    rows = np.zeros((int(ok.sum()), k, m))
-                    rows[:, :-1, support] = rows_s[ok]
-                    rows[:, -1, support] = np.clip(last[ok], 0.0, None)
-                    vals = _cond_gap_batch(a, b, weights[ok], rows)
-                    consider(vals, weights[ok], rows, idx)
-                done += nrem
-
+        eff = _bounded_step(support.size, step, _POINT_GRID_CAP)
+        eff_max = max(eff_max, eff)
+        face = simplex_grid(support.size, eff)
+        pts = np.zeros((face.shape[0] + 1, m))
+        pts[:-1, support] = face
+        pts[-1] = target
+        points += pts.shape[0]
+        gaps = _gap_vec(b.rows, a.rows, pts)  # -g: the LP below minimizes sum_j w_j g(x_j)
+        res = linprog(-gaps, A_eq=pts[:, support].T, b_eq=target[support], method="highs")
+        if not res.success:
+            raise RuntimeError(f"envelope LP did not solve: {res.message}")
+        atoms = np.flatnonzero(res.x > CELL_FLOOR)
+        weights = res.x[atoms] / res.x[atoms].sum()
+        val = float(weights @ gaps[atoms])
+        if val > best_val:
+            best_val, best = val, (idx, weights, pts[atoms])
     diagnostics = {
-        "grid_step": pinned_step,
-        "seed": seed,
-        "candidates_examined": examined,
-        "max_conditional_gap": float(best_val),
+        "grid_step": eff_max,
+        "grid_points": points,
+        "max_conditional_gap": best_val,
         "sufficiency_assumed": True,
     }
-    if pinned_step != step:
+    if eff_max != step:
         diagnostics["requested_step"] = step
     if best_val > VERDICT_TOL:
-        diagnostics["violation"] = float(best_val)
-        diagnostics["class_index"] = best_class_idx
-        witness = AuxDecomposition(Dist(best_weights), best_rows)
-        return ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=diagnostics)
+        idx, weights, rows = best
+        diagnostics["violation"] = best_val
+        diagnostics["class_index"] = idx
+        return ClassVerdict(Outcome.FAILS, AuxDecomposition(Dist(weights), rows), diagnostics)
     return ClassVerdict(Outcome.HOLDS, diagnostics=diagnostics)
-
-
-def _cond_gap_batch(a: Dmc, b: Dmc, weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """I(X;Y_b|U) - I(X;Y_a|U) for a batch of decompositions."""
-    n, k, m = rows.shape
-    flat = rows.reshape(n * k, m)
-    per_u = (mi_batch(b.rows, flat) - mi_batch(a.rows, flat)).reshape(n, k)
-    return np.einsum("nk,nk->n", weights, per_u)

@@ -102,8 +102,6 @@ def _add_pair_flags(sp: argparse.ArgumentParser) -> None:
 
 def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_fmt: str, grid: int) -> None:
     sp.add_argument("--grid", type=int, default=grid, metavar="N", help="resolution knob (sweep step is 1/N)")
-    sp.add_argument("--tol", type=float, default=1e-9, metavar="X", help="verdict tolerance")
-    sp.add_argument("--seed", type=int, default=0, metavar="N", help="seed for any randomized search")
     sp.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=formats, default=default_fmt, help="output format")
 
@@ -117,6 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="run the ordering tests on a channel pair")
     _add_pair_flags(sp)
+    sp.add_argument("--tol", type=float, default=1e-9, metavar="X", help="degradedness verdict tolerance")
     _add_common(sp, ("text", "json"), "text", 50)
 
     sp = sub.add_parser("dcurve", help="sample the gap curve of a (p, e) pair")
@@ -152,6 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--list", dest="list_checks", action="store_true", help="list check names and exit")
     sp.add_argument("--check", metavar="NAME", help="run a single named check")
     sp.add_argument("--tolerance", type=float, metavar="X", help="override every selected check's tolerance")
+    sp.add_argument("--seed", type=int, default=0, metavar="N", help="seed of the seeded checks")
     _add_common(sp, ("text", "json"), "text", 32)
 
     return parser

@@ -35,7 +35,6 @@ from .classify import (
     AuxDecomposition,
     _bounded_step,
     _require_same_input,
-    constrained_two_point_batch,
     simplex_grid,
 )
 from .probcore import Dist, DomainError
@@ -45,6 +44,7 @@ CONVEXITY_TOL = 1e-9    # allowed convexity defect along a frontier
 _HULL_EPS = 1e-15       # collinear points are dropped at this cross-product
 _SINGLE_CAP = 300_000   # max grid points for one-distribution sweeps
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
+_PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
 _CHUNK = 200_000
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
@@ -421,6 +421,40 @@ def _free_batches(m: int, step: float):
     return batches, [], max(eff, _FACE_STEP_FLOOR)
 
 
+def _constrained_two_point_batch(
+    target: np.ndarray, support: np.ndarray, step: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """All (weights, rows) for |U|=2 decompositions hitting a target marginal.
+
+    Grids P(U=0) and the first conditional row over the support, derives the
+    second row from the marginal constraint and keeps the feasible ones.
+    Also returns the step of the first-row grid, coarsened from ``step``
+    until it fits under _PAIR_GRID_CAP points.
+    """
+    m = target.size
+    s = support.size
+    eff = _bounded_step(s, step, _PAIR_GRID_CAP)
+    q0_s = simplex_grid(s, eff)
+    k_parts = max(1, round(1.0 / step))
+    ws = np.arange(1, k_parts) / k_parts  # open interval: endpoints are |U|=1
+    t_s = target[support]
+    nw, g = ws.size, q0_s.shape[0]
+    w_grid = np.repeat(ws, g)
+    q0_grid = np.tile(q0_s, (nw, 1))
+    q1_grid = (t_s[None, :] - w_grid[:, None] * q0_grid) / (1.0 - w_grid)[:, None]
+    feasible = np.all(q1_grid >= -1e-12, axis=1) & np.all(q1_grid <= 1.0 + 1e-12, axis=1)
+    w_grid, q0_grid, q1_grid = w_grid[feasible], q0_grid[feasible], q1_grid[feasible]
+    q1_grid = np.clip(q1_grid, 0.0, None)
+    # the division by (1 - w) amplifies rounding; keep rows exactly stochastic
+    q1_grid = q1_grid / np.maximum(q1_grid.sum(axis=1, keepdims=True), 1e-300)
+    n = w_grid.size
+    weights = np.column_stack([w_grid, 1.0 - w_grid])
+    rows = np.zeros((n, 2, m))
+    rows[:, 0, support] = q0_grid
+    rows[:, 1, support] = q1_grid
+    return weights, rows, eff
+
+
 def _constrained_batches(target: Dist, m: int, step: float):
     """Batches pinned to one input law, |U|=3 batches and the pinned grid's step."""
     if target.size != m:
@@ -432,7 +466,7 @@ def _constrained_batches(target: Dist, m: int, step: float):
     rows_ux = np.zeros((1, support.size, m))
     rows_ux[0, np.arange(support.size), support] = 1.0
     batches = [k1, (w_ux[None, :], rows_ux)]
-    weights, rows, eff = constrained_two_point_batch(t, support, step)
+    weights, rows, eff = _constrained_two_point_batch(t, support, step)
     if weights.shape[0]:
         batches.append((weights, rows))
     aux3 = []

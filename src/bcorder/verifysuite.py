@@ -373,8 +373,8 @@ def _check_four_letter_pair(grid: int, seed: int, tol: float) -> CheckResult:
     u01 = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
     gap23 = channel_mi(y2, u23) - channel_mi(y1, u23)
     target = 1.0 - binary_entropy(0.4)
-    emc_01 = test_essentially_more_capable(y1, y2, [u01], step=0.02, seed=0)
-    emc_23 = test_essentially_more_capable(y1, y2, [u23], step=0.02, seed=0)
+    emc_01 = test_essentially_more_capable(y1, y2, [u01], step=0.02)
+    emc_23 = test_essentially_more_capable(y1, y2, [u23], step=0.02)
     passed = abs(gap23 - target) <= tol and emc_01.holds and emc_23.fails
     return CheckResult(
         name="four-letter-pair",

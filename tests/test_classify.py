@@ -17,7 +17,7 @@ from bcorder.classify import (
     gap_functional,
     simplex_grid,
 )
-from bcorder.probcore import Dist, DomainError
+from bcorder.probcore import Dist, DomainError, binary_entropy
 from info_oracles import brute_conditional_mi, brute_mi, chain_table
 
 # cheap, reproducible property runs: fixed example sequence, no example database
@@ -485,10 +485,10 @@ def test_essentially_more_capable_four_letter_pair():
     y1, y2 = split_input_pair()
     u01 = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
     u23 = Dist(np.array([0.0, 0.0, 0.5, 0.5]))
-    holds = ordering.test_essentially_more_capable(y1, y2, [u01], step=0.02, seed=0)
+    holds = ordering.test_essentially_more_capable(y1, y2, [u01], step=0.02)
     assert holds.outcome is Outcome.HOLDS
     assert holds.diagnostics["sufficiency_assumed"] is True
-    fails = ordering.test_essentially_more_capable(y1, y2, [u23], step=0.02, seed=0)
+    fails = ordering.test_essentially_more_capable(y1, y2, [u23], step=0.02)
     assert fails.outcome is Outcome.FAILS
     assert _conditional_gap(fails.witness, y1, y2) > VERDICT_TOL / 2
 
@@ -496,24 +496,75 @@ def test_essentially_more_capable_four_letter_pair():
 def test_essentially_more_capable_fails_on_plain_bsc_bec():
     # conditional information can favor the erasure side even when the
     # crossover side dominates unconditionally
-    verdict = ordering.test_essentially_more_capable(bsc(0.1), bec(0.5), [Dist.uniform(2)], seed=0)
+    verdict = ordering.test_essentially_more_capable(bsc(0.1), bec(0.5), [Dist.uniform(2)])
     assert verdict.fails
     brute = _conditional_gap(verdict.witness, bsc(0.1), bec(0.5))
     assert brute > VERDICT_TOL / 2
     assert brute == pytest.approx(verdict.diagnostics["violation"], abs=1e-9)
 
 
-def test_essentially_more_capable_reports_pinned_grid_step():
-    # a full-support class on 4 inputs pins its |U|=2 grid over all 4
-    # letters, which the pair-grid cap coarsens from 0.02 to 0.08
+def test_essentially_more_capable_fails_on_paper6vi_uniform():
+    # U = (1/2, 1/4, 1/4) with rows (0, 0, 1/2, 1/2), e_1, e_0 averages to
+    # the uniform law and gives the second receiver (1 - h(0.4))/2 more
+    # conditional information
     y1, y2 = split_input_pair()
-    full = ordering.test_essentially_more_capable(y1, y2, [Dist.uniform(4)], step=0.02, seed=0)
-    assert full.diagnostics["grid_step"] == 0.08
-    assert full.diagnostics["requested_step"] == 0.02
-    pair = Dist(np.array([0.5, 0.5, 0.0, 0.0]))
-    exact = ordering.test_essentially_more_capable(y1, y2, [pair], step=0.02, seed=0)
+    uniform = Dist.uniform(4)
+    verdict = ordering.test_essentially_more_capable(y1, y2, [uniform])
+    assert verdict.fails
+    violation = verdict.diagnostics["violation"]
+    assert abs(violation - (1.0 - binary_entropy(0.4)) / 2.0) <= 1e-9
+    assert verdict.witness.aux_size <= 4
+    assert np.abs(verdict.witness.induced_marginal().probs - uniform.probs).max() <= 1e-9
+    assert abs(_conditional_gap(verdict.witness, y1, y2) - violation) <= 1e-9
+
+
+def test_essentially_more_capable_reports_coarsened_face_grid():
+    # a 5-letter face at step 0.02 has C(54, 4) = 316,251 grid points, over
+    # the point cap, so it runs at 0.04; a 2-letter face runs as asked
+    rng = np.random.default_rng(7)
+    a, b = _random_channel(rng, 6, 3, False), _random_channel(rng, 6, 3, True)
+    pair = Dist(np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0]))
+    five = Dist(np.array([0.2, 0.2, 0.2, 0.2, 0.2, 0.0]))
+    exact = ordering.test_essentially_more_capable(a, b, [pair], step=0.02)
     assert exact.diagnostics["grid_step"] == 0.02
     assert "requested_step" not in exact.diagnostics
+    # each face grid carries the class member itself as one more point
+    assert exact.diagnostics["grid_points"] == 51 + 1
+    coarse = ordering.test_essentially_more_capable(a, b, [pair, five], step=0.02)
+    assert coarse.diagnostics["grid_step"] == 0.04
+    assert coarse.diagnostics["requested_step"] == 0.02
+    assert coarse.diagnostics["grid_points"] == 51 + 1 + math.comb(25 + 4, 4) + 1
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    na=st.integers(2, 4),
+    nb=st.integers(2, 4),
+    sparse_a=st.booleans(),
+    sparse_b=st.booleans(),
+    atoms=st.integers(1, 5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_essentially_more_capable_envelope_bounds_grid_decompositions(m, na, nb, sparse_a, sparse_b, atoms, seed):
+    # a decomposition whose atoms are grid points is one feasible point of
+    # the envelope LP, so the LP's value cannot fall below its gap
+    rng = np.random.default_rng(seed)
+    a, b = _random_channel(rng, m, na, sparse_a), _random_channel(rng, m, nb, sparse_b)
+    k_parts = 10
+    # small Dirichlet concentrations leave atoms with zero cells
+    rows = np.array([rng.multinomial(k_parts, rng.dirichlet(np.full(m, 0.5))) for _ in range(atoms)]) / k_parts
+    weights = rng.integers(1, 6, size=atoms).astype(float)
+    dec = AuxDecomposition(Dist(weights / weights.sum()), rows)
+    target = dec.induced_marginal()
+    verdict = ordering.test_essentially_more_capable(a, b, [target], step=1.0 / k_parts)
+    assert verdict.diagnostics["grid_step"] == 1.0 / k_parts
+    assert verdict.diagnostics["max_conditional_gap"] >= _conditional_gap(dec, a, b) - 1e-12
+    if verdict.fails:
+        witness = verdict.witness
+        assert witness.aux_size <= np.count_nonzero(target.probs)
+        assert np.abs(witness.induced_marginal().probs - target.probs).max() <= 1e-9
+        assert abs(_conditional_gap(witness, a, b) - verdict.diagnostics["violation"]) <= 1e-9
 
 
 def test_counterexample_search_finds_and_respects():

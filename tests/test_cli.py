@@ -375,6 +375,19 @@ def test_verify_json_deterministic():
     assert doc["checks"][0]["passed"] is True
 
 
+def test_flags_are_registered_only_where_read():
+    # only classify reads --tol and only verify-paper reads --seed
+    for argv in (("region", "--bsc", "0.1", "--bec", "0.5", "--tol", "1e-6"),
+                 ("classify", "--bsc", "0.1", "--bec", "0.5", "--seed", "1")):
+        code, out, err = run_cli(*argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and "Traceback" not in err
+    code, out, _ = run_cli("verify-paper", "--check", "aux-informations", "--seed", "0")
+    assert code == 0
+    assert "aux-informations" in out
+
+
 def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
