@@ -754,7 +754,7 @@ def test_essentially_more_capable(
         if pdist.size != m:
             raise DomainError("class member size does not match the channels")
         target = pdist.probs
-        support = np.flatnonzero(target > 1e-12)
+        support = np.flatnonzero(target > CELL_FLOOR)
         eff = _bounded_step(support.size, step, _POINT_GRID_CAP)
         eff_max = max(eff_max, eff)
         face = simplex_grid(support.size, eff)

@@ -16,22 +16,24 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import sys
 from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bscbec import BscBecPair, DegeneratePairError, PairTag, classify_pair, d_curve
+from .bscbec import BscBecPair, DegeneratePairError, PairTag, classify_pair, d_curve, regime, thresholds
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
 from .classify import (
+    VERDICT_TOL,
     test_degraded,
     test_dominant_c_symmetry,
     test_essentially_less_noisy,
     test_less_noisy,
     test_more_capable,
 )
-from .probcore import Dist, DomainError, binary_entropy
+from .probcore import Dist, DomainError
 from .regions import (
     RegionFrontier,
     frontier_csv,
@@ -76,7 +78,7 @@ class RunConfig:
     e: float | None = None
     samples: int = 1001
     grid: int = 50
-    tol: float = 1e-9
+    tol: float = VERDICT_TOL
     seed: int = 0
     out: str | None = None
     fmt: str = "text"
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="run the ordering tests on a channel pair")
     _add_pair_flags(sp)
-    sp.add_argument("--tol", type=float, default=1e-9, metavar="X", help="degradedness verdict tolerance")
+    sp.add_argument("--tol", type=float, default=VERDICT_TOL, metavar="X", help="degradedness verdict tolerance")
     _add_common(sp, ("text", "json"), "text", 50)
 
     sp = sub.add_parser("dcurve", help="sample the gap curve of a (p, e) pair")
@@ -216,11 +218,19 @@ def _resolve_pair(cfg: RunConfig) -> tuple[Dmc, Dmc, str, str]:
     return bsc(cfg.bsc_p), bec(cfg.bec_e), "BSC side", "BEC side"
 
 
-def _check_rates(p: float, e: float) -> None:
+def _check_bsc(p: float) -> None:
     if not 0.0 <= p <= 0.5:
         raise CliError("--bsc must lie in [0, 0.5]")
+
+
+def _check_bec(e: float) -> None:
     if not 0.0 <= e <= 1.0:
         raise CliError("--bec must lie in [0, 1]")
+
+
+def _check_rates(p: float, e: float) -> None:
+    _check_bsc(p)
+    _check_bec(e)
 
 
 def _fmt9(v: float) -> str:
@@ -449,11 +459,10 @@ def cmd_phase_map(cfg: RunConfig) -> int:
     n = cfg.grid
     ps = np.linspace(0.0, 0.5, n)
     es = np.linspace(0.0, 1.0, n)
-    cells = []
-    for p in ps:
-        for e in es:
-            cls = classify_pair(BscBecPair(float(p), float(e)))
-            cells.append((float(p), float(e), cls.tag.value, int(cls.boundary)))
+    tags, flags = regime(ps[:, None], es[None, :])
+    names = [t.value for t in PairTag]
+    mesh = itertools.product(ps.tolist(), es.tolist())
+    cells = [(p, e, names[t], int(b)) for (p, e), t, b in zip(mesh, tags.flat, flags.flat)]
     if cfg.fmt == "csv":
         rows = ["p,e,tag,boundary"] + [f"{p:.9f},{e:.9f},{tag},{b}" for p, e, tag, b in cells]
         _emit(cfg, "\n".join(rows) + "\n")
@@ -479,7 +488,7 @@ def cmd_phase_map(cfg: RunConfig) -> int:
                 f'fill="{_TAG_COLORS[tag]}"/>'
             )
         dense = np.linspace(0.0, 0.5, 201)
-        for curve, dash in ((2.0 * dense, None), (4.0 * dense * (1.0 - dense), "6,3"), (binary_entropy(dense), "2,3")):
+        for curve, dash in zip(thresholds(dense), (None, "6,3", "2,3")):
             keep = curve <= 1.0 + 1e-12
             parts.append(
                 _svg_polyline(dense[keep], np.clip(curve[keep], 0.0, 1.0), 0.0, 0.5, 0.0, 1.0, "#111111", 1.5, dash)
@@ -634,12 +643,10 @@ def cmd_symmetry(cfg: RunConfig) -> int:
     if cfg.channel2 is not None:
         chans.append((cfg.channel2, _load_channel_source(cfg.channel2, 2, cfg.normalize)))
     if cfg.bsc_p is not None:
-        if not 0.0 <= cfg.bsc_p <= 0.5:
-            raise CliError("--bsc must lie in [0, 0.5]")
+        _check_bsc(cfg.bsc_p)
         chans.append((f"BSC({cfg.bsc_p:g})", bsc(cfg.bsc_p)))
     if cfg.bec_e is not None:
-        if not 0.0 <= cfg.bec_e <= 1.0:
-            raise CliError("--bec must lie in [0, 1]")
+        _check_bec(cfg.bec_e)
         chans.append((f"BEC({cfg.bec_e:g})", bec(cfg.bec_e)))
     report: dict = {"channels": []}
     for name, chan in chans:

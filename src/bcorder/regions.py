@@ -37,7 +37,7 @@ from .classify import (
     _require_same_input,
     simplex_grid,
 )
-from .probcore import Dist, DomainError
+from .probcore import CELL_FLOOR, Dist, DomainError
 
 PARETO_TOL = 1e-12      # slack for sortedness / strict-decrease checks
 CONVEXITY_TOL = 1e-9    # allowed convexity defect along a frontier
@@ -244,20 +244,6 @@ def _upper_hull(points: np.ndarray, idx: np.ndarray):
     return points[sel], idx[sel]
 
 
-def _dedupe(points: np.ndarray, idx: np.ndarray):
-    if points.shape[0] <= 1:
-        return points, idx
-    keep = [0]
-    for i in range(1, points.shape[0]):
-        p = points[keep[-1]]
-        q = points[i]
-        if q[0] - p[0] <= PARETO_TOL and p[1] - q[1] <= PARETO_TOL:
-            continue
-        keep.append(i)
-    sel = np.array(keep, dtype=int)
-    return points[sel], idx[sel]
-
-
 def _eval_quantities(dominant: Dmc, weak: Dmc, weights: np.ndarray, rows: np.ndarray):
     """Per-decomposition (A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd))."""
     n, k, m = rows.shape
@@ -460,7 +446,7 @@ def _constrained_batches(target: Dist, m: int, step: float):
     if target.size != m:
         raise DomainError("marginal constraint size does not match the channels")
     t = target.probs
-    support = np.flatnonzero(t > 1e-15)
+    support = np.flatnonzero(t > CELL_FLOOR)
     k1 = (np.ones((1, 1)), t[None, None, :])
     w_ux = t[support] / t[support].sum()
     rows_ux = np.zeros((1, support.size, m))
@@ -511,19 +497,12 @@ def _sweep_frontier(
     points = np.vstack(pts_list)
     idx = np.concatenate(idx_list)
 
+    pts, ids = _upper_hull(*_pareto_filter(points, idx))
     aux3_change = None
     if aux3_offset is not None and aux3_offset < offset:
         base = idx < aux3_offset
-        bp, bi = _pareto_filter(points[base], idx[base])
-        bp, _ = _upper_hull(bp, bi)
-        fp, fi = _pareto_filter(points, idx)
-        fp, fi = _upper_hull(fp, fi)
-        aux3_change = _hausdorff(bp, fp)
-        pts, ids = fp, fi
-    else:
-        pts, ids = _pareto_filter(points, idx)
-        pts, ids = _upper_hull(pts, ids)
-    pts, ids = _dedupe(pts, ids)
+        bp, _ = _upper_hull(*_pareto_filter(points[base], idx[base]))
+        aux3_change = _hausdorff(bp, pts)
 
     prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
     rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)

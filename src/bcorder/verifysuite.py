@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bscbec import BscBecPair, critical_point, d_derivative, d_func, degrading_channel
+from .bscbec import BscBecPair, critical_point, d_derivative, d_func, degrading_channel, regime, thresholds
 from .channels import (
     Dmc,
     aux_mi_batch,
@@ -129,18 +129,6 @@ def _check_aux_informations(grid: int, seed: int, tol: float) -> CheckResult:
     )
 
 
-def _regime_label(p: float, e: float) -> int:
-    p = min(max(p, 0.0), 0.5)
-    e = min(max(e, 0.0), 1.0)
-    if e <= 2.0 * p:
-        return 0
-    if e <= 4.0 * p * (1.0 - p):
-        return 1
-    if e <= binary_entropy(p):
-        return 2
-    return 3
-
-
 def _erasure_crossover_rows(cells: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked rows of BEC(e) and BSC(p) for (p, e) cells, one pair per cell."""
     chan_b = np.array([bec(e).rows for _, e in cells]).reshape(-1, 2, 3)
@@ -152,37 +140,23 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     n = max(grid, 2)
     dp = 0.5 / n
     de = 1.0 / n
-    ps = (np.arange(n) + 0.5) * dp
-    es = (np.arange(n) + 0.5) * de
-    cells = []
-    for p in ps:
-        for e in es:
-            corners = {
-                _regime_label(pc, ec)
-                for pc in (p - dp / 2.0, p + dp / 2.0)
-                for ec in (e - de / 2.0, e + de / 2.0)
-            }
-            if len(corners) == 1:  # no threshold crosses this cell
-                cells.append((p, e))
+    ps, es = np.meshgrid((np.arange(n) + 0.5) * dp, (np.arange(n) + 0.5) * de, indexing="ij")
+    corners = [regime(ps + sp * dp / 2.0, es + se * de / 2.0)[0] for sp in (-1, 1) for se in (-1, 1)]
+    clear = np.all([c == corners[0] for c in corners], axis=0)  # no threshold crosses the cell
+    tag = regime(ps[clear], es[clear])[0]
+    cells = list(zip(ps[clear], es[clear]))
     chan_b, chan_s = _erasure_crossover_rows(cells)
     # keep only the outcomes, so one test's verdicts are alive at a time
-    holds = zip(
-        [v.holds for v in degraded_stack(chan_b, chan_s)],
-        [v.holds for v in less_noisy_stack(chan_b, chan_s)],
-        [v.holds for v in more_capable_stack(chan_b, chan_s)],
-        [v.holds for v in dominant_c_symmetry_stack(chan_s, chan_b)],
+    got = np.array(
+        [
+            [v.holds for v in degraded_stack(chan_b, chan_s)],
+            [v.holds for v in less_noisy_stack(chan_b, chan_s)],
+            [v.holds for v in more_capable_stack(chan_b, chan_s)],
+            [v.holds for v in dominant_c_symmetry_stack(chan_s, chan_b)],
+        ]
     )
-    mismatches = 0
-    for (p, e), (degraded, less_noisy, more_capable, dominant) in zip(cells, holds):
-        hp = binary_entropy(p)
-        ok = (
-            degraded == (e <= 2.0 * p)
-            and less_noisy == (e <= 4.0 * p * (1.0 - p))
-            and more_capable == (e <= hp)
-            and dominant == (e > hp)
-        )
-        if not ok:
-            mismatches += 1
+    want = np.array([tag == 0, tag <= 1, tag <= 2, tag == 3])
+    mismatches = int(np.any(got != want, axis=0).sum())
     tested = len(cells)
     passed = mismatches == 0 and tested > 0
     return CheckResult(
@@ -419,18 +393,8 @@ def _seeded_regime_pairs(rng: np.random.Generator, count: int) -> list[tuple[flo
     pairs = []
     for i in range(count):
         p = rng.uniform(0.08, 0.42)
-        t1 = 2.0 * p
-        t2 = 4.0 * p * (1.0 - p)
-        t3 = binary_entropy(p)
-        regime = i % 4
-        if regime == 0:
-            lo, hi = 0.0, t1
-        elif regime == 1:
-            lo, hi = t1, t2
-        elif regime == 2:
-            lo, hi = t2, t3
-        else:
-            lo, hi = t3, 1.0
+        bounds = (0.0, *thresholds(p), 1.0)
+        lo, hi = bounds[i % 4], bounds[i % 4 + 1]
         width = hi - lo
         e = rng.uniform(lo + 0.1 * width, hi - 0.1 * width)
         pairs.append((p, e))
@@ -447,10 +411,7 @@ def _check_region_containments(grid: int, seed: int, tol: float) -> CheckResult:
     bad_ob = 0
     for p, e in _seeded_regime_pairs(rng, 10):
         chan_s, chan_b = bsc(p), bec(e)
-        if e > binary_entropy(p):
-            dom, weak = chan_s, chan_b
-        else:
-            dom, weak = chan_b, chan_s
+        dom, weak = (chan_s, chan_b) if regime(p, e)[0] == 3 else (chan_b, chan_s)
         inner = superposition_region(dom, weak, step=step)
         bad_ob += _uncontained(inner, outer_bound_eq_ob(dom, weak, step=step), tol)
     return CheckResult(

@@ -1,9 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 
 from bcorder.bscbec import (
+    BOUNDARY_TOL,
     BscBecPair,
     DegeneratePairError,
+    PairClass,
     PairTag,
     classify_pair,
     critical_point,
@@ -12,6 +16,8 @@ from bcorder.bscbec import (
     d_func,
     degrading_channel,
     is_less_noisy_convexity,
+    regime,
+    thresholds,
 )
 from bcorder.channels import bec, bsc, cascade
 from bcorder.probcore import DomainError, binary_entropy
@@ -32,10 +38,46 @@ def test_critical_point_rejects_flat_crossover():
 
 
 def test_thresholds():
-    t1, t2, t3 = BscBecPair(0.1, 0.5).thresholds()
+    t1, t2, t3 = thresholds(0.1)
     assert t1 == pytest.approx(0.2, abs=1e-15)
     assert t2 == pytest.approx(0.36, abs=1e-15)
     assert t3 == pytest.approx(binary_entropy(0.1), abs=1e-15)
+    cols = np.column_stack(thresholds(np.array([0.0, 0.1, 0.5])))
+    np.testing.assert_array_equal(cols, [[0.0, 0.0, 0.0], [t1, t2, t3], [1.0, 1.0, 1.0]])
+
+
+def _closed_form_regime(p: float, e: float) -> tuple[int, bool]:
+    """Scalar reference: the first threshold e does not exceed, and the boundary flag."""
+    h = 0.0 if p == 0.0 else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    cuts = (2.0 * p, 4.0 * p * (1.0 - p), h)
+    tag = next((i for i, t in enumerate(cuts) if e <= t), 3)
+    return tag, any(abs(e - t) <= BOUNDARY_TOL for t in cuts)
+
+
+def test_regime_matches_scalar_closed_form_on_dense_grid():
+    # p = k/256 and e = j/256 hold the p = 0 and p = 1/2 columns, every
+    # lattice point of e = 2p (j = 2k) and points of e = 4p(1-p) such as
+    # (1/4, 3/4) exactly
+    ps = np.arange(129) / 256
+    es = np.arange(257) / 256
+    tags, flags = regime(ps[:, None], es[None, :])
+    assert tags.shape == flags.shape == (129, 257)
+    want = [[_closed_form_regime(p, e) for e in es.tolist()] for p in ps.tolist()]
+    np.testing.assert_array_equal(tags, [[t for t, _ in row] for row in want])
+    np.testing.assert_array_equal(flags, [[b for _, b in row] for row in want])
+    on_2p = (es[None, :] == 2.0 * ps[:, None]) & (ps[:, None] > 0.0)
+    assert on_2p.sum() == 128 and np.all(tags[on_2p] == 0) and np.all(flags[on_2p])
+    assert tags[64, 192] == 1 and flags[64, 192]  # e = 4p(1-p) = 3/4 at p = 1/4
+    assert np.all(tags[-1] == 0)  # the p = 1/2 column is degraded throughout
+
+
+def test_regime_checks_ranges_and_clamps():
+    with pytest.raises(DomainError):
+        regime(np.array([0.1, 0.6]), 0.5)
+    with pytest.raises(DomainError):
+        regime(0.1, -0.1)
+    tag, flag = regime(0.5 + 1e-13, 1.0 + 1e-13)
+    assert int(tag) == 0 and bool(flag)
 
 
 def test_d_endpoints_vanish():
@@ -126,7 +168,10 @@ def test_classify_pair_examples():
 
 
 def test_classify_pair_half_column_and_boundaries():
-    assert classify_pair(BscBecPair(0.5, 0.3)).tag is PairTag.LESS_NOISY_BEC_SIDE
+    # at p = 1/2 all three thresholds equal 1: a fair-coin BSC is degraded
+    # w.r.t. any BEC, and only e = 1 lies on a boundary
+    assert classify_pair(BscBecPair(0.5, 0.3)) == PairClass(PairTag.DEGRADED_BSC_SIDE, False)
+    assert classify_pair(BscBecPair(0.5, 1.0)) == PairClass(PairTag.DEGRADED_BSC_SIDE, True)
     assert classify_pair(BscBecPair(0.1, 0.2)).boundary
     assert not classify_pair(BscBecPair(0.1, 0.25)).boundary
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcorder.channels import Dmc, bec, bsc, cascade, split_input_pair
-from bcorder import classify as ordering
+from bcorder import classify as ordering, regions
 from bcorder.classify import (
     CELL_FLOOR,
     REFINE_FLOOR,
@@ -201,6 +201,20 @@ def _witness_arrays(verdict):
         return [w.pu.probs, w.px_given_u]
     return [w.probs]
 
+
+
+def test_class_member_face_is_the_same_in_the_envelope_lp_and_the_theorem_sweep():
+    # a 1e-13 entry lies above CELL_FLOOR, so that letter is on the member's
+    # face in both modules: the LP's face grid and the theorem sweep's
+    # |U| = |supp| batch, which puts one atom on each face letter
+    member = Dist(np.array([0.5, 0.5 - 1e-13, 1e-13]))
+    rng = np.random.default_rng(11)
+    a, b = _random_channel(rng, 3, 3, False), _random_channel(rng, 3, 3, False)
+    verdict = ordering.test_essentially_more_capable(a, b, [member], step=0.1)
+    batches, _, _ = regions._constrained_batches(member, 3, 0.1)
+    face = batches[1][1].shape[1]
+    assert face == 3
+    assert verdict.diagnostics["grid_points"] == simplex_grid(face, 0.1).shape[0] + 1
 
 @_PROPERTY
 @given(

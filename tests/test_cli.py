@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import os
@@ -8,6 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import bcorder
 from bcorder.cli import main
@@ -337,6 +339,110 @@ def test_missing_channel_file():
     assert code == 2
     assert "error:" in err
 
+
+# Malformed-input fuzz: each example breaks one valid document in one way,
+# so every generated file is invalid by construction.
+_FUZZ = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+_CHANNEL = {"input_size": 2, "output_labels": ["0", "e", "1"], "rows": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5]]}
+_CLASS = [[0.5, 0.5], [0.25, 0.75]]
+# JSON scalars and small objects, never a list
+_JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.text(alphabet="xyz{[", max_size=4),
+    st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=2),
+)
+_NOT_A_NUMBER = st.one_of(
+    st.none(),
+    st.text(alphabet="xyz", max_size=3),
+    st.lists(st.integers(), min_size=2, max_size=3),
+    st.dictionaries(st.sampled_from("ab"), st.integers(), max_size=2),
+)
+
+
+def _bad_entry(draw, kind: str, value: float):
+    """A replacement for one probability: not a number, or a number off by more than 1e-9."""
+    if kind == "entry":
+        return draw(_NOT_A_NUMBER)
+    bad = draw(st.floats(allow_nan=True, allow_infinity=True))
+    assume(not abs(bad - value) <= 1e-9)
+    return bad
+
+
+def _truncated(draw, text: str) -> str:
+    return text[: draw(st.integers(0, len(text) - 1))]  # no proper prefix of an object or list parses
+
+
+@st.composite
+def _malformed_channel(draw) -> str:
+    doc = copy.deepcopy(_CHANNEL)
+    how = draw(
+        st.sampled_from(("top", "drop", "labels", "label-count", "rows", "size", "entry", "value", "ragged", "cut"))
+    )
+    if how == "top":
+        doc = draw(_JUNK)
+    elif how == "drop":
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    elif how == "labels":
+        doc["output_labels"] = draw(_JUNK)
+    elif how == "label-count":
+        doc["output_labels"] = draw(st.lists(st.text(max_size=2), max_size=5).filter(lambda v: len(v) != 3))
+    elif how == "rows":
+        rows = st.lists(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3), max_size=4)
+        doc["rows"] = draw(st.one_of(_JUNK, rows.filter(lambda v: len(v) != 2)))
+    elif how == "size":
+        doc["input_size"] = draw(_JUNK.filter(lambda v: v != 2))
+    elif how in ("entry", "value"):
+        row = doc["rows"][draw(st.integers(0, 1))]
+        j = draw(st.integers(0, 2))
+        row[j] = _bad_entry(draw, how, row[j])
+    elif how == "ragged":
+        doc["rows"][draw(st.integers(0, 1))].pop()
+    text = json.dumps(doc)
+    return _truncated(draw, text) if how == "cut" else text
+
+
+@st.composite
+def _malformed_class(draw) -> str:
+    members = copy.deepcopy(_CLASS)
+    how = draw(st.sampled_from(("top", "empty", "member", "length", "entry", "value", "cut")))
+    k = draw(st.integers(0, len(members) - 1))
+    if how == "empty":
+        members = []
+    elif how == "member":
+        members[k] = draw(_JUNK)
+    elif how == "length":
+        members[k] = draw(st.lists(st.floats(0.0, 1.0), max_size=4).filter(lambda v: len(v) != 2))
+    elif how in ("entry", "value"):
+        j = draw(st.integers(0, 1))
+        members[k][j] = _bad_entry(draw, how, members[k][j])
+    doc = draw(_JUNK) if how == "top" else members if draw(st.booleans()) else {"members": members}
+    text = json.dumps(doc)
+    return _truncated(draw, text) if how == "cut" else text
+
+
+def _assert_rejected(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@_FUZZ
+@given(text=_malformed_channel())
+def test_fuzz_malformed_channel_file_exits_two(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("chan") / "chan.json"
+    path.write_text(text)
+    _assert_rejected(*run_cli("classify", "--channel1", str(path), "--channel2", str(path)))
+
+
+@_FUZZ
+@given(text=_malformed_class())
+def test_fuzz_malformed_class_file_exits_two(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("laws") / "laws.json"
+    path.write_text(text)
+    _assert_rejected(*run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", "theorem1",
+                              "--class", str(path), "--grid", "4"))
 
 def test_verify_list_matches_registry():
     code, out, _ = run_cli("verify-paper", "--list")
