@@ -25,15 +25,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, bec, bsc
+from .channels import Dmc
 from .probcore import (
     SIMPLEX_TOL,
+    VERDICT_TOL,
     DomainError,
     binary_convolve,
     binary_entropy,
+    in_range,
 )
 
-BOUNDARY_TOL = 1e-9       # distance to a threshold below which we flag boundary
 _BISECT_STEPS = 200
 _SCAN_POINTS = 4097
 
@@ -76,17 +77,14 @@ class BscBecPair:
         object.__setattr__(self, "p", float(p))
         object.__setattr__(self, "e", float(e))
 
-    def channels(self) -> tuple[Dmc, Dmc]:
-        return bsc(self.p), bec(self.e)
-
 
 def _clamped_rates(p, e) -> tuple[np.ndarray, np.ndarray]:
     """(p, e) as float arrays clamped to [0, 1/2] x [0, 1], SIMPLEX_TOL slack."""
     p = np.asarray(p, dtype=float)
     e = np.asarray(e, dtype=float)
-    if np.any(p < -SIMPLEX_TOL) or np.any(p > 0.5 + SIMPLEX_TOL):
+    if not in_range(p, 0.0, 0.5):
         raise DomainError("crossover p must lie in [0, 1/2]")
-    if np.any(e < -SIMPLEX_TOL) or np.any(e > 1.0 + SIMPLEX_TOL):
+    if not in_range(e, 0.0, 1.0):
         raise DomainError("erasure rate e must lie in [0, 1]")
     return np.clip(p, 0.0, 0.5), np.clip(e, 0.0, 1.0)
 
@@ -105,14 +103,14 @@ def regime(p, e) -> tuple[np.ndarray, np.ndarray]:
     whole square, p = 1/2 included: there all three thresholds equal 1, so
     every e is tagged degraded-bsc-side, the finest true ordering, since
     BSC(1/2) is a fair coin and thus a degradation of any BEC.  A boundary
-    flag marks a pair within BOUNDARY_TOL of some threshold, where the
+    flag marks a pair within VERDICT_TOL of some threshold, where the
     strict orderings degenerate.  Rates are range-checked and clamped as
     BscBecPair does.
     """
     p, e = _clamped_rates(p, e)
     t1, t2, t3 = thresholds(p)
     tag = np.select([e <= t1, e <= t2, e <= t3], [0, 1, 2], 3)
-    boundary = np.any([np.abs(e - t) <= BOUNDARY_TOL for t in (t1, t2, t3)], axis=0)
+    boundary = np.any([np.abs(e - t) <= VERDICT_TOL for t in (t1, t2, t3)], axis=0)
     return tag, boundary
 
 
@@ -123,7 +121,7 @@ def d_func(pair: BscBecPair, x):
     scalars or arrays.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < -SIMPLEX_TOL) or np.any(xa > 1.0 + SIMPLEX_TOL):
+    if not in_range(xa, 0.0, 1.0):
         raise DomainError("input bias outside [0, 1]")
     xa = np.clip(xa, 0.0, 1.0)
     val = (
@@ -148,7 +146,7 @@ def d_derivative(pair: BscBecPair, x):
     expression is unbounded there, never NaN.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < -SIMPLEX_TOL) or np.any(xa > 1.0 + SIMPLEX_TOL):
+    if not in_range(xa, 0.0, 1.0):
         raise DomainError("input bias outside [0, 1]")
     xa = np.clip(xa, 0.0, 1.0)
     p, e = pair.p, pair.e
@@ -170,7 +168,7 @@ def critical_point(pair: BscBecPair) -> float | None:
     For e <= 2p the gap decreases through [0, 1/2] and None is returned.
     For 2p < e <= 4p(1-p) the gap is convex, so the dip sits exactly at 1/2.
     Beyond that the derivative changes sign once strictly inside (0, 1/2);
-    the crossing is bracketed by a scan over [1e-9, 0.5] and bisected for
+    the crossing is bracketed by a scan over [VERDICT_TOL, 0.5] and bisected for
     up to _BISECT_STEPS steps, until the bracket stops shrinking in float,
     and the end with the smaller |d_derivative| is returned; verify-paper's
     gap-curve-shape check is what holds that value under 1e-10.  The edge
@@ -182,11 +180,12 @@ def critical_point(pair: BscBecPair) -> float | None:
     p, e = pair.p, pair.e
     if 1.0 - 2.0 * p <= SIMPLEX_TOL:
         raise DegeneratePairError("p = 1/2 leaves no downward slope to cross")
-    if e <= 2.0 * p:
+    tag = regime(p, e)[0]
+    if tag == 0:
         return None
-    if e <= 4.0 * p * (1.0 - p):
+    if tag == 1:
         return 0.5
-    xs = np.linspace(1e-9, 0.5, _SCAN_POINTS)
+    xs = np.linspace(VERDICT_TOL, 0.5, _SCAN_POINTS)
     ds = d_derivative(pair, xs)
     nonneg = np.flatnonzero(ds >= 0.0)
     if nonneg.size == 0 or nonneg[0] == 0:
@@ -212,7 +211,7 @@ def classify_pair(pair: BscBecPair) -> PairClass:
     The p = 1/2 column follows the thresholds like every other: all three
     equal 1 there, so the tag is degraded-bsc-side for every e (a fair-coin
     BSC is a degradation of any BEC).  ``boundary`` flags pairs within
-    BOUNDARY_TOL of a regime threshold, where the strict orderings
+    VERDICT_TOL of a regime threshold, where the strict orderings
     degenerate.
     """
     tag, boundary = regime(pair.p, pair.e)
@@ -227,11 +226,11 @@ def is_less_noisy_convexity(pair: BscBecPair) -> bool:
     grid; a convex verdict contradicted by a sampled violation raises
     InternalConsistencyError.
     """
-    convex = pair.e <= 4.0 * pair.p * (1.0 - pair.p)
+    convex = bool(regime(pair.p, pair.e)[0] <= 1)
     xs = np.linspace(0.0, 1.0, 1001)
     vals = d_func(pair, xs)
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    sampled_violation = bool(np.any(second < -2.0 * BOUNDARY_TOL))
+    sampled_violation = bool(np.any(second < -2.0 * VERDICT_TOL))
     if convex and sampled_violation:
         raise InternalConsistencyError(
             "closed-form convexity contradicted by sampled second differences"
@@ -247,7 +246,7 @@ def degrading_channel(pair: BscBecPair) -> Dmc | None:
     coin.  Returns None when e > 2p.
     """
     p, e = pair.p, pair.e
-    if e > 2.0 * p:
+    if regime(p, e)[0] != 0:
         return None
     if 1.0 - e <= SIMPLEX_TOL:
         # e = 1 forces p = 1/2; every output is an erasure, any fair W works

@@ -25,10 +25,10 @@ from .probcore import (
     Dist,
     DomainError,
     entropy_vec,
+    in_range,
     stochastic_array,
 )
 
-SYMMETRY_TOL = 1e-12
 MAX_SYMMETRY_OUTPUTS = 8  # permutation search is exhaustive; 8! = 40320
 
 
@@ -85,7 +85,7 @@ class Dmc:
 
 def bsc(p: float) -> Dmc:
     """Binary symmetric channel with crossover p, 0 <= p <= 1/2."""
-    if p < -SIMPLEX_TOL or p > 0.5 + SIMPLEX_TOL:
+    if not in_range(p, 0.0, 0.5):
         raise DomainError("bsc crossover must lie in [0, 1/2]")
     p = min(max(p, 0.0), 0.5)
     return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]), ("0", "1"))
@@ -93,7 +93,7 @@ def bsc(p: float) -> Dmc:
 
 def bec(e: float) -> Dmc:
     """Binary erasure channel with erasure rate e; outputs ordered 0, ?, 1."""
-    if e < -SIMPLEX_TOL or e > 1.0 + SIMPLEX_TOL:
+    if not in_range(e, 0.0, 1.0):
         raise DomainError("bec erasure rate must lie in [0, 1]")
     e = min(max(e, 0.0), 1.0)
     return Dmc(np.array([[1.0 - e, e, 0.0], [0.0, e, 1.0 - e]]), ("0", "?", "1"))
@@ -165,7 +165,7 @@ class CSymmetryWitness:
             perm = tuple(step[k] for k in perm)
         return perm
 
-    def validate(self, tol: float = SYMMETRY_TOL) -> None:
+    def validate(self, tol: float = SIMPLEX_TOL) -> None:
         """Recheck the full family of shift identities; raise on failure."""
         rows = self.channel.rows
         m = self.channel.input_size
@@ -198,7 +198,7 @@ def detect_c_symmetry(c: Dmc) -> CSymmetryWitness | None:
     shifted_rows = np.roll(rows, -1, axis=0)  # row i -> original row i+1
     for perm in itertools.permutations(range(n)):
         # need rows[(i+1) % m][perm[y]] == rows[i][y]
-        if float(np.max(np.abs(shifted_rows[:, list(perm)] - rows))) <= SYMMETRY_TOL:
+        if float(np.max(np.abs(shifted_rows[:, list(perm)] - rows))) <= SIMPLEX_TOL:
             witness = CSymmetryWitness(c, tuple(perm))
             witness.validate()
             return witness

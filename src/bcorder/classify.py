@@ -32,15 +32,15 @@ from .channels import (
 )
 from .probcore import (
     CELL_FLOOR,
+    REFINE_FLOOR,
+    VERDICT_TOL,
     Dist,
     DomainError,
     entropy_vec,
     stochastic_array,
 )
 
-VERDICT_TOL = 1e-9        # violation size that flips a verdict to Fails
-REFINE_FLOOR = 1e-7       # coordinate-descent step is halved down to this
-_POINT_GRID_CAP = 300_000  # max grid points for single-point scans
+_POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
 _HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls

@@ -23,17 +23,16 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .bscbec import BscBecPair, DegeneratePairError, PairTag, classify_pair, d_curve, regime, thresholds
+from .bscbec import BscBecPair, PairTag, classify_pair, d_curve, regime, thresholds
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
 from .classify import (
-    VERDICT_TOL,
     test_degraded,
     test_dominant_c_symmetry,
     test_essentially_less_noisy,
     test_less_noisy,
     test_more_capable,
 )
-from .probcore import Dist, DomainError
+from .probcore import SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
 from .regions import (
     RegionFrontier,
     frontier_csv,
@@ -170,8 +169,10 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.grid < 2:
         raise CliError("--grid must be at least 2")
-    if cfg.tol <= 0:
-        raise CliError("--tol must be positive")
+    if not 0.0 < cfg.tol < np.inf:
+        raise CliError("--tol must be finite and positive")
+    if cfg.tolerance is not None and not 0.0 <= cfg.tolerance < np.inf:
+        raise CliError("--tolerance must be finite and nonnegative")
     if cfg.command == "dcurve" and cfg.samples < 2:
         raise CliError("--samples must be at least 2")
     if cfg.command == "region":
@@ -428,11 +429,7 @@ def cmd_classify(cfg: RunConfig) -> int:
 
 
 def cmd_dcurve(cfg: RunConfig) -> int:
-    try:
-        pair = BscBecPair(cfg.p, cfg.e)
-    except DegeneratePairError as exc:
-        raise CliError(str(exc)) from exc
-    pts = d_curve(pair, samples=cfg.samples)
+    pts = d_curve(BscBecPair(cfg.p, cfg.e), samples=cfg.samples)
     if cfg.fmt == "csv":
         rows = ["x,D"] + [f"{x:.9f},{_fmt9(d)}" for x, d in pts]
         _emit(cfg, "\n".join(rows) + "\n")
@@ -441,7 +438,7 @@ def cmd_dcurve(cfg: RunConfig) -> int:
     else:
         ys = [d for _, d in pts]
         lo, hi = min(min(ys), 0.0), max(max(ys), 0.0)
-        pad = 0.1 * max(hi - lo, 1e-12)
+        pad = 0.1 * max(hi - lo, SIMPLEX_TOL)
         y0, y1 = lo - pad, hi + pad
         parts = _svg_open(f"gap curve, p = {cfg.p:g}, e = {cfg.e:g}")
         parts += _svg_axes(0.0, 1.0, y0, y1, "input law parameter x", "D(x)")
@@ -489,7 +486,7 @@ def cmd_phase_map(cfg: RunConfig) -> int:
             )
         dense = np.linspace(0.0, 0.5, 201)
         for curve, dash in zip(thresholds(dense), (None, "6,3", "2,3")):
-            keep = curve <= 1.0 + 1e-12
+            keep = curve <= 1.0 + SIMPLEX_TOL
             parts.append(
                 _svg_polyline(dense[keep], np.clip(curve[keep], 0.0, 1.0), 0.0, 0.5, 0.0, 1.0, "#111111", 1.5, dash)
             )
@@ -537,13 +534,8 @@ def _load_input_class(source: str, m: int, normalize: bool) -> list[Dist]:
             raise CliError(f"class file {source}: every member must be a list of numbers") from exc
         if arr.ndim != 1 or arr.size != m:
             raise CliError(f"class member of length {arr.size} does not match input size {m}")
-        if normalize:
-            total = arr.sum()
-            if total <= 0:
-                raise CliError("class member has nonpositive mass")
-            arr = arr / total
         try:
-            out.append(Dist(arr))
+            out.append(Dist.normalized(arr) if normalize else Dist(arr))
         except DomainError as exc:
             raise CliError(f"class file {source}: {exc}") from exc
     return out
@@ -613,8 +605,8 @@ def cmd_region(cfg: RunConfig) -> int:
         }
         _emit(cfg, _json_doc(doc))
     else:
-        x1 = max(fr.max_r1 for fr in frontiers.values()) * 1.08 + 1e-9
-        y1 = max(fr.max_r2 for fr in frontiers.values()) * 1.08 + 1e-9
+        x1 = max(fr.max_r1 for fr in frontiers.values()) * 1.08 + VERDICT_TOL
+        y1 = max(fr.max_r2 for fr in frontiers.values()) * 1.08 + VERDICT_TOL
         parts = _svg_open(f"rate frontiers ({n1} dominant)")
         parts += _svg_axes(0.0, x1, 0.0, y1, "r1 (dominant receiver)", "r2 (weak receiver)")
         legend = []
@@ -726,16 +718,7 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         _validate(cfg)
         return _DISPATCH[cfg.command](cfg)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ChannelFormatError, DomainError, DegeneratePairError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (CliError, ChannelFormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SIMPLEX_TOL = 1e-12   # how far a probability vector may miss summing to 1
-CELL_FLOOR = 1e-15    # cells below this are treated as exact zeros
+# The one tolerance table: every "how close counts as equal" the package decides.
+CELL_FLOOR = 1e-15    # a cell, weight or cross product this small counts as zero
+SIMPLEX_TOL = 1e-12   # rounding slack allowed on a law, a rate or a constraint
+VERDICT_TOL = 1e-9    # margin of every decision: verdict, regime boundary, frontier defect, containment
+REFINE_FLOOR = 1e-7   # the extremum refinement halves its step down to this
 
 
 class DomainError(ValueError):
@@ -50,6 +53,11 @@ def stochastic_array(values, what: str, axis: int | None = -1) -> np.ndarray:
     return arr
 
 
+def in_range(x, lo: float, hi: float) -> bool:
+    """Whether every entry lies in [lo, hi] within SIMPLEX_TOL; NaN never does."""
+    return bool(np.all((x >= lo - SIMPLEX_TOL) & (x <= hi + SIMPLEX_TOL)))
+
+
 def _xlog2x(v: np.ndarray) -> np.ndarray:
     # the log's argument is at least CELL_FLOOR, so no entry can warn
     return np.where(v > CELL_FLOOR, v * np.log2(np.maximum(v, CELL_FLOOR)), 0.0)
@@ -61,9 +69,9 @@ def entropy_vec(p: np.ndarray, axis: int = -1) -> np.ndarray:
 
 
 def binary_entropy(x):
-    """H2(x) in bits.  Accepts scalars or arrays in [0, 1] (1e-12 slack)."""
+    """H2(x) in bits.  Accepts scalars or arrays in [0, 1] (SIMPLEX_TOL slack)."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr < -SIMPLEX_TOL) or np.any(arr > 1.0 + SIMPLEX_TOL):
+    if not in_range(arr, 0.0, 1.0):
         raise DomainError("binary_entropy argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
     val = -_xlog2x(arr) - _xlog2x(1.0 - arr)
@@ -75,7 +83,7 @@ def binary_convolve(x, p):
     xa = np.asarray(x, dtype=float)
     pa = np.asarray(p, dtype=float)
     for name, a in (("x", xa), ("p", pa)):
-        if np.any(a < -SIMPLEX_TOL) or np.any(a > 1.0 + SIMPLEX_TOL):
+        if not in_range(a, 0.0, 1.0):
             raise DomainError(f"binary_convolve argument {name} outside [0, 1]")
     val = xa * (1.0 - pa) + (1.0 - xa) * pa
     scalar = (np.isscalar(x) or getattr(x, "ndim", 1) == 0) and (

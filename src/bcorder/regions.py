@@ -32,17 +32,14 @@ import numpy as np
 
 from .channels import Dmc, aux_mi_batch, mi_batch
 from .classify import (
+    _POINT_GRID_CAP,
     AuxDecomposition,
     _bounded_step,
     _require_same_input,
     simplex_grid,
 )
-from .probcore import CELL_FLOOR, Dist, DomainError
+from .probcore import CELL_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
 
-PARETO_TOL = 1e-12      # slack for sortedness / strict-decrease checks
-CONVEXITY_TOL = 1e-9    # allowed convexity defect along a frontier
-_HULL_EPS = 1e-15       # collinear points are dropped at this cross-product
-_SINGLE_CAP = 300_000   # max grid points for one-distribution sweeps
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
@@ -63,7 +60,7 @@ class RatePoint:
             val = float(getattr(self, name))
             if not math.isfinite(val):
                 raise DomainError("rate coordinates must be finite")
-            if val < -1e-9:
+            if val < -VERDICT_TOL:
                 raise DomainError("rates must be nonnegative")
             object.__setattr__(self, name, max(0.0, val))
 
@@ -94,15 +91,15 @@ class RegionFrontier:
         if prov and len(prov) != len(pts):
             raise DomainError("provenance must have one entry per point")
         for p, q in zip(pts, pts[1:]):
-            if q.r1 < p.r1 - PARETO_TOL:
+            if q.r1 < p.r1 - SIMPLEX_TOL:
                 raise DomainError("frontier points must be sorted by r1")
-            if q.r2 > p.r2 + PARETO_TOL:
+            if q.r2 > p.r2 + SIMPLEX_TOL:
                 raise DomainError("frontier r2 must decrease along r1")
-            if q.r1 - p.r1 <= PARETO_TOL and p.r2 - q.r2 <= PARETO_TOL:
+            if q.r1 - p.r1 <= SIMPLEX_TOL and p.r2 - q.r2 <= SIMPLEX_TOL:
                 raise DomainError("frontier contains a duplicate point")
         for o, a, b in zip(pts, pts[1:], pts[2:]):
             cross = (a.r1 - o.r1) * (b.r2 - o.r2) - (a.r2 - o.r2) * (b.r1 - o.r1)
-            if cross > CONVEXITY_TOL:
+            if cross > VERDICT_TOL:
                 raise DomainError("frontier points must be concave")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "provenance", prov)
@@ -118,18 +115,8 @@ class RegionFrontier:
     def as_array(self) -> np.ndarray:
         return np.array([[p.r1, p.r2] for p in self.points], dtype=float)
 
-    def boundary_r2(self, r1: float) -> float:
-        """Height of the piecewise-linear boundary at the given r1.
 
-        Left of the first point the boundary extends horizontally (the
-        region is down-closed); right of the last point it is undefined and
-        the last point's r2 is returned.
-        """
-        pts = self.as_array()
-        return float(np.interp(r1, pts[:, 0], pts[:, 1]))
-
-
-def frontier_contains(frontier: RegionFrontier, point: RatePoint, tol: float = 1e-9) -> bool:
+def frontier_contains(frontier: RegionFrontier, point: RatePoint, tol: float = VERDICT_TOL) -> bool:
     """Is the point inside the down-closure of the frontier, with tol slack?"""
     pts = frontier.as_array()
     if point.r1 > pts[-1, 0] + tol:
@@ -219,7 +206,7 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     keep[0] = True
     if r2.size > 1:
         acc = np.maximum.accumulate(r2)
-        keep[1:] = r2[1:] > acc[:-1] + PARETO_TOL
+        keep[1:] = r2[1:] > acc[:-1] + SIMPLEX_TOL
     return pts[keep][::-1], ids[keep][::-1]
 
 
@@ -235,7 +222,7 @@ def _upper_hull(points: np.ndarray, idx: np.ndarray):
             a = points[stack[-1]]
             b = points[i]
             cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-            if cross >= -_HULL_EPS:
+            if cross >= -CELL_FLOOR:
                 stack.pop()
             else:
                 break
@@ -328,10 +315,10 @@ def _aux3_constrained_binary(t0: float):
     q0 = np.tile(q0, w3.shape[0])
     q1 = np.tile(q1, w3.shape[0])
     w2 = weights[:, 2]
-    live = w2 > 1e-9
+    live = w2 > VERDICT_TOL
     weights, q0, q1, w2 = weights[live], q0[live], q1[live], w2[live]
     q2 = (t0 - weights[:, 0] * q0 - weights[:, 1] * q1) / w2
-    ok = (q2 >= -1e-12) & (q2 <= 1.0 + 1e-12)
+    ok = (q2 >= -SIMPLEX_TOL) & (q2 <= 1.0 + SIMPLEX_TOL)
     weights, q0, q1, q2 = weights[ok], q0[ok], q1[ok], np.clip(q2[ok], 0.0, 1.0)
     rows = np.stack(
         [
@@ -397,7 +384,7 @@ def _free_batches(m: int, step: float):
         canon_k1 = (np.ones((1, 1)), np.full((1, 1, 2), 0.5))
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
         return batches, [_aux3_free_binary()], step
-    eff = _bounded_step(m, step, _SINGLE_CAP)
+    eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
     n = grid.shape[0]
     k1 = (np.ones((n, 1)), grid[:, None, :])
@@ -428,7 +415,7 @@ def _constrained_two_point_batch(
     w_grid = np.repeat(ws, g)
     q0_grid = np.tile(q0_s, (nw, 1))
     q1_grid = (t_s[None, :] - w_grid[:, None] * q0_grid) / (1.0 - w_grid)[:, None]
-    feasible = np.all(q1_grid >= -1e-12, axis=1) & np.all(q1_grid <= 1.0 + 1e-12, axis=1)
+    feasible = np.all(q1_grid >= -SIMPLEX_TOL, axis=1) & np.all(q1_grid <= 1.0 + SIMPLEX_TOL, axis=1)
     w_grid, q0_grid, q1_grid = w_grid[feasible], q0_grid[feasible], q1_grid[feasible]
     q1_grid = np.clip(q1_grid, 0.0, None)
     # the division by (1 - w) amplifies rounding; keep rows exactly stochastic
@@ -540,7 +527,7 @@ def superposition_region(
     + I(X;Y_dom|U), r1+r2 <= I(X;Y_dom).  With a marginal constraint the
     sweep keeps only decompositions whose induced input law matches it (the
     second conditional row is derived from the constraint, so the match is
-    exact to rounding, far inside the 1e-9 requirement).
+    exact to rounding, far inside VERDICT_TOL).
     """
     m = _require_same_input(dominant, weak)
     if marginal_constraint is None:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from bcorder.bscbec import (
-    BOUNDARY_TOL,
     BscBecPair,
     DegeneratePairError,
     PairClass,
@@ -20,7 +19,7 @@ from bcorder.bscbec import (
     thresholds,
 )
 from bcorder.channels import bec, bsc, cascade
-from bcorder.probcore import DomainError, binary_entropy
+from bcorder.probcore import VERDICT_TOL, DomainError, binary_convolve, binary_entropy
 
 
 def test_pair_validates_ranges():
@@ -51,7 +50,7 @@ def _closed_form_regime(p: float, e: float) -> tuple[int, bool]:
     h = 0.0 if p == 0.0 else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
     cuts = (2.0 * p, 4.0 * p * (1.0 - p), h)
     tag = next((i for i, t in enumerate(cuts) if e <= t), 3)
-    return tag, any(abs(e - t) <= BOUNDARY_TOL for t in cuts)
+    return tag, any(abs(e - t) <= VERDICT_TOL for t in cuts)
 
 
 def test_regime_matches_scalar_closed_form_on_dense_grid():
@@ -78,6 +77,22 @@ def test_regime_checks_ranges_and_clamps():
         regime(0.1, -0.1)
     tag, flag = regime(0.5 + 1e-13, 1.0 + 1e-13)
     assert int(tag) == 0 and bool(flag)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BscBecPair(math.nan, 0.5),
+    lambda: BscBecPair(0.1, math.nan),
+    lambda: regime(np.array([0.1, math.nan]), 0.5),
+    lambda: d_func(BscBecPair(0.1, 0.5), np.array([0.5, math.nan])),
+    lambda: d_derivative(BscBecPair(0.1, 0.5), math.nan),
+    lambda: binary_entropy(math.nan),
+    lambda: binary_convolve(0.1, math.nan),
+    lambda: bsc(math.nan),
+    lambda: bec(math.nan),
+])
+def test_range_checks_reject_nan(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_d_endpoints_vanish():

@@ -8,16 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder.channels import Dmc, bec, bsc, cascade, split_input_pair
 from bcorder import classify as ordering, regions
-from bcorder.classify import (
-    CELL_FLOOR,
-    REFINE_FLOOR,
-    VERDICT_TOL,
-    AuxDecomposition,
-    Outcome,
-    gap_functional,
-    simplex_grid,
-)
-from bcorder.probcore import Dist, DomainError, binary_entropy
+from bcorder.classify import AuxDecomposition, Outcome, gap_functional, simplex_grid
+from bcorder.probcore import CELL_FLOOR, REFINE_FLOOR, VERDICT_TOL, Dist, DomainError, binary_entropy
 from info_oracles import brute_conditional_mi, brute_mi, chain_table
 
 # cheap, reproducible property runs: fixed example sequence, no example database

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -443,6 +444,42 @@ def test_fuzz_malformed_class_file_exits_two(tmp_path_factory, text):
     path.write_text(text)
     _assert_rejected(*run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", "theorem1",
                               "--class", str(path), "--grid", "4"))
+
+
+_NON_FINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+
+
+def _outside(lo: float, hi: float):
+    """NaN, +-inf, or a float at least 1e-6 outside [lo, hi]."""
+    return _NON_FINITE | st.floats(max_value=lo - 1e-6) | st.floats(min_value=hi + 1e-6)
+
+
+# flag -> (invalid values only, command lines that read the flag); every value
+# is rejected before any computation, so a large valid --grid is never drawn
+_BAD_FLAGS = {
+    "--bsc": (_outside(0.0, 0.5), (("classify", "--bec", "0.5"), ("region", "--bec", "0.5"), ("symmetry",))),
+    "--bec": (_outside(0.0, 1.0), (("classify", "--bsc", "0.1"), ("region", "--bsc", "0.1"), ("symmetry",))),
+    "--p": (_outside(0.0, 0.5), (("dcurve", "--e", "0.5"),)),
+    "--e": (_outside(0.0, 1.0), (("dcurve", "--p", "0.1"),)),
+    "--tol": (_NON_FINITE | st.floats(max_value=0.0), (("classify", "--bsc", "0.1", "--bec", "0.5"),)),
+    "--tolerance": (_NON_FINITE | st.floats(max_value=-1e-6), (("verify-paper", "--check", "aux-informations"),)),
+    "--grid": (st.integers(max_value=1), (("phase-map",), ("dcurve", "--p", "0.1", "--e", "0.5"), ("verify-paper",))),
+    "--samples": (st.integers(max_value=1), (("dcurve", "--p", "0.1", "--e", "0.5"),)),
+}
+
+
+@st.composite
+def _bad_flag(draw) -> list[str]:
+    flag = draw(st.sampled_from(sorted(_BAD_FLAGS)))
+    values, commands = _BAD_FLAGS[flag]
+    return [*draw(st.sampled_from(commands)), f"{flag}={draw(values)!r}"]
+
+
+@_FUZZ
+@given(argv=_bad_flag())
+def test_fuzz_invalid_flag_value_exits_two(argv):
+    _assert_rejected(*run_cli(*argv))
+
 
 def test_verify_list_matches_registry():
     code, out, _ = run_cli("verify-paper", "--list")

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
 from bcorder.channels import Dmc, bec, bsc, channel_mi, split_input_pair
-from bcorder.probcore import Dist, DomainError, binary_entropy
+from bcorder.probcore import SIMPLEX_TOL, Dist, DomainError, binary_entropy
 from bcorder.regions import (
     RatePoint,
     RegionFrontier,
@@ -194,7 +194,7 @@ def _lexsort_pareto(points, idx):
     keep[0] = True
     if r2.size > 1:
         acc = np.maximum.accumulate(r2)
-        keep[1:] = r2[1:] > acc[:-1] + regions.PARETO_TOL
+        keep[1:] = r2[1:] > acc[:-1] + SIMPLEX_TOL
     return pts[keep][::-1], ids[keep][::-1]
 
 
@@ -270,7 +270,7 @@ def test_free_sweep_reports_coarsened_step(monkeypatch):
     assert "requested_step" not in fine.diagnostics
     # the two-letter face sweeps never run finer than _FACE_STEP_FLOOR
     assert regions._free_batches(3, 0.01)[2] == regions._FACE_STEP_FLOOR
-    monkeypatch.setattr(regions, "_SINGLE_CAP", 30)  # 66 points at 0.1, 21 at 0.2
+    monkeypatch.setattr(regions, "_POINT_GRID_CAP", 30)  # 66 points at 0.1, 21 at 0.2
     coarse = outer_bound_eq_ob(a, b, step=0.1)
     assert coarse.diagnostics["step"] == 0.2
     assert coarse.diagnostics["requested_step"] == 0.1
