@@ -33,20 +33,15 @@ from .classify import (
     test_more_capable,
 )
 from .probcore import SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
-from .regions import (
-    RegionFrontier,
-    frontier_csv,
-    outer_bound_eq_ob,
-    superposition_region,
-    theorem1_region,
-    theorem2_region,
-)
+from .regions import REGION_BOUNDS, frontier_csv, region_frontiers
 from .verifysuite import check_names, run_suite
 
 __all__ = ["RunConfig", "CliError", "build_parser", "main", "entrypoint"]
 
 BUILTIN_PAIR = "paper6vi"
-REGION_NAMES = ("ib", "theorem1", "theorem2", "ob")
+
+PHASE_MAP_GRID_CAP = 500       # phase-map draws grid x grid cells
+DCURVE_SAMPLES_CAP = 100_000   # dcurve keeps every sample in memory
 
 SVG_W, SVG_H = 800, 600
 _ML, _MR, _MT, _MB = 80, 24, 40, 56
@@ -134,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--which",
         default="ib,ob",
         metavar="LIST",
-        help="comma list from: " + ",".join(REGION_NAMES),
+        help="comma list from: " + ",".join(REGION_BOUNDS),
     )
     sp.add_argument(
         "--class",
@@ -175,10 +170,14 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError("--tolerance must be finite and nonnegative")
     if cfg.command == "dcurve" and cfg.samples < 2:
         raise CliError("--samples must be at least 2")
+    if cfg.command == "dcurve" and cfg.samples > DCURVE_SAMPLES_CAP:
+        raise CliError(f"--samples must be at most {DCURVE_SAMPLES_CAP}")
+    if cfg.command == "phase-map" and cfg.grid > PHASE_MAP_GRID_CAP:
+        raise CliError(f"phase-map --grid must be at most {PHASE_MAP_GRID_CAP}")
     if cfg.command == "region":
-        bad = [w for w in cfg.which if w not in REGION_NAMES]
+        bad = [w for w in cfg.which if w not in REGION_BOUNDS]
         if bad:
-            raise CliError(f"unknown region name(s): {', '.join(bad)}; choose from {', '.join(REGION_NAMES)}")
+            raise CliError(f"unknown region name(s): {', '.join(bad)}; choose from {', '.join(REGION_BOUNDS)}")
         if not cfg.which:
             raise CliError("--which selected no regions")
     if cfg.command in ("classify", "region"):
@@ -560,21 +559,7 @@ def cmd_region(cfg: RunConfig) -> int:
     m = a.input_size
     step = 1.0 / cfg.grid
     members = _load_input_class(cfg.input_class, m, cfg.normalize) if cfg.input_class else None
-    frontiers: dict[str, RegionFrontier] = {}
-    for name in cfg.which:
-        if name == "ib":
-            constraint = None
-            if members is not None:
-                if len(members) != 1:
-                    raise CliError("ib accepts a --class with exactly one member (a marginal constraint)")
-                constraint = members[0]
-            frontiers[name] = superposition_region(a, b, marginal_constraint=constraint, step=step)
-        elif name == "theorem1":
-            frontiers[name] = theorem1_region(a, b, members or [Dist.uniform(m)], step=step)
-        elif name == "theorem2":
-            frontiers[name] = theorem2_region(a, b, members or [Dist.uniform(m)], step=step)
-        else:
-            frontiers[name] = outer_bound_eq_ob(a, b, step=step)
+    frontiers = region_frontiers(a, b, cfg.which, members, step)
     # a point cap or the face-sweep floor can coarsen a sweep past 1/grid
     swept = max(fr.diagnostics["step"] for fr in frontiers.values())
     asked = f" (asked {step:g})" if swept != step else ""

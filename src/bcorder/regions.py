@@ -7,6 +7,17 @@ auxiliary decompositions (U, X | U), emit the corner points of the rate
 polygon each decomposition permits, and take the upper concave envelope of
 the union.  Time sharing justifies the hull.
 
+Every sweep batch is table-indexed: weights (N, k), integer cond_idx (N, k)
+and a table (T, m) of conditional laws, decomposition n putting weight
+weights[n, u] on table[cond_idx[n, u]].  Most batches are tensor grids over
+a few laws (51 laws for the 132,651 decompositions of the binary mesh at
+step 0.02), so each law's information quantities are computed once per
+table and gathered; laws derived from a marginal constraint are appended to
+their batch's table.  Bounds that sweep the same decompositions share one
+evaluation: ``region_frontiers`` computes ``ib`` and ``ob`` from one free
+sweep, and ``theorem1``, ``theorem2`` and a pinned ``ib`` from one class
+sweep; each bound then emits its own rate-polygon vertices.
+
 Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and then reduced by a single
 deterministic Pareto-and-hull pass, so the result does not depend on
@@ -17,7 +28,10 @@ provenance are exactly those of sorting them all.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
-coarsened it.
+coarsened it.  ``num_decompositions`` counts the decompositions swept and
+``conditional_laws`` the table laws evaluated for them.  A sweep batch
+holds at most _SWEEP_CAP decompositions; a finer step raises DomainError
+before anything is allocated.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -30,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Dmc, aux_mi_batch, mi_batch
+from .channels import Dmc, mi_batch
 from .classify import (
     _POINT_GRID_CAP,
     AuxDecomposition,
@@ -38,12 +52,13 @@ from .classify import (
     _require_same_input,
     simplex_grid,
 )
-from .probcore import CELL_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
+from .probcore import CELL_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, entropy_vec
 
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
-_CHUNK = 200_000
+_CHUNK = 200_000        # decompositions gathered and evaluated at once
+_SWEEP_CAP = 10_000_000  # max decompositions of one sweep batch (the binary mesh at --grid 200 has 8.1M)
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
 _SEG_SAMPLES = 33       # samples per segment for Hausdorff distance
 
@@ -231,15 +246,27 @@ def _upper_hull(points: np.ndarray, idx: np.ndarray):
     return points[sel], idx[sel]
 
 
-def _eval_quantities(dominant: Dmc, weak: Dmc, weights: np.ndarray, rows: np.ndarray):
-    """Per-decomposition (A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd))."""
-    n, k, m = rows.shape
-    flat = rows.reshape(n * k, m)
-    i_dom = mi_batch(dominant.rows, flat).reshape(n, k)
-    a = aux_mi_batch(weak.rows, weights, rows)
-    b = a + np.einsum("nk,nk->n", weights, i_dom)
-    px = np.einsum("nk,nkm->nm", weights, rows)
-    c = mi_batch(dominant.rows, px)
+def _eval_quantities(dominant: Dmc, weak: Dmc, weights: np.ndarray, cond_idx: np.ndarray, table: np.ndarray):
+    """Per-decomposition (A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd)).
+
+    Decomposition n puts weight weights[n, u] on the conditional law
+    table[cond_idx[n, u]].  Each table law is evaluated once: I(X;Yd), its
+    output law through the weak channel and that law's entropy.  A
+    decomposition gathers those and computes only what depends on its
+    mixture: H(Yw) and I(X;Yd) at the induced input law, in runs of _CHUNK.
+    """
+    i_dom = mi_batch(dominant.rows, table)
+    ry = table @ weak.rows
+    h_ry = entropy_vec(ry, axis=-1)
+    n = weights.shape[0]
+    a, b, c = np.empty(n), np.empty(n), np.empty(n)
+    for lo in range(0, n, _CHUNK):
+        run = slice(lo, lo + _CHUNK)
+        w, idx = weights[run], cond_idx[run]
+        py = np.einsum("...k,...kj->...j", w, ry[idx])
+        a[run] = np.maximum(0.0, entropy_vec(py, axis=-1) - np.einsum("...k,...k->...", w, h_ry[idx]))
+        b[run] = a[run] + np.einsum("nk,nk->n", w, i_dom[idx])
+        c[run] = mi_batch(dominant.rows, np.einsum("nk,nkm->nm", w, table[idx]))
     return a, b, c
 
 
@@ -272,63 +299,65 @@ def _emit_vertices(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray):
     return np.maximum(r1, 0.0), np.maximum(r2, 0.0), reps
 
 
+# the constraint kind of each bound's rate polygon
+_BOUND_KINDS = {"ib": "sum", "theorem1": "two", "theorem2": "sum", "ob": "r1cap"}
+REGION_BOUNDS = tuple(_BOUND_KINDS)
+
+
 def _axis_grid(step: float) -> np.ndarray:
     k_parts = max(1, round(1.0 / step))
     return np.arange(k_parts + 1) / k_parts
 
 
+def _binary_laws(q: np.ndarray) -> np.ndarray:
+    """The binary laws (q, 1 - q), one row per entry of q."""
+    return np.column_stack([q, 1.0 - q])
+
+
+def _two_point_mesh(g: np.ndarray):
+    """Weights (w, 1-w) and law indices (i0, i1) over the full g x g x g mesh."""
+    k = np.arange(g.size)
+    iw, i0, i1 = (x.ravel() for x in np.meshgrid(k, k, k, indexing="ij"))
+    w = g[iw]
+    return np.column_stack([w, 1.0 - w]), np.column_stack([i0, i1])
+
+
 def _binary_free_batch(step: float):
+    k_parts = max(1, round(1.0 / step))
+    if (k_parts + 1) ** 3 > _SWEEP_CAP:
+        n = (k_parts + 1) ** 3
+        raise DomainError(f"a binary sweep at step {step:g} needs {n} decompositions; the cap is {_SWEEP_CAP}")
     g = _axis_grid(step)
-    w, q0, q1 = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
-    weights = np.column_stack([w, 1.0 - w])
-    rows = np.stack(
-        [np.column_stack([q0, 1.0 - q0]), np.column_stack([q1, 1.0 - q1])],
-        axis=1,
-    )
-    return weights, rows
+    return (*_two_point_mesh(g), _binary_laws(g))
 
 
 def _aux3_free_binary():
     w3 = simplex_grid(3, 0.2)
     q = np.arange(11) / 10.0
-    q0, q1, q2 = (x.ravel() for x in np.meshgrid(q, q, q, indexing="ij"))
-    nq = q0.size
-    weights = np.repeat(w3, nq, axis=0)
-    q0, q1, q2 = np.tile(q0, w3.shape[0]), np.tile(q1, w3.shape[0]), np.tile(q2, w3.shape[0])
-    rows = np.stack(
-        [
-            np.column_stack([q0, 1.0 - q0]),
-            np.column_stack([q1, 1.0 - q1]),
-            np.column_stack([q2, 1.0 - q2]),
-        ],
-        axis=1,
-    )
-    return weights, rows
+    k = np.arange(q.size)
+    idx = np.column_stack([x.ravel() for x in np.meshgrid(k, k, k, indexing="ij")])
+    weights = np.repeat(w3, idx.shape[0], axis=0)
+    return weights, np.tile(idx, (w3.shape[0], 1)), _binary_laws(q)
 
 
 def _aux3_constrained_binary(t0: float):
+    """|U|=3 binary sweep pinned to P(X=0) = t0; each derived third law is its own table row."""
     w3 = simplex_grid(3, 0.1)
     q = np.arange(21) / 20.0
-    q0, q1 = (x.ravel() for x in np.meshgrid(q, q, indexing="ij"))
-    nq = q0.size
+    k = np.arange(q.size)
+    i0, i1 = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
+    nq = i0.size
     weights = np.repeat(w3, nq, axis=0)
-    q0 = np.tile(q0, w3.shape[0])
-    q1 = np.tile(q1, w3.shape[0])
+    i0 = np.tile(i0, w3.shape[0])
+    i1 = np.tile(i1, w3.shape[0])
     w2 = weights[:, 2]
     live = w2 > VERDICT_TOL
-    weights, q0, q1, w2 = weights[live], q0[live], q1[live], w2[live]
-    q2 = (t0 - weights[:, 0] * q0 - weights[:, 1] * q1) / w2
+    weights, i0, i1, w2 = weights[live], i0[live], i1[live], w2[live]
+    q2 = (t0 - weights[:, 0] * q[i0] - weights[:, 1] * q[i1]) / w2
     ok = (q2 >= -SIMPLEX_TOL) & (q2 <= 1.0 + SIMPLEX_TOL)
-    weights, q0, q1, q2 = weights[ok], q0[ok], q1[ok], np.clip(q2[ok], 0.0, 1.0)
-    rows = np.stack(
-        [
-            np.column_stack([q0, 1.0 - q0]),
-            np.column_stack([q1, 1.0 - q1]),
-            np.column_stack([q2, 1.0 - q2]),
-        ],
-        axis=1,
-    )
-    return weights, rows
+    weights, i0, i1, q2 = weights[ok], i0[ok], i1[ok], np.clip(q2[ok], 0.0, 1.0)
+    cond_idx = np.column_stack([i0, i1, q.size + np.arange(q2.size)])
+    return weights, cond_idx, _binary_laws(np.concatenate([q, q2]))
 
 
 def _coarse_pair_batch(m: int):
@@ -341,29 +370,22 @@ def _coarse_pair_batch(m: int):
     ws = np.arange(1, 10) / 10.0
     nw = ws.size
     w = np.tile(ws, i.size)
-    q0 = np.repeat(gc[i], nw, axis=0)
-    q1 = np.repeat(gc[j], nw, axis=0)
     weights = np.column_stack([w, 1.0 - w])
-    rows = np.stack([q0, q1], axis=1)
-    return weights, rows
+    return weights, np.column_stack([np.repeat(i, nw), np.repeat(j, nw)]), gc
 
 
 def _face_batches(m: int, step: float):
-    """|U|=2 sweeps confined to each two-letter input face."""
+    """|U|=2 sweeps confined to each two-letter input face; one mesh, one table per face."""
     f = max(step, _FACE_STEP_FLOOR)
     g = _axis_grid(f)
-    w, t0, t1 = (x.ravel() for x in np.meshgrid(g, g, g, indexing="ij"))
-    n = w.size
-    weights = np.column_stack([w, 1.0 - w])
+    weights, cond_idx = _two_point_mesh(g)
     out = []
     for i in range(m):
         for j in range(i + 1, m):
-            rows = np.zeros((n, 2, m))
-            rows[:, 0, i] = t0
-            rows[:, 0, j] = 1.0 - t0
-            rows[:, 1, i] = t1
-            rows[:, 1, j] = 1.0 - t1
-            out.append((weights, rows))
+            table = np.zeros((g.size, m))
+            table[:, i] = g
+            table[:, j] = 1.0 - g
+            out.append((weights, cond_idx, table))
     return out
 
 
@@ -380,52 +402,55 @@ def _free_batches(m: int, step: float):
     if m == 2:
         # the mesh only hits induced marginals on the w grid, so pin the
         # uniform-marginal corners explicitly (constant set, keeps nesting)
-        canon_ux = (np.full((1, 2), 0.5), np.eye(2)[None, :, :])
-        canon_k1 = (np.ones((1, 1)), np.full((1, 1, 2), 0.5))
+        canon_ux = (np.full((1, 2), 0.5), np.array([[0, 1]]), np.eye(2))
+        canon_k1 = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp), np.full((1, 2), 0.5))
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
         return batches, [_aux3_free_binary()], step
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
     n = grid.shape[0]
-    k1 = (np.ones((n, 1)), grid[:, None, :])
-    ux = (grid, np.broadcast_to(np.eye(m), (n, m, m)))
+    k1 = (np.ones((n, 1)), np.arange(n)[:, None], grid)
+    ux = (grid, np.broadcast_to(np.arange(m), (n, m)), np.eye(m))
     batches = [k1, ux, _coarse_pair_batch(m)]
     batches.extend(_face_batches(m, step))
     return batches, [], max(eff, _FACE_STEP_FLOOR)
 
 
-def _constrained_two_point_batch(
-    target: np.ndarray, support: np.ndarray, step: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """All (weights, rows) for |U|=2 decompositions hitting a target marginal.
+def _constrained_two_point_batch(target: np.ndarray, support: np.ndarray, step: float):
+    """All |U|=2 decompositions hitting a target marginal, and the first-row step.
 
     Grids P(U=0) and the first conditional row over the support, derives the
     second row from the marginal constraint and keeps the feasible ones.
-    Also returns the step of the first-row grid, coarsened from ``step``
-    until it fits under _PAIR_GRID_CAP points.
+    The table holds the first-row grid, then one derived second row per
+    decomposition.  The first-row grid is coarsened from ``step`` until it
+    fits under _PAIR_GRID_CAP points.
     """
     m = target.size
     s = support.size
     eff = _bounded_step(s, step, _PAIR_GRID_CAP)
     q0_s = simplex_grid(s, eff)
+    g = q0_s.shape[0]
     k_parts = max(1, round(1.0 / step))
+    if (k_parts - 1) * g > _SWEEP_CAP:
+        n = (k_parts - 1) * g
+        raise DomainError(f"a pinned sweep at step {step:g} needs {n} decompositions; the cap is {_SWEEP_CAP}")
     ws = np.arange(1, k_parts) / k_parts  # open interval: endpoints are |U|=1
     t_s = target[support]
-    nw, g = ws.size, q0_s.shape[0]
+    nw = ws.size
     w_grid = np.repeat(ws, g)
-    q0_grid = np.tile(q0_s, (nw, 1))
-    q1_grid = (t_s[None, :] - w_grid[:, None] * q0_grid) / (1.0 - w_grid)[:, None]
+    i0 = np.tile(np.arange(g), nw)
+    q1_grid = (t_s[None, :] - w_grid[:, None] * q0_s[i0]) / (1.0 - w_grid)[:, None]
     feasible = np.all(q1_grid >= -SIMPLEX_TOL, axis=1) & np.all(q1_grid <= 1.0 + SIMPLEX_TOL, axis=1)
-    w_grid, q0_grid, q1_grid = w_grid[feasible], q0_grid[feasible], q1_grid[feasible]
+    w_grid, i0, q1_grid = w_grid[feasible], i0[feasible], q1_grid[feasible]
     q1_grid = np.clip(q1_grid, 0.0, None)
     # the division by (1 - w) amplifies rounding; keep rows exactly stochastic
     q1_grid = q1_grid / np.maximum(q1_grid.sum(axis=1, keepdims=True), 1e-300)
     n = w_grid.size
+    table = np.zeros((g + n, m))
+    table[:g, support] = q0_s
+    table[g:, support] = q1_grid
     weights = np.column_stack([w_grid, 1.0 - w_grid])
-    rows = np.zeros((n, 2, m))
-    rows[:, 0, support] = q0_grid
-    rows[:, 1, support] = q1_grid
-    return weights, rows, eff
+    return weights, np.column_stack([i0, g + np.arange(n)]), table, eff
 
 
 def _constrained_batches(target: Dist, m: int, step: float):
@@ -434,14 +459,13 @@ def _constrained_batches(target: Dist, m: int, step: float):
         raise DomainError("marginal constraint size does not match the channels")
     t = target.probs
     support = np.flatnonzero(t > CELL_FLOOR)
-    k1 = (np.ones((1, 1)), t[None, None, :])
+    k1 = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp), t[None, :])
     w_ux = t[support] / t[support].sum()
-    rows_ux = np.zeros((1, support.size, m))
-    rows_ux[0, np.arange(support.size), support] = 1.0
-    batches = [k1, (w_ux[None, :], rows_ux)]
-    weights, rows, eff = _constrained_two_point_batch(t, support, step)
+    ux = (w_ux[None, :], np.arange(support.size)[None, :], np.eye(m)[support])
+    batches = [k1, ux]
+    weights, cond_idx, table, eff = _constrained_two_point_batch(t, support, step)
     if weights.shape[0]:
-        batches.append((weights, rows))
+        batches.append((weights, cond_idx, table))
     aux3 = []
     if m == 2:
         extra = _aux3_constrained_binary(float(t[0]))
@@ -450,62 +474,78 @@ def _constrained_batches(target: Dist, m: int, step: float):
     return batches, aux3, eff
 
 
-def _sweep_frontier(
-    dominant: Dmc,
-    weak: Dmc,
-    batches: list,
-    aux3_batches: list,
-    kind: str,
-    diagnostics: dict,
-) -> RegionFrontier:
-    pts_list: list[np.ndarray] = []
-    idx_list: list[np.ndarray] = []
-    stored: list[tuple[int, np.ndarray, np.ndarray]] = []
+def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list, bounds: dict) -> dict:
+    """One frontier per bound in ``bounds`` (name -> its diagnostics), from one evaluation.
+
+    Every decomposition's (A, B, C) is computed once; each bound's kind
+    (_BOUND_KINDS) then emits its own vertices, Pareto set and hull.
+    Diagnostics ``aux3_change`` is the Hausdorff distance the |U|=3 batches
+    moved the frontier by: exactly 0.0 when they leave its points unchanged,
+    None when there were none.  ``conditional_laws`` counts the table rows
+    evaluated, ``num_decompositions`` the decompositions.
+    """
+    kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
+    pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    idx_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    stored: list[tuple] = []
     offset = 0
+    laws = 0
     aux3_offset = None
     for group, is_aux3 in ((batches, False), (aux3_batches, True)):
         if is_aux3:
             aux3_offset = offset
-        for weights, rows in group:
+        for weights, cond_idx, table in group:
             n = weights.shape[0]
             if n == 0:
                 continue
-            stored.append((offset, weights, rows))
+            stored.append((offset, weights, cond_idx, table))
+            laws += table.shape[0]
+            a, bq, cq = _eval_quantities(dominant, weak, weights, cond_idx, table)
             for lo in range(0, n, _CHUNK):
-                w = weights[lo : lo + _CHUNK]
-                r = rows[lo : lo + _CHUNK]
-                a, bq, cq = _eval_quantities(dominant, weak, w, r)
-                r1, r2, reps = _emit_vertices(kind, a, bq, cq)
-                pts_list.append(np.column_stack([r1, r2]))
-                idx_list.append(np.tile(offset + lo + np.arange(w.shape[0]), reps))
+                run = slice(lo, lo + _CHUNK)
+                ids = offset + lo + np.arange(a[run].size)
+                for kind in kinds:
+                    r1, r2, reps = _emit_vertices(kind, a[run], bq[run], cq[run])
+                    pts_lists[kind].append(np.column_stack([r1, r2]))
+                    idx_lists[kind].append(np.tile(ids, reps))
             offset += n
     if offset == 0:
         raise DomainError("empty decomposition grid after constraint filtering")
-    points = np.vstack(pts_list)
-    idx = np.concatenate(idx_list)
+    aux3_swept = aux3_offset is not None and aux3_offset < offset
 
-    pts, ids = _upper_hull(*_pareto_filter(points, idx))
-    aux3_change = None
-    if aux3_offset is not None and aux3_offset < offset:
-        base = idx < aux3_offset
-        bp, _ = _upper_hull(*_pareto_filter(points[base], idx[base]))
-        aux3_change = _hausdorff(bp, pts)
+    frontiers = {}
+    for kind in kinds:
+        points = np.vstack(pts_lists.pop(kind))
+        idx = np.concatenate(idx_lists.pop(kind))
+        pts, ids = _upper_hull(*_pareto_filter(points, idx))
+        aux3_change = None
+        if aux3_swept:
+            base = idx < aux3_offset
+            bp, _ = _upper_hull(*_pareto_filter(points[base], idx[base]))
+            aux3_change = 0.0 if np.array_equal(bp, pts) else _hausdorff(bp, pts)
+        prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
+        rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
+        frontiers[kind] = (rate_points, prov, int(points.shape[0]), aux3_change)
+        del points, idx  # free this kind's candidates before the next is stacked
 
-    prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
-    rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
-    diag = dict(diagnostics)
-    diag["num_decompositions"] = offset
-    diag["num_candidates"] = int(points.shape[0])
-    diag["aux3_change"] = aux3_change
-    diag["aux3_swept"] = aux3_offset is not None and aux3_offset < offset
-    return RegionFrontier(points=rate_points, provenance=prov, diagnostics=diag)
+    out = {}
+    for name, diagnostics in bounds.items():
+        rate_points, prov, candidates, aux3_change = frontiers[_BOUND_KINDS[name]]
+        diag = dict(diagnostics)
+        diag["num_decompositions"] = offset
+        diag["conditional_laws"] = laws
+        diag["num_candidates"] = candidates
+        diag["aux3_change"] = aux3_change
+        diag["aux3_swept"] = aux3_swept
+        out[name] = RegionFrontier(points=rate_points, provenance=prov, diagnostics=diag)
+    return out
 
 
 def _resolve_decomposition(stored, i: int) -> AuxDecomposition:
-    for offset, weights, rows in reversed(stored):
+    for offset, weights, cond_idx, table in reversed(stored):
         if i >= offset:
             w = np.asarray(weights[i - offset], dtype=float)
-            r = np.array(rows[i - offset], dtype=float)
+            r = np.array(table[cond_idx[i - offset]], dtype=float)
             r = r / np.maximum(r.sum(axis=1, keepdims=True), 1e-300)
             return AuxDecomposition(Dist(w / w.sum()), r)
     raise IndexError(f"decomposition index {i} out of range")
@@ -513,6 +553,58 @@ def _resolve_decomposition(stored, i: int) -> AuxDecomposition:
 
 # ---------------------------------------------------------------------------
 # public region sweeps
+
+
+def region_frontiers(a: Dmc, b: Dmc, which, input_class=None, step: float = 0.02) -> dict:
+    """Frontiers of the named bounds for receiver a (dominant) and b, by name.
+
+    ``which`` names bounds from REGION_BOUNDS.  ``input_class`` is a list of
+    input laws, or None.  Bounds that sweep the same decompositions share
+    one evaluation:
+
+    * the free set: ``ob``, and ``ib`` when there is no class;
+    * the class set: ``theorem1`` and ``theorem2`` on the class (uniform
+      when there is none), and ``ib`` pinned to the class's one member.
+
+    Each frontier equals that of its one-bound call (``superposition_region``,
+    ``theorem1_region``, ``theorem2_region``, ``outer_bound_eq_ob``),
+    points, provenance and diagnostics alike.
+    """
+    m = _require_same_input(a, b)
+    members = None if input_class is None else list(input_class)
+    if members == []:
+        raise DomainError("the sufficient class must be nonempty")
+    class_members = members or [Dist.uniform(m)]
+    free: dict = {}
+    pinned: dict = {}
+    for name in which:
+        if name not in _BOUND_KINDS:
+            raise DomainError(f"unknown region bound {name!r}; choose from {', '.join(REGION_BOUNDS)}")
+        if name == "ob" or (name == "ib" and members is None):
+            free[name] = {"bound": name, "constrained": False}
+        elif name == "ib":
+            if len(members) != 1:
+                raise DomainError("ib accepts a class with exactly one member (a marginal constraint)")
+            pinned[name] = {"bound": name, "constrained": True}
+        else:
+            pinned[name] = {"bound": name, "class_size": len(class_members)}
+    out = {}
+    if free:
+        batches, aux3, swept = _free_batches(m, step)
+        out.update(_sweep_frontier(a, b, batches, aux3, _with_steps(free, step, swept)))
+    if pinned:
+        batches, aux3, swept = [], [], step
+        for member in class_members:
+            mb, ma, eff = _constrained_batches(member, m, step)
+            batches.extend(mb)
+            aux3.extend(ma)
+            swept = max(swept, eff)
+        out.update(_sweep_frontier(a, b, batches, aux3, _with_steps(pinned, step, swept)))
+    return {name: out[name] for name in which}
+
+
+def _with_steps(bounds: dict, step: float, swept: float) -> dict:
+    return {name: {**diag, **_step_diagnostics(step, swept)} for name, diag in bounds.items()}
 
 
 def superposition_region(
@@ -529,37 +621,8 @@ def superposition_region(
     second conditional row is derived from the constraint, so the match is
     exact to rounding, far inside VERDICT_TOL).
     """
-    m = _require_same_input(dominant, weak)
-    if marginal_constraint is None:
-        batches, aux3, swept = _free_batches(m, step)
-    else:
-        batches, aux3, swept = _constrained_batches(marginal_constraint, m, step)
-    diag = {"bound": "ib", "constrained": marginal_constraint is not None, **_step_diagnostics(step, swept)}
-    return _sweep_frontier(dominant, weak, batches, aux3, "sum", diag)
-
-
-def _class_region(
-    a: Dmc,
-    b: Dmc,
-    sufficient_class,
-    step: float,
-    kind: str,
-    name: str,
-) -> RegionFrontier:
-    m = _require_same_input(a, b)
-    members = list(sufficient_class)
-    if not members:
-        raise DomainError("the sufficient class must be nonempty")
-    batches: list = []
-    aux3: list = []
-    swept = step
-    for member in members:
-        mb, ma, eff = _constrained_batches(member, m, step)
-        batches.extend(mb)
-        aux3.extend(ma)
-        swept = max(swept, eff)
-    diag = {"bound": name, "class_size": len(members), **_step_diagnostics(step, swept)}
-    return _sweep_frontier(a, b, batches, aux3, kind, diag)
+    pinned = None if marginal_constraint is None else [marginal_constraint]
+    return region_frontiers(dominant, weak, ["ib"], pinned, step)["ib"]
 
 
 def theorem1_region(
@@ -574,7 +637,7 @@ def theorem1_region(
     input law restricted to the given class.  The caller is responsible for
     the class actually being sufficient (see test_essentially_less_noisy).
     """
-    return _class_region(a, b, sufficient_class, step, "two", "theorem1")
+    return region_frontiers(a, b, ["theorem1"], sufficient_class, step)["theorem1"]
 
 
 def theorem2_region(
@@ -588,7 +651,7 @@ def theorem2_region(
     Constraints: r2 <= I(U;Y_b), r1+r2 <= I(U;Y_b) + I(X;Y_a|U), and
     r1+r2 <= I(X;Y_a), with the input law restricted to the given class.
     """
-    return _class_region(a, b, sufficient_class, step, "sum", "theorem2")
+    return region_frontiers(a, b, ["theorem2"], sufficient_class, step)["theorem2"]
 
 
 def outer_bound_eq_ob(
@@ -601,7 +664,4 @@ def outer_bound_eq_ob(
     Constraints per decomposition: r2 <= I(U;Y_b), r1+r2 <= I(U;Y_b) +
     I(X;Y_a|U), r1 <= I(X;Y_a), swept over unconstrained decompositions.
     """
-    m = _require_same_input(a, b)
-    batches, aux3, swept = _free_batches(m, step)
-    diag = {"bound": "ob", "constrained": False, **_step_diagnostics(step, swept)}
-    return _sweep_frontier(a, b, batches, aux3, "r1cap", diag)
+    return region_frontiers(a, b, ["ob"], None, step)["ob"]

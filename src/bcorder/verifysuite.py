@@ -40,7 +40,7 @@ from .regions import (
     frontier_contains,
     frontier_distance,
     outer_bound_eq_ob,
-    superposition_region,
+    region_frontiers,
     theorem1_region,
 )
 
@@ -412,8 +412,8 @@ def _check_region_containments(grid: int, seed: int, tol: float) -> CheckResult:
     for p, e in _seeded_regime_pairs(rng, 10):
         chan_s, chan_b = bsc(p), bec(e)
         dom, weak = (chan_s, chan_b) if regime(p, e)[0] == 3 else (chan_b, chan_s)
-        inner = superposition_region(dom, weak, step=step)
-        bad_ob += _uncontained(inner, outer_bound_eq_ob(dom, weak, step=step), tol)
+        fr = region_frontiers(dom, weak, ["ib", "ob"], step=step)
+        bad_ob += _uncontained(fr["ib"], fr["ob"], tol)
     return CheckResult(
         name="region-containments",
         anchor="superposition frontier sits inside the outer bound on 10 "

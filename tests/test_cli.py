@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bcorder
-from bcorder.cli import main
+from bcorder import regions
+from bcorder.cli import DCURVE_SAMPLES_CAP, PHASE_MAP_GRID_CAP, main
 from bcorder.verifysuite import check_names
 
 
@@ -454,24 +455,33 @@ def _outside(lo: float, hi: float):
     return _NON_FINITE | st.floats(max_value=lo - 1e-6) | st.floats(min_value=hi + 1e-6)
 
 
-# flag -> (invalid values only, command lines that read the flag); every value
-# is rejected before any computation, so a large valid --grid is never drawn
-_BAD_FLAGS = {
-    "--bsc": (_outside(0.0, 0.5), (("classify", "--bec", "0.5"), ("region", "--bec", "0.5"), ("symmetry",))),
-    "--bec": (_outside(0.0, 1.0), (("classify", "--bsc", "0.1"), ("region", "--bsc", "0.1"), ("symmetry",))),
-    "--p": (_outside(0.0, 0.5), (("dcurve", "--e", "0.5"),)),
-    "--e": (_outside(0.0, 1.0), (("dcurve", "--p", "0.1"),)),
-    "--tol": (_NON_FINITE | st.floats(max_value=0.0), (("classify", "--bsc", "0.1", "--bec", "0.5"),)),
-    "--tolerance": (_NON_FINITE | st.floats(max_value=-1e-6), (("verify-paper", "--check", "aux-informations"),)),
-    "--grid": (st.integers(max_value=1), (("phase-map",), ("dcurve", "--p", "0.1", "--e", "0.5"), ("verify-paper",))),
-    "--samples": (st.integers(max_value=1), (("dcurve", "--p", "0.1", "--e", "0.5"),)),
-}
+# every value is rejected before any computation or allocation; the values
+# drawn above a size bound stop at _HUGE, where 1/value is still a float
+_HUGE = 10**15
+_MESH_GRID_MIN = int(regions._SWEEP_CAP ** (1.0 / 3.0))  # (grid+1)^3 binary decompositions
+_PINNED_GRID_MIN = 10**5  # (grid-1) x 1000-2000 pinned binary decompositions
+_BSC_BEC = ("--bsc", "0.1", "--bec", "0.5")
+_DCURVE = ("dcurve", "--p", "0.1", "--e", "0.5")
+
+# (flag, invalid values only, command lines that read the flag)
+_BAD_FLAGS = (
+    ("--bsc", _outside(0.0, 0.5), (("classify", "--bec", "0.5"), ("region", "--bec", "0.5"), ("symmetry",))),
+    ("--bec", _outside(0.0, 1.0), (("classify", "--bsc", "0.1"), ("region", "--bsc", "0.1"), ("symmetry",))),
+    ("--p", _outside(0.0, 0.5), (("dcurve", "--e", "0.5"),)),
+    ("--e", _outside(0.0, 1.0), (("dcurve", "--p", "0.1"),)),
+    ("--tol", _NON_FINITE | st.floats(max_value=0.0), (("classify", *_BSC_BEC),)),
+    ("--tolerance", _NON_FINITE | st.floats(max_value=-1e-6), (("verify-paper", "--check", "aux-informations"),)),
+    ("--grid", st.integers(max_value=1), (("phase-map",), _DCURVE, ("verify-paper",))),
+    ("--grid", st.integers(PHASE_MAP_GRID_CAP + 1, _HUGE), (("phase-map",),)),
+    ("--grid", st.integers(_MESH_GRID_MIN, _HUGE), (("region", *_BSC_BEC),)),
+    ("--grid", st.integers(_PINNED_GRID_MIN, _HUGE), (("region", *_BSC_BEC, "--which", "theorem1", "--class", "uniform"),)),
+    ("--samples", st.integers(max_value=1) | st.integers(DCURVE_SAMPLES_CAP + 1, _HUGE), (_DCURVE,)),
+)
 
 
 @st.composite
 def _bad_flag(draw) -> list[str]:
-    flag = draw(st.sampled_from(sorted(_BAD_FLAGS)))
-    values, commands = _BAD_FLAGS[flag]
+    flag, values, commands = draw(st.sampled_from(_BAD_FLAGS))
     return [*draw(st.sampled_from(commands)), f"{flag}={draw(values)!r}"]
 
 

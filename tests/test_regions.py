@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
-from bcorder.channels import Dmc, bec, bsc, channel_mi, split_input_pair
+from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, channel_mi, mi_batch, split_input_pair
 from bcorder.probcore import SIMPLEX_TOL, Dist, DomainError, binary_entropy
 from bcorder.regions import (
     RatePoint,
@@ -12,6 +12,7 @@ from bcorder.regions import (
     frontier_csv,
     frontier_distance,
     outer_bound_eq_ob,
+    region_frontiers,
     superposition_region,
     theorem1_region,
     theorem2_region,
@@ -277,3 +278,140 @@ def test_free_sweep_reports_coarsened_step(monkeypatch):
     assert coarse.diagnostics["num_decompositions"] < fine.diagnostics["num_decompositions"]
     for pt in coarse.points:
         assert frontier_contains(fine, pt, tol=1e-12)
+
+
+def _random_laws(rng, count, size, sparse):
+    laws = rng.dirichlet(np.ones(size), size=count)
+    if sparse:
+        # the largest entry of a law is at least 1/size >= 0.25, so none empties
+        laws = np.where(laws < 0.25, 0.0, laws)
+        laws /= laws.sum(axis=1, keepdims=True)
+    return laws
+
+
+def _dense_quantities(dominant, weak, weights, rows):
+    """(A, B, C) from the kernels on materialised (N, k, m) conditional rows."""
+    n, k, m = rows.shape
+    i_dom = mi_batch(dominant.rows, rows.reshape(n * k, m)).reshape(n, k)
+    a = aux_mi_batch(weak.rows, weights, rows)
+    b = a + np.einsum("nk,nk->n", weights, i_dom)
+    c = mi_batch(dominant.rows, np.einsum("nk,nkm->nm", weights, rows))
+    return a, b, c
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    n_dom=st.integers(2, 4),
+    n_weak=st.integers(2, 4),
+    laws=st.integers(1, 12),
+    aux=st.integers(2, 3),
+    count=st.integers(1, 400),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux, count, sparse, seed):
+    # |U| >= 2 only: with one law per decomposition the reference's stacked
+    # product takes numpy's vector-matrix route, which rounds differently
+    # from the table's matrix product (I(U;Y) is then 0 up to 2e-16 either way)
+    rng = np.random.default_rng(seed)
+    labels = lambda n: tuple(str(i) for i in range(n))  # noqa: E731
+    dominant = Dmc(_random_laws(rng, m, n_dom, sparse), labels(n_dom))
+    weak = Dmc(_random_laws(rng, m, n_weak, not sparse), labels(n_weak))
+    # half the table is dense, half has zero cells; indices repeat freely
+    table = np.vstack([_random_laws(rng, laws, m, False), _random_laws(rng, laws, m, True)])
+    cond_idx = rng.integers(0, table.shape[0], size=(count, aux))
+    weights = rng.dirichlet(np.ones(aux), size=count)
+    got = regions._eval_quantities(dominant, weak, weights, cond_idx, table)
+    want = _dense_quantities(dominant, weak, weights, table[cond_idx])
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _same_frontier(f, g):
+    assert f.points == g.points
+    assert f.diagnostics == g.diagnostics
+    assert len(f.provenance) == len(g.provenance)
+    for d, e in zip(f.provenance, g.provenance):
+        assert np.array_equal(d.pu.probs, e.pu.probs)
+        assert np.array_equal(d.px_given_u, e.px_given_u)
+
+
+def test_grouped_frontiers_equal_one_bound_calls():
+    three = (
+        Dmc(np.array([[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]), ("0", "1")),
+        Dmc(np.array([[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]), ("0", "1")),
+    )
+    for a, b, step in ((bsc(0.1), bec(0.5), 0.05), (bec(0.15), bsc(0.1), 0.05), (*three, 0.1)):
+        m = a.input_size
+        uni = Dist.uniform(m)
+        free = region_frontiers(a, b, ["ib", "ob"], step=step)
+        assert list(free) == ["ib", "ob"]
+        _same_frontier(free["ib"], superposition_region(a, b, step=step))
+        _same_frontier(free["ob"], outer_bound_eq_ob(a, b, step=step))
+        pinned = region_frontiers(a, b, ["theorem2", "ib", "theorem1"], [uni], step=step)
+        assert list(pinned) == ["theorem2", "ib", "theorem1"]
+        _same_frontier(pinned["theorem1"], theorem1_region(a, b, [uni], step=step))
+        _same_frontier(pinned["theorem2"], theorem2_region(a, b, [uni], step=step))
+        _same_frontier(pinned["ib"], superposition_region(a, b, marginal_constraint=uni, step=step))
+        # without a class the theorems sweep the uniform law and ib sweeps freely
+        both = region_frontiers(a, b, ["theorem1", "ib"], step=step)
+        _same_frontier(both["theorem1"], pinned["theorem1"])
+        _same_frontier(both["ib"], free["ib"])
+        # one evaluation serves the whole group
+        assert free["ib"].diagnostics["conditional_laws"] == free["ob"].diagnostics["conditional_laws"]
+
+
+def test_region_frontiers_rejects_bad_requests():
+    with pytest.raises(DomainError, match="unknown region bound"):
+        region_frontiers(bsc(0.1), bec(0.5), ["ib", "nope"])
+    two = [Dist.uniform(2), Dist(np.array([0.3, 0.7]))]
+    with pytest.raises(DomainError, match="exactly one member"):
+        region_frontiers(bsc(0.1), bec(0.5), ["theorem1", "ib"], two)
+    with pytest.raises(DomainError, match="nonempty"):
+        region_frontiers(bsc(0.1), bec(0.5), ["theorem1"], [])
+
+
+def _batches_of(m, step):
+    free, free3, _ = regions._free_batches(m, step)
+    pinned, pinned3, _ = regions._constrained_batches(Dist.uniform(m), m, step)
+    return free + free3 + pinned + pinned3
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_every_batch_is_table_indexed(m):
+    for weights, cond_idx, table in _batches_of(m, 0.1):
+        assert weights.ndim == 2 and cond_idx.shape == weights.shape
+        assert np.issubdtype(cond_idx.dtype, np.integer)
+        assert table.ndim == 2 and table.shape[1] == m
+        assert cond_idx.min() >= 0 and cond_idx.max() < table.shape[0]
+        assert np.allclose(table.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
+
+
+@pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 1.0 / 3.0])
+def test_meshes_hold_one_table_law_per_grid_value(step):
+    weights, cond_idx, table = regions._binary_free_batch(step)
+    assert table.shape[0] <= 1.0 / step + 1
+    assert weights.shape[0] == table.shape[0] ** 3
+    for weights, cond_idx, table in regions._face_batches(4, step):
+        assert table.shape[0] <= 1.0 / step + 1
+        assert weights.shape[0] == table.shape[0] ** 3
+
+
+def test_aux3_change_is_zero_when_the_points_do_not_move():
+    fr = superposition_region(bsc(0.1), bec(0.5), step=0.02)
+    assert fr.diagnostics["aux3_swept"] is True
+    assert fr.diagnostics["aux3_change"] == 0.0
+    four = outer_bound_eq_ob(*split_input_pair(), step=0.1)
+    assert four.diagnostics["aux3_change"] is None
+
+
+def test_oversized_sweeps_are_refused_before_allocation():
+    k = int(regions._SWEEP_CAP ** (1.0 / 3.0))  # the first grid whose mesh exceeds the cap
+    with pytest.raises(DomainError, match="binary sweep"):
+        superposition_region(bsc(0.1), bec(0.5), step=1.0 / k)
+    with pytest.raises(DomainError, match="pinned sweep"):
+        theorem1_region(bsc(0.1), bec(0.5), [Dist.uniform(2)], step=1e-9)
+    y1, y2 = split_input_pair()
+    with pytest.raises(DomainError, match="pinned sweep"):
+        theorem2_region(y1, y2, [Dist.uniform(4)], step=1e-9)
