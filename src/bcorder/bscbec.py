@@ -43,10 +43,6 @@ class DegeneratePairError(ValueError):
     """p = 1/2 makes the critical-point equation degenerate."""
 
 
-class InternalConsistencyError(RuntimeError):
-    """A closed-form answer and its numerical cross-check disagree."""
-
-
 class PairTag(enum.Enum):
     DEGRADED_BSC_SIDE = "degraded-bsc-side"
     LESS_NOISY_BEC_SIDE = "less-noisy-bec-side"
@@ -216,26 +212,6 @@ def classify_pair(pair: BscBecPair) -> PairClass:
     """
     tag, boundary = regime(pair.p, pair.e)
     return PairClass(_TAGS[int(tag)], bool(boundary))
-
-
-def is_less_noisy_convexity(pair: BscBecPair) -> bool:
-    """Whether the gap is convex in x, i.e. e <= 4p(1-p).
-
-    Convexity of the gap is equivalent to the erasure side being less noisy.
-    The closed form is cross-checked by a second-difference scan on a 1e-3
-    grid; a convex verdict contradicted by a sampled violation raises
-    InternalConsistencyError.
-    """
-    convex = bool(regime(pair.p, pair.e)[0] <= 1)
-    xs = np.linspace(0.0, 1.0, 1001)
-    vals = d_func(pair, xs)
-    second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
-    sampled_violation = bool(np.any(second < -2.0 * VERDICT_TOL))
-    if convex and sampled_violation:
-        raise InternalConsistencyError(
-            "closed-form convexity contradicted by sampled second differences"
-        )
-    return convex
 
 
 def degrading_channel(pair: BscBecPair) -> Dmc | None:

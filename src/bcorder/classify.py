@@ -143,14 +143,6 @@ def _bounded_step(m: int, step: float, cap: int) -> float:
     return eff
 
 
-def gap_functional(a: Dmc, b: Dmc, px: Dist) -> float:
-    """I(X;Y_a) - I(X;Y_b) at the given input law, in bits."""
-    m = _require_same_input(a, b)
-    if px.size != m:
-        raise DomainError("input law size does not match the channels")
-    return float(mi_batch(a.rows, px.probs[None, :])[0] - mi_batch(b.rows, px.probs[None, :])[0])
-
-
 def _gap_vec(a: np.ndarray, b: np.ndarray, pxs: np.ndarray) -> np.ndarray:
     """I(X;Y_a) - I(X;Y_b) through channel rows; leading axes broadcast as in mi_batch."""
     return mi_batch(a, pxs) - mi_batch(b, pxs)

@@ -164,6 +164,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 def _validate(cfg: RunConfig) -> None:
     if cfg.grid < 2:
         raise CliError("--grid must be at least 2")
+    if cfg.grid > sys.float_info.max:  # the step 1/grid is taken in floats
+        raise CliError(f"--grid must be at most {sys.float_info.max:.4g}")
     if not 0.0 < cfg.tol < np.inf:
         raise CliError("--tol must be finite and positive")
     if cfg.tolerance is not None and not 0.0 <= cfg.tolerance < np.inf:

@@ -19,12 +19,16 @@ sweep, and ``theorem1``, ``theorem2`` and a pinned ``ib`` from one class
 sweep; each bound then emits its own rate-polygon vertices.
 
 Decomposition evaluations are independent of one another; they are computed
-as vectorized batches (the parallel-map stage) and then reduced by a single
-deterministic Pareto-and-hull pass, so the result does not depend on
-evaluation order or batch chunking.  That pass first drops, in linear time,
-every candidate whose r2 is at most the largest r2 of a higher r1 bin, so the
-sort sees thousands of candidates instead of millions; the frontier and its
-provenance are exactly those of sorting them all.
+as vectorized batches (the parallel-map stage) and reduced as they stream.
+Each run of _CHUNK decompositions emits its corner candidates and at once
+drops, in linear time, every candidate whose r2 is at most the largest r2 of
+a higher r1 bin of that run; only the survivors are kept, in input order,
+and the full candidate cloud is never stacked.  One deterministic
+Pareto-and-hull pass over the survivors gives the frontier, and the same
+pass over the prefix the base batches left gives the frontier before the
+|U|=3 batches.  Both, provenance included, are exactly those of sorting
+every candidate, so the result does not depend on evaluation order or batch
+chunking.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
@@ -142,25 +146,26 @@ def frontier_contains(frontier: RegionFrontier, point: RatePoint, tol: float = V
 
 
 def _polyline_samples(pts: np.ndarray) -> np.ndarray:
+    """The first vertex, then _SEG_SAMPLES - 1 evenly spaced samples per segment."""
     if pts.shape[0] == 1:
         return pts
-    chunks = [pts[:1]]
-    ts = np.linspace(0.0, 1.0, _SEG_SAMPLES)[1:, None]
-    for a, b in zip(pts[:-1], pts[1:]):
-        chunks.append(a[None, :] + ts * (b - a)[None, :])
-    return np.vstack(chunks)
+    ts = np.linspace(0.0, 1.0, _SEG_SAMPLES)[None, 1:, None]
+    segs = pts[:-1, None, :] + ts * (pts[1:] - pts[:-1])[:, None, :]
+    return np.vstack([pts[:1], segs.reshape(-1, 2)])
 
 
 def _dists_to_polyline(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each sample to the polyline, on (samples, segments) arrays."""
     if pts.shape[0] == 1:
-        return np.linalg.norm(samples - pts[0], axis=1)
-    a = pts[:-1]
-    d = pts[1:] - pts[:-1]
-    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
-    diff = samples[:, None, :] - a[None, :, :]
-    t = np.clip((diff * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(samples[:, None, :] - proj, axis=2).min(axis=1)
+        ex, ey = samples[:, 0] - pts[0, 0], samples[:, 1] - pts[0, 1]
+        return np.sqrt(ex * ex + ey * ey)
+    sx, sy = samples[:, :1], samples[:, 1:]  # (samples, 1) columns against (segments,) rows
+    ax, ay = pts[:-1, 0], pts[:-1, 1]
+    dx, dy = pts[1:, 0] - ax, pts[1:, 1] - ay
+    len2 = np.maximum(dx * dx + dy * dy, 1e-300)
+    t = np.clip(((sx - ax) * dx + (sy - ay) * dy) / len2, 0.0, 1.0)
+    ex, ey = sx - (ax + t * dx), sy - (ay + t * dy)
+    return np.sqrt(ex * ex + ey * ey).min(axis=1)
 
 
 def _hausdorff(p1: np.ndarray, p2: np.ndarray) -> float:
@@ -171,7 +176,12 @@ def _hausdorff(p1: np.ndarray, p2: np.ndarray) -> float:
 
 
 def frontier_distance(f1: RegionFrontier, f2: RegionFrontier) -> float:
-    """Symmetric Hausdorff distance between two frontier polylines."""
+    """Symmetric Hausdorff distance between two frontier polylines, sampled.
+
+    Each segment is sampled at _SEG_SAMPLES evenly spaced points, its ends
+    included, and each sample is measured exactly to the other polyline, so
+    the result is a lower bound on the exact Hausdorff distance.
+    """
     return _hausdorff(f1.as_array(), f2.as_array())
 
 
@@ -189,12 +199,22 @@ def frontier_csv(frontier: RegionFrontier) -> str:
 def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     """Linear pre-pass: drop points beaten by a point in a higher r1 bin.
 
-    r1 is cut into _PARETO_BINS equal-width bins (a monotone map, so a higher
-    bin means a strictly larger r1).  A point whose r2 is at most the largest
-    r2 of the bins strictly to its right has a dominator that sorts before
-    it, so it can neither pass the running-max test in _pareto_filter nor
-    raise the running max; the survivors, kept in input order, give the
-    same output.  A NaN r2, or a NaN among the bounds, drops nothing.
+    r1 is cut into _PARETO_BINS equal-width bins over the points given (a
+    monotone map, so a higher bin means a strictly larger r1).  A point
+    whose r2 is at most the largest r2 of the bins strictly to its right is
+    dropped; a point with that largest r2 in the highest bin holding it
+    survives and dominates it (larger r1, r2 at least as large).  Survivors
+    keep their input order.  A NaN r2, or a NaN among the bounds, drops
+    nothing.
+
+    Why the survivors of any number of passes, each over any part of a
+    cloud, give _pareto_filter the same output as the whole cloud: domination
+    is transitive, so every dropped point is dominated by a final survivor.
+    That survivor sorts before it, so the running max the dropped point
+    would meet is at least its own r2: it could neither pass the keep test
+    nor raise the running max, and removing it changes no other point's
+    fate.  The stable lexsort keeps exact ties in input order, so the
+    provenance ids do not change either.
     """
     if points.shape[0] <= _PARETO_BINS:
         return points, idx
@@ -230,13 +250,12 @@ def _upper_hull(points: np.ndarray, idx: np.ndarray):
     n = points.shape[0]
     if n <= 2:
         return points, idx
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
     stack: list[int] = []
     for i in range(n):
         while len(stack) >= 2:
-            o = points[stack[-2]]
-            a = points[stack[-1]]
-            b = points[i]
-            cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+            o, a = stack[-2], stack[-1]
+            cross = (xs[a] - xs[o]) * (ys[i] - ys[o]) - (ys[a] - ys[o]) * (xs[i] - xs[o])
             if cross >= -CELL_FLOOR:
                 stack.pop()
             else:
@@ -487,6 +506,7 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
     idx_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
+    candidates = dict.fromkeys(kinds, 0)
     stored: list[tuple] = []
     offset = 0
     laws = 0
@@ -506,8 +526,11 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
                 ids = offset + lo + np.arange(a[run].size)
                 for kind in kinds:
                     r1, r2, reps = _emit_vertices(kind, a[run], bq[run], cq[run])
-                    pts_lists[kind].append(np.column_stack([r1, r2]))
-                    idx_lists[kind].append(np.tile(ids, reps))
+                    candidates[kind] += r1.size
+                    # column-major, so the pre-pass reads r1 and r2 contiguously
+                    pts, pids = _drop_dominated(np.stack([r1, r2]).T, np.tile(ids, reps))
+                    pts_lists[kind].append(pts)
+                    idx_lists[kind].append(pids)
             offset += n
     if offset == 0:
         raise DomainError("empty decomposition grid after constraint filtering")
@@ -515,18 +538,17 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
 
     frontiers = {}
     for kind in kinds:
-        points = np.vstack(pts_lists.pop(kind))
-        idx = np.concatenate(idx_lists.pop(kind))
+        points = np.vstack(pts_lists[kind])
+        idx = np.concatenate(idx_lists[kind])
         pts, ids = _upper_hull(*_pareto_filter(points, idx))
         aux3_change = None
         if aux3_swept:
-            base = idx < aux3_offset
+            base = idx < aux3_offset  # a prefix: the base batches run first
             bp, _ = _upper_hull(*_pareto_filter(points[base], idx[base]))
             aux3_change = 0.0 if np.array_equal(bp, pts) else _hausdorff(bp, pts)
         prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
         rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
-        frontiers[kind] = (rate_points, prov, int(points.shape[0]), aux3_change)
-        del points, idx  # free this kind's candidates before the next is stacked
+        frontiers[kind] = (rate_points, prov, candidates[kind], aux3_change)
 
     out = {}
     for name, diagnostics in bounds.items():

@@ -14,7 +14,6 @@ from bcorder.bscbec import (
     d_derivative,
     d_func,
     degrading_channel,
-    is_less_noisy_convexity,
     regime,
     thresholds,
 )
@@ -192,13 +191,21 @@ def test_classify_pair_half_column_and_boundaries():
 
 
 def test_convexity_flag_matches_threshold():
+    # the gap is convex in x exactly when e <= 4p(1-p), where regime puts the
+    # pair in one of its first two classes; a 1e-3 scan sees the concavity
+    # at x = 1/2 (second difference -(4/ln 2)(e - 4p(1-p)) 1e-6) outside the band
     rng = np.random.default_rng(6)
+    xs = np.linspace(0.0, 1.0, 1001)
     for _ in range(50):
         p = rng.uniform(0.02, 0.48)
         e = rng.uniform(0.0, 1.0)
         if abs(e - 4.0 * p * (1.0 - p)) < 1e-3:
             continue  # skip the band where the call is borderline
-        assert is_less_noisy_convexity(BscBecPair(p, e)) == (e <= 4.0 * p * (1.0 - p))
+        vals = d_func(BscBecPair(p, e), xs)
+        second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
+        convex = bool(regime(p, e)[0] <= 1)
+        assert convex == (e <= 4.0 * p * (1.0 - p))
+        assert convex == bool(np.all(second >= -2.0 * VERDICT_TOL))
 
 
 def test_degrading_channel_exact_cascade():

@@ -456,8 +456,9 @@ def _outside(lo: float, hi: float):
 
 
 # every value is rejected before any computation or allocation; the values
-# drawn above a size bound stop at _HUGE, where 1/value is still a float
-_HUGE = 10**15
+# drawn above a size bound reach _HUGE, past the largest float (1.8e308)
+_HUGE = 10**400
+_FLOAT_MAX_INT = int(sys.float_info.max)
 _MESH_GRID_MIN = int(regions._SWEEP_CAP ** (1.0 / 3.0))  # (grid+1)^3 binary decompositions
 _PINNED_GRID_MIN = 10**5  # (grid-1) x 1000-2000 pinned binary decompositions
 _BSC_BEC = ("--bsc", "0.1", "--bec", "0.5")
@@ -472,6 +473,8 @@ _BAD_FLAGS = (
     ("--tol", _NON_FINITE | st.floats(max_value=0.0), (("classify", *_BSC_BEC),)),
     ("--tolerance", _NON_FINITE | st.floats(max_value=-1e-6), (("verify-paper", "--check", "aux-informations"),)),
     ("--grid", st.integers(max_value=1), (("phase-map",), _DCURVE, ("verify-paper",))),
+    ("--grid", st.integers(_FLOAT_MAX_INT + 1, _HUGE),
+     (("classify", *_BSC_BEC), ("symmetry", *_BSC_BEC), ("verify-paper",), _DCURVE)),
     ("--grid", st.integers(PHASE_MAP_GRID_CAP + 1, _HUGE), (("phase-map",),)),
     ("--grid", st.integers(_MESH_GRID_MIN, _HUGE), (("region", *_BSC_BEC),)),
     ("--grid", st.integers(_PINNED_GRID_MIN, _HUGE), (("region", *_BSC_BEC, "--which", "theorem1", "--class", "uniform"),)),

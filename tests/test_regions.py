@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
 from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, channel_mi, mi_batch, split_input_pair
-from bcorder.probcore import SIMPLEX_TOL, Dist, DomainError, binary_entropy
+from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_entropy
 from bcorder.regions import (
     RatePoint,
     RegionFrontier,
@@ -225,25 +225,156 @@ def test_pareto_filter_matches_lexsort_reference(n, lattice, r1_mode, duplicates
     assert np.array_equal(got_ids, want_ids)
 
 
+@_PROPERTY
+@given(
+    n=st.sampled_from([1, 7, 300, regions._PARETO_BINS + 1, 9000, 20000]),
+    lattice=st.sampled_from([1, 3, 16, 250, 0]),
+    r1_mode=st.sampled_from(["free", "columns", "constant"]),
+    duplicates=st.booleans(),
+    nans=st.booleans(),
+    arc=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode, duplicates, nans, arc, seed):
+    # the sweep drops dominated points chunk by chunk, each chunk binned on
+    # its own r1 range, and sorts only the concatenated survivors
+    rng = np.random.default_rng(seed)
+    pts = rng.random((n, 2))
+    if arc:  # a dense frontier: half the points on a concave arc, several per r1 bin
+        pts[:, 1] = np.sqrt(1.0 - pts[:, 0] ** 2) * np.where(rng.random(n) < 0.5, 1.0, pts[:, 1])
+    if lattice:
+        pts = np.round(pts * lattice) / lattice
+    if r1_mode == "columns":
+        pts[:, 0] = rng.integers(0, 5, n) / 4.0
+    elif r1_mode == "constant":
+        pts[:, 0] = 0.375
+    if duplicates:
+        pts = np.vstack([pts, pts[rng.integers(0, n, n // 2 + 1)]])
+    if nans:
+        pts[rng.integers(0, pts.shape[0], 3), 1] = np.nan
+    idx = rng.permutation(pts.shape[0])
+    # cut points: chunks below and above _PARETO_BINS, and empty ones
+    cuts = np.sort(rng.integers(0, pts.shape[0] + 1, rng.integers(0, 6)))
+    bounds = [0, *cuts.tolist(), pts.shape[0]]
+    with np.errstate(invalid="ignore"):  # NaN r2 in np.maximum.at
+        kept = [regions._drop_dominated(pts[lo:hi], idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        survivors = np.vstack([k[0] for k in kept]), np.concatenate([k[1] for k in kept])
+        got_pts, got_ids = regions._pareto_filter(*survivors)
+        want_pts, want_ids = _lexsort_pareto(pts, idx)
+    assert np.array_equal(got_pts, want_pts, equal_nan=True)
+    assert np.array_equal(got_ids, want_ids)
+
+
 def test_pareto_prepass_on_outer_bound_sweep(monkeypatch):
-    sizes = []
-    drop = regions._drop_dominated
+    # rows reaching the lexsort, over the whole streamed sweep
+    sorted_rows = []
+    pareto = regions._pareto_filter
 
     def counted(points, idx):
-        kept = drop(points, idx)
-        sizes.append((points.shape[0], kept[0].shape[0]))
-        return kept
+        sorted_rows.append(regions._drop_dominated(points, idx)[0].shape[0])
+        return pareto(points, idx)
 
-    monkeypatch.setattr(regions, "_drop_dominated", counted)
+    monkeypatch.setattr(regions, "_pareto_filter", counted)
     fast = outer_bound_eq_ob(bec(0.5), bsc(0.1))
-    assert sizes and all(kept < 0.05 * total for total, kept in sizes)
+    assert sorted_rows and max(sorted_rows) < 0.05 * fast.diagnostics["num_candidates"]
+    # the reference sorts the whole cloud: no pre-pass, per chunk or global
+    monkeypatch.setattr(regions, "_drop_dominated", lambda points, idx: (points, idx))
     monkeypatch.setattr(regions, "_pareto_filter", _lexsort_pareto)
     ref = outer_bound_eq_ob(bec(0.5), bsc(0.1))
     assert fast.points == ref.points
+    assert fast.diagnostics == ref.diagnostics
     assert len(fast.provenance) == len(ref.provenance)
     for d, e in zip(fast.provenance, ref.provenance):
         assert np.array_equal(d.pu.probs, e.pu.probs)
         assert np.array_equal(d.px_given_u, e.px_given_u)
+
+
+def _reference_polyline_samples(pts):
+    if pts.shape[0] == 1:
+        return pts
+    chunks = [pts[:1]]
+    ts = np.linspace(0.0, 1.0, regions._SEG_SAMPLES)[1:, None]
+    for a, b in zip(pts[:-1], pts[1:]):
+        chunks.append(a[None, :] + ts * (b - a)[None, :])
+    return np.vstack(chunks)
+
+
+def _reference_dists_to_polyline(samples, pts):
+    if pts.shape[0] == 1:
+        return np.linalg.norm(samples - pts[0], axis=1)
+    a = pts[:-1]
+    d = pts[1:] - pts[:-1]
+    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
+    diff = samples[:, None, :] - a[None, :, :]
+    t = np.clip((diff * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
+    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
+    return np.linalg.norm(samples[:, None, :] - proj, axis=2).min(axis=1)
+
+
+def _reference_hausdorff(p1, p2):
+    s1, s2 = _reference_polyline_samples(p1), _reference_polyline_samples(p2)
+    return float(max(_reference_dists_to_polyline(s1, p2).max(), _reference_dists_to_polyline(s2, p1).max()))
+
+
+def _reference_upper_hull(points, idx):
+    n = points.shape[0]
+    if n <= 2:
+        return points, idx
+    stack = []
+    for i in range(n):
+        while len(stack) >= 2:
+            o = points[stack[-2]]
+            a = points[stack[-1]]
+            b = points[i]
+            cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+            if cross >= -CELL_FLOOR:
+                stack.pop()
+            else:
+                break
+        stack.append(i)
+    sel = np.array(stack, dtype=int)
+    return points[sel], idx[sel]
+
+
+def _monotone_concave(rng, n, runs):
+    """n points, r1 ascending and r2 descending, slopes falling; with runs,
+    some neighbouring segments share a slope (collinear within CELL_FLOOR)."""
+    dx = rng.random(n - 1) * 0.1 + 1e-3
+    steepness = rng.random(n - 1) * 3.0
+    if runs:  # a few distinct slopes, each repeated
+        steepness = rng.choice(steepness[: max(1, (n - 1) // 4)], n - 1)
+    slopes = -np.sort(steepness)
+    x = np.concatenate([[0.0], np.cumsum(dx)]) * rng.random()
+    y = np.concatenate([[0.0], np.cumsum(slopes * dx)])
+    return np.column_stack([x, y - y.min() + rng.random()])
+
+
+@_PROPERTY
+@given(
+    n1=st.integers(1, 80),
+    n2=st.integers(1, 80),
+    runs=st.booleans(),
+    nested=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hausdorff_and_hull_are_bit_identical_to_the_reference(n1, n2, runs, nested, seed):
+    rng = np.random.default_rng(seed)
+    p1 = _monotone_concave(rng, n1, runs)
+    # nested: the second polyline is a subset of the first, nudged within CELL_FLOOR
+    p2 = p1[np.sort(rng.choice(n1, min(n1, n2), replace=False))] if nested else _monotone_concave(rng, n2, runs)
+    if nested:
+        p2 = p2 + rng.uniform(-1.0, 1.0, p2.shape) * CELL_FLOOR
+    for a, b in ((p1, p2), (p2, p1), (p1, p1)):
+        assert np.array_equal(regions._polyline_samples(a), _reference_polyline_samples(a))
+        assert np.array_equal(regions._dists_to_polyline(_reference_polyline_samples(a), b),
+                              _reference_dists_to_polyline(_reference_polyline_samples(a), b))
+        assert regions._hausdorff(a, b) == _reference_hausdorff(a, b)
+    # the hull also sees Pareto sets that are not concave
+    wobbly = p1 + np.column_stack([np.zeros(n1), rng.random(n1) * 0.05])
+    for pts in (p1, p2, wobbly):
+        idx = rng.permutation(pts.shape[0])
+        got, want = regions._upper_hull(pts, idx), _reference_upper_hull(pts, idx)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_constrained_sweep_reports_coarsened_step():
@@ -404,6 +535,24 @@ def test_aux3_change_is_zero_when_the_points_do_not_move():
     assert fr.diagnostics["aux3_change"] == 0.0
     four = outer_bound_eq_ob(*split_input_pair(), step=0.1)
     assert four.diagnostics["aux3_change"] is None
+
+
+def test_aux3_change_is_the_distance_from_the_base_frontier(monkeypatch):
+    # the base frontier comes from the survivors of the base batches alone
+    uni = [Dist.uniform(2)]
+    fr = region_frontiers(bsc(0.1), bec(0.15), ["ib", "ob"], step=0.1)
+    fr.update(region_frontiers(bec(0.15), bsc(0.1), ["theorem1", "theorem2"], uni, step=0.1))
+    free_batches, constrained_batches = regions._free_batches, regions._constrained_batches
+    monkeypatch.setattr(regions, "_free_batches", lambda m, step: (*free_batches(m, step)[:1], [], step))
+    monkeypatch.setattr(regions, "_constrained_batches", lambda t, m, step: (constrained_batches(t, m, step)[0], [], step))
+    base = region_frontiers(bsc(0.1), bec(0.15), ["ib", "ob"], step=0.1)
+    base.update(region_frontiers(bec(0.15), bsc(0.1), ["theorem1", "theorem2"], uni, step=0.1))
+    for name in ("ib", "ob", "theorem1", "theorem2"):
+        assert base[name].diagnostics["aux3_change"] is None
+        assert fr[name].diagnostics["aux3_change"] == frontier_distance(base[name], fr[name])
+    # the |U|=3 passes move the coarse ob frontier and the 48-point pinned ones
+    assert fr["ob"].diagnostics["aux3_change"] > 0.1
+    assert fr["theorem1"].diagnostics["aux3_change"] > 0.01
 
 
 def test_oversized_sweeps_are_refused_before_allocation():
