@@ -15,6 +15,7 @@ and ties resolve to the first index.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,6 +46,7 @@ _HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian b
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 _LP_BLOCKS = 256          # pairs per block-diagonal degradedness LP
+_EIG_SLACK = 64.0 * math.sqrt(np.finfo(float).eps)  # closed-form eigenvalue slack per unit of trace
 
 
 class Outcome(enum.Enum):
@@ -478,41 +480,132 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     return _more_capable(a.rows[None], b.rows[None], step)[0]
 
 
-def _tangent_hessian(a: np.ndarray, b: np.ndarray, pts: np.ndarray, q_basis: np.ndarray) -> np.ndarray:
-    """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per pair and point.
+def _tangent_hessian(
+    proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray, lane: np.ndarray
+) -> np.ndarray:
+    """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per point.
 
     It is Q^T [B diag(1/q_b) B^T - A diag(1/q_a) A^T] Q / ln 2, with q = p rows
-    and Q = ``q_basis`` an orthonormal basis of {v : sum v = 0}, as a
-    (P, len(pts), m-1, m-1) array.  ``a`` and ``b`` are (P, m, n) row stacks
-    in which some input reaches every output, and ``pts`` must lie in the
-    open simplex.
+    and Q an orthonormal basis of {v : sum v = 0}, as a (k, m-1, m-1) array.
+    ``proj`` is a (P, m-1, n) stack of each pair's Q^T rows, ``lane`` the
+    (k,) pair of each point and ``q`` its (k, n) output law, which must be
+    positive.
     """
     hess = 0.0
-    for rows, sign in ((b, 1.0), (a, -1.0)):
-        proj = q_basis.T @ rows
-        hess = hess + sign * (
-            (proj[:, None, :, :] / (pts @ rows)[:, :, None, :]) @ proj.transpose(0, 2, 1)[:, None]
-        )
+    for proj, q, sign in ((proj_b, q_b, 1.0), (proj_a, q_a, -1.0)):
+        rows = proj[lane]
+        hess = hess + sign * ((rows / q[:, None, :]) @ rows.transpose(0, 2, 1))
     return hess / math.log(2.0)
+
+
+@functools.cache
+def _tangent_basis(m: int) -> np.ndarray:
+    """An orthonormal (m, m-1) basis of {v : sum v = 0}, read-only."""
+    # the trailing left singular vectors of the all-ones column span its complement
+    basis = np.linalg.svd(np.ones((m, 1)))[0][:, 1:]
+    basis.flags.writeable = False
+    return basis
+
+
+def _estimate_table(proj_b: np.ndarray, proj_a: np.ndarray) -> np.ndarray | None:
+    """Per-output table that turns 1/q into a Hessian estimate and its slack.
+
+    ``proj_b`` and ``proj_a`` are (P, d, nb) and (P, d, na) stacks of Q^T
+    rows.  Row o of the (P, nb + na, d*d + 1) result holds
+    +-proj[:, o] proj[:, o]^T / ln 2, flattened, + for b's outputs and - for
+    a's, then _EIG_SLACK |proj[:, o]|^2 / ln 2.  So with q the output laws
+    of b then a, (1/q) @ table is the Hessian H_b - H_a followed by
+    _EIG_SLACK (tr H_b + tr H_a).  None for d > 3, which has no closed form.
+    """
+    count, d, nb = proj_b.shape
+    if d > 3:
+        return None
+    proj = np.concatenate((proj_b, proj_a), axis=2)
+    outer = (proj[:, :, None, :] * proj[:, None, :, :]).reshape(count, d * d, -1)
+    trace = _EIG_SLACK * outer[:, :: d + 1].sum(axis=1, keepdims=True)
+    outer[:, :, nb:] *= -1.0
+    return np.concatenate((outer, trace), axis=1).transpose(0, 2, 1) / math.log(2.0)
+
+
+def _top_eigenvalue_estimate(
+    q_b: np.ndarray, q_a: np.ndarray, table: np.ndarray | None, d: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form top tangent-space eigenvalue per point, and its error slack.
+
+    ``q_b`` and ``q_a`` are the (P, N, n) output laws and ``table`` is
+    _estimate_table's, so one GEMM of 1/q with it gives the estimate
+    H~ = H_b - H_a.  Its top eigenvalue is taken as its entry for d = 1, by
+    the 2x2 formula for d = 2 and by the trigonometric formula for d = 3,
+    with the 3x3 determinant written out.  Returns it with the slack
+    s = _EIG_SLACK (tr H_b + tr H_a), both (P, N).
+
+    Why |estimate - eigvalsh(H)| <= s, H being the Hessian _tangent_hessian
+    builds from the same q, with T = tr H_b + tr H_a:
+    - Each channel's term is PSD, so the n summands proj_i proj_j / q_o of
+      an entry add up in absolute value to at most its trace.  H~ and H sum
+      them in different orders, so they differ entrywise by O(n eps) T, and
+      by Weyl's inequality so do their top eigenvalues.
+    - eigvalsh is backward stable: its value is within O(eps) |H| <= O(eps) T.
+    - The 2x2 formula and the trigonometric one away from a double root are
+      exact up to O(eps) T.  Where the top two of three eigenvalues meet,
+      the top one is mean + 2p cos(acos(r)/3) with r near -1, whose slope
+      in r diverges; an error e in r then moves it by about 0.8 p sqrt(e).
+      The rounding of the mean and of the centred entries is O(eps) T, so
+      e = O(eps T / p), and the error is O(sqrt(eps T p)) <= O(sqrt(eps)) T.
+    With the constants of the formulas this is at most about 25 sqrt(eps) T
+    for n < 10^6 outputs, and s is 64 sqrt(eps) T.  Without a table (d > 3)
+    no closed form is taken: the estimate is 0 and the slack infinite, so
+    every point is a candidate.
+    """
+    if table is None:
+        return np.zeros(q_b.shape[:2]), np.full(q_b.shape[:2], np.inf)
+    h = (1.0 / np.concatenate((q_b, q_a), axis=2)) @ table
+    slack = h[..., -1]
+    if d == 1:
+        return h[..., 0], slack
+    if d == 2:
+        a, b, c = h[..., 0], h[..., 1], h[..., 3]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b), slack
+    a11, a12, a13, a22, a23, a33 = (h[..., i] for i in (0, 1, 2, 4, 5, 8))
+    mean = (a11 + a22 + a33) / 3.0
+    b11, b22, b33 = a11 - mean, a22 - mean, a33 - mean
+    p = np.sqrt((b11 * b11 + b22 * b22 + b33 * b33 + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23)) / 6.0)
+    det = b11 * (b22 * b33 - a23 * a23) - a12 * (a12 * b33 - a23 * a13) + a13 * (a12 * a23 - b22 * a13)
+    # |det| <= 2 p^3 exactly; where p^3 underflows, any r in [-1, 1] is within 3p
+    r = np.clip(det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
+    return mean + 2.0 * p * np.cos(np.arccos(r) / 3.0), slack
 
 
 def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest tangent-space eigenvalue over ``pts`` per pair, its first point and eigenvector.
 
     Pairs whose channels reach the same outputs are taken together, without
-    the outputs no input reaches.  The Hessians are taken in blocks of about
+    the outputs no input reaches.  The points are taken in blocks of about
     _HESSIAN_BLOCK array entries, whole pairs to a block when a pair's
     points fit, so memory stays bounded on large alphabets.
+
+    Each block is scanned as a filter, then a confirmation.  The filter
+    estimates every point's top eigenvalue within a slack s in closed form
+    (see _top_eigenvalue_estimate).  A point is a candidate unless its
+    estimate plus s falls below the largest estimate minus s of its pair's
+    block, or below the pair's best so far: its eigvalsh value is then below
+    another point's, or cannot raise the best.  The candidates' Hessians are
+    built from the block's own output laws q, since BLAS rounds a product
+    by its row count and a q recomputed for fewer points could differ in
+    the last bit, and eigvalsh confirms them.  The first point of largest
+    eigvalsh value is always a candidate, so the result is bit for bit the
+    one of a full eigvalsh scan.
     """
     count, m = a.shape[:2]
+    d = m - 1
     na = a.shape[2]
-    # the trailing left singular vectors of the all-ones column span its complement
-    q_basis = np.linalg.svd(np.ones((m, 1)))[0][:, 1:]
-    size = max(1, _HESSIAN_BLOCK // ((m - 1) * max(m - 1, na, b.shape[2])))
+    q_basis = _tangent_basis(m)
+    size = max(1, _HESSIAN_BLOCK // (d * max(d, na, b.shape[2])))
     span = max(1, size // pts.shape[0])
+    run = max(1, size // 4)
     curv = np.full(count, -np.inf)
     where = np.full(count, -1)
-    top = np.zeros((count, m - 1, m - 1))
+    top = np.zeros((count, d, d))
     reach = np.concatenate((a.max(axis=1), b.max(axis=1)), axis=1) > CELL_FLOOR
     if count > 1:
         # pairs that reach the same outputs are contiguous in this order
@@ -528,30 +621,51 @@ def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.nd
         ga, gb = a[members][:, :, keep[:na]], b[members][:, :, keep[na:]]
         for p0 in range(0, members.size, span):
             ids = members[p0:p0 + span]
+            rows_b, rows_a = gb[p0:p0 + span], ga[p0:p0 + span]
+            proj_b, proj_a = q_basis.T @ rows_b, q_basis.T @ rows_a
+            table = _estimate_table(proj_b, proj_a)
             for lo in range(0, pts.shape[0], size):
-                hess = _tangent_hessian(ga[p0:p0 + span], gb[p0:p0 + span], pts[lo:lo + size], q_basis)
-                blk = np.linalg.eigvalsh(hess)[..., -1]
-                lane = np.arange(ids.size)
-                k = blk.argmax(axis=1)
-                up = blk[lane, k] > curv[ids]
-                curv[ids[up]] = blk[lane[up], k[up]]
-                where[ids[up]] = lo + k[up]
-                top[ids[up]] = hess[lane[up], k[up]]
+                q_b, q_a = pts[lo:lo + size] @ rows_b, pts[lo:lo + size] @ rows_a
+                est, slack = _top_eigenvalue_estimate(q_b, q_a, table, d)
+                floor = np.maximum((est - slack).max(axis=1), curv[ids])
+                lane, k = np.nonzero(~(est + slack < floor[:, None]))
+                # confirm the candidates a quarter block at a time, in (pair,
+                # point) order; only a strictly larger value replaces a best
+                for c0 in range(0, lane.size, run):
+                    cl, ck = lane[c0:c0 + run], k[c0:c0 + run]
+                    hess = _tangent_hessian(proj_b, q_b[cl, ck], proj_a, q_a[cl, ck], cl)
+                    vals = np.linalg.eigvalsh(hess)[:, -1]
+                    lanes, first = _first_best(vals, cl, maximize=True)
+                    up = vals[first] > curv[ids[lanes]]
+                    won, first = ids[lanes[up]], first[up]
+                    curv[won], where[won], top[won] = vals[first], lo + ck[first], hess[first]
     vecs = np.linalg.eigh(top)[1][..., -1]
     return curv, where, (q_basis @ vecs[..., None])[..., 0]
+
+
+@functools.lru_cache(maxsize=4)
+def _curvature_points(m: int, step: float) -> tuple[int, np.ndarray]:
+    """The simplex grid's size and its interior points, read-only.
+
+    A grid with no interior point is pulled halfway toward the uniform law
+    instead.
+    """
+    grid = simplex_grid(m, step)
+    interior = grid[np.all(grid > 0.0, axis=1)]
+    if not interior.shape[0]:
+        interior = 0.5 * grid + 0.5 / m
+    interior.flags.writeable = False
+    return int(grid.shape[0]), interior
 
 
 def _less_noisy(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
     """Less-noisy verdicts for row stacks: one grid, one chord-scoring pass."""
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = simplex_grid(m, eff)
-    interior = grid[np.all(grid > 0.0, axis=1)]
-    if not interior.shape[0]:
-        interior = 0.5 * grid + 0.5 / m
+    grid_points, interior = _curvature_points(m, eff)
     diagnostics = []
     for _ in range(count):
-        d: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
+        d: dict = {"grid_step": eff, "grid_points": grid_points, "max_curvature": None}
         if step != eff:
             d["requested_step"] = step
         diagnostics.append(d)
@@ -629,12 +743,8 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     return _less_noisy(a.rows[None], b.rows[None], step)[0]
 
 
-def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
-    """Uniform-dominance verdicts for row stacks: one grid, one lockstep refinement.
-
-    Raises NotCSymmetricError, naming the side and the pair, unless every
-    channel is c-symmetric.
-    """
+def _require_c_symmetric(a: np.ndarray, b: np.ndarray) -> None:
+    """Raise NotCSymmetricError, naming the side and the pair, unless every channel is c-symmetric."""
     for name, side in (("first", a), ("second", b)):
         labels = tuple(str(y) for y in range(side.shape[2]))
         # each distinct channel is searched once, at its first pair
@@ -642,6 +752,13 @@ def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
         for p in np.sort(firsts):
             if detect_c_symmetry(Dmc(side[p], labels)) is None:
                 raise NotCSymmetricError(f"{name} channel of pair {p} is not c-symmetric")
+
+
+def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
+    """Uniform-dominance verdicts for row stacks: one grid, one lockstep refinement.
+
+    Every channel must be c-symmetric; the callers check that.
+    """
     x, v, diagnostics = _gap_extremum(a, b, step, maximize=True)
     uniform = _gap_vec(a, b, np.full((1, a.shape[1]), 1.0 / a.shape[1]))[:, 0]
     verdicts = []
@@ -661,7 +778,9 @@ def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
     channel must be c-symmetric.  All pairs share one grid and one lockstep
     refinement.
     """
-    return _dominant(*_stacked_pairs(a, b), 0.02)
+    a, b = _stacked_pairs(a, b)
+    _require_c_symmetric(a, b)
+    return _dominant(a, b, 0.02)
 
 
 def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -673,6 +792,7 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
     one-pair case of ``dominant_c_symmetry_stack``.
     """
     _require_same_input(a, b)
+    _require_c_symmetric(a.rows[None], b.rows[None])
     return _dominant(a.rows[None], b.rows[None], step)[0]
 
 
@@ -700,7 +820,7 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
             Outcome.INCONCLUSIVE,
             diagnostics={"reason": f"{which} channel has no cyclic symmetry"},
         )
-    dom = test_dominant_c_symmetry(a, b, step=step)
+    [dom] = _dominant(a.rows[None], b.rows[None], step)
     diagnostics = dict(dom.diagnostics)
     diagnostics["route"] = "uniform-dominance on a c-symmetric pair"
     if dom.holds:

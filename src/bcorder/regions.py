@@ -231,7 +231,17 @@ def _drop_dominated(points: np.ndarray, idx: np.ndarray):
 
 
 def _pareto_filter(points: np.ndarray, idx: np.ndarray):
-    """Keep Pareto-maximal points, returned sorted by r1 ascending."""
+    """Keep Pareto-maximal points, returned sorted by r1 ascending.
+
+    Values within SIMPLEX_TOL count as equal in either coordinate.  Ranked
+    by r1, then r2, descending, a point is kept iff its r2 exceeds every
+    higher-ranked point's by more than SIMPLEX_TOL.  In the staircase this
+    leaves, r1 rises while r2 falls; a point whose left neighbour there
+    lies within SIMPLEX_TOL in r1 is dropped too, since that neighbour has
+    the same r1 up to rounding and a larger r2.  So no frontier ends in a
+    vertical step of rounding, and a run of staircase points closer than
+    SIMPLEX_TOL apart in r1 keeps only its first.
+    """
     points, idx = _drop_dominated(points, idx)
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     pts = points[order]
@@ -242,7 +252,10 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     if r2.size > 1:
         acc = np.maximum.accumulate(r2)
         keep[1:] = r2[1:] > acc[:-1] + SIMPLEX_TOL
-    return pts[keep][::-1], ids[keep][::-1]
+    pts, ids = pts[keep][::-1], ids[keep][::-1]
+    apart = np.ones(ids.size, dtype=bool)
+    apart[1:] = pts[1:, 0] - pts[:-1, 0] > SIMPLEX_TOL
+    return pts[apart], ids[apart]
 
 
 def _upper_hull(points: np.ndarray, idx: np.ndarray):

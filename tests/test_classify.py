@@ -402,6 +402,91 @@ def test_curvature_scan_is_bounded_on_sixteen_inputs():
     assert peak < 100 * 2**20
 
 
+def _reference_max_curvature(a, b, pts):
+    """The full curvature scan: every point's Hessian and eigvalsh, block by block.
+
+    Blocks, groups by reached outputs and the first-index tie rule are the
+    scan's; nothing is filtered.
+    """
+    count, m = a.shape[:2]
+    na = a.shape[2]
+    q_basis = np.linalg.svd(np.ones((m, 1)))[0][:, 1:]
+    size = max(1, ordering._HESSIAN_BLOCK // ((m - 1) * max(m - 1, na, b.shape[2])))
+    span = max(1, size // pts.shape[0])
+    curv, where, top = np.full(count, -np.inf), np.full(count, -1), np.zeros((count, m - 1, m - 1))
+    reach = np.concatenate((a.max(axis=1), b.max(axis=1)), axis=1) > CELL_FLOOR
+    groups = {}
+    for p in np.lexsort(reach.T) if count > 1 else range(count):
+        groups.setdefault(reach[p].tobytes(), []).append(p)
+    for members in map(np.array, groups.values()):
+        keep = reach[members[0]]
+        ga, gb = a[members][:, :, keep[:na]], b[members][:, :, keep[na:]]
+        for p0 in range(0, members.size, span):
+            ids = members[p0:p0 + span]
+            for lo in range(0, pts.shape[0], size):
+                blk_pts = pts[lo:lo + size]
+                hess = 0.0
+                for rows, sign in ((gb[p0:p0 + span], 1.0), (ga[p0:p0 + span], -1.0)):
+                    proj = q_basis.T @ rows
+                    hess = hess + sign * (
+                        (proj[:, None, :, :] / (blk_pts @ rows)[:, :, None, :]) @ proj.transpose(0, 2, 1)[:, None]
+                    )
+                hess = hess / math.log(2.0)
+                vals = np.linalg.eigvalsh(hess)[..., -1]
+                for j, p in enumerate(ids):
+                    k = int(vals[j].argmax())
+                    if vals[j, k] > curv[p]:
+                        curv[p], where[p], top[p] = vals[j, k], lo + k, hess[j, k]
+    vecs = np.linalg.eigh(top)[1][..., -1]
+    return curv, where, (q_basis @ vecs[..., None])[..., 0]
+
+
+def _curvature_pair(rng, kind, m, n):
+    """Rows of a pair for the curvature scan: kinds differ in how the top eigenvalue ties."""
+    if kind == "circulant":  # c-symmetric: a repeated top eigenvalue at the uniform law
+        law_a, law_b = rng.dirichlet(np.ones(n), size=2)
+        return np.array([np.roll(law_a, i) for i in range(m)]), np.array([np.roll(law_b, i) for i in range(m)])
+    a = rng.dirichlet(np.ones(n), size=m)
+    if kind == "sparse":  # an output no input reaches moves the pair to another reach group
+        a[:, -1] = 0.0
+    if kind == "equal":  # the Hessian is exactly 0 everywhere: every point ties
+        return a, a.copy()
+    if kind == "near":  # the Hessian is nearly 0, so the slack is as large as the values
+        b = a + 1e-7 * rng.random(a.shape) * (a > 0.0)
+        return a, b
+    if kind == "cascade":
+        return a, a @ rng.dirichlet(np.ones(n), size=n)
+    return a, rng.dirichlet(np.ones(n), size=m)
+
+
+@settings(_PROPERTY, max_examples=60)
+@given(
+    m=st.integers(2, 5),
+    kinds=st.lists(st.sampled_from(["circulant", "sparse", "equal", "near", "cascade", "free"]), min_size=1, max_size=4),
+    step=st.sampled_from([0.05, 0.125, 0.25]),
+    block=st.sampled_from([None, 2000]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curvature_filter_equals_the_full_scan_bitwise(m, kinds, step, block, seed):
+    # the closed-form filter only skips eigvalsh calls: the maximum, its
+    # first point and its eigenvector are the full scan's, bit for bit;
+    # m = 5 has no closed form (every point is a candidate), small blocks
+    # make several blocks and candidate runs per pair
+    rng = np.random.default_rng(seed)
+    n = m if "circulant" in kinds else int(rng.integers(2, 5))  # a circulant pair has m outputs
+    pairs = [_curvature_pair(rng, kind, m, n) for kind in kinds]
+    a, b = (np.stack([p[side] / p[side].sum(axis=1, keepdims=True) for p in pairs]) for side in (0, 1))
+    pts = ordering._curvature_points(m, ordering._bounded_step(m, step, ordering._POINT_GRID_CAP))[1]
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(ordering, "_HESSIAN_BLOCK", block)
+        got = ordering._max_curvature(a, b, pts)
+        want = _reference_max_curvature(a, b, pts)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
 def test_less_noisy_diagnostics_keys():
     y1, y2 = split_input_pair()
     fails = ordering.test_less_noisy(y1, y2)
@@ -488,6 +573,26 @@ def test_essentially_less_noisy_inconclusive_without_symmetry():
     skew = Dmc(np.array([[0.9, 0.1], [0.3, 0.7]]), ("0", "1"))
     verdict = ordering.test_essentially_less_noisy(skew, bsc(0.1))
     assert verdict.outcome is Outcome.INCONCLUSIVE
+
+
+def test_c_symmetry_is_searched_once_per_channel(monkeypatch):
+    searched = []
+    detect = ordering.detect_c_symmetry
+
+    def counted(channel):
+        searched.append(channel.rows.tobytes())
+        return detect(channel)
+
+    monkeypatch.setattr(ordering, "detect_c_symmetry", counted)
+    verdict = ordering.test_essentially_less_noisy(bsc(0.1), bec(0.5))
+    assert verdict.holds
+    assert searched == [bsc(0.1).rows.tobytes(), bec(0.5).rows.tobytes()]
+    # the dominance tests still check both sides themselves
+    skew = Dmc(np.array([[0.9, 0.1], [0.3, 0.7]]), ("0", "1"))
+    with pytest.raises(ordering.NotCSymmetricError, match="^second channel of pair 0 is not c-symmetric$"):
+        ordering.test_dominant_c_symmetry(bsc(0.1), skew)
+    with pytest.raises(ordering.NotCSymmetricError, match="^first channel of pair 0 is not c-symmetric$"):
+        ordering.dominant_c_symmetry_stack(skew.rows[None], bsc(0.1).rows[None])
 
 
 def test_essentially_more_capable_four_letter_pair():

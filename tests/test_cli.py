@@ -1,4 +1,5 @@
 import copy
+import functools
 import io
 import json
 import math
@@ -548,6 +549,25 @@ def test_help_exits_zero():
     code, out, _ = run_cli("--help")
     assert code == 0
     assert "classify" in out
+
+
+def test_main_builds_its_parser_once(monkeypatch):
+    from bcorder import cli
+
+    built = []
+
+    def counted():
+        built.append(1)
+        return cli.build_parser()
+
+    monkeypatch.setattr(cli, "_parser", functools.cache(counted))
+    assert run_cli("classify", "--bsc", "0.1")[0] == 2
+    code, out, _ = run_cli("--help")
+    assert code == 0 and out == cli.build_parser().format_help()
+    assert run_cli("classify", "--bsc", "0.1", "--bec", "0.5")[0] == 0
+    assert built == [1]
+    # build_parser itself still builds a fresh parser on every call
+    assert cli.build_parser() is not cli.build_parser()
 
 
 def test_no_command_exits_two():
