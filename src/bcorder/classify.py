@@ -145,6 +145,22 @@ def _bounded_step(m: int, step: float, cap: int) -> float:
     return eff
 
 
+@functools.lru_cache(maxsize=4)
+def _grid_points(m: int, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The simplex grid and its interior points, read-only, for the gap searches and the curvature scan.
+
+    A grid with no interior point is pulled halfway toward the uniform law
+    instead.
+    """
+    grid = simplex_grid(m, step)
+    interior = grid[np.all(grid > 0.0, axis=1)]
+    if not interior.shape[0]:
+        interior = 0.5 * grid + 0.5 / m
+    grid.flags.writeable = False
+    interior.flags.writeable = False
+    return grid, interior
+
+
 def _gap_vec(a: np.ndarray, b: np.ndarray, pxs: np.ndarray) -> np.ndarray:
     """I(X;Y_a) - I(X;Y_b) through channel rows; leading axes broadcast as in mi_batch."""
     return mi_batch(a, pxs) - mi_batch(b, pxs)
@@ -173,33 +189,45 @@ def _first_best(vals: np.ndarray, owner: np.ndarray, maximize: bool) -> tuple[np
     return ranked[lead], order[lead]
 
 
-def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool):
+def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool | np.ndarray):
     """Coordinate descent on the simplex by pairwise mass moves, from P starts in lockstep.
 
     ``x0`` is a (P, m) stack of start laws.  ``fn(q, idx)`` maps a
     (len(idx), k, m) stack of laws, where q[j] belongs to start idx[j], to
-    their (len(idx), k) values.  Each sweep evaluates, in one call, every
-    move of its own step's mass from one coordinate to another for every
-    start still refining, and each such start applies its best move, or
-    halves its step (down to REFINE_FLOOR) when none improves by more than
-    CELL_FLOOR.  A move that needs more mass than its source holds is
-    evaluated at the unmoved law and never taken, so every start sends the
-    same m(m-1) rows and its values do not depend on the other starts.
-    Deterministic: ties go to the first move, with the source coordinate
-    outer and the target inner.  Returns the points, their values and each
-    start's number of sweeps.
+    their (len(idx), k) values, or to (len(idx), k, c) values of which the
+    first column is optimized and the others ride along with it.  Each
+    sweep evaluates, in one call, every move of its own step's mass from one
+    coordinate to another for every start still refining, and each such
+    start applies its best move, or halves its step (down to REFINE_FLOOR)
+    when none improves by more than CELL_FLOOR.  A move that needs more mass
+    than its source holds is evaluated at the unmoved law and never taken,
+    so every start sends the same m(m-1) rows and its values do not depend
+    on the other starts.  Deterministic: ties go to the first move, with the
+    source coordinate outer and the target inner.  Returns the points, their
+    (P,) or (P, c) values and each start's number of sweeps.
+
+    ``maximize`` is a bool, or a (P,) array of them, one per start.  A start
+    that minimizes ranks its moves and gains by -f: negation is exact, so
+    these are the ranks and gains of f reversed, and the start keeps f's own
+    values.  No value mapped back from the maximum of a negated f keeps the
+    sign of a zero: 0.0 - (0.0 - f) turns a -0.0 minimum (I(X;Y) is -0.0 at
+    the vertex of a noiseless row) into +0.0, and unary minus turns a +0.0
+    into -0.0.
     """
-    pick, worst = (np.ndarray.argmax, -np.inf) if maximize else (np.ndarray.argmin, np.inf)
     x = np.array(x0, dtype=float)
     count, m = x.shape
-    best = fn(x[:, None, :], np.arange(count))[:, 0]
+    sign = np.where(np.broadcast_to(maximize, (count,)), 1.0, -1.0)
+    first = fn(x[:, None, :], np.arange(count))
+    # values as (starts, columns) inside, in fn's own shape outside
+    columns = first.shape[2:]
+    best = first[:, 0].reshape(count, math.prod(columns))
     sweeps = np.zeros(count, dtype=np.int64)
     if m == 1:  # no move exists: every sweep only halves the step
         step = step0
         while step > REFINE_FLOOR:
             step *= 0.5
             sweeps += 1
-        return x, best, sweeps
+        return x, best.reshape(count, *columns), sweeps
     eye = np.eye(m)
     src, dst = np.nonzero(1.0 - eye)
     dirs = eye[dst] - eye[src]
@@ -212,74 +240,170 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool):
         sweep += 1
         feasible = xl.take(src, 1) >= sl - CELL_FLOOR
         moves = xl[:, None, :] + (sl * feasible)[:, :, None] * dirs
-        vals = np.where(feasible, fn(moves, live), worst)
-        k = pick(vals, 1)
-        top = vals[lane, k]
-        gain = (top - bl if maximize else bl - top) > CELL_FLOOR
+        vals = fn(moves, live).reshape(*moves.shape[:2], best.shape[1])
+        rank = np.where(feasible, sign[live, None] * vals[..., 0], -np.inf)
+        k = rank.argmax(1)
+        gain = rank[lane, k] - sign[live] * bl[:, 0] > CELL_FLOOR
         col = gain[:, None]
         xl = np.where(col, moves[lane, k], xl)
-        bl = np.where(gain, top, bl)
+        bl = np.where(col, vals[lane, k], bl)
         sl = np.where(col, sl, sl * 0.5)
         if sl.min() <= REFINE_FLOOR:
             done = sl[:, 0] <= REFINE_FLOOR
             x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], sweep
             live, xl, bl, sl = live[~done], xl[~done], bl[~done], sl[~done]
             lane = np.arange(live.size)
-    return x, best, sweeps
+    return x, best.reshape(count, *columns), sweeps
 
 
-def _gap_extremum(
-    a: np.ndarray,
-    b: np.ndarray,
-    step: float,
-    maximize: bool,
-    probes: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray, list[dict]]:
-    """Extremum of I(X;Y_a) - I(X;Y_b) over a simplex grid plus refinement, per pair.
+# the four searches of _gap_search, in its order
+_CAPABLE_AB, _CAPABLE_BA, _DOMINANT_AB, _DOMINANT_BA = range(4)
 
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  All pairs are
-    scored on one shared grid and refined in lockstep.  ``probes`` are extra
-    starting candidates as (points, owner), points[c] being a (k, m) stack
-    of laws for pair owner[c]; they are considered after the grid (ties
-    keep the grid point).  Returns the refined points, their gaps and each
-    pair's search diagnostics.
+
+@dataclass(frozen=True, eq=False)
+class _GapSearch:
+    """The four gap searches of P pairs: arrays indexed (search, pair).
+
+    ``points`` is (4, P, m), ``values`` and ``sweeps`` are (4, P).
+    ``face_probes`` and ``face_capped`` are (2, P), for the two
+    more-capable searches; ``uniform`` is (2, P), g and g(b, a) at the
+    uniform law, for the two dominance searches.
     """
-    m = a.shape[1]
+
+    step: float
+    grid_step: float
+    grid_points: int
+    points: np.ndarray
+    values: np.ndarray
+    sweeps: np.ndarray
+    face_probes: np.ndarray
+    face_capped: np.ndarray
+    uniform: np.ndarray
+
+    def verdicts(self, search: int) -> list[ClassVerdict]:
+        """One search's verdicts, one per pair.
+
+        More capable fails with the minimizer when the minimum is below
+        -VERDICT_TOL; dominance fails with the maximizer when the maximum
+        exceeds the gap at the uniform law by more than VERDICT_TOL, and
+        means something only for c-symmetric channels, which the callers
+        check.
+        """
+        x, v, sweeps = self.points[search], self.values[search], self.sweeps[search]
+        capable = search in (_CAPABLE_AB, _CAPABLE_BA)
+        key = "min" if capable else "max"
+        side = search % 2
+        if capable:
+            fails = v < -VERDICT_TOL
+        else:
+            fails = v > self.uniform[side] + VERDICT_TOL
+        verdicts = []
+        for p, (xp, vp, sp) in enumerate(zip(x.tolist(), v.tolist(), sweeps.tolist())):
+            d = {
+                "grid_step": self.grid_step,
+                "grid_points": self.grid_points,
+                f"{key}_gap": vp,
+                f"arg{key}": xp,
+                "refine_sweeps": sp,
+            }
+            if self.step != self.grid_step:
+                d["requested_step"] = self.step
+            if capable:
+                d["face_probes"] = int(self.face_probes[side, p])
+                if self.face_capped[side, p]:
+                    d["face_pair_cap"] = _FACE_PAIR_CAP
+            else:
+                d["uniform_gap"] = float(self.uniform[side, p])
+            if fails[p]:
+                verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
+            else:
+                verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+        return verdicts
+
+
+def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
+    """The four extrema of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
+
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  g(b, a) is
+    -g, so the searches that the more-capable and the uniform-dominance
+    tests make in both directions are searches of g:
+    - min g, for a more capable than b, starts from the grid's argmin or
+      from the face probe of (a, b) (see _face_chords) with a smaller gap;
+      probes are considered after the grid, so ties keep the grid point.
+    - min g(b, a), for b more capable than a, likewise with the probes of
+      (b, a).
+    - max g and max g(b, a), for the uniform input's dominance of a over b
+      and of b over a, start from the grid's argmax and argmin.
+    I(X;Y_a) and I(X;Y_b) are taken on the grid once.  Every search refines
+    g itself, min g and max g(b, a) downward, the other two upward, and a
+    search whose start and direction an earlier one shares is refined once,
+    so a pair's distinct starts, two when no probe wins, are all refined in
+    one _refine_extremum call.  Each value is the difference of the two
+    informations in its search's own order, taken in the same evaluation as
+    the other order's: a zero keeps its sign, which no negation preserves
+    (I(X;Y) is -0.0 at the vertex of a noiseless row).
+    """
+    count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = simplex_grid(m, eff)
-    gaps = _gap_vec(a, b, grid)
-    pick = gaps.argmax(axis=1) if maximize else gaps.argmin(axis=1)
-    x0 = grid[pick]
-    if probes is not None and probes[1].size:
-        pts, owner = probes
-        vals = _gap_vec(a[owner], b[owner], pts).ravel()
-        pairs, first = _first_best(vals, np.repeat(owner, pts.shape[1]), maximize)
-        at_grid = gaps[pairs, pick[pairs]]
-        wins = vals[first] > at_grid if maximize else vals[first] < at_grid
-        x0[pairs[wins]] = pts.reshape(-1, m)[first[wins]]
+    grid = _grid_points(m, eff)[0]
+    mi_a, mi_b = mi_batch(a, grid), mi_batch(b, grid)
+    directed = (mi_a - mi_b, mi_b - mi_a)  # g(a, b) and g(b, a)
+    starts, probed = [], []
+    for first, second, g in ((a, b, directed[0]), (b, a, directed[1])):
+        pick = g.argmin(axis=1)
+        x0 = grid[pick]
+        _, pts, owner, capped = _face_chords(first, second, step)
+        if owner.size:
+            vals = _gap_vec(first[owner], second[owner], pts)
+            # each chord's first minimum, then each pair's first best chord:
+            # the first minimum over the pair's probes in chord order
+            along = vals.argmin(axis=1)
+            chord_min = vals[np.arange(owner.size), along]
+            pairs, best = _first_best(chord_min, owner, maximize=False)
+            wins = chord_min[best] < g[pairs, pick[pairs]]
+            x0[pairs[wins]] = pts[best[wins], along[best[wins]]]
+        starts.append(x0)
+        probed.append((np.bincount(owner, minlength=count) * pts.shape[1], capped))
+    starts += [grid[g.argmax(axis=1)] for g in directed]
+    # min g and max g(b, a) descend g, the other two ascend it; a dominance
+    # search shares its direction with one more-capable search, its twin
+    ascends = np.array([False, True, True, False])
+    twins = ((2, 1), (3, 0))
+    x0 = np.stack(starts)
+    fresh = np.ones((4, count), dtype=bool)
+    for k, twin in twins:
+        fresh[k] = (x0[k] != x0[twin]).any(axis=1)
+    search, pair = np.nonzero(fresh)
     # the refinement reuses each channel's row entropies across its sweeps
     ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
-    x, v, sweeps = _refine_extremum(
-        lambda q, idx: mi_from_entropies(a.take(idx, 0), ha.take(idx, 0), q)
-        - mi_from_entropies(b.take(idx, 0), hb.take(idx, 0), q),
-        x0,
-        eff,
-        maximize=maximize,
+
+    def lane_gaps(q, idx):
+        # g(a, b) to optimize, and g(b, a) beside it
+        p = pair.take(idx)
+        la = mi_from_entropies(a.take(p, 0), ha.take(p, 0), q)
+        lb = mi_from_entropies(b.take(p, 0), hb.take(p, 0), q)
+        return np.stack([la - lb, lb - la], axis=-1)
+
+    x, v, sweeps = _refine_extremum(lane_gaps, x0[fresh], eff, ascends[search])
+    lanes = np.full((4, count), -1)
+    lanes[fresh] = np.arange(pair.size)
+    for k, twin in twins:
+        lanes[k] = np.where(fresh[k], lanes[k], lanes[twin])
+    # g(a, b) for the searches of g, g(b, a) for the others
+    values = v[lanes, np.arange(4)[:, None] % 2]
+    u = np.full((1, m), 1.0 / m)
+    ua, ub = mi_batch(a, u)[:, 0], mi_batch(b, u)[:, 0]
+    return _GapSearch(
+        step=step,
+        grid_step=eff,
+        grid_points=int(grid.shape[0]),
+        points=x[lanes],
+        values=values,
+        sweeps=sweeps[lanes],
+        face_probes=np.stack([counts for counts, _ in probed]),
+        face_capped=np.stack([capped for _, capped in probed]),
+        uniform=np.stack([ua - ub, ub - ua]),
     )
-    key = "max" if maximize else "min"
-    diagnostics = []
-    for xp, vp, sp in zip(x.tolist(), v.tolist(), sweeps.tolist()):
-        d = {
-            "grid_step": eff,
-            "grid_points": int(grid.shape[0]),
-            f"{key}_gap": vp,
-            f"arg{key}": xp,
-            "refine_sweeps": sp,
-        }
-        if step != eff:
-            d["requested_step"] = step
-        diagnostics.append(d)
-    return x, v, diagnostics
 
 
 def _block_lp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -440,30 +564,13 @@ def _face_chords(
     return np.broadcast_to(base, ends.shape), ends, owner, capped
 
 
-def _more_capable(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
-    """More-capable verdicts for row stacks: one grid, one lockstep refinement."""
-    _, probes, owner, capped = _face_chords(a, b, step)
-    x, v, diagnostics = _gap_extremum(a, b, step, maximize=False, probes=(probes, owner))
-    counts = np.bincount(owner, minlength=a.shape[0]) * probes.shape[1]
-    verdicts = []
-    for p, d in enumerate(diagnostics):
-        d["face_probes"] = int(counts[p])
-        if capped[p]:
-            d["face_pair_cap"] = _FACE_PAIR_CAP
-        if v[p] < -VERDICT_TOL:
-            verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
-        else:
-            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
-    return verdicts
-
-
 def more_capable_stack(a, b) -> list[ClassVerdict]:
     """``test_more_capable`` at its default step for P pairs at once, one verdict per pair.
 
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
     pairs share one grid and one lockstep refinement.
     """
-    return _more_capable(*_stacked_pairs(a, b), 0.02)
+    return _gap_search(*_stacked_pairs(a, b), 0.02).verdicts(_CAPABLE_AB)
 
 
 def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -477,7 +584,7 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     ``more_capable_stack``.
     """
     _require_same_input(a, b)
-    return _more_capable(a.rows[None], b.rows[None], step)[0]
+    return _gap_search(a.rows[None], b.rows[None], step).verdicts(_CAPABLE_AB)[0]
 
 
 def _tangent_hessian(
@@ -643,26 +750,12 @@ def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.nd
     return curv, where, (q_basis @ vecs[..., None])[..., 0]
 
 
-@functools.lru_cache(maxsize=4)
-def _curvature_points(m: int, step: float) -> tuple[int, np.ndarray]:
-    """The simplex grid's size and its interior points, read-only.
-
-    A grid with no interior point is pulled halfway toward the uniform law
-    instead.
-    """
-    grid = simplex_grid(m, step)
-    interior = grid[np.all(grid > 0.0, axis=1)]
-    if not interior.shape[0]:
-        interior = 0.5 * grid + 0.5 / m
-    interior.flags.writeable = False
-    return int(grid.shape[0]), interior
-
-
 def _less_noisy(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
     """Less-noisy verdicts for row stacks: one grid, one chord-scoring pass."""
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid_points, interior = _curvature_points(m, eff)
+    grid, interior = _grid_points(m, eff)
+    grid_points = int(grid.shape[0])
     diagnostics = []
     for _ in range(count):
         d: dict = {"grid_step": eff, "grid_points": grid_points, "max_curvature": None}
@@ -755,20 +848,8 @@ def _require_c_symmetric(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
-    """Uniform-dominance verdicts for row stacks: one grid, one lockstep refinement.
-
-    Every channel must be c-symmetric; the callers check that.
-    """
-    x, v, diagnostics = _gap_extremum(a, b, step, maximize=True)
-    uniform = _gap_vec(a, b, np.full((1, a.shape[1]), 1.0 / a.shape[1]))[:, 0]
-    verdicts = []
-    for p, d in enumerate(diagnostics):
-        d["uniform_gap"] = float(uniform[p])
-        if v[p] > uniform[p] + VERDICT_TOL:
-            verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
-        else:
-            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
-    return verdicts
+    """Uniform-dominance verdicts of a over b for row stacks; every channel must be c-symmetric."""
+    return _gap_search(a, b, step).verdicts(_DOMINANT_AB)
 
 
 def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
@@ -796,6 +877,42 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
     return _dominant(a.rows[None], b.rows[None], step)[0]
 
 
+def _c_symmetric(chan: Dmc) -> bool | str:
+    """Whether chan has a cyclic input symmetry, or why the search for one is unavailable."""
+    try:
+        return detect_c_symmetry(chan) is not None
+    except DomainError as exc:
+        return f"symmetry search unavailable: {exc}"
+
+
+def _essentially_less_noisy(
+    sym_a: bool | str, sym_b: bool | str, dom: ClassVerdict | None, m: int
+) -> ClassVerdict:
+    """Essentially-less-noisy verdict of a over b, given _c_symmetric of each.
+
+    ``dom``, the uniform-dominance verdict of a over b, is read only when
+    both channels are c-symmetric.
+    """
+    for sym in (sym_a, sym_b):
+        if isinstance(sym, str):
+            return ClassVerdict(Outcome.INCONCLUSIVE, diagnostics={"reason": sym})
+    if not (sym_a and sym_b):
+        which = "first" if not sym_a else "second"
+        return ClassVerdict(
+            Outcome.INCONCLUSIVE,
+            diagnostics={"reason": f"{which} channel has no cyclic symmetry"},
+        )
+    diagnostics = dict(dom.diagnostics)
+    diagnostics["route"] = "uniform-dominance on a c-symmetric pair"
+    if dom.holds:
+        diagnostics["sufficient_class"] = "uniform"
+        return ClassVerdict(Outcome.HOLDS, witness=Dist.uniform(m), diagnostics=diagnostics)
+    diagnostics["note"] = (
+        "dominance route failed; other sufficient classes are not searched"
+    )
+    return ClassVerdict(Outcome.FAILS, witness=dom.witness, diagnostics=diagnostics)
+
+
 def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     """Is Y_a less noisy than Y_b over some restricted input class?
 
@@ -806,34 +923,40 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
     the dominance route failed, not that no other sufficient class exists
     (see diagnostics["note"]).
     """
-    _require_same_input(a, b)
-    try:
-        sym_a = detect_c_symmetry(a)
-        sym_b = detect_c_symmetry(b)
-    except DomainError as exc:
-        return ClassVerdict(
-            Outcome.INCONCLUSIVE, diagnostics={"reason": f"symmetry search unavailable: {exc}"}
-        )
-    if sym_a is None or sym_b is None:
-        which = "first" if sym_a is None else "second"
-        return ClassVerdict(
-            Outcome.INCONCLUSIVE,
-            diagnostics={"reason": f"{which} channel has no cyclic symmetry"},
-        )
-    [dom] = _dominant(a.rows[None], b.rows[None], step)
-    diagnostics = dict(dom.diagnostics)
-    diagnostics["route"] = "uniform-dominance on a c-symmetric pair"
-    if dom.holds:
-        diagnostics["sufficient_class"] = "uniform"
-        return ClassVerdict(
-            Outcome.HOLDS,
-            witness=Dist.uniform(a.input_size),
-            diagnostics=diagnostics,
-        )
-    diagnostics["note"] = (
-        "dominance route failed; other sufficient classes are not searched"
-    )
-    return ClassVerdict(Outcome.FAILS, witness=dom.witness, diagnostics=diagnostics)
+    m = _require_same_input(a, b)
+    sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
+    dom = _dominant(a.rows[None], b.rows[None], step)[0] if sym_a is True and sym_b is True else None
+    return _essentially_less_noisy(sym_a, sym_b, dom, m)
+
+
+def ordering_verdicts(
+    a: Dmc, b: Dmc, step: float = 0.02, tol: float = VERDICT_TOL
+) -> dict[str, ClassVerdict]:
+    """The eight directed ordering tests of the pair (a, b), as ``bcorder classify`` runs them.
+
+    Keys name channel a "1" and b "2": degradedness (``degraded_2_wrt_1``
+    is b degraded w.r.t. a, at tolerance ``tol``), less noisy, more capable
+    and essentially less noisy, each both ways.  Each verdict is the one the
+    matching ``test_*`` function returns, but the four gap searches behind
+    more capable and the essentially-less-noisy gate are one _gap_search,
+    and each channel's cyclic symmetry is searched once.
+    """
+    m = _require_same_input(a, b)
+    res = {
+        "degraded_2_wrt_1": test_degraded(a, b, tol=tol),
+        "degraded_1_wrt_2": test_degraded(b, a, tol=tol),
+        "less_noisy_1": test_less_noisy(a, b, step=step),
+        "less_noisy_2": test_less_noisy(b, a, step=step),
+    }
+    found = _gap_search(a.rows[None], b.rows[None], step)
+    res["more_capable_1"] = found.verdicts(_CAPABLE_AB)[0]
+    res["more_capable_2"] = found.verdicts(_CAPABLE_BA)[0]
+    sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
+    both = sym_a is True and sym_b is True
+    for key, search, first, second in (("1", _DOMINANT_AB, sym_a, sym_b), ("2", _DOMINANT_BA, sym_b, sym_a)):
+        dom = found.verdicts(search)[0] if both else None
+        res[f"essentially_less_noisy_{key}"] = _essentially_less_noisy(first, second, dom, m)
+    return res
 
 
 def test_essentially_more_capable(

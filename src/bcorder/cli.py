@@ -20,19 +20,12 @@ import functools
 import itertools
 import json
 import sys
-from xml.sax.saxutils import escape
 
 import numpy as np
 
 from .bscbec import BscBecPair, PairTag, classify_pair, d_curve, regime, thresholds
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
-from .classify import (
-    test_degraded,
-    test_dominant_c_symmetry,
-    test_essentially_less_noisy,
-    test_less_noisy,
-    test_more_capable,
-)
+from .classify import _dominant, _require_same_input, ordering_verdicts
 from .probcore import SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
 from .regions import REGION_BOUNDS, frontier_csv, region_frontiers
 from .verifysuite import check_names, run_suite
@@ -277,6 +270,11 @@ def _json_doc(obj) -> str:
 # SVG plumbing (self-contained, fixed 800x600 viewport)
 
 
+def _escape(text: str) -> str:
+    """``xml.sax.saxutils.escape`` without its import, which loads urllib, http and email."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _xmap(x: float, x0: float, x1: float) -> float:
     return _ML + (x - x0) / (x1 - x0) * (SVG_W - _ML - _MR)
 
@@ -290,7 +288,7 @@ def _svg_open(title: str) -> list[str]:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_W}" height="{SVG_H}" '
         f'viewBox="0 0 {SVG_W} {SVG_H}" font-family="sans-serif">',
         f'<rect x="0" y="0" width="{SVG_W}" height="{SVG_H}" fill="white"/>',
-        f'<text x="{SVG_W / 2:.1f}" y="24" text-anchor="middle" font-size="16">{escape(title)}</text>',
+        f'<text x="{SVG_W / 2:.1f}" y="24" text-anchor="middle" font-size="16">{_escape(title)}</text>',
     ]
 
 
@@ -316,11 +314,11 @@ def _svg_axes(x0, x1, y0, y1, xlabel: str, ylabel: str) -> list[str]:
         )
     parts.append(
         f'<text x="{(_ML + SVG_W - _MR) / 2:.1f}" y="{SVG_H - 12}" text-anchor="middle" '
-        f'font-size="14">{escape(xlabel)}</text>'
+        f'font-size="14">{_escape(xlabel)}</text>'
     )
     parts.append(
         f'<text x="20" y="{(_MT + SVG_H - _MB) / 2:.1f}" text-anchor="middle" font-size="14" '
-        f'transform="rotate(-90 20 {(_MT + SVG_H - _MB) / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {(_MT + SVG_H - _MB) / 2:.1f})">{_escape(ylabel)}</text>'
     )
     return parts
 
@@ -337,7 +335,7 @@ def _svg_legend(entries: list[tuple[str, str]]) -> list[str]:
     y = _MT + 14
     for label, color in entries:
         parts.append(f'<rect x="{x}" y="{y - 9}" width="18" height="9" fill="{color}"/>')
-        parts.append(f'<text x="{x + 24}" y="{y}" font-size="12">{escape(label)}</text>')
+        parts.append(f'<text x="{x + 24}" y="{y}" font-size="12">{_escape(label)}</text>')
         y += 18
     return parts
 
@@ -375,16 +373,7 @@ def _finest_class(res: dict, n1: str, n2: str) -> str:
 def cmd_classify(cfg: RunConfig) -> int:
     c1, c2, n1, n2 = _resolve_pair(cfg)
     step = 1.0 / cfg.grid
-    res = {
-        "degraded_2_wrt_1": test_degraded(c1, c2, tol=cfg.tol),
-        "degraded_1_wrt_2": test_degraded(c2, c1, tol=cfg.tol),
-        "less_noisy_1": test_less_noisy(c1, c2, step=step),
-        "less_noisy_2": test_less_noisy(c2, c1, step=step),
-        "more_capable_1": test_more_capable(c1, c2, step=step),
-        "more_capable_2": test_more_capable(c2, c1, step=step),
-        "essentially_less_noisy_1": test_essentially_less_noisy(c1, c2, step=step),
-        "essentially_less_noisy_2": test_essentially_less_noisy(c2, c1, step=step),
-    }
+    res = ordering_verdicts(c1, c2, step=step, tol=cfg.tol)
     finest = _finest_class(res, n1, n2)
     if cfg.fmt == "json":
         doc = {
@@ -643,7 +632,10 @@ def cmd_symmetry(cfg: RunConfig) -> int:
             )
     # dominance is only defined for a c-symmetric pair; the status lines say why it is missing
     if len(chans) == 2 and all(entry["status"] == "c-symmetric" for entry in report["channels"]):
-        dom = test_dominant_c_symmetry(chans[0][1], chans[1][1], step=1.0 / cfg.grid)
+        # both are known to be c-symmetric: no second search
+        first, second = chans[0][1], chans[1][1]
+        _require_same_input(first, second)
+        [dom] = _dominant(first.rows[None], second.rows[None], 1.0 / cfg.grid)
         report["uniform_dominance"] = {
             "first_over_second": dom.outcome.value,
             "diagnostics": dom.diagnostics,

@@ -28,9 +28,11 @@ from .channels import (
     symmetrize,
 )
 from .classify import (
+    _CAPABLE_AB,
+    _DOMINANT_BA,
     AuxDecomposition,
+    _gap_search,
     degraded_stack,
-    dominant_c_symmetry_stack,
     less_noisy_stack,
     more_capable_stack,
     test_essentially_more_capable,
@@ -146,13 +148,16 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     tag = regime(ps[clear], es[clear])[0]
     cells = list(zip(ps[clear], es[clear]))
     chan_b, chan_s = _erasure_crossover_rows(cells)
+    # one gap search gives both the more-capable test of the erasure side and
+    # the uniform dominance of the crossover side; BSC and BEC are c-symmetric
+    gaps = _gap_search(chan_b, chan_s, 0.02)
     # keep only the outcomes, so one test's verdicts are alive at a time
     got = np.array(
         [
             [v.holds for v in degraded_stack(chan_b, chan_s)],
             [v.holds for v in less_noisy_stack(chan_b, chan_s)],
-            [v.holds for v in more_capable_stack(chan_b, chan_s)],
-            [v.holds for v in dominant_c_symmetry_stack(chan_s, chan_b)],
+            [v.holds for v in gaps.verdicts(_CAPABLE_AB)],
+            [v.holds for v in gaps.verdicts(_DOMINANT_BA)],
         ]
     )
     want = np.array([tag == 0, tag <= 1, tag <= 2, tag == 3])

@@ -103,8 +103,14 @@ def _pair_gap(a, b):
 
 
 def _stacked_gap(a, b):
-    """The gap of one channel pair as the (stack, starts) map _refine_extremum takes."""
-    return lambda q, idx: ordering._gap_vec(a.rows, b.rows, q)
+    """The gap of one channel pair as the (stack, starts) map _refine_extremum takes.
+
+    Each law is evaluated on its own, as _sequential_refine evaluates it:
+    BLAS rounds a product by its shape, and a value that differs in the
+    last bit can turn a near tie on a flat extremum and change the sweeps.
+    """
+    one = _pair_gap(a, b)
+    return lambda q, idx: np.array([[one(law[None, :])[0] for law in row] for row in q])
 
 
 def test_refine_extremum_calls_fn_once_per_sweep():
@@ -156,16 +162,195 @@ def test_refine_extremum_agrees_with_sequential_reference(m, n, sparse, maximize
     x_ref, v_ref, ref_sweeps = _sequential_refine(_pair_gap(a, b), x0, 0.05, maximize)
     assert v[0] == pytest.approx(v_ref, abs=1e-12)
     assert np.max(np.abs(x[0] - x_ref)) <= _final_step(0.05) * (1.0 + 1e-9)
-    # the search diagnostics count this pair's own sweeps, also inside a stack
-    # where the other pair refines for longer or shorter
-    rows_a = np.stack([a.rows, b.rows])
-    rows_b = np.stack([b.rows, a.rows])
-    *_, diagnostics = ordering._gap_extremum(rows_a, rows_b, 0.05, maximize)
-    assert sweeps[0] == ref_sweeps == diagnostics[0]["refine_sweeps"]
-    *_, ref_swapped = _sequential_refine(
-        _pair_gap(b, a), grid[int(np.argmax(-gaps) if maximize else np.argmin(-gaps))], 0.05, maximize
+    assert sweeps[0] == ref_sweeps
+    # the search diagnostics count each pair's own sweeps, also inside a
+    # stack where the other pair refines for longer or shorter; the
+    # dominance searches start from the grid's argmax of g and of
+    # g(b, a) = -g, the latter being the search for min g
+    search = ordering._DOMINANT_AB if maximize else ordering._DOMINANT_BA
+    stacked = ordering._gap_search(np.stack([a.rows, b.rows]), np.stack([b.rows, a.rows]), 0.05)
+    alone = [ordering._gap_search(p.rows[None], q.rows[None], 0.05) for p, q in ((a, b), (b, a))]
+    for pair, lone in enumerate(alone):
+        assert stacked.verdicts(search)[pair].diagnostics["refine_sweeps"] == lone.sweeps[search][0]
+
+
+def _reference_refine(fn, x0, step0, maximize):
+    """The lockstep refinement as it was before the gap searches were merged.
+
+    One direction for all starts; it minimizes with argmin and +inf for
+    infeasible moves, instead of ranking the moves by -f.
+    """
+    pick, worst = (np.ndarray.argmax, -np.inf) if maximize else (np.ndarray.argmin, np.inf)
+    x = np.array(x0, dtype=float)
+    count, m = x.shape
+    best = fn(x[:, None, :], np.arange(count))[:, 0]
+    sweeps = np.zeros(count, dtype=np.int64)
+    if m == 1:
+        step = step0
+        while step > REFINE_FLOOR:
+            step *= 0.5
+            sweeps += 1
+        return x, best, sweeps
+    eye = np.eye(m)
+    src, dst = np.nonzero(1.0 - eye)
+    dirs = eye[dst] - eye[src]
+    live = np.arange(count) if step0 > REFINE_FLOOR else np.arange(0)
+    xl, bl, sl = x[live], best[live], np.full((live.size, 1), float(step0))
+    lane = np.arange(live.size)
+    sweep = 0
+    while live.size:
+        sweep += 1
+        feasible = xl.take(src, 1) >= sl - CELL_FLOOR
+        moves = xl[:, None, :] + (sl * feasible)[:, :, None] * dirs
+        vals = np.where(feasible, fn(moves, live), worst)
+        k = pick(vals, 1)
+        top = vals[lane, k]
+        gain = (top - bl if maximize else bl - top) > CELL_FLOOR
+        col = gain[:, None]
+        xl = np.where(col, moves[lane, k], xl)
+        bl = np.where(gain, top, bl)
+        sl = np.where(col, sl, sl * 0.5)
+        if sl.min() <= REFINE_FLOOR:
+            done = sl[:, 0] <= REFINE_FLOOR
+            x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], sweep
+            live, xl, bl, sl = live[~done], xl[~done], bl[~done], sl[~done]
+            lane = np.arange(live.size)
+    return x, best, sweeps
+
+
+def _reference_gap_extremum(a, b, step, maximize, probes=None):
+    """One extremum of g(a, b) per pair, as each test searched it on its own.
+
+    Returns the points, values and sweeps, and which pairs' start is a probe.
+    """
+    m = a.shape[1]
+    eff = ordering._bounded_step(m, step, ordering._POINT_GRID_CAP)
+    grid = simplex_grid(m, eff)
+    gaps = ordering._gap_vec(a, b, grid)
+    pick = gaps.argmax(axis=1) if maximize else gaps.argmin(axis=1)
+    x0 = grid[pick]
+    won = np.zeros(a.shape[0], dtype=bool)
+    if probes is not None and probes[1].size:
+        pts, owner = probes
+        vals = ordering._gap_vec(a[owner], b[owner], pts).ravel()
+        pairs, first = ordering._first_best(vals, np.repeat(owner, pts.shape[1]), maximize)
+        at_grid = gaps[pairs, pick[pairs]]
+        wins = vals[first] > at_grid if maximize else vals[first] < at_grid
+        x0[pairs[wins]] = pts.reshape(-1, m)[first[wins]]
+        won[pairs[wins]] = True
+    ha, hb = ordering.entropy_vec(a, axis=-1), ordering.entropy_vec(b, axis=-1)
+    x, v, sweeps = _reference_refine(
+        lambda q, idx: ordering.mi_from_entropies(a.take(idx, 0), ha.take(idx, 0), q)
+        - ordering.mi_from_entropies(b.take(idx, 0), hb.take(idx, 0), q),
+        x0,
+        eff,
+        maximize,
     )
-    assert diagnostics[1]["refine_sweeps"] == ref_swapped
+    return x, v, sweeps, won
+
+
+def _assert_gap_search_is_four_searches(a, b, step):
+    """_gap_search equals min g(a, b), min g(b, a), max g(a, b), max g(b, a) searched apart.
+
+    Points and values are compared as bytes, so a -0.0 for +0.0 fails.
+    Returns which pairs' more-capable start was a winning probe, per direction.
+    """
+    found = ordering._gap_search(a, b, step)
+    won = []
+    for k, (first, second) in enumerate(((a, b), (b, a), (a, b), (b, a))):
+        maximize = k >= 2
+        probes = None
+        if not maximize:
+            _, pts, owner, _ = ordering._face_chords(first, second, step)
+            probes = (pts, owner)
+        x, v, sweeps, probe_won = _reference_gap_extremum(first, second, step, maximize, probes)
+        if not maximize:
+            won.append(probe_won)
+        assert found.points[k].tobytes() == x.tobytes()
+        assert found.values[k].tobytes() == v.tobytes()
+        assert np.array_equal(found.sweeps[k], sweeps)
+        # the verdicts carry the same bits
+        key = "max" if maximize else "min"
+        for p, verdict in enumerate(found.verdicts(k)):
+            assert np.array(verdict.diagnostics[f"arg{key}"]).tobytes() == x[p].tobytes()
+            assert np.float64(verdict.diagnostics[f"{key}_gap"]).tobytes() == v[p].tobytes()
+    uniform = np.full((1, a.shape[1]), 1.0 / a.shape[1])
+    want = [ordering._gap_vec(first, second, uniform)[:, 0] for first, second in ((a, b), (b, a))]
+    assert found.uniform.tobytes() == np.stack(want).tobytes()
+    return won
+
+
+def _gap_stack(rng, family, m, count):
+    """(P, m, na) and (P, m, nb) row stacks of one family of channel pairs."""
+    if family == "bscbec":
+        a = np.stack([bsc(p).rows for p in rng.uniform(0.01, 0.49, count)])
+        b = np.stack([bec(e).rows for e in rng.uniform(0.01, 0.99, count)])
+        return (a, b) if rng.random() < 0.5 else (b, a)
+    na, nb = (int(k) for k in rng.integers(2, 5, size=2))
+    rows_a, rows_b = [], []
+    for _ in range(count):
+        a = _random_channel(rng, m, na, sparse=bool(rng.integers(2)))
+        kind = int(rng.integers(3))
+        if kind == 0:  # a degraded version of a: a is more capable
+            b = cascade(a, _random_channel(rng, na, nb, sparse=True))
+        elif kind == 1 and na == nb:  # the same channel: g is +0.0 everywhere
+            b = a
+        else:
+            b = _random_channel(rng, m, nb, sparse=bool(rng.integers(2)))
+        rows_a.append(a.rows)
+        rows_b.append(b.rows)
+    return np.stack(rows_a), np.stack(rows_b)
+
+
+@_PROPERTY
+@given(
+    family=st.sampled_from(["bscbec", "random"]),
+    m=st.integers(2, 5),
+    count=st.integers(1, 4),
+    step=st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.1, 0.05, 0.02]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_gap_search_equals_four_independent_searches_bitwise(family, m, count, step, seed):
+    # binary pairs at step 1 start every search at a vertex, where g is +0.0
+    # and argmin and argmax coincide; the stacks mix pairs whose probes win
+    # with pairs whose probes lose or that have none
+    rng = np.random.default_rng(seed)
+    a, b = _gap_stack(rng, family, 2 if family == "bscbec" else m, count)
+    _assert_gap_search_is_four_searches(a, b, step)
+
+
+@pytest.mark.parametrize("step", [1.0, 0.5, 0.02])
+def test_gap_search_equals_four_searches_where_probes_win_and_lose(step):
+    # BSC(p)/BEC(e) near the dip of test_more_capable_face_probes_find_the_dip
+    # and well away from it, in both orders, with a repeated pair and a = b
+    rates = [(0.143641, 0.925798), (0.1, 0.5), (0.132669, 0.919705), (0.1, 0.5), (0.3, 0.2)]
+    a = np.stack([bsc(p).rows for p, _ in rates])
+    b = np.stack([bec(e).rows for _, e in rates])
+    won_ab, won_ba = _assert_gap_search_is_four_searches(a, b, step)
+    won_ba2, won_ab2 = _assert_gap_search_is_four_searches(b, a, step)
+    assert np.array_equal(won_ab, won_ab2) and np.array_equal(won_ba, won_ba2)
+    if step == 0.02:
+        assert won_ab[0] and won_ab[2] and not won_ab[1:].all()
+    _assert_gap_search_is_four_searches(a[:1], a[:1], step)
+
+
+def test_gap_search_keeps_the_sign_of_a_zero_gap():
+    # a noiseless row has I(X;Y) = -0.0 at its vertex, so there g(a, b) is
+    # -0.0 and g(b, a) is +0.0 with the noiseless channel first, and the
+    # other way round with it second: neither order's value is a negation
+    # of the other's, so each search must report its own order's difference
+    noiseless = np.array([[[0.3, 0.7], [1.0, 0.0]]])
+    noisy = bsc(0.2).rows[None]
+    neg, pos = np.float64(-0.0).tobytes(), np.float64(0.0).tobytes()
+    for step in (1.0, 0.02):
+        _assert_gap_search_is_four_searches(noiseless, noisy, step)
+        _assert_gap_search_is_four_searches(noisy, noiseless, step)
+        values = ordering._gap_search(noiseless, noisy, step).values
+        assert values[ordering._CAPABLE_AB, 0].tobytes() == neg
+        assert values[ordering._DOMINANT_BA, 0].tobytes() == pos
+        values = ordering._gap_search(noisy, noiseless, step).values
+        assert values[ordering._CAPABLE_BA, 0].tobytes() == neg
+        assert values[ordering._DOMINANT_AB, 0].tobytes() == pos
 
 
 def _circulant(rng, m, sparse):
@@ -476,7 +661,7 @@ def test_curvature_filter_equals_the_full_scan_bitwise(m, kinds, step, block, se
     n = m if "circulant" in kinds else int(rng.integers(2, 5))  # a circulant pair has m outputs
     pairs = [_curvature_pair(rng, kind, m, n) for kind in kinds]
     a, b = (np.stack([p[side] / p[side].sum(axis=1, keepdims=True) for p in pairs]) for side in (0, 1))
-    pts = ordering._curvature_points(m, ordering._bounded_step(m, step, ordering._POINT_GRID_CAP))[1]
+    pts = ordering._grid_points(m, ordering._bounded_step(m, step, ordering._POINT_GRID_CAP))[1]
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(ordering, "_HESSIAN_BLOCK", block)

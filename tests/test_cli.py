@@ -583,3 +583,72 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     probe = "import sys, bcorder.cli; sys.exit(int('scipy.optimize' in sys.modules))"
     res = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
     assert res.returncode == 0
+
+
+def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch):
+    from bcorder import classify
+
+    counts = {"refine": 0, "symmetry": 0, "grid": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(classify, "_refine_extremum", counted("refine", classify._refine_extremum))
+    monkeypatch.setattr(classify, "detect_c_symmetry", counted("symmetry", classify.detect_c_symmetry))
+    monkeypatch.setattr(classify, "simplex_grid", counted("grid", classify.simplex_grid))
+    argv = ("classify", "--bsc", "0.1", "--bec", "0.5", "--format", "json")
+    first = run_cli(*argv)
+    counts.update(refine=0, symmetry=0, grid=0)
+    assert run_cli(*argv) == first
+    # the four gap searches share one lockstep refinement, the two
+    # essentially-less-noisy directions one symmetry search per channel,
+    # and the warm grid cache serves the gap searches and the curvature scan
+    assert counts == {"refine": 1, "symmetry": 2, "grid": 0}
+
+
+def test_symmetry_searches_each_channel_once(monkeypatch):
+    from bcorder import channels, classify, cli
+
+    searched = []
+
+    def counted(channel):
+        searched.append(channel.rows.tobytes())
+        return channels.detect_c_symmetry(channel)
+
+    monkeypatch.setattr(cli, "detect_c_symmetry", counted)
+    monkeypatch.setattr(classify, "detect_c_symmetry", counted)
+    code, out, _ = run_cli("symmetry", "--bsc", "0.1", "--bec", "0.5")
+    assert code == 0 and "uniform-input dominance of BSC(0.1) over BEC(0.5): holds" in out
+    assert searched == [channels.bsc(0.1).rows.tobytes(), channels.bec(0.5).rows.tobytes()]
+
+
+def test_symmetry_rejects_c_symmetric_channels_of_different_input_sizes(tmp_path):
+    path = tmp_path / "ternary.json"
+    rows = [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]
+    path.write_text(json.dumps({"input_size": 3, "output_labels": ["0", "1", "2"], "rows": rows}))
+    code, _, err = run_cli("symmetry", "--channel1", str(path), "--bsc", "0.1")
+    assert code == 2 and "input alphabets differ: 3 vs 2" in err
+
+
+def test_cli_import_leaves_xml_sax_and_urllib_unloaded():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl,
+    # tens of milliseconds of every cold start, for three replacements
+    src = os.path.dirname(os.path.dirname(bcorder.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, bcorder.cli; sys.exit(int('xml.sax' in sys.modules or 'urllib.request' in sys.modules))"
+    res = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
+    assert res.returncode == 0
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(text=st.text(alphabet=st.sampled_from("&<>;a# \"'amp"), max_size=12) | st.text(max_size=12))
+def test_escape_matches_saxutils(text):
+    from xml.sax.saxutils import escape
+
+    from bcorder.cli import _escape
+
+    assert _escape(text) == escape(text)
