@@ -42,11 +42,10 @@ from .probcore import (
 )
 
 _POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
-_HESSIAN_BLOCK = 1 << 21  # max points x (m-1) x max(m-1, outputs) per Hessian block
+_HESSIAN_BLOCK = 1 << 21  # max pairs x points x (m-1) x max(m-1, outputs) per curvature-scan block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 _LP_BLOCKS = 256          # pairs per block-diagonal degradedness LP
-_EIG_SLACK = 64.0 * math.sqrt(np.finfo(float).eps)  # closed-form eigenvalue slack per unit of trace
 
 
 class Outcome(enum.Enum):
@@ -189,45 +188,34 @@ def _first_best(vals: np.ndarray, owner: np.ndarray, maximize: bool) -> tuple[np
     return ranked[lead], order[lead]
 
 
-def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool | np.ndarray):
-    """Coordinate descent on the simplex by pairwise mass moves, from P starts in lockstep.
+def _refine_extremum(fn, x0: np.ndarray, step0: float):
+    """Coordinate ascent on the simplex by pairwise mass moves, from P starts in lockstep.
 
     ``x0`` is a (P, m) stack of start laws.  ``fn(q, idx)`` maps a
     (len(idx), k, m) stack of laws, where q[j] belongs to start idx[j], to
-    their (len(idx), k) values, or to (len(idx), k, c) values of which the
-    first column is optimized and the others ride along with it.  Each
-    sweep evaluates, in one call, every move of its own step's mass from one
-    coordinate to another for every start still refining, and each such
-    start applies its best move, or halves its step (down to REFINE_FLOOR)
-    when none improves by more than CELL_FLOOR.  A move that needs more mass
-    than its source holds is evaluated at the unmoved law and never taken,
-    so every start sends the same m(m-1) rows and its values do not depend
-    on the other starts.  Deterministic: ties go to the first move, with the
-    source coordinate outer and the target inner.  Returns the points, their
-    (P,) or (P, c) values and each start's number of sweeps.
-
-    ``maximize`` is a bool, or a (P,) array of them, one per start.  A start
-    that minimizes ranks its moves and gains by -f: negation is exact, so
-    these are the ranks and gains of f reversed, and the start keeps f's own
-    values.  No value mapped back from the maximum of a negated f keeps the
-    sign of a zero: 0.0 - (0.0 - f) turns a -0.0 minimum (I(X;Y) is -0.0 at
-    the vertex of a noiseless row) into +0.0, and unary minus turns a +0.0
-    into -0.0.
+    their (len(idx), k) values.  Each sweep evaluates, in one call, every
+    move of its own step's mass from one coordinate to another for every
+    start still refining, and each such start applies its best move, or
+    halves its step (down to REFINE_FLOOR) when none improves by more than
+    CELL_FLOOR.  A move that needs more mass than its source holds is
+    evaluated at the unmoved law and never taken, so every start sends the
+    same m(m-1) rows and its values do not depend on the other starts.
+    Deterministic: ties go to the first move, with the source coordinate
+    outer and the target inner.  Returns the points, their (P,) values and
+    each start's number of sweeps.  A caller minimizes f by maximizing
+    0.0 - f, which reverses f's ranks and gains exactly, and maps a value v
+    back as 0.0 - v.
     """
     x = np.array(x0, dtype=float)
     count, m = x.shape
-    sign = np.where(np.broadcast_to(maximize, (count,)), 1.0, -1.0)
-    first = fn(x[:, None, :], np.arange(count))
-    # values as (starts, columns) inside, in fn's own shape outside
-    columns = first.shape[2:]
-    best = first[:, 0].reshape(count, math.prod(columns))
+    best = fn(x[:, None, :], np.arange(count))[:, 0]
     sweeps = np.zeros(count, dtype=np.int64)
     if m == 1:  # no move exists: every sweep only halves the step
         step = step0
         while step > REFINE_FLOOR:
             step *= 0.5
             sweeps += 1
-        return x, best.reshape(count, *columns), sweeps
+        return x, best, sweeps
     eye = np.eye(m)
     src, dst = np.nonzero(1.0 - eye)
     dirs = eye[dst] - eye[src]
@@ -240,20 +228,19 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float, maximize: bool | np.ndarr
         sweep += 1
         feasible = xl.take(src, 1) >= sl - CELL_FLOOR
         moves = xl[:, None, :] + (sl * feasible)[:, :, None] * dirs
-        vals = fn(moves, live).reshape(*moves.shape[:2], best.shape[1])
-        rank = np.where(feasible, sign[live, None] * vals[..., 0], -np.inf)
-        k = rank.argmax(1)
-        gain = rank[lane, k] - sign[live] * bl[:, 0] > CELL_FLOOR
-        col = gain[:, None]
-        xl = np.where(col, moves[lane, k], xl)
-        bl = np.where(col, vals[lane, k], bl)
-        sl = np.where(col, sl, sl * 0.5)
+        vals = np.where(feasible, fn(moves, live), -np.inf)
+        k = vals.argmax(1)
+        top = vals[lane, k]
+        gain = top - bl > CELL_FLOOR
+        xl = np.where(gain[:, None], moves[lane, k], xl)
+        bl = np.where(gain, top, bl)
+        sl = np.where(gain[:, None], sl, sl * 0.5)
         if sl.min() <= REFINE_FLOOR:
             done = sl[:, 0] <= REFINE_FLOOR
             x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], sweep
             live, xl, bl, sl = live[~done], xl[~done], bl[~done], sl[~done]
             lane = np.arange(live.size)
-    return x, best.reshape(count, *columns), sweeps
+    return x, best, sweeps
 
 
 # the four searches of _gap_search, in its order
@@ -324,9 +311,10 @@ class _GapSearch:
 def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     """The four extrema of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
 
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  g(b, a) is
-    -g, so the searches that the more-capable and the uniform-dominance
-    tests make in both directions are searches of g:
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  No
+    information quantity is -0.0, so g(b, a) is 0.0 - g bit for bit, and
+    the searches that the more-capable and the uniform-dominance tests make
+    in both directions are searches of g:
     - min g, for a more capable than b, starts from the grid's argmin or
       from the face probe of (a, b) (see _face_chords) with a smaller gap;
       probes are considered after the grid, so ties keep the grid point.
@@ -334,23 +322,19 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
       (b, a).
     - max g and max g(b, a), for the uniform input's dominance of a over b
       and of b over a, start from the grid's argmax and argmin.
-    I(X;Y_a) and I(X;Y_b) are taken on the grid once.  Every search refines
-    g itself, min g and max g(b, a) downward, the other two upward, and a
-    search whose start and direction an earlier one shares is refined once,
-    so a pair's distinct starts, two when no probe wins, are all refined in
-    one _refine_extremum call.  Each value is the difference of the two
-    informations in its search's own order, taken in the same evaluation as
-    the other order's: a zero keeps its sign, which no negation preserves
-    (I(X;Y) is -0.0 at the vertex of a noiseless row).
+    g is scored on the grid once.  min g and max g(b, a) ascend 0.0 - g,
+    the other two ascend g, and a search whose start and direction an
+    earlier one shares is refined once, so a pair's distinct starts, two
+    when no probe wins, are all refined in one _refine_extremum call.  The
+    more-capable searches report their minimum as 0.0 - v.
     """
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = _grid_points(m, eff)[0]
-    mi_a, mi_b = mi_batch(a, grid), mi_batch(b, grid)
-    directed = (mi_a - mi_b, mi_b - mi_a)  # g(a, b) and g(b, a)
+    g = _gap_vec(a, b, grid)
     starts, probed = [], []
-    for first, second, g in ((a, b, directed[0]), (b, a, directed[1])):
-        pick = g.argmin(axis=1)
+    # min g(a, b) and min g(b, a) = 0.0 - max g, each probed along its own face chords
+    for first, second, pick, sign in ((a, b, g.argmin(axis=1), 1.0), (b, a, g.argmax(axis=1), -1.0)):
         x0 = grid[pick]
         _, pts, owner, capped = _face_chords(first, second, step)
         if owner.size:
@@ -360,14 +344,14 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
             along = vals.argmin(axis=1)
             chord_min = vals[np.arange(owner.size), along]
             pairs, best = _first_best(chord_min, owner, maximize=False)
-            wins = chord_min[best] < g[pairs, pick[pairs]]
+            wins = chord_min[best] < sign * g[pairs, pick[pairs]]
             x0[pairs[wins]] = pts[best[wins], along[best[wins]]]
         starts.append(x0)
         probed.append((np.bincount(owner, minlength=count) * pts.shape[1], capped))
-    starts += [grid[g.argmax(axis=1)] for g in directed]
-    # min g and max g(b, a) descend g, the other two ascend it; a dominance
-    # search shares its direction with one more-capable search, its twin
-    ascends = np.array([False, True, True, False])
+    starts += [grid[g.argmax(axis=1)], grid[g.argmin(axis=1)]]
+    # min g and max g(b, a) ascend 0.0 - g, the other two ascend g; a
+    # dominance search shares its direction with one more-capable search, its twin
+    descends = np.array([True, False, False, True])
     twins = ((2, 1), (3, 0))
     x0 = np.stack(starts)
     fresh = np.ones((4, count), dtype=bool)
@@ -378,21 +362,19 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
 
     def lane_gaps(q, idx):
-        # g(a, b) to optimize, and g(b, a) beside it
         p = pair.take(idx)
         la = mi_from_entropies(a.take(p, 0), ha.take(p, 0), q)
-        lb = mi_from_entropies(b.take(p, 0), hb.take(p, 0), q)
-        return np.stack([la - lb, lb - la], axis=-1)
+        gap = la - mi_from_entropies(b.take(p, 0), hb.take(p, 0), q)
+        return np.where(descends[search.take(idx)][:, None], 0.0 - gap, gap)
 
-    x, v, sweeps = _refine_extremum(lane_gaps, x0[fresh], eff, ascends[search])
+    x, v, sweeps = _refine_extremum(lane_gaps, x0[fresh], eff)
     lanes = np.full((4, count), -1)
     lanes[fresh] = np.arange(pair.size)
     for k, twin in twins:
         lanes[k] = np.where(fresh[k], lanes[k], lanes[twin])
-    # g(a, b) for the searches of g, g(b, a) for the others
-    values = v[lanes, np.arange(4)[:, None] % 2]
-    u = np.full((1, m), 1.0 / m)
-    ua, ub = mi_batch(a, u)[:, 0], mi_batch(b, u)[:, 0]
+    values = v[lanes]
+    values[[_CAPABLE_AB, _CAPABLE_BA]] = 0.0 - values[[_CAPABLE_AB, _CAPABLE_BA]]
+    u = _gap_vec(a, b, np.full((1, m), 1.0 / m))[:, 0]
     return _GapSearch(
         step=step,
         grid_step=eff,
@@ -402,7 +384,7 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
         sweeps=sweeps[lanes],
         face_probes=np.stack([counts for counts, _ in probed]),
         face_capped=np.stack([capped for _, capped in probed]),
-        uniform=np.stack([ua - ub, ub - ua]),
+        uniform=np.stack([u, 0.0 - u]),
     )
 
 
@@ -587,21 +569,18 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     return _gap_search(a.rows[None], b.rows[None], step).verdicts(_CAPABLE_AB)[0]
 
 
-def _tangent_hessian(
-    proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray, lane: np.ndarray
-) -> np.ndarray:
+def _tangent_hessian(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
     """Hessian of I(X;Y_a) - I(X;Y_b) on the simplex's tangent space, per point.
 
     It is Q^T [B diag(1/q_b) B^T - A diag(1/q_a) A^T] Q / ln 2, with q = p rows
-    and Q an orthonormal basis of {v : sum v = 0}, as a (k, m-1, m-1) array.
-    ``proj`` is a (P, m-1, n) stack of each pair's Q^T rows, ``lane`` the
-    (k,) pair of each point and ``q`` its (k, n) output law, which must be
-    positive.
+    and Q an orthonormal basis of {v : sum v = 0}, as a (P, k, m-1, m-1)
+    array.  ``proj`` is a (P, m-1, n) stack of each pair's Q^T rows and
+    ``q`` the (P, k, n) output laws of its k points, which must be positive.
     """
     hess = 0.0
     for proj, q, sign in ((proj_b, q_b, 1.0), (proj_a, q_a, -1.0)):
-        rows = proj[lane]
-        hess = hess + sign * ((rows / q[:, None, :]) @ rows.transpose(0, 2, 1))
+        rows = proj[:, None]
+        hess = hess + sign * ((rows / q[:, :, None, :]) @ rows.transpose(0, 1, 3, 2))
     return hess / math.log(2.0)
 
 
@@ -614,140 +593,69 @@ def _tangent_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _estimate_table(proj_b: np.ndarray, proj_a: np.ndarray) -> np.ndarray | None:
-    """Per-output table that turns 1/q into a Hessian estimate and its slack.
+def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
+    """The largest eigenvalue of _tangent_hessian at every point, as (P, k).
 
-    ``proj_b`` and ``proj_a`` are (P, d, nb) and (P, d, na) stacks of Q^T
-    rows.  Row o of the (P, nb + na, d*d + 1) result holds
-    +-proj[:, o] proj[:, o]^T / ln 2, flattened, + for b's outputs and - for
-    a's, then _EIG_SLACK |proj[:, o]|^2 / ln 2.  So with q the output laws
-    of b then a, (1/q) @ table is the Hessian H_b - H_a followed by
-    _EIG_SLACK (tr H_b + tr H_a).  None for d > 3, which has no closed form.
+    For d = m-1 <= 3 it is taken in closed form: row o of a per-pair table
+    holds +-proj[:, o] proj[:, o]^T / ln 2, + for b's outputs and - for a's,
+    so one GEMM of it with 1/q gives every Hessian's entries.  The top
+    eigenvalue is then the entry itself for d = 1, the 2x2 formula for d = 2
+    and the trigonometric formula for d = 3, with the 3x3 determinant
+    written out.  Larger d takes eigvalsh of each Hessian.
     """
     count, d, nb = proj_b.shape
     if d > 3:
-        return None
+        return np.linalg.eigvalsh(_tangent_hessian(proj_b, q_b, proj_a, q_a))[..., -1]
     proj = np.concatenate((proj_b, proj_a), axis=2)
-    outer = (proj[:, :, None, :] * proj[:, None, :, :]).reshape(count, d * d, -1)
-    trace = _EIG_SLACK * outer[:, :: d + 1].sum(axis=1, keepdims=True)
-    outer[:, :, nb:] *= -1.0
-    return np.concatenate((outer, trace), axis=1).transpose(0, 2, 1) / math.log(2.0)
-
-
-def _top_eigenvalue_estimate(
-    q_b: np.ndarray, q_a: np.ndarray, table: np.ndarray | None, d: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form top tangent-space eigenvalue per point, and its error slack.
-
-    ``q_b`` and ``q_a`` are the (P, N, n) output laws and ``table`` is
-    _estimate_table's, so one GEMM of 1/q with it gives the estimate
-    H~ = H_b - H_a.  Its top eigenvalue is taken as its entry for d = 1, by
-    the 2x2 formula for d = 2 and by the trigonometric formula for d = 3,
-    with the 3x3 determinant written out.  Returns it with the slack
-    s = _EIG_SLACK (tr H_b + tr H_a), both (P, N).
-
-    Why |estimate - eigvalsh(H)| <= s, H being the Hessian _tangent_hessian
-    builds from the same q, with T = tr H_b + tr H_a:
-    - Each channel's term is PSD, so the n summands proj_i proj_j / q_o of
-      an entry add up in absolute value to at most its trace.  H~ and H sum
-      them in different orders, so they differ entrywise by O(n eps) T, and
-      by Weyl's inequality so do their top eigenvalues.
-    - eigvalsh is backward stable: its value is within O(eps) |H| <= O(eps) T.
-    - The 2x2 formula and the trigonometric one away from a double root are
-      exact up to O(eps) T.  Where the top two of three eigenvalues meet,
-      the top one is mean + 2p cos(acos(r)/3) with r near -1, whose slope
-      in r diverges; an error e in r then moves it by about 0.8 p sqrt(e).
-      The rounding of the mean and of the centred entries is O(eps) T, so
-      e = O(eps T / p), and the error is O(sqrt(eps T p)) <= O(sqrt(eps)) T.
-    With the constants of the formulas this is at most about 25 sqrt(eps) T
-    for n < 10^6 outputs, and s is 64 sqrt(eps) T.  Without a table (d > 3)
-    no closed form is taken: the estimate is 0 and the slack infinite, so
-    every point is a candidate.
-    """
-    if table is None:
-        return np.zeros(q_b.shape[:2]), np.full(q_b.shape[:2], np.inf)
-    h = (1.0 / np.concatenate((q_b, q_a), axis=2)) @ table
-    slack = h[..., -1]
+    table = (proj[:, :, None, :] * proj[:, None, :, :]).reshape(count, d * d, proj.shape[2])
+    table[:, :, nb:] *= -1.0
+    # entries as (P, d*d, k), so that each entry's values are contiguous
+    h = (table / math.log(2.0)) @ (1.0 / np.concatenate((q_b, q_a), axis=2)).transpose(0, 2, 1)
     if d == 1:
-        return h[..., 0], slack
+        return h[:, 0]
     if d == 2:
-        a, b, c = h[..., 0], h[..., 1], h[..., 3]
-        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b), slack
-    a11, a12, a13, a22, a23, a33 = (h[..., i] for i in (0, 1, 2, 4, 5, 8))
+        a, b, c = h[:, 0], h[:, 1], h[:, 3]
+        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+    a11, a12, a13, a22, a23, a33 = (h[:, i] for i in (0, 1, 2, 4, 5, 8))
     mean = (a11 + a22 + a33) / 3.0
     b11, b22, b33 = a11 - mean, a22 - mean, a33 - mean
     p = np.sqrt((b11 * b11 + b22 * b22 + b33 * b33 + 2.0 * (a12 * a12 + a13 * a13 + a23 * a23)) / 6.0)
     det = b11 * (b22 * b33 - a23 * a23) - a12 * (a12 * b33 - a23 * a13) + a13 * (a12 * a23 - b22 * a13)
     # |det| <= 2 p^3 exactly; where p^3 underflows, any r in [-1, 1] is within 3p
     r = np.clip(det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
-    return mean + 2.0 * p * np.cos(np.arccos(r) / 3.0), slack
+    return mean + 2.0 * p * np.cos(np.arccos(r) / 3.0)
 
 
 def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest tangent-space eigenvalue over ``pts`` per pair, its first point and eigenvector.
 
-    Pairs whose channels reach the same outputs are taken together, without
-    the outputs no input reaches.  The points are taken in blocks of about
-    _HESSIAN_BLOCK array entries, whole pairs to a block when a pair's
-    points fit, so memory stays bounded on large alphabets.
-
-    Each block is scanned as a filter, then a confirmation.  The filter
-    estimates every point's top eigenvalue within a slack s in closed form
-    (see _top_eigenvalue_estimate).  A point is a candidate unless its
-    estimate plus s falls below the largest estimate minus s of its pair's
-    block, or below the pair's best so far: its eigvalsh value is then below
-    another point's, or cannot raise the best.  The candidates' Hessians are
-    built from the block's own output laws q, since BLAS rounds a product
-    by its row count and a q recomputed for fewer points could differ in
-    the last bit, and eigvalsh confirms them.  The first point of largest
-    eigvalsh value is always a candidate, so the result is bit for bit the
-    one of a full eigvalsh scan.
+    Every point's top eigenvalue is taken by _top_eigenvalues, in blocks of
+    about _HESSIAN_BLOCK array entries over all pairs, so memory stays
+    bounded on large alphabets.  At each pair's first point of largest
+    value, eigh decomposes the Hessian once: its top eigenvalue is the
+    pair's maximum and its eigenvector the direction returned.  An output
+    that no input of the pair reaches gets a zeroed column in the
+    projection and q = 1, so it adds nothing to the Hessian.
     """
     count, m = a.shape[:2]
     d = m - 1
-    na = a.shape[2]
     q_basis = _tangent_basis(m)
-    size = max(1, _HESSIAN_BLOCK // (d * max(d, na, b.shape[2])))
-    span = max(1, size // pts.shape[0])
-    run = max(1, size // 4)
-    curv = np.full(count, -np.inf)
-    where = np.full(count, -1)
-    top = np.zeros((count, d, d))
-    reach = np.concatenate((a.max(axis=1), b.max(axis=1)), axis=1) > CELL_FLOOR
-    if count > 1:
-        # pairs that reach the same outputs are contiguous in this order
-        order = np.lexsort(reach.T)
-        ranked = reach[order]
-        cuts = [0, *((ranked[1:] != ranked[:-1]).any(axis=1).nonzero()[0] + 1), count]
-    else:  # no pair or one: at most one group
-        order, ranked, cuts = np.arange(count), reach, [0, count] if count else []
-    for lo_pair, hi_pair in zip(cuts[:-1], cuts[1:]):
-        members, keep = order[lo_pair:hi_pair], ranked[lo_pair]
-        # this indexing lays rows out as the one-pair test always did, and
-        # BLAS rounds by layout, so keep it
-        ga, gb = a[members][:, :, keep[:na]], b[members][:, :, keep[na:]]
-        for p0 in range(0, members.size, span):
-            ids = members[p0:p0 + span]
-            rows_b, rows_a = gb[p0:p0 + span], ga[p0:p0 + span]
-            proj_b, proj_a = q_basis.T @ rows_b, q_basis.T @ rows_a
-            table = _estimate_table(proj_b, proj_a)
-            for lo in range(0, pts.shape[0], size):
-                q_b, q_a = pts[lo:lo + size] @ rows_b, pts[lo:lo + size] @ rows_a
-                est, slack = _top_eigenvalue_estimate(q_b, q_a, table, d)
-                floor = np.maximum((est - slack).max(axis=1), curv[ids])
-                lane, k = np.nonzero(~(est + slack < floor[:, None]))
-                # confirm the candidates a quarter block at a time, in (pair,
-                # point) order; only a strictly larger value replaces a best
-                for c0 in range(0, lane.size, run):
-                    cl, ck = lane[c0:c0 + run], k[c0:c0 + run]
-                    hess = _tangent_hessian(proj_b, q_b[cl, ck], proj_a, q_a[cl, ck], cl)
-                    vals = np.linalg.eigvalsh(hess)[:, -1]
-                    lanes, first = _first_best(vals, cl, maximize=True)
-                    up = vals[first] > curv[ids[lanes]]
-                    won, first = ids[lanes[up]], first[up]
-                    curv[won], where[won], top[won] = vals[first], lo + ck[first], hess[first]
-    vecs = np.linalg.eigh(top)[1][..., -1]
-    return curv, where, (q_basis @ vecs[..., None])[..., 0]
+    reach_b, reach_a = (rows.max(axis=1, keepdims=True) > CELL_FLOOR for rows in (b, a))
+    proj_b, proj_a = q_basis.T @ (b * reach_b), q_basis.T @ (a * reach_a)
+    # an unreached output's column of ones gives it q = sum p = 1
+    lift_b, lift_a = np.where(reach_b, b, 1.0), np.where(reach_a, a, 1.0)
+
+    def hessian_args(x):
+        # _tangent_hessian's arguments at the (P, k, m) or (k, m) laws x
+        return proj_b, x @ lift_b, proj_a, x @ lift_a
+
+    size = max(1, _HESSIAN_BLOCK // (d * max(d, a.shape[2], b.shape[2]) * max(count, 1)))
+    top = np.empty((count, pts.shape[0]))
+    for lo in range(0, pts.shape[0], size):
+        top[:, lo:lo + size] = _top_eigenvalues(*hessian_args(pts[lo:lo + size]))
+    where = top.argmax(axis=1)
+    vals, vecs = np.linalg.eigh(_tangent_hessian(*hessian_args(pts[where][:, None, :]))[:, 0])
+    return vals[:, -1], where, (q_basis @ vecs[..., -1:])[..., 0]
 
 
 def _less_noisy(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
@@ -839,9 +747,10 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
 def _require_c_symmetric(a: np.ndarray, b: np.ndarray) -> None:
     """Raise NotCSymmetricError, naming the side and the pair, unless every channel is c-symmetric."""
     for name, side in (("first", a), ("second", b)):
-        labels = tuple(str(y) for y in range(side.shape[2]))
+        count, m, n = side.shape  # sizes spelled out: reshape cannot infer -1 for an empty stack
+        labels = tuple(str(y) for y in range(n))
         # each distinct channel is searched once, at its first pair
-        _, firsts = np.unique(side.reshape(side.shape[0], -1), axis=0, return_index=True)
+        _, firsts = np.unique(side.reshape(count, m * n), axis=0, return_index=True)
         for p in np.sort(firsts):
             if detect_c_symmetry(Dmc(side[p], labels)) is None:
                 raise NotCSymmetricError(f"{name} channel of pair {p} is not c-symmetric")

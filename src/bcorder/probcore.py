@@ -64,8 +64,12 @@ def _xlog2x(v: np.ndarray) -> np.ndarray:
 
 
 def entropy_vec(p: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Shannon entropy in bits along ``axis``.  No validation; raw arrays."""
-    return -_xlog2x(np.asarray(p, dtype=float)).sum(axis=axis)
+    """Shannon entropy in bits along ``axis``.  No validation; raw arrays.
+
+    It is 0.0 - sum, not -sum, so a zero entropy is +0.0 and so is every
+    information quantity taken from it.
+    """
+    return 0.0 - _xlog2x(np.asarray(p, dtype=float)).sum(axis=axis)
 
 
 def binary_entropy(x):
@@ -74,7 +78,7 @@ def binary_entropy(x):
     if not in_range(arr, 0.0, 1.0):
         raise DomainError("binary_entropy argument outside [0, 1]")
     arr = np.clip(arr, 0.0, 1.0)
-    val = -_xlog2x(arr) - _xlog2x(1.0 - arr)
+    val = 0.0 - _xlog2x(arr) - _xlog2x(1.0 - arr)  # +0.0, as entropy_vec, at 0 and 1
     return float(val) if np.isscalar(x) or getattr(x, "ndim", 1) == 0 else val
 
 
