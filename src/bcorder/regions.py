@@ -9,33 +9,39 @@ the union.  Time sharing justifies the hull.
 
 Every sweep batch is table-indexed: weights (N, k), integer cond_idx (N, k)
 and a table (T, m) of conditional laws, decomposition n putting weight
-weights[n, u] on table[cond_idx[n, u]].  Most batches are tensor grids over
-a few laws (51 laws for the 132,651 decompositions of the binary mesh at
-step 0.02), so each law's information quantities are computed once per
-table and gathered; laws derived from a marginal constraint are appended to
-their batch's table.  Bounds that sweep the same decompositions share one
-evaluation: ``region_frontiers`` computes ``ib`` and ``ob`` from one free
-sweep, and ``theorem1``, ``theorem2`` and a pinned ``ib`` from one class
-sweep; each bound then emits its own rate-polygon vertices.
+weights[n, u] on table[cond_idx[n, u]].  A decomposition's bounds split into
+terms of its induced input law p, H(Yw) and I(X;Yd) at p, and terms linear
+in its weights, sum_u w_u H(Yw|u) and sum_u w_u I(X;Yd|u).  So each batch
+also carries a table (M, m) of the distinct input laws its decompositions
+induce, with one index per decomposition: the binary mesh at step 0.02 has
+51 conditional laws and 2,501 marginals for its 132,651 decompositions, and
+a pinned batch has one marginal, the class member.  Both tables are
+evaluated once per batch and gathered; laws derived from a marginal
+constraint are appended to their batch's law table, and a batch off any
+lattice computes its marginals chunk by chunk.  Bounds that sweep the same
+decompositions share one evaluation: ``region_frontiers`` computes ``ib``
+and ``ob`` from one free sweep, and ``theorem1``, ``theorem2`` and a pinned
+``ib`` from one class sweep; each bound then emits its own rate-polygon
+vertices.
 
 Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and reduced as they stream.
-Each run of _CHUNK decompositions emits its corner candidates and at once
-drops, in linear time, every candidate whose r2 is at most the largest r2 of
-a higher r1 bin of that run; only the survivors are kept, in input order,
-and the full candidate cloud is never stacked.  One deterministic
-Pareto-and-hull pass over the survivors gives the frontier, and the same
-pass over the prefix the base batches left gives the frontier before the
-|U|=3 batches.  Both, provenance included, are exactly those of sorting
-every candidate, so the result does not depend on evaluation order or batch
-chunking.
+Each run of _CHUNK decompositions is evaluated, emits its corner candidates
+and at once drops, in linear time, every candidate whose r2 is at most the
+largest r2 of a higher r1 bin of that run; only the survivors are kept, in
+input order, and the full candidate cloud is never stacked.  One
+deterministic Pareto-and-hull pass over the survivors gives the frontier,
+and the same pass over the prefix the base batches left gives the frontier
+before the |U|=3 batches.  Both, provenance included, are exactly those of
+sorting every candidate, so the result does not depend on evaluation order
+or batch chunking.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
-coarsened it.  ``num_decompositions`` counts the decompositions swept and
-``conditional_laws`` the table laws evaluated for them.  A sweep batch
-holds at most _SWEEP_CAP decompositions; a finer step raises DomainError
-before anything is allocated.
+coarsened it.  ``num_decompositions`` counts the decompositions swept,
+``conditional_laws`` the table laws and ``marginal_laws`` the marginal rows
+evaluated for them.  A sweep batch holds at most _SWEEP_CAP decompositions;
+a finer step raises DomainError before anything is allocated.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -45,6 +51,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +72,7 @@ _CHUNK = 200_000        # decompositions gathered and evaluated at once
 _SWEEP_CAP = 10_000_000  # max decompositions of one sweep batch (the binary mesh at --grid 200 has 8.1M)
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
 _SEG_SAMPLES = 33       # samples per segment for Hausdorff distance
+_SAMPLE_BLOCK = 256     # samples measured against every segment at once
 
 
 @dataclass(frozen=True)
@@ -155,7 +163,13 @@ def _polyline_samples(pts: np.ndarray) -> np.ndarray:
 
 
 def _dists_to_polyline(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each sample to the polyline, on (samples, segments) arrays."""
+    """Distance from each sample to the polyline, on (samples, segments) arrays.
+
+    The squared distances are reduced over segments, _SAMPLE_BLOCK samples
+    at a time, and only each sample's least one takes a square root: sqrt
+    is correctly rounded and monotone, so that is the least distance bit for
+    bit.
+    """
     if pts.shape[0] == 1:
         ex, ey = samples[:, 0] - pts[0, 0], samples[:, 1] - pts[0, 1]
         return np.sqrt(ex * ex + ey * ey)
@@ -163,9 +177,27 @@ def _dists_to_polyline(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
     ax, ay = pts[:-1, 0], pts[:-1, 1]
     dx, dy = pts[1:, 0] - ax, pts[1:, 1] - ay
     len2 = np.maximum(dx * dx + dy * dy, 1e-300)
-    t = np.clip(((sx - ax) * dx + (sy - ay) * dy) / len2, 0.0, 1.0)
-    ex, ey = sx - (ax + t * dx), sy - (ay + t * dy)
-    return np.sqrt(ex * ex + ey * ey).min(axis=1)
+    out = np.empty(samples.shape[0])
+    for lo in range(0, out.size, _SAMPLE_BLOCK):
+        bx, by = sx[lo:lo + _SAMPLE_BLOCK], sy[lo:lo + _SAMPLE_BLOCK]
+        t = bx - ax  # t = clip(((x - ax) dx + (y - ay) dy) / len2, 0, 1)
+        t *= dx
+        e = by - ay
+        e *= dy
+        t += e
+        t /= len2
+        np.clip(t, 0.0, 1.0, out=t)
+        np.multiply(t, dx, out=e)  # e = x - (ax + t dx), then t = y - (ay + t dy)
+        e += ax
+        np.subtract(bx, e, out=e)
+        t *= dy
+        t += ay
+        np.subtract(by, t, out=t)
+        e *= e
+        t *= t
+        e += t
+        e.min(axis=1, out=out[lo:lo + _SAMPLE_BLOCK])
+    return np.sqrt(out, out=out)
 
 
 def _hausdorff(p1: np.ndarray, p2: np.ndarray) -> float:
@@ -199,13 +231,14 @@ def frontier_csv(frontier: RegionFrontier) -> str:
 def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     """Linear pre-pass: drop points beaten by a point in a higher r1 bin.
 
-    r1 is cut into _PARETO_BINS equal-width bins over the points given (a
-    monotone map, so a higher bin means a strictly larger r1).  A point
-    whose r2 is at most the largest r2 of the bins strictly to its right is
-    dropped; a point with that largest r2 in the highest bin holding it
-    survives and dominates it (larger r1, r2 at least as large).  Survivors
-    keep their input order.  A NaN r2, or a NaN among the bounds, drops
-    nothing.
+    r1 is cut into _PARETO_BINS equal-width bins over the points given, by
+    x -> (x - min r1) * scale rounded down.  Any monotone bin map would do:
+    the argument below needs only that a higher bin means a strictly larger
+    r1.  A point whose r2 is at most the largest r2 of the bins strictly to
+    its right is dropped; a point with that largest r2 in the highest bin
+    holding it survives and dominates it (larger r1, r2 at least as large).
+    Survivors keep their input order.  A NaN r2, or a NaN among the bounds,
+    drops nothing.
 
     Why the survivors of any number of passes, each over any part of a
     cloud, give _pareto_filter the same output as the whole cloud: domination
@@ -219,15 +252,22 @@ def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     if points.shape[0] <= _PARETO_BINS:
         return points, idx
     r1, r2 = points[:, 0], points[:, 1]
-    lo, hi = r1.min(), r1.max()
-    if not (lo < hi and np.isfinite(hi - lo)):
+    lo, hi = float(r1.min()), float(r1.max())
+    if not lo < hi:
         return points, idx
-    bins = np.minimum(((r1 - lo) / (hi - lo) * _PARETO_BINS).astype(np.intp), _PARETO_BINS - 1)
-    top = np.full(_PARETO_BINS + 1, -np.inf)
+    scale = _PARETO_BINS / (hi - lo)
+    if not 0.0 < scale < math.inf:
+        return points, idx
+    t = np.subtract(r1, lo)
+    t *= scale
+    np.minimum(t, _PARETO_BINS - 1, out=t)
+    bins = t.astype(np.intp)
+    top = np.full(_PARETO_BINS, -np.inf)
     np.maximum.at(top, bins, r2)
-    right = np.maximum.accumulate(top[::-1])[::-1]  # right[k] = max r2 over bins >= k
-    live = ~(r2 <= right[bins + 1])
-    return points[live], idx[live]
+    above = np.full(_PARETO_BINS, -np.inf)  # above[k] = max r2 over bins > k
+    np.maximum.accumulate(top[:0:-1], out=above[-2::-1])
+    keep = np.flatnonzero(~(r2 <= np.take(above, bins, out=t)))
+    return points[keep], idx[keep]
 
 
 def _pareto_filter(points: np.ndarray, idx: np.ndarray):
@@ -278,57 +318,89 @@ def _upper_hull(points: np.ndarray, idx: np.ndarray):
     return points[sel], idx[sel]
 
 
-def _eval_quantities(dominant: Dmc, weak: Dmc, weights: np.ndarray, cond_idx: np.ndarray, table: np.ndarray):
-    """Per-decomposition (A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd)).
+class _Batch(NamedTuple):
+    """One table-indexed sweep batch.
 
     Decomposition n puts weight weights[n, u] on the conditional law
-    table[cond_idx[n, u]].  Each table law is evaluated once: I(X;Yd), its
-    output law through the weak channel and that law's entropy.  A
-    decomposition gathers those and computes only what depends on its
-    mixture: H(Yw) and I(X;Yd) at the induced input law, in runs of _CHUNK.
+    table[cond_idx[n, u]] and induces the input law mixes[mix_idx[n]].  A
+    batch off any lattice leaves ``mixes`` and ``mix_idx`` None, and its
+    marginals are computed chunk by chunk.
     """
-    i_dom = mi_batch(dominant.rows, table)
-    ry = table @ weak.rows
-    h_ry = entropy_vec(ry, axis=-1)
-    n = weights.shape[0]
-    a, b, c = np.empty(n), np.empty(n), np.empty(n)
-    for lo in range(0, n, _CHUNK):
-        run = slice(lo, lo + _CHUNK)
-        w, idx = weights[run], cond_idx[run]
-        py = np.einsum("...k,...kj->...j", w, ry[idx])
-        a[run] = np.maximum(0.0, entropy_vec(py, axis=-1) - np.einsum("...k,...k->...", w, h_ry[idx]))
-        b[run] = a[run] + np.einsum("nk,nk->n", w, i_dom[idx])
-        c[run] = mi_batch(dominant.rows, np.einsum("nk,nkm->nm", w, table[idx]))
-    return a, b, c
+
+    weights: np.ndarray
+    cond_idx: np.ndarray
+    table: np.ndarray
+    mixes: np.ndarray | None = None
+    mix_idx: np.ndarray | None = None
 
 
-def _emit_vertices(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray):
-    """Pareto corner candidates of one decomposition's rate polygon.
+def _batch_values(dominant: Dmc, weak: Dmc, batch: _Batch):
+    """I(X;Yd) and H(Yw) at each table law, then at each marginal (None when there is no marginal table)."""
+    laws = (mi_batch(dominant.rows, batch.table), entropy_vec(batch.table @ weak.rows, axis=-1))
+    if batch.mixes is None:
+        return (*laws, None, None)
+    return (*laws, mi_batch(dominant.rows, batch.mixes), entropy_vec(batch.mixes @ weak.rows, axis=-1))
+
+
+def _chunk_quantities(dominant: Dmc, weak: Dmc, batch: _Batch, values, run: slice):
+    """(A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd)) of the decompositions in ``run``.
+
+    ``values`` is the batch's ``_batch_values``.  H(Yw) and C at the induced
+    input law are gathered from the marginal table, the weighted sums from
+    the law table, so no log is taken per decomposition unless the batch has
+    no marginal table.
+    """
+    i_law, h_law, i_mix, h_mix = values
+    w, idx = batch.weights[run], batch.cond_idx[run]
+    if batch.mixes is None:
+        mixes = np.einsum("nk,nkm->nm", w, batch.table[idx])
+        c, h = mi_batch(dominant.rows, mixes), entropy_vec(mixes @ weak.rows, axis=-1)
+    else:
+        j = batch.mix_idx[run]
+        c, h = i_mix[j], h_mix[j]
+    a = np.maximum(0.0, h - np.einsum("nk,nk->n", w, h_law[idx]))
+    return a, a + np.einsum("nk,nk->n", w, i_law[idx]), c
+
+
+def _chunk_candidates(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, ids: np.ndarray):
+    """Pareto corner candidates of a chunk's rate polygons: (points, ids, corners per polygon).
 
     kind "sum":   r2 <= A, r1+r2 <= B, r1+r2 <= C
     kind "two":   r2 <= A, r1+r2 <= B
     kind "r1cap": r2 <= A, r1+r2 <= B, r1 <= C
+
+    Each polygon has one corner on the r1 axis, r2 = 0.  Of the chunk's axis
+    corners only the first of largest r1 is emitted, at the head, then the
+    other corners, one block per corner in decomposition order.  That gives
+    _pareto_filter the same output, ids included, as every corner in the
+    order axis block first: a point with r2 = 0 is kept only if it ranks
+    first overall (the running max it meets is >= 0), the chunk's other axis
+    corners rank below its first of largest r1, and removing a point that
+    is not kept changes no other point's fate.
     """
-    zero = np.zeros_like(a)
     if kind == "sum":
         s = np.minimum(b, c)
         cap = np.minimum(a, s)
-        r1 = np.concatenate([s, s - cap])
-        r2 = np.concatenate([zero, cap])
-        reps = 2
+        axis, rest = s, [(s - cap, cap)]
     elif kind == "two":
-        r1 = np.concatenate([b, b - a])
-        r2 = np.concatenate([zero, a])
-        reps = 2
+        axis, rest = b, [(b - a, a)]
     elif kind == "r1cap":
         c1 = np.minimum(c, b)
-        mid = np.minimum(c, b - a)
-        r1 = np.concatenate([c1, mid, c1])
-        r2 = np.concatenate([zero, a, np.minimum(b - c1, a)])
-        reps = 3
+        axis, rest = c1, [(np.minimum(c, b - a), a), (c1, np.minimum(b - c1, a))]
     else:
         raise ValueError(f"unknown constraint kind: {kind}")
-    return np.maximum(r1, 0.0), np.maximum(r2, 0.0), reps
+    n = a.size
+    axis = np.maximum(axis, 0.0)
+    first = int(np.argmax(axis))
+    pts = np.empty((2, 1 + n * len(rest)))
+    pts[:, 0] = axis[first], 0.0
+    for k, (r1, r2) in enumerate(rest):
+        block = slice(1 + k * n, 1 + (k + 1) * n)
+        np.maximum(r1, 0.0, out=pts[0, block])
+        np.maximum(r2, 0.0, out=pts[1, block])
+    pids = np.concatenate([ids[first:first + 1], np.tile(ids, len(rest))])
+    # column-major, so the pre-pass reads r1 and r2 contiguously
+    return pts.T, pids, 1 + len(rest)
 
 
 # the constraint kind of each bound's rate polygon
@@ -336,40 +408,55 @@ _BOUND_KINDS = {"ib": "sum", "theorem1": "two", "theorem2": "sum", "ob": "r1cap"
 REGION_BOUNDS = tuple(_BOUND_KINDS)
 
 
-def _axis_grid(step: float) -> np.ndarray:
-    k_parts = max(1, round(1.0 / step))
-    return np.arange(k_parts + 1) / k_parts
+def _two_letter_laws(q: np.ndarray, m: int = 2, i: int = 0, j: int = 1) -> np.ndarray:
+    """Laws on m letters putting q on letter i and 1 - q on letter j, one row per entry of q."""
+    laws = np.zeros((q.size, m))
+    laws[:, i] = q
+    laws[:, j] = 1.0 - q
+    return laws
 
 
-def _binary_laws(q: np.ndarray) -> np.ndarray:
-    """The binary laws (q, 1 - q), one row per entry of q."""
-    return np.column_stack([q, 1.0 - q])
+def _two_point_mesh(k_parts: int) -> _Batch:
+    """The binary |U|=2 sweep over the full g x g x g mesh, g = k / K.
+
+    Decomposition (iw, i0, i1), in C order, puts weight g[iw] on the law
+    (g[i0], 1 - g[i0]) and 1 - g[iw] on (g[i1], 1 - g[i1]).  It induces the
+    law at (iw i0 + (K - iw) i1) / K^2: row iw i0 + (K - iw) i1 of the
+    marginal grid j / K^2.
+    """
+    k = np.arange(k_parts + 1)
+    g = k / k_parts
+    shape = (k.size,) * 3
+    weights = np.empty((*shape, 2))
+    weights[..., 0] = g[:, None, None]
+    weights[..., 1] = 1.0 - g[:, None, None]
+    cond_idx = np.empty((*shape, 2), dtype=np.intp)
+    cond_idx[..., 0] = k[None, :, None]
+    cond_idx[..., 1] = k[None, None, :]
+    mix_idx = np.empty(shape, dtype=np.intp)
+    np.add((k[:, None] * k)[:, :, None], ((k_parts - k)[:, None] * k)[:, None, :], out=mix_idx)
+    n = k.size ** 3
+    x = np.arange(k_parts * k_parts + 1) / (k_parts * k_parts)
+    return _Batch(weights.reshape(n, 2), cond_idx.reshape(n, 2), _two_letter_laws(g), _two_letter_laws(x), mix_idx.reshape(n))
 
 
-def _two_point_mesh(g: np.ndarray):
-    """Weights (w, 1-w) and law indices (i0, i1) over the full g x g x g mesh."""
-    k = np.arange(g.size)
-    iw, i0, i1 = (x.ravel() for x in np.meshgrid(k, k, k, indexing="ij"))
-    w = g[iw]
-    return np.column_stack([w, 1.0 - w]), np.column_stack([i0, i1])
-
-
-def _binary_free_batch(step: float):
+def _binary_free_batch(step: float) -> _Batch:
     k_parts = max(1, round(1.0 / step))
     if (k_parts + 1) ** 3 > _SWEEP_CAP:
         n = (k_parts + 1) ** 3
         raise DomainError(f"a binary sweep at step {step:g} needs {n} decompositions; the cap is {_SWEEP_CAP}")
-    g = _axis_grid(step)
-    return (*_two_point_mesh(g), _binary_laws(g))
+    return _two_point_mesh(k_parts)
 
 
-def _aux3_free_binary():
-    w3 = simplex_grid(3, 0.2)
-    q = np.arange(11) / 10.0
-    k = np.arange(q.size)
+def _aux3_free_binary() -> _Batch:
+    w3 = simplex_grid(3, 0.2)  # weights a_u / 5 on the laws k_u / 10
+    k = np.arange(11)
     idx = np.column_stack([x.ravel() for x in np.meshgrid(k, k, k, indexing="ij")])
     weights = np.repeat(w3, idx.shape[0], axis=0)
-    return weights, np.tile(idx, (w3.shape[0], 1)), _binary_laws(q)
+    cond_idx = np.tile(idx, (w3.shape[0], 1))
+    # the induced law is sum_u a_u k_u / 50: row sum_u a_u k_u of the grid j / 50
+    mix_idx = np.einsum("nk,nk->n", np.rint(weights * 5).astype(np.intp), cond_idx)
+    return _Batch(weights, cond_idx, _two_letter_laws(k / 10.0), _two_letter_laws(np.arange(51) / 50.0), mix_idx)
 
 
 def _aux3_constrained_binary(t0: float):
@@ -389,10 +476,10 @@ def _aux3_constrained_binary(t0: float):
     ok = (q2 >= -SIMPLEX_TOL) & (q2 <= 1.0 + SIMPLEX_TOL)
     weights, i0, i1, q2 = weights[ok], i0[ok], i1[ok], np.clip(q2[ok], 0.0, 1.0)
     cond_idx = np.column_stack([i0, i1, q.size + np.arange(q2.size)])
-    return weights, cond_idx, _binary_laws(np.concatenate([q, q2]))
+    return weights, cond_idx, _two_letter_laws(np.concatenate([q, q2]))
 
 
-def _coarse_pair_batch(m: int):
+def _coarse_pair_batch(m: int) -> _Batch:
     k_parts = 1
     while math.comb(k_parts + m, m - 1) <= _COARSE_PAIR_CAP:
         k_parts += 1
@@ -403,22 +490,18 @@ def _coarse_pair_batch(m: int):
     nw = ws.size
     w = np.tile(ws, i.size)
     weights = np.column_stack([w, 1.0 - w])
-    return weights, np.column_stack([np.repeat(i, nw), np.repeat(j, nw)]), gc
+    return _Batch(weights, np.column_stack([np.repeat(i, nw), np.repeat(j, nw)]), gc)
 
 
 def _face_batches(m: int, step: float):
-    """|U|=2 sweeps confined to each two-letter input face; one mesh, one table per face."""
-    f = max(step, _FACE_STEP_FLOOR)
-    g = _axis_grid(f)
-    weights, cond_idx = _two_point_mesh(g)
-    out = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            table = np.zeros((g.size, m))
-            table[:, i] = g
-            table[:, j] = 1.0 - g
-            out.append((weights, cond_idx, table))
-    return out
+    """|U|=2 sweeps confined to each two-letter input face; one mesh, one law and marginal table per face."""
+    mesh = _two_point_mesh(max(1, round(1.0 / max(step, _FACE_STEP_FLOOR))))
+    q, x = mesh.table[:, 0], mesh.mixes[:, 0]
+    return [
+        mesh._replace(table=_two_letter_laws(q, m, i, j), mixes=_two_letter_laws(x, m, i, j))
+        for i in range(m)
+        for j in range(i + 1, m)
+    ]
 
 
 def _step_diagnostics(step: float, swept: float) -> dict:
@@ -434,15 +517,17 @@ def _free_batches(m: int, step: float):
     if m == 2:
         # the mesh only hits induced marginals on the w grid, so pin the
         # uniform-marginal corners explicitly (constant set, keeps nesting)
-        canon_ux = (np.full((1, 2), 0.5), np.array([[0, 1]]), np.eye(2))
-        canon_k1 = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp), np.full((1, 2), 0.5))
+        half, first = np.full((1, 2), 0.5), np.zeros(1, dtype=np.intp)
+        canon_ux = _Batch(half, np.array([[0, 1]]), np.eye(2), half, first)
+        canon_k1 = _Batch(np.ones((1, 1)), first[:, None], half, half, first)
         batches = [_binary_free_batch(step), canon_ux, canon_k1]
         return batches, [_aux3_free_binary()], step
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = simplex_grid(m, eff)
     n = grid.shape[0]
-    k1 = (np.ones((n, 1)), np.arange(n)[:, None], grid)
-    ux = (grid, np.broadcast_to(np.arange(m), (n, m)), np.eye(m))
+    rows = np.arange(n)
+    k1 = _Batch(np.ones((n, 1)), rows[:, None], grid, grid, rows)
+    ux = _Batch(grid, np.broadcast_to(np.arange(m), (n, m)), np.eye(m), grid, rows)
     batches = [k1, ux, _coarse_pair_batch(m)]
     batches.extend(_face_batches(m, step))
     return batches, [], max(eff, _FACE_STEP_FLOOR)
@@ -486,35 +571,40 @@ def _constrained_two_point_batch(target: np.ndarray, support: np.ndarray, step: 
 
 
 def _constrained_batches(target: Dist, m: int, step: float):
-    """Batches pinned to one input law, |U|=3 batches and the pinned grid's step."""
+    """Batches pinned to one input law, |U|=3 batches and the pinned grid's step.
+
+    Every batch hits the member on its support, renormalized: that is each
+    batch's one marginal row.
+    """
     if target.size != m:
         raise DomainError("marginal constraint size does not match the channels")
     t = target.probs
     support = np.flatnonzero(t > CELL_FLOOR)
-    k1 = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp), t[None, :])
     w_ux = t[support] / t[support].sum()
+    member = np.zeros((1, m))
+    member[0, support] = w_ux
+    k1 = (np.ones((1, 1)), np.zeros((1, 1), dtype=np.intp), t[None, :])
     ux = (w_ux[None, :], np.arange(support.size)[None, :], np.eye(m)[support])
-    batches = [k1, ux]
     weights, cond_idx, table, eff = _constrained_two_point_batch(t, support, step)
-    if weights.shape[0]:
-        batches.append((weights, cond_idx, table))
-    aux3 = []
-    if m == 2:
-        extra = _aux3_constrained_binary(float(t[0]))
-        if extra[0].shape[0]:
-            aux3.append(extra)
-    return batches, aux3, eff
+    aux3 = [_aux3_constrained_binary(float(t[0]))] if m == 2 else []
+
+    def pinned(group):
+        return [_Batch(*b, member, np.zeros(b[0].shape[0], dtype=np.intp)) for b in group if b[0].shape[0]]
+
+    return pinned([k1, ux, (weights, cond_idx, table)]), pinned(aux3), eff
 
 
 def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list, bounds: dict) -> dict:
     """One frontier per bound in ``bounds`` (name -> its diagnostics), from one evaluation.
 
-    Every decomposition's (A, B, C) is computed once; each bound's kind
-    (_BOUND_KINDS) then emits its own vertices, Pareto set and hull.
-    Diagnostics ``aux3_change`` is the Hausdorff distance the |U|=3 batches
-    moved the frontier by: exactly 0.0 when they leave its points unchanged,
-    None when there were none.  ``conditional_laws`` counts the table rows
-    evaluated, ``num_decompositions`` the decompositions.
+    Every decomposition's (A, B, C) is computed once, chunk by chunk; each
+    bound's kind (_BOUND_KINDS) then emits its own vertices, Pareto set and
+    hull.  Diagnostics ``aux3_change`` is the Hausdorff distance the |U|=3
+    batches moved the frontier by: exactly 0.0 when they leave its points
+    unchanged, None when there were none.  ``conditional_laws`` counts the
+    law table rows evaluated, ``marginal_laws`` the marginal rows (a batch
+    without a marginal table evaluates one per decomposition) and
+    ``num_decompositions`` the decompositions.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
@@ -522,26 +612,26 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     candidates = dict.fromkeys(kinds, 0)
     stored: list[tuple] = []
     offset = 0
-    laws = 0
+    laws = marginals = 0
     aux3_offset = None
     for group, is_aux3 in ((batches, False), (aux3_batches, True)):
         if is_aux3:
             aux3_offset = offset
-        for weights, cond_idx, table in group:
-            n = weights.shape[0]
+        for batch in group:
+            n = batch.weights.shape[0]
             if n == 0:
                 continue
-            stored.append((offset, weights, cond_idx, table))
-            laws += table.shape[0]
-            a, bq, cq = _eval_quantities(dominant, weak, weights, cond_idx, table)
+            stored.append((offset, batch))
+            laws += batch.table.shape[0]
+            marginals += n if batch.mixes is None else batch.mixes.shape[0]
+            values = _batch_values(dominant, weak, batch)
             for lo in range(0, n, _CHUNK):
-                run = slice(lo, lo + _CHUNK)
-                ids = offset + lo + np.arange(a[run].size)
+                a, bq, cq = _chunk_quantities(dominant, weak, batch, values, slice(lo, lo + _CHUNK))
+                ids = offset + lo + np.arange(a.size)
                 for kind in kinds:
-                    r1, r2, reps = _emit_vertices(kind, a[run], bq[run], cq[run])
-                    candidates[kind] += r1.size
-                    # column-major, so the pre-pass reads r1 and r2 contiguously
-                    pts, pids = _drop_dominated(np.stack([r1, r2]).T, np.tile(ids, reps))
+                    pts, pids, corners = _chunk_candidates(kind, a, bq, cq, ids)
+                    candidates[kind] += corners * a.size
+                    pts, pids = _drop_dominated(pts, pids)
                     pts_lists[kind].append(pts)
                     idx_lists[kind].append(pids)
             offset += n
@@ -569,6 +659,7 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
         diag = dict(diagnostics)
         diag["num_decompositions"] = offset
         diag["conditional_laws"] = laws
+        diag["marginal_laws"] = marginals
         diag["num_candidates"] = candidates
         diag["aux3_change"] = aux3_change
         diag["aux3_swept"] = aux3_swept
@@ -577,10 +668,10 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
 
 
 def _resolve_decomposition(stored, i: int) -> AuxDecomposition:
-    for offset, weights, cond_idx, table in reversed(stored):
+    for offset, batch in reversed(stored):
         if i >= offset:
-            w = np.asarray(weights[i - offset], dtype=float)
-            r = np.array(table[cond_idx[i - offset]], dtype=float)
+            w = np.asarray(batch.weights[i - offset], dtype=float)
+            r = np.array(batch.table[batch.cond_idx[i - offset]], dtype=float)
             r = r / np.maximum(r.sum(axis=1, keepdims=True), 1e-300)
             return AuxDecomposition(Dist(w / w.sum()), r)
     raise IndexError(f"decomposition index {i} out of range")

@@ -411,7 +411,7 @@ def test_class_member_face_is_the_same_in_the_envelope_lp_and_the_theorem_sweep(
     a, b = _random_channel(rng, 3, 3, False), _random_channel(rng, 3, 3, False)
     verdict = ordering.test_essentially_more_capable(a, b, [member], step=0.1)
     batches, _, _ = regions._constrained_batches(member, 3, 0.1)
-    _, cond_idx, table = batches[1]
+    cond_idx, table = batches[1].cond_idx, batches[1].table
     face = cond_idx.shape[1]
     assert face == 3
     assert np.array_equal(table[cond_idx[0]], np.eye(3))

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
-from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, channel_mi, mi_batch, split_input_pair
-from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_entropy
+from bcorder.channels import Dmc, bec, bsc, channel_mi, mi_batch, split_input_pair
+from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_entropy, entropy_vec
 from bcorder.regions import (
     RatePoint,
     RegionFrontier,
@@ -436,7 +436,7 @@ def test_constrained_sweep_reports_coarsened_step():
     assert [p.as_tuple() for p in fr.points] == [
         (0.0, 0.28002690597802515),
         (0.31127812445913283, 0.18872187554086717),
-        (0.5000000000000001, 0.0),
+        (0.5, 0.0),  # I(X;Y_a) at the exact uniform law, the member's marginal row
     ]
     binary = theorem2_region(bsc(0.1), bec(0.5), [Dist.uniform(2)], step=0.02)
     assert binary.diagnostics["step"] == 0.02
@@ -469,14 +469,14 @@ def _random_laws(rng, count, size, sparse):
     return laws
 
 
-def _dense_quantities(dominant, weak, weights, rows):
-    """(A, B, C) from the kernels on materialised (N, k, m) conditional rows."""
+def _dense_quantities(dominant, weak, weights, rows, mixes):
+    """(A, B, C) from the kernels on materialised (N, k, m) conditional rows and (N, m) input laws."""
     n, k, m = rows.shape
     i_dom = mi_batch(dominant.rows, rows.reshape(n * k, m)).reshape(n, k)
-    a = aux_mi_batch(weak.rows, weights, rows)
+    h_cond = entropy_vec(rows @ weak.rows, axis=-1)
+    a = np.maximum(0.0, entropy_vec(mixes @ weak.rows, axis=-1) - np.einsum("nk,nk->n", weights, h_cond))
     b = a + np.einsum("nk,nk->n", weights, i_dom)
-    c = mi_batch(dominant.rows, np.einsum("nk,nkm->nm", weights, rows))
-    return a, b, c
+    return a, b, mi_batch(dominant.rows, mixes)
 
 
 @_PROPERTY
@@ -488,9 +488,10 @@ def _dense_quantities(dominant, weak, weights, rows):
     aux=st.integers(2, 3),
     count=st.integers(1, 400),
     sparse=st.booleans(),
+    marginals=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux, count, sparse, seed):
+def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux, count, sparse, marginals, seed):
     # |U| >= 2 only: with one law per decomposition the reference's stacked
     # product takes numpy's vector-matrix route, which rounds differently
     # from the table's matrix product (I(U;Y) is then 0 up to 2e-16 either way)
@@ -502,10 +503,108 @@ def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux,
     table = np.vstack([_random_laws(rng, laws, m, False), _random_laws(rng, laws, m, True)])
     cond_idx = rng.integers(0, table.shape[0], size=(count, aux))
     weights = rng.dirichlet(np.ones(aux), size=count)
-    got = regions._eval_quantities(dominant, weak, weights, cond_idx, table)
-    want = _dense_quantities(dominant, weak, weights, table[cond_idx])
+    if marginals:  # a supplied marginal table: the evaluation takes it as given
+        mixes = np.vstack([_random_laws(rng, laws, m, False), _random_laws(rng, laws, m, True)])
+        mix_idx = rng.integers(0, mixes.shape[0], size=count)
+        batch, want_mixes = regions._Batch(weights, cond_idx, table, mixes, mix_idx), mixes[mix_idx]
+    else:  # none: the evaluation mixes each decomposition's laws itself
+        batch, want_mixes = regions._Batch(weights, cond_idx, table), np.einsum("nk,nkm->nm", weights, table[cond_idx])
+    values = regions._batch_values(dominant, weak, batch)
+    got = regions._chunk_quantities(dominant, weak, batch, values, slice(0, count))
+    want = _dense_quantities(dominant, weak, weights, table[cond_idx], want_mixes)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
+
+
+def _reference_eval_quantities(dominant, weak, weights, cond_idx, table):
+    """Per-decomposition (A, B, C), each H(Yw) and I(X;Yd) taken at the decomposition's own mixture."""
+    i_dom = mi_batch(dominant.rows, table)
+    ry = table @ weak.rows
+    h_ry = entropy_vec(ry, axis=-1)
+    py = np.einsum("...k,...kj->...j", weights, ry[cond_idx])
+    a = np.maximum(0.0, entropy_vec(py, axis=-1) - np.einsum("...k,...k->...", weights, h_ry[cond_idx]))
+    b = a + np.einsum("nk,nk->n", weights, i_dom[cond_idx])
+    c = mi_batch(dominant.rows, np.einsum("nk,nkm->nm", weights, table[cond_idx]))
+    return a, b, c
+
+
+def _reference_vertices(kind, a, b, c):
+    """Every corner of each decomposition's rate polygon, one block per corner, the r1-axis block first."""
+    zero = np.zeros_like(a)
+    if kind == "sum":
+        s = np.minimum(b, c)
+        cap = np.minimum(a, s)
+        r1, r2 = [s, s - cap], [zero, cap]
+    elif kind == "two":
+        r1, r2 = [b, b - a], [zero, a]
+    else:  # "r1cap"
+        c1 = np.minimum(c, b)
+        r1, r2 = [c1, np.minimum(c, b - a), c1], [zero, a, np.minimum(b - c1, a)]
+    return np.maximum(np.concatenate(r1), 0.0), np.maximum(np.concatenate(r2), 0.0), len(r1)
+
+
+def _reference_frontier(dominant, weak, batches, kind):
+    """The whole candidate cloud of the batches, sorted at once, then the hull."""
+    clouds, ids, offset = [], [], 0
+    for batch in batches:
+        a, b, c = _reference_eval_quantities(dominant, weak, batch.weights, batch.cond_idx, batch.table)
+        r1, r2, reps = _reference_vertices(kind, a, b, c)
+        clouds.append(np.column_stack([r1, r2]))
+        ids.append(np.tile(offset + np.arange(a.size), reps))
+        offset += a.size
+    return regions._upper_hull(*_lexsort_pareto(np.vstack(clouds), np.concatenate(ids)))[0]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(m=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+def test_marginal_tables_move_no_frontier(m, seed):
+    # against the sweep that evaluates every mixture on its own and sorts every
+    # corner: the same point count, each point within 1e-12
+    rng = np.random.default_rng(seed)
+    labels = ("0", "1", "2")
+    a = Dmc(_random_laws(rng, m, 3, False), labels)
+    b = Dmc(_random_laws(rng, m, 2 + m % 2, True), labels[: 2 + m % 2])
+    step = 0.05 if m == 2 else 0.1
+    free, free3, _ = regions._free_batches(m, step)
+    pinned, pinned3, _ = regions._constrained_batches(Dist.uniform(m), m, step)
+    got = region_frontiers(a, b, ["ib", "ob"], step=step)
+    got.update(region_frontiers(a, b, ["theorem1", "theorem2"], [Dist.uniform(m)], step=step))
+    for name, batches in (("ib", free + free3), ("ob", free + free3),
+                          ("theorem1", pinned + pinned3), ("theorem2", pinned + pinned3)):
+        want = _reference_frontier(a, b, batches, regions._BOUND_KINDS[name])
+        pts = got[name].as_array()
+        assert pts.shape == want.shape
+        assert np.abs(pts - want).max() <= 1e-12
+
+
+@_PROPERTY
+@given(
+    kind=st.sampled_from(["sum", "two", "r1cap"]),
+    n=st.integers(1, 60),
+    lattice=st.sampled_from([1, 2, 4, 16]),
+    chunks=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_axis_corner_reduction_keeps_the_pareto_set(kind, n, lattice, chunks, seed):
+    # coarse lattices tie the largest r1 across axis corners, and an r1cap
+    # third corner (c1, min(B - c1, A)) always shares its axis corner's r1
+    rng = np.random.default_rng(seed)
+    a = np.round(rng.random(n) * lattice) / lattice
+    b = a + np.round(rng.random(n) * lattice) / lattice
+    c = np.round(rng.random(n) * 2 * lattice) / lattice
+    ids = rng.permutation(n) + 7
+    r1, r2, reps = _reference_vertices(kind, a, b, c)
+    want = regions._pareto_filter(np.column_stack([r1, r2]), np.tile(ids, reps))
+    cuts = [0, *np.sort(rng.integers(0, n + 1, chunks - 1)).tolist(), n]
+    pts, pids = [], []
+    for lo, hi in zip(cuts, cuts[1:]):
+        if hi > lo:
+            p, i, corners = regions._chunk_candidates(kind, a[lo:hi], b[lo:hi], c[lo:hi], ids[lo:hi])
+            assert corners == reps and p.shape[0] == 1 + (reps - 1) * (hi - lo)
+            pts.append(p)
+            pids.append(i)
+    got = regions._pareto_filter(np.vstack(pts), np.concatenate(pids))
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def _same_frontier(f, g):
@@ -560,22 +659,83 @@ def _batches_of(m, step):
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_every_batch_is_table_indexed(m):
-    for weights, cond_idx, table in _batches_of(m, 0.1):
+    for batch in _batches_of(m, 0.1):
+        weights, cond_idx, table = batch.weights, batch.cond_idx, batch.table
         assert weights.ndim == 2 and cond_idx.shape == weights.shape
         assert np.issubdtype(cond_idx.dtype, np.integer)
         assert table.ndim == 2 and table.shape[1] == m
         assert cond_idx.min() >= 0 and cond_idx.max() < table.shape[0]
         assert np.allclose(table.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
+        # a marginal table, when there is one, is indexed the same way
+        assert (batch.mixes is None) == (batch.mix_idx is None)
+        if batch.mixes is not None:
+            assert batch.mix_idx.shape == weights.shape[:1]
+            assert np.issubdtype(batch.mix_idx.dtype, np.integer)
+            assert batch.mixes.ndim == 2 and batch.mixes.shape[1] == m
+            assert batch.mix_idx.min() >= 0 and batch.mix_idx.max() < batch.mixes.shape[0]
+            assert np.allclose(batch.mixes.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
 
 
 @pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 1.0 / 3.0])
 def test_meshes_hold_one_table_law_per_grid_value(step):
-    weights, cond_idx, table = regions._binary_free_batch(step)
-    assert table.shape[0] <= 1.0 / step + 1
-    assert weights.shape[0] == table.shape[0] ** 3
-    for weights, cond_idx, table in regions._face_batches(4, step):
-        assert table.shape[0] <= 1.0 / step + 1
-        assert weights.shape[0] == table.shape[0] ** 3
+    # K + 1 laws k / K and K^2 + 1 marginals j / K^2 for (K + 1)^3 decompositions
+    for batch in [regions._binary_free_batch(step), *regions._face_batches(4, step)]:
+        laws = batch.table.shape[0]
+        assert laws <= 1.0 / step + 1
+        assert batch.weights.shape[0] == laws ** 3
+        assert batch.mixes.shape[0] == (laws - 1) ** 2 + 1
+
+
+def _marginal_error(batch):
+    """Largest gap between each decomposition's marginal row and the mixture of its laws."""
+    mixtures = np.einsum("nk,nkm->nm", batch.weights, batch.table[batch.cond_idx])
+    return np.abs(batch.mixes[batch.mix_idx] - mixtures).max()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 1.0 / 3.0])
+def test_free_marginal_rows_are_the_induced_laws(m, step):
+    batches, aux3, _ = regions._free_batches(m, step)
+    assert (len(aux3) == 1) == (m == 2)  # the binary |U|=3 batch indexes the grid j / 50
+    for batch in batches + aux3:
+        if batch.mixes is not None:  # the coarse-pair batch mixes chunk by chunk
+            assert _marginal_error(batch) <= SIMPLEX_TOL
+
+
+def test_lattice_marginals_are_the_same_doubles_in_every_batch():
+    # j / 50 and 50 j / 2500 round the same rational, so the |U|=3 batch and
+    # the step-0.02 mesh put bit-identical rows on a shared marginal
+    mesh = regions._binary_free_batch(0.02)
+    aux3 = regions._aux3_free_binary()
+    assert np.array_equal(aux3.mixes, mesh.mixes[::50])
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    kind=st.sampled_from(["uniform", "dirichlet", "floor"]),
+    step=st.sampled_from([0.02, 0.05, 0.1, 1.0 / 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pinned_marginal_rows_are_the_member(m, kind, step, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "uniform":
+        probs = np.full(m, 1.0 / m)
+    else:
+        probs = rng.dirichlet(np.ones(m))
+        if kind == "floor":  # an entry at or below CELL_FLOOR is off the member's support
+            probs[rng.integers(m)] = CELL_FLOOR * rng.random()
+            probs /= probs.sum()
+    t = Dist(probs).probs
+    batches, aux3, _ = regions._constrained_batches(Dist(probs), m, step)
+    assert (len(aux3) == 1) == (m == 2)
+    support = t > CELL_FLOOR
+    row = np.where(support, t, 0.0) / t[support].sum()
+    for batch in batches + aux3:
+        # one shared marginal row: the member on its support, renormalized
+        assert batch.mixes.shape[0] == 1 and not batch.mix_idx.any()
+        assert np.array_equal(batch.mixes[0], row)
+        assert _marginal_error(batch) <= SIMPLEX_TOL
 
 
 def test_aux3_change_is_zero_when_the_points_do_not_move():
