@@ -939,6 +939,37 @@ def test_hierarchy_composition_on_random_cascades():
     assert checked == 4
 
 
+@settings(_PROPERTY, max_examples=60)
+@given(kind=st.sampled_from(["cascade", "circulant", "unrelated"]), m=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+def test_class_relationships_hold_in_each_direction(kind, m, seed):
+    # the paper's hierarchy, per direction: degraded => less noisy => more
+    # capable => essentially more capable on {uniform}; less noisy => the
+    # ordering part of essentially less noisy, read only where both channels
+    # share a cyclic input symmetry (the one route that test implements)
+    rng = np.random.default_rng(seed)
+    if kind == "circulant":
+        a, b = _circulant(rng, m, bool(rng.integers(2))), _circulant(rng, m, bool(rng.integers(2)))
+    else:
+        a = _random_channel(rng, m, int(rng.integers(2, 5)), sparse=bool(rng.integers(2)))
+        n = int(rng.integers(2, 5))
+        if kind == "cascade":
+            b = cascade(a, _random_channel(rng, a.output_size, n, sparse=bool(rng.integers(2))))
+        else:
+            b = _random_channel(rng, m, n, sparse=bool(rng.integers(2)))
+        if rng.integers(2):
+            a, b = b, a
+    res = ordering.ordering_verdicts(a, b, step=0.05)
+    uniform = [Dist.uniform(m)]
+    for key, degraded, better, worse in (("1", "degraded_2_wrt_1", a, b), ("2", "degraded_1_wrt_2", b, a)):
+        less_noisy, capable = res[f"less_noisy_{key}"], res[f"more_capable_{key}"]
+        assert less_noisy.holds or not res[degraded].holds
+        assert capable.holds or not less_noisy.holds
+        if capable.holds:
+            assert not ordering.test_essentially_more_capable(better, worse, uniform, step=0.05).fails
+        if kind == "circulant" and less_noisy.holds:
+            assert not res[f"essentially_less_noisy_{key}"].fails
+
+
 def test_mismatched_inputs_rejected():
     three = Dmc(np.eye(3), ("0", "1", "2"))
     with pytest.raises(DomainError):
