@@ -26,6 +26,7 @@ import numpy as np
 from .channels import (
     Dmc,
     NotCSymmetricError,
+    _channel_stack,
     aux_mi_batch,
     detect_c_symmetry,
     mi_batch,
@@ -34,6 +35,7 @@ from .channels import (
 from .probcore import (
     CELL_FLOOR,
     REFINE_FLOOR,
+    SIMPLEX_TOL,
     VERDICT_TOL,
     Dist,
     DomainError,
@@ -45,7 +47,8 @@ _POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
 _HESSIAN_BLOCK = 1 << 21  # max pairs x points x (m-1) x max(m-1, outputs) per curvature-scan block
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
-_LP_BLOCKS = 256          # pairs per block-diagonal degradedness LP
+_PIVOT_CAP = 10_000       # simplex pivots before a solve counts as failed
+_LP_LANES = 1024          # degradedness LPs per lockstep solve, which bounds the tableaux' memory
 
 
 class Outcome(enum.Enum):
@@ -388,102 +391,144 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     )
 
 
-def _block_lp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve the degradedness LPs of a (k, m, na), (k, m, nb) stack as one LP.
+def _simplex(lp: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimize cost x subject to lp x = rhs, x >= 0, for a (P, R, N) stack of LPs in lockstep.
 
-    The pairs share no variable and the objective sum_k t_k is separable,
-    so one block-diagonal LP, whose blocks are the single-pair LPs, yields
-    each block's optimum.  Returns the (k, na*nb + 1) optima: W row-major,
-    then t.
+    ``rhs`` is (P, R), ``cost`` broadcasts to (P, N), and ``basis`` is a
+    (P, R) stack of column indices whose columns form a nonsingular B with
+    B^-1 rhs >= 0: a feasible start, so no phase I is run.  Each lane keeps
+    the dense tableau [B^-1 lp | B^-1 rhs] under a row of reduced costs and
+    pivots on its own data only.  Pricing is Dantzig's (the most negative
+    reduced cost, and the largest pivot among tied ratios) and switches to
+    Bland's rule (the lowest column entering, the lowest basic column
+    leaving) after a degenerate pivot, which rules out cycling (Bland, Math.
+    Oper. Res. 1977).  Reduced costs of at least -SIMPLEX_TOL count as
+    optimal, pivot entries of at most SIMPLEX_TOL as zero.  A lane that
+    pivots _PIVOT_CAP times, or whose entering column no row bounds, raises
+    RuntimeError.  Each final basis is solved once more on the original
+    data, so the tableau's rounding drift never reaches the result.
+    Returns the basic solutions x, (P, N), and the duals y, (P, R), with
+    y B = cost_B.
     """
-    # imported here: scipy.optimize dominates the package import time and
-    # only the LP-based tests need it
-    from scipy.optimize import linprog
-    from scipy.sparse import coo_array
-
-    count, m, na = a.shape
-    nb = b.shape[2]
-    nvars = na * nb + 1
-    rows_ub = 2 * m * nb
-    blk = np.arange(count)[:, None, None, None]
-    i, y, o = np.arange(m)[:, None, None], np.arange(nb)[:, None], np.arange(na)
-    # cellwise |sum_o a[i,o] W[o,y] - b[i,y]| <= t: rows +cell, -cell per (i, y)
-    row, col, coef = np.broadcast_arrays(
-        blk * rows_ub + 2 * (i * nb + y), blk * nvars + o * nb + y, a[:, :, None, :]
-    )
-    nz = coef != 0.0
-    row, col, coef = row[nz], col[nz], coef[nz]
-    t_col = np.repeat(np.arange(count) * nvars + nvars - 1, rows_ub)
-    ub_val = np.concatenate([coef, -coef, -np.ones(t_col.size)])
-    ub_row = np.concatenate([row, row + 1, np.arange(t_col.size)])
-    ub_col = np.concatenate([col, col, t_col])
-    # each row of W sums to 1
-    eq_row = np.repeat(np.arange(count * na), nb)
-    eq_col = (np.arange(count)[:, None, None] * nvars + o[:, None] * nb + np.arange(nb)).ravel()
-    ub_shape, eq_shape = (count * rows_ub, count * nvars), (count * na, count * nvars)
-    if count == 1:
-        # linprog's sparse-input handling costs more than a whole one-pair solve
-        a_ub, a_eq = np.zeros(ub_shape), np.zeros(eq_shape)
-        a_ub[ub_row, ub_col] = ub_val
-        a_eq[eq_row, eq_col] = 1.0
+    count, rows, cols = lp.shape
+    lanes = np.arange(count)[:, None]
+    cost = np.broadcast_to(cost, (count, cols))
+    basis = np.array(basis, dtype=np.int64)
+    tab = np.empty((count, rows + 1, cols + 1))
+    tab[:, :rows, :cols], tab[:, :rows, cols] = lp, rhs
+    tab[:, rows, :cols], tab[:, rows, cols] = cost, 0.0
+    # lp[lanes, :, basis] is B transposed, lane by lane
+    tab[:, :rows] = np.linalg.solve(lp[lanes, :, basis].transpose(0, 2, 1), tab[:, :rows])
+    tab[:, rows] -= (cost[lanes, basis][:, None, :] @ tab[:, :rows])[:, 0]
+    final = basis.copy()
+    # the lanes still pivoting, with their tableau, basis and pricing rule
+    live, bland = np.arange(count), np.zeros(count, dtype=bool)
+    lane = live
+    for _ in range(_PIVOT_CAP + 1):
+        reduced = tab[:, rows, :cols]
+        q = reduced.argmin(axis=1)
+        going = reduced[lane, q] < -SIMPLEX_TOL
+        if not going.all():
+            final[live[~going]] = basis[~going]
+            live, tab, basis, bland, q = live[going], tab[going], basis[going], bland[going], q[going]
+            reduced, lane = tab[:, rows, :cols], np.arange(live.size)
+        if not live.size:
+            break
+        if bland.any():
+            q = np.where(bland, (reduced < -SIMPLEX_TOL).argmax(axis=1), q)
+        col = tab[lane, :rows, q]
+        bounded = col > SIMPLEX_TOL
+        ratio = np.divide(np.maximum(tab[:, :rows, cols], 0.0), col, out=np.full(col.shape, np.inf), where=bounded)
+        theta = ratio.min(axis=1, keepdims=True)
+        if np.isinf(theta).any():
+            raise RuntimeError("LP is unbounded")
+        # among tied rows, Dantzig takes the largest pivot and Bland the lowest basic column
+        key = np.where(bland[:, None], -basis, col) if bland.any() else col
+        r = np.where(ratio <= theta + SIMPLEX_TOL, key, -np.inf).argmax(axis=1)
+        pivot_row = tab[lane, r] / col[lane, r][:, None]
+        tab -= tab[lane, :, q][:, :, None] * pivot_row[:, None, :]
+        tab[lane, r] = pivot_row
+        basis[lane, r] = q
+        bland = theta[:, 0] <= SIMPLEX_TOL
     else:
-        a_ub = coo_array((ub_val, (ub_row, ub_col)), shape=ub_shape)
-        a_eq = coo_array((np.ones(eq_col.size), (eq_row, eq_col)), shape=eq_shape)
-    flat_b = b.reshape(count, m * nb)
-    c = np.zeros(count * nvars)
-    c[nvars - 1::nvars] = 1.0
-    bounds = np.tile(np.append(np.tile([0.0, 1.0], (na * nb, 1)), [[0.0, np.inf]], axis=0), (count, 1))
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=np.stack([flat_b, -flat_b], axis=2).ravel(),
-        A_eq=a_eq,
-        b_eq=np.ones(count * na),
-        bounds=bounds,
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"degradedness LP did not solve: {res.message}")
-    return res.x.reshape(count, nvars)
+        raise RuntimeError(f"simplex did not finish in {_PIVOT_CAP} pivots")
+    opt_t = lp[lanes, :, final]
+    x = np.zeros((count, cols))
+    x[lanes, final] = np.linalg.solve(opt_t.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
+    y = np.linalg.solve(opt_t, cost[lanes, final][:, :, None])[:, :, 0]
+    return x, y
 
 
-def _degraded(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[list[ClassVerdict], np.ndarray, np.ndarray]:
-    """Degradedness verdicts for row stacks, _LP_BLOCKS pairs to an LP.
+def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -> list[ClassVerdict]:
+    """Degradedness verdicts for (P, m, na) and (P, m, nb) row stacks, all LPs in one _simplex call.
 
-    The verdicts carry the residual and the LP optimum, which equal the
-    pair's own LP's up to rounding.  The optimal W and its worst cell need
-    not: where a pair's optimum is degenerate, the block LP can pick
-    another optimal W.  They are returned beside the verdicts, as
-    (P, na, nb) and (P,) flat cell indices.
+    Pair p's LP is min t subject to -t <= (a W - b)[i, y] <= t for every
+    cell and W row-stochastic, in equality form with a slack per cell
+    bound.  Its start sets W[o, 0] = 1 for every o, makes t basic in the
+    bound of the largest signed residual and every other bound's slack
+    basic: feasible, and nonsingular by block-triangularity.  By LP
+    duality, any Z on the cells with sum |Z| <= 1 bounds the optimum from
+    below by sum_o min_y (a^T Z)[o, y] - <Z, b>, Blackwell's distinguishing
+    test (Ann. Math. Statist. 1953); Z is the difference of the two bounds'
+    final duals, scaled down to sum |Z| <= 1 where rounding leaves it
+    above.  Each verdict carries W, with ``labels`` as its outputs, the
+    residual and worst cell of W, the LP optimum and this dual bound.
     """
     count, m, na = a.shape
     nb = b.shape[2]
-    solution = np.empty((count, na * nb + 1))
-    for lo in range(0, count, _LP_BLOCKS):
-        solution[lo:lo + _LP_BLOCKS] = _block_lp(a[lo:lo + _LP_BLOCKS], b[lo:lo + _LP_BLOCKS])
-    w = np.clip(solution[:, :-1].reshape(count, na, nb), 0.0, None)
+    cells, nw = m * nb, na * nb
+    t_col, rows = nw, 2 * cells + na
+    lp = np.zeros((count, rows, nw + 1 + 2 * cells))
+    # bound rows: (a W)[i, y] - t + s = b[i, y], then -(a W)[i, y] - t + s = -b[i, y]
+    i, y, o = np.arange(m)[:, None, None], np.arange(nb)[:, None], np.arange(na)
+    lp[:, i * nb + y, o * nb + y] = a[:, :, None, :]
+    lp[:, cells + i * nb + y, o * nb + y] = -a[:, :, None, :]
+    lp[:, :2 * cells, t_col] = -1.0
+    lp[:, np.arange(2 * cells), nw + 1 + np.arange(2 * cells)] = 1.0
+    # then each row of W sums to 1
+    lp[:, 2 * cells + o[:, None], o[:, None] * nb + np.arange(nb)] = 1.0
+    flat_b = b.reshape(count, cells)
+    rhs = np.concatenate([flat_b, -flat_b, np.ones((count, na))], axis=1)
+    cost = np.zeros(lp.shape[2])
+    cost[t_col] = 1.0
+    # W[o, 0] = 1 leaves the residual e_0 - b in every input row
+    resid = (np.eye(1, nb) - b).reshape(count, cells)
+    basis = np.tile(np.concatenate([nw + 1 + np.arange(2 * cells), o * nb]), (count, 1))
+    basis[np.arange(count), np.concatenate([resid, -resid], axis=1).argmax(axis=1)] = t_col
+    x, duals = _simplex(lp, rhs, cost, basis)
+    w = np.clip(x[:, :nw].reshape(count, na, nb), 0.0, None)
     sums = w.sum(axis=2, keepdims=True)
     w = np.where(sums > CELL_FLOOR, w / np.maximum(sums, CELL_FLOOR), 1.0 / nb)
-    resid_table = np.abs(a @ w - b).reshape(count, m * nb)
+    resid_table = np.abs(a @ w - b).reshape(count, cells)
     worst = np.argmax(resid_table, axis=1)
     resid = resid_table[np.arange(count), worst]
+    z = (duals[:, cells:2 * cells] - duals[:, :cells]).reshape(count, m, nb)
+    z /= np.maximum(np.abs(z).sum(axis=(1, 2)), 1.0)[:, None, None]
+    bound = np.einsum("pio,piy->poy", a, z).min(axis=2).sum(axis=1) - np.einsum("piy,piy->p", z, b)
     verdicts = []
-    for r, objective in zip(resid.tolist(), solution[:, -1].tolist()):
-        outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
-        verdicts.append(ClassVerdict(outcome, diagnostics={"residual": r, "lp_objective": objective, "tol": tol}))
-    return verdicts, w, worst
+    for wp, r, cell, objective, lower in zip(
+        _channel_stack(w, labels), resid.tolist(), worst.tolist(), x[:, t_col].tolist(), bound.tolist()
+    ):
+        d = {"residual": r, "worst_cell": list(divmod(cell, nb)), "lp_objective": objective, "dual_bound": lower, "tol": tol}
+        verdicts.append(ClassVerdict(Outcome.HOLDS if r <= tol else Outcome.FAILS, witness=wp, diagnostics=d))
+    return verdicts
 
 
 def degraded_stack(a, b) -> list[ClassVerdict]:
     """``test_degraded`` for P pairs at once, one verdict per pair.
 
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  Each
-    run of up to _LP_BLOCKS pairs is solved as one block-diagonal LP.  The
-    verdicts carry the outcome, residual and LP optimum of ``test_degraded``
-    but no witness W and no worst cell: where a pair's optimum is
-    degenerate, those would depend on the other pairs in its block.
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  The
+    LPs of up to _LP_LANES pairs pivot in lockstep, each on its own data
+    only, so every verdict equals ``test_degraded``'s on its pair, witness
+    W included; W's outputs are labelled "0", "1", ...
     """
-    return _degraded(*_stacked_pairs(a, b), VERDICT_TOL)[0]
+    a, b = _stacked_pairs(a, b)
+    labels = [str(y) for y in range(b.shape[2])]
+    return [
+        verdict
+        for lo in range(0, a.shape[0], _LP_LANES)
+        for verdict in _degraded(a[lo:lo + _LP_LANES], b[lo:lo + _LP_LANES], VERDICT_TOL, labels)
+    ]
 
 
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
@@ -491,15 +536,14 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
 
     Solves min_t { |cascade(a, W) - b| <= t cellwise, W row-stochastic } as
     a linear program.  Holds (with the witness W) iff the optimum is within
-    ``tol``; otherwise Fails with the worst-matched cell in diagnostics.
-    This test is exact up to the tolerance, never Inconclusive.  It is the
-    one-pair case of ``degraded_stack``.
+    ``tol``; otherwise Fails with the worst-matched cell in diagnostics,
+    beside ``dual_bound``, a lower bound on the optimum that holds whatever
+    the solver did (see _degraded).  This test is exact up to the
+    tolerance, never Inconclusive.  It is the one-pair case of
+    ``degraded_stack``.
     """
     _require_same_input(a, b)
-    [verdict], w, worst = _degraded(a.rows[None], b.rows[None], tol)
-    d = verdict.diagnostics
-    diagnostics = {"residual": d["residual"], "worst_cell": list(divmod(int(worst[0]), b.output_size)), **d}
-    return ClassVerdict(verdict.outcome, witness=Dmc(w[0], b.output_labels), diagnostics=diagnostics)
+    return _degraded(a.rows[None], b.rows[None], tol, b.output_labels)[0]
 
 
 def _face_chords(
@@ -887,8 +931,6 @@ def test_essentially_more_capable(
     ``grid_step`` is the coarsest step a face grid ran at, with
     ``requested_step`` added when that differs from ``step``.
     """
-    from scipy.optimize import linprog  # imported here for the reason _block_lp gives
-
     m = _require_same_input(a, b)
     if not candidate_class:
         raise DomainError("candidate class must contain at least one input law")
@@ -907,11 +949,11 @@ def test_essentially_more_capable(
         pts[-1] = target
         points += pts.shape[0]
         gaps = _gap_vec(b.rows, a.rows, pts)  # -g: the LP below minimizes sum_j w_j g(x_j)
-        res = linprog(-gaps, A_eq=pts[:, support].T, b_eq=target[support], method="highs")
-        if not res.success:
-            raise RuntimeError(f"envelope LP did not solve: {res.message}")
-        atoms = np.flatnonzero(res.x > CELL_FLOOR)
-        weights = res.x[atoms] / res.x[atoms].sum()
+        # it starts from the face's vertices, weighted by p*
+        vertices = np.argmax(face == 1.0, axis=0)
+        w = _simplex(pts[:, support].T[None], target[support][None], -gaps[None], vertices[None])[0][0]
+        atoms = np.flatnonzero(w > CELL_FLOOR)
+        weights = w[atoms] / w[atoms].sum()
         val = float(weights @ gaps[atoms])
         if val > best_val:
             best_val, best = val, (idx, weights, pts[atoms])

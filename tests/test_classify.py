@@ -398,6 +398,8 @@ def _witness_arrays(verdict):
         return []
     if isinstance(w, AuxDecomposition):
         return [w.pu.probs, w.px_given_u]
+    if isinstance(w, Dmc):
+        return [w.rows]
     return [w.probs]
 
 
@@ -458,15 +460,13 @@ def test_stacked_tests_equal_scalar_calls(m, na, nb, count, seed):
         assert got.outcome is want.outcome
         _assert_close_diagnostics(got.diagnostics, want.diagnostics)
         assert all(map(np.array_equal, _witness_arrays(got), _witness_arrays(want)))
-    # a stacked degradedness verdict leaves out the witness W and its worst
-    # cell, which a degenerate optimum would tie to the other pairs of the
-    # block LP; everything it does carry equals the one-pair call
+    # each lane of the lockstep simplex pivots on its own pair only, so a
+    # stacked degradedness verdict carries the one-pair call's witness W
     for (a, b), got in zip(pairs, ordering.degraded_stack(rows_a, rows_b)):
         want = ordering.test_degraded(a, b)
-        assert got.outcome is want.outcome and got.witness is None
-        _assert_close_diagnostics(
-            got.diagnostics, {k: v for k, v in want.diagnostics.items() if k != "worst_cell"}
-        )
+        assert got.outcome is want.outcome
+        _assert_close_diagnostics(got.diagnostics, want.diagnostics)
+        assert all(map(np.array_equal, _witness_arrays(got), _witness_arrays(want)))
 
 
 def test_stacked_tests_validate_their_rows():

@@ -576,13 +576,21 @@ def test_no_command_exits_two():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():
-    # scipy.optimize is most of the cold import time and only the
-    # degradedness LP needs it, so importing the CLI must not load it
+    # both LPs run on a numpy simplex kernel, so importing the CLI, and the
+    # two commands that solve LPs, load no scipy module at all
     src = os.path.dirname(os.path.dirname(bcorder.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    probe = "import sys, bcorder.cli; sys.exit(int('scipy.optimize' in sys.modules))"
-    res = subprocess.run([sys.executable, "-c", probe], env=env, timeout=120)
-    assert res.returncode == 0
+    probe = (
+        "import contextlib, io, sys, bcorder.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = bcorder.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    for argv in ([], ["classify", "--bsc", "0.1", "--bec", "0.5"], ["verify-paper"]):
+        res = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert res.stdout == "0 []\n", (argv, res.stdout, res.stderr)
 
 
 def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch):
