@@ -394,21 +394,17 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
 def _simplex(lp: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Minimize cost x subject to lp x = rhs, x >= 0, for a (P, R, N) stack of LPs in lockstep.
 
-    ``rhs`` is (P, R), ``cost`` broadcasts to (P, N), and ``basis`` is a
-    (P, R) stack of column indices whose columns form a nonsingular B with
-    B^-1 rhs >= 0: a feasible start, so no phase I is run.  Each lane keeps
-    the dense tableau [B^-1 lp | B^-1 rhs] under a row of reduced costs and
-    pivots on its own data only.  Pricing is Dantzig's (the most negative
-    reduced cost, and the largest pivot among tied ratios) and switches to
-    Bland's rule (the lowest column entering, the lowest basic column
-    leaving) after a degenerate pivot, which rules out cycling (Bland, Math.
-    Oper. Res. 1977).  Reduced costs of at least -SIMPLEX_TOL count as
-    optimal, pivot entries of at most SIMPLEX_TOL as zero.  A lane that
-    pivots _PIVOT_CAP times, or whose entering column no row bounds, raises
+    ``rhs`` is (P, R), ``cost`` broadcasts to (P, N), and the (P, R) column
+    indices ``basis`` give a nonsingular B with B^-1 rhs >= 0, a feasible
+    start, so there is no phase I.  Each lane pivots its own dense tableau
+    only.  Pricing is Dantzig's (ties in the ratio test go to the largest
+    pivot); after a degenerate pivot it is Bland's, lowest index entering
+    and leaving, which cannot cycle (Bland, Math. Oper. Res. 1977).
+    Reduced costs >= -SIMPLEX_TOL are optimal, pivots <= SIMPLEX_TOL zero.
+    More than _PIVOT_CAP pivots, or an unbounded column, raise
     RuntimeError.  Each final basis is solved once more on the original
-    data, so the tableau's rounding drift never reaches the result.
-    Returns the basic solutions x, (P, N), and the duals y, (P, R), with
-    y B = cost_B.
+    data, so no drift of the tableau reaches the returned basic solutions
+    x, (P, N), and duals y, (P, R), with y B = cost_B.
     """
     count, rows, cols = lp.shape
     lanes = np.arange(count)[:, None]
@@ -492,9 +488,9 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     cost = np.zeros(lp.shape[2])
     cost[t_col] = 1.0
     # W[o, 0] = 1 leaves the residual e_0 - b in every input row
-    resid = (np.eye(1, nb) - b).reshape(count, cells)
+    crash = (np.eye(1, nb) - b).reshape(count, cells)
     basis = np.tile(np.concatenate([nw + 1 + np.arange(2 * cells), o * nb]), (count, 1))
-    basis[np.arange(count), np.concatenate([resid, -resid], axis=1).argmax(axis=1)] = t_col
+    basis[np.arange(count), np.concatenate([crash, -crash], axis=1).argmax(axis=1)] = t_col
     x, duals = _simplex(lp, rhs, cost, basis)
     w = np.clip(x[:, :nw].reshape(count, na, nb), 0.0, None)
     sums = w.sum(axis=2, keepdims=True)
@@ -509,7 +505,7 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     for wp, r, cell, objective, lower in zip(
         _channel_stack(w, labels), resid.tolist(), worst.tolist(), x[:, t_col].tolist(), bound.tolist()
     ):
-        d = {"residual": r, "worst_cell": list(divmod(cell, nb)), "lp_objective": objective, "dual_bound": lower, "tol": tol}
+        d = dict(residual=r, worst_cell=list(divmod(cell, nb)), lp_objective=objective, dual_bound=lower, tol=tol)
         verdicts.append(ClassVerdict(Outcome.HOLDS if r <= tol else Outcome.FAILS, witness=wp, diagnostics=d))
     return verdicts
 
@@ -524,11 +520,8 @@ def degraded_stack(a, b) -> list[ClassVerdict]:
     """
     a, b = _stacked_pairs(a, b)
     labels = [str(y) for y in range(b.shape[2])]
-    return [
-        verdict
-        for lo in range(0, a.shape[0], _LP_LANES)
-        for verdict in _degraded(a[lo:lo + _LP_LANES], b[lo:lo + _LP_LANES], VERDICT_TOL, labels)
-    ]
+    blocks = (slice(lo, lo + _LP_LANES) for lo in range(0, len(a), _LP_LANES))
+    return [verdict for blk in blocks for verdict in _degraded(a[blk], b[blk], VERDICT_TOL, labels)]
 
 
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:

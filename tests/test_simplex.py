@@ -81,7 +81,8 @@ def test_degradedness_verdicts_are_certified():
         verdicts = ordering.degraded_stack(a, b)
         w = np.stack([v.witness.rows for v in verdicts])
         resid = np.abs(np.einsum("pio,poy->piy", a, w) - b).max(axis=(1, 2))
-        d = {key: np.array([v.diagnostics[key] for v in verdicts]) for key in ("dual_bound", "lp_objective", "residual")}
+        keys = ("dual_bound", "lp_objective", "residual")
+        d = {key: np.array([v.diagnostics[key] for v in verdicts]) for key in keys}
         assert np.abs(resid - d["residual"]).max() <= CELL_FLOOR, family
         assert np.all(d["dual_bound"] <= d["lp_objective"] + CELL_FLOOR), family
         assert np.all(d["lp_objective"] <= d["residual"] + CELL_FLOOR), family
