@@ -83,25 +83,6 @@ class Dmc:
         return cls(arr / sums, tuple(output_labels))
 
 
-def _channel_stack(rows, output_labels) -> list[Dmc]:
-    """One Dmc per (m, n) slice of a (P, m, n) row stack, all validated in one pass.
-
-    Each slice passes the checks Dmc's constructor makes, which are run
-    once over the whole stack instead of once per channel.
-    """
-    arr = stochastic_array(rows, "Dmc")
-    labels = tuple(str(s) for s in output_labels)
-    if arr.ndim != 3 or arr.shape[1] < 1 or len(labels) != arr.shape[2]:
-        raise DomainError("a channel stack needs (P, m, n) rows and n output labels")
-    chans = []
-    for slab in arr:
-        chan = object.__new__(Dmc)
-        object.__setattr__(chan, "rows", slab)
-        object.__setattr__(chan, "output_labels", labels)
-        chans.append(chan)
-    return chans
-
-
 def bsc(p: float) -> Dmc:
     """Binary symmetric channel with crossover p, 0 <= p <= 1/2."""
     if not in_range(p, 0.0, 0.5):

@@ -26,7 +26,6 @@ import numpy as np
 from .channels import (
     Dmc,
     NotCSymmetricError,
-    _channel_stack,
     aux_mi_batch,
     detect_c_symmetry,
     mi_batch,
@@ -468,7 +467,9 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     test (Ann. Math. Statist. 1953); Z is the difference of the two bounds'
     final duals, scaled down to sum |Z| <= 1 where rounding leaves it
     above.  Each verdict carries W, with ``labels`` as its outputs, the
-    residual and worst cell of W, the LP optimum and this dual bound.
+    residual and worst cell of W, the LP optimum and this dual bound.  A
+    residual above ``tol`` whose dual bound lies below tol - SIMPLEX_TOL
+    means the simplex stopped short of the optimum, and raises RuntimeError.
     """
     count, m, na = a.shape
     nb = b.shape[2]
@@ -502,11 +503,12 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     z /= np.maximum(np.abs(z).sum(axis=(1, 2)), 1.0)[:, None, None]
     bound = np.einsum("pio,piy->poy", a, z).min(axis=2).sum(axis=1) - np.einsum("piy,piy->p", z, b)
     verdicts = []
-    for wp, r, cell, objective, lower in zip(
-        _channel_stack(w, labels), resid.tolist(), worst.tolist(), x[:, t_col].tolist(), bound.tolist()
-    ):
+    for wp, r, cell, objective, lower in zip(w, resid.tolist(), worst.tolist(), x[:, t_col].tolist(), bound.tolist()):
+        if r > tol and lower <= tol - SIMPLEX_TOL:
+            raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
         d = dict(residual=r, worst_cell=list(divmod(cell, nb)), lp_objective=objective, dual_bound=lower, tol=tol)
-        verdicts.append(ClassVerdict(Outcome.HOLDS if r <= tol else Outcome.FAILS, witness=wp, diagnostics=d))
+        outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
+        verdicts.append(ClassVerdict(outcome, witness=Dmc(wp, labels), diagnostics=d))
     return verdicts
 
 
@@ -531,9 +533,9 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     a linear program.  Holds (with the witness W) iff the optimum is within
     ``tol``; otherwise Fails with the worst-matched cell in diagnostics,
     beside ``dual_bound``, a lower bound on the optimum that holds whatever
-    the solver did (see _degraded).  This test is exact up to the
-    tolerance, never Inconclusive.  It is the one-pair case of
-    ``degraded_stack``.
+    the solver did and must exceed ``tol`` too (see _degraded).  This
+    test is exact up to the tolerance, never Inconclusive.  It is the
+    one-pair case of ``degraded_stack``.
     """
     _require_same_input(a, b)
     return _degraded(a.rows[None], b.rows[None], tol, b.output_labels)[0]

@@ -92,6 +92,23 @@ def test_degradedness_verdicts_are_certified():
         assert np.all(d["dual_bound"][~holds] > VERDICT_TOL - SIMPLEX_TOL), family
 
 
+def test_uncertified_fails_raises(monkeypatch):
+    def stalled(lp, rhs, cost, basis):
+        # the start basis's solution and duals, as a kernel that never pivots would return them
+        lanes = np.arange(len(lp))[:, None]
+        start = lp[lanes, :, basis]
+        x = np.zeros(lp.shape[::2])
+        x[lanes, basis] = np.linalg.solve(start.transpose(0, 2, 1), rhs[:, :, None])[:, :, 0]
+        y = np.linalg.solve(start, np.broadcast_to(cost, x.shape)[lanes, basis][:, :, None])[:, :, 0]
+        return x, y
+
+    # BSC(0.2) is BSC(0.1) followed by BSC(1/8), so the optimum is 0 and no dual bound exceeds it
+    assert ordering.test_degraded(bsc(0.1), bsc(0.2)).holds
+    monkeypatch.setattr(ordering, "_simplex", stalled)
+    with pytest.raises(RuntimeError, match="stopped short"):
+        ordering.test_degraded(bsc(0.1), bsc(0.2))
+
+
 def test_lane_blocks_do_not_move_a_verdict(monkeypatch):
     rng = np.random.default_rng(7)
     for family, a, b in _degradedness_stacks(rng, 8):
