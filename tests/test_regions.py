@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
 from bcorder.channels import Dmc, bec, bsc, channel_mi, mi_batch, split_input_pair
-from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_entropy, entropy_vec
+from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_convolve, binary_entropy, entropy_vec
 from bcorder.regions import (
     RatePoint,
     RegionFrontier,
@@ -125,6 +125,46 @@ def test_theorem1_matches_constrained_superposition_under_dominance():
     t1 = theorem1_region(bsc(0.1), bec(0.5), [uni], step=0.02)
     ib = superposition_region(bsc(0.1), bec(0.5), marginal_constraint=uni, step=0.02)
     assert frontier_distance(t1, ib) <= 1e-9
+
+
+def _inverse_binary_entropy(s):
+    """h^-1 on [0, 1/2], by bisection on binary_entropy, elementwise."""
+    lo, hi = np.zeros_like(s), np.full_like(s, 0.5)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = binary_entropy(mid) < s
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+# On {uniform}, I(X;Y_bec|U) = (1-e) H(X|U) exactly, and Mrs. Gerber's Lemma
+# (Wyner & Ziv 1973) gives H(Y_bsc|U) >= phi_p(H(X|U)), phi_p(s) = h(h^-1(s) * p),
+# with equality for X = U xor Bern(h^-1(s)); phi_p is convex, so its chord
+# h(p) + (1 - h(p)) s is an upper bound, met by U fixing X or leaving it uniform.
+@pytest.mark.parametrize("step", [1 / 25, 1 / 50])
+@pytest.mark.parametrize("p, e", [(0.1, 0.6), (0.05, 0.5), (0.2, 0.9)])
+def test_theorem1_frontier_is_the_closed_form_segment(p, e, step):
+    # BSC(p) dominant, e > h(p): the chord makes r2 + r1 (1-e)/(1-h(p)) <= 1-e tight
+    assert e > binary_entropy(p)
+    fr = theorem1_region(bsc(p), bec(e), [Dist.uniform(2)], step=step)
+    pts = fr.as_array()
+    cap = 1.0 - binary_entropy(p)
+    assert np.abs(pts[0] - (0.0, 1.0 - e)).max() <= SIMPLEX_TOL
+    assert np.abs(pts[-1] - (cap, 0.0)).max() <= SIMPLEX_TOL
+    assert np.abs(pts[:, 1] - (1.0 - e) * (1.0 - pts[:, 0] / cap)).max() <= SIMPLEX_TOL
+
+
+@pytest.mark.parametrize("step", [1 / 25, 1 / 50])
+@pytest.mark.parametrize("p, e", [(0.1, 0.42), (0.1, 0.45), (0.05, 0.25), (0.2, 0.7), (0.15, 0.55)])
+def test_theorem2_frontier_lies_under_the_closed_form_curve(p, e, step):
+    # BEC(e) dominant, 4p(1-p) < e < h(p): the frontier is ((1-e) s, 1 - phi_p(s)),
+    # s in [0, 1], clipped by r1 + r2 <= 1-e; a grid sweep may only fall short of it
+    assert 4.0 * p * (1.0 - p) < e < binary_entropy(p)
+    fr = theorem2_region(bec(e), bsc(p), [Dist.uniform(2)], step=step)
+    r1, r2 = fr.as_array().T
+    s = np.clip(r1 / (1.0 - e), 0.0, 1.0)
+    curve = 1.0 - binary_entropy(binary_convolve(_inverse_binary_entropy(s), p))
+    assert np.all(r2 <= np.minimum(curve, 1.0 - e - r1) + SIMPLEX_TOL)
 
 
 def test_theorem2_four_letter_corners():
