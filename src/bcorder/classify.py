@@ -467,7 +467,8 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     test (Ann. Math. Statist. 1953); Z is the difference of the two bounds'
     final duals, scaled down to sum |Z| <= 1 where rounding leaves it
     above.  Each verdict carries W, with ``labels`` as its outputs, the
-    residual and worst cell of W, the LP optimum and this dual bound.  A
+    residual of W (its largest cell), the worst cell (the first within
+    SIMPLEX_TOL of the residual), the LP optimum and this dual bound.  A
     residual above ``tol`` whose dual bound lies below tol - SIMPLEX_TOL
     means the simplex stopped short of the optimum, and raises RuntimeError.
     """
@@ -497,8 +498,9 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     sums = w.sum(axis=2, keepdims=True)
     w = np.where(sums > CELL_FLOOR, w / np.maximum(sums, CELL_FLOOR), 1.0 / nb)
     resid_table = np.abs(a @ w - b).reshape(count, cells)
-    worst = np.argmax(resid_table, axis=1)
-    resid = resid_table[np.arange(count), worst]
+    resid = resid_table.max(axis=1)
+    # cells often tie up to rounding; the first within SIMPLEX_TOL of the largest is stable
+    worst = np.argmax(resid_table >= resid[:, None] - SIMPLEX_TOL, axis=1)
     z = (duals[:, cells:2 * cells] - duals[:, :cells]).reshape(count, m, nb)
     z /= np.maximum(np.abs(z).sum(axis=(1, 2)), 1.0)[:, None, None]
     bound = np.einsum("pio,piy->poy", a, z).min(axis=2).sum(axis=1) - np.einsum("piy,piy->p", z, b)

@@ -17,12 +17,13 @@ induce, with one index per decomposition: the binary mesh at step 0.02 has
 51 conditional laws and 2,501 marginals for its 132,651 decompositions, and
 a pinned batch has one marginal, the class member.  Both tables are
 evaluated once per batch and gathered; laws derived from a marginal
-constraint are appended to their batch's law table, and a batch off any
-lattice computes its marginals chunk by chunk.  Bounds that sweep the same
-decompositions share one evaluation: ``region_frontiers`` computes ``ib``
-and ``ob`` from one free sweep, and ``theorem1``, ``theorem2`` and a pinned
-``ib`` from one class sweep; each bound then emits its own rate-polygon
-vertices.
+constraint are appended to their batch's law table.  The all-pairs batch
+computes its marginals chunk by chunk: they lie on a lattice, a tenth of
+its coarse grid's step, but finding the distinct ones costs more than
+evaluating each.  Bounds that sweep the same decompositions share one
+evaluation: ``region_frontiers`` computes ``ib`` and ``ob`` from one free
+sweep, and ``theorem1``, ``theorem2`` and a pinned ``ib`` from one class
+sweep; each bound then emits its own rate-polygon vertices.
 
 Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and reduced as they stream.
@@ -30,11 +31,9 @@ Each run of _CHUNK decompositions is evaluated, emits its corner candidates
 and at once drops, in linear time, every candidate whose r2 is at most the
 largest r2 of a higher r1 bin of that run; only the survivors are kept, in
 input order, and the full candidate cloud is never stacked.  One
-deterministic Pareto-and-hull pass over the survivors gives the frontier,
-and the same pass over the prefix the base batches left gives the frontier
-before the |U|=3 batches.  Both, provenance included, are exactly those of
-sorting every candidate, so the result does not depend on evaluation order
-or batch chunking.
+deterministic Pareto-and-hull pass per bound kind over the survivors gives
+the frontier, provenance included, exactly as sorting every candidate would,
+so the result does not depend on evaluation order or batch chunking.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
@@ -102,8 +101,8 @@ class RegionFrontier:
     Points are sorted by r1 ascending with r2 decreasing, and lie on their
     own upper concave envelope.  ``provenance`` (when present) holds the
     AuxDecomposition that achieves each point; ``diagnostics`` records sweep
-    metadata such as the grid step and whether the |U|=3 refinement pass
-    moved the frontier.
+    metadata such as the grid step and how many points the |U|=3
+    refinement pass contributed.
     """
 
     points: tuple
@@ -163,41 +162,17 @@ def _polyline_samples(pts: np.ndarray) -> np.ndarray:
 
 
 def _dists_to_polyline(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each sample to the polyline, on (samples, segments) arrays.
-
-    The squared distances are reduced over segments, _SAMPLE_BLOCK samples
-    at a time, and only each sample's least one takes a square root: sqrt
-    is correctly rounded and monotone, so that is the least distance bit for
-    bit.
-    """
+    """Distance from each sample to the polyline, _SAMPLE_BLOCK samples at a time."""
     if pts.shape[0] == 1:
-        ex, ey = samples[:, 0] - pts[0, 0], samples[:, 1] - pts[0, 1]
-        return np.sqrt(ex * ex + ey * ey)
-    sx, sy = samples[:, :1], samples[:, 1:]  # (samples, 1) columns against (segments,) rows
-    ax, ay = pts[:-1, 0], pts[:-1, 1]
-    dx, dy = pts[1:, 0] - ax, pts[1:, 1] - ay
-    len2 = np.maximum(dx * dx + dy * dy, 1e-300)
+        return np.linalg.norm(samples - pts[0], axis=1)
+    a, d = pts[:-1], pts[1:] - pts[:-1]
+    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
     out = np.empty(samples.shape[0])
     for lo in range(0, out.size, _SAMPLE_BLOCK):
-        bx, by = sx[lo:lo + _SAMPLE_BLOCK], sy[lo:lo + _SAMPLE_BLOCK]
-        t = bx - ax  # t = clip(((x - ax) dx + (y - ay) dy) / len2, 0, 1)
-        t *= dx
-        e = by - ay
-        e *= dy
-        t += e
-        t /= len2
-        np.clip(t, 0.0, 1.0, out=t)
-        np.multiply(t, dx, out=e)  # e = x - (ax + t dx), then t = y - (ay + t dy)
-        e += ax
-        np.subtract(bx, e, out=e)
-        t *= dy
-        t += ay
-        np.subtract(by, t, out=t)
-        e *= e
-        t *= t
-        e += t
-        e.min(axis=1, out=out[lo:lo + _SAMPLE_BLOCK])
-    return np.sqrt(out, out=out)
+        block = samples[lo:lo + _SAMPLE_BLOCK, None, :]  # (samples, 1, 2) against (segments, 2)
+        t = np.clip(((block - a) * d).sum(axis=2) / len2, 0.0, 1.0)
+        out[lo:lo + _SAMPLE_BLOCK] = np.linalg.norm(block - (a + t[:, :, None] * d), axis=2).min(axis=1)
+    return out
 
 
 def _hausdorff(p1: np.ndarray, p2: np.ndarray) -> float:
@@ -322,9 +297,9 @@ class _Batch(NamedTuple):
     """One table-indexed sweep batch.
 
     Decomposition n puts weight weights[n, u] on the conditional law
-    table[cond_idx[n, u]] and induces the input law mixes[mix_idx[n]].  A
-    batch off any lattice leaves ``mixes`` and ``mix_idx`` None, and its
-    marginals are computed chunk by chunk.
+    table[cond_idx[n, u]] and induces the input law mixes[mix_idx[n]].  The
+    all-pairs batch leaves ``mixes`` and ``mix_idx`` None, and its marginals
+    are computed chunk by chunk.
     """
 
     weights: np.ndarray
@@ -599,12 +574,13 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
 
     Every decomposition's (A, B, C) is computed once, chunk by chunk; each
     bound's kind (_BOUND_KINDS) then emits its own vertices, Pareto set and
-    hull.  Diagnostics ``aux3_change`` is the Hausdorff distance the |U|=3
-    batches moved the frontier by: exactly 0.0 when they leave its points
-    unchanged, None when there were none.  ``conditional_laws`` counts the
-    law table rows evaluated, ``marginal_laws`` the marginal rows (a batch
-    without a marginal table evaluates one per decomposition) and
-    ``num_decompositions`` the decompositions.
+    hull.  Diagnostics ``aux3_points`` counts the frontier points whose
+    provenance is a |U|=3 decomposition, the ids at or above every base
+    batch's (an exact tie keeps the earlier id), None when no |U|=3 batch
+    ran.  ``conditional_laws`` counts the law table rows evaluated,
+    ``marginal_laws`` the marginal rows (a batch without a marginal table
+    evaluates one per decomposition) and ``num_decompositions`` the
+    decompositions.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
@@ -613,55 +589,46 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     stored: list[tuple] = []
     offset = 0
     laws = marginals = 0
-    aux3_offset = None
-    for group, is_aux3 in ((batches, False), (aux3_batches, True)):
-        if is_aux3:
-            aux3_offset = offset
-        for batch in group:
-            n = batch.weights.shape[0]
-            if n == 0:
-                continue
-            stored.append((offset, batch))
-            laws += batch.table.shape[0]
-            marginals += n if batch.mixes is None else batch.mixes.shape[0]
-            values = _batch_values(dominant, weak, batch)
-            for lo in range(0, n, _CHUNK):
-                a, bq, cq = _chunk_quantities(dominant, weak, batch, values, slice(lo, lo + _CHUNK))
-                ids = offset + lo + np.arange(a.size)
-                for kind in kinds:
-                    pts, pids, corners = _chunk_candidates(kind, a, bq, cq, ids)
-                    candidates[kind] += corners * a.size
-                    pts, pids = _drop_dominated(pts, pids)
-                    pts_lists[kind].append(pts)
-                    idx_lists[kind].append(pids)
-            offset += n
+    aux3_offset = sum(batch.weights.shape[0] for batch in batches)
+    for batch in batches + aux3_batches:
+        n = batch.weights.shape[0]
+        if n == 0:
+            continue
+        stored.append((offset, batch))
+        laws += batch.table.shape[0]
+        marginals += n if batch.mixes is None else batch.mixes.shape[0]
+        values = _batch_values(dominant, weak, batch)
+        for lo in range(0, n, _CHUNK):
+            a, bq, cq = _chunk_quantities(dominant, weak, batch, values, slice(lo, lo + _CHUNK))
+            ids = offset + lo + np.arange(a.size)
+            for kind in kinds:
+                pts, pids, corners = _chunk_candidates(kind, a, bq, cq, ids)
+                candidates[kind] += corners * a.size
+                pts, pids = _drop_dominated(pts, pids)
+                pts_lists[kind].append(pts)
+                idx_lists[kind].append(pids)
+        offset += n
     if offset == 0:
         raise DomainError("empty decomposition grid after constraint filtering")
-    aux3_swept = aux3_offset is not None and aux3_offset < offset
+    aux3_swept = aux3_offset < offset
 
     frontiers = {}
     for kind in kinds:
-        points = np.vstack(pts_lists[kind])
-        idx = np.concatenate(idx_lists[kind])
-        pts, ids = _upper_hull(*_pareto_filter(points, idx))
-        aux3_change = None
-        if aux3_swept:
-            base = idx < aux3_offset  # a prefix: the base batches run first
-            bp, _ = _upper_hull(*_pareto_filter(points[base], idx[base]))
-            aux3_change = 0.0 if np.array_equal(bp, pts) else _hausdorff(bp, pts)
+        pts, ids = _upper_hull(*_pareto_filter(np.vstack(pts_lists[kind]), np.concatenate(idx_lists[kind])))
+        aux3_points = int((ids >= aux3_offset).sum()) if aux3_swept else None
         prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
         rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
-        frontiers[kind] = (rate_points, prov, candidates[kind], aux3_change)
+        frontiers[kind] = (rate_points, prov, candidates[kind], aux3_points)
 
     out = {}
     for name, diagnostics in bounds.items():
-        rate_points, prov, candidates, aux3_change = frontiers[_BOUND_KINDS[name]]
+        rate_points, prov, candidates, aux3_points = frontiers[_BOUND_KINDS[name]]
         diag = dict(diagnostics)
         diag["num_decompositions"] = offset
         diag["conditional_laws"] = laws
         diag["marginal_laws"] = marginals
         diag["num_candidates"] = candidates
-        diag["aux3_change"] = aux3_change
+        diag["aux3_points"] = aux3_points
         diag["aux3_swept"] = aux3_swept
         out[name] = RegionFrontier(points=rate_points, provenance=prov, diagnostics=diag)
     return out

@@ -10,7 +10,7 @@ from bcorder.bscbec import BscBecPair, d_func
 from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, cascade, mi_batch, split_input_pair
 from bcorder import classify as ordering, regions
 from bcorder.classify import AuxDecomposition, Outcome, simplex_grid
-from bcorder.probcore import CELL_FLOOR, REFINE_FLOOR, VERDICT_TOL, Dist, DomainError, binary_entropy, entropy_vec
+from bcorder.probcore import CELL_FLOOR, REFINE_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, binary_entropy, entropy_vec
 from info_oracles import brute_conditional_mi, brute_mi, chain_table
 
 # cheap, reproducible property runs: fixed example sequence, no example database
@@ -518,6 +518,19 @@ def test_degraded_fails_above_threshold():
     verdict = ordering.test_degraded(bec(0.25), bsc(0.1))
     assert verdict.outcome is Outcome.FAILS
     assert verdict.diagnostics["residual"] > 1e-9
+
+
+def test_degraded_worst_cell_is_the_first_of_tied_residuals():
+    # cells (0,0), (0,2), (1,0) and (1,2) all read 0.0475 up to rounding
+    verdict = ordering.test_degraded(bsc(0.05), bec(0.05))
+    assert verdict.diagnostics["worst_cell"] == [0, 0]
+    for a, b in ((bsc(0.05), bec(0.05)), (bec(0.25), bsc(0.1)), (bsc(0.2), bec(0.3))):
+        verdict = ordering.test_degraded(a, b)
+        d = verdict.diagnostics
+        table = np.abs(a.rows @ verdict.witness.rows - b.rows).ravel()
+        first = int(np.flatnonzero(table >= d["residual"] - SIMPLEX_TOL)[0])
+        assert d["residual"] == table.max()
+        assert d["worst_cell"] == list(divmod(first, b.rows.shape[1]))
 
 
 def test_degraded_is_reflexive_and_respects_composition():

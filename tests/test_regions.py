@@ -216,7 +216,7 @@ def test_diagnostics_reported():
     fr = superposition_region(bsc(0.1), bec(0.5), step=0.04)
     assert fr.diagnostics["num_decompositions"] > 0
     assert fr.diagnostics["num_candidates"] >= len(fr.points)
-    assert "aux3_change" in fr.diagnostics
+    assert fr.diagnostics["aux3_points"] == 0
 
 
 def test_mismatched_inputs_rejected():
@@ -778,16 +778,16 @@ def test_pinned_marginal_rows_are_the_member(m, kind, step, seed):
         assert _marginal_error(batch) <= SIMPLEX_TOL
 
 
-def test_aux3_change_is_zero_when_the_points_do_not_move():
+def test_aux3_points_is_zero_when_the_points_do_not_move():
     fr = superposition_region(bsc(0.1), bec(0.5), step=0.02)
     assert fr.diagnostics["aux3_swept"] is True
-    assert fr.diagnostics["aux3_change"] == 0.0
+    assert fr.diagnostics["aux3_points"] == 0
     four = outer_bound_eq_ob(*split_input_pair(), step=0.1)
-    assert four.diagnostics["aux3_change"] is None
+    assert four.diagnostics["aux3_points"] is None
 
 
-def test_aux3_change_is_the_distance_from_the_base_frontier(monkeypatch):
-    # the base frontier comes from the survivors of the base batches alone
+def test_aux3_points_counts_the_points_the_base_frontier_lacks(monkeypatch):
+    # the reference base frontier comes from a sweep of the base batches alone
     uni = [Dist.uniform(2)]
     fr = region_frontiers(bsc(0.1), bec(0.15), ["ib", "ob"], step=0.1)
     fr.update(region_frontiers(bec(0.15), bsc(0.1), ["theorem1", "theorem2"], uni, step=0.1))
@@ -797,15 +797,35 @@ def test_aux3_change_is_the_distance_from_the_base_frontier(monkeypatch):
     base = region_frontiers(bsc(0.1), bec(0.15), ["ib", "ob"], step=0.1)
     base.update(region_frontiers(bec(0.15), bsc(0.1), ["theorem1", "theorem2"], uni, step=0.1))
     for name in ("ib", "ob", "theorem1", "theorem2"):
-        assert base[name].diagnostics["aux3_change"] is None
-        if fr[name].points == base[name].points:
-            assert fr[name].diagnostics["aux3_change"] == 0.0
-        else:
-            assert fr[name].diagnostics["aux3_change"] == frontier_distance(base[name], fr[name])
+        assert base[name].diagnostics["aux3_points"] is None
+        assert (fr[name].diagnostics["aux3_points"] == 0) == (fr[name].points == base[name].points)
+        assert fr[name].diagnostics["aux3_points"] <= len(fr[name].points)
     # the |U|=3 passes move the 48-point pinned frontiers; on the coarse ob
     # frontier they only added a point 1 ulp right of its last, now the same r1
-    assert fr["ob"].diagnostics["aux3_change"] == 0.0
-    assert fr["theorem1"].diagnostics["aux3_change"] > 0.01
+    assert fr["ob"].diagnostics["aux3_points"] == 0
+    assert fr["theorem1"].diagnostics["aux3_points"] > 0
+
+
+def test_each_bound_kind_is_reduced_once_per_sweep(monkeypatch):
+    calls = {"_pareto_filter": 0, "_upper_hull": 0}
+
+    def counted(name):
+        inner = getattr(regions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(regions, name, counted(name))
+    # one free sweep (ib "sum", ob "r1cap") and one class sweep (theorem1 "two", theorem2 "sum")
+    region_frontiers(bsc(0.1), bec(0.15), ["ib", "ob"], step=0.1)
+    assert calls == {"_pareto_filter": 2, "_upper_hull": 2}
+    region_frontiers(bec(0.15), bsc(0.1), ["theorem1", "theorem2", "ib"], [Dist.uniform(2)], step=0.1)
+    assert calls == {"_pareto_filter": 4, "_upper_hull": 4}
+    region_frontiers(*split_input_pair(), ["ob"], step=0.1)
+    assert calls == {"_pareto_filter": 5, "_upper_hull": 5}
 
 
 def test_oversized_sweeps_are_refused_before_allocation():
