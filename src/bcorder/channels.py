@@ -83,20 +83,31 @@ class Dmc:
         return cls(arr / sums, tuple(output_labels))
 
 
-def bsc(p: float) -> Dmc:
-    """Binary symmetric channel with crossover p, 0 <= p <= 1/2."""
+def bsc_rows(p) -> np.ndarray:
+    """Rows of BSC(p), (..., 2, 2) for an array of crossovers in [0, 1/2]."""
     if not in_range(p, 0.0, 0.5):
         raise DomainError("bsc crossover must lie in [0, 1/2]")
-    p = min(max(p, 0.0), 0.5)
-    return Dmc(np.array([[1.0 - p, p], [p, 1.0 - p]]), ("0", "1"))
+    p = np.clip(p, 0.0, 0.5)
+    return np.stack([np.stack([1.0 - p, p], axis=-1), np.stack([p, 1.0 - p], axis=-1)], axis=-2)
+
+
+def bec_rows(e) -> np.ndarray:
+    """Rows of BEC(e), outputs 0, ?, 1: (..., 2, 3) for an array of erasure rates in [0, 1]."""
+    if not in_range(e, 0.0, 1.0):
+        raise DomainError("bec erasure rate must lie in [0, 1]")
+    e = np.clip(e, 0.0, 1.0)
+    zero = np.zeros_like(e)
+    return np.stack([np.stack([1.0 - e, e, zero], axis=-1), np.stack([zero, e, 1.0 - e], axis=-1)], axis=-2)
+
+
+def bsc(p: float) -> Dmc:
+    """Binary symmetric channel with crossover p, 0 <= p <= 1/2."""
+    return Dmc(bsc_rows(p), ("0", "1"))
 
 
 def bec(e: float) -> Dmc:
     """Binary erasure channel with erasure rate e; outputs ordered 0, ?, 1."""
-    if not in_range(e, 0.0, 1.0):
-        raise DomainError("bec erasure rate must lie in [0, 1]")
-    e = min(max(e, 0.0), 1.0)
-    return Dmc(np.array([[1.0 - e, e, 0.0], [0.0, e, 1.0 - e]]), ("0", "?", "1"))
+    return Dmc(bec_rows(e), ("0", "?", "1"))
 
 
 def cascade(a: Dmc, b: Dmc) -> Dmc:

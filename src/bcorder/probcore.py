@@ -37,17 +37,23 @@ def stochastic_array(values, what: str, axis: int | None = -1) -> np.ndarray:
     are the caller's.  Raises DomainError naming ``what`` otherwise.
     """
     arr = np.array(values, dtype=float, copy=True)
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{what} contains non-finite entries")
-    if np.any(arr < -CELL_FLOOR):
+    # one min and one sum accept a law: a min of at least -CELL_FLOOR rules
+    # out NaN and -inf, sums near 1 rule out +inf; the other checks only
+    # name the fault of a rejected law
+    lo = arr.min(initial=np.inf)
+    if not lo >= -CELL_FLOOR:
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{what} contains non-finite entries")
         raise DomainError(f"{what} contains negative entries")
-    arr = np.clip(arr, 0.0, None)
+    if lo <= 0.0:
+        np.clip(arr, 0.0, None, out=arr)  # also turns -0.0 into 0.0
     sums = arr.sum(axis=axis)
     bad = np.abs(sums - 1.0) > SIMPLEX_TOL
-    if np.ndim(bad) == 0:
-        if bad:
+    if np.any(bad):
+        if not np.all(np.isfinite(arr)):
+            raise DomainError(f"{what} contains non-finite entries")
+        if np.ndim(bad) == 0:
             raise DomainError(f"{what} does not sum to 1 (sum={float(sums)!r})")
-    elif np.any(bad):
         raise DomainError(f"{what} row {int(np.argmax(bad))} does not sum to 1")
     arr.setflags(write=False)
     return arr

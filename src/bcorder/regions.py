@@ -14,7 +14,7 @@ terms of its induced input law p, H(Yw) and I(X;Yd) at p, and terms linear
 in its weights, sum_u w_u H(Yw|u) and sum_u w_u I(X;Yd|u).  So each batch
 also carries a table (M, m) of the distinct input laws its decompositions
 induce, with one index per decomposition: the binary mesh at step 0.02 has
-51 conditional laws and 2,501 marginals for its 132,651 decompositions, and
+51 conditional laws and 2,501 marginals for its 62,526 decompositions, and
 a pinned batch has one marginal, the class member.  Both tables are
 evaluated once per batch and gathered; laws derived from a marginal
 constraint are appended to their batch's law table.  The all-pairs batch
@@ -39,8 +39,11 @@ Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
 coarsened it.  ``num_decompositions`` counts the decompositions swept,
 ``conditional_laws`` the table laws and ``marginal_laws`` the marginal rows
-evaluated for them.  A sweep batch holds at most _SWEEP_CAP decompositions;
-a finer step raises DomainError before anything is allocated.
+evaluated for them.  A pinned sweep batch holds at most _SWEEP_CAP
+decompositions, and the binary mesh is refused when its full (K + 1)^3
+grid exceeds _SWEEP_CAP points; a finer step raises DomainError before
+anything is allocated.  The binary mesh of each K and the batches pinned to
+each member are built on first use and cached read-only.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -48,6 +51,7 @@ decimal places, sorted by r1 ascending.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -68,7 +72,7 @@ _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
 _CHUNK = 200_000        # decompositions gathered and evaluated at once
-_SWEEP_CAP = 10_000_000  # max decompositions of one sweep batch (the binary mesh at --grid 200 has 8.1M)
+_SWEEP_CAP = 10_000_000  # max decompositions of a pinned batch, max (K + 1)^3 of the binary mesh (8.1M at --grid 200)
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
 _SEG_SAMPLES = 33       # samples per segment for Hausdorff distance
 _SAMPLE_BLOCK = 256     # samples measured against every segment at once
@@ -391,35 +395,47 @@ def _two_letter_laws(q: np.ndarray, m: int = 2, i: int = 0, j: int = 1) -> np.nd
     return laws
 
 
-def _two_point_mesh(k_parts: int) -> _Batch:
-    """The binary |U|=2 sweep over the full g x g x g mesh, g = k / K.
+def _read_only(*arrays):
+    for arr in arrays:
+        if arr is not None:
+            arr.flags.writeable = False
 
-    Decomposition (iw, i0, i1), in C order, puts weight g[iw] on the law
-    (g[i0], 1 - g[i0]) and 1 - g[iw] on (g[i1], 1 - g[i1]).  It induces the
-    law at (iw i0 + (K - iw) i1) / K^2: row iw i0 + (K - iw) i1 of the
+
+@functools.lru_cache(maxsize=1)
+def _two_point_mesh(k_parts: int) -> _Batch:
+    """The binary |U|<=2 sweep over the mesh g = k / K, each decomposition once; read-only.
+
+    Row (iw, i0, i1) puts weight g[iw] on the law (g[i0], 1 - g[i0]) and
+    1 - g[iw] on (g[i1], 1 - g[i1]).  The full g x g x g mesh names every
+    |U|=2 decomposition twice, as (iw, i0, i1) and as (K - iw, i1, i0), and
+    its rows with iw in {0, K} or i0 = i1 are |U|=1 decompositions.  So the
+    mesh holds one row (K, k, k) per law, then each proper decomposition
+    once, 0 < iw < K and i0 < i1 in C order: (K + 1) + (K - 1) K (K + 1) / 2
+    rows, 62,526 at K = 50 against the full mesh's 132,651.  A row induces
+    the law at (iw i0 + (K - iw) i1) / K^2: row iw i0 + (K - iw) i1 of the
     marginal grid j / K^2.
     """
     k = np.arange(k_parts + 1)
+    pairs = np.column_stack(np.triu_indices(k.size, 1))
+    iw = np.concatenate([np.full(k.size, k_parts), np.repeat(np.arange(1, k_parts), pairs.shape[0])])
+    cond_idx = np.vstack([np.column_stack([k, k]), np.tile(pairs, (k_parts - 1, 1))])
     g = k / k_parts
-    shape = (k.size,) * 3
-    weights = np.empty((*shape, 2))
-    weights[..., 0] = g[:, None, None]
-    weights[..., 1] = 1.0 - g[:, None, None]
-    cond_idx = np.empty((*shape, 2), dtype=np.intp)
-    cond_idx[..., 0] = k[None, :, None]
-    cond_idx[..., 1] = k[None, None, :]
-    mix_idx = np.empty(shape, dtype=np.intp)
-    np.add((k[:, None] * k)[:, :, None], ((k_parts - k)[:, None] * k)[:, None, :], out=mix_idx)
-    n = k.size ** 3
+    weights = np.empty((iw.size, 2))
+    weights[:, 0] = g[iw]
+    weights[:, 1] = 1.0 - weights[:, 0]
+    mix_idx = iw * cond_idx[:, 0] + (k_parts - iw) * cond_idx[:, 1]
     x = np.arange(k_parts * k_parts + 1) / (k_parts * k_parts)
-    return _Batch(weights.reshape(n, 2), cond_idx.reshape(n, 2), _two_letter_laws(g), _two_letter_laws(x), mix_idx.reshape(n))
+    mesh = _Batch(weights, cond_idx, _two_letter_laws(g), _two_letter_laws(x), mix_idx)
+    _read_only(*mesh)
+    return mesh
 
 
 def _binary_free_batch(step: float) -> _Batch:
     k_parts = max(1, round(1.0 / step))
     if (k_parts + 1) ** 3 > _SWEEP_CAP:
-        n = (k_parts + 1) ** 3
-        raise DomainError(f"a binary sweep at step {step:g} needs {n} decompositions; the cap is {_SWEEP_CAP}")
+        raise DomainError(
+            f"a binary sweep at step {step:g} spans a {k_parts + 1}^3 = {(k_parts + 1) ** 3} point mesh; the cap is {_SWEEP_CAP}"
+        )
     return _two_point_mesh(k_parts)
 
 
@@ -549,11 +565,18 @@ def _constrained_batches(target: Dist, m: int, step: float):
     """Batches pinned to one input law, |U|=3 batches and the pinned grid's step.
 
     Every batch hits the member on its support, renormalized: that is each
-    batch's one marginal row.
+    batch's one marginal row.  The batches are built once per (member, m,
+    step) and shared read-only.
     """
     if target.size != m:
         raise DomainError("marginal constraint size does not match the channels")
-    t = target.probs
+    batches, aux3, eff = _pinned_batches(tuple(target.probs.tolist()), m, step)
+    return list(batches), list(aux3), eff
+
+
+@functools.lru_cache(maxsize=4)
+def _pinned_batches(probs: tuple, m: int, step: float):
+    t = np.array(probs)
     support = np.flatnonzero(t > CELL_FLOOR)
     w_ux = t[support] / t[support].sum()
     member = np.zeros((1, m))
@@ -564,7 +587,10 @@ def _constrained_batches(target: Dist, m: int, step: float):
     aux3 = [_aux3_constrained_binary(float(t[0]))] if m == 2 else []
 
     def pinned(group):
-        return [_Batch(*b, member, np.zeros(b[0].shape[0], dtype=np.intp)) for b in group if b[0].shape[0]]
+        batches = [_Batch(*b, member, np.zeros(b[0].shape[0], dtype=np.intp)) for b in group if b[0].shape[0]]
+        for batch in batches:
+            _read_only(*batch)
+        return batches
 
     return pinned([k1, ux, (weights, cond_idx, table)]), pinned(aux3), eff
 

@@ -19,7 +19,9 @@ from .channels import (
     Dmc,
     aux_mi_batch,
     bec,
+    bec_rows,
     bsc,
+    bsc_rows,
     cascade,
     channel_mi,
     detect_c_symmetry,
@@ -133,9 +135,8 @@ def _check_aux_informations(grid: int, seed: int, tol: float) -> CheckResult:
 
 def _erasure_crossover_rows(cells: list[tuple[float, float]]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked rows of BEC(e) and BSC(p) for (p, e) cells, one pair per cell."""
-    chan_b = np.array([bec(e).rows for _, e in cells]).reshape(-1, 2, 3)
-    chan_s = np.array([bsc(p).rows for p, _ in cells]).reshape(-1, 2, 2)
-    return chan_b, chan_s
+    ps, es = np.array(cells, dtype=float).reshape(-1, 2).T
+    return bec_rows(es), bsc_rows(ps)
 
 
 def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:

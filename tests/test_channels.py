@@ -7,7 +7,9 @@ from bcorder.channels import (
     ChannelFormatError,
     Dmc,
     bec,
+    bec_rows,
     bsc,
+    bsc_rows,
     cascade,
     channel_from_dict,
     channel_mi,
@@ -49,6 +51,20 @@ def test_bec_structure():
     assert c.rows[0].max() == pytest.approx(0.75, abs=1e-15)
     with pytest.raises(DomainError):
         bec(1.5)
+
+
+def test_stacked_rows_are_the_channel_rows_bit_for_bit():
+    ps = np.array([0.0, 1e-13, 0.1, 0.25, 0.5, 0.5 + 1e-13])
+    es = np.array([0.0, -1e-13, 0.15, 0.5, 1.0, 1.0 + 1e-13])
+    stacked_s, stacked_b = bsc_rows(ps), bec_rows(es.reshape(2, 3))
+    assert stacked_s.shape == (6, 2, 2) and stacked_b.shape == (2, 3, 2, 3)
+    assert np.array_equal(stacked_s, np.array([bsc(p).rows for p in ps]))
+    assert np.array_equal(stacked_b.reshape(6, 2, 3), np.array([bec(e).rows for e in es]))
+    for bad in (np.nan, -0.01, 0.6):
+        with pytest.raises(DomainError, match="bsc crossover"):
+            bsc_rows(np.array([0.1, bad]))
+        with pytest.raises(DomainError, match="bec erasure rate"):
+            bec_rows(np.array([0.1, bad * 2.0]))
 
 
 def test_cascade_composes_rows():

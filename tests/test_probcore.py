@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, mi_batch
-from bcorder.probcore import Dist, DomainError, binary_convolve, binary_entropy, entropy
+from bcorder.probcore import (
+    CELL_FLOOR,
+    SIMPLEX_TOL,
+    Dist,
+    DomainError,
+    binary_convolve,
+    binary_entropy,
+    entropy,
+    stochastic_array,
+)
 from info_oracles import brute_conditional_mi, brute_mi, decomposition
 
 
@@ -13,6 +23,83 @@ def test_dist_validates_simplex():
         Dist(np.array([0.5, -0.5, 1.0]))
     d = Dist(np.array([0.25, 0.75]))
     assert d.size == 2
+
+
+def _reference_stochastic_array(values, what, axis=-1):
+    """stochastic_array as four separate passes: finite, negative, clip, sums."""
+    arr = np.array(values, dtype=float, copy=True)
+    if not np.all(np.isfinite(arr)):
+        raise DomainError(f"{what} contains non-finite entries")
+    if np.any(arr < -CELL_FLOOR):
+        raise DomainError(f"{what} contains negative entries")
+    arr = np.clip(arr, 0.0, None)
+    sums = arr.sum(axis=axis)
+    bad = np.abs(sums - 1.0) > SIMPLEX_TOL
+    if np.ndim(bad) == 0:
+        if bad:
+            raise DomainError(f"{what} does not sum to 1 (sum={float(sums)!r})")
+    elif np.any(bad):
+        raise DomainError(f"{what} row {int(np.argmax(bad))} does not sum to 1")
+    return arr
+
+
+def _outcome(fn, values, axis):
+    try:
+        return fn(values, "law", axis)
+    except DomainError as exc:
+        return str(exc)
+
+
+def _assert_same_outcome(values, axis):
+    got, want = _outcome(stochastic_array, values, axis), _outcome(_reference_stochastic_array, values, axis)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert not got.flags.writeable
+        assert got.shape == want.shape
+        # bit for bit, so a -0.0 clipped to 0.0 by the reference is 0.0 here too
+        assert got.tobytes() == want.tobytes()
+
+
+_SPECIAL = [np.nan, np.inf, -np.inf, -1e-16, -0.0, 0.0, -0.3, 1.0, 2.0]
+
+
+@pytest.mark.parametrize(
+    "values, axis",
+    [
+        ([0.5, np.nan, 0.5], -1),
+        ([0.5, np.inf, 0.5], -1),
+        ([0.5, -np.inf, 1.5], -1),
+        ([np.nan, -0.5, 1.5], -1),
+        ([-np.inf, np.inf], -1),
+        ([0.5, -0.5, 1.0], -1),
+        ([0.5, 0.6], -1),
+        ([], -1),
+        ([[0.5, 0.6], [1.0, 0.0]], None),
+        ([[0.5, 0.5], [0.5, 0.6], [0.9, 0.2]], -1),
+        ([[0.5, 0.5], [0.5, 0.5]], 0),
+        ([[-0.0, 1.0], [1.0 + 1e-13, -1e-16]], -1),
+        ([1.0, -1e-16, -0.0], -1),
+        (np.zeros((0, 2)), -1),
+    ],
+)
+def test_stochastic_array_rejects_with_the_same_message(values, axis):
+    _assert_same_outcome(values, axis)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    data=st.data(),
+    shape=st.tuples(st.integers(1, 3), st.integers(1, 4)),
+    axis=st.sampled_from([-1, 0, None]),
+    noise=st.sampled_from([0.0, -0.0, -1e-16, 1e-13]),
+)
+def test_stochastic_array_matches_the_four_pass_reference(data, shape, axis, noise):
+    cells = data.draw(st.lists(st.sampled_from(_SPECIAL) | st.floats(0.0, 1.0), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    _assert_same_outcome(np.array(cells).reshape(shape), axis)
+    # laws that sum to 1 up to rounding, with a noise entry appended to each
+    laws = np.random.default_rng(len(cells)).dirichlet(np.ones(shape[1]), size=shape[0])
+    _assert_same_outcome(np.column_stack([laws, np.full(shape[0], noise)]), -1)
 
 
 def test_dist_is_immutable():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -718,12 +722,73 @@ def test_every_batch_is_table_indexed(m):
 
 @pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 1.0 / 3.0])
 def test_meshes_hold_one_table_law_per_grid_value(step):
-    # K + 1 laws k / K and K^2 + 1 marginals j / K^2 for (K + 1)^3 decompositions
+    # K + 1 laws k / K and K^2 + 1 marginals j / K^2 for (K + 1) + (K - 1) K (K + 1) / 2 decompositions
     for batch in [regions._binary_free_batch(step), *regions._face_batches(4, step)]:
         laws = batch.table.shape[0]
         assert laws <= 1.0 / step + 1
-        assert batch.weights.shape[0] == laws ** 3
+        assert batch.weights.shape[0] == laws + (laws - 2) * (laws - 1) * laws // 2
         assert batch.mixes.shape[0] == (laws - 1) ** 2 + 1
+
+
+def _decomposition_keys(k_parts, weight_parts, i0, i1):
+    """One integer per decomposition, read as the multiset of its (weight, law) pairs.
+
+    Weights are in parts of K.  A pair of zero weight is dropped and pairs on
+    one law merge, so a mirrored row and every |U|=1 spelling share a key.
+    """
+    single = (weight_parts == 0) | (weight_parts == k_parts) | (i0 == i1)
+    law = np.where(weight_parts == 0, i1, i0)
+    lo_law, hi_law = np.minimum(i0, i1), np.maximum(i0, i1)
+    lo_weight = np.where(i0 < i1, weight_parts, k_parts - weight_parts)
+    base = k_parts + 1
+    pair_key = (lo_weight * base + lo_law) * base + hi_law
+    return np.where(single, -1 - law, pair_key)
+
+
+@pytest.mark.parametrize("k_parts", [1, 2, 3, 7, 50])
+def test_two_point_mesh_holds_each_decomposition_of_the_full_mesh_once(k_parts):
+    mesh = regions._two_point_mesh(k_parts)
+    iw, i0, i1 = (x.ravel() for x in np.meshgrid(*[np.arange(k_parts + 1)] * 3, indexing="ij"))
+    full = np.unique(_decomposition_keys(k_parts, iw, i0, i1))
+    parts = np.rint(mesh.weights[:, 0] * k_parts).astype(np.intp)
+    keys = _decomposition_keys(k_parts, parts, mesh.cond_idx[:, 0], mesh.cond_idx[:, 1])
+    assert np.array_equal(np.sort(keys), full)  # every decomposition, none twice
+    assert mesh.weights.shape[0] == (k_parts + 1) + (k_parts - 1) * k_parts * (k_parts + 1) // 2
+    # the weights are the grid doubles, and the marginal index keeps its formula
+    g = np.arange(k_parts + 1) / k_parts
+    assert np.array_equal(mesh.weights[:, 0], g[parts])
+    assert np.array_equal(mesh.weights[:, 1], 1.0 - g[parts])
+    assert np.array_equal(mesh.mix_idx, parts * mesh.cond_idx[:, 0] + (k_parts - parts) * mesh.cond_idx[:, 1])
+
+
+def test_sweep_batches_are_cached_read_only():
+    first, _, _ = regions._free_batches(2, 0.02)
+    again, _, _ = regions._free_batches(2, 0.02)
+    assert again[0] is first[0]  # the mesh is built once per K
+    pinned, pinned3, _ = regions._constrained_batches(Dist.uniform(2), 2, 0.02)
+    assert regions._constrained_batches(Dist(np.array([0.5, 0.5])), 2, 0.02)[0][0] is pinned[0]
+    for batch in [first[0], *regions._face_batches(3, 0.05), *pinned, *pinned3]:
+        for arr in (batch.weights, batch.cond_idx, batch.mix_idx):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    # a second call over the cached batches gives the same frontiers
+    for a, b in ((bsc(0.1), bec(0.5)), split_input_pair()):
+        for which, members in ((["ib", "ob"], None), (["theorem1", "theorem2"], [Dist.uniform(a.input_size)])):
+            once = region_frontiers(a, b, which, members, step=0.05)
+            twice = region_frontiers(a, b, which, members, step=0.05)
+            for name in which:
+                _same_frontier(once[name], twice[name])
+
+
+def test_sweep_caches_fill_on_first_use_not_at_import():
+    src = os.path.dirname(os.path.dirname(regions.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, bcorder.cli; from bcorder import regions; "
+        "sys.exit(regions._two_point_mesh.cache_info().currsize + regions._pinned_batches.cache_info().currsize)"
+    )
+    assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
 
 def _marginal_error(batch):
