@@ -83,21 +83,25 @@ class Dmc:
         return cls(arr / sums, tuple(output_labels))
 
 
+_BSC_KEEP = np.eye(2, dtype=bool)
+_BEC_KEEP = np.array([[True, False, False], [False, False, True]])
+_BEC_ERASE = np.array([[False, True, False], [False, True, False]])
+
+
 def bsc_rows(p) -> np.ndarray:
     """Rows of BSC(p), (..., 2, 2) for an array of crossovers in [0, 1/2]."""
     if not in_range(p, 0.0, 0.5):
         raise DomainError("bsc crossover must lie in [0, 1/2]")
-    p = np.clip(p, 0.0, 0.5)
-    return np.stack([np.stack([1.0 - p, p], axis=-1), np.stack([p, 1.0 - p], axis=-1)], axis=-2)
+    p = np.clip(p, 0.0, 0.5)[..., None, None]
+    return np.where(_BSC_KEEP, 1.0 - p, p)
 
 
 def bec_rows(e) -> np.ndarray:
     """Rows of BEC(e), outputs 0, ?, 1: (..., 2, 3) for an array of erasure rates in [0, 1]."""
     if not in_range(e, 0.0, 1.0):
         raise DomainError("bec erasure rate must lie in [0, 1]")
-    e = np.clip(e, 0.0, 1.0)
-    zero = np.zeros_like(e)
-    return np.stack([np.stack([1.0 - e, e, zero], axis=-1), np.stack([zero, e, 1.0 - e], axis=-1)], axis=-2)
+    e = np.clip(e, 0.0, 1.0)[..., None, None]
+    return np.where(_BEC_KEEP, 1.0 - e, np.where(_BEC_ERASE, e, 0.0))
 
 
 def bsc(p: float) -> Dmc:

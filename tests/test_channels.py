@@ -60,6 +60,13 @@ def test_stacked_rows_are_the_channel_rows_bit_for_bit():
     assert stacked_s.shape == (6, 2, 2) and stacked_b.shape == (2, 3, 2, 3)
     assert np.array_equal(stacked_s, np.array([bsc(p).rows for p in ps]))
     assert np.array_equal(stacked_b.reshape(6, 2, 3), np.array([bec(e).rows for e in es]))
+    # the rows written out entry by entry, after clipping to the range
+    for p in ps:
+        p = min(max(p, 0.0), 0.5)
+        assert bsc(p).rows.tobytes() == np.array([[1.0 - p, p], [p, 1.0 - p]]).tobytes()
+    for e in es:
+        e = min(max(e, 0.0), 1.0)
+        assert bec(e).rows.tobytes() == np.array([[1.0 - e, e, 0.0], [0.0, e, 1.0 - e]]).tobytes()
     for bad in (np.nan, -0.01, 0.6):
         with pytest.raises(DomainError, match="bsc crossover"):
             bsc_rows(np.array([0.1, bad]))
