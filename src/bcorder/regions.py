@@ -11,16 +11,18 @@ Every sweep batch is table-indexed: weights (N, k), integer cond_idx (N, k)
 and a table (T, m) of conditional laws, decomposition n putting weight
 weights[n, u] on table[cond_idx[n, u]].  A decomposition's bounds split into
 terms of its induced input law p, H(Yw) and I(X;Yd) at p, and terms linear
-in its weights, sum_u w_u H(Yw|u) and sum_u w_u I(X;Yd|u).  So each batch
+in its weights, sum_u w_u H(Yw|u) and sum_u w_u I(X;Yd|u).  So every batch
 also carries a table (M, m) of the distinct input laws its decompositions
 induce, with one index per decomposition: the binary mesh at step 0.02 has
-51 conditional laws and 2,501 marginals for its 62,526 decompositions, and
-a pinned batch has one marginal, the class member.  Both tables are
-evaluated once per batch and gathered; laws derived from a marginal
-constraint are appended to their batch's law table.  The all-pairs batch
-computes its marginals chunk by chunk: they lie on a lattice, a tenth of
-its coarse grid's step, but finding the distinct ones costs more than
-evaluating each.  Bounds that sweep the same decompositions share one
+51 conditional laws and 2,501 marginals for its 62,526 decompositions, the
+all-pairs batch of a larger alphabet keys its mixtures, integer
+compositions on a lattice a tenth of its coarse grid's step, as integers
+(30,716 marginals for paper6vi's 64,380 decompositions), and a pinned batch
+has one marginal, the class member.  Both tables are evaluated once per
+sweep and gathered, a law array shared by several batches once in all;
+laws derived from a marginal constraint are appended to their batch's law
+table.  No batch names a decomposition, the multiset of its (weight, law)
+pairs, twice.  Bounds that sweep the same decompositions share one
 evaluation: ``region_frontiers`` computes ``ib`` and ``ob`` from one free
 sweep, and ``theorem1``, ``theorem2`` and a pinned ``ib`` from one class
 sweep; each bound then emits its own rate-polygon vertices.
@@ -38,12 +40,13 @@ so the result does not depend on evaluation order or batch chunking.
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
 coarsened it.  ``num_decompositions`` counts the decompositions swept,
-``conditional_laws`` the table laws and ``marginal_laws`` the marginal rows
-evaluated for them.  A pinned sweep batch holds at most _SWEEP_CAP
+``conditional_laws`` the rows of each batch's law table and ``marginal_laws``
+those of its marginal table.  A pinned sweep batch holds at most _SWEEP_CAP
 decompositions, and the binary mesh is refused when its full (K + 1)^3
 grid exceeds _SWEEP_CAP points; a finer step raises DomainError before
-anything is allocated.  The binary mesh of each K and the batches pinned to
-each member are built on first use and cached read-only.
+anything is allocated.  The binary mesh of each K, the binary |U|=3 batch,
+the all-pairs batch of each alphabet size and the batches pinned to each
+member are built on first use and cached read-only.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -52,6 +55,7 @@ decimal places, sorted by r1 ascending.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -223,10 +227,11 @@ def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     cloud, give _pareto_filter the same output as the whole cloud: domination
     is transitive, so every dropped point is dominated by a final survivor.
     That survivor sorts before it, so the running max the dropped point
-    would meet is at least its own r2: it could neither pass the keep test
-    nor raise the running max, and removing it changes no other point's
-    fate.  The stable lexsort keeps exact ties in input order, so the
-    provenance ids do not change either.
+    would meet is at least its own r2: it could neither join the exact
+    staircase nor raise the running max, so removing it leaves the
+    staircase, and all that is kept from it, as it was.  The stable lexsort
+    keeps exact ties in input order, so the provenance ids do not change
+    either.
     """
     if points.shape[0] <= _PARETO_BINS:
         return points, idx
@@ -253,13 +258,16 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     """Keep Pareto-maximal points, returned sorted by r1 ascending.
 
     Values within SIMPLEX_TOL count as equal in either coordinate.  Ranked
-    by r1, then r2, descending, a point is kept iff its r2 exceeds every
-    higher-ranked point's by more than SIMPLEX_TOL.  In the staircase this
-    leaves, r1 rises while r2 falls; a point whose left neighbour there
-    lies within SIMPLEX_TOL in r1 is dropped too, since that neighbour has
-    the same r1 up to rounding and a larger r2.  So no frontier ends in a
-    vertical step of rounding, and a run of staircase points closer than
-    SIMPLEX_TOL apart in r1 keeps only its first.
+    by r1, then r2, descending, the exact staircase keeps each point whose
+    r2 exceeds every higher-ranked point's; along it r2 rises.  Of the
+    staircase, the first point is kept, then each point whose r2 exceeds
+    that of the last kept point by more than SIMPLEX_TOL, so near ties do
+    not creep: a run of points each within SIMPLEX_TOL of the next keeps one
+    per SIMPLEX_TOL of its spread.  In what is left, r1 rises while r2
+    falls; a point whose left neighbour there lies within SIMPLEX_TOL in r1
+    is dropped too, since that neighbour has the same r1 up to rounding and
+    a larger r2.  So no frontier ends in a vertical step of rounding, and a
+    run of points closer than SIMPLEX_TOL apart in r1 keeps only its first.
     """
     points, idx = _drop_dominated(points, idx)
     order = np.lexsort((-points[:, 1], -points[:, 0]))
@@ -269,9 +277,18 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     keep = np.empty(r2.size, dtype=bool)
     keep[0] = True
     if r2.size > 1:
-        acc = np.maximum.accumulate(r2)
-        keep[1:] = r2[1:] > acc[:-1] + SIMPLEX_TOL
-    pts, ids = pts[keep][::-1], ids[keep][::-1]
+        keep[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
+    stairs = np.flatnonzero(keep)
+    rises = r2[stairs]
+    kept = np.ones(stairs.size, dtype=bool)
+    last = 0
+    # a point more than SIMPLEX_TOL above its staircase neighbour is kept;
+    # one within it is compared with the last kept point
+    for k in (np.flatnonzero(~(np.diff(rises) > SIMPLEX_TOL)) + 1).tolist():
+        if kept[k - 1]:
+            last = k - 1
+        kept[k] = rises[k] > rises[last] + SIMPLEX_TOL
+    pts, ids = pts[stairs[kept]][::-1], ids[stairs[kept]][::-1]
     apart = np.ones(ids.size, dtype=bool)
     apart[1:] = pts[1:, 0] - pts[:-1, 0] > SIMPLEX_TOL
     return pts[apart], ids[apart]
@@ -301,44 +318,42 @@ class _Batch(NamedTuple):
     """One table-indexed sweep batch.
 
     Decomposition n puts weight weights[n, u] on the conditional law
-    table[cond_idx[n, u]] and induces the input law mixes[mix_idx[n]].  The
-    all-pairs batch leaves ``mixes`` and ``mix_idx`` None, and its marginals
-    are computed chunk by chunk.
+    table[cond_idx[n, u]] and induces the input law mixes[mix_idx[n]].
     """
 
     weights: np.ndarray
     cond_idx: np.ndarray
     table: np.ndarray
-    mixes: np.ndarray | None = None
-    mix_idx: np.ndarray | None = None
+    mixes: np.ndarray
+    mix_idx: np.ndarray
 
 
-def _batch_values(dominant: Dmc, weak: Dmc, batch: _Batch):
-    """I(X;Yd) and H(Yw) at each table law, then at each marginal (None when there is no marginal table)."""
-    laws = (mi_batch(dominant.rows, batch.table), entropy_vec(batch.table @ weak.rows, axis=-1))
-    if batch.mixes is None:
-        return (*laws, None, None)
-    return (*laws, mi_batch(dominant.rows, batch.mixes), entropy_vec(batch.mixes @ weak.rows, axis=-1))
+def _batch_values(dominant: Dmc, weak: Dmc, batch: _Batch, memo: dict):
+    """I(X;Yd) and H(Yw) at each table law, then at each marginal.
+
+    ``memo`` maps id(array) to (array, values), the array kept so that its
+    id stays its own: a law array that several batches of one sweep share
+    is evaluated once.
+    """
+    out = []
+    for laws in (batch.table, batch.mixes):
+        if id(laws) not in memo:
+            memo[id(laws)] = laws, (mi_batch(dominant.rows, laws), entropy_vec(laws @ weak.rows, axis=-1))
+        out.extend(memo[id(laws)][1])
+    return tuple(out)
 
 
-def _chunk_quantities(dominant: Dmc, weak: Dmc, batch: _Batch, values, run: slice):
+def _chunk_quantities(batch: _Batch, values, run: slice):
     """(A, B, C) = (I(U;Yw), A + I(X;Yd|U), I(X;Yd)) of the decompositions in ``run``.
 
     ``values`` is the batch's ``_batch_values``.  H(Yw) and C at the induced
     input law are gathered from the marginal table, the weighted sums from
-    the law table, so no log is taken per decomposition unless the batch has
-    no marginal table.
+    the law table, so no log is taken per decomposition.
     """
     i_law, h_law, i_mix, h_mix = values
-    w, idx = batch.weights[run], batch.cond_idx[run]
-    if batch.mixes is None:
-        mixes = np.einsum("nk,nkm->nm", w, batch.table[idx])
-        c, h = mi_batch(dominant.rows, mixes), entropy_vec(mixes @ weak.rows, axis=-1)
-    else:
-        j = batch.mix_idx[run]
-        c, h = i_mix[j], h_mix[j]
-    a = np.maximum(0.0, h - np.einsum("nk,nk->n", w, h_law[idx]))
-    return a, a + np.einsum("nk,nk->n", w, i_law[idx]), c
+    w, idx, j = batch.weights[run], batch.cond_idx[run], batch.mix_idx[run]
+    a = np.maximum(0.0, h_mix[j] - np.einsum("nk,nk->n", w, h_law[idx]))
+    return a, a + np.einsum("nk,nk->n", w, i_law[idx]), i_mix[j]
 
 
 def _chunk_candidates(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, ids: np.ndarray):
@@ -397,8 +412,7 @@ def _two_letter_laws(q: np.ndarray, m: int = 2, i: int = 0, j: int = 1) -> np.nd
 
 def _read_only(*arrays):
     for arr in arrays:
-        if arr is not None:
-            arr.flags.writeable = False
+        arr.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=1)
@@ -439,19 +453,70 @@ def _binary_free_batch(step: float) -> _Batch:
     return _two_point_mesh(k_parts)
 
 
+@functools.lru_cache(maxsize=1)
 def _aux3_free_binary() -> _Batch:
-    w3 = simplex_grid(3, 0.2)  # weights a_u / 5 on the laws k_u / 10
+    """The binary |U|<=3 sweep, weights a / 5 on the laws k / 10, each decomposition once; read-only.
+
+    A decomposition is the multiset of its (weight, law) pairs, zero weights
+    dropped and pairs on one law merged.  The batch holds one row (5, 0, 0)
+    / 5 on the laws (k, k, k) per law, then (a, 5 - a, 0) / 5 on (i, j, j)
+    for i < j and 0 < a < 5, then (a, b, c) / 5 on (i, j, l) for i < j < l
+    and positive parts: 11 + 220 + 990 = 1,221 rows, where every weight
+    triple on every law triple makes 27,951.  A row induces the law at
+    sum_u a_u k_u / 50: that row of the marginal grid j / 50.
+    """
     k = np.arange(11)
-    idx = np.column_stack([x.ravel() for x in np.meshgrid(k, k, k, indexing="ij")])
-    weights = np.repeat(w3, idx.shape[0], axis=0)
-    cond_idx = np.tile(idx, (w3.shape[0], 1))
-    # the induced law is sum_u a_u k_u / 50: row sum_u a_u k_u of the grid j / 50
-    mix_idx = np.einsum("nk,nk->n", np.rint(weights * 5).astype(np.intp), cond_idx)
-    return _Batch(weights, cond_idx, _two_letter_laws(k / 10.0), _two_letter_laws(np.arange(51) / 50.0), mix_idx)
+    pairs = np.array(list(itertools.combinations(k.tolist(), 2)))
+    triples = np.array(list(itertools.combinations(k.tolist(), 3)))
+    a = np.repeat(np.arange(1, 5), pairs.shape[0])
+    positive = np.array([p for p in itertools.product(range(1, 4), repeat=3) if sum(p) == 5])
+    parts = np.vstack([
+        np.tile([5, 0, 0], (k.size, 1)),
+        np.column_stack([a, 5 - a, np.zeros_like(a)]),
+        np.repeat(positive, triples.shape[0], axis=0),
+    ])
+    cond_idx = np.vstack([
+        np.column_stack([k, k, k]),
+        np.tile(pairs[:, [0, 1, 1]], (4, 1)),
+        np.tile(triples, (positive.shape[0], 1)),
+    ])
+    mix_idx = np.einsum("nk,nk->n", parts, cond_idx)
+    batch = _Batch(parts / 5.0, cond_idx, _two_letter_laws(k / 10.0), _two_letter_laws(np.arange(51) / 50.0), mix_idx)
+    _read_only(*batch)
+    return batch
+
+
+def _first_spellings(tenths: np.ndarray, laws: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row naming each decomposition.
+
+    Row n puts tenths[n, u] / 10 on the law keyed by the integer laws[n, u].
+    Rows name the same decomposition when their (weight, law) multisets
+    agree once zero weights are dropped and weights on one law merged.  Each
+    pair packs into one integer, law * 16 + tenths, so sorting a row sorts
+    its pairs by law.
+    """
+    pairs = np.sort(laws * 16 + tenths, axis=1)
+    law, part = pairs >> 4, pairs & 15
+    for u in range(1, pairs.shape[1]):  # equal laws are adjacent: merge each run into its last pair
+        same = law[:, u] == law[:, u - 1]
+        part[same, u] += part[same, u - 1]
+        part[same, u - 1] = 0
+    key = np.sort(np.where(part > 0, law * 16 + part, -1), axis=1)
+    rows = np.lexsort(key.T[::-1])
+    key = key[rows]
+    starts = np.ones(rows.size, dtype=bool)
+    starts[1:] = np.any(key[1:] != key[:-1], axis=1)
+    return np.sort(rows[starts])
 
 
 def _aux3_constrained_binary(t0: float):
-    """|U|=3 binary sweep pinned to P(X=0) = t0; each derived third law is its own table row."""
+    """|U|=3 binary sweep pinned to P(X=0) = t0, each decomposition once.
+
+    Weights are multiples of 0.1, the first two laws lie on the grid k / 20
+    and the third is derived from the constraint.  Of the rows that name one
+    decomposition, laws compared rounded to 1e-12, the first is kept, and
+    the law table keeps only the rows still in use.
+    """
     w3 = simplex_grid(3, 0.1)
     q = np.arange(21) / 20.0
     k = np.arange(q.size)
@@ -466,22 +531,60 @@ def _aux3_constrained_binary(t0: float):
     q2 = (t0 - weights[:, 0] * q[i0] - weights[:, 1] * q[i1]) / w2
     ok = (q2 >= -SIMPLEX_TOL) & (q2 <= 1.0 + SIMPLEX_TOL)
     weights, i0, i1, q2 = weights[ok], i0[ok], i1[ok], np.clip(q2[ok], 0.0, 1.0)
+    table = np.concatenate([q, q2])
     cond_idx = np.column_stack([i0, i1, q.size + np.arange(q2.size)])
-    return weights, cond_idx, _two_letter_laws(np.concatenate([q, q2]))
+    keep = _first_spellings(np.rint(weights * 10).astype(np.int64), np.rint(table[cond_idx] * 1e12).astype(np.int64))
+    used, cond_idx = np.unique(cond_idx[keep], return_inverse=True)
+    return weights[keep], cond_idx.reshape(-1, 3), _two_letter_laws(table[used])
 
 
+def _composition_keys(comp: np.ndarray, total: int) -> np.ndarray:
+    """Each row's rank among the compositions of ``total`` into comp.shape[1] parts, in lexicographic order.
+
+    Below a row, at part t with ``rem`` still to place over r + 1 parts, lie
+    the compositions taking a smaller part there: C(rem + r, r) - C(rem - c_t
+    + r, r) of them, by the hockey-stick identity.
+    """
+    n, m = comp.shape
+    above = np.array([[math.comb(x + r, r) for x in range(total + 1)] for r in range(m)], dtype=np.int64)
+    keys = np.zeros(n, dtype=np.int64)
+    rem = np.full(n, total)
+    for t in range(m - 1):
+        nxt = rem - comp[:, t]
+        keys += above[m - 1 - t, rem] - above[m - 1 - t, nxt]
+        rem = nxt
+    return keys
+
+
+@functools.lru_cache(maxsize=4)
 def _coarse_pair_batch(m: int) -> _Batch:
+    """|U|<=2 decompositions on any two laws of a coarse grid k / K, each once; read-only.
+
+    K is the finest grid of at most _COARSE_PAIR_CAP points per side.  The
+    batch holds one row per law, then (w, 1 - w) on (i, j) for i < j and w
+    in 0.1 ... 0.9: on 4 inputs 120 + 7,140 x 9 = 64,380 rows, where every
+    ordered pair makes 129,600.  Each row induces an integer composition of
+    10 K over 10 K; they are keyed by their rank, and each distinct one is a
+    row of the marginal table: 30,716 on 4 inputs.
+    """
     k_parts = 1
     while math.comb(k_parts + m, m - 1) <= _COARSE_PAIR_CAP:
         k_parts += 1
     gc = simplex_grid(m, 1.0 / k_parts)
     n = gc.shape[0]
-    i, j = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
-    ws = np.arange(1, 10) / 10.0
-    nw = ws.size
-    w = np.tile(ws, i.size)
-    weights = np.column_stack([w, 1.0 - w])
-    return _Batch(weights, np.column_stack([np.repeat(i, nw), np.repeat(j, nw)]), gc)
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    tenths = np.concatenate([np.full(n, 10), np.tile(np.arange(1, 10), pairs.shape[0])])
+    cond_idx = np.vstack([np.column_stack([np.arange(n), np.arange(n)]), np.repeat(pairs, 9, axis=0)])
+    comp = np.rint(gc * k_parts).astype(np.intp)
+    a = np.arange(1, 10)[None, :, None]
+    lattice = np.vstack([10 * comp, (comp[pairs[:, :1]] * a + comp[pairs[:, 1:]] * (10 - a)).reshape(-1, m)])
+    keys, mix_idx = np.unique(_composition_keys(lattice, 10 * k_parts), return_inverse=True)
+    first = np.empty(keys.size, dtype=np.intp)
+    first[mix_idx] = np.arange(mix_idx.size)  # any row of a key will do: they are one composition
+    w = tenths / 10.0
+    batch = _Batch(np.column_stack([w, 1.0 - w]), cond_idx, gc, lattice[first] / (10 * k_parts), mix_idx.reshape(-1))
+    _read_only(*batch)
+    return batch
 
 
 def _face_batches(m: int, step: float):
@@ -600,12 +703,13 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
 
     Every decomposition's (A, B, C) is computed once, chunk by chunk; each
     bound's kind (_BOUND_KINDS) then emits its own vertices, Pareto set and
-    hull.  Diagnostics ``aux3_points`` counts the frontier points whose
+    hull.  A law array that several batches share is evaluated once, and
+    the provenance of a decomposition on several frontiers is resolved
+    once.  Diagnostics ``aux3_points`` counts the frontier points whose
     provenance is a |U|=3 decomposition, the ids at or above every base
     batch's (an exact tie keeps the earlier id), None when no |U|=3 batch
-    ran.  ``conditional_laws`` counts the law table rows evaluated,
-    ``marginal_laws`` the marginal rows (a batch without a marginal table
-    evaluates one per decomposition) and ``num_decompositions`` the
+    ran.  ``conditional_laws`` counts each batch's law table rows,
+    ``marginal_laws`` its marginal rows and ``num_decompositions`` the
     decompositions.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
@@ -615,6 +719,7 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     stored: list[tuple] = []
     offset = 0
     laws = marginals = 0
+    memo: dict = {}
     aux3_offset = sum(batch.weights.shape[0] for batch in batches)
     for batch in batches + aux3_batches:
         n = batch.weights.shape[0]
@@ -622,10 +727,10 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
             continue
         stored.append((offset, batch))
         laws += batch.table.shape[0]
-        marginals += n if batch.mixes is None else batch.mixes.shape[0]
-        values = _batch_values(dominant, weak, batch)
+        marginals += batch.mixes.shape[0]
+        values = _batch_values(dominant, weak, batch, memo)
         for lo in range(0, n, _CHUNK):
-            a, bq, cq = _chunk_quantities(dominant, weak, batch, values, slice(lo, lo + _CHUNK))
+            a, bq, cq = _chunk_quantities(batch, values, slice(lo, lo + _CHUNK))
             ids = offset + lo + np.arange(a.size)
             for kind in kinds:
                 pts, pids, corners = _chunk_candidates(kind, a, bq, cq, ids)
@@ -639,10 +744,14 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     aux3_swept = aux3_offset < offset
 
     frontiers = {}
+    resolved: dict[int, AuxDecomposition] = {}
     for kind in kinds:
         pts, ids = _upper_hull(*_pareto_filter(np.vstack(pts_lists[kind]), np.concatenate(idx_lists[kind])))
         aux3_points = int((ids >= aux3_offset).sum()) if aux3_swept else None
-        prov = tuple(_resolve_decomposition(stored, int(i)) for i in ids)
+        for i in ids.tolist():
+            if i not in resolved:
+                resolved[i] = _resolve_decomposition(stored, i)
+        prov = tuple(resolved[i] for i in ids.tolist())
         rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
         frontiers[kind] = (rate_points, prov, candidates[kind], aux3_points)
 

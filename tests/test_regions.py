@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
 from bcorder.channels import Dmc, bec, bsc, channel_mi, mi_batch, split_input_pair
+from bcorder.classify import simplex_grid
 from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_convolve, binary_entropy, entropy_vec
 from bcorder.regions import (
     RatePoint,
@@ -230,16 +232,19 @@ def test_mismatched_inputs_rejected():
 
 
 def _lexsort_pareto(points, idx):
-    """Reference Pareto filter: the lexsort and running-max keep, then the r1-tie drop."""
+    """Reference Pareto filter: the lexsort, the exact staircase, the last-kept r2 rule, then the r1-tie drop."""
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     pts = points[order]
     ids = idx[order]
     r2 = pts[:, 1]
-    keep = np.empty(r2.size, dtype=bool)
-    keep[0] = True
+    stairs = np.empty(r2.size, dtype=bool)
+    stairs[0] = True
     if r2.size > 1:
-        acc = np.maximum.accumulate(r2)
-        keep[1:] = r2[1:] > acc[:-1] + SIMPLEX_TOL
+        stairs[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
+    keep = [0]
+    for k in np.flatnonzero(stairs)[1:]:
+        if r2[k] > r2[keep[-1]] + SIMPLEX_TOL:
+            keep.append(k)
     pts, ids = pts[keep][::-1], ids[keep][::-1]
     # a staircase point within SIMPLEX_TOL in r1 of its left neighbour goes
     apart = [0] + [i for i in range(1, ids.size) if pts[i, 0] - pts[i - 1, 0] > SIMPLEX_TOL]
@@ -276,6 +281,16 @@ def test_pareto_filter_is_a_tolerant_frontier(n, lattice, nudge, seed):
     slack = 5 * SIMPLEX_TOL
     covered = (got[None, :, 0] >= cloud[:, None, 0] - slack) & (got[None, :, 1] >= cloud[:, None, 1] - slack)
     assert covered.any(axis=1).all()
+
+
+def test_pareto_filter_near_ties_do_not_creep():
+    # each r2 lies within SIMPLEX_TOL of the next, but (0.8, 1.8e-12) lies
+    # more than SIMPLEX_TOL above the kept (1, 0)
+    pts = np.array([[1.0, 0.0], [0.9, 0.9e-12], [0.8, 1.8e-12], [0.7, 2.7e-12]])
+    got, ids = regions._pareto_filter(pts, np.arange(4))
+    assert np.array_equal(got, pts[[2, 0]]) and np.array_equal(ids, [2, 0])
+    want, want_ids = _lexsort_pareto(pts, np.arange(4))
+    assert np.array_equal(got, want) and np.array_equal(ids, want_ids)
 
 
 def test_outer_bound_frontiers_end_without_a_vertical_step_of_rounding():
@@ -550,11 +565,11 @@ def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux,
     if marginals:  # a supplied marginal table: the evaluation takes it as given
         mixes = np.vstack([_random_laws(rng, laws, m, False), _random_laws(rng, laws, m, True)])
         mix_idx = rng.integers(0, mixes.shape[0], size=count)
-        batch, want_mixes = regions._Batch(weights, cond_idx, table, mixes, mix_idx), mixes[mix_idx]
-    else:  # none: the evaluation mixes each decomposition's laws itself
-        batch, want_mixes = regions._Batch(weights, cond_idx, table), np.einsum("nk,nkm->nm", weights, table[cond_idx])
-    values = regions._batch_values(dominant, weak, batch)
-    got = regions._chunk_quantities(dominant, weak, batch, values, slice(0, count))
+    else:  # one marginal row per decomposition, the mixture of its laws
+        mixes, mix_idx = np.einsum("nk,nkm->nm", weights, table[cond_idx]), np.arange(count)
+    batch, want_mixes = regions._Batch(weights, cond_idx, table, mixes, mix_idx), mixes[mix_idx]
+    values = regions._batch_values(dominant, weak, batch, {})
+    got = regions._chunk_quantities(batch, values, slice(0, count))
     want = _dense_quantities(dominant, weak, weights, table[cond_idx], want_mixes)
     for g, w in zip(got, want):
         assert np.array_equal(g, w)
@@ -710,14 +725,12 @@ def test_every_batch_is_table_indexed(m):
         assert table.ndim == 2 and table.shape[1] == m
         assert cond_idx.min() >= 0 and cond_idx.max() < table.shape[0]
         assert np.allclose(table.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
-        # a marginal table, when there is one, is indexed the same way
-        assert (batch.mixes is None) == (batch.mix_idx is None)
-        if batch.mixes is not None:
-            assert batch.mix_idx.shape == weights.shape[:1]
-            assert np.issubdtype(batch.mix_idx.dtype, np.integer)
-            assert batch.mixes.ndim == 2 and batch.mixes.shape[1] == m
-            assert batch.mix_idx.min() >= 0 and batch.mix_idx.max() < batch.mixes.shape[0]
-            assert np.allclose(batch.mixes.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
+        # every batch has a marginal table, indexed the same way
+        assert batch.mix_idx.shape == weights.shape[:1]
+        assert np.issubdtype(batch.mix_idx.dtype, np.integer)
+        assert batch.mixes.ndim == 2 and batch.mixes.shape[1] == m
+        assert batch.mix_idx.min() >= 0 and batch.mix_idx.max() < batch.mixes.shape[0]
+        assert np.allclose(batch.mixes.sum(axis=1), 1.0, atol=SIMPLEX_TOL)
 
 
 @pytest.mark.parametrize("step", [0.02, 0.05, 0.1, 1.0 / 3.0])
@@ -761,6 +774,117 @@ def test_two_point_mesh_holds_each_decomposition_of_the_full_mesh_once(k_parts):
     assert np.array_equal(mesh.mix_idx, parts * mesh.cond_idx[:, 0] + (k_parts - parts) * mesh.cond_idx[:, 1])
 
 
+def _reference_aux3_free_binary():
+    """The free |U|=3 batch before each decomposition was emitted once: every weight triple on every law triple."""
+    w3 = simplex_grid(3, 0.2)
+    k = np.arange(11)
+    idx = np.column_stack([x.ravel() for x in np.meshgrid(k, k, k, indexing="ij")])
+    return np.repeat(w3, idx.shape[0], axis=0), np.tile(idx, (w3.shape[0], 1)), regions._two_letter_laws(k / 10.0)
+
+
+def _reference_aux3_constrained_binary(t0):
+    """The pinned |U|=3 batch before the first spelling of each decomposition was kept."""
+    w3 = simplex_grid(3, 0.1)
+    q = np.arange(21) / 20.0
+    k = np.arange(q.size)
+    i0, i1 = (x.ravel() for x in np.meshgrid(k, k, indexing="ij"))
+    weights = np.repeat(w3, i0.size, axis=0)
+    i0, i1 = np.tile(i0, w3.shape[0]), np.tile(i1, w3.shape[0])
+    live = weights[:, 2] > 1e-9
+    weights, i0, i1 = weights[live], i0[live], i1[live]
+    q2 = (t0 - weights[:, 0] * q[i0] - weights[:, 1] * q[i1]) / weights[:, 2]
+    ok = (q2 >= -SIMPLEX_TOL) & (q2 <= 1.0 + SIMPLEX_TOL)
+    weights, i0, i1, q2 = weights[ok], i0[ok], i1[ok], np.clip(q2[ok], 0.0, 1.0)
+    cond_idx = np.column_stack([i0, i1, q.size + np.arange(q2.size)])
+    return weights, cond_idx, regions._two_letter_laws(np.concatenate([q, q2]))
+
+
+def _reference_coarse_pair_batch(m):
+    """The all-pairs batch before each decomposition was emitted once: every ordered pair, i = j included."""
+    k_parts = 1
+    while math.comb(k_parts + m, m - 1) <= regions._COARSE_PAIR_CAP:
+        k_parts += 1
+    gc = simplex_grid(m, 1.0 / k_parts)
+    n = gc.shape[0]
+    i, j = (x.ravel() for x in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    w = np.tile(np.arange(1, 10) / 10.0, i.size)
+    return np.column_stack([w, 1.0 - w]), np.column_stack([np.repeat(i, 9), np.repeat(j, 9)]), gc
+
+
+def _multiset_keys(weights, cond_idx, table, parts):
+    """One key per row: its (weight, law) pairs with zero weights dropped and pairs on one law merged.
+
+    Weights are counted in 1 / parts, laws compared rounded to 1e-12.
+    """
+    _, law_ids = np.unique(np.rint(table * 1e12), axis=0, return_inverse=True)
+    laws = law_ids.reshape(-1)[cond_idx].tolist()
+    shares = np.rint(weights * parts).astype(int).tolist()
+    keys = []
+    for row_laws, row_shares in zip(laws, shares):
+        merged = {}
+        for law, share in zip(row_laws, row_shares):
+            merged[law] = merged.get(law, 0) + share
+        keys.append(tuple(sorted((law, share) for law, share in merged.items() if share)))
+    return keys
+
+
+def _holds_each_reference_decomposition_once(got, want, parts):
+    got_keys, want_keys = _multiset_keys(*got, parts), _multiset_keys(*want, parts)
+    assert len(set(got_keys)) == len(got_keys)  # none twice
+    assert set(got_keys) == set(want_keys)  # every decomposition of the reference
+    return got_keys, want_keys
+
+
+def test_free_aux3_batch_holds_each_decomposition_once():
+    batch = regions._aux3_free_binary()
+    _holds_each_reference_decomposition_once(batch[:3], _reference_aux3_free_binary(), 5)
+    assert batch.weights.shape[0] == 11 + 220 + 990
+    # the induced law is sum_u a_u k_u / 50: that row of the grid j / 50
+    assert np.array_equal(batch.mix_idx, np.einsum("nk,nk->n", np.rint(batch.weights * 5).astype(int), batch.cond_idx))
+
+
+@pytest.mark.parametrize("t0", [0.5, 0.3, 0.07])
+def test_pinned_aux3_batch_keeps_the_first_spelling_of_each_decomposition(t0):
+    got, want = regions._aux3_constrained_binary(t0), _reference_aux3_constrained_binary(t0)
+    got_keys, want_keys = _holds_each_reference_decomposition_once(got, want, 10)
+    # the kept rows are the first spellings, in order and bit for bit
+    first = sorted({key: n for n, key in reversed(list(enumerate(want_keys)))}.values())
+    weights, cond_idx, table = want
+    assert np.array_equal(got[0], weights[first])
+    assert np.array_equal(got[2][got[1]], table[cond_idx[first]])
+    assert np.array_equal(np.unique(got[1]), np.arange(got[2].shape[0]))  # every table row in use
+    if t0 == 0.5:
+        assert got[0].shape[0] == 3491
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_coarse_pair_batch_holds_each_decomposition_once(m):
+    batch, want = regions._coarse_pair_batch(m), _reference_coarse_pair_batch(m)
+    _holds_each_reference_decomposition_once(batch[:3], want, 10)
+    n = batch.table.shape[0]
+    assert batch.weights.shape[0] == n + 9 * n * (n - 1) // 2
+    # the marginal table holds each induced law once, the mixture to the last ulp
+    mixtures = np.einsum("nk,nkm->nm", batch.weights, batch.table[batch.cond_idx])
+    assert np.abs(batch.mixes[batch.mix_idx] - mixtures).max() <= 4e-16
+    assert np.unique(np.rint(batch.mixes * 1e12), axis=0).shape[0] == batch.mixes.shape[0]
+    if m == 4:
+        assert (batch.weights.shape[0], batch.mixes.shape[0]) == (64_380, 30_716)
+
+
+def test_unique_batches_are_cached_read_only():
+    pinned = regions._constrained_batches(Dist.uniform(2), 2, 0.02)[1]
+    for batch, again in ((regions._aux3_free_binary(), regions._aux3_free_binary()),
+                         (regions._coarse_pair_batch(4), regions._coarse_pair_batch(4)),
+                         (pinned[0], regions._constrained_batches(Dist.uniform(2), 2, 0.02)[1][0])):
+        assert again is batch
+        for arr in batch:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+    assert regions._free_batches(2, 0.05)[1][0] is regions._aux3_free_binary()
+    assert any(b is regions._coarse_pair_batch(4) for b in regions._free_batches(4, 0.1)[0])
+
+
 def test_sweep_batches_are_cached_read_only():
     first, _, _ = regions._free_batches(2, 0.02)
     again, _, _ = regions._free_batches(2, 0.02)
@@ -786,7 +910,8 @@ def test_sweep_caches_fill_on_first_use_not_at_import():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     probe = (
         "import sys, bcorder.cli; from bcorder import regions; "
-        "sys.exit(regions._two_point_mesh.cache_info().currsize + regions._pinned_batches.cache_info().currsize)"
+        "sys.exit(sum(f.cache_info().currsize for f in (regions._two_point_mesh, regions._pinned_batches, "
+        "regions._aux3_free_binary, regions._coarse_pair_batch)))"
     )
     assert subprocess.run([sys.executable, "-c", probe], env=env, timeout=120).returncode == 0
 
@@ -803,8 +928,7 @@ def test_free_marginal_rows_are_the_induced_laws(m, step):
     batches, aux3, _ = regions._free_batches(m, step)
     assert (len(aux3) == 1) == (m == 2)  # the binary |U|=3 batch indexes the grid j / 50
     for batch in batches + aux3:
-        if batch.mixes is not None:  # the coarse-pair batch mixes chunk by chunk
-            assert _marginal_error(batch) <= SIMPLEX_TOL
+        assert _marginal_error(batch) <= SIMPLEX_TOL
 
 
 def test_lattice_marginals_are_the_same_doubles_in_every_batch():
@@ -891,6 +1015,34 @@ def test_each_bound_kind_is_reduced_once_per_sweep(monkeypatch):
     assert calls == {"_pareto_filter": 4, "_upper_hull": 4}
     region_frontiers(*split_input_pair(), ["ob"], step=0.1)
     assert calls == {"_pareto_filter": 5, "_upper_hull": 5}
+
+
+def test_each_law_array_and_provenance_is_computed_once_per_sweep(monkeypatch):
+    # paper6vi's free sweep shares one grid as k1's law and marginal table
+    # and ux's marginal table; a pinned sweep's frontiers share their points
+    evaluated, resolved = [], []
+    mi, resolve = regions.mi_batch, regions._resolve_decomposition
+
+    def counted_mi(rows, laws):
+        evaluated.append(id(laws))
+        return mi(rows, laws)
+
+    def counted_resolve(stored, i):
+        resolved.append(i)
+        return resolve(stored, i)
+
+    monkeypatch.setattr(regions, "mi_batch", counted_mi)
+    monkeypatch.setattr(regions, "_resolve_decomposition", counted_resolve)
+    for a, b, which, members in ((*split_input_pair(), ["ib", "ob"], None),
+                                 (bec(0.15), bsc(0.1), ["theorem1", "theorem2"], [Dist.uniform(2)])):
+        evaluated.clear()
+        resolved.clear()
+        fr = region_frontiers(a, b, which, members, step=0.1)
+        assert len(evaluated) == len(set(evaluated))
+        assert len(resolved) == len(set(resolved))
+        # a decomposition on both frontiers is one provenance object
+        assert len(resolved) == len({id(d) for f in fr.values() for d in f.provenance})
+    assert len(resolved) < sum(len(f.provenance) for f in fr.values())
 
 
 def test_oversized_sweeps_are_refused_before_allocation():
