@@ -43,7 +43,9 @@ from .probcore import (
 )
 
 _POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
-_HESSIAN_BLOCK = 1 << 21  # max pairs x points x (m-1) x max(m-1, outputs) per curvature-scan block
+# max array entries of one block: pairs x points x (m-1) x max(m-1, outputs) in the curvature
+# scan, pairs x points x outputs on the gap grid, starts x rungs x moves x m in a refinement call
+_HESSIAN_BLOCK = 1 << 21
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 _PIVOT_CAP = 10_000       # simplex pivots before a solve counts as failed
@@ -194,54 +196,78 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     """Coordinate ascent on the simplex by pairwise mass moves, from P starts in lockstep.
 
     ``x0`` is a (P, m) stack of start laws.  ``fn(q, idx)`` maps a
-    (len(idx), k, m) stack of laws, where q[j] belongs to start idx[j], to
-    their (len(idx), k) values.  Each sweep evaluates, in one call, every
-    move of its own step's mass from one coordinate to another for every
-    start still refining, and each such start applies its best move, or
-    halves its step (down to REFINE_FLOOR) when none improves by more than
+    (len(idx), r, m) stack of laws, where q[j] belongs to start idx[j], to
+    their (len(idx), r) values, each law's value depending on that law and
+    its start only.  A sweep at step s evaluates every move of mass s from
+    one coordinate to another, the k = m(m-1) moves with the source
+    coordinate outer and the target inner, and applies the first best one,
+    or halves s (down to REFINE_FLOOR) when none improves by more than
     CELL_FLOOR.  A move that needs more mass than its source holds is
-    evaluated at the unmoved law and never taken, so every start sends the
-    same m(m-1) rows and its values do not depend on the other starts.
-    Deterministic: ties go to the first move, with the source coordinate
-    outer and the target inner.  Returns the points, their (P,) values and
-    each start's number of sweeps.  A caller minimizes f by maximizing
-    0.0 - f, which reverses f's ranks and gains exactly, and maps a value v
-    back as 0.0 - v.
+    evaluated at the unmoved law and never taken.
+
+    A sweep that gains nothing leaves the point as it is, so the sweeps
+    that follow it until one gains are the start's rungs: its step halved
+    0, 1, 2, ... times, while above REFINE_FLOOR, all from the same point.
+    One fn call evaluates W rungs of every start still refining, as one
+    block of W k rows per start, and each start applies the first rung that
+    gains, or all W halvings when none does: the points, values and sweep
+    counts of sweep-by-sweep refinement, in about one call per gain.  A
+    start asks for every rung at its first call, for its step and the next
+    halving after a call that gained, and for twice its last call's rungs
+    after one that gained nothing; W is the largest ask, cut to the rungs
+    left, and a start uses the rungs it was not asked for too.  A call
+    whose moves exceed _HESSIAN_BLOCK entries is evaluated in runs of
+    starts.  Returns the points, their (P,) values and each start's number
+    of sweeps.  A caller minimizes f by maximizing 0.0 - f, which reverses
+    f's ranks and gains exactly, and maps a value v back as 0.0 - v.
     """
     x = np.array(x0, dtype=float)
     count, m = x.shape
     best = fn(x[:, None, :], np.arange(count))[:, 0]
+    rungs = 0  # the steps step0 / 2^j above REFINE_FLOOR
+    while np.ldexp(step0, -rungs) > REFINE_FLOOR:
+        rungs += 1
     sweeps = np.zeros(count, dtype=np.int64)
     if m == 1:  # no move exists: every sweep only halves the step
-        step = step0
-        while step > REFINE_FLOOR:
-            step *= 0.5
-            sweeps += 1
+        sweeps += rungs
         return x, best, sweeps
     eye = np.eye(m)
     src, dst = np.nonzero(1.0 - eye)
     dirs = eye[dst] - eye[src]
-    # the starts still refining, with their point, value and step
-    live = np.arange(count) if step0 > REFINE_FLOOR else np.arange(0)
-    xl, bl, sl = x[live], best[live], np.full((live.size, 1), float(step0))
-    lane = np.arange(live.size)
-    sweep = 0
+    # the starts still refining: point, value, rung, sweeps so far and rungs asked for
+    live = np.arange(count) if rungs else np.arange(0)
+    xl, bl = x[live], best[live]
+    rung, swept, ask = (np.full(live.size, v, dtype=np.int64) for v in (0, 0, rungs))
     while live.size:
-        sweep += 1
-        feasible = xl.take(src, 1) >= sl - CELL_FLOOR
-        moves = xl[:, None, :] + (sl * feasible)[:, :, None] * dirs
-        vals = np.where(feasible, fn(moves, live), -np.inf)
-        k = vals.argmax(1)
-        top = vals[lane, k]
-        gain = top - bl > CELL_FLOOR
-        xl = np.where(gain[:, None], moves[lane, k], xl)
-        bl = np.where(gain, top, bl)
-        sl = np.where(gain[:, None], sl, sl * 0.5)
-        if sl.min() <= REFINE_FLOOR:
-            done = sl[:, 0] <= REFINE_FLOOR
-            x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], sweep
-            live, xl, bl, sl = live[~done], xl[~done], bl[~done], sl[~done]
-            lane = np.arange(live.size)
+        left = rungs - rung
+        width = int(min(ask.max(), left.max()))
+        at = rung[:, None] + np.arange(width)
+        steps = np.ldexp(step0, -at)[:, :, None]
+        feasible = xl.take(src, 1)[:, None, :] >= steps - CELL_FLOOR
+        moves = xl[:, None, None, :] + (steps * feasible)[..., None] * dirs
+        block = moves.reshape(live.size, width * dirs.shape[0], m)
+        run = max(1, _HESSIAN_BLOCK // block[0].size)
+        vals = np.concatenate([fn(block[lo:lo + run], live[lo:lo + run]) for lo in range(0, live.size, run)])
+        vals = np.where(feasible, vals.reshape(feasible.shape), -np.inf)
+        top = vals.max(2)
+        gain = top - bl[:, None] > CELL_FLOOR
+        if width > left.min():  # no start takes a rung at or below REFINE_FLOOR
+            gain &= at < rungs
+        hit = gain.any(1)
+        first = gain.argmax(1)
+        used = np.where(hit, first + 1, np.minimum(width, left))
+        swept += used
+        rung += np.where(hit, first, used)
+        ask = np.where(hit, 2, 2 * used)
+        g = np.flatnonzero(hit)
+        if g.size:
+            fg = first[g]
+            xl[g] = moves[g, fg, vals[g, fg].argmax(1)]
+            bl[g] = top[g, fg]
+        done = rung >= rungs
+        if done.any():
+            x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], swept[done]
+            live, xl, bl, rung, swept, ask = (v[~done] for v in (live, xl, bl, rung, swept, ask))
     return x, best, sweeps
 
 
@@ -333,7 +359,11 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = _grid_points(m, eff)[0]
-    g = _gap_vec(a, b, grid)
+    # scored in runs of pairs, each under _HESSIAN_BLOCK entries of output laws
+    g = np.empty((count, grid.shape[0]))
+    run = max(1, _HESSIAN_BLOCK // (grid.shape[0] * max(a.shape[2], b.shape[2])))
+    for lo in range(0, count, run):
+        g[lo:lo + run] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid)
     starts, probed = [], []
     # min g(a, b) and min g(b, a) = 0.0 - max g, each probed along its own face chords
     for first, second, pick, sign in ((a, b, g.argmin(axis=1), 1.0), (b, a, g.argmax(axis=1), -1.0)):
@@ -360,14 +390,15 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     for k, twin in twins:
         fresh[k] = (x0[k] != x0[twin]).any(axis=1)
     search, pair = np.nonzero(fresh)
-    # the refinement reuses each channel's row entropies across its sweeps
-    ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
+    # each lane's channel rows and their entropies, reused across its sweeps
+    lane_a, lane_b = a[pair], b[pair]
+    lane_ha, lane_hb = entropy_vec(lane_a, axis=-1), entropy_vec(lane_b, axis=-1)
+    lane_descends = descends[search][:, None]
 
     def lane_gaps(q, idx):
-        p = pair.take(idx)
-        la = mi_from_entropies(a.take(p, 0), ha.take(p, 0), q)
-        gap = la - mi_from_entropies(b.take(p, 0), hb.take(p, 0), q)
-        return np.where(descends[search.take(idx)][:, None], 0.0 - gap, gap)
+        la = mi_from_entropies(lane_a.take(idx, 0), lane_ha.take(idx, 0), q)
+        gap = la - mi_from_entropies(lane_b.take(idx, 0), lane_hb.take(idx, 0), q)
+        return np.where(lane_descends.take(idx, 0), 0.0 - gap, gap)
 
     x, v, sweeps = _refine_extremum(lane_gaps, x0[fresh], eff)
     lanes = np.full((4, count), -1)
@@ -667,7 +698,9 @@ def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_
     return mean + 2.0 * p * np.cos(np.arccos(r) / 3.0)
 
 
-def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _max_curvature(
+    a: np.ndarray, b: np.ndarray, pts: np.ndarray, both: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Largest tangent-space eigenvalue over ``pts`` per pair, its first point and eigenvector.
 
     Every point's top eigenvalue is taken by _top_eigenvalues, in blocks of
@@ -676,7 +709,13 @@ def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.nd
     value, eigh decomposes the Hessian once: its top eigenvalue is the
     pair's maximum and its eigenvector the direction returned.  An output
     that no input of the pair reaches gets a zeroed column in the
-    projection and q = 1, so it adds nothing to the Hessian.
+    projection and q = 1, so it adds nothing to the Hessian.  With ``both``
+    the scan of (b, a) runs in the same pass, on the same output laws, and
+    every array returned gains a leading axis, (a, b) then (b, a).  Its
+    Hessians are 0.0 - H exactly, but its closed form runs its own GEMM:
+    one sum over the outputs in b-then-a order does not round as its
+    negation in a-then-b order, and each direction keeps the values of its
+    own one-direction scan.
     """
     count, m = a.shape[:2]
     d = m - 1
@@ -690,48 +729,74 @@ def _max_curvature(a: np.ndarray, b: np.ndarray, pts: np.ndarray) -> tuple[np.nd
         # _tangent_hessian's arguments at the (P, k, m) or (k, m) laws x
         return proj_b, x @ lift_b, proj_a, x @ lift_a
 
+    sides = 2 if both else 1
     size = max(1, _HESSIAN_BLOCK // (d * max(d, a.shape[2], b.shape[2]) * max(count, 1)))
-    top = np.empty((count, pts.shape[0]))
+    top = np.empty((sides, count, pts.shape[0]))
     for lo in range(0, pts.shape[0], size):
-        top[:, lo:lo + size] = _top_eigenvalues(*hessian_args(pts[lo:lo + size]))
-    where = top.argmax(axis=1)
-    vals, vecs = np.linalg.eigh(_tangent_hessian(*hessian_args(pts[where][:, None, :]))[:, 0])
-    return vals[:, -1], where, (q_basis @ vecs[..., -1:])[..., 0]
+        args = hessian_args(pts[lo:lo + size])
+        top[0, :, lo:lo + size] = _top_eigenvalues(*args)
+        if both:
+            top[1, :, lo:lo + size] = _top_eigenvalues(*args[2:], *args[:2])
+    where = top.argmax(axis=2)
+    hess = np.stack([_tangent_hessian(*hessian_args(pts[k][:, None, :]))[:, 0] for k in where])
+    hess[1:] = 0.0 - hess[1:]
+    vals, vecs = np.linalg.eigh(hess)
+    curv, vec = vals[..., -1], (q_basis @ vecs[..., -1:])[..., 0]
+    return (curv, where, vec) if both else (curv[0], where[0], vec[0])
 
 
-def _less_noisy(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
-    """Less-noisy verdicts for row stacks: one grid, one chord-scoring pass."""
+def _less_noisy(a: np.ndarray, b: np.ndarray, step: float, both: bool = False) -> list[ClassVerdict]:
+    """Less-noisy verdicts of a over b for row stacks: one grid, one chord-scoring pass.
+
+    With ``both`` the verdicts of b over a follow, from the same pass: one
+    curvature scan gives both directions' Hessians (see _max_curvature),
+    each direction takes its own face chords, and one auxiliary-information
+    call per channel scores every chord.  Each verdict equals that of a
+    one-direction call.
+    """
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid, interior = _grid_points(m, eff)
     grid_points = int(grid.shape[0])
+    directions = ((a, b), (b, a))[:2 if both else 1]
     diagnostics = []
-    for _ in range(count):
+    for _ in range(len(directions) * count):
         d: dict = {"grid_step": eff, "grid_points": grid_points, "max_curvature": None}
         if step != eff:
             d["requested_step"] = step
         diagnostics.append(d)
-    starts, ends, owner, capped = _face_chords(a, b, 1.0)
-    chords, owners = [np.stack([starts, ends], axis=2)], [owner]
     if m > 1:
-        curv, k, v = _max_curvature(a, b, interior)
-        for d, c in zip(diagnostics, curv):
+        if both:
+            curv, k, v = _max_curvature(a, b, interior, both=True)
+        else:
+            curv, k, v = (x[None] for x in _max_curvature(a, b, interior))
+        for d, c in zip(diagnostics, curv.ravel()):
             d["max_curvature"] = float(c)
-        bent = np.flatnonzero(curv > 0.0)
-        x, v = interior[k[bent]][:, None, :], v[bent][:, None, :]
-        moving = np.abs(v) > CELL_FLOOR
-        room = np.divide(x, np.abs(v), out=np.full(x.shape, np.inf), where=moving)
-        ts = np.min(room, axis=2, keepdims=True) * (0.5 ** np.arange(_HALVINGS + 1))[:, None]
-        # a pair's curvature chord goes before its face chords
-        chords.insert(0, np.stack([x - ts * v, x + ts * v], axis=2))
-        owners.insert(0, bent)
+    # chords of direction s belong to owner s * count + pair
+    chords, owners, capped = [], [], []
+    for side, (first, second) in enumerate(directions):
+        if m > 1:
+            bent = np.flatnonzero(curv[side] > 0.0)
+            x, u = interior[k[side, bent]][:, None, :], v[side, bent][:, None, :]
+            moving = np.abs(u) > CELL_FLOOR
+            room = np.divide(x, np.abs(u), out=np.full(x.shape, np.inf), where=moving)
+            ts = np.min(room, axis=2, keepdims=True) * (0.5 ** np.arange(_HALVINGS + 1))[:, None]
+            # a pair's curvature chord goes before its face chords
+            chords.append(np.stack([x - ts * u, x + ts * u], axis=2))
+            owners.append(side * count + bent)
+        starts, ends, owner, cut = _face_chords(first, second, 1.0)
+        chords.append(np.stack([starts, ends], axis=2))
+        owners.append(side * count + owner)
+        capped.extend(cut.tolist())
     owner = np.concatenate(owners)
     order = np.argsort(owner, kind="stable")
     owner = owner[order]
     rows = np.clip(np.concatenate(chords)[order], 0.0, None)
     rows /= rows.sum(axis=3, keepdims=True)
     weights = np.full(rows.shape[:3], 0.5)
-    viol = aux_mi_batch(b[owner], weights, rows) - aux_mi_batch(a[owner], weights, rows)
+    pair = owner % max(count, 1)
+    info_a, info_b = aux_mi_batch(a[pair], weights, rows), aux_mi_batch(b[pair], weights, rows)
+    viol = np.where((owner < count)[:, None], info_b - info_a, info_a - info_b)
     # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
     # variation between its ends, so ends within VERDICT_TOL cannot fail
     spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
@@ -887,17 +952,18 @@ def ordering_verdicts(
     Keys name channel a "1" and b "2": degradedness (``degraded_2_wrt_1``
     is b degraded w.r.t. a, at tolerance ``tol``), less noisy, more capable
     and essentially less noisy, each both ways.  Each verdict is the one the
-    matching ``test_*`` function returns, but the four gap searches behind
-    more capable and the essentially-less-noisy gate are one _gap_search,
-    and each channel's cyclic symmetry is searched once.
+    matching ``test_*`` function returns, but both less-noisy directions
+    come from one curvature scan and one chord-scoring pass (_less_noisy),
+    the four gap searches behind more capable and the essentially-less-noisy
+    gate are one _gap_search, and each channel's cyclic symmetry is searched
+    once.
     """
     m = _require_same_input(a, b)
     res = {
         "degraded_2_wrt_1": test_degraded(a, b, tol=tol),
         "degraded_1_wrt_2": test_degraded(b, a, tol=tol),
-        "less_noisy_1": test_less_noisy(a, b, step=step),
-        "less_noisy_2": test_less_noisy(b, a, step=step),
     }
+    res["less_noisy_1"], res["less_noisy_2"] = _less_noisy(a.rows[None], b.rows[None], step, both=True)
     found = _gap_search(a.rows[None], b.rows[None], step)
     res["more_capable_1"] = found.verdicts(_CAPABLE_AB)[0]
     res["more_capable_2"] = found.verdicts(_CAPABLE_BA)[0]

@@ -40,11 +40,11 @@ so the result does not depend on evaluation order or batch chunking.
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
 coarsened it.  ``num_decompositions`` counts the decompositions swept,
-``conditional_laws`` the rows of each batch's law table and ``marginal_laws``
-those of its marginal table.  A pinned sweep batch holds at most _SWEEP_CAP
-decompositions, and the binary mesh is refused when its full (K + 1)^3
-grid exceeds _SWEEP_CAP points; a finer step raises DomainError before
-anything is allocated.  The binary mesh of each K, the binary |U|=3 batch,
+``conditional_laws`` and ``marginal_laws`` the table laws and the marginals
+evaluated, a law array that several batches share counted once.  A pinned
+sweep batch holds at most _SWEEP_CAP decompositions, and the binary mesh
+is refused when its full (K + 1)^3 grid exceeds _SWEEP_CAP points; a finer
+step raises DomainError before anything is allocated.  The binary mesh of each K, the binary |U|=3 batch,
 the all-pairs batch of each alphabet size and the batches pinned to each
 member are built on first use and cached read-only.
 
@@ -254,6 +254,23 @@ def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     return points[keep], idx[keep]
 
 
+def _thinned(vals: np.ndarray) -> np.ndarray:
+    """Keep-mask of ascending ``vals``: the first, then each more than SIMPLEX_TOL above the last kept.
+
+    A run of values each within SIMPLEX_TOL of the next keeps one per
+    SIMPLEX_TOL of its spread, so near ties do not creep.
+    """
+    kept = np.ones(vals.size, dtype=bool)
+    last = 0
+    # a value more than SIMPLEX_TOL above its neighbour is kept; one within
+    # it is compared with the last kept value
+    for k in (np.flatnonzero(~(np.diff(vals) > SIMPLEX_TOL)) + 1).tolist():
+        if kept[k - 1]:
+            last = k - 1
+        kept[k] = vals[k] > vals[last] + SIMPLEX_TOL
+    return kept
+
+
 def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     """Keep Pareto-maximal points, returned sorted by r1 ascending.
 
@@ -261,13 +278,14 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     by r1, then r2, descending, the exact staircase keeps each point whose
     r2 exceeds every higher-ranked point's; along it r2 rises.  Of the
     staircase, the first point is kept, then each point whose r2 exceeds
-    that of the last kept point by more than SIMPLEX_TOL, so near ties do
-    not creep: a run of points each within SIMPLEX_TOL of the next keeps one
-    per SIMPLEX_TOL of its spread.  In what is left, r1 rises while r2
-    falls; a point whose left neighbour there lies within SIMPLEX_TOL in r1
-    is dropped too, since that neighbour has the same r1 up to rounding and
-    a larger r2.  So no frontier ends in a vertical step of rounding, and a
-    run of points closer than SIMPLEX_TOL apart in r1 keeps only its first.
+    that of the last kept point by more than SIMPLEX_TOL.  In what is left,
+    r1 rises while r2 falls, and the same rule runs on r1: the first point
+    is kept, then each point whose r1 exceeds that of the last kept point
+    by more than SIMPLEX_TOL, since a point within it has the kept one's r1
+    up to rounding and a smaller r2.  So near ties do not creep in either
+    coordinate: a run of points each within SIMPLEX_TOL of the next keeps
+    one per SIMPLEX_TOL of its spread, and no frontier ends in a vertical
+    step of rounding.
     """
     points, idx = _drop_dominated(points, idx)
     order = np.lexsort((-points[:, 1], -points[:, 0]))
@@ -279,18 +297,9 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     if r2.size > 1:
         keep[1:] = r2[1:] > np.maximum.accumulate(r2)[:-1]
     stairs = np.flatnonzero(keep)
-    rises = r2[stairs]
-    kept = np.ones(stairs.size, dtype=bool)
-    last = 0
-    # a point more than SIMPLEX_TOL above its staircase neighbour is kept;
-    # one within it is compared with the last kept point
-    for k in (np.flatnonzero(~(np.diff(rises) > SIMPLEX_TOL)) + 1).tolist():
-        if kept[k - 1]:
-            last = k - 1
-        kept[k] = rises[k] > rises[last] + SIMPLEX_TOL
-    pts, ids = pts[stairs[kept]][::-1], ids[stairs[kept]][::-1]
-    apart = np.ones(ids.size, dtype=bool)
-    apart[1:] = pts[1:, 0] - pts[:-1, 0] > SIMPLEX_TOL
+    stairs = stairs[_thinned(r2[stairs])][::-1]
+    pts, ids = pts[stairs], ids[stairs]
+    apart = _thinned(pts[:, 0])
     return pts[apart], ids[apart]
 
 
@@ -329,18 +338,22 @@ class _Batch(NamedTuple):
 
 
 def _batch_values(dominant: Dmc, weak: Dmc, batch: _Batch, memo: dict):
-    """I(X;Yd) and H(Yw) at each table law, then at each marginal.
+    """I(X;Yd) and H(Yw) at each table law, then at each marginal, and the laws this call evaluated.
 
     ``memo`` maps id(array) to (array, values), the array kept so that its
-    id stays its own: a law array that several batches of one sweep share
-    is evaluated once.
+    id stays its own: a law array that several batches of one sweep share,
+    or that is both a batch's table and its marginals, is evaluated once.
+    The second result counts the rows of the table and of the marginals
+    that this call evaluated, 0 for an array evaluated before.
     """
-    out = []
+    out, fresh = [], []
     for laws in (batch.table, batch.mixes):
-        if id(laws) not in memo:
+        new = id(laws) not in memo
+        if new:
             memo[id(laws)] = laws, (mi_batch(dominant.rows, laws), entropy_vec(laws @ weak.rows, axis=-1))
         out.extend(memo[id(laws)][1])
-    return tuple(out)
+        fresh.append(laws.shape[0] if new else 0)
+    return tuple(out), fresh
 
 
 def _chunk_quantities(batch: _Batch, values, run: slice):
@@ -708,9 +721,10 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     once.  Diagnostics ``aux3_points`` counts the frontier points whose
     provenance is a |U|=3 decomposition, the ids at or above every base
     batch's (an exact tie keeps the earlier id), None when no |U|=3 batch
-    ran.  ``conditional_laws`` counts each batch's law table rows,
-    ``marginal_laws`` its marginal rows and ``num_decompositions`` the
-    decompositions.
+    ran.  ``conditional_laws`` and ``marginal_laws`` count the laws
+    evaluated, each shared array once, as a table law when it first comes
+    as a batch's table and as a marginal when it first comes as its
+    marginals; ``num_decompositions`` counts the decompositions.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
@@ -726,9 +740,9 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
         if n == 0:
             continue
         stored.append((offset, batch))
-        laws += batch.table.shape[0]
-        marginals += batch.mixes.shape[0]
-        values = _batch_values(dominant, weak, batch, memo)
+        values, (fresh_laws, fresh_marginals) = _batch_values(dominant, weak, batch, memo)
+        laws += fresh_laws
+        marginals += fresh_marginals
         for lo in range(0, n, _CHUNK):
             a, bq, cq = _chunk_quantities(batch, values, slice(lo, lo + _CHUNK))
             ids = offset + lo + np.arange(a.size)

@@ -119,7 +119,7 @@ def _ascending(fn, maximize):
     return fn if maximize else (lambda q, idx: 0.0 - fn(q, idx))
 
 
-def test_refine_extremum_calls_fn_once_per_sweep():
+def test_refine_extremum_covers_sweeps_in_fewer_calls():
     # fn evaluates each law on its own, as _sequential_refine does, so the
     # two see the same values and the sweep counts compare like with like
     a, b = bec(0.4), bsc(0.1)
@@ -136,8 +136,13 @@ def test_refine_extremum_calls_fn_once_per_sweep():
         *_, sweeps = ordering._refine_extremum(counted, x0[None], 0.02)
         *_, ref_sweeps = _sequential_refine(_pair_gap(a, b), x0, 0.02, maximize)
         assert calls[0] == (1, 1, 2)
-        assert len(calls) == 1 + ref_sweeps == 1 + sweeps[0]
-        assert all(shape == (1, 2, 2) for shape in calls[1:])  # both moves of each sweep in one stack
+        assert sweeps[0] == ref_sweeps
+        # each call after the first covers one or more sweeps, as whole
+        # blocks of both moves per rung, so once a start halves twice in a
+        # row the calls number fewer than 1 + sweeps
+        assert all(shape[0] == 1 and shape[1] % 2 == 0 for shape in calls[1:])
+        assert sum(shape[1] // 2 for shape in calls[1:]) >= sweeps[0]
+        assert len(calls) < 1 + sweeps[0]
 
 
 def test_refine_extremum_breaks_ties_toward_first_move():
@@ -467,6 +472,63 @@ def test_stacked_tests_equal_scalar_calls(m, na, nb, count, seed):
         assert got.outcome is want.outcome
         _assert_close_diagnostics(got.diagnostics, want.diagnostics)
         assert all(map(np.array_equal, _witness_arrays(got), _witness_arrays(want)))
+
+
+def test_stacks_over_the_block_budget_equal_separate_calls(monkeypatch):
+    # a budget below one pair's grid scores the gap grid pair by pair, runs
+    # each refinement call start by start and scans the curvature a few
+    # points at a time; every verdict stays that of the pair's own call
+    rng = np.random.default_rng(19)
+    pairs = []
+    for k in range(4):
+        a = _random_channel(rng, 3, 3, sparse=k % 2 == 0)
+        b = cascade(a, _random_channel(rng, 3, 2, sparse=True)) if k == 0 else _random_channel(rng, 3, 2, k == 3)
+        pairs.append((a, b))
+    rows_a = np.stack([a.rows for a, _ in pairs])
+    rows_b = np.stack([b.rows for _, b in pairs])
+    alone = [ordering._gap_search(a.rows[None], b.rows[None], 0.02) for a, b in pairs]
+    want_less_noisy = [ordering.test_less_noisy(a, b) for a, b in pairs]
+    with monkeypatch.context() as mp:
+        mp.setattr(ordering, "_HESSIAN_BLOCK", 64)
+        stacked = ordering._gap_search(rows_a, rows_b, 0.02)
+        got_less_noisy = ordering.less_noisy_stack(rows_a, rows_b)
+    assert stacked.grid_points > 64
+    for p, lone in enumerate(alone):
+        assert stacked.points[:, p].tobytes() == lone.points[:, 0].tobytes()
+        assert stacked.values[:, p].tobytes() == lone.values[:, 0].tobytes()
+        assert np.array_equal(stacked.sweeps[:, p], lone.sweeps[:, 0])
+        for search in range(4):
+            got, want = stacked.verdicts(search)[p], lone.verdicts(search)[0]
+            assert got.outcome is want.outcome and got.diagnostics == want.diagnostics
+    for got, want in zip(got_less_noisy, want_less_noisy):
+        assert got.outcome is want.outcome
+        _assert_close_diagnostics(got.diagnostics, want.diagnostics)
+    assert {v.outcome for v in got_less_noisy} == {Outcome.HOLDS, Outcome.FAILS}
+
+
+@_PROPERTY
+@given(
+    m=st.integers(2, 4),
+    na=st.integers(2, 4),
+    nb=st.integers(2, 4),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_less_noisy_directions_equal_one_direction_calls(m, na, nb, zeros, seed):
+    # ordering_verdicts takes both directions from one pass; each must be
+    # the one-direction verdict bit for bit: outcome, witness, diagnostics
+    rng = np.random.default_rng(seed)
+    a = _random_channel(rng, m, na, sparse=zeros)
+    if na != nb and rng.random() < 0.5:
+        b = cascade(a, _random_channel(rng, na, nb, sparse=zeros))
+    else:
+        b = _random_channel(rng, m, nb, sparse=not zeros)
+    res = ordering.ordering_verdicts(a, b, step=0.05)
+    for key, (first, second) in (("less_noisy_1", (a, b)), ("less_noisy_2", (b, a))):
+        got, want = res[key], ordering.test_less_noisy(first, second, step=0.05)
+        assert got.outcome is want.outcome
+        assert got.diagnostics == want.diagnostics
+        assert [w.tobytes() for w in _witness_arrays(got)] == [w.tobytes() for w in _witness_arrays(want)]
 
 
 def test_stacked_tests_validate_their_rows():

@@ -232,7 +232,7 @@ def test_mismatched_inputs_rejected():
 
 
 def _lexsort_pareto(points, idx):
-    """Reference Pareto filter: the lexsort, the exact staircase, the last-kept r2 rule, then the r1-tie drop."""
+    """Reference Pareto filter: the lexsort, the exact staircase, then the last-kept rule on r2 and on r1."""
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     pts = points[order]
     ids = idx[order]
@@ -246,8 +246,11 @@ def _lexsort_pareto(points, idx):
         if r2[k] > r2[keep[-1]] + SIMPLEX_TOL:
             keep.append(k)
     pts, ids = pts[keep][::-1], ids[keep][::-1]
-    # a staircase point within SIMPLEX_TOL in r1 of its left neighbour goes
-    apart = [0] + [i for i in range(1, ids.size) if pts[i, 0] - pts[i - 1, 0] > SIMPLEX_TOL]
+    # a staircase point within SIMPLEX_TOL in r1 of the last kept point goes
+    apart = [0]
+    for i in range(1, ids.size):
+        if pts[i, 0] > pts[apart[-1], 0] + SIMPLEX_TOL:
+            apart.append(i)
     return pts[apart], ids[apart]
 
 
@@ -289,6 +292,16 @@ def test_pareto_filter_near_ties_do_not_creep():
     pts = np.array([[1.0, 0.0], [0.9, 0.9e-12], [0.8, 1.8e-12], [0.7, 2.7e-12]])
     got, ids = regions._pareto_filter(pts, np.arange(4))
     assert np.array_equal(got, pts[[2, 0]]) and np.array_equal(ids, [2, 0])
+    want, want_ids = _lexsort_pareto(pts, np.arange(4))
+    assert np.array_equal(got, want) and np.array_equal(ids, want_ids)
+
+
+def test_pareto_filter_r1_near_ties_do_not_creep():
+    # each r1 lies within SIMPLEX_TOL of the next, but 0.7 + 1.8e-12 lies
+    # more than SIMPLEX_TOL right of the kept 0.7
+    pts = np.array([[0.7, 1.0], [0.7 + 0.9e-12, 0.9], [0.7 + 1.8e-12, 0.8], [0.7 + 2.7e-12, 0.7]])
+    got, ids = regions._pareto_filter(pts, np.arange(4))
+    assert np.array_equal(got, pts[[0, 2]]) and np.array_equal(ids, [0, 2])
     want, want_ids = _lexsort_pareto(pts, np.arange(4))
     assert np.array_equal(got, want) and np.array_equal(ids, want_ids)
 
@@ -568,7 +581,8 @@ def test_table_indexed_evaluation_equals_dense_rows(m, n_dom, n_weak, laws, aux,
     else:  # one marginal row per decomposition, the mixture of its laws
         mixes, mix_idx = np.einsum("nk,nkm->nm", weights, table[cond_idx]), np.arange(count)
     batch, want_mixes = regions._Batch(weights, cond_idx, table, mixes, mix_idx), mixes[mix_idx]
-    values = regions._batch_values(dominant, weak, batch, {})
+    values, fresh = regions._batch_values(dominant, weak, batch, {})
+    assert fresh == [table.shape[0], mixes.shape[0]]
     got = regions._chunk_quantities(batch, values, slice(0, count))
     want = _dense_quantities(dominant, weak, weights, table[cond_idx], want_mixes)
     for g, w in zip(got, want):
@@ -1043,6 +1057,30 @@ def test_each_law_array_and_provenance_is_computed_once_per_sweep(monkeypatch):
         # a decomposition on both frontiers is one provenance object
         assert len(resolved) == len({id(d) for f in fr.values() for d in f.provenance})
     assert len(resolved) < sum(len(f.provenance) for f in fr.values())
+
+
+def test_law_diagnostics_count_each_evaluated_array_once(monkeypatch):
+    # paper6vi's free sweep evaluates its grid once, though the grid is k1's
+    # law table and the marginal table of k1 and ux; the diagnostics count
+    # the laws evaluated, that grid among the table laws only
+    evaluated = []
+    mi = regions.mi_batch
+
+    def counted_mi(rows, laws):
+        evaluated.append(laws.shape[0])
+        return mi(rows, laws)
+
+    monkeypatch.setattr(regions, "mi_batch", counted_mi)
+    grid = simplex_grid(4, 0.1).shape[0]
+    for a, b, which, members in ((*split_input_pair(), ["ib", "ob"], None),
+                                 (bsc(0.1), bec(0.15), ["ib", "ob"], None),
+                                 (bec(0.15), bsc(0.1), ["theorem1", "theorem2"], [Dist.uniform(2)])):
+        evaluated.clear()
+        fr = region_frontiers(a, b, which, members, step=0.1)
+        diagnostics = [f.diagnostics for f in fr.values()]
+        assert all(d["conditional_laws"] + d["marginal_laws"] == sum(evaluated) for d in diagnostics)
+        if a.input_size == 4:
+            assert diagnostics[0]["conditional_laws"] >= grid
 
 
 def test_oversized_sweeps_are_refused_before_allocation():
