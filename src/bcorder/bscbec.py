@@ -37,6 +37,7 @@ from .probcore import (
 
 _BISECT_STEPS = 200
 _SCAN_POINTS = 4097
+PHASE_GRID_CAP = 500  # cells per side of a (p, e) mesh: phase-map and verify-paper's threshold grid
 
 
 class DegeneratePairError(ValueError):

@@ -23,7 +23,7 @@ import sys
 
 import numpy as np
 
-from .bscbec import BscBecPair, PairTag, classify_pair, d_curve, regime, thresholds
+from .bscbec import PHASE_GRID_CAP, BscBecPair, PairTag, classify_pair, d_curve, regime, thresholds
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
 from .classify import _dominant, _require_same_input, ordering_verdicts
 from .probcore import SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
@@ -34,7 +34,6 @@ __all__ = ["RunConfig", "CliError", "build_parser", "main", "entrypoint"]
 
 BUILTIN_PAIR = "paper6vi"
 
-PHASE_MAP_GRID_CAP = 500       # phase-map draws grid x grid cells
 DCURVE_SAMPLES_CAP = 100_000   # dcurve keeps every sample in memory
 
 SVG_W, SVG_H = 800, 600
@@ -168,8 +167,10 @@ def _validate(cfg: RunConfig) -> None:
         raise CliError("--samples must be at least 2")
     if cfg.command == "dcurve" and cfg.samples > DCURVE_SAMPLES_CAP:
         raise CliError(f"--samples must be at most {DCURVE_SAMPLES_CAP}")
-    if cfg.command == "phase-map" and cfg.grid > PHASE_MAP_GRID_CAP:
-        raise CliError(f"phase-map --grid must be at most {PHASE_MAP_GRID_CAP}")
+    if cfg.seed < 0:
+        raise CliError("--seed must be nonnegative")
+    if cfg.command == "phase-map" and cfg.grid > PHASE_GRID_CAP:
+        raise CliError(f"phase-map --grid must be at most {PHASE_GRID_CAP}")
     if cfg.command == "region":
         bad = [w for w in cfg.which if w not in REGION_BOUNDS]
         if bad:

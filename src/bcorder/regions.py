@@ -78,8 +78,6 @@ _FACE_STEP_FLOOR = 0.02
 _CHUNK = 200_000        # decompositions gathered and evaluated at once
 _SWEEP_CAP = 10_000_000  # max decompositions of a pinned batch, max (K + 1)^3 of the binary mesh (8.1M at --grid 200)
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
-_SEG_SAMPLES = 33       # samples per segment for Hausdorff distance
-_SAMPLE_BLOCK = 256     # samples measured against every segment at once
 
 
 @dataclass(frozen=True)
@@ -160,44 +158,34 @@ def frontier_contains(frontier: RegionFrontier, point: RatePoint, tol: float = V
     return point.r2 <= bound + tol
 
 
-def _polyline_samples(pts: np.ndarray) -> np.ndarray:
-    """The first vertex, then _SEG_SAMPLES - 1 evenly spaced samples per segment."""
-    if pts.shape[0] == 1:
-        return pts
-    ts = np.linspace(0.0, 1.0, _SEG_SAMPLES)[None, 1:, None]
-    segs = pts[:-1, None, :] + ts * (pts[1:] - pts[:-1])[:, None, :]
-    return np.vstack([pts[:1], segs.reshape(-1, 2)])
+def _edge_vertices(frontier: RegionFrontier) -> np.ndarray:
+    """The frontier's points at which r1 rises past every earlier point's.
 
-
-def _dists_to_polyline(samples: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Distance from each sample to the polyline, _SAMPLE_BLOCK samples at a time."""
-    if pts.shape[0] == 1:
-        return np.linalg.norm(samples - pts[0], axis=1)
-    a, d = pts[:-1], pts[1:] - pts[:-1]
-    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
-    out = np.empty(samples.shape[0])
-    for lo in range(0, out.size, _SAMPLE_BLOCK):
-        block = samples[lo:lo + _SAMPLE_BLOCK, None, :]  # (samples, 1, 2) against (segments, 2)
-        t = np.clip(((block - a) * d).sum(axis=2) / len2, 0.0, 1.0)
-        out[lo:lo + _SAMPLE_BLOCK] = np.linalg.norm(block - (a + t[:, :, None] * d), axis=2).min(axis=1)
-    return out
-
-
-def _hausdorff(p1: np.ndarray, p2: np.ndarray) -> float:
-    s1, s2 = _polyline_samples(p1), _polyline_samples(p2)
-    d12 = _dists_to_polyline(s1, p2).max()
-    d21 = _dists_to_polyline(s2, p1).max()
-    return float(max(d12, d21))
+    A point at no larger r1 than an earlier one lies below it, up to
+    SIMPLEX_TOL (a final vertical step), so it leaves the region's upper
+    edge as it is; dropping it gives np.interp the rising r1 it needs.
+    """
+    pts = frontier.as_array()
+    rises = np.concatenate([[True], pts[1:, 0] > np.maximum.accumulate(pts[:-1, 0])])
+    return pts[rises]
 
 
 def frontier_distance(f1: RegionFrontier, f2: RegionFrontier) -> float:
-    """Symmetric Hausdorff distance between two frontier polylines, sampled.
+    """Largest vertical gap between the upper edges of the two regions, exact.
 
-    Each segment is sampled at _SEG_SAMPLES evenly spaced points, its ends
-    included, and each sample is measured exactly to the other polyline, so
-    the result is a lower bound on the exact Hausdorff distance.
+    A frontier's upper edge is its first point's r2 left of that point,
+    linear between points and 0 right of its last point.  Between two
+    consecutive vertices of either polyline both edges are linear, so the
+    supremum of the gap over r1 >= 0 is reached at a vertex, or just past a
+    last vertex, where that edge drops to 0 and the other may not.
     """
-    return _hausdorff(f1.as_array(), f2.as_array())
+    p1, p2 = _edge_vertices(f1), _edge_vertices(f2)
+    r1 = np.concatenate([p1[:, 0], p2[:, 0]])
+    gap = np.abs(np.interp(r1, *p1.T, right=0.0) - np.interp(r1, *p2.T, right=0.0)).max()
+    for a, b in ((p1, p2), (p2, p1)):
+        if a[-1, 0] < b[-1, 0]:  # just past a's end a's edge is 0, b's still at its value there
+            gap = max(gap, np.interp(a[-1, 0], *b.T))
+    return float(gap)
 
 
 def frontier_csv(frontier: RegionFrontier) -> str:

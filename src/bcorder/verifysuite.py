@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bscbec import BscBecPair, critical_point, d_derivative, d_func, degrading_channel, regime, thresholds
+from .bscbec import PHASE_GRID_CAP, BscBecPair, critical_point, d_derivative, d_func, degrading_channel, regime, thresholds
 from .channels import (
     Dmc,
     aux_mi_batch,
@@ -39,8 +39,9 @@ from .classify import (
     more_capable_stack,
     test_essentially_more_capable,
 )
-from .probcore import Dist, binary_entropy
+from .probcore import Dist, DomainError, binary_entropy
 from .regions import (
+    _SWEEP_CAP,
     frontier_contains,
     frontier_distance,
     outer_bound_eq_ob,
@@ -468,23 +469,26 @@ def _check_ordering_hierarchy(grid: int, seed: int, tol: float) -> CheckResult:
     )
 
 
-_CHECKS: tuple[tuple[str, float, object], ...] = (
-    ("aux-informations", 5e-4, _check_aux_informations),
-    ("threshold-grid", 0.0, _check_threshold_grid),
-    ("gap-curve-shape", 1e-6, _check_gap_curve_shape),
-    ("derivative-check", 1e-6, _check_derivative),
-    ("degrading-cascade", 1e-12, _check_degrading_cascade),
-    ("symmetrization", 1e-10, _check_symmetrization),
-    ("conditional-gap", 1e-12, _check_conditional_gap),
-    ("four-letter-pair", 1e-9, _check_four_letter_pair),
-    ("capacity-coincidence", 0.0, _check_capacity_coincidence),
-    ("region-containments", 1e-9, _check_region_containments),
-    ("ordering-hierarchy", 0.0, _check_ordering_hierarchy),
+_REGION_GRID_CAP = int(_SWEEP_CAP ** (1.0 / 3.0)) - 1  # largest N with (N + 1)^3 <= _SWEEP_CAP
+
+# (name, default tolerance, largest grid it runs at or None if it ignores grid, check)
+_CHECKS: tuple[tuple[str, float, int | None, object], ...] = (
+    ("aux-informations", 5e-4, None, _check_aux_informations),
+    ("threshold-grid", 0.0, PHASE_GRID_CAP, _check_threshold_grid),
+    ("gap-curve-shape", 1e-6, None, _check_gap_curve_shape),
+    ("derivative-check", 1e-6, None, _check_derivative),
+    ("degrading-cascade", 1e-12, None, _check_degrading_cascade),
+    ("symmetrization", 1e-10, None, _check_symmetrization),
+    ("conditional-gap", 1e-12, None, _check_conditional_gap),
+    ("four-letter-pair", 1e-9, None, _check_four_letter_pair),
+    ("capacity-coincidence", 0.0, _REGION_GRID_CAP, _check_capacity_coincidence),
+    ("region-containments", 1e-9, _REGION_GRID_CAP, _check_region_containments),
+    ("ordering-hierarchy", 0.0, None, _check_ordering_hierarchy),
 )
 
 
 def check_names() -> list[str]:
-    return [name for name, _, _ in _CHECKS]
+    return [name for name, _, _, _ in _CHECKS]
 
 
 def run_suite(
@@ -496,16 +500,20 @@ def run_suite(
     """Run the named checks (all by default) and collect a report.
 
     ``grid`` sizes the threshold map and the region sweep steps (1/grid).
+    A grid above the largest that a selected check runs at raises
+    DomainError before any check runs.
     ``tolerance`` overrides every selected check's default tolerance; the
     quoted reference values are rounded to a few decimals, so a very tight
     override (say 1e-12) makes those checks fail by design.
     """
     if only is not None and only not in check_names():
         raise ValueError(f"unknown check name: {only!r} (see check_names())")
+    selected = [entry for entry in _CHECKS if only in (None, entry[0])]
+    for name, _, cap, _ in selected:
+        if cap is not None and grid > cap:
+            raise DomainError(f"{name} runs at a grid of at most {cap}")
     results = []
-    for name, default_tol, fn in _CHECKS:
-        if only is not None and name != only:
-            continue
+    for name, default_tol, _, fn in selected:
         tol = default_tol if tolerance is None else tolerance
         results.append(fn(grid, seed, tol))
     return VerifyReport(grid=grid, seed=seed, checks=tuple(results))

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import bcorder
-from bcorder import regions
-from bcorder.cli import DCURVE_SAMPLES_CAP, PHASE_MAP_GRID_CAP, main
+from bcorder import regions, verifysuite
+from bcorder.bscbec import PHASE_GRID_CAP
+from bcorder.cli import DCURVE_SAMPLES_CAP, main
 from bcorder.verifysuite import check_names
 
 
@@ -476,8 +477,9 @@ _BAD_FLAGS = (
     ("--grid", st.integers(max_value=1), (("phase-map",), _DCURVE, ("verify-paper",))),
     ("--grid", st.integers(_FLOAT_MAX_INT + 1, _HUGE),
      (("classify", *_BSC_BEC), ("symmetry", *_BSC_BEC), ("verify-paper",), _DCURVE)),
-    ("--grid", st.integers(PHASE_MAP_GRID_CAP + 1, _HUGE), (("phase-map",),)),
-    ("--grid", st.integers(_MESH_GRID_MIN, _HUGE), (("region", *_BSC_BEC),)),
+    ("--grid", st.integers(PHASE_GRID_CAP + 1, _HUGE), (("phase-map",), ("verify-paper", "--check", "threshold-grid"))),
+    ("--grid", st.integers(_MESH_GRID_MIN, _HUGE), (("region", *_BSC_BEC), ("verify-paper",))),
+    ("--seed", st.integers(max_value=-1), (("verify-paper", "--check", "derivative-check"),)),
     ("--grid", st.integers(_PINNED_GRID_MIN, _HUGE), (("region", *_BSC_BEC, "--which", "theorem1", "--class", "uniform"),)),
     ("--samples", st.integers(max_value=1) | st.integers(DCURVE_SAMPLES_CAP + 1, _HUGE), (_DCURVE,)),
 )
@@ -493,6 +495,20 @@ def _bad_flag(draw) -> list[str]:
 @given(argv=_bad_flag())
 def test_fuzz_invalid_flag_value_exits_two(argv):
     _assert_rejected(*run_cli(*argv))
+
+
+def test_verify_grid_caps_refuse_before_any_check_runs(monkeypatch):
+    cap = verifysuite._REGION_GRID_CAP
+    assert (cap + 1) ** 3 <= regions._SWEEP_CAP < (cap + 2) ** 3
+    code, out, _ = run_cli("verify-paper", "--check", "derivative-check", "--grid", "10000")
+    assert code == 0 and "1/1 checks passed" in out  # a check that ignores --grid has no cap
+
+    def ran(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(verifysuite, "_CHECKS", tuple((*entry[:3], ran) for entry in verifysuite._CHECKS))
+    for argv in (("--grid", str(cap + 1)), ("--check", "threshold-grid", "--grid", str(PHASE_GRID_CAP + 1))):
+        _assert_rejected(*run_cli("verify-paper", *argv))
 
 
 def test_verify_list_matches_registry():

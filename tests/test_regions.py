@@ -71,7 +71,22 @@ def test_frontier_distance_on_shifted_copy():
     fr = RegionFrontier(points=pts)
     assert frontier_distance(fr, fr) == pytest.approx(0.0, abs=1e-15)
     shifted = RegionFrontier(points=tuple(RatePoint(p.r1 + 0.01, p.r2) for p in pts))
-    assert frontier_distance(fr, shifted) == pytest.approx(0.01, abs=1e-9)
+    # largest at r1 = 0.31, where fr is at 0.3 - 0.01 * 1.5 = 0.285 and the copy
+    # at 0.3, and at r1 = 0.5, where fr is at 0 and the copy at 0.3 - 0.19 * 1.5
+    assert frontier_distance(fr, shifted) == pytest.approx(0.015, abs=1e-12)
+    assert frontier_distance(shifted, fr) == frontier_distance(fr, shifted)
+
+
+def test_frontier_distance_at_a_final_step_and_past_a_short_frontier():
+    # a final vertical step leaves the region's upper edge as it is
+    step = RegionFrontier(points=(RatePoint(0.0, 0.5), RatePoint(0.5, 0.5), RatePoint(0.5, 0.0)))
+    flat = RegionFrontier(points=(RatePoint(0.0, 0.5), RatePoint(0.5, 0.5)))
+    assert frontier_distance(step, flat) == 0.0
+    # past the end of a short frontier that ends high, its edge is 0: the gap
+    # is 0.55 - 0.5 * 0.55 = 0.275 just past r1 = 0.5, not 0.45 at r1 = 1
+    short = RegionFrontier(points=(RatePoint(0.0, 0.5), RatePoint(0.5, 0.45)))
+    long = RegionFrontier(points=(RatePoint(0.0, 0.55), RatePoint(1.0, 0.0)))
+    assert frontier_distance(short, long) == pytest.approx(0.275, abs=1e-12)
 
 
 def test_superposition_corners_dominant_crossover():
@@ -121,7 +136,7 @@ def test_inner_bound_inside_outer_bounds():
 def test_theorem1_matches_outer_bound_under_dominance():
     inner = theorem1_region(bsc(0.1), bec(0.5), [Dist.uniform(2)], step=0.02)
     outer = outer_bound_eq_ob(bsc(0.1), bec(0.5), step=0.02)
-    assert frontier_distance(inner, outer) <= 0.04
+    assert frontier_distance(inner, outer) <= 1e-9
 
 
 def test_theorem1_matches_constrained_superposition_under_dominance():
@@ -410,33 +425,6 @@ def test_pareto_prepass_on_outer_bound_sweep(monkeypatch):
         assert np.array_equal(d.px_given_u, e.px_given_u)
 
 
-def _reference_polyline_samples(pts):
-    if pts.shape[0] == 1:
-        return pts
-    chunks = [pts[:1]]
-    ts = np.linspace(0.0, 1.0, regions._SEG_SAMPLES)[1:, None]
-    for a, b in zip(pts[:-1], pts[1:]):
-        chunks.append(a[None, :] + ts * (b - a)[None, :])
-    return np.vstack(chunks)
-
-
-def _reference_dists_to_polyline(samples, pts):
-    if pts.shape[0] == 1:
-        return np.linalg.norm(samples - pts[0], axis=1)
-    a = pts[:-1]
-    d = pts[1:] - pts[:-1]
-    len2 = np.maximum((d * d).sum(axis=1), 1e-300)
-    diff = samples[:, None, :] - a[None, :, :]
-    t = np.clip((diff * d[None, :, :]).sum(axis=2) / len2[None, :], 0.0, 1.0)
-    proj = a[None, :, :] + t[:, :, None] * d[None, :, :]
-    return np.linalg.norm(samples[:, None, :] - proj, axis=2).min(axis=1)
-
-
-def _reference_hausdorff(p1, p2):
-    s1, s2 = _reference_polyline_samples(p1), _reference_polyline_samples(p2)
-    return float(max(_reference_dists_to_polyline(s1, p2).max(), _reference_dists_to_polyline(s2, p1).max()))
-
-
 def _reference_upper_hull(points, idx):
     n = points.shape[0]
     if n <= 2:
@@ -470,6 +458,56 @@ def _monotone_concave(rng, n, runs):
     return np.column_stack([x, y - y.min() + rng.random()])
 
 
+def _edge_reference(pts, r1):
+    """The upper edge of the region below polyline pts at each r1: pts[0]'s r2
+    to its left, the segment through r1 between points, 0 past the last."""
+    if pts.shape[0] == 1:
+        inside = np.full(r1.shape, pts[0, 1])
+    else:
+        j = np.clip(np.searchsorted(pts[:, 0], r1), 1, pts.shape[0] - 1)
+        (x0, y0), (x1, y1) = pts[j - 1].T, pts[j].T
+        inside = y0 + (r1 - x0) / (x1 - x0) * (y1 - y0)
+    return np.where(r1 > pts[-1, 0], 0.0, np.where(r1 <= pts[0, 0], pts[0, 1], inside))
+
+
+def _as_frontier(pts):
+    return RegionFrontier(points=tuple(RatePoint(x, y) for x, y in pts.tolist()))
+
+
+@_PROPERTY
+@given(
+    n1=st.integers(1, 80),
+    n2=st.integers(1, 80),
+    runs=st.booleans(),
+    relation=st.sampled_from(("apart", "nested", "mirrored")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frontier_distance_is_the_exact_largest_vertical_gap(n1, n2, runs, relation, seed):
+    rng = np.random.default_rng(seed)
+    polylines = []
+    for n in (n1, n2):
+        pts = _monotone_concave(rng, n, runs)
+        pts[:, 0] += rng.choice([0.0, rng.random() * 0.1])  # some start right of r1 = 0
+        if rng.random() < 0.5:  # the rest end above r2 = 0
+            pts[:, 1] -= pts[-1, 1]
+        polylines.append(pts)
+    p1, p2 = polylines
+    if relation == "nested":  # vertices of p1, its last one kept in some
+        p2 = p1[np.sort(rng.choice(n1, min(n1, n2), replace=False))]
+    elif relation == "mirrored":  # p1 reflected in r1 = r2: the two cross
+        p2 = p1[::-1, ::-1]
+    f1, f2 = _as_frontier(p1), _as_frontier(p2)
+    gap = frontier_distance(f1, f2)
+    dense = np.linspace(0.0, 1.1 * max(p1[-1, 0], p2[-1, 0]), 2001)
+    drops = np.nextafter([p1[-1, 0], p2[-1, 0]], np.inf)
+    exact = np.concatenate([dense, p1[:, 0], p2[:, 0], drops])
+    sampled, full = (float(np.abs(_edge_reference(p1, r1) - _edge_reference(p2, r1)).max()) for r1 in (dense, exact))
+    assert gap >= sampled - 1e-12
+    assert gap == pytest.approx(full, abs=1e-12)
+    assert frontier_distance(f2, f1) == gap
+    assert frontier_distance(f1, f1) == 0.0 and frontier_distance(f2, f2) == 0.0
+
+
 @_PROPERTY
 @given(
     n1=st.integers(1, 80),
@@ -478,18 +516,13 @@ def _monotone_concave(rng, n, runs):
     nested=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hausdorff_and_hull_are_bit_identical_to_the_reference(n1, n2, runs, nested, seed):
+def test_upper_hull_is_bit_identical_to_the_reference(n1, n2, runs, nested, seed):
     rng = np.random.default_rng(seed)
     p1 = _monotone_concave(rng, n1, runs)
     # nested: the second polyline is a subset of the first, nudged within CELL_FLOOR
     p2 = p1[np.sort(rng.choice(n1, min(n1, n2), replace=False))] if nested else _monotone_concave(rng, n2, runs)
     if nested:
         p2 = p2 + rng.uniform(-1.0, 1.0, p2.shape) * CELL_FLOOR
-    for a, b in ((p1, p2), (p2, p1), (p1, p1)):
-        assert np.array_equal(regions._polyline_samples(a), _reference_polyline_samples(a))
-        assert np.array_equal(regions._dists_to_polyline(_reference_polyline_samples(a), b),
-                              _reference_dists_to_polyline(_reference_polyline_samples(a), b))
-        assert regions._hausdorff(a, b) == _reference_hausdorff(a, b)
     # the hull also sees Pareto sets that are not concave
     wobbly = p1 + np.column_stack([np.zeros(n1), rng.random(n1) * 0.05])
     for pts in (p1, p2, wobbly):
