@@ -29,24 +29,30 @@ sweep; each bound then emits its own rate-polygon vertices.
 
 Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and reduced as they stream.
-Each run of _CHUNK decompositions is evaluated, emits its corner candidates
-and at once drops, in linear time, every candidate whose r2 is at most the
-largest r2 of a higher r1 bin of that run; only the survivors are kept, in
-input order, and the full candidate cloud is never stacked.  One
-deterministic Pareto-and-hull pass per bound kind over the survivors gives
-the frontier, provenance included, exactly as sorting every candidate would,
-so the result does not depend on evaluation order or batch chunking.
+Each run of _CHUNK decompositions is evaluated, and each bound kind takes
+its rate-polygon corners straight from the run's (A, B, C), one block per
+corner, bins every block by r1 into one table of per-bin largest r2, and
+gathers only the corners that no higher bin beats, in input order, plus,
+of the corners at the run's smallest r1, the first of largest r2.  No
+candidate cloud is built, per run or per sweep.  One deterministic
+Pareto-and-hull pass per bound kind over the survivors gives the frontier
+exactly as sorting every candidate would, so the result does not depend on
+evaluation order or batch chunking.  A frontier keeps its decompositions'
+ids and builds its ``provenance`` on first read, each decomposition once
+per sweep.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
 coarsened it.  ``num_decompositions`` counts the decompositions swept,
 ``conditional_laws`` and ``marginal_laws`` the table laws and the marginals
-evaluated, a law array that several batches share counted once.  A pinned
-sweep batch holds at most _SWEEP_CAP decompositions, and the binary mesh
-is refused when its full (K + 1)^3 grid exceeds _SWEEP_CAP points; a finer
-step raises DomainError before anything is allocated.  The binary mesh of each K, the binary |U|=3 batch,
-the all-pairs batch of each alphabet size and the batches pinned to each
-member are built on first use and cached read-only.
+evaluated, a law array that several batches share counted once;
+``num_candidates`` counts every corner and ``num_survivors`` the corners
+the runs hand to the Pareto pass.  A pinned sweep batch holds at most
+_SWEEP_CAP decompositions, and the binary mesh is refused when its full
+(K + 1)^3 grid exceeds _SWEEP_CAP points; a finer step raises DomainError
+before anything is allocated.  The binary mesh of each K, the binary |U|=3
+batch, the all-pairs batch of each alphabet size and the batches pinned to
+each member are built on first use and cached read-only.
 
 Frontier CSV format: header "r1,r2", one row per frontier point with nine
 decimal places, sorted by r1 ascending.
@@ -75,7 +81,7 @@ from .probcore import CELL_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, e
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
-_CHUNK = 200_000        # decompositions gathered and evaluated at once
+_CHUNK = 32_768         # decompositions evaluated and pruned at once; cache-sized, the fastest of 8k-200k measured
 _SWEEP_CAP = 10_000_000  # max decompositions of a pinned batch, max (K + 1)^3 of the binary mesh (8.1M at --grid 200)
 _PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
 
@@ -100,27 +106,30 @@ class RatePoint:
         return (self.r1, self.r2)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RegionFrontier:
     """Pareto frontier of a down-closed convex rate region.
 
     Points are sorted by r1 ascending with r2 decreasing, and lie on their
     own upper concave envelope.  ``provenance`` (when present) holds the
-    AuxDecomposition that achieves each point; ``diagnostics`` records sweep
-    metadata such as the grid step and how many points the |U|=3
-    refinement pass contributed.
+    AuxDecomposition that achieves each point; a swept frontier resolves it
+    from its sweep's decomposition ids on first read.  ``diagnostics``
+    records sweep metadata such as the grid step and how many points the
+    |U|=3 refinement pass contributed.
     """
 
     points: tuple
-    provenance: tuple = ()
-    diagnostics: dict = field(default_factory=dict)
+    diagnostics: dict
+    _provenance: object = field(repr=False)
 
-    def __post_init__(self):
-        pts = tuple(self.points)
+    def __init__(self, points, provenance=(), diagnostics=None):
+        pts = tuple(points)
         if not pts:
             raise DomainError("a frontier needs at least one point")
-        prov = tuple(self.provenance)
-        if prov and len(prov) != len(pts):
+        lazy = isinstance(provenance, _SweepIds)
+        provenance = provenance if lazy else tuple(provenance)
+        count = len(provenance.ids if lazy else provenance)
+        if count and count != len(pts):
             raise DomainError("provenance must have one entry per point")
         for p, q in zip(pts, pts[1:]):
             if q.r1 < p.r1 - SIMPLEX_TOL:
@@ -134,7 +143,14 @@ class RegionFrontier:
             if cross > VERDICT_TOL:
                 raise DomainError("frontier points must be concave")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "provenance", prov)
+        object.__setattr__(self, "diagnostics", {} if diagnostics is None else diagnostics)
+        object.__setattr__(self, "_provenance", provenance)
+
+    @property
+    def provenance(self) -> tuple:
+        if isinstance(self._provenance, _SweepIds):
+            object.__setattr__(self, "_provenance", self._provenance.resolve())
+        return self._provenance
 
     @property
     def max_r1(self) -> float:
@@ -199,17 +215,19 @@ def frontier_csv(frontier: RegionFrontier) -> str:
 # frontier assembly
 
 
-def _drop_dominated(points: np.ndarray, idx: np.ndarray):
-    """Linear pre-pass: drop points beaten by a point in a higher r1 bin.
+def _survivors(r1s: list, r2s: list) -> list:
+    """Linear pre-pass over a cloud given as blocks: per block, the ascending positions kept.
 
-    r1 is cut into _PARETO_BINS equal-width bins over the points given, by
-    x -> (x - min r1) * scale rounded down.  Any monotone bin map would do:
-    the argument below needs only that a higher bin means a strictly larger
-    r1.  A point whose r2 is at most the largest r2 of the bins strictly to
-    its right is dropped; a point with that largest r2 in the highest bin
-    holding it survives and dominates it (larger r1, r2 at least as large).
-    Survivors keep their input order.  A NaN r2, or a NaN among the bounds,
-    drops nothing.
+    r1 is cut into _PARETO_BINS equal-width bins over every block's points,
+    by x -> (x - min r1) * scale rounded down.  Any monotone bin map would
+    do: the argument below needs only that a higher bin means a strictly
+    larger r1.  A point whose r2 is at most the largest r2 of the bins
+    strictly to its right is dropped; a point with that largest r2 in the
+    highest bin holding it survives and dominates it (larger r1, r2 at least
+    as large).  Points in one bin are never compared, but of the points at
+    the smallest r1 only the first, blocks in order, of largest r2 can rank
+    above the others, so only that one is kept.  A NaN r2 is kept and drops
+    nothing below it; a NaN r1 drops nothing at all.
 
     Why the survivors of any number of passes, each over any part of a
     cloud, give _pareto_filter the same output as the whole cloud: domination
@@ -221,24 +239,44 @@ def _drop_dominated(points: np.ndarray, idx: np.ndarray):
     keeps exact ties in input order, so the provenance ids do not change
     either.
     """
+    lo = float(np.min([r.min() for r in r1s if r.size], initial=np.inf))
+    hi = float(np.max([r.max() for r in r1s if r.size], initial=-np.inf))
+    if not lo <= hi:
+        return [np.arange(r.size) for r in r1s]
+    scale = _PARETO_BINS / (hi - lo) if lo < hi else math.inf
+    if scale < math.inf:
+        bins = []
+        top = np.full(_PARETO_BINS, -np.inf)
+        for r1, r2 in zip(r1s, r2s):
+            t = np.subtract(r1, lo)
+            t *= scale
+            np.minimum(t, _PARETO_BINS - 1, out=t)
+            bins.append(t.astype(np.intp))
+            np.maximum.at(top, bins[-1], r2)
+        above = np.full(_PARETO_BINS, -np.inf)  # above[k] = max r2 over bins > k
+        np.maximum.accumulate(top[:0:-1], out=above[-2::-1])
+        keep = [np.flatnonzero(~(r2 <= np.take(above, b))) for r2, b in zip(r2s, bins)]
+        low = [(r1[k] == lo, r2[k]) for r1, r2, k in zip(r1s, r2s, keep)]
+    else:  # one r1 value, or a spread too narrow to bin
+        keep = [np.arange(r.size) for r in r1s]
+        low = [(r1 == lo, r2) for r1, r2 in zip(r1s, r2s)]
+    best = max(np.fmax.reduce(r2[at], initial=-np.inf) for at, r2 in low)
+    first = True
+    for j, (at, r2) in enumerate(low):
+        drop = at & (r2 <= best)
+        hit = np.flatnonzero(drop & (r2 == best)) if first else ()
+        if len(hit):
+            drop[hit[0]] = False
+            first = False
+        keep[j] = keep[j][~drop]
+    return keep
+
+
+def _drop_dominated(points: np.ndarray, idx: np.ndarray):
+    """The _survivors of an (n, 2) cloud, in input order; a cloud of at most _PARETO_BINS points is kept whole."""
     if points.shape[0] <= _PARETO_BINS:
         return points, idx
-    r1, r2 = points[:, 0], points[:, 1]
-    lo, hi = float(r1.min()), float(r1.max())
-    if not lo < hi:
-        return points, idx
-    scale = _PARETO_BINS / (hi - lo)
-    if not 0.0 < scale < math.inf:
-        return points, idx
-    t = np.subtract(r1, lo)
-    t *= scale
-    np.minimum(t, _PARETO_BINS - 1, out=t)
-    bins = t.astype(np.intp)
-    top = np.full(_PARETO_BINS, -np.inf)
-    np.maximum.at(top, bins, r2)
-    above = np.full(_PARETO_BINS, -np.inf)  # above[k] = max r2 over bins > k
-    np.maximum.accumulate(top[:0:-1], out=above[-2::-1])
-    keep = np.flatnonzero(~(r2 <= np.take(above, bins, out=t)))
+    (keep,) = _survivors([points[:, 0]], [points[:, 1]])
     return points[keep], idx[keep]
 
 
@@ -357,21 +395,22 @@ def _chunk_quantities(batch: _Batch, values, run: slice):
     return a, a + np.einsum("nk,nk->n", w, i_law[idx]), i_mix[j]
 
 
-def _chunk_candidates(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, ids: np.ndarray):
-    """Pareto corner candidates of a chunk's rate polygons: (points, ids, corners per polygon).
+def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, offset: int):
+    """The _survivors among a chunk's rate-polygon corners: (points, ids, corners per polygon).
 
     kind "sum":   r2 <= A, r1+r2 <= B, r1+r2 <= C
     kind "two":   r2 <= A, r1+r2 <= B
     kind "r1cap": r2 <= A, r1+r2 <= B, r1 <= C
 
-    Each polygon has one corner on the r1 axis, r2 = 0.  Of the chunk's axis
-    corners only the first of largest r1 is emitted, at the head, then the
-    other corners, one block per corner in decomposition order.  That gives
-    _pareto_filter the same output, ids included, as every corner in the
-    order axis block first: a point with r2 = 0 is kept only if it ranks
-    first overall (the running max it meets is >= 0), the chunk's other axis
-    corners rank below its first of largest r1, and removing a point that
-    is not kept changes no other point's fate.
+    Decomposition j of the chunk has id offset + j.  Each polygon has one
+    corner on the r1 axis, r2 = 0.  Of the chunk's axis corners only the
+    first of largest r1 is a candidate, at the head, then the other corners,
+    one block per corner in decomposition order; the survivors keep that
+    order.  That gives _pareto_filter the same output, ids included, as
+    every corner in the order axis block first: a point with r2 = 0 is kept
+    only if it ranks first overall (the running max it meets is >= 0), the
+    chunk's other axis corners rank below its first of largest r1, and
+    removing a point that is not kept changes no other point's fate.
     """
     if kind == "sum":
         s = np.minimum(b, c)
@@ -384,18 +423,23 @@ def _chunk_candidates(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, id
         axis, rest = c1, [(np.minimum(c, b - a), a), (c1, np.minimum(b - c1, a))]
     else:
         raise ValueError(f"unknown constraint kind: {kind}")
-    n = a.size
     axis = np.maximum(axis, 0.0)
     first = int(np.argmax(axis))
-    pts = np.empty((2, 1 + n * len(rest)))
-    pts[:, 0] = axis[first], 0.0
-    for k, (r1, r2) in enumerate(rest):
-        block = slice(1 + k * n, 1 + (k + 1) * n)
-        np.maximum(r1, 0.0, out=pts[0, block])
-        np.maximum(r2, 0.0, out=pts[1, block])
-    pids = np.concatenate([ids[first:first + 1], np.tile(ids, len(rest))])
-    # column-major, so the pre-pass reads r1 and r2 contiguously
-    return pts.T, pids, 1 + len(rest)
+    r1s, r2s = [axis[first:first + 1]], [np.zeros(1)]
+    for r1, r2 in rest:
+        r1s.append(np.maximum(r1, 0.0))
+        r2s.append(np.maximum(r2, 0.0))
+    keep = _survivors(r1s, r2s)
+    ends = np.cumsum([k.size for k in keep]).tolist()
+    pts = np.empty((ends[-1], 2))
+    ids = np.empty(ends[-1], dtype=np.intp)
+    for r1, r2, k, lo, hi in zip(r1s, r2s, keep, [0, *ends], ends):
+        pts[lo:hi, 0] = r1[k]
+        pts[lo:hi, 1] = r2[k]
+        ids[lo:hi] = k
+    ids[:ends[0]] = first  # the head is decomposition first's axis corner
+    ids += offset
+    return pts, ids, len(r1s)
 
 
 # the constraint kind of each bound's rate polygon
@@ -704,15 +748,18 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
 
     Every decomposition's (A, B, C) is computed once, chunk by chunk; each
     bound's kind (_BOUND_KINDS) then emits its own vertices, Pareto set and
-    hull.  A law array that several batches share is evaluated once, and
-    the provenance of a decomposition on several frontiers is resolved
-    once.  Diagnostics ``aux3_points`` counts the frontier points whose
-    provenance is a |U|=3 decomposition, the ids at or above every base
-    batch's (an exact tie keeps the earlier id), None when no |U|=3 batch
-    ran.  ``conditional_laws`` and ``marginal_laws`` count the laws
-    evaluated, each shared array once, as a table law when it first comes
-    as a batch's table and as a marginal when it first comes as its
-    marginals; ``num_decompositions`` counts the decompositions.
+    hull.  A law array that several batches share is evaluated once.  Each
+    frontier keeps its decompositions' ids and resolves its provenance on
+    first read, a decomposition on several frontiers once; until then it
+    holds the sweep's batches.  Diagnostics ``aux3_points`` counts the
+    frontier points whose provenance is a |U|=3 decomposition, the ids at or
+    above every base batch's (an exact tie keeps the earlier id), None when
+    no |U|=3 batch ran.  ``conditional_laws`` and ``marginal_laws`` count
+    the laws evaluated, each shared array once, as a table law when it first
+    comes as a batch's table and as a marginal when it first comes as its
+    marginals; ``num_decompositions`` counts the decompositions,
+    ``num_candidates`` every rate-polygon corner of the bound's kind and
+    ``num_survivors`` the corners that the runs hand to _pareto_filter.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
@@ -733,11 +780,9 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
         marginals += fresh_marginals
         for lo in range(0, n, _CHUNK):
             a, bq, cq = _chunk_quantities(batch, values, slice(lo, lo + _CHUNK))
-            ids = offset + lo + np.arange(a.size)
             for kind in kinds:
-                pts, pids, corners = _chunk_candidates(kind, a, bq, cq, ids)
+                pts, pids, corners = _chunk_survivors(kind, a, bq, cq, offset + lo)
                 candidates[kind] += corners * a.size
-                pts, pids = _drop_dominated(pts, pids)
                 pts_lists[kind].append(pts)
                 idx_lists[kind].append(pids)
         offset += n
@@ -748,27 +793,45 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     frontiers = {}
     resolved: dict[int, AuxDecomposition] = {}
     for kind in kinds:
-        pts, ids = _upper_hull(*_pareto_filter(np.vstack(pts_lists[kind]), np.concatenate(idx_lists[kind])))
+        survivors = np.vstack(pts_lists[kind])
+        pts, ids = _upper_hull(*_pareto_filter(survivors, np.concatenate(idx_lists[kind])))
         aux3_points = int((ids >= aux3_offset).sum()) if aux3_swept else None
-        for i in ids.tolist():
-            if i not in resolved:
-                resolved[i] = _resolve_decomposition(stored, i)
-        prov = tuple(resolved[i] for i in ids.tolist())
+        prov = _SweepIds(tuple(ids.tolist()), stored, resolved)
         rate_points = tuple(RatePoint(float(x), float(y)) for x, y in pts)
-        frontiers[kind] = (rate_points, prov, candidates[kind], aux3_points)
+        frontiers[kind] = (rate_points, prov, candidates[kind], survivors.shape[0], aux3_points)
 
     out = {}
     for name, diagnostics in bounds.items():
-        rate_points, prov, candidates, aux3_points = frontiers[_BOUND_KINDS[name]]
+        rate_points, prov, candidates, survivors, aux3_points = frontiers[_BOUND_KINDS[name]]
         diag = dict(diagnostics)
         diag["num_decompositions"] = offset
         diag["conditional_laws"] = laws
         diag["marginal_laws"] = marginals
         diag["num_candidates"] = candidates
+        diag["num_survivors"] = survivors
         diag["aux3_points"] = aux3_points
         diag["aux3_swept"] = aux3_swept
         out[name] = RegionFrontier(points=rate_points, provenance=prov, diagnostics=diag)
     return out
+
+
+class _SweepIds(NamedTuple):
+    """A swept frontier's decomposition ids, resolved to AuxDecompositions on first read.
+
+    ``stored`` lists the sweep's (offset, batch) pairs and ``resolved`` maps
+    an id to its decomposition; both are shared by the sweep's frontiers, so
+    a decomposition on several of them is resolved once.
+    """
+
+    ids: tuple
+    stored: list
+    resolved: dict
+
+    def resolve(self) -> tuple:
+        for i in self.ids:
+            if i not in self.resolved:
+                self.resolved[i] = _resolve_decomposition(self.stored, i)
+        return tuple(self.resolved[i] for i in self.ids)
 
 
 def _resolve_decomposition(stored, i: int) -> AuxDecomposition:

@@ -1,7 +1,9 @@
+import io
 import math
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from bcorder import regions
 from bcorder.channels import Dmc, bec, bsc, channel_mi, mi_batch, split_input_pair
-from bcorder.classify import simplex_grid
+from bcorder.classify import AuxDecomposition, simplex_grid
+from bcorder.cli import main
 from bcorder.probcore import CELL_FLOOR, SIMPLEX_TOL, Dist, DomainError, binary_convolve, binary_entropy, entropy_vec
 from bcorder.regions import (
     RatePoint,
@@ -47,6 +50,11 @@ def test_frontier_validation():
         RegionFrontier(points=(RatePoint(0.5, 0.0), RatePoint(0.0, 0.5)))  # r1 not sorted
     with pytest.raises(DomainError):
         RegionFrontier(points=(RatePoint(0.0, 0.1), RatePoint(0.5, 0.2)))  # r2 increases
+    dec = AuxDecomposition(Dist.uniform(1), np.array([[0.5, 0.5]]))
+    with pytest.raises(DomainError, match="one entry per point"):
+        RegionFrontier(points=good, provenance=(dec,))
+    with pytest.raises(DomainError, match="one entry per point"):  # a sweep's ids, checked before any is resolved
+        RegionFrontier(points=good, provenance=regions._SweepIds((0,), [], {}))
 
 
 def test_frontier_contains_semantics():
@@ -365,7 +373,7 @@ def test_pareto_filter_matches_lexsort_reference(n, lattice, r1_mode, duplicates
 @given(
     n=st.sampled_from([1, 7, 300, regions._PARETO_BINS + 1, 9000, 20000]),
     lattice=st.sampled_from([1, 3, 16, 250, 0]),
-    r1_mode=st.sampled_from(["free", "columns", "constant"]),
+    r1_mode=st.sampled_from(["free", "columns", "constant", "zero"]),
     duplicates=st.booleans(),
     nans=st.booleans(),
     arc=st.booleans(),
@@ -373,7 +381,8 @@ def test_pareto_filter_matches_lexsort_reference(n, lattice, r1_mode, duplicates
 )
 def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode, duplicates, nans, arc, seed):
     # the sweep drops dominated points chunk by chunk, each chunk binned on
-    # its own r1 range, and sorts only the concatenated survivors
+    # its own r1 range as a few blocks (its corner blocks), and sorts only
+    # the concatenated survivors
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     if arc:  # a dense frontier: half the points on a concave arc, several per r1 bin
@@ -384,18 +393,26 @@ def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode
         pts[:, 0] = rng.integers(0, 5, n) / 4.0
     elif r1_mode == "constant":
         pts[:, 0] = 0.375
+    elif r1_mode == "zero":  # r1 = 0 on some or all points
+        pts[rng.random(n) < rng.choice([0.5, 1.0]), 0] = 0.0
     if duplicates:
         pts = np.vstack([pts, pts[rng.integers(0, n, n // 2 + 1)]])
     if nans:
         pts[rng.integers(0, pts.shape[0], 3), 1] = np.nan
     idx = rng.permutation(pts.shape[0])
-    # cut points: chunks below and above _PARETO_BINS, and empty ones
+    # cut points: chunks below and above _PARETO_BINS, and empty ones, each
+    # cut again into up to four blocks
     cuts = np.sort(rng.integers(0, pts.shape[0] + 1, rng.integers(0, 6)))
     bounds = [0, *cuts.tolist(), pts.shape[0]]
+    rows = []
     with np.errstate(invalid="ignore"):  # NaN r2 in np.maximum.at
-        kept = [regions._drop_dominated(pts[lo:hi], idx[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
-        survivors = np.vstack([k[0] for k in kept]), np.concatenate([k[1] for k in kept])
-        got_pts, got_ids = regions._pareto_filter(*survivors)
+        for lo, hi in zip(bounds, bounds[1:]):
+            edges = [lo, *np.sort(rng.integers(lo, hi + 1, rng.integers(0, 4))).tolist(), hi]
+            blocks = list(zip(edges, edges[1:]))
+            keep = regions._survivors([pts[s:e, 0] for s, e in blocks], [pts[s:e, 1] for s, e in blocks])
+            rows.extend(s + k for (s, _), k in zip(blocks, keep))
+        rows = np.concatenate(rows)
+        got_pts, got_ids = regions._pareto_filter(pts[rows], idx[rows])
         want_pts, want_ids = _lexsort_pareto(pts, idx)
     assert np.array_equal(got_pts, want_pts, equal_nan=True)
     assert np.array_equal(got_ids, want_ids)
@@ -414,11 +431,13 @@ def test_pareto_prepass_on_outer_bound_sweep(monkeypatch):
     fast = outer_bound_eq_ob(bec(0.5), bsc(0.1))
     assert sorted_rows and max(sorted_rows) < 0.05 * fast.diagnostics["num_candidates"]
     # the reference sorts the whole cloud: no pre-pass, per chunk or global
+    monkeypatch.setattr(regions, "_survivors", lambda r1s, r2s: [np.arange(r.size) for r in r1s])
     monkeypatch.setattr(regions, "_drop_dominated", lambda points, idx: (points, idx))
     monkeypatch.setattr(regions, "_pareto_filter", _lexsort_pareto)
     ref = outer_bound_eq_ob(bec(0.5), bsc(0.1))
     assert fast.points == ref.points
-    assert fast.diagnostics == ref.diagnostics
+    assert ref.diagnostics["num_survivors"] > fast.diagnostics["num_survivors"]
+    assert fast.diagnostics == {**ref.diagnostics, "num_survivors": fast.diagnostics["num_survivors"]}
     assert len(fast.provenance) == len(ref.provenance)
     for d, e in zip(fast.provenance, ref.provenance):
         assert np.array_equal(d.pu.probs, e.pu.probs)
@@ -686,27 +705,36 @@ def test_marginal_tables_move_no_frontier(m, seed):
 @_PROPERTY
 @given(
     kind=st.sampled_from(["sum", "two", "r1cap"]),
-    n=st.integers(1, 60),
+    n=st.sampled_from([1, 2, 60, 1000, regions._PARETO_BINS]),
     lattice=st.sampled_from([1, 2, 4, 16]),
+    mode=st.sampled_from(["free", "flat", "zero"]),
     chunks=st.integers(1, 4),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_axis_corner_reduction_keeps_the_pareto_set(kind, n, lattice, chunks, seed):
+def test_axis_corner_reduction_keeps_the_pareto_set(kind, n, lattice, mode, chunks, seed):
     # coarse lattices tie the largest r1 across axis corners, and an r1cap
-    # third corner (c1, min(B - c1, A)) always shares its axis corner's r1
+    # third corner (c1, min(B - c1, A)) always shares its axis corner's r1;
+    # "flat" puts every r1cap corner at r1 = C = 0.5, and "zero" gives some
+    # or all decompositions C = 0 and B = A, as on an input face that the
+    # dominant receiver cannot tell apart: corners at r1 = 0
     rng = np.random.default_rng(seed)
     a = np.round(rng.random(n) * lattice) / lattice
     b = a + np.round(rng.random(n) * lattice) / lattice
     c = np.round(rng.random(n) * 2 * lattice) / lattice
-    ids = rng.permutation(n) + 7
+    if mode == "flat":
+        c[:] = 0.5
+        b = np.maximum(b, a + 0.5)
+    elif mode == "zero":
+        face = rng.random(n) < rng.choice([0.5, 1.0])
+        b[face], c[face] = a[face], 0.0
     r1, r2, reps = _reference_vertices(kind, a, b, c)
-    want = regions._pareto_filter(np.column_stack([r1, r2]), np.tile(ids, reps))
+    want = _lexsort_pareto(np.column_stack([r1, r2]), np.tile(7 + np.arange(n), reps))
     cuts = [0, *np.sort(rng.integers(0, n + 1, chunks - 1)).tolist(), n]
     pts, pids = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi > lo:
-            p, i, corners = regions._chunk_candidates(kind, a[lo:hi], b[lo:hi], c[lo:hi], ids[lo:hi])
-            assert corners == reps and p.shape[0] == 1 + (reps - 1) * (hi - lo)
+            p, i, corners = regions._chunk_survivors(kind, a[lo:hi], b[lo:hi], c[lo:hi], 7 + lo)
+            assert corners == reps and p.shape[0] <= 1 + (reps - 1) * (hi - lo)
             pts.append(p)
             pids.append(i)
     got = regions._pareto_filter(np.vstack(pts), np.concatenate(pids))
@@ -1086,10 +1114,63 @@ def test_each_law_array_and_provenance_is_computed_once_per_sweep(monkeypatch):
         resolved.clear()
         fr = region_frontiers(a, b, which, members, step=0.1)
         assert len(evaluated) == len(set(evaluated))
+        # provenance is resolved on first read, each decomposition once
+        objects = {id(d) for f in fr.values() for d in f.provenance}
         assert len(resolved) == len(set(resolved))
         # a decomposition on both frontiers is one provenance object
-        assert len(resolved) == len({id(d) for f in fr.values() for d in f.provenance})
+        assert len(resolved) == len(objects)
     assert len(resolved) < sum(len(f.provenance) for f in fr.values())
+
+
+def _eager_provenance(batches, ids):
+    """Each id's decomposition, read straight from the sweep's batches in order."""
+    starts = np.cumsum([0] + [batch.weights.shape[0] for batch in batches])
+    out = []
+    for i in ids:
+        k = np.searchsorted(starts, i, side="right") - 1
+        batch, row = batches[k], i - starts[k]
+        w, rows = batch.weights[row], batch.table[batch.cond_idx[row]]
+        out.append(AuxDecomposition(Dist(w / w.sum()), rows / rows.sum(axis=1, keepdims=True)))
+    return tuple(out)
+
+
+def test_provenance_is_resolved_on_first_read(monkeypatch):
+    resolved = []
+    resolve = regions._resolve_decomposition
+
+    def counted_resolve(stored, i):
+        resolved.append(i)
+        return resolve(stored, i)
+
+    monkeypatch.setattr(regions, "_resolve_decomposition", counted_resolve)
+    # a region command prints no provenance, so it resolves none
+    for args in (["--channel1", "paper6vi", "--channel2", "paper6vi", "--which", "ib,ob"],
+                 ["--bsc", "0.1", "--bec", "0.15", "--which", "theorem1,theorem2", "--class", "uniform"]):
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            assert main(["region", *args, "--format", "json"]) == 0
+    assert resolved == []
+    # read, it is each point's decomposition as the sweep's batches hold it
+    for a, b, which, members, m in ((*split_input_pair(), ["ib", "ob"], None, 4),
+                                    (bec(0.15), bsc(0.1), ["theorem1", "theorem2"], [Dist.uniform(2)], 2)):
+        fr = region_frontiers(a, b, which, members, step=0.1)
+        if members is None:
+            batches, aux3, _ = regions._free_batches(m, 0.1)
+        else:
+            batches, aux3, _ = regions._constrained_batches(members[0], m, 0.1)
+        for f in fr.values():
+            eager = _eager_provenance(batches + aux3, f._provenance.ids)
+            _same_frontier(f, RegionFrontier(f.points, eager, f.diagnostics))
+    assert resolved
+
+
+def test_paper6vi_free_sweep_hands_few_survivors_to_the_sort():
+    # before corners at the smallest r1 were pruned, the runs of this sweep
+    # handed about 243,000 corners to _pareto_filter, 234,000 of them at r1 = 0
+    fr = region_frontiers(*split_input_pair(), ["ib", "ob"])
+    for f in fr.values():
+        d = f.diagnostics
+        assert len(f.points) <= d["num_survivors"] < 0.02 * d["num_candidates"]
+    assert sum(f.diagnostics["num_survivors"] for f in fr.values()) < 25_000
 
 
 def test_law_diagnostics_count_each_evaluated_array_once(monkeypatch):
