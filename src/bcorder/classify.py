@@ -43,8 +43,9 @@ from .probcore import (
 )
 
 _POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
-# max array entries of one block: pairs x points x (m-1) x max(m-1, outputs) in the curvature
-# scan, pairs x points x outputs on the gap grid, starts x rungs x moves x m in a refinement call
+# max array entries of one block: pairs x points x (m-1) x max(m-1, outputs) in the curvature scan,
+# pairs x points or chords x halvings, x outputs, on the gap grid or its probes, chords x halvings
+# x 2 x max(m, outputs) on the less-noisy chords, starts x rungs x moves x m in a refinement call
 _HESSIAN_BLOCK = 1 << 21
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
@@ -344,48 +345,51 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     the searches that the more-capable and the uniform-dominance tests make
     in both directions are searches of g:
     - min g, for a more capable than b, starts from the grid's argmin or
-      from the face probe of (a, b) (see _face_chords) with a smaller gap;
-      probes are considered after the grid, so ties keep the grid point.
-    - min g(b, a), for b more capable than a, likewise with the probes of
-      (b, a).
+      from the face probe of (a, b) (side 0 of _face_chords, t halved down
+      from ``step``) with a smaller gap; ties keep the grid point.
+    - min g(b, a), for b more capable than a, likewise from the argmax and
+      the probes of side 1, scored as 0.0 - g.
     - max g and max g(b, a), for the uniform input's dominance of a over b
       and of b over a, start from the grid's argmax and argmin.
-    g is scored on the grid once.  min g and max g(b, a) ascend 0.0 - g,
-    the other two ascend g, and a search whose start and direction an
-    earlier one shares is refined once, so a pair's distinct starts, two
-    when no probe wins, are all refined in one _refine_extremum call.  The
-    more-capable searches report their minimum as 0.0 - v.
+    g is scored on the grid, then on every probe, once.  min g and
+    max g(b, a) ascend 0.0 - g, the other two ascend g, and a search whose
+    start and direction an earlier one shares is refined once, so a pair's
+    distinct starts, two when no probe wins, are all refined in one
+    _refine_extremum call.  The more-capable searches report their minimum
+    as 0.0 - v.
     """
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = _grid_points(m, eff)[0]
-    # scored in runs of pairs, each under _HESSIAN_BLOCK entries of output laws
+    # scored in runs of pairs, then of chords, each under _HESSIAN_BLOCK entries of output laws
     g = np.empty((count, grid.shape[0]))
     run = max(1, _HESSIAN_BLOCK // (grid.shape[0] * max(a.shape[2], b.shape[2])))
     for lo in range(0, count, run):
         g[lo:lo + run] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid)
-    starts, probed = [], []
-    # min g(a, b) and min g(b, a) = 0.0 - max g, each probed along its own face chords
-    for first, second, pick, sign in ((a, b, g.argmin(axis=1), 1.0), (b, a, g.argmax(axis=1), -1.0)):
-        x0 = grid[pick]
-        _, pts, owner, capped = _face_chords(first, second, step)
-        if owner.size:
-            vals = _gap_vec(first[owner], second[owner], pts)
-            # each chord's first minimum, then each pair's first best chord:
-            # the first minimum over the pair's probes in chord order
-            along = vals.argmin(axis=1)
-            chord_min = vals[np.arange(owner.size), along]
-            pairs, best = _first_best(chord_min, owner, maximize=False)
-            wins = chord_min[best] < sign * g[pairs, pick[pairs]]
-            x0[pairs[wins]] = pts[best[wins], along[best[wins]]]
-        starts.append(x0)
-        probed.append((np.bincount(owner, minlength=count) * pts.shape[1], capped))
-    starts += [grid[g.argmax(axis=1)], grid[g.argmin(axis=1)]]
+    picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
+    x0 = grid[picks[[0, 1, 1, 0]]]
+    # the grid's min g(a, b) and min g(b, a) = -max g
+    at_grid = g[np.arange(count), picks] * np.array([[1.0], [-1.0]])
+    base, dirs, owner, capped = _face_chords(a, b)
+    ts = (step * 0.5 ** np.arange(_HALVINGS + 1))[:, None]
+    # each chord's first minimum, side 1's of 0.0 - g, then each owner's first over its chords
+    along, chord_min = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+    run = max(1, _HESSIAN_BLOCK // (ts.size * max(a.shape[2], b.shape[2])))
+    for lo in range(0, owner.size, run):
+        own = owner[lo:lo + run]
+        vals = _gap_vec(a[own % count], b[own % count], base[lo:lo + run] + ts * dirs[lo:lo + run])
+        vals = np.where((own < count)[:, None], vals, 0.0 - vals)
+        along[lo:lo + run] = vals.argmin(axis=1)
+        chord_min[lo:lo + run] = vals[np.arange(own.size), along[lo:lo + run]]
+    owners, best = _first_best(chord_min, owner, maximize=False)
+    side, pair = np.divmod(owners, count)
+    wins = chord_min[best] < at_grid[side, pair]
+    won = best[wins]
+    x0[side[wins], pair[wins]] = base[won, 0] + ts[along[won]] * dirs[won, 0]
     # min g and max g(b, a) ascend 0.0 - g, the other two ascend g; a
     # dominance search shares its direction with one more-capable search, its twin
     descends = np.array([True, False, False, True])
     twins = ((2, 1), (3, 0))
-    x0 = np.stack(starts)
     fresh = np.ones((4, count), dtype=bool)
     for k, twin in twins:
         fresh[k] = (x0[k] != x0[twin]).any(axis=1)
@@ -415,8 +419,8 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
         points=x[lanes],
         values=values,
         sweeps=sweeps[lanes],
-        face_probes=np.stack([counts for counts, _ in probed]),
-        face_capped=np.stack([capped for _, capped in probed]),
+        face_probes=np.bincount(owner, minlength=2 * count).reshape(2, count) * ts.size,
+        face_capped=capped,
         uniform=np.stack([u, 0.0 - u]),
     )
 
@@ -574,28 +578,26 @@ def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     return _degraded(a.rows[None], b.rows[None], tol, b.output_labels)[0]
 
 
-def _face_chords(
-    a: np.ndarray, b: np.ndarray, t_max: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Chords leaving the faces next to which I(X;Y_a) - I(X;Y_b) bends up, per pair.
+def _face_chords(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Chords leaving the faces next to which a pair's gap bends up, in both directions.
 
     ``a`` and ``b`` are (P, m, n) row stacks.  For a face with support S and
     an input i outside it, the pull is s = sum of b[i, o] over the outputs o
     that no input of S reaches through b, minus the same sum through a.
-    Moving mass t from the face toward e_i changes the gap by
-    -s t log(1/t) + O(t), so for s > 0 the gap's slope goes to -inf and its
-    curvature to +inf as mass leaves the face.  For every positive pull,
-    returns the chords from x, the uniform law on S, to x + t (e_i - x) for
-    t halved down from t_max, as (C, _HALVINGS + 1, m) start and end
-    stacks, with owner[c] the pair of chord c; a pair's chords are
-    contiguous, in face-then-input order.  Supports are taken by size, and
-    only the first _FACE_PAIR_CAP (face, input) pairs are examined, all at
-    once (P x faces x m x outputs entries); the (P,) flags say which pairs'
-    scans that cap cut.
+    Moving mass t from the face toward e_i changes I(X;Y_a) - I(X;Y_b) by
+    -s t log(1/t) + O(t), so for s > 0 its slope goes to -inf and its
+    curvature to +inf as mass leaves the face.  The pull of (b, a) is
+    0.0 - s exactly: side 0, (a, b), takes each s > CELL_FLOOR and side 1,
+    (b, a), each s < -CELL_FLOOR, as a chord from x, the uniform law on S,
+    along e_i - x.  Returns the unscaled (C, 1, m) bases and directions, the
+    owners side * P + pair, ascending, an owner's chords in face-then-input
+    order, and (2, P) flags of the directions whose scan the cap cut:
+    supports go by size, and only the first _FACE_PAIR_CAP (face, input)
+    pairs are examined, all at once (P x faces x m x outputs entries).
     """
-    m = a.shape[1]
-    # a positive pull needs an output that some face misses through b
-    open_pairs = (b <= CELL_FLOOR).any(axis=(1, 2))
+    count, m = a.shape[:2]
+    # a positive pull needs an output that some face misses through its direction's second channel
+    open_pairs = np.stack([(rows <= CELL_FLOOR).any(axis=(1, 2)) for rows in (b, a)])
     faces, budget = [], _FACE_PAIR_CAP
     sizes = range(1, m) if open_pairs.any() else ()
     for support in itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in sizes):
@@ -609,13 +611,10 @@ def _face_chords(
     unseen_a = ~((a > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
     unseen_b = ~((b > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
     pull = (b[:, None] * unseen_b[:, :, None, :]).sum(axis=3) - (a[:, None] * unseen_a[:, :, None, :]).sum(axis=3)
-    # pair-major, then face, then input: each pair's chords are contiguous
-    owner, face, target = ((pull > CELL_FLOOR) & ~on & open_pairs[:, None, None]).nonzero()
+    # side-major, then pair, face and input: each owner's chords are contiguous
+    side, pair, face, target = (np.stack([pull > CELL_FLOOR, pull < -CELL_FLOOR]) & ~on).nonzero()
     base = (on / on.sum(axis=1, keepdims=True))[face][:, None, :]
-    dirs = np.eye(m)[target][:, None, :] - base
-    ts = (t_max * 0.5 ** np.arange(_HALVINGS + 1))[None, :, None]
-    ends = base + ts * dirs
-    return np.broadcast_to(base, ends.shape), ends, owner, capped
+    return base, np.eye(m)[target][:, None, :] - base, side * count + pair, capped
 
 
 def more_capable_stack(a, b) -> list[ClassVerdict]:
@@ -709,10 +708,10 @@ def _max_curvature(
     value, eigh decomposes the Hessian once: its top eigenvalue is the
     pair's maximum and its eigenvector the direction returned.  An output
     that no input of the pair reaches gets a zeroed column in the
-    projection and q = 1, so it adds nothing to the Hessian.  With ``both``
-    the scan of (b, a) runs in the same pass, on the same output laws, and
-    every array returned gains a leading axis, (a, b) then (b, a).  Its
-    Hessians are 0.0 - H exactly, but its closed form runs its own GEMM:
+    projection and q = 1, so it adds nothing to the Hessian.  Every array
+    returned has a leading axis of directions: (a, b), then with ``both``
+    (b, a), scanned in the same pass on the same output laws.  Those
+    Hessians are 0.0 - H exactly, but their closed form runs its own GEMM:
     one sum over the outputs in b-then-a order does not round as its
     negation in a-then-b order, and each direction keeps the values of its
     own one-direction scan.
@@ -742,79 +741,78 @@ def _max_curvature(
     hess[1:] = 0.0 - hess[1:]
     vals, vecs = np.linalg.eigh(hess)
     curv, vec = vals[..., -1], (q_basis @ vecs[..., -1:])[..., 0]
-    return (curv, where, vec) if both else (curv[0], where[0], vec[0])
+    return curv, where, vec
 
 
 def _less_noisy(a: np.ndarray, b: np.ndarray, step: float, both: bool = False) -> list[ClassVerdict]:
-    """Less-noisy verdicts of a over b for row stacks: one grid, one chord-scoring pass.
+    """Less-noisy verdicts of a over b for row stacks: one grid, one face scan, one chord-scoring pass.
 
-    With ``both`` the verdicts of b over a follow, from the same pass: one
-    curvature scan gives both directions' Hessians (see _max_curvature),
-    each direction takes its own face chords, and one auxiliary-information
-    call per channel scores every chord.  Each verdict equals that of a
+    With ``both`` the verdicts of b over a follow from the same curvature
+    and face scans (see _max_curvature and _face_chords); without it, side
+    1's face chords are dropped.  One auxiliary-information call per channel
+    scores each run of chords under _HESSIAN_BLOCK entries, and each chord
+    keeps its worst halving only.  Each verdict equals that of a
     one-direction call.
     """
     count, m = a.shape[:2]
+    sides = 2 if both else 1
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid, interior = _grid_points(m, eff)
-    grid_points = int(grid.shape[0])
-    directions = ((a, b), (b, a))[:2 if both else 1]
-    diagnostics = []
-    for _ in range(len(directions) * count):
-        d: dict = {"grid_step": eff, "grid_points": grid_points, "max_curvature": None}
-        if step != eff:
-            d["requested_step"] = step
-        diagnostics.append(d)
+    base, dirs, owner, capped = _face_chords(a, b)
+    head: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
+    if step != eff:
+        head["requested_step"] = step
+    diagnostics = [dict(head, face_pair_cap=_FACE_PAIR_CAP) if cut else dict(head) for cut in capped[:sides].ravel()]
+    # each kind's (origin, back, move, reach, owner): chord c runs from origin - t back, back 0 on
+    # a face chord, to origin + t move, t halved down from reach[c], for owner side * count + pair
+    chords = []
     if m > 1:
-        if both:
-            curv, k, v = _max_curvature(a, b, interior, both=True)
-        else:
-            curv, k, v = (x[None] for x in _max_curvature(a, b, interior))
+        curv, k, v = _max_curvature(a, b, interior, both)
         for d, c in zip(diagnostics, curv.ravel()):
             d["max_curvature"] = float(c)
-    # chords of direction s belong to owner s * count + pair
-    chords, owners, capped = [], [], []
-    for side, (first, second) in enumerate(directions):
-        if m > 1:
-            bent = np.flatnonzero(curv[side] > 0.0)
-            x, u = interior[k[side, bent]][:, None, :], v[side, bent][:, None, :]
-            moving = np.abs(u) > CELL_FLOOR
-            room = np.divide(x, np.abs(u), out=np.full(x.shape, np.inf), where=moving)
-            ts = np.min(room, axis=2, keepdims=True) * (0.5 ** np.arange(_HALVINGS + 1))[:, None]
-            # a pair's curvature chord goes before its face chords
-            chords.append(np.stack([x - ts * u, x + ts * u], axis=2))
-            owners.append(side * count + bent)
-        starts, ends, owner, cut = _face_chords(first, second, 1.0)
-        chords.append(np.stack([starts, ends], axis=2))
-        owners.append(side * count + owner)
-        capped.extend(cut.tolist())
-    owner = np.concatenate(owners)
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    rows = np.clip(np.concatenate(chords)[order], 0.0, None)
-    rows /= rows.sum(axis=3, keepdims=True)
-    weights = np.full(rows.shape[:3], 0.5)
-    pair = owner % max(count, 1)
-    info_a, info_b = aux_mi_batch(a[pair], weights, rows), aux_mi_batch(b[pair], weights, rows)
-    viol = np.where((owner < count)[:, None], info_b - info_a, info_a - info_b)
-    # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
-    # variation between its ends, so ends within VERDICT_TOL cannot fail
-    spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
-    viol = np.where(spread, viol, -np.inf).ravel()
-    rows = rows.reshape(-1, 2, m)
-    worst = dict(zip(*_first_best(viol, np.repeat(owner, _HALVINGS + 1), maximize=True)))
-    verdicts = []
-    for p, d in enumerate(diagnostics):
-        if capped[p]:
-            d["face_pair_cap"] = _FACE_PAIR_CAP
-        i = worst.get(p)
-        if i is not None and viol[i] > VERDICT_TOL:
-            d["violation"] = float(viol[i])
-            d["witness_pair"] = [[float(t) for t in r] for r in rows[i]]
-            witness = AuxDecomposition(Dist(np.array([0.5, 0.5])), rows[i])
-            verdicts.append(ClassVerdict(Outcome.FAILS, witness=witness, diagnostics=d))
-        else:
-            verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+        side, bent = np.nonzero(curv > 0.0)
+        x, u = interior[k[side, bent]], v[side, bent]
+        room = np.divide(x, np.abs(u), out=np.full(x.shape, np.inf), where=np.abs(u) > CELL_FLOOR)
+        chords.append((x, u, u, room.min(axis=1), side * count + bent))
+    keep = owner < sides * count
+    chords.append((base[keep, 0], np.zeros_like(dirs[keep, 0]), dirs[keep, 0], np.ones(keep.sum()), owner[keep]))
+    # a pair's curvature chord goes before its face chords
+    order = np.argsort(np.concatenate([chord[4] for chord in chords]), kind="stable")
+    origin, back, move, reach, owner = (np.concatenate(x)[order] for x in zip(*chords))
+    halvings = 0.5 ** np.arange(_HALVINGS + 1)
+
+    def chord_rows(run, ts: np.ndarray) -> np.ndarray:
+        # the clipped and renormalized (n, k, 2, m) ends of chords ``run`` at the (n, k, 1) spreads ts
+        x = origin[run, None]
+        rows = np.clip(np.stack([x - ts * back[run, None], x + ts * move[run, None]], axis=2), 0.0, None)
+        return rows / rows.sum(axis=3, keepdims=True)
+
+    along, chord_viol = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+    size = max(1, _HESSIAN_BLOCK // (2 * halvings.size * max(m, a.shape[2], b.shape[2])))
+    for lo in range(0, owner.size, size):
+        run = slice(lo, lo + size)
+        rows = chord_rows(run, (reach[run, None] * halvings)[:, :, None])
+        weights = np.full(rows.shape[:3], 0.5)
+        pair = owner[run] % count
+        info_a, info_b = aux_mi_batch(a[pair], weights, rows), aux_mi_batch(b[pair], weights, rows)
+        viol = np.where((owner[run] < count)[:, None], info_b - info_a, info_a - info_b)
+        # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
+        # variation between its ends, so ends within VERDICT_TOL cannot fail
+        spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
+        viol = np.where(spread, viol, -np.inf)
+        along[run] = viol.argmax(axis=1)
+        chord_viol[run] = viol[np.arange(viol.shape[0]), along[run]]
+    # each owner's first worst chord, the first maximum over its halvings in chord order
+    owners, best = _first_best(chord_viol, owner, maximize=True)
+    fails = chord_viol[best] > VERDICT_TOL
+    owners, best = owners[fails], best[fails]
+    ends = chord_rows(best, (reach[best] * halvings[along[best]])[:, None, None])[:, 0]
+    verdicts = [ClassVerdict(Outcome.HOLDS, diagnostics=d) for d in diagnostics]
+    for p, c, pair_ends in zip(owners.tolist(), best.tolist(), ends):
+        d = diagnostics[p]
+        d["violation"] = float(chord_viol[c])
+        d["witness_pair"] = pair_ends.tolist()
+        verdicts[p] = ClassVerdict(Outcome.FAILS, AuxDecomposition(Dist(np.array([0.5, 0.5])), pair_ends), d)
     return verdicts
 
 

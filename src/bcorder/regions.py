@@ -667,9 +667,9 @@ def _free_batches(m: int, step: float):
     rows = np.arange(n)
     k1 = _Batch(np.ones((n, 1)), rows[:, None], grid, grid, rows)
     ux = _Batch(grid, np.broadcast_to(np.arange(m), (n, m)), np.eye(m), grid, rows)
-    batches = [k1, ux, _coarse_pair_batch(m)]
-    batches.extend(_face_batches(m, step))
-    return batches, [], max(eff, _FACE_STEP_FLOOR)
+    if m == 1:  # one law: no second law to pair with it, and no face
+        return [k1, ux], [], eff
+    return [k1, ux, _coarse_pair_batch(m), *_face_batches(m, step)], [], max(eff, _FACE_STEP_FLOOR)
 
 
 def _constrained_two_point_batch(target: np.ndarray, support: np.ndarray, step: float):

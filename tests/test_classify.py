@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -261,6 +262,36 @@ def _reference_gap_extremum(a, b, step, maximize, probes=None):
     return x, v, sweeps, won
 
 
+def _reference_face_chords(a, b, t_max):
+    """The face scan of the one direction (a, b), the reference for both sides of ordering._face_chords.
+
+    Returns the (C, _HALVINGS + 1, m) chord starts, the uniform laws on the
+    faces, and ends x + t (e_i - x) for t halved down from t_max, each
+    chord's pair, and the (P,) flags of the pairs whose scan the face cap cut.
+    """
+    m = a.shape[1]
+    # a positive pull needs an output that some face misses through b
+    open_pairs = (b <= CELL_FLOOR).any(axis=(1, 2))
+    faces, budget = [], ordering._FACE_PAIR_CAP
+    sizes = range(1, m) if open_pairs.any() else ()
+    for support in itertools.chain.from_iterable(itertools.combinations(range(m), k) for k in sizes):
+        budget -= m - len(support)
+        if budget < 0:
+            break
+        faces.append([i in support for i in range(m)])
+    capped = open_pairs & (budget < 0)
+    on = np.array(faces, dtype=bool).reshape(-1, m)
+    unseen_a = ~((a > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
+    unseen_b = ~((b > CELL_FLOOR)[:, None] & on[:, :, None]).any(axis=2)
+    pull = (b[:, None] * unseen_b[:, :, None, :]).sum(axis=3) - (a[:, None] * unseen_a[:, :, None, :]).sum(axis=3)
+    owner, face, target = ((pull > CELL_FLOOR) & ~on & open_pairs[:, None, None]).nonzero()
+    base = (on / on.sum(axis=1, keepdims=True))[face][:, None, :]
+    dirs = np.eye(m)[target][:, None, :] - base
+    ts = (t_max * 0.5 ** np.arange(ordering._HALVINGS + 1))[None, :, None]
+    ends = base + ts * dirs
+    return np.broadcast_to(base, ends.shape), ends, owner, capped
+
+
 def _assert_gap_search_is_four_searches(a, b, step):
     """_gap_search equals min g(a, b), min g(b, a), max g(a, b), max g(b, a) searched apart.
 
@@ -273,7 +304,7 @@ def _assert_gap_search_is_four_searches(a, b, step):
         maximize = k >= 2
         probes = None
         if not maximize:
-            _, pts, owner, _ = ordering._face_chords(first, second, step)
+            _, pts, owner, _ = _reference_face_chords(first, second, step)
             probes = (pts, owner)
         x, v, sweeps, probe_won = _reference_gap_extremum(first, second, step, maximize, probes)
         if not maximize:
@@ -344,6 +375,51 @@ def test_gap_search_equals_four_searches_where_probes_win_and_lose(step):
     if step == 0.02:
         assert won_ab[0] and won_ab[2] and not won_ab[1:].all()
     _assert_gap_search_is_four_searches(a[:1], a[:1], step)
+
+
+@_PROPERTY
+@given(
+    m=st.integers(1, 5),
+    na=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    count=st.integers(1, 4),
+    cap=st.sampled_from([1, 3, 7, None]),
+    t_max=st.sampled_from([1.0, 0.02]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_one_face_scan_is_the_scans_of_both_directions(m, na, nb, count, cap, t_max, seed):
+    # side 0 of one scan of (a, b) is the scan of (a, b) alone and side 1 the
+    # scan of (b, a): chords, owners and cap flags, bit for bit, with zero
+    # cells on either side and face caps that cut the scan early
+    rng = np.random.default_rng(seed)
+    a = np.stack([_random_channel(rng, m, na, sparse=bool(rng.integers(2))).rows for _ in range(count)])
+    b = np.stack([_random_channel(rng, m, nb, sparse=bool(rng.integers(2))).rows for _ in range(count)])
+    with mock.patch.object(ordering, "_FACE_PAIR_CAP", cap or ordering._FACE_PAIR_CAP):
+        base, dirs, owner, capped = ordering._face_chords(a, b)
+        want = [_reference_face_chords(first, second, t_max) for first, second in ((a, b), (b, a))]
+    ends = base + (t_max * 0.5 ** np.arange(ordering._HALVINGS + 1))[:, None] * dirs
+    assert np.array_equal(owner, np.sort(owner))
+    for side, (starts_w, ends_w, owner_w, capped_w) in enumerate(want):
+        on = owner // count == side
+        assert np.array_equal(owner[on] - side * count, owner_w)
+        assert np.broadcast_to(base[on], ends_w.shape).tobytes() == starts_w.tobytes()
+        assert ends[on].tobytes() == ends_w.tobytes()
+        assert capped[side].tobytes() == capped_w.tobytes()
+
+
+def test_ordering_verdicts_scans_the_faces_once_per_search(monkeypatch):
+    # one scan gives the face chords of both directions: one for the
+    # less-noisy pass and one for the gap search
+    calls = []
+    scan = ordering._face_chords
+
+    def counted(a, b):
+        calls.append((a.tobytes(), b.tobytes()))
+        return scan(a, b)
+
+    monkeypatch.setattr(ordering, "_face_chords", counted)
+    ordering.ordering_verdicts(bsc(0.1), bec(0.5))
+    assert calls == [(bsc(0.1).rows.tobytes(), bec(0.5).rows.tobytes())] * 2
 
 
 def _negative_zeros(*arrays):
@@ -665,9 +741,10 @@ def test_face_scan_is_bounded_on_twelve_inputs():
     assert verdict.fails
     assert verdict.diagnostics["face_pair_cap"] == ordering._FACE_PAIR_CAP
     assert peak < 100 * 2**20
-    _, probes, _, capped = ordering._face_chords(dense.rows[None], erasure.rows[None], 0.02)
-    assert capped[0]
-    assert probes.shape[0] <= ordering._FACE_PAIR_CAP
+    # the dense channel has no zero cell, so only the dense-over-erasure direction pulls and is cut
+    base, _, _, capped = ordering._face_chords(dense.rows[None], erasure.rows[None])
+    assert capped[:, 0].tolist() == [True, False]
+    assert base.shape[0] <= ordering._FACE_PAIR_CAP
 
 
 def test_curvature_scan_is_bounded_on_sixteen_inputs():
@@ -689,6 +766,27 @@ def test_curvature_scan_is_bounded_on_sixteen_inputs():
     assert verdict.diagnostics["grid_points"] == 54_264
     assert verdict.diagnostics["max_curvature"] > 0.0
     assert peak < 100 * 2**20
+
+
+def test_chord_scoring_is_bounded_by_the_block(monkeypatch):
+    # each BSC/BEC pair has two face chords of 41 probes, and each of its
+    # less-noisy chords two ends per probe; at a small block both are scored
+    # in runs of chords, so the peaks stay well under those of scoring every
+    # chord at once (about 8 MB and 32 MB here)
+    rng = np.random.default_rng(5)
+    a = np.stack([bsc(p).rows for p in rng.uniform(0.02, 0.48, 1000)])
+    b = np.stack([bec(e).rows for e in rng.uniform(0.05, 0.95, 1000)])
+    monkeypatch.setattr(ordering, "_HESSIAN_BLOCK", 1 << 14)
+    peaks = []
+    for search in (lambda: ordering._gap_search(a, b, 0.02), lambda: ordering.less_noisy_stack(a, b)):
+        tracemalloc.start()
+        try:
+            search()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 6 * 2**20
+    assert peaks[1] < 6 * 2**20
 
 
 def _full_curvature_scan(a, b, pts):
@@ -778,14 +876,14 @@ def test_curvature_scan_is_within_its_bound_of_the_full_scan(m, kinds, step, blo
     tops = np.linalg.eigvalsh(hessians)[..., -1]
     lanes, best = np.arange(len(kinds)), tops.argmax(axis=1)
 
-    def full_scan(a_, b_, pts_):
+    def full_scan(a_, b_, pts_, both):
         vecs = np.linalg.eigh(hessians[lanes, best])[1][..., -1]
-        return tops[lanes, best], best, vecs @ np.linalg.svd(np.ones((m, 1)))[0][:, 1:].T
+        return tops[lanes, best][None], best[None], (vecs @ np.linalg.svd(np.ones((m, 1)))[0][:, 1:].T)[None]
 
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(ordering, "_HESSIAN_BLOCK", block)
-        curv, where, _ = ordering._max_curvature(a, b, pts)
+        (curv,), (where,), _ = ordering._max_curvature(a, b, pts)
         got = ordering._less_noisy(a, b, step)
         mp.setattr(ordering, "_max_curvature", full_scan)
         want = ordering._less_noisy(a, b, step)

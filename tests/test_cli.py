@@ -97,8 +97,9 @@ def test_classify_text_shows_grid_coarsening(tmp_path):
 
 
 def test_classify_text_shows_face_cap(monkeypatch):
-    # with a cap of one pair the face scan stops on the BEC side's second
-    # face; the BSC side has no zero cell, so its direction scans no face
+    # with a cap of one pair the one face scan of both directions stops at
+    # its second face; only the BSC-over-BEC direction can pull, because
+    # only the BEC has zero cells, so only it is cut
     monkeypatch.setattr("bcorder.classify._FACE_PAIR_CAP", 1)
     code, out, _ = run_cli("classify", "--bsc", "0.1", "--bec", "0.5")
     assert code == 0

@@ -218,6 +218,16 @@ def test_degenerate_dominant_receiver_pins_common_stream():
     assert fr.max_r2 == pytest.approx(BSC_CAP, abs=1e-9)
 
 
+def test_one_input_free_sweeps_give_the_origin():
+    # one input letter has one law and nothing to pair it with, so each free
+    # sweep is that law alone, where every rate is 0; the coarse pair batch
+    # of one letter would never stop refining its grid
+    one = Dmc(np.array([[0.3, 0.7]]), ("0", "1"))
+    for which in (["ib"], ["ob"]):
+        (frontier,) = regions.region_frontiers(one, one, which).values()
+        assert frontier.points == (RatePoint(0.0, 0.0),)
+
+
 def test_provenance_revalidates_frontier_points():
     dom, weak = bsc(0.1), bec(0.5)
     fr = superposition_region(dom, weak, step=0.04)

@@ -4,7 +4,7 @@ A float literal with 1e-20 < |x| < 1e-3 anywhere in ``src/bcorder`` is a
 tolerance written inline, unless it is one of the four table entries at
 the top of ``probcore``.  ``verifysuite`` is exempt: its literals are the
 frozen golden-check specification and the independent brute-force oracle.
-The three 1e-300 division guards in ``regions`` lie below the band.
+The two 1e-300 division guards in ``regions`` lie below the band.
 """
 
 import ast
