@@ -6,148 +6,108 @@ the other, is one less noisy or more capable, and if a universal ordering
 fails, does it still hold over a restricted class of input distributions.
 On top of the ordering tests it sweeps superposition-coding rate regions and
 matching outer bounds.
+
+``import bcorder`` loads no submodule.  Each public name is imported from
+its module on first access (PEP 562) and then kept in this namespace, so a
+process compiles and runs only the modules it uses.
 """
 
-from .probcore import (
-    CELL_FLOOR,
-    REFINE_FLOOR,
-    SIMPLEX_TOL,
-    VERDICT_TOL,
-    Dist,
-    DomainError,
-    binary_convolve,
-    binary_entropy,
-    entropy,
-    entropy_vec,
-)
-from .channels import (
-    ChannelFormatError,
-    CSymmetryWitness,
-    Dmc,
-    NotCSymmetricError,
-    SymmetrizedJoint,
-    aux_mi_batch,
-    bec,
-    bsc,
-    cascade,
-    channel_from_dict,
-    channel_mi,
-    channel_to_dict,
-    detect_c_symmetry,
-    load_channel,
-    mi_batch,
-    save_channel,
-    split_input_pair,
-    symmetrize,
-)
-from .bscbec import (
-    BscBecPair,
-    DegeneratePairError,
-    PairClass,
-    PairTag,
-    classify_pair,
-    critical_point,
-    d_curve,
-    d_derivative,
-    d_func,
-    degrading_channel,
-    regime,
-    thresholds,
-)
-from .classify import (
-    AuxDecomposition,
-    ClassVerdict,
-    Outcome,
-    degraded_stack,
-    dominant_c_symmetry_stack,
-    less_noisy_stack,
-    more_capable_stack,
-    ordering_verdicts,
-    simplex_grid,
-    test_degraded,
-    test_dominant_c_symmetry,
-    test_essentially_less_noisy,
-    test_essentially_more_capable,
-    test_less_noisy,
-    test_more_capable,
-)
-from .regions import (
-    RatePoint,
-    RegionFrontier,
-    frontier_contains,
-    frontier_distance,
-    outer_bound_eq_ob,
-    region_frontiers,
-    superposition_region,
-    theorem1_region,
-    theorem2_region,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AuxDecomposition",
-    "BscBecPair",
-    "CELL_FLOOR",
-    "ChannelFormatError",
-    "ClassVerdict",
-    "CSymmetryWitness",
-    "DegeneratePairError",
-    "Dist",
-    "Dmc",
-    "DomainError",
-    "NotCSymmetricError",
-    "Outcome",
-    "PairClass",
-    "PairTag",
-    "REFINE_FLOOR",
-    "RatePoint",
-    "RegionFrontier",
-    "SIMPLEX_TOL",
-    "SymmetrizedJoint",
-    "VERDICT_TOL",
-    "aux_mi_batch",
-    "bec",
-    "binary_convolve",
-    "binary_entropy",
-    "bsc",
-    "cascade",
-    "channel_from_dict",
-    "channel_mi",
-    "channel_to_dict",
-    "classify_pair",
-    "critical_point",
-    "d_curve",
-    "d_derivative",
-    "d_func",
-    "degraded_stack",
-    "degrading_channel",
-    "detect_c_symmetry",
-    "dominant_c_symmetry_stack",
-    "entropy",
-    "entropy_vec",
-    "frontier_contains",
-    "frontier_distance",
-    "less_noisy_stack",
-    "load_channel",
-    "mi_batch",
-    "more_capable_stack",
-    "ordering_verdicts",
-    "outer_bound_eq_ob",
-    "regime",
-    "region_frontiers",
-    "save_channel",
-    "simplex_grid",
-    "split_input_pair",
-    "superposition_region",
-    "symmetrize",
-    "test_degraded",
-    "test_dominant_c_symmetry",
-    "test_essentially_less_noisy",
-    "test_essentially_more_capable",
-    "test_less_noisy",
-    "test_more_capable",
-    "theorem1_region",
-    "theorem2_region",
-    "thresholds",
-]
+# the public names, by the module that defines them
+_EXPORTS = {
+    "probcore": (
+        "CELL_FLOOR",
+        "REFINE_FLOOR",
+        "SIMPLEX_TOL",
+        "VERDICT_TOL",
+        "Dist",
+        "DomainError",
+        "binary_convolve",
+        "binary_entropy",
+        "entropy",
+        "entropy_vec",
+    ),
+    "channels": (
+        "ChannelFormatError",
+        "CSymmetryWitness",
+        "Dmc",
+        "NotCSymmetricError",
+        "SymmetrizedJoint",
+        "aux_mi_batch",
+        "bec",
+        "bsc",
+        "cascade",
+        "channel_from_dict",
+        "channel_mi",
+        "channel_to_dict",
+        "detect_c_symmetry",
+        "load_channel",
+        "mi_batch",
+        "save_channel",
+        "split_input_pair",
+        "symmetrize",
+    ),
+    "bscbec": (
+        "BscBecPair",
+        "DegeneratePairError",
+        "PairClass",
+        "PairTag",
+        "classify_pair",
+        "critical_point",
+        "d_curve",
+        "d_derivative",
+        "d_func",
+        "degrading_channel",
+        "regime",
+        "thresholds",
+    ),
+    "classify": (
+        "AuxDecomposition",
+        "ClassVerdict",
+        "Outcome",
+        "degraded_stack",
+        "dominant_c_symmetry_stack",
+        "less_noisy_stack",
+        "more_capable_stack",
+        "ordering_verdicts",
+        "simplex_grid",
+        "test_degraded",
+        "test_dominant_c_symmetry",
+        "test_essentially_less_noisy",
+        "test_essentially_more_capable",
+        "test_less_noisy",
+        "test_more_capable",
+    ),
+    "regions": (
+        "RatePoint",
+        "RegionFrontier",
+        "frontier_contains",
+        "frontier_distance",
+        "outer_bound_eq_ob",
+        "region_frontiers",
+        "superposition_region",
+        "theorem1_region",
+        "theorem2_region",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:  # a submodule not imported yet
+        return importlib.import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

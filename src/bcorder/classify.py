@@ -216,9 +216,10 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     start asks for every rung at its first call, for its step and the next
     halving after a call that gained, and for twice its last call's rungs
     after one that gained nothing; W is the largest ask, cut to the rungs
-    left, and a start uses the rungs it was not asked for too.  A call
-    whose moves exceed _HESSIAN_BLOCK entries is evaluated in runs of
-    starts.  Returns the points, their (P,) values and each start's number
+    left, and a start uses the rungs it was not asked for too.  Each call
+    builds, evaluates and applies its moves in runs of starts of at most
+    _HESSIAN_BLOCK entries (one fn call per run), so its memory does not
+    grow with P.  Returns the points, their (P,) values and each start's number
     of sweeps.  A caller minimizes f by maximizing 0.0 - f, which reverses
     f's ranks and gains exactly, and maps a value v back as 0.0 - v.
     """
@@ -242,29 +243,32 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     while live.size:
         left = rungs - rung
         width = int(min(ask.max(), left.max()))
-        at = rung[:, None] + np.arange(width)
-        steps = np.ldexp(step0, -at)[:, :, None]
-        feasible = xl.take(src, 1)[:, None, :] >= steps - CELL_FLOOR
-        moves = xl[:, None, None, :] + (steps * feasible)[..., None] * dirs
-        block = moves.reshape(live.size, width * dirs.shape[0], m)
-        run = max(1, _HESSIAN_BLOCK // block[0].size)
-        vals = np.concatenate([fn(block[lo:lo + run], live[lo:lo + run]) for lo in range(0, live.size, run)])
-        vals = np.where(feasible, vals.reshape(feasible.shape), -np.inf)
-        top = vals.max(2)
-        gain = top - bl[:, None] > CELL_FLOOR
-        if width > left.min():  # no start takes a rung at or below REFINE_FLOOR
-            gain &= at < rungs
-        hit = gain.any(1)
-        first = gain.argmax(1)
+        hit = np.empty(live.size, dtype=bool)
+        first = np.empty(live.size, dtype=np.int64)
+        # each run of starts builds, evaluates and applies its own moves
+        run = max(1, _HESSIAN_BLOCK // (width * dirs.shape[0] * m))
+        for lo in range(0, live.size, run):
+            r = slice(lo, lo + run)
+            at = rung[r, None] + np.arange(width)
+            steps = np.ldexp(step0, -at)[:, :, None]
+            feasible = xl[r].take(src, 1)[:, None, :] >= steps - CELL_FLOOR
+            moves = xl[r, None, None, :] + (steps * feasible)[..., None] * dirs
+            vals = fn(moves.reshape(feasible.shape[0], -1, m), live[r])
+            vals = np.where(feasible, vals.reshape(feasible.shape), -np.inf)
+            top = vals.max(2)
+            gain = top - bl[r, None] > CELL_FLOOR
+            gain &= at < rungs  # no start takes a rung at or below REFINE_FLOOR
+            hit[r] = gain.any(1)
+            first[r] = gain.argmax(1)
+            g = np.flatnonzero(hit[r])
+            if g.size:
+                fg = first[r][g]
+                xl[lo + g] = moves[g, fg, vals[g, fg].argmax(1)]
+                bl[lo + g] = top[g, fg]
         used = np.where(hit, first + 1, np.minimum(width, left))
         swept += used
         rung += np.where(hit, first, used)
         ask = np.where(hit, 2, 2 * used)
-        g = np.flatnonzero(hit)
-        if g.size:
-            fg = first[g]
-            xl[g] = moves[g, fg, vals[g, fg].argmax(1)]
-            bl[g] = top[g, fg]
         done = rung >= rungs
         if done.any():
             x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], swept[done]

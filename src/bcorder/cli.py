@@ -10,6 +10,11 @@ references.
 
 Exit codes: 0 on success (and on all checks passing), 1 when verify-paper
 finds a failing check, 2 on invalid input.
+
+Every command needs probcore, channels and bscbec, imported here.  The
+ordering tests (classify), the region sweeps (regions) and the check suite
+(verifysuite) are imported by the commands that run them, so a fresh
+process compiles and loads only what its command uses.
 """
 
 from __future__ import annotations
@@ -25,10 +30,7 @@ import numpy as np
 
 from .bscbec import PHASE_GRID_CAP, BscBecPair, PairTag, classify_pair, d_curve, regime, thresholds
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
-from .classify import _dominant, _require_same_input, ordering_verdicts
-from .probcore import SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
-from .regions import REGION_BOUNDS, frontier_csv, region_frontiers
-from .verifysuite import check_names, run_suite
+from .probcore import REGION_BOUNDS, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
 
 __all__ = ["RunConfig", "CliError", "build_parser", "main", "entrypoint"]
 
@@ -188,8 +190,11 @@ def _validate(cfg: RunConfig) -> None:
     if cfg.command == "symmetry":
         if cfg.bsc_p is None and cfg.bec_e is None and cfg.channel1 is None and cfg.channel2 is None:
             raise CliError("give at least one channel (--bsc, --bec, --channel1 or --channel2)")
-    if cfg.command == "verify-paper" and cfg.check is not None and cfg.check not in check_names():
-        raise CliError(f"unknown check name {cfg.check!r}; use --list to see the available names")
+    if cfg.command == "verify-paper" and cfg.check is not None:
+        from .verifysuite import check_names
+
+        if cfg.check not in check_names():
+            raise CliError(f"unknown check name {cfg.check!r}; use --list to see the available names")
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +377,8 @@ def _finest_class(res: dict, n1: str, n2: str) -> str:
 
 
 def cmd_classify(cfg: RunConfig) -> int:
+    from .classify import ordering_verdicts
+
     c1, c2, n1, n2 = _resolve_pair(cfg)
     step = 1.0 / cfg.grid
     res = ordering_verdicts(c1, c2, step=step, tol=cfg.tol)
@@ -450,12 +457,19 @@ def cmd_phase_map(cfg: RunConfig) -> int:
     es = np.linspace(0.0, 1.0, n)
     tags, flags = regime(ps[:, None], es[None, :])
     names = [t.value for t in PairTag]
+    if cfg.fmt == "csv":
+        # each distinct p, e and (tag, boundary) suffix is formatted once
+        es9 = [f"{e:.9f}" for e in es.tolist()]
+        suffixes = [f",{name},{b}" for name in names for b in (0, 1)]
+        rows = ["p,e,tag,boundary"]
+        for p, codes in zip(ps.tolist(), (2 * tags + flags).tolist()):
+            head = f"{p:.9f},"
+            rows += [head + e + suffixes[c] for e, c in zip(es9, codes)]
+        _emit(cfg, "\n".join(rows) + "\n")
+        return 0
     mesh = itertools.product(ps.tolist(), es.tolist())
     cells = [(p, e, names[t], int(b)) for (p, e), t, b in zip(mesh, tags.flat, flags.flat)]
-    if cfg.fmt == "csv":
-        rows = ["p,e,tag,boundary"] + [f"{p:.9f},{e:.9f},{tag},{b}" for p, e, tag, b in cells]
-        _emit(cfg, "\n".join(rows) + "\n")
-    elif cfg.fmt == "json":
+    if cfg.fmt == "json":
         _emit(
             cfg,
             _json_doc(
@@ -546,6 +560,8 @@ def _resolve_region_pair(cfg: RunConfig) -> tuple[Dmc, Dmc, str, str]:
 
 
 def cmd_region(cfg: RunConfig) -> int:
+    from .regions import frontier_csv, region_frontiers
+
     a, b, n1, n2 = _resolve_region_pair(cfg)
     if a.input_size != b.input_size:
         raise CliError("the two channels must share an input alphabet")
@@ -633,6 +649,8 @@ def cmd_symmetry(cfg: RunConfig) -> int:
             )
     # dominance is only defined for a c-symmetric pair; the status lines say why it is missing
     if len(chans) == 2 and all(entry["status"] == "c-symmetric" for entry in report["channels"]):
+        from .classify import _dominant, _require_same_input
+
         # both are known to be c-symmetric: no second search
         first, second = chans[0][1], chans[1][1]
         _require_same_input(first, second)
@@ -665,6 +683,8 @@ def cmd_symmetry(cfg: RunConfig) -> int:
 
 
 def cmd_verify_paper(cfg: RunConfig) -> int:
+    from .verifysuite import check_names, run_suite
+
     if cfg.list_checks:
         _emit(cfg, "\n".join(check_names()) + "\n")
         return 0

@@ -23,6 +23,11 @@ SIMPLEX_TOL = 1e-12   # rounding slack allowed on a law, a rate or a constraint
 VERDICT_TOL = 1e-9    # margin of every decision: verdict, regime boundary, frontier defect, containment
 REFINE_FLOOR = 1e-7   # the extremum refinement halves its step down to this
 
+# The rate-region bounds bcorder.regions sweeps, each with the constraint kind
+# of its rate polygon; kept here so that naming them loads no sweep code.
+REGION_BOUND_KINDS = {"ib": "sum", "theorem1": "two", "theorem2": "sum", "ob": "r1cap"}
+REGION_BOUNDS = tuple(REGION_BOUND_KINDS)
+
 
 class DomainError(ValueError):
     """An argument lies outside its mathematical domain."""

@@ -76,7 +76,8 @@ from .classify import (
     _require_same_input,
     simplex_grid,
 )
-from .probcore import CELL_FLOOR, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, entropy_vec
+from .probcore import CELL_FLOOR, REGION_BOUNDS, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, entropy_vec
+from .probcore import REGION_BOUND_KINDS as _BOUND_KINDS  # the constraint kind of each bound's rate polygon
 
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch
 _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
@@ -440,11 +441,6 @@ def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, off
     ids[:ends[0]] = first  # the head is decomposition first's axis corner
     ids += offset
     return pts, ids, len(r1s)
-
-
-# the constraint kind of each bound's rate polygon
-_BOUND_KINDS = {"ib": "sum", "theorem1": "two", "theorem2": "sum", "ob": "r1cap"}
-REGION_BOUNDS = tuple(_BOUND_KINDS)
 
 
 def _two_letter_laws(q: np.ndarray, m: int = 2, i: int = 0, j: int = 1) -> np.ndarray:

@@ -789,6 +789,28 @@ def test_chord_scoring_is_bounded_by_the_block(monkeypatch):
     assert peaks[1] < 6 * 2**20
 
 
+def test_refinement_memory_is_bounded_by_the_block(monkeypatch):
+    # 2,000 ternary starts ask for all 22 rungs of step 1/4 at once: 792
+    # move laws each, about 13 MB of moves, values and masks in one block.
+    # Each run of starts builds its own moves, so the peak stays a few
+    # blocks, whatever the stack, and the points do not depend on the runs
+    x0 = np.full((2000, 3), 1.0 / 3.0)
+    w = np.array([0.0, 0.25, 1.0])
+    want = ordering._refine_extremum(lambda q, idx: q @ w, x0, 0.25)
+    monkeypatch.setattr(ordering, "_HESSIAN_BLOCK", 1 << 16)
+    tracemalloc.start()
+    try:
+        got = ordering._refine_extremum(lambda q, idx: q @ w, x0, 0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * ordering._HESSIAN_BLOCK  # 4 MB
+    for g, v in zip(got, want):
+        np.testing.assert_array_equal(g, v)
+    assert got[2].tolist() == [44] * 2000
+    assert got[0][0, 2] > 1.0 - 2 * REFINE_FLOOR
+
+
 def _full_curvature_scan(a, b, pts):
     """The full curvature scan: every point's tangent-space Hessian, pair by pair.
 

@@ -174,6 +174,21 @@ def test_phase_map_csv_edge_column():
             assert tag == "degraded-bsc-side"
 
 
+@pytest.mark.parametrize("grid", [2, 3, 37, 200])
+def test_phase_map_csv_matches_per_cell_rendering(grid):
+    from bcorder.bscbec import PairTag, regime
+
+    ps, es = np.linspace(0.0, 0.5, grid), np.linspace(0.0, 1.0, grid)
+    tags, flags = regime(ps[:, None], es[None, :])
+    assert flags.any() and not flags.all()  # both suffixes of a tag occur
+    names = [t.value for t in PairTag]
+    want = ["p,e,tag,boundary"]
+    for i, p in enumerate(ps.tolist()):
+        for j, e in enumerate(es.tolist()):
+            want.append(f"{p:.9f},{e:.9f},{names[tags[i, j]]},{int(flags[i, j])}")
+    assert run_cli("phase-map", "--grid", str(grid)) == (0, "\n".join(want) + "\n", "")
+
+
 def test_phase_map_svg():
     code, out, _ = run_cli("phase-map", "--grid", "12", "--format", "svg")
     assert code == 0
