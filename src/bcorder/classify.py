@@ -276,18 +276,18 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     return x, best, sweeps
 
 
-# the four searches of _gap_search, in its order
-_CAPABLE_AB, _CAPABLE_BA, _DOMINANT_AB, _DOMINANT_BA = range(4)
-
-
 @dataclass(frozen=True, eq=False)
 class _GapSearch:
-    """The four gap searches of P pairs: arrays indexed (search, pair).
+    """The two extrema of g = I(X;Y_a) - I(X;Y_b) of P pairs: arrays indexed (extremum, pair).
 
-    ``points`` is (4, P, m), ``values`` and ``sweeps`` are (4, P).
-    ``face_probes`` and ``face_capped`` are (2, P), for the two
-    more-capable searches; ``uniform`` is (2, P), g and g(b, a) at the
-    uniform law, for the two dominance searches.
+    Extremum 0 is min g and 1 is max g.  ``points`` is (2, P, m),
+    ``values`` and ``sweeps`` are (2, P), ``face_probes`` and
+    ``face_capped`` are (2, P), the face scan of (a, b) behind min g and of
+    (b, a) behind max g, and ``uniform`` is (P,), g at the uniform law.
+    Since g(b, a) is 0.0 - g bit for bit, each test in each direction reads
+    one extremum: more capable of a over b reads min g and of b over a
+    0.0 - max g; uniform dominance of a over b reads max g and of b over a
+    0.0 - min g.
     """
 
     step: float
@@ -300,23 +300,30 @@ class _GapSearch:
     face_capped: np.ndarray
     uniform: np.ndarray
 
-    def verdicts(self, search: int) -> list[ClassVerdict]:
-        """One search's verdicts, one per pair.
+    def capable(self, side: int) -> list[ClassVerdict]:
+        """More-capable verdicts, one per pair, of a over b (side 0) or b over a (side 1).
 
-        More capable fails with the minimizer when the minimum is below
-        -VERDICT_TOL; dominance fails with the maximizer when the maximum
-        exceeds the gap at the uniform law by more than VERDICT_TOL, and
-        means something only for c-symmetric channels, which the callers
-        check.
+        Fails with the minimizer when the side's minimum gap is below
+        -VERDICT_TOL.
         """
-        x, v, sweeps = self.points[search], self.values[search], self.sweeps[search]
-        capable = search in (_CAPABLE_AB, _CAPABLE_BA)
+        return self._verdicts(side, capable=True)
+
+    def dominant(self, side: int) -> list[ClassVerdict]:
+        """Uniform-dominance verdicts, one per pair, of a over b (side 0) or b over a (side 1).
+
+        Fails with the maximizer when the side's maximum gap exceeds its gap
+        at the uniform law by more than VERDICT_TOL.  Means something only
+        for c-symmetric channels, which the callers check.
+        """
+        return self._verdicts(side, capable=False)
+
+    def _verdicts(self, side: int, capable: bool) -> list[ClassVerdict]:
+        k = side if capable else 1 - side  # capable side 0 and dominant side 1 read min g
+        x, v, sweeps, u = self.points[k], self.values[k], self.sweeps[k], self.uniform
+        if side:
+            v, u = 0.0 - v, 0.0 - u
         key = "min" if capable else "max"
-        side = search % 2
-        if capable:
-            fails = v < -VERDICT_TOL
-        else:
-            fails = v > self.uniform[side] + VERDICT_TOL
+        fails = v < -VERDICT_TOL if capable else v > u + VERDICT_TOL
         verdicts = []
         for p, (xp, vp, sp) in enumerate(zip(x.tolist(), v.tolist(), sweeps.tolist())):
             d = {
@@ -333,7 +340,7 @@ class _GapSearch:
                 if self.face_capped[side, p]:
                     d["face_pair_cap"] = _FACE_PAIR_CAP
             else:
-                d["uniform_gap"] = float(self.uniform[side, p])
+                d["uniform_gap"] = float(u[p])
             if fails[p]:
                 verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
             else:
@@ -342,25 +349,19 @@ class _GapSearch:
 
 
 def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
-    """The four extrema of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
+    """min g and max g of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
 
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  No
-    information quantity is -0.0, so g(b, a) is 0.0 - g bit for bit, and
-    the searches that the more-capable and the uniform-dominance tests make
-    in both directions are searches of g:
-    - min g, for a more capable than b, starts from the grid's argmin or
-      from the face probe of (a, b) (side 0 of _face_chords, t halved down
-      from ``step``) with a smaller gap; ties keep the grid point.
-    - min g(b, a), for b more capable than a, likewise from the argmax and
-      the probes of side 1, scored as 0.0 - g.
-    - max g and max g(b, a), for the uniform input's dominance of a over b
-      and of b over a, start from the grid's argmax and argmin.
-    g is scored on the grid, then on every probe, once.  min g and
-    max g(b, a) ascend 0.0 - g, the other two ascend g, and a search whose
-    start and direction an earlier one shares is refined once, so a pair's
-    distinct starts, two when no probe wins, are all refined in one
-    _refine_extremum call.  The more-capable searches report their minimum
-    as 0.0 - v.
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  The
+    more-capable and uniform-dominance tests, both ways, all read these two
+    extrema (see _GapSearch):
+    - min g starts from the grid's argmin, or from the face probe of (a, b)
+      (side 0 of _face_chords, t halved down from ``step``) with a smaller
+      gap; ties keep the grid point.
+    - max g likewise starts from the grid's argmax, or from the probe of
+      side 1, (b, a), scored as 0.0 - g, with a smaller gap there.
+    g is scored on the grid, then on every probe, once, and the 2P starts
+    are refined in one _refine_extremum call: min g as the ascent of
+    0.0 - g, reported as 0.0 - v, and max g as the ascent of g.
     """
     count, m = a.shape[:2]
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
@@ -371,7 +372,7 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     for lo in range(0, count, run):
         g[lo:lo + run] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid)
     picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
-    x0 = grid[picks[[0, 1, 1, 0]]]
+    x0 = grid[picks]
     # the grid's min g(a, b) and min g(b, a) = -max g
     at_grid = g[np.arange(count), picks] * np.array([[1.0], [-1.0]])
     base, dirs, owner, capped = _face_chords(a, b)
@@ -390,42 +391,28 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     wins = chord_min[best] < at_grid[side, pair]
     won = best[wins]
     x0[side[wins], pair[wins]] = base[won, 0] + ts[along[won]] * dirs[won, 0]
-    # min g and max g(b, a) ascend 0.0 - g, the other two ascend g; a
-    # dominance search shares its direction with one more-capable search, its twin
-    descends = np.array([True, False, False, True])
-    twins = ((2, 1), (3, 0))
-    fresh = np.ones((4, count), dtype=bool)
-    for k, twin in twins:
-        fresh[k] = (x0[k] != x0[twin]).any(axis=1)
-    search, pair = np.nonzero(fresh)
-    # each lane's channel rows and their entropies, reused across its sweeps
-    lane_a, lane_b = a[pair], b[pair]
-    lane_ha, lane_hb = entropy_vec(lane_a, axis=-1), entropy_vec(lane_b, axis=-1)
-    lane_descends = descends[search][:, None]
+    # start k * P + p is extremum k of pair p; each pair's rows and entropies serve its sweeps
+    ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
 
-    def lane_gaps(q, idx):
-        la = mi_from_entropies(lane_a.take(idx, 0), lane_ha.take(idx, 0), q)
-        gap = la - mi_from_entropies(lane_b.take(idx, 0), lane_hb.take(idx, 0), q)
-        return np.where(lane_descends.take(idx, 0), 0.0 - gap, gap)
+    def signed_gaps(q, idx):
+        pair = idx % count
+        gap = mi_from_entropies(a.take(pair, 0), ha.take(pair, 0), q)
+        gap = gap - mi_from_entropies(b.take(pair, 0), hb.take(pair, 0), q)
+        return np.where((idx < count)[:, None], 0.0 - gap, gap)
 
-    x, v, sweeps = _refine_extremum(lane_gaps, x0[fresh], eff)
-    lanes = np.full((4, count), -1)
-    lanes[fresh] = np.arange(pair.size)
-    for k, twin in twins:
-        lanes[k] = np.where(fresh[k], lanes[k], lanes[twin])
-    values = v[lanes]
-    values[[_CAPABLE_AB, _CAPABLE_BA]] = 0.0 - values[[_CAPABLE_AB, _CAPABLE_BA]]
-    u = _gap_vec(a, b, np.full((1, m), 1.0 / m))[:, 0]
+    x, v, sweeps = _refine_extremum(signed_gaps, x0.reshape(2 * count, m), eff)
+    values = v.reshape(2, count)
+    values[0] = 0.0 - values[0]
     return _GapSearch(
         step=step,
         grid_step=eff,
         grid_points=int(grid.shape[0]),
-        points=x[lanes],
+        points=x.reshape(2, count, m),
         values=values,
-        sweeps=sweeps[lanes],
+        sweeps=sweeps.reshape(2, count),
         face_probes=np.bincount(owner, minlength=2 * count).reshape(2, count) * ts.size,
         face_capped=capped,
-        uniform=np.stack([u, 0.0 - u]),
+        uniform=_gap_vec(a, b, np.full((1, m), 1.0 / m))[:, 0],
     )
 
 
@@ -627,7 +614,7 @@ def more_capable_stack(a, b) -> list[ClassVerdict]:
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
     pairs share one grid and one lockstep refinement.
     """
-    return _gap_search(*_stacked_pairs(a, b), 0.02).verdicts(_CAPABLE_AB)
+    return _gap_search(*_stacked_pairs(a, b), 0.02).capable(0)
 
 
 def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -641,7 +628,7 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     ``more_capable_stack``.
     """
     _require_same_input(a, b)
-    return _gap_search(a.rows[None], b.rows[None], step).verdicts(_CAPABLE_AB)[0]
+    return _gap_search(a.rows[None], b.rows[None], step).capable(0)[0]
 
 
 def _tangent_hessian(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
@@ -864,11 +851,6 @@ def _require_c_symmetric(a: np.ndarray, b: np.ndarray) -> None:
                 raise NotCSymmetricError(f"{name} channel of pair {p} is not c-symmetric")
 
 
-def _dominant(a: np.ndarray, b: np.ndarray, step: float) -> list[ClassVerdict]:
-    """Uniform-dominance verdicts of a over b for row stacks; every channel must be c-symmetric."""
-    return _gap_search(a, b, step).verdicts(_DOMINANT_AB)
-
-
 def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
     """``test_dominant_c_symmetry`` at its default step for P pairs at once, one verdict per pair.
 
@@ -878,7 +860,7 @@ def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
     """
     a, b = _stacked_pairs(a, b)
     _require_c_symmetric(a, b)
-    return _dominant(a, b, 0.02)
+    return _gap_search(a, b, 0.02).dominant(0)
 
 
 def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -891,7 +873,7 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
     """
     _require_same_input(a, b)
     _require_c_symmetric(a.rows[None], b.rows[None])
-    return _dominant(a.rows[None], b.rows[None], step)[0]
+    return _gap_search(a.rows[None], b.rows[None], step).dominant(0)[0]
 
 
 def _c_symmetric(chan: Dmc) -> bool | str:
@@ -942,7 +924,7 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
     """
     m = _require_same_input(a, b)
     sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
-    dom = _dominant(a.rows[None], b.rows[None], step)[0] if sym_a is True and sym_b is True else None
+    dom = _gap_search(a.rows[None], b.rows[None], step).dominant(0)[0] if sym_a is True and sym_b is True else None
     return _essentially_less_noisy(sym_a, sym_b, dom, m)
 
 
@@ -956,9 +938,9 @@ def ordering_verdicts(
     and essentially less noisy, each both ways.  Each verdict is the one the
     matching ``test_*`` function returns, but both less-noisy directions
     come from one curvature scan and one chord-scoring pass (_less_noisy),
-    the four gap searches behind more capable and the essentially-less-noisy
-    gate are one _gap_search, and each channel's cyclic symmetry is searched
-    once.
+    more capable and the uniform-dominance gate of essentially less noisy,
+    both ways, read the two extrema of one _gap_search, and each channel's
+    cyclic symmetry is searched once.
     """
     m = _require_same_input(a, b)
     res = {
@@ -967,13 +949,12 @@ def ordering_verdicts(
     }
     res["less_noisy_1"], res["less_noisy_2"] = _less_noisy(a.rows[None], b.rows[None], step, both=True)
     found = _gap_search(a.rows[None], b.rows[None], step)
-    res["more_capable_1"] = found.verdicts(_CAPABLE_AB)[0]
-    res["more_capable_2"] = found.verdicts(_CAPABLE_BA)[0]
+    res["more_capable_1"], res["more_capable_2"] = found.capable(0)[0], found.capable(1)[0]
     sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
     both = sym_a is True and sym_b is True
-    for key, search, first, second in (("1", _DOMINANT_AB, sym_a, sym_b), ("2", _DOMINANT_BA, sym_b, sym_a)):
-        dom = found.verdicts(search)[0] if both else None
-        res[f"essentially_less_noisy_{key}"] = _essentially_less_noisy(first, second, dom, m)
+    for side, first, second in ((0, sym_a, sym_b), (1, sym_b, sym_a)):
+        dom = found.dominant(side)[0] if both else None
+        res[f"essentially_less_noisy_{side + 1}"] = _essentially_less_noisy(first, second, dom, m)
     return res
 
 

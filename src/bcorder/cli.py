@@ -649,12 +649,12 @@ def cmd_symmetry(cfg: RunConfig) -> int:
             )
     # dominance is only defined for a c-symmetric pair; the status lines say why it is missing
     if len(chans) == 2 and all(entry["status"] == "c-symmetric" for entry in report["channels"]):
-        from .classify import _dominant, _require_same_input
+        from .classify import _gap_search, _require_same_input
 
-        # both are known to be c-symmetric: no second search
+        # both are known to be c-symmetric: no second symmetry search
         first, second = chans[0][1], chans[1][1]
         _require_same_input(first, second)
-        [dom] = _dominant(first.rows[None], second.rows[None], 1.0 / cfg.grid)
+        [dom] = _gap_search(first.rows[None], second.rows[None], 1.0 / cfg.grid).dominant(0)
         report["uniform_dominance"] = {
             "first_over_second": dom.outcome.value,
             "diagnostics": dom.diagnostics,

@@ -30,8 +30,6 @@ from .channels import (
     symmetrize,
 )
 from .classify import (
-    _CAPABLE_AB,
-    _DOMINANT_BA,
     AuxDecomposition,
     _gap_search,
     degraded_stack,
@@ -158,8 +156,8 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
         [
             [v.holds for v in degraded_stack(chan_b, chan_s)],
             [v.holds for v in less_noisy_stack(chan_b, chan_s)],
-            [v.holds for v in gaps.verdicts(_CAPABLE_AB)],
-            [v.holds for v in gaps.verdicts(_DOMINANT_BA)],
+            [v.holds for v in gaps.capable(0)],
+            [v.holds for v in gaps.dominant(1)],
         ]
     )
     want = np.array([tag == 0, tag <= 1, tag <= 2, tag == 3])

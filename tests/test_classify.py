@@ -177,14 +177,13 @@ def test_refine_extremum_agrees_with_sequential_reference(m, n, sparse, maximize
     assert np.max(np.abs(x[0] - x_ref)) <= _final_step(0.05) * (1.0 + 1e-9)
     assert sweeps[0] == ref_sweeps
     # the search diagnostics count each pair's own sweeps, also inside a
-    # stack where the other pair refines for longer or shorter; the
-    # dominance searches start from the grid's argmax of g and of
-    # g(b, a) = -g, the latter being the search for min g
-    search = ordering._DOMINANT_AB if maximize else ordering._DOMINANT_BA
+    # stack where the other pair refines for longer or shorter; dominance of
+    # a over b reads max g, and of b over a reads min g
+    extremum = 1 if maximize else 0
     stacked = ordering._gap_search(np.stack([a.rows, b.rows]), np.stack([b.rows, a.rows]), 0.05)
     alone = [ordering._gap_search(p.rows[None], q.rows[None], 0.05) for p, q in ((a, b), (b, a))]
     for pair, lone in enumerate(alone):
-        assert stacked.verdicts(search)[pair].diagnostics["refine_sweeps"] == lone.sweeps[search][0]
+        assert stacked.dominant(1 - extremum)[pair].diagnostics["refine_sweeps"] == lone.sweeps[extremum][0]
 
 
 def _reference_refine(fn, x0, step0, maximize):
@@ -293,33 +292,41 @@ def _reference_face_chords(a, b, t_max):
 
 
 def _assert_gap_search_is_four_searches(a, b, step):
-    """_gap_search equals min g(a, b), min g(b, a), max g(a, b), max g(b, a) searched apart.
+    """Each of the four readings of _gap_search equals its test's own search, bit for bit.
 
-    Points and values are compared as bytes, so a -0.0 for +0.0 fails.
-    Returns which pairs' more-capable start was a winning probe, per direction.
+    More capable of a over b is min g(a, b) from the probes of (a, b), and
+    of b over a min g(b, a) from those of (b, a); dominance of a over b is
+    max g(a, b) from the probes of (b, a), and of b over a max g(b, a) from
+    those of (a, b).  The first and third are the two extrema _gap_search
+    stores, min g and max g.  Points and values are compared as bytes, so a
+    -0.0 for +0.0 fails.  Returns which pairs' more-capable start was a
+    winning probe, per direction.
     """
     found = ordering._gap_search(a, b, step)
-    won = []
-    for k, (first, second) in enumerate(((a, b), (b, a), (a, b), (b, a))):
-        maximize = k >= 2
-        probes = None
-        if not maximize:
-            _, pts, owner, _ = _reference_face_chords(first, second, step)
-            probes = (pts, owner)
-        x, v, sweeps, probe_won = _reference_gap_extremum(first, second, step, maximize, probes)
-        if not maximize:
-            won.append(probe_won)
-        assert found.points[k].tobytes() == x.tobytes()
-        assert found.values[k].tobytes() == v.tobytes()
-        assert np.array_equal(found.sweeps[k], sweeps)
-        # the verdicts carry the same bits
-        key = "max" if maximize else "min"
-        for p, verdict in enumerate(found.verdicts(k)):
-            assert np.array(verdict.diagnostics[f"arg{key}"]).tobytes() == x[p].tobytes()
-            assert np.float64(verdict.diagnostics[f"{key}_gap"]).tobytes() == v[p].tobytes()
+    probes = [_reference_face_chords(first, second, step)[1:3] for first, second in ((a, b), (b, a))]
     uniform = np.full((1, a.shape[1]), 1.0 / a.shape[1])
-    want = [ordering._gap_vec(first, second, uniform)[:, 0] for first, second in ((a, b), (b, a))]
-    assert found.uniform.tobytes() == np.stack(want).tobytes()
+    won = []
+    for side, (first, second) in enumerate(((a, b), (b, a))):
+        want_uniform = ordering._gap_vec(first, second, uniform)[:, 0]
+        for reading, maximize in ((found.capable, False), (found.dominant, True)):
+            # a direction's minimum starts from its own probes, its maximum from the other's
+            probe_side = side if not maximize else 1 - side
+            x, v, sweeps, probe_won = _reference_gap_extremum(first, second, step, maximize, probes[probe_side])
+            if not maximize:
+                won.append(probe_won)
+            if side == 0:
+                assert found.points[int(maximize)].tobytes() == x.tobytes()
+                assert found.values[int(maximize)].tobytes() == v.tobytes()
+                assert np.array_equal(found.sweeps[int(maximize)], sweeps)
+            key = "max" if maximize else "min"
+            for p, verdict in enumerate(reading(side)):
+                d = verdict.diagnostics
+                assert np.array(d[f"arg{key}"]).tobytes() == x[p].tobytes()
+                assert np.float64(d[f"{key}_gap"]).tobytes() == v[p].tobytes()
+                assert d["refine_sweeps"] == sweeps[p]
+                if maximize:
+                    assert np.float64(d["uniform_gap"]).tobytes() == want_uniform[p].tobytes()
+    assert found.uniform.tobytes() == ordering._gap_vec(a, b, uniform)[:, 0].tobytes()
     return won
 
 
@@ -375,6 +382,37 @@ def test_gap_search_equals_four_searches_where_probes_win_and_lose(step):
     if step == 0.02:
         assert won_ab[0] and won_ab[2] and not won_ab[1:].all()
     _assert_gap_search_is_four_searches(a[:1], a[:1], step)
+
+
+@pytest.mark.parametrize("p, e", [(0.295631, 0.979533), (0.143641, 0.925798)])
+def test_dominance_refines_from_a_winning_probe(p, e):
+    # min g of BSC(p) over BEC(e) dips just inside a vertex, where only the
+    # face probe of (a, b) finds it; dominance of BEC over BSC is max g(b, a)
+    # = 0.0 - min g, so it reads the same refined point, not a grid vertex
+    found = ordering._gap_search(bsc(p).rows[None], bec(e).rows[None], 0.02)
+    [dom], [cap] = found.dominant(1), found.capable(0)
+    assert dom.diagnostics["argmax"] == cap.diagnostics["argmin"]
+    assert dom.diagnostics["max_gap"] == 0.0 - cap.diagnostics["min_gap"] > 0.0
+    res = ordering.ordering_verdicts(bsc(p), bec(e))
+    assert res["essentially_less_noisy_2"].diagnostics["argmax"] == res["more_capable_1"].diagnostics["argmin"]
+    assert res["essentially_less_noisy_2"].diagnostics["max_gap"] == 0.0 - res["more_capable_1"].diagnostics["min_gap"]
+
+
+@pytest.mark.parametrize("module", ["cli", "verifysuite"])
+def test_gap_search_layout_stays_inside_classify(module):
+    # other modules read the gap search only through its named readings,
+    # never an extremum index or a private per-test wrapper
+    import ast
+    import importlib
+    import inspect
+    import re
+
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"bcorder.{module}")))
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    leaked = sorted(n for n in names if re.fullmatch(r"_(CAPABLE|DOMINANT)_\w*|_dominant", n))
+    assert leaked == []
 
 
 @_PROPERTY
@@ -573,8 +611,8 @@ def test_stacks_over_the_block_budget_equal_separate_calls(monkeypatch):
         assert stacked.points[:, p].tobytes() == lone.points[:, 0].tobytes()
         assert stacked.values[:, p].tobytes() == lone.values[:, 0].tobytes()
         assert np.array_equal(stacked.sweeps[:, p], lone.sweeps[:, 0])
-        for search in range(4):
-            got, want = stacked.verdicts(search)[p], lone.verdicts(search)[0]
+        for reading, side in itertools.product(("capable", "dominant"), (0, 1)):
+            got, want = getattr(stacked, reading)(side)[p], getattr(lone, reading)(side)[0]
             assert got.outcome is want.outcome and got.diagnostics == want.diagnostics
     for got, want in zip(got_less_noisy, want_less_noisy):
         assert got.outcome is want.outcome

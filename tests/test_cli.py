@@ -644,7 +644,7 @@ def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch):
     first = run_cli(*argv)
     counts.update(refine=0, symmetry=0, grid=0)
     assert run_cli(*argv) == first
-    # the four gap searches share one lockstep refinement, the two
+    # the two extrema behind the four gap tests share one lockstep refinement, the two
     # essentially-less-noisy directions one symmetry search per channel,
     # and the warm grid cache serves the gap searches and the curvature scan
     assert counts == {"refine": 1, "symmetry": 2, "grid": 0}
