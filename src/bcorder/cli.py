@@ -179,6 +179,9 @@ def _validate(cfg: RunConfig) -> None:
             raise CliError(f"unknown region name(s): {', '.join(bad)}; choose from {', '.join(REGION_BOUNDS)}")
         if not cfg.which:
             raise CliError("--which selected no regions")
+        repeated = [w for w in dict.fromkeys(cfg.which) if cfg.which.count(w) > 1]
+        if repeated:
+            raise CliError(f"region name(s) given more than once: {', '.join(repeated)}")
     if cfg.command in ("classify", "region"):
         has_rates = cfg.bsc_p is not None and cfg.bec_e is not None
         has_files = cfg.channel1 is not None and cfg.channel2 is not None

@@ -31,15 +31,16 @@ Decomposition evaluations are independent of one another; they are computed
 as vectorized batches (the parallel-map stage) and reduced as they stream.
 Each run of _CHUNK decompositions is evaluated, and each bound kind takes
 its rate-polygon corners straight from the run's (A, B, C), one block per
-corner, bins every block by r1 into one table of per-bin largest r2, and
-gathers only the corners that no higher bin beats, in input order, plus,
-of the corners at the run's smallest r1, the first of largest r2.  No
-candidate cloud is built, per run or per sweep.  One deterministic
-Pareto-and-hull pass per bound kind over the survivors gives the frontier
-exactly as sorting every candidate would, so the result does not depend on
-evaluation order or batch chunking.  A frontier keeps its decompositions'
-ids and builds its ``provenance`` on first read, each decomposition once
-per sweep.
+corner.  One staircase per bound kind serves all of a sweep's runs: r1 bins
+fixed once over [0, log2 m], the largest r2 met so far in each, and the
+largest r2 met so far at r1 = 0.  A run gathers only the corners that no
+higher bin beats so far, in input order, and of its corners at r1 = 0 only
+a first to reach the largest r2 there.  No candidate cloud is built, per
+run or per sweep.  One deterministic Pareto-and-hull pass per bound kind
+over the survivors gives the frontier exactly as sorting every candidate
+would, so the result does not depend on evaluation order or batch
+chunking.  A frontier keeps its decompositions' ids and builds its
+``provenance`` on first read, each decomposition once per sweep.
 
 Diagnostics ``step`` is the coarsest grid step the sweep actually ran at,
 with ``requested_step`` added when a point cap or the face-sweep floor
@@ -84,7 +85,7 @@ _PAIR_GRID_CAP = 2000   # max first-row grid points of a pinned two-point sweep
 _FACE_STEP_FLOOR = 0.02
 _CHUNK = 32_768         # decompositions evaluated and pruned at once; cache-sized, the fastest of 8k-200k measured
 _SWEEP_CAP = 10_000_000  # max decompositions of a pinned batch, max (K + 1)^3 of the binary mesh (8.1M at --grid 200)
-_PARETO_BINS = 4096     # r1 bins of the dominated-point pre-pass
+_PARETO_BINS = 4096     # r1 bins of a sweep's carried staircase
 
 
 @dataclass(frozen=True)
@@ -216,69 +217,61 @@ def frontier_csv(frontier: RegionFrontier) -> str:
 # frontier assembly
 
 
-def _survivors(r1s: list, r2s: list) -> list:
-    """Linear pre-pass over a cloud given as blocks: per block, the ascending positions kept.
+class _Staircase:
+    """The largest r2 so far in each r1 bin, carried across a sweep's runs of one bound kind.
 
-    r1 is cut into _PARETO_BINS equal-width bins over every block's points,
-    by x -> (x - min r1) * scale rounded down.  Any monotone bin map would
-    do: the argument below needs only that a higher bin means a strictly
-    larger r1.  A point whose r2 is at most the largest r2 of the bins
-    strictly to its right is dropped; a point with that largest r2 in the
-    highest bin holding it survives and dominates it (larger r1, r2 at least
-    as large).  Points in one bin are never compared, but of the points at
-    the smallest r1 only the first, blocks in order, of largest r2 can rank
-    above the others, so only that one is kept.  A NaN r2 is kept and drops
-    nothing below it; a NaN r1 drops nothing at all.
+    With m input letters, r1 is cut into _PARETO_BINS bins fixed once over
+    [0, log2 max(m, 2)], by x -> x * scale rounded down: every corner has
+    r1 <= B <= H(X) <= log2 m, and a value that rounds above the range clips
+    into the last bin.  Any monotone bin map would do: the argument below
+    needs only that a higher bin means a strictly larger r1.  A corner whose
+    r2 is at most the largest r2 met so far in the bins strictly to its
+    right is dropped.  Corners in one bin are never compared, but of the
+    corners at r1 = 0 only the first, in the order handed on, of the largest
+    r2 met there so far can rank above the others, so the rest are dropped.
+    A NaN r2 is kept and drops nothing below it.
 
-    Why the survivors of any number of passes, each over any part of a
-    cloud, give _pareto_filter the same output as the whole cloud: domination
-    is transitive, so every dropped point is dominated by a final survivor.
-    That survivor sorts before it, so the running max the dropped point
-    would meet is at least its own r2: it could neither join the exact
-    staircase nor raise the running max, so removing it leaves the
-    staircase, and all that is kept from it, as it was.  The stable lexsort
-    keeps exact ties in input order, so the provenance ids do not change
-    either.
+    Why the survivors of every run, handed on together, give _pareto_filter
+    the same output as the whole cloud: each dropped corner has a witness
+    that sorts strictly before it with r2 at least as large, in a higher bin
+    (a strictly larger r1) or at r1 = 0.  That relation is transitive and
+    the sort rank falls strictly along a chain of witnesses, so every
+    dropped corner has a final survivor that sorts before it.  The running
+    max the dropped corner would meet is then at least its own r2: it could
+    neither join the exact staircase nor raise the running max, so removing
+    it leaves the staircase, and all that is kept from it, as it was.  The
+    stable lexsort keeps exact ties in input order, so the provenance ids do
+    not change either.
     """
-    lo = float(np.min([r.min() for r in r1s if r.size], initial=np.inf))
-    hi = float(np.max([r.max() for r in r1s if r.size], initial=-np.inf))
-    if not lo <= hi:
-        return [np.arange(r.size) for r in r1s]
-    scale = _PARETO_BINS / (hi - lo) if lo < hi else math.inf
-    if scale < math.inf:
+
+    def __init__(self, m: int):
+        self.scale = _PARETO_BINS / math.log2(max(m, 2))
+        self.top = np.full(_PARETO_BINS, -np.inf)
+        self.zero = -np.inf  # largest r2 so far at r1 = 0; its first corner has had its turn
+
+    def survivors(self, r1s: list, r2s: list) -> list:
+        """Per block of one run's corners, given in sweep order, the ascending positions kept."""
         bins = []
-        top = np.full(_PARETO_BINS, -np.inf)
         for r1, r2 in zip(r1s, r2s):
-            t = np.subtract(r1, lo)
-            t *= scale
+            t = r1 * self.scale
             np.minimum(t, _PARETO_BINS - 1, out=t)
             bins.append(t.astype(np.intp))
-            np.maximum.at(top, bins[-1], r2)
+            np.maximum.at(self.top, bins[-1], r2)
         above = np.full(_PARETO_BINS, -np.inf)  # above[k] = max r2 over bins > k
-        np.maximum.accumulate(top[:0:-1], out=above[-2::-1])
+        np.maximum.accumulate(self.top[:0:-1], out=above[-2::-1])
         keep = [np.flatnonzero(~(r2 <= np.take(above, b))) for r2, b in zip(r2s, bins)]
-        low = [(r1[k] == lo, r2[k]) for r1, r2, k in zip(r1s, r2s, keep)]
-    else:  # one r1 value, or a spread too narrow to bin
-        keep = [np.arange(r.size) for r in r1s]
-        low = [(r1 == lo, r2) for r1, r2 in zip(r1s, r2s)]
-    best = max(np.fmax.reduce(r2[at], initial=-np.inf) for at, r2 in low)
-    first = True
-    for j, (at, r2) in enumerate(low):
-        drop = at & (r2 <= best)
-        hit = np.flatnonzero(drop & (r2 == best)) if first else ()
-        if len(hit):
-            drop[hit[0]] = False
-            first = False
-        keep[j] = keep[j][~drop]
-    return keep
-
-
-def _drop_dominated(points: np.ndarray, idx: np.ndarray):
-    """The _survivors of an (n, 2) cloud, in input order; a cloud of at most _PARETO_BINS points is kept whole."""
-    if points.shape[0] <= _PARETO_BINS:
-        return points, idx
-    (keep,) = _survivors([points[:, 0]], [points[:, 1]])
-    return points[keep], idx[keep]
+        low = [(r1[k] == 0.0, r2[k]) for r1, r2, k in zip(r1s, r2s, keep)]
+        best = max([self.zero, *(np.fmax.reduce(r2[at], initial=-np.inf) for at, r2 in low)])
+        first = best > self.zero
+        self.zero = best
+        for j, (at, r2) in enumerate(low):
+            drop = at & (r2 <= best)
+            hit = np.flatnonzero(drop & (r2 == best)) if first else ()
+            if len(hit):
+                drop[hit[0]] = False
+                first = False
+            keep[j] = keep[j][~drop]
+        return keep
 
 
 def _thinned(vals: np.ndarray) -> np.ndarray:
@@ -312,9 +305,9 @@ def _pareto_filter(points: np.ndarray, idx: np.ndarray):
     up to rounding and a smaller r2.  So near ties do not creep in either
     coordinate: a run of points each within SIMPLEX_TOL of the next keeps
     one per SIMPLEX_TOL of its spread, and no frontier ends in a vertical
-    step of rounding.
+    step of rounding.  Every point given is sorted: a sweep gives only the
+    survivors of its _Staircase, which leave the output as it was.
     """
-    points, idx = _drop_dominated(points, idx)
     order = np.lexsort((-points[:, 1], -points[:, 0]))
     pts = points[order]
     ids = idx[order]
@@ -396,8 +389,8 @@ def _chunk_quantities(batch: _Batch, values, run: slice):
     return a, a + np.einsum("nk,nk->n", w, i_law[idx]), i_mix[j]
 
 
-def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, offset: int):
-    """The _survivors among a chunk's rate-polygon corners: (points, ids, corners per polygon).
+def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, offset: int, stairs: _Staircase):
+    """The survivors of a chunk's rate-polygon corners under ``stairs``: (points, ids, corners per polygon).
 
     kind "sum":   r2 <= A, r1+r2 <= B, r1+r2 <= C
     kind "two":   r2 <= A, r1+r2 <= B
@@ -406,10 +399,11 @@ def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, off
     Decomposition j of the chunk has id offset + j.  Each polygon has one
     corner on the r1 axis, r2 = 0.  Of the chunk's axis corners only the
     first of largest r1 is a candidate, at the head, then the other corners,
-    one block per corner in decomposition order; the survivors keep that
-    order.  That gives _pareto_filter the same output, ids included, as
-    every corner in the order axis block first: a point with r2 = 0 is kept
-    only if it ranks first overall (the running max it meets is >= 0), the
+    one block per corner in decomposition order; ``stairs``, the sweep's
+    staircase of this kind, sees them in that order and the survivors keep
+    it.  That gives _pareto_filter the same output, ids included, as every
+    corner in the order axis block first: a point with r2 = 0 is kept only
+    if it ranks first overall (the running max it meets is >= 0), the
     chunk's other axis corners rank below its first of largest r1, and
     removing a point that is not kept changes no other point's fate.
     """
@@ -430,7 +424,7 @@ def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, off
     for r1, r2 in rest:
         r1s.append(np.maximum(r1, 0.0))
         r2s.append(np.maximum(r2, 0.0))
-    keep = _survivors(r1s, r2s)
+    keep = stairs.survivors(r1s, r2s)
     ends = np.cumsum([k.size for k in keep]).tolist()
     pts = np.empty((ends[-1], 2))
     ids = np.empty(ends[-1], dtype=np.intp)
@@ -758,6 +752,7 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     ``num_survivors`` the corners that the runs hand to _pareto_filter.
     """
     kinds = dict.fromkeys(_BOUND_KINDS[name] for name in bounds)
+    stairs = {kind: _Staircase(dominant.input_size) for kind in kinds}
     pts_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
     idx_lists: dict[str, list[np.ndarray]] = {kind: [] for kind in kinds}
     candidates = dict.fromkeys(kinds, 0)
@@ -777,7 +772,7 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
         for lo in range(0, n, _CHUNK):
             a, bq, cq = _chunk_quantities(batch, values, slice(lo, lo + _CHUNK))
             for kind in kinds:
-                pts, pids, corners = _chunk_survivors(kind, a, bq, cq, offset + lo)
+                pts, pids, corners = _chunk_survivors(kind, a, bq, cq, offset + lo, stairs[kind])
                 candidates[kind] += corners * a.size
                 pts_lists[kind].append(pts)
                 idx_lists[kind].append(pids)

@@ -304,6 +304,12 @@ def test_region_unknown_name():
         code, _, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", name)
         assert code == 2
         assert "unknown region name" in err
+    # a repeated name would print one unlabelled CSV frontier, draw two SVG
+    # polylines and key one JSON frontier
+    for which in ("ib,ib", "ob,ib,ob"):
+        code, out, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", which)
+        _assert_rejected(code, out, err)
+        assert "more than once" in err
 
 
 def test_region_svg():

@@ -38,6 +38,8 @@ _BOUNDS = {
     "class": ["--which", "theorem1,theorem2", "--class", "uniform"],
 }
 CASES = {f"{pair}/{kind}": ["region", *args, *extra, "--format", "json"] for pair, args in _PAIRS.items() for kind, extra in _BOUNDS.items()}
+# the binary mesh at --grid 100 spans 16 sweep runs
+CASES["ess-less-noisy/free-grid100"] = ["region", *_PAIRS["ess-less-noisy"], *_BOUNDS["free"], "--grid", "100", "--format", "json"]
 
 
 def _frontiers(argv):

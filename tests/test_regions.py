@@ -383,16 +383,17 @@ def test_pareto_filter_matches_lexsort_reference(n, lattice, r1_mode, duplicates
 @given(
     n=st.sampled_from([1, 7, 300, regions._PARETO_BINS + 1, 9000, 20000]),
     lattice=st.sampled_from([1, 3, 16, 250, 0]),
-    r1_mode=st.sampled_from(["free", "columns", "constant", "zero"]),
+    r1_mode=st.sampled_from(["free", "columns", "constant", "zero", "zero-ties", "above"]),
     duplicates=st.booleans(),
     nans=st.booleans(),
     arc=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode, duplicates, nans, arc, seed):
-    # the sweep drops dominated points chunk by chunk, each chunk binned on
-    # its own r1 range as a few blocks (its corner blocks), and sorts only
-    # the concatenated survivors
+    # the sweep drops dominated points chunk by chunk, each chunk given as a
+    # few blocks (its corner blocks) to one staircase that serves every chunk,
+    # its r1 bins fixed over [0, log2 2], and sorts only the concatenated
+    # survivors
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 2))
     if arc:  # a dense frontier: half the points on a concave arc, several per r1 bin
@@ -403,8 +404,13 @@ def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode
         pts[:, 0] = rng.integers(0, 5, n) / 4.0
     elif r1_mode == "constant":
         pts[:, 0] = 0.375
-    elif r1_mode == "zero":  # r1 = 0 on some or all points
-        pts[rng.random(n) < rng.choice([0.5, 1.0]), 0] = 0.0
+    elif r1_mode in ("zero", "zero-ties"):  # r1 = 0 on some or all points
+        zero = rng.random(n) < rng.choice([0.5, 1.0])
+        pts[zero, 0] = 0.0
+        if r1_mode == "zero-ties":  # the r1 = 0 maximum tied across chunks: the first in input order wins
+            pts[zero, 1] = np.where(rng.random(zero.sum()) < 0.3, 1.0, pts[zero, 1])
+    elif r1_mode == "above":  # some or all r1 above the bin range: they clip into the last bin
+        pts[:, 0] = pts[:, 0] * rng.choice([1.5, 4.0]) + rng.choice([0.0, 1.0])
     if duplicates:
         pts = np.vstack([pts, pts[rng.integers(0, n, n // 2 + 1)]])
     if nans:
@@ -414,12 +420,13 @@ def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode
     # cut again into up to four blocks
     cuts = np.sort(rng.integers(0, pts.shape[0] + 1, rng.integers(0, 6)))
     bounds = [0, *cuts.tolist(), pts.shape[0]]
+    stairs = regions._Staircase(2)
     rows = []
     with np.errstate(invalid="ignore"):  # NaN r2 in np.maximum.at
         for lo, hi in zip(bounds, bounds[1:]):
             edges = [lo, *np.sort(rng.integers(lo, hi + 1, rng.integers(0, 4))).tolist(), hi]
             blocks = list(zip(edges, edges[1:]))
-            keep = regions._survivors([pts[s:e, 0] for s, e in blocks], [pts[s:e, 1] for s, e in blocks])
+            keep = stairs.survivors([pts[s:e, 0] for s, e in blocks], [pts[s:e, 1] for s, e in blocks])
             rows.extend(s + k for (s, _), k in zip(blocks, keep))
         rows = np.concatenate(rows)
         got_pts, got_ids = regions._pareto_filter(pts[rows], idx[rows])
@@ -429,20 +436,33 @@ def test_streamed_prepass_matches_lexsort_on_the_whole_cloud(n, lattice, r1_mode
 
 
 def test_pareto_prepass_on_outer_bound_sweep(monkeypatch):
-    # rows reaching the lexsort, over the whole streamed sweep
-    sorted_rows = []
-    pareto = regions._pareto_filter
+    # rows reaching the lexsort, over the whole streamed sweep, and the
+    # staircases and chunks behind them
+    sorted_rows, built, runs = [], [], []
+    pareto, staircase = regions._pareto_filter, regions._Staircase
 
     def counted(points, idx):
-        sorted_rows.append(regions._drop_dominated(points, idx)[0].shape[0])
+        sorted_rows.append(points.shape[0])
         return pareto(points, idx)
 
+    class Counted(staircase):
+        def __init__(self, m):
+            super().__init__(m)
+            built.append(self)
+
+        def survivors(self, r1s, r2s):
+            runs.append(self)
+            return super().survivors(r1s, r2s)
+
     monkeypatch.setattr(regions, "_pareto_filter", counted)
+    monkeypatch.setattr(regions, "_Staircase", Counted)
     fast = outer_bound_eq_ob(bec(0.5), bsc(0.1))
     assert sorted_rows and max(sorted_rows) < 0.05 * fast.diagnostics["num_candidates"]
-    # the reference sorts the whole cloud: no pre-pass, per chunk or global
-    monkeypatch.setattr(regions, "_survivors", lambda r1s, r2s: [np.arange(r.size) for r in r1s])
-    monkeypatch.setattr(regions, "_drop_dominated", lambda points, idx: (points, idx))
+    # one staircase serves every chunk of the sweep
+    assert len(built) == 1 and len(runs) > 1 and set(runs) == set(built)
+    # the reference keeps every corner and sorts the whole cloud
+    monkeypatch.setattr(regions, "_Staircase", staircase)
+    monkeypatch.setattr(staircase, "survivors", lambda self, r1s, r2s: [np.arange(r.size) for r in r1s])
     monkeypatch.setattr(regions, "_pareto_filter", _lexsort_pareto)
     ref = outer_bound_eq_ob(bec(0.5), bsc(0.1))
     assert fast.points == ref.points
@@ -740,10 +760,12 @@ def test_axis_corner_reduction_keeps_the_pareto_set(kind, n, lattice, mode, chun
     r1, r2, reps = _reference_vertices(kind, a, b, c)
     want = _lexsort_pareto(np.column_stack([r1, r2]), np.tile(7 + np.arange(n), reps))
     cuts = [0, *np.sort(rng.integers(0, n + 1, chunks - 1)).tolist(), n]
+    # one staircase for every chunk; r1 reaches 2, past its bins over [0, log2 2]
+    stairs = regions._Staircase(2)
     pts, pids = [], []
     for lo, hi in zip(cuts, cuts[1:]):
         if hi > lo:
-            p, i, corners = regions._chunk_survivors(kind, a[lo:hi], b[lo:hi], c[lo:hi], 7 + lo)
+            p, i, corners = regions._chunk_survivors(kind, a[lo:hi], b[lo:hi], c[lo:hi], 7 + lo, stairs)
             assert corners == reps and p.shape[0] <= 1 + (reps - 1) * (hi - lo)
             pts.append(p)
             pids.append(i)
@@ -1181,6 +1203,15 @@ def test_paper6vi_free_sweep_hands_few_survivors_to_the_sort():
         d = f.diagnostics
         assert len(f.points) <= d["num_survivors"] < 0.02 * d["num_candidates"]
     assert sum(f.diagnostics["num_survivors"] for f in fr.values()) < 25_000
+
+
+def test_binary_grid100_sweep_hands_few_survivors_to_the_sort():
+    # the binary mesh at step 0.01 spans 16 sweep runs; binned on each run's
+    # own r1 range, they handed 12,853 + 13,529 corners to _pareto_filter
+    fr = region_frontiers(bsc(0.1), bec(0.5), ["ib", "ob"], step=0.01)
+    for f in fr.values():
+        assert len(f.points) <= f.diagnostics["num_survivors"]
+    assert sum(f.diagnostics["num_survivors"] for f in fr.values()) < 10_000
 
 
 def test_law_diagnostics_count_each_evaluated_array_once(monkeypatch):
