@@ -8,6 +8,11 @@ deterministic: the same parsed configuration always produces byte-identical
 CSV and JSON, and SVG output is self-contained 800x600 with no external
 references.
 
+Each flag is declared, defaulted and range-checked once, by its argparse
+``type`` in ``build_parser``; ``_validate`` keeps the rules that span flags,
+and the commands take the parsed ``argparse.Namespace``.  Every rejection,
+argparse's own included, is a ``CliError`` that ``main`` prints as one line.
+
 Exit codes: 0 on success (and on all checks passing), 1 when verify-paper
 finds a failing check, 2 on invalid input.
 
@@ -20,7 +25,6 @@ process compiles and loads only what its command uses.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -32,7 +36,7 @@ from .bscbec import PHASE_GRID_CAP, BscBecPair, PairTag, classify_pair, d_curve,
 from .channels import ChannelFormatError, Dmc, bec, bsc, detect_c_symmetry, load_channel, split_input_pair
 from .probcore import REGION_BOUNDS, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError
 
-__all__ = ["RunConfig", "CliError", "build_parser", "main", "entrypoint"]
+__all__ = ["CliError", "build_parser", "main", "entrypoint"]
 
 BUILTIN_PAIR = "paper6vi"
 
@@ -54,51 +58,76 @@ class CliError(ValueError):
     """Invalid command-line input; maps to exit code 2."""
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: exactly one command plus its parameters."""
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises every rejection, argparse's own included, as CliError."""
 
-    command: str
-    bsc_p: float | None = None
-    bec_e: float | None = None
-    channel1: str | None = None
-    channel2: str | None = None
-    p: float | None = None
-    e: float | None = None
-    samples: int = 1001
-    grid: int = 50
-    tol: float = VERDICT_TOL
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "text"
-    which: tuple[str, ...] = ()
-    input_class: str | None = None
-    normalize: bool = False
-    list_checks: bool = False
-    check: str | None = None
-    tolerance: float | None = None
+    def error(self, message: str):
+        raise CliError(message)
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: each flag is declared, defaulted and range-checked once
+
+
+def _ranged(kind, ok, must: str):
+    """An argparse type: ``kind(text)``, rejected unless ``ok`` holds of it (NaN fails every bound)."""
+
+    def parse(text: str):
+        value = kind(text)  # argparse reports a ValueError as "invalid <__name__> value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must {must}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
+# the rates of --bsc and dcurve --p, and of --bec and dcurve --e
+_BSC = _ranged(float, lambda p: 0.0 <= p <= 0.5, "lie in [0, 0.5]")
+_BEC = _ranged(float, lambda e: 0.0 <= e <= 1.0, "lie in [0, 1]")
+
+
+def _region_names(text: str) -> tuple[str, ...]:
+    """--which: a comma list of distinct names from REGION_BOUNDS."""
+    names = tuple(s.strip() for s in text.split(",") if s.strip())
+    bad = ", ".join(w for w in names if w not in REGION_BOUNDS)
+    if bad:
+        raise argparse.ArgumentTypeError(f"unknown region name(s): {bad}; choose from {', '.join(REGION_BOUNDS)}")
+    if not names:
+        raise argparse.ArgumentTypeError("selected no regions")
+    repeated = [w for w in dict.fromkeys(names) if names.count(w) > 1]
+    if repeated:
+        raise argparse.ArgumentTypeError(f"region name(s) given more than once: {', '.join(repeated)}")
+    return names
+
+
+def _check_name(name: str) -> str:
+    """--check: a name of the suite; verifysuite is imported only when the flag is given."""
+    from .verifysuite import check_names
+
+    if name not in check_names():
+        raise argparse.ArgumentTypeError(f"unknown check name {name!r}; use --list to see the available names")
+    return name
 
 
 def _add_pair_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--bsc", dest="bsc_p", type=float, metavar="P", help="crossover rate of a binary symmetric channel")
-    sp.add_argument("--bec", dest="bec_e", type=float, metavar="E", help="erasure rate of a binary erasure channel")
+    sp.add_argument("--bsc", dest="bsc_p", type=_BSC, metavar="P", help="crossover rate of a binary symmetric channel")
+    sp.add_argument("--bec", dest="bec_e", type=_BEC, metavar="E", help="erasure rate of a binary erasure channel")
     sp.add_argument("--channel1", metavar="CHAN", help=f"channel file (JSON) or builtin name '{BUILTIN_PAIR}'")
     sp.add_argument("--channel2", metavar="CHAN", help=f"channel file (JSON) or builtin name '{BUILTIN_PAIR}'")
     sp.add_argument("--normalize", action="store_true", help="renormalize near-stochastic rows on load")
 
 
-def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], default_fmt: str, grid: int) -> None:
-    sp.add_argument("--grid", type=int, default=grid, metavar="N", help="resolution knob (sweep step is 1/N)")
+def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], fmt: str, grid: int, cap=sys.float_info.max):
+    # the step 1/grid is taken in floats, so no grid exceeds the largest float
+    grid_type = _ranged(int, lambda n: 2 <= n <= cap, f"lie in [2, {cap:.4g}]")
+    sp.add_argument("--grid", type=grid_type, default=grid, metavar="N", help="resolution knob (sweep step is 1/N)")
     sp.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
-    sp.add_argument("--format", dest="fmt", choices=formats, default=default_fmt, help="output format")
+    sp.add_argument("--format", dest="fmt", choices=formats, default=fmt, help="output format")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bcorder",
         description="orderings, regions and reference checks for two-receiver broadcast channels",
     )
@@ -106,23 +135,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="run the ordering tests on a channel pair")
     _add_pair_flags(sp)
-    sp.add_argument("--tol", type=float, default=VERDICT_TOL, metavar="X", help="degradedness verdict tolerance")
+    tol_type = _ranged(float, lambda x: 0.0 < x < np.inf, "be finite and positive")
+    sp.add_argument("--tol", type=tol_type, default=VERDICT_TOL, metavar="X", help="degradedness verdict tolerance")
     _add_common(sp, ("text", "json"), "text", 50)
 
     sp = sub.add_parser("dcurve", help="sample the gap curve of a (p, e) pair")
-    sp.add_argument("--p", type=float, required=True, metavar="P", help="crossover rate")
-    sp.add_argument("--e", type=float, required=True, metavar="E", help="erasure rate")
-    sp.add_argument("--samples", type=int, default=1001, metavar="N", help="number of sample points")
+    sp.add_argument("--p", type=_BSC, required=True, metavar="P", help="crossover rate")
+    sp.add_argument("--e", type=_BEC, required=True, metavar="E", help="erasure rate")
+    samples_type = _ranged(int, lambda n: 2 <= n <= DCURVE_SAMPLES_CAP, f"lie in [2, {DCURVE_SAMPLES_CAP}]")
+    sp.add_argument("--samples", type=samples_type, default=1001, metavar="N", help="number of sample points")
     _add_common(sp, ("csv", "svg", "json"), "csv", 50)
 
     sp = sub.add_parser("phase-map", help="regime map over the (p, e) rectangle")
-    _add_common(sp, ("csv", "svg", "json"), "csv", 50)
+    _add_common(sp, ("csv", "svg", "json"), "csv", 50, PHASE_GRID_CAP)
 
     sp = sub.add_parser("region", help="rate-region frontiers for a channel pair")
     _add_pair_flags(sp)
     sp.add_argument(
         "--which",
-        default="ib,ob",
+        type=_region_names,
+        default=("ib", "ob"),
         metavar="LIST",
         help="comma list from: " + ",".join(REGION_BOUNDS),
     )
@@ -140,64 +172,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify-paper", help="run the built-in golden-value check suite")
     sp.add_argument("--list", dest="list_checks", action="store_true", help="list check names and exit")
-    sp.add_argument("--check", metavar="NAME", help="run a single named check")
-    sp.add_argument("--tolerance", type=float, metavar="X", help="override every selected check's tolerance")
-    sp.add_argument("--seed", type=int, default=0, metavar="N", help="seed of the seeded checks")
+    sp.add_argument("--check", type=_check_name, metavar="NAME", help="run a single named check")
+    tolerance_type = _ranged(float, lambda x: 0.0 <= x < np.inf, "be finite and nonnegative")
+    sp.add_argument("--tolerance", type=tolerance_type, metavar="X", help="override every selected check's tolerance")
+    seed_type = _ranged(int, lambda n: n >= 0, "be nonnegative")
+    sp.add_argument("--seed", type=seed_type, default=0, metavar="N", help="seed of the seeded checks")
     _add_common(sp, ("text", "json"), "text", 32)
 
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
-    values = {k: v for k, v in vars(args).items() if k in fields and v is not None}
-    if "which" in values and isinstance(values["which"], str):
-        values["which"] = tuple(s.strip() for s in values["which"].split(",") if s.strip())
-    return RunConfig(**values)
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.grid < 2:
-        raise CliError("--grid must be at least 2")
-    if cfg.grid > sys.float_info.max:  # the step 1/grid is taken in floats
-        raise CliError(f"--grid must be at most {sys.float_info.max:.4g}")
-    if not 0.0 < cfg.tol < np.inf:
-        raise CliError("--tol must be finite and positive")
-    if cfg.tolerance is not None and not 0.0 <= cfg.tolerance < np.inf:
-        raise CliError("--tolerance must be finite and nonnegative")
-    if cfg.command == "dcurve" and cfg.samples < 2:
-        raise CliError("--samples must be at least 2")
-    if cfg.command == "dcurve" and cfg.samples > DCURVE_SAMPLES_CAP:
-        raise CliError(f"--samples must be at most {DCURVE_SAMPLES_CAP}")
-    if cfg.seed < 0:
-        raise CliError("--seed must be nonnegative")
-    if cfg.command == "phase-map" and cfg.grid > PHASE_GRID_CAP:
-        raise CliError(f"phase-map --grid must be at most {PHASE_GRID_CAP}")
-    if cfg.command == "region":
-        bad = [w for w in cfg.which if w not in REGION_BOUNDS]
-        if bad:
-            raise CliError(f"unknown region name(s): {', '.join(bad)}; choose from {', '.join(REGION_BOUNDS)}")
-        if not cfg.which:
-            raise CliError("--which selected no regions")
-        repeated = [w for w in dict.fromkeys(cfg.which) if cfg.which.count(w) > 1]
-        if repeated:
-            raise CliError(f"region name(s) given more than once: {', '.join(repeated)}")
-    if cfg.command in ("classify", "region"):
-        has_rates = cfg.bsc_p is not None and cfg.bec_e is not None
-        has_files = cfg.channel1 is not None and cfg.channel2 is not None
-        mixed = (cfg.bsc_p is not None or cfg.bec_e is not None) and (
-            cfg.channel1 is not None or cfg.channel2 is not None
-        )
-        if mixed or not (has_rates or has_files):
-            raise CliError("give either --bsc P with --bec E, or --channel1 with --channel2")
-    if cfg.command == "symmetry":
-        if cfg.bsc_p is None and cfg.bec_e is None and cfg.channel1 is None and cfg.channel2 is None:
-            raise CliError("give at least one channel (--bsc, --bec, --channel1 or --channel2)")
-    if cfg.command == "verify-paper" and cfg.check is not None:
-        from .verifysuite import check_names
-
-        if cfg.check not in check_names():
-            raise CliError(f"unknown check name {cfg.check!r}; use --list to see the available names")
+def _validate(args: argparse.Namespace) -> None:
+    """The rules that span flags; each flag's own range is checked by its parser type."""
+    given = [getattr(args, name, None) is not None for name in ("bsc_p", "bec_e", "channel1", "channel2")]
+    if args.command == "symmetry" and not any(given):
+        raise CliError("give at least one channel (--bsc, --bec, --channel1 or --channel2)")
+    if args.command in ("classify", "region") and given not in ([True, True, False, False], [False, False, True, True]):
+        raise CliError("give either --bsc P with --bec E, or --channel1 with --channel2")
 
 
 # ---------------------------------------------------------------------------
@@ -211,31 +202,15 @@ def _load_channel_source(source: str, role: int, normalize: bool) -> Dmc:
     return load_channel(source, normalize=normalize)
 
 
-def _resolve_pair(cfg: RunConfig) -> tuple[Dmc, Dmc, str, str]:
+def _resolve_pair(args: argparse.Namespace) -> tuple[Dmc, Dmc, str, str]:
     """Channel pair plus display names, in flag order (channel 1 first)."""
-    if cfg.channel1 is not None:
-        c1 = _load_channel_source(cfg.channel1, 1, cfg.normalize)
-        c2 = _load_channel_source(cfg.channel2, 2, cfg.normalize)
-        n1 = f"{cfg.channel1} (as channel 1)" if cfg.channel1 == BUILTIN_PAIR else cfg.channel1
-        n2 = f"{cfg.channel2} (as channel 2)" if cfg.channel2 == BUILTIN_PAIR else cfg.channel2
+    if args.channel1 is not None:
+        c1 = _load_channel_source(args.channel1, 1, args.normalize)
+        c2 = _load_channel_source(args.channel2, 2, args.normalize)
+        n1 = f"{args.channel1} (as channel 1)" if args.channel1 == BUILTIN_PAIR else args.channel1
+        n2 = f"{args.channel2} (as channel 2)" if args.channel2 == BUILTIN_PAIR else args.channel2
         return c1, c2, n1, n2
-    _check_rates(cfg.bsc_p, cfg.bec_e)
-    return bsc(cfg.bsc_p), bec(cfg.bec_e), "BSC side", "BEC side"
-
-
-def _check_bsc(p: float) -> None:
-    if not 0.0 <= p <= 0.5:
-        raise CliError("--bsc must lie in [0, 0.5]")
-
-
-def _check_bec(e: float) -> None:
-    if not 0.0 <= e <= 1.0:
-        raise CliError("--bec must lie in [0, 1]")
-
-
-def _check_rates(p: float, e: float) -> None:
-    _check_bsc(p)
-    _check_bec(e)
+    return bsc(args.bsc_p), bec(args.bec_e), "BSC side", "BEC side"
 
 
 def _fmt9(v: float) -> str:
@@ -243,11 +218,11 @@ def _fmt9(v: float) -> str:
     return "0.000000000" if s == "-0.000000000" else s
 
 
-def _emit(cfg: RunConfig, payload: str) -> None:
-    if cfg.out is None:
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if args.out is None:
         sys.stdout.write(payload)
     else:
-        with open(cfg.out, "w", newline="") as fh:
+        with open(args.out, "w", newline="") as fh:
             fh.write(payload)
 
 
@@ -379,25 +354,25 @@ def _finest_class(res: dict, n1: str, n2: str) -> str:
     return "none established at the tested resolution"
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(args: argparse.Namespace) -> int:
     from .classify import ordering_verdicts
 
-    c1, c2, n1, n2 = _resolve_pair(cfg)
-    step = 1.0 / cfg.grid
-    res = ordering_verdicts(c1, c2, step=step, tol=cfg.tol)
+    c1, c2, n1, n2 = _resolve_pair(args)
+    step = 1.0 / args.grid
+    res = ordering_verdicts(c1, c2, step=step, tol=args.tol)
     finest = _finest_class(res, n1, n2)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         doc = {
             "channel1": {"name": n1, "inputs": c1.input_size, "outputs": c1.output_size},
             "channel2": {"name": n2, "inputs": c2.input_size, "outputs": c2.output_size},
-            "grid": cfg.grid,
-            "tol": cfg.tol,
+            "grid": args.grid,
+            "tol": args.tol,
             "tests": {
                 k: {"outcome": v.outcome.value, "diagnostics": v.diagnostics} for k, v in res.items()
             },
             "finest_class": finest,
         }
-        _emit(cfg, _json_doc(doc))
+        _emit(args, _json_doc(doc))
         return 0
     labels = {
         "degraded_2_wrt_1": f"{n2} degraded w.r.t. {n1}",
@@ -422,7 +397,7 @@ def cmd_classify(cfg: RunConfig) -> int:
             line += f" (faces checked for their first {d['face_pair_cap']} face/input pairs)"
         lines.append(line)
     lines.append(f"finest class: {finest}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -430,23 +405,23 @@ def cmd_classify(cfg: RunConfig) -> int:
 # dcurve
 
 
-def cmd_dcurve(cfg: RunConfig) -> int:
-    pts = d_curve(BscBecPair(cfg.p, cfg.e), samples=cfg.samples)
-    if cfg.fmt == "csv":
+def cmd_dcurve(args: argparse.Namespace) -> int:
+    pts = d_curve(BscBecPair(args.p, args.e), samples=args.samples)
+    if args.fmt == "csv":
         rows = ["x,D"] + [f"{x:.9f},{_fmt9(d)}" for x, d in pts]
-        _emit(cfg, "\n".join(rows) + "\n")
-    elif cfg.fmt == "json":
-        _emit(cfg, _json_doc({"p": cfg.p, "e": cfg.e, "samples": cfg.samples, "points": pts}))
+        _emit(args, "\n".join(rows) + "\n")
+    elif args.fmt == "json":
+        _emit(args, _json_doc({"p": args.p, "e": args.e, "samples": args.samples, "points": pts}))
     else:
         ys = [d for _, d in pts]
         lo, hi = min(min(ys), 0.0), max(max(ys), 0.0)
         pad = 0.1 * max(hi - lo, SIMPLEX_TOL)
         y0, y1 = lo - pad, hi + pad
-        parts = _svg_open(f"gap curve, p = {cfg.p:g}, e = {cfg.e:g}")
+        parts = _svg_open(f"gap curve, p = {args.p:g}, e = {args.e:g}")
         parts += _svg_axes(0.0, 1.0, y0, y1, "input law parameter x", "D(x)")
         parts.append(_svg_polyline([0.0, 1.0], [0.0, 0.0], 0.0, 1.0, y0, y1, "#999999", 1.0, "4,4"))
         parts.append(_svg_polyline([x for x, _ in pts], ys, 0.0, 1.0, y0, y1, "#4477aa"))
-        _emit(cfg, _svg_close(parts))
+        _emit(args, _svg_close(parts))
     return 0
 
 
@@ -454,13 +429,13 @@ def cmd_dcurve(cfg: RunConfig) -> int:
 # phase-map
 
 
-def cmd_phase_map(cfg: RunConfig) -> int:
-    n = cfg.grid
+def cmd_phase_map(args: argparse.Namespace) -> int:
+    n = args.grid
     ps = np.linspace(0.0, 0.5, n)
     es = np.linspace(0.0, 1.0, n)
     tags, flags = regime(ps[:, None], es[None, :])
     names = [t.value for t in PairTag]
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         # each distinct p, e and (tag, boundary) suffix is formatted once
         es9 = [f"{e:.9f}" for e in es.tolist()]
         suffixes = [f",{name},{b}" for name in names for b in (0, 1)]
@@ -468,13 +443,13 @@ def cmd_phase_map(cfg: RunConfig) -> int:
         for p, codes in zip(ps.tolist(), (2 * tags + flags).tolist()):
             head = f"{p:.9f},"
             rows += [head + e + suffixes[c] for e, c in zip(es9, codes)]
-        _emit(cfg, "\n".join(rows) + "\n")
+        _emit(args, "\n".join(rows) + "\n")
         return 0
     mesh = itertools.product(ps.tolist(), es.tolist())
     cells = [(p, e, names[t], int(b)) for (p, e), t, b in zip(mesh, tags.flat, flags.flat)]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit(
-            cfg,
+            args,
             _json_doc(
                 {
                     "grid": n,
@@ -508,7 +483,7 @@ def cmd_phase_map(cfg: RunConfig) -> int:
                 ("essentially less noisy", _TAG_COLORS[PairTag.ESSENTIALLY_LESS_NOISY_BSC_SIDE.value]),
             ]
         )
-        _emit(cfg, _svg_close(parts))
+        _emit(args, _svg_close(parts))
     return 0
 
 
@@ -550,41 +525,40 @@ def _load_input_class(source: str, m: int, normalize: bool) -> list[Dist]:
     return out
 
 
-def _resolve_region_pair(cfg: RunConfig) -> tuple[Dmc, Dmc, str, str]:
+def _resolve_region_pair(args: argparse.Namespace) -> tuple[Dmc, Dmc, str, str]:
     """(dominant, weak) plus names; --bsc/--bec pick dominance by regime."""
-    if cfg.channel1 is not None:
-        return _resolve_pair(cfg)
-    _check_rates(cfg.bsc_p, cfg.bec_e)
-    chan_s, chan_b = bsc(cfg.bsc_p), bec(cfg.bec_e)
-    tag = classify_pair(BscBecPair(cfg.bsc_p, cfg.bec_e)).tag
+    if args.channel1 is not None:
+        return _resolve_pair(args)
+    chan_s, chan_b = bsc(args.bsc_p), bec(args.bec_e)
+    tag = classify_pair(BscBecPair(args.bsc_p, args.bec_e)).tag
     if tag is PairTag.ESSENTIALLY_LESS_NOISY_BSC_SIDE:
         return chan_s, chan_b, "BSC side", "BEC side"
     return chan_b, chan_s, "BEC side", "BSC side"
 
 
-def cmd_region(cfg: RunConfig) -> int:
+def cmd_region(args: argparse.Namespace) -> int:
     from .regions import frontier_csv, region_frontiers
 
-    a, b, n1, n2 = _resolve_region_pair(cfg)
+    a, b, n1, n2 = _resolve_region_pair(args)
     if a.input_size != b.input_size:
         raise CliError("the two channels must share an input alphabet")
     m = a.input_size
-    step = 1.0 / cfg.grid
-    members = _load_input_class(cfg.input_class, m, cfg.normalize) if cfg.input_class else None
-    frontiers = region_frontiers(a, b, cfg.which, members, step)
+    step = 1.0 / args.grid
+    members = _load_input_class(args.input_class, m, args.normalize) if args.input_class else None
+    frontiers = region_frontiers(a, b, args.which, members, step)
     # a point cap or the face-sweep floor can coarsen a sweep past 1/grid
     swept = max(fr.diagnostics["step"] for fr in frontiers.values())
     asked = f" (asked {step:g})" if swept != step else ""
     print(f"dominant: {n1}; weak: {n2}; step {swept:g}{asked}", file=sys.stderr)
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         if len(frontiers) == 1:
-            _emit(cfg, frontier_csv(next(iter(frontiers.values()))))
+            _emit(args, frontier_csv(next(iter(frontiers.values()))))
         else:
             rows = ["which,r1,r2"]
-            for name in cfg.which:
+            for name in args.which:
                 rows += [f"{name},{pt.r1:.9f},{pt.r2:.9f}" for pt in frontiers[name].points]
-            _emit(cfg, "\n".join(rows) + "\n")
-    elif cfg.fmt == "json":
+            _emit(args, "\n".join(rows) + "\n")
+    elif args.fmt == "json":
         doc = {
             "dominant": n1,
             "weak": n2,
@@ -600,14 +574,14 @@ def cmd_region(cfg: RunConfig) -> int:
                 for name, fr in frontiers.items()
             },
         }
-        _emit(cfg, _json_doc(doc))
+        _emit(args, _json_doc(doc))
     else:
         x1 = max(fr.max_r1 for fr in frontiers.values()) * 1.08 + VERDICT_TOL
         y1 = max(fr.max_r2 for fr in frontiers.values()) * 1.08 + VERDICT_TOL
         parts = _svg_open(f"rate frontiers ({n1} dominant)")
         parts += _svg_axes(0.0, x1, 0.0, y1, "r1 (dominant receiver)", "r2 (weak receiver)")
         legend = []
-        for i, name in enumerate(cfg.which):
+        for i, name in enumerate(args.which):
             fr = frontiers[name]
             color = _SERIES_COLORS[i % len(_SERIES_COLORS)]
             xs = [pt.r1 for pt in fr.points]
@@ -617,7 +591,7 @@ def cmd_region(cfg: RunConfig) -> int:
             parts.append(_svg_polyline(xs, ys, 0.0, x1, 0.0, y1, color))
             legend.append((name, color))
         parts += _svg_legend(legend)
-        _emit(cfg, _svg_close(parts))
+        _emit(args, _svg_close(parts))
     return 0
 
 
@@ -625,18 +599,16 @@ def cmd_region(cfg: RunConfig) -> int:
 # symmetry
 
 
-def cmd_symmetry(cfg: RunConfig) -> int:
+def cmd_symmetry(args: argparse.Namespace) -> int:
     chans: list[tuple[str, Dmc]] = []
-    if cfg.channel1 is not None:
-        chans.append((cfg.channel1, _load_channel_source(cfg.channel1, 1, cfg.normalize)))
-    if cfg.channel2 is not None:
-        chans.append((cfg.channel2, _load_channel_source(cfg.channel2, 2, cfg.normalize)))
-    if cfg.bsc_p is not None:
-        _check_bsc(cfg.bsc_p)
-        chans.append((f"BSC({cfg.bsc_p:g})", bsc(cfg.bsc_p)))
-    if cfg.bec_e is not None:
-        _check_bec(cfg.bec_e)
-        chans.append((f"BEC({cfg.bec_e:g})", bec(cfg.bec_e)))
+    if args.channel1 is not None:
+        chans.append((args.channel1, _load_channel_source(args.channel1, 1, args.normalize)))
+    if args.channel2 is not None:
+        chans.append((args.channel2, _load_channel_source(args.channel2, 2, args.normalize)))
+    if args.bsc_p is not None:
+        chans.append((f"BSC({args.bsc_p:g})", bsc(args.bsc_p)))
+    if args.bec_e is not None:
+        chans.append((f"BEC({args.bec_e:g})", bec(args.bec_e)))
     report: dict = {"channels": []}
     for name, chan in chans:
         try:
@@ -657,13 +629,13 @@ def cmd_symmetry(cfg: RunConfig) -> int:
         # both are known to be c-symmetric: no second symmetry search
         first, second = chans[0][1], chans[1][1]
         _require_same_input(first, second)
-        [dom] = _gap_search(first.rows[None], second.rows[None], 1.0 / cfg.grid).dominant(0)
+        [dom] = _gap_search(first.rows[None], second.rows[None], 1.0 / args.grid).dominant(0)
         report["uniform_dominance"] = {
             "first_over_second": dom.outcome.value,
             "diagnostics": dom.diagnostics,
         }
-    if cfg.fmt == "json":
-        _emit(cfg, _json_doc(report))
+    if args.fmt == "json":
+        _emit(args, _json_doc(report))
         return 0
     lines = []
     for entry in report["channels"]:
@@ -677,7 +649,7 @@ def cmd_symmetry(cfg: RunConfig) -> int:
             f"uniform-input dominance of {chans[0][0]} over {chans[1][0]}: "
             + report["uniform_dominance"]["first_over_second"]
         )
-    _emit(cfg, "\n".join(lines) + "\n")
+    _emit(args, "\n".join(lines) + "\n")
     return 0
 
 
@@ -685,17 +657,17 @@ def cmd_symmetry(cfg: RunConfig) -> int:
 # verify-paper
 
 
-def cmd_verify_paper(cfg: RunConfig) -> int:
+def cmd_verify_paper(args: argparse.Namespace) -> int:
     from .verifysuite import check_names, run_suite
 
-    if cfg.list_checks:
-        _emit(cfg, "\n".join(check_names()) + "\n")
+    if args.list_checks:
+        _emit(args, "\n".join(check_names()) + "\n")
         return 0
-    report = run_suite(grid=cfg.grid, seed=cfg.seed, only=cfg.check, tolerance=cfg.tolerance)
-    if cfg.fmt == "json":
-        _emit(cfg, report.to_json())
+    report = run_suite(grid=args.grid, seed=args.seed, only=args.check, tolerance=args.tolerance)
+    if args.fmt == "json":
+        _emit(args, report.to_json())
     else:
-        _emit(cfg, "\n".join(report.text_lines()) + "\n")
+        _emit(args, "\n".join(report.text_lines()) + "\n")
     return 0 if report.all_pass else 1
 
 
@@ -721,12 +693,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
-        cfg = _config_from_args(args)
-        _validate(cfg)
-        return _DISPATCH[cfg.command](cfg)
+        _validate(args)
+        return _DISPATCH[args.command](args)
+    except SystemExit:  # --help has printed; every parser rejection is a CliError
+        return 0
     except (CliError, ChannelFormatError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

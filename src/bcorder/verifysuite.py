@@ -17,7 +17,6 @@ import numpy as np
 from .bscbec import PHASE_GRID_CAP, BscBecPair, critical_point, d_derivative, d_func, degrading_channel, regime, thresholds
 from .channels import (
     Dmc,
-    aux_mi_batch,
     bec,
     bec_rows,
     bsc,
@@ -279,14 +278,6 @@ def _cond_mi_brute(pu: np.ndarray, rows: np.ndarray, chan: Dmc) -> float:
     return float(total)
 
 
-def _decomposition_informations(joint: np.ndarray, chan: Dmc) -> tuple[float, float]:
-    """(I(U;Y), I(X;Y|U)) for a (U, X) joint pushed through the channel."""
-    pu = joint.sum(axis=1)
-    conds = joint / pu[:, None]
-    i_aux = aux_mi_batch(chan.rows, pu[None, :], conds[None, :, :])[0]
-    return float(i_aux), float(pu @ mi_batch(chan.rows, conds))
-
-
 def _check_symmetrization(grid: int, seed: int, tol: float) -> CheckResult:
     chan_a, chan_b = bsc(0.1), bec(0.5)
     wit_a = detect_c_symmetry(chan_a)
@@ -303,11 +294,12 @@ def _check_symmetrization(grid: int, seed: int, tol: float) -> CheckResult:
         shift_px = np.array(
             [sym.conditional_given_shift(j).sum(axis=0) for j in range(sym.num_shifts)]
         )
+        pu, pu_s = joint.sum(axis=1), sym.joint.sum(axis=1)
+        dec = AuxDecomposition(Dist(pu), joint / pu[:, None])
+        dec_s = AuxDecomposition(Dist(pu_s), sym.joint / pu_s[:, None])
         for chan in (chan_a, chan_b):
-            i_aux, i_cond = _decomposition_informations(joint, chan)
-            i_aux_s, i_cond_s = _decomposition_informations(sym.joint, chan)
-            worst = max(worst, i_aux - i_aux_s)  # must not lose information
-            worst = max(worst, abs(i_cond - i_cond_s))
+            worst = max(worst, dec.mi_aux(chan) - dec_s.mi_aux(chan))  # must not lose information
+            worst = max(worst, abs(dec.mi_conditional(chan) - dec_s.mi_conditional(chan)))
             base = mi_batch(chan.rows, px[None, :])[0]
             i_blk = mi_batch(chan.rows, shift_px)
             # per-shift blocks relabel X, so X;Y information is preserved

@@ -519,6 +519,25 @@ def test_fuzz_invalid_flag_value_exits_two(argv):
     _assert_rejected(*run_cli(*argv))
 
 
+# argparse's own rejections: (argv, what is at fault, how the message says so)
+@pytest.mark.parametrize(
+    ("argv", "culprit", "reason"),
+    [
+        ((), "command", "the following arguments are required"),
+        (("bogus",), "command", "invalid choice: 'bogus'"),
+        (("classify", "--bogus"), "--bogus", "unrecognized arguments"),
+        (("region", *_BSC_BEC, "--format", "pdf"), "--format", "invalid choice: 'pdf'"),
+        (("dcurve", "--e", "0.5"), "--p", "the following arguments are required"),
+        (("classify", *_BSC_BEC, "--grid", "x"), "--grid", "invalid int value: 'x'"),
+        (("classify", "--bsc", "abc", "--bec", "0.5"), "--bsc", "invalid float value: 'abc'"),
+    ],
+)
+def test_parser_rejections_print_one_error_line(argv, culprit, reason):
+    code, out, err = run_cli(*argv)
+    _assert_rejected(code, out, err)
+    assert culprit in err and reason in err
+
+
 def test_verify_grid_caps_refuse_before_any_check_runs(monkeypatch):
     cap = verifysuite._REGION_GRID_CAP
     assert (cap + 1) ** 3 <= regions._SWEEP_CAP < (cap + 2) ** 3
