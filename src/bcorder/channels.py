@@ -352,7 +352,7 @@ def load_channel(path: str, normalize: bool = False) -> Dmc:
         with open(path, "r", encoding="utf-8") as fh:
             obj = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ChannelFormatError(f"cannot read channel file {path}: {exc}") from exc
+        raise ChannelFormatError(f"cannot read channel file {path!r}: {exc}") from exc
     return channel_from_dict(obj, normalize=normalize)
 
 

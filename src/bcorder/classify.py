@@ -7,6 +7,9 @@ always carries a concrete witness that re-validates independently, while
 Holds means "no counterexample at the stated resolution" and carries the
 search metadata in ``diagnostics``.  Degradedness is the exception: it is a
 finite linear feasibility problem and is decided exactly up to tolerance.
+So are the other tests on binary inputs, where the gap is a function of
+one variable whose concave and convex pieces are found exactly (see
+_BinaryPieces); their verdicts state ``"resolution": "exact"``.
 
 Searches are deterministic: grids are enumerated in lexicographic order
 and ties resolve to the first index.
@@ -51,6 +54,9 @@ _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 _PIVOT_CAP = 10_000       # simplex pivots before a solve counts as failed
 _LP_LANES = 1024          # degradedness LPs per lockstep solve, which bounds the tableaux' memory
+_LOGIT_CAP = 50.0         # binary root searches keep q and 1 - q above e^-50, about 2e-22
+_NEWTON_CAP = 64          # steps of one binary root search, above the ~45 bisections its bracket can need
+_FLIP = np.array([1.0, -1.0])  # the signs of the logit in the exponents of 1 - q and q
 
 
 class Outcome(enum.Enum):
@@ -277,28 +283,24 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
 
 
 @dataclass(frozen=True, eq=False)
-class _GapSearch:
+class _Extrema:
     """The two extrema of g = I(X;Y_a) - I(X;Y_b) of P pairs: arrays indexed (extremum, pair).
 
     Extremum 0 is min g and 1 is max g.  ``points`` is (2, P, m),
-    ``values`` and ``sweeps`` are (2, P), ``face_probes`` and
-    ``face_capped`` are (2, P), the face scan of (a, b) behind min g and of
-    (b, a) behind max g, and ``uniform`` is (P,), g at the uniform law.
+    ``values`` is (2, P) and ``uniform`` is (P,), g at the uniform law.
     Since g(b, a) is 0.0 - g bit for bit, each test in each direction reads
     one extremum: more capable of a over b reads min g and of b over a
     0.0 - max g; uniform dominance of a over b reads max g and of b over a
-    0.0 - min g.
+    0.0 - min g.  Each route states how it searched in ``_search``.
     """
 
-    step: float
-    grid_step: float
-    grid_points: int
     points: np.ndarray
     values: np.ndarray
-    sweeps: np.ndarray
-    face_probes: np.ndarray
-    face_capped: np.ndarray
     uniform: np.ndarray
+
+    def _search(self, k: int, side: int, p: int, capable: bool) -> dict:
+        """The diagnostics that say how extremum k of pair p was found, for a test of ``side``."""
+        raise NotImplementedError
 
     def capable(self, side: int) -> list[ClassVerdict]:
         """More-capable verdicts, one per pair, of a over b (side 0) or b over a (side 1).
@@ -319,27 +321,15 @@ class _GapSearch:
 
     def _verdicts(self, side: int, capable: bool) -> list[ClassVerdict]:
         k = side if capable else 1 - side  # capable side 0 and dominant side 1 read min g
-        x, v, sweeps, u = self.points[k], self.values[k], self.sweeps[k], self.uniform
+        x, v, u = self.points[k], self.values[k], self.uniform
         if side:
             v, u = 0.0 - v, 0.0 - u
         key = "min" if capable else "max"
         fails = v < -VERDICT_TOL if capable else v > u + VERDICT_TOL
         verdicts = []
-        for p, (xp, vp, sp) in enumerate(zip(x.tolist(), v.tolist(), sweeps.tolist())):
-            d = {
-                "grid_step": self.grid_step,
-                "grid_points": self.grid_points,
-                f"{key}_gap": vp,
-                f"arg{key}": xp,
-                "refine_sweeps": sp,
-            }
-            if self.step != self.grid_step:
-                d["requested_step"] = self.step
-            if capable:
-                d["face_probes"] = int(self.face_probes[side, p])
-                if self.face_capped[side, p]:
-                    d["face_pair_cap"] = _FACE_PAIR_CAP
-            else:
+        for p, (xp, vp) in enumerate(zip(x.tolist(), v.tolist())):
+            d = {f"{key}_gap": vp, f"arg{key}": xp, **self._search(k, side, p, capable)}
+            if not capable:
                 d["uniform_gap"] = float(u[p])
             if fails[p]:
                 verdicts.append(ClassVerdict(Outcome.FAILS, witness=Dist(x[p]), diagnostics=d))
@@ -348,12 +338,265 @@ class _GapSearch:
         return verdicts
 
 
-def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
+@dataclass(frozen=True, eq=False)
+class _GapSearch(_Extrema):
+    """The extrema of a grid search, for m != 2 (see _gap_search).
+
+    ``sweeps`` is (2, P), and ``face_probes`` and ``face_capped`` are
+    (2, P), the face scan of (a, b) behind min g and of (b, a) behind
+    max g.
+    """
+
+    step: float
+    grid_step: float
+    grid_points: int
+    sweeps: np.ndarray
+    face_probes: np.ndarray
+    face_capped: np.ndarray
+
+    def _search(self, k: int, side: int, p: int, capable: bool) -> dict:
+        d = {"grid_step": self.grid_step, "grid_points": self.grid_points, "refine_sweeps": int(self.sweeps[k, p])}
+        if self.step != self.grid_step:
+            d["requested_step"] = self.step
+        if capable:
+            d["face_probes"] = int(self.face_probes[side, p])
+            if self.face_capped[side, p]:
+                d["face_pair_cap"] = _FACE_PAIR_CAP
+        return d
+
+
+@dataclass(frozen=True, eq=False)
+class _ExactExtrema(_Extrema):
+    """The extrema of binary-input pairs, from their concave and convex pieces (see _BinaryPieces.extrema)."""
+
+    pieces: np.ndarray
+
+    def _search(self, k: int, side: int, p: int, capable: bool) -> dict:
+        return {"resolution": "exact", "pieces": int(self.pieces[p])}
+
+
+def _binary_laws(t: np.ndarray) -> np.ndarray:
+    """The input laws (1 - q, q) at logits t = ln(q / (1 - q)), as (..., 2).
+
+    Each coordinate keeps its full relative precision next to either
+    vertex, and t = -inf and +inf give the vertices exactly.
+    """
+    return 1.0 / (1.0 + np.exp(t[..., None] * _FLIP))
+
+
+def _output_laws(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """(1 - q) r0 + q r1 for laws x (..., 2) and rows (..., 2, n), cell by cell, without BLAS."""
+    return x[..., :1] * rows[..., 0, :] + x[..., 1:] * rows[..., 1, :]
+
+
+@dataclass(frozen=True, eq=False)
+class _BinaryPieces:
+    """The concave and convex runs of g = I(X;Y_a) - I(X;Y_b) for P binary-input pairs.
+
+    With d = r1 - r0 and L_y = (1 - q) r0_y + q r1_y for q = P(X = 1),
+    g''(q) = -S(q) / ln 2 where S = S_a - S_b and S_c is the sum of
+    d_y^2 / L_y over channel c's outputs.  Positions are logits
+    t = ln(q / (1 - q)): run r of pair p spans ``ends[p, r]`` to
+    ``ends[p, r + 1]``, -inf and +inf being the vertices, and
+    ``shape[p, r]`` is +1 where S > 0 (g concave), -1 where S < 0 (g
+    convex) and 0 where S vanishes (g linear).  Runs from ``pieces[p]`` on
+    are empty padding, +inf to +inf with shape 0.  ``rows``, ``d`` and
+    ``sq`` are the outputs of a then b side by side, (P, 2, n), (P, n) and
+    (P, n): an output with |d| <= CELL_FLOOR takes d = 0 and rows of ones,
+    so its L is 1 and it adds nothing to g' or g''.  Every sum over outputs
+    is taken per channel (np.add.reduceat at ``split``), so swapping a and
+    b negates S, g' and g bit for bit.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    rows: np.ndarray
+    d: np.ndarray
+    sq: np.ndarray
+    ends: np.ndarray
+    shape: np.ndarray
+    pieces: np.ndarray
+
+    @property
+    def split(self) -> list[int]:
+        return [0, self.a.shape[2]]
+
+    def extrema(self) -> _ExactExtrema:
+        """min g and max g of every pair.
+
+        Both lie at q = 0, q = 1, a run end, or where g' vanishes inside a
+        run.  On a run of shape +-1 g' is monotone, so it vanishes there at
+        most once, and only where its signs at the run's ends (clipped to
+        |t| <= _LOGIT_CAP) differ.  Those roots are searched in lockstep by
+        Newton's method on h(t) = g'(q), with h'(t) = g''(q) q (1 - q),
+        safeguarded by bisection in t inside a bracket that every step
+        shrinks.  A root stops after a step of at most SIMPLEX_TOL in q,
+        so g there is off by about g'' SIMPLEX_TOL^2, or after _NEWTON_CAP
+        steps.  g at the uniform law, the run ends and the roots gives the
+        extrema, the first of equals; the uniform law's is ``uniform``.
+        """
+        a, b = self.a, self.b
+        ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
+        pair, run = np.nonzero(self.shape)
+        rows, d, sq = self.rows[pair], self.d[pair], self.sq[pair]
+        # g' = gain - sum_y d_y log2 L_y, summed per channel; I'_c = H(r0) - H(r1) - ...
+        gain = (ha[pair, 0] - ha[pair, 1]) - (hb[pair, 0] - hb[pair, 1])
+
+        def slope(t):
+            # h, dh/dt and dq/dt at logits t, (..., lanes)
+            x = _binary_laws(t)
+            out = _output_laws(x, rows)
+            drift = np.add.reduceat(d * np.log2(out), self.split, axis=-1)
+            bend = np.add.reduceat(sq / out, self.split, axis=-1)
+            dq = x[..., 0] * x[..., 1]
+            return gain - (drift[..., 0] - drift[..., 1]), (bend[..., 1] - bend[..., 0]) * dq / math.log(2.0), dq
+
+        lo = np.maximum(self.ends[pair, run], -_LOGIT_CAP)
+        hi = np.minimum(self.ends[pair, run + 1], _LOGIT_CAP)
+        h_lo, h_hi = slope(np.array([lo, hi]))[0]
+        live = h_lo * h_hi < 0.0  # a root inside
+        found = live.copy()
+        t = 0.5 * (lo + hi)
+        for _ in range(_NEWTON_CAP):
+            if not live.any():
+                break
+            h, dh, dq = slope(t)
+            up = h * h_lo > 0.0  # t lies below the root
+            lo, hi, h_lo = np.where(up, t, lo), np.where(up, hi, t), np.where(up, h, h_lo)
+            step = np.divide(h, dh, out=np.full_like(h, np.inf), where=dh != 0.0)
+            done = np.abs(step) * dq <= SIMPLEX_TOL
+            nxt = t - step
+            nxt = np.where(done | ((nxt > lo) & (nxt < hi)), nxt, 0.5 * (lo + hi))
+            t = np.where(live, nxt, t)  # a root stops where it was done, in a stack as alone
+            live &= ~done
+        # candidates: the uniform law (t = 0), the run ends, then the roots; a run without one repeats vertex 0
+        width = self.ends.shape[1]
+        cands = np.full((len(a), 1 + width + self.shape.shape[1]), -np.inf)
+        cands[:, 0] = 0.0
+        cands[:, 1:width + 1] = self.ends
+        cands[pair, width + 1 + run] = np.where(found, t, -np.inf)
+        x = _binary_laws(cands)
+        g = mi_from_entropies(a, ha, x) - mi_from_entropies(b, hb, x)
+        picks = np.array([g.argmin(axis=1), g.argmax(axis=1)])
+        lane = np.arange(len(a))
+        return _ExactExtrema(points=x[lane, picks], values=g[lane, picks], uniform=g[:, 0], pieces=self.pieces)
+
+    def less_noisy(self, both: bool = False) -> list[list[ClassVerdict]]:
+        """Less-noisy verdicts of a over b, one per pair, and with ``both`` a list of those of b over a.
+
+        a is less noisy than b iff g is concave (van Dijk), so the witnesses
+        against a over b are the convex runs, and against b over a the
+        concave ones.  A run's chord, its two ends with weights 1/2, gives
+        I(U;Y_b) - I(U;Y_a) = (g(x1) + g(x2)) / 2 - g((x1 + x2) / 2), which
+        is positive on a convex run and grows as either end moves outward
+        (its derivative in x1 is (g'(x1) - g'(mid)) / 2 <= 0), so the run
+        ends are its widest chord.  Each chord is scored by aux_mi_batch,
+        and a verdict Fails with its first worst chord when that exceeds
+        VERDICT_TOL.  The verdicts of b over a equal those of a one-way
+        call on (b, a), bit for bit.
+        """
+        ends = self.ends
+        chords = _binary_laws(ends)[:, np.add.outer(np.arange(ends.shape[1] - 1), [0, 1])]
+        weights = np.full(chords.shape[:3], 0.5)
+        info_a, info_b = aux_mi_batch(self.a, weights, chords), aux_mi_batch(self.b, weights, chords)
+        sides, halves = [], Dist(np.array([0.5, 0.5]))
+        for shape, viol in ((-1.0, info_b - info_a), (1.0, info_a - info_b))[: 2 if both else 1]:
+            viol = np.where(self.shape == shape, viol, -np.inf)
+            verdicts = []
+            for p, (c, pieces) in enumerate(zip(viol.argmax(axis=1).tolist(), self.pieces.tolist())):
+                d = {"resolution": "exact", "pieces": pieces}
+                if viol[p, c] > VERDICT_TOL:
+                    d["violation"] = float(viol[p, c])
+                    d["witness_pair"] = chords[p, c].tolist()
+                    verdicts.append(ClassVerdict(Outcome.FAILS, AuxDecomposition(halves, chords[p, c]), d))
+                else:
+                    verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
+            sides.append(verdicts)
+        return sides
+
+
+def _binary_runs(a: np.ndarray, b: np.ndarray) -> list[_BinaryPieces]:
+    """_binary_pieces of runs of pairs, each under _HESSIAN_BLOCK array entries, about 2 n^2 per pair."""
+    run = max(1, _HESSIAN_BLOCK // (2 * (a.shape[2] + b.shape[2]) ** 2))
+    return [_binary_pieces(a[lo:lo + run], b[lo:lo + run]) for lo in range(0, max(len(a), 1), run)]
+
+
+def _binary_pieces(a: np.ndarray, b: np.ndarray) -> _BinaryPieces:
+    """The runs of g'' of one sign, for (P, 2, na) and (P, 2, nb) row stacks.
+
+    S times the product of the L_y is a polynomial.  In z = q / (1 - q) it
+    is N(z) = P_a P_b (Q_a - Q_b), with P_c the product of r0_y + z r1_y
+    and Q_c the sum of d_y^2 / (r0_y + z r1_y) over channel c's outputs.
+    Its degree is below n = na + nb, so its coefficients are the FFT of its
+    values at the n-th roots of unity.  Coefficients at either end within
+    SIMPLEX_TOL of the largest are dropped, which drops roots within about
+    that ratio of a vertex.  The cuts are the positive real roots of the
+    rest (companion-matrix eigenvalues whose imaginary part is within
+    sqrt(SIMPLEX_TOL) of their modulus) with |ln z| < _LOGIT_CAP.  Each
+    piece between cuts takes the sign of S at its midpoint logit, clipped
+    to the cap, and neighbours of one sign merge into one run, so a
+    spurious cut costs nothing but a candidate.  Swapping a and b negates
+    N and S bit for bit: the runs of (b, a) are those of (a, b), shapes
+    negated.
+    """
+    count, n = a.shape[0], a.shape[2] + b.shape[2]
+    split = [0, a.shape[2]]
+    rows = np.concatenate([a, b], axis=2)
+    d = rows[:, 1] - rows[:, 0]
+    moving = np.abs(d) > CELL_FLOOR
+    d = np.where(moving, d, 0.0)
+    sq = d * d
+    rows = np.where(moving[:, None, :], rows, 1.0)
+    z = np.exp(2j * np.pi * np.arange(n) / n)[:, None]
+    f = np.where(moving[:, None, :], rows[:, None, 0, :] + z * rows[:, None, 1, :], 1.0)
+    prods, sums = np.multiply.reduceat(f, split, axis=2), np.add.reduceat(sq[:, None, :] / f, split, axis=2)
+    pa, pb = prods[..., 0], prods[..., 1]
+    # P_a P_b term by term, since numpy's complex product of x and y need not round as that of y and x
+    both = (pa.real * pb.real - pa.imag * pb.imag) + 1j * (pa.real * pb.imag + pa.imag * pb.real)
+    coefs = np.fft.fft(both * (sums[..., 0] - sums[..., 1]), axis=1).real
+    kept = np.abs(coefs) > SIMPLEX_TOL * np.abs(coefs).max(axis=1, initial=0.0, keepdims=True)
+    trail = kept.argmax(axis=1)
+    degree = np.where(kept.any(axis=1), n - 1 - kept[:, ::-1].argmax(axis=1) - trail, 0)
+    cuts = np.full((count, n), np.inf)
+    for k in np.unique(degree[degree > 0]).tolist():
+        sel = np.flatnonzero(degree == k)
+        c = coefs[sel[:, None], trail[sel, None] + np.arange(k + 1)]
+        companion = np.zeros((sel.size, k, k))
+        companion[:, 0] = -c[:, k - 1::-1] / c[:, k:]
+        companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        lam = np.linalg.eigvals(companion)
+        real = (lam.real > 0.0) & (np.abs(lam.imag) <= math.sqrt(SIMPLEX_TOL) * np.abs(lam))
+        t = np.log(np.where(real, lam.real, np.inf))
+        cuts[sel, :k] = np.where(np.abs(t) < _LOGIT_CAP, t, np.inf)
+    cuts.sort(axis=1)
+    ends = np.full((count, int(np.isfinite(cuts).sum(axis=1).max(initial=0)) + 2), np.inf)
+    ends[:, 0] = -np.inf
+    ends[:, 1:-1] = cuts[:, :ends.shape[1] - 2]
+    mid = 0.5 * (np.clip(ends[:, :-1], -_LOGIT_CAP, _LOGIT_CAP) + np.clip(ends[:, 1:], -_LOGIT_CAP, _LOGIT_CAP))
+    bend = np.add.reduceat(sq[:, None] / _output_laws(_binary_laws(mid), rows[:, None]), split, axis=2)
+    # a piece of no width (a repeated or padding cut) takes the sign of the piece before it
+    width = ends[:, :-1] < ends[:, 1:]
+    sign = np.sign(bend[..., 0] - bend[..., 1])
+    sign = sign[np.arange(count)[:, None], np.maximum.accumulate(np.where(width, np.arange(width.shape[1]), 0), axis=1)]
+    first = width.copy()
+    first[:, 1:] &= sign[:, 1:] != sign[:, :-1]
+    run = np.cumsum(first, axis=1) - 1
+    pieces = run[:, -1] + 1
+    run_ends = np.full((count, int(pieces.max(initial=1)) + 1), np.inf)
+    shape = np.zeros((count, run_ends.shape[1] - 1))
+    p, j = np.nonzero(first)
+    run_ends[p, run[p, j]] = ends[p, j]
+    shape[p, run[p, j]] = sign[p, j]
+    return _BinaryPieces(a=a, b=b, rows=rows, d=d, sq=sq, ends=run_ends, shape=shape, pieces=pieces)
+
+
+def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _Extrema:
     """min g and max g of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
 
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  The
     more-capable and uniform-dominance tests, both ways, all read these two
-    extrema (see _GapSearch):
+    extrema (see _Extrema).  Binary inputs (m = 2) take the exact route of
+    _BinaryPieces, which needs no ``step``; every other m searches so:
     - min g starts from the grid's argmin, or from the face probe of (a, b)
       (side 0 of _face_chords, t halved down from ``step``) with a smaller
       gap; ties keep the grid point.
@@ -364,6 +607,14 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _GapSearch:
     0.0 - g, reported as 0.0 - v, and max g as the ascent of g.
     """
     count, m = a.shape[:2]
+    if m == 2:
+        parts = [pieces.extrema() for pieces in _binary_runs(a, b)]
+        return _ExactExtrema(
+            points=np.concatenate([x.points for x in parts], axis=1),
+            values=np.concatenate([x.values for x in parts], axis=1),
+            uniform=np.concatenate([x.uniform for x in parts]),
+            pieces=np.concatenate([x.pieces for x in parts]),
+        )
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = _grid_points(m, eff)[0]
     # scored in runs of pairs, then of chords, each under _HESSIAN_BLOCK entries of output laws
@@ -623,9 +874,10 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     Minimizes the gap over a simplex grid plus local refinement.  Faces with
     a positive pull (see _face_chords) add probes x + t (e_i - x) for t
     halved down from ``step``, since the gap can dip below zero far inside
-    the first grid cell there.  Fails with the violating input law if the
-    minimum drops below -VERDICT_TOL.  It is the one-pair case of
-    ``more_capable_stack``.
+    the first grid cell there.  On binary inputs the minimum is exact
+    instead and ``step`` is unused (see _BinaryPieces.extrema).  Fails with
+    the violating input law if the minimum drops below -VERDICT_TOL.  It is
+    the one-pair case of ``more_capable_stack``.
     """
     _require_same_input(a, b)
     return _gap_search(a.rows[None], b.rows[None], step).capable(0)[0]
@@ -658,12 +910,13 @@ def _tangent_basis(m: int) -> np.ndarray:
 def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
     """The largest eigenvalue of _tangent_hessian at every point, as (P, k).
 
-    For d = m-1 <= 3 it is taken in closed form: row o of a per-pair table
-    holds +-proj[:, o] proj[:, o]^T / ln 2, + for b's outputs and - for a's,
-    so one GEMM of it with 1/q gives every Hessian's entries.  The top
-    eigenvalue is then the entry itself for d = 1, the 2x2 formula for d = 2
-    and the trigonometric formula for d = 3, with the 3x3 determinant
-    written out.  Larger d takes eigvalsh of each Hessian.
+    For d = m-1 in {2, 3} it is taken in closed form: row o of a per-pair
+    table holds +-proj[:, o] proj[:, o]^T / ln 2, + for b's outputs and -
+    for a's, so one GEMM of it with 1/q gives every Hessian's entries.  The
+    top eigenvalue is then the 2x2 formula for d = 2 and the trigonometric
+    formula for d = 3, with the 3x3 determinant written out.  Larger d takes
+    eigvalsh of each Hessian.  Binary inputs (d = 1) never get here: they
+    take _BinaryPieces.
     """
     count, d, nb = proj_b.shape
     if d > 3:
@@ -673,8 +926,6 @@ def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_
     table[:, :, nb:] *= -1.0
     # entries as (P, d*d, k), so that each entry's values are contiguous
     h = (table / math.log(2.0)) @ (1.0 / np.concatenate((q_b, q_a), axis=2)).transpose(0, 2, 1)
-    if d == 1:
-        return h[:, 0]
     if d == 2:
         a, b, c = h[:, 0], h[:, 1], h[:, 3]
         return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
@@ -743,9 +994,13 @@ def _less_noisy(a: np.ndarray, b: np.ndarray, step: float, both: bool = False) -
     1's face chords are dropped.  One auxiliary-information call per channel
     scores each run of chords under _HESSIAN_BLOCK entries, and each chord
     keeps its worst halving only.  Each verdict equals that of a
-    one-direction call.
+    one-direction call.  Binary inputs (m = 2) take the exact route of
+    _BinaryPieces instead, which needs no ``step``.
     """
     count, m = a.shape[:2]
+    if m == 2:
+        parts = [pieces.less_noisy(both) for pieces in _binary_runs(a, b)]
+        return [v for side in range(2 if both else 1) for part in parts for v in part[side]]
     sides = 2 if both else 1
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid, interior = _grid_points(m, eff)
@@ -832,8 +1087,10 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     Fails with the best chord when its I(U;Y_b) - I(U;Y_a) exceeds
     VERDICT_TOL; otherwise Holds at the grid resolution.  A grid with fewer
     parts than inputs has no interior point; the Hessian is then taken on
-    the grid pulled halfway toward the uniform law.  It is the one-pair
-    case of ``less_noisy_stack``.
+    the grid pulled halfway toward the uniform law.  On binary inputs the
+    concave and convex pieces of f are exact instead and ``step`` is unused
+    (see _BinaryPieces.less_noisy).  It is the one-pair case of
+    ``less_noisy_stack``.
     """
     _require_same_input(a, b)
     return _less_noisy(a.rows[None], b.rows[None], step)[0]
@@ -868,8 +1125,8 @@ def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict
 
     Both channels must be c-symmetric (that is the setting in which the
     property implies an ordering).  Maximizes the gap over a simplex grid
-    plus refinement and compares with the gap at uniform.  It is the
-    one-pair case of ``dominant_c_symmetry_stack``.
+    plus refinement, or exactly on binary inputs, and compares with the gap
+    at uniform.  It is the one-pair case of ``dominant_c_symmetry_stack``.
     """
     _require_same_input(a, b)
     _require_c_symmetric(a.rows[None], b.rows[None])
@@ -940,15 +1197,21 @@ def ordering_verdicts(
     come from one curvature scan and one chord-scoring pass (_less_noisy),
     more capable and the uniform-dominance gate of essentially less noisy,
     both ways, read the two extrema of one _gap_search, and each channel's
-    cyclic symmetry is searched once.
+    cyclic symmetry is searched once.  On binary inputs one _BinaryPieces
+    serves all six gap tests.
     """
     m = _require_same_input(a, b)
     res = {
         "degraded_2_wrt_1": test_degraded(a, b, tol=tol),
         "degraded_1_wrt_2": test_degraded(b, a, tol=tol),
     }
-    res["less_noisy_1"], res["less_noisy_2"] = _less_noisy(a.rows[None], b.rows[None], step, both=True)
-    found = _gap_search(a.rows[None], b.rows[None], step)
+    if m == 2:  # one set of pieces serves every gap test
+        pieces = _binary_pieces(a.rows[None], b.rows[None])
+        [res["less_noisy_1"]], [res["less_noisy_2"]] = pieces.less_noisy(both=True)
+        found = pieces.extrema()
+    else:
+        res["less_noisy_1"], res["less_noisy_2"] = _less_noisy(a.rows[None], b.rows[None], step, both=True)
+        found = _gap_search(a.rows[None], b.rows[None], step)
     res["more_capable_1"], res["more_capable_2"] = found.capable(0)[0], found.capable(1)[0]
     sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
     both = sym_a is True and sym_b is True

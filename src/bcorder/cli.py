@@ -90,7 +90,7 @@ _BEC = _ranged(float, lambda e: 0.0 <= e <= 1.0, "lie in [0, 1]")
 def _region_names(text: str) -> tuple[str, ...]:
     """--which: a comma list of distinct names from REGION_BOUNDS."""
     names = tuple(s.strip() for s in text.split(",") if s.strip())
-    bad = ", ".join(w for w in names if w not in REGION_BOUNDS)
+    bad = ", ".join(repr(w) for w in names if w not in REGION_BOUNDS)
     if bad:
         raise argparse.ArgumentTypeError(f"unknown region name(s): {bad}; choose from {', '.join(REGION_BOUNDS)}")
     if not names:
@@ -504,24 +504,24 @@ def _load_input_class(source: str, m: int, normalize: bool) -> list[Dist]:
         with open(source) as fh:
             data = json.load(fh)
     except FileNotFoundError as exc:
-        raise CliError(f"class file not found: {source}") from exc
+        raise CliError(f"class file not found: {source!r}") from exc
     except json.JSONDecodeError as exc:
-        raise CliError(f"class file {source} is not valid JSON: {exc}") from exc
+        raise CliError(f"class file {source!r} is not valid JSON: {exc}") from exc
     members = data["members"] if isinstance(data, dict) and "members" in data else data
     if not isinstance(members, list) or not members:
-        raise CliError(f"class file {source} must hold a nonempty list of input laws")
+        raise CliError(f"class file {source!r} must hold a nonempty list of input laws")
     out = []
     for row in members:
         try:
             arr = np.asarray(row, dtype=float)
         except (TypeError, ValueError) as exc:
-            raise CliError(f"class file {source}: every member must be a list of numbers") from exc
+            raise CliError(f"class file {source!r}: every member must be a list of numbers") from exc
         if arr.ndim != 1 or arr.size != m:
             raise CliError(f"class member of length {arr.size} does not match input size {m}")
         try:
             out.append(Dist.normalized(arr) if normalize else Dist(arr))
         except DomainError as exc:
-            raise CliError(f"class file {source}: {exc}") from exc
+            raise CliError(f"class file {source!r}: {exc}") from exc
     return out
 
 

@@ -28,6 +28,23 @@ def _conditional_gap(dec, better, worse):
     return brute_conditional_mi(chain_table(dec, worse)) - brute_conditional_mi(chain_table(dec, better))
 
 
+def _on_inputs(rows, m):
+    """Binary-input channel rows (..., 2, n) on m inputs, input i repeating input i % 2.
+
+    The gap of such a pair on m inputs is the binary gap at the total mass
+    of the even and the odd inputs, so every ordering keeps its verdict, but
+    from m = 3 on the tests search it on the grid route, with its face
+    probes, curvature scan and refinement, where binary inputs take
+    _BinaryPieces.
+    """
+    return rows[..., np.arange(m) % 2, :]
+
+
+def _channel_on(chan, m=3):
+    """A binary-input channel on m inputs (see _on_inputs)."""
+    return Dmc(_on_inputs(chan.rows, m), chan.output_labels)
+
+
 def _random_channel(rng, m, n, sparse):
     rows = rng.dirichlet(np.ones(n), size=m)
     if sparse:
@@ -158,7 +175,7 @@ def test_refine_extremum_breaks_ties_toward_first_move():
 
 @_PROPERTY
 @given(
-    m=st.integers(2, 4),
+    m=st.integers(3, 4),
     n=st.integers(2, 4),
     sparse=st.booleans(),
     maximize=st.booleans(),
@@ -331,10 +348,10 @@ def _assert_gap_search_is_four_searches(a, b, step):
 
 
 def _gap_stack(rng, family, m, count):
-    """(P, m, na) and (P, m, nb) row stacks of one family of channel pairs."""
+    """(P, m, na) and (P, m, nb) row stacks of one family of channel pairs, m >= 3."""
     if family == "bscbec":
-        a = np.stack([bsc(p).rows for p in rng.uniform(0.01, 0.49, count)])
-        b = np.stack([bec(e).rows for e in rng.uniform(0.01, 0.99, count)])
+        a = np.stack([_on_inputs(bsc(p).rows, m) for p in rng.uniform(0.01, 0.49, count)])
+        b = np.stack([_on_inputs(bec(e).rows, m) for e in rng.uniform(0.01, 0.99, count)])
         return (a, b) if rng.random() < 0.5 else (b, a)
     na, nb = (int(k) for k in rng.integers(2, 5, size=2))
     rows_a, rows_b = [], []
@@ -355,27 +372,28 @@ def _gap_stack(rng, family, m, count):
 @_PROPERTY
 @given(
     family=st.sampled_from(["bscbec", "random"]),
-    m=st.integers(2, 5),
+    m=st.integers(3, 5),
     count=st.integers(1, 4),
     step=st.sampled_from([1.0, 0.5, 1.0 / 3.0, 0.1, 0.05, 0.02]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_gap_search_equals_four_independent_searches_bitwise(family, m, count, step, seed):
-    # binary pairs at step 1 start every search at a vertex, where g is +0.0
+    # BSC/BEC pairs at step 1 start every search at a vertex, where g is +0.0
     # and argmin and argmax coincide; the stacks mix pairs whose probes win
     # with pairs whose probes lose or that have none
     rng = np.random.default_rng(seed)
-    a, b = _gap_stack(rng, family, 2 if family == "bscbec" else m, count)
+    a, b = _gap_stack(rng, family, m, count)
     _assert_gap_search_is_four_searches(a, b, step)
 
 
 @pytest.mark.parametrize("step", [1.0, 0.5, 0.02])
 def test_gap_search_equals_four_searches_where_probes_win_and_lose(step):
-    # BSC(p)/BEC(e) near the dip of test_more_capable_face_probes_find_the_dip
-    # and well away from it, in both orders, with a repeated pair and a = b
+    # BSC(p)/BEC(e) on three inputs near the dip of
+    # test_more_capable_face_probes_find_the_dip and well away from it, in
+    # both orders, with a repeated pair and a = b
     rates = [(0.143641, 0.925798), (0.1, 0.5), (0.132669, 0.919705), (0.1, 0.5), (0.3, 0.2)]
-    a = np.stack([bsc(p).rows for p, _ in rates])
-    b = np.stack([bec(e).rows for _, e in rates])
+    a = np.stack([_on_inputs(bsc(p).rows, 3) for p, _ in rates])
+    b = np.stack([_on_inputs(bec(e).rows, 3) for _, e in rates])
     won_ab, won_ba = _assert_gap_search_is_four_searches(a, b, step)
     won_ba2, won_ab2 = _assert_gap_search_is_four_searches(b, a, step)
     assert np.array_equal(won_ab, won_ab2) and np.array_equal(won_ba, won_ba2)
@@ -386,13 +404,17 @@ def test_gap_search_equals_four_searches_where_probes_win_and_lose(step):
 
 @pytest.mark.parametrize("p, e", [(0.295631, 0.979533), (0.143641, 0.925798)])
 def test_dominance_refines_from_a_winning_probe(p, e):
-    # min g of BSC(p) over BEC(e) dips just inside a vertex, where only the
-    # face probe of (a, b) finds it; dominance of BEC over BSC is max g(b, a)
-    # = 0.0 - min g, so it reads the same refined point, not a grid vertex
-    found = ordering._gap_search(bsc(p).rows[None], bec(e).rows[None], 0.02)
+    # min g of BSC(p) over BEC(e), on three inputs, dips just inside a
+    # vertex, where only the face probe of (a, b) finds it; dominance of BEC
+    # over BSC is max g(b, a) = 0.0 - min g, so it reads the same refined
+    # point, not a grid vertex
+    a, b = _channel_on(bsc(p)), _channel_on(bec(e))
+    found = ordering._gap_search(a.rows[None], b.rows[None], 0.02)
     [dom], [cap] = found.dominant(1), found.capable(0)
     assert dom.diagnostics["argmax"] == cap.diagnostics["argmin"]
     assert dom.diagnostics["max_gap"] == 0.0 - cap.diagnostics["min_gap"] > 0.0
+    # classify reads dominance only on c-symmetric channels, which the
+    # three-input ones are not; on two inputs it reads one extremum too
     res = ordering.ordering_verdicts(bsc(p), bec(e))
     assert res["essentially_less_noisy_2"].diagnostics["argmax"] == res["more_capable_1"].diagnostics["argmin"]
     assert res["essentially_less_noisy_2"].diagnostics["max_gap"] == 0.0 - res["more_capable_1"].diagnostics["min_gap"]
@@ -456,8 +478,9 @@ def test_ordering_verdicts_scans_the_faces_once_per_search(monkeypatch):
         return scan(a, b)
 
     monkeypatch.setattr(ordering, "_face_chords", counted)
-    ordering.ordering_verdicts(bsc(0.1), bec(0.5))
-    assert calls == [(bsc(0.1).rows.tobytes(), bec(0.5).rows.tobytes())] * 2
+    a, b = _channel_on(bsc(0.1)), _channel_on(bec(0.5))
+    ordering.ordering_verdicts(a, b)
+    assert calls == [(a.rows.tobytes(), b.rows.tobytes())] * 2
 
 
 def _negative_zeros(*arrays):
@@ -505,8 +528,8 @@ def _circulant(rng, m, sparse):
 def _assert_close_diagnostics(got, want):
     assert list(got) == list(want)
     for key, value in want.items():
-        if value is None:
-            assert got[key] is None
+        if value is None or isinstance(value, str):
+            assert got[key] == value
         else:
             np.testing.assert_allclose(np.asarray(got[key], float), np.asarray(value, float), rtol=0, atol=1e-12)
 
@@ -742,10 +765,13 @@ def test_less_noisy_failure_witness_revalidates():
 def test_less_noisy_face_pull_fails_near_erasure_one(p, e):
     # every BEC with e < 1 reveals the input exactly with probability 1 - e,
     # so the gap bends without bound next to each vertex; the violation is
-    # far inside the first grid cell, where only the face term finds it
-    verdict = ordering.test_less_noisy(bsc(p), bec(e))
-    assert verdict.fails
-    assert _aux_gap(verdict.witness, bsc(p), bec(e)) > VERDICT_TOL / 2
+    # far inside the first grid cell, where on three inputs only the face
+    # term finds it, and on two the exact pieces
+    for m in (2, 3):
+        a, b = _channel_on(bsc(p), m), _channel_on(bec(e), m)
+        verdict = ordering.test_less_noisy(a, b)
+        assert verdict.fails
+        assert _aux_gap(verdict.witness, a, b) > VERDICT_TOL / 2
 
 
 def test_less_noisy_checks_curvature_without_interior_grid_points():
@@ -807,13 +833,13 @@ def test_curvature_scan_is_bounded_on_sixteen_inputs():
 
 
 def test_chord_scoring_is_bounded_by_the_block(monkeypatch):
-    # each BSC/BEC pair has two face chords of 41 probes, and each of its
-    # less-noisy chords two ends per probe; at a small block both are scored
-    # in runs of chords, so the peaks stay well under those of scoring every
-    # chord at once (about 8 MB and 32 MB here)
+    # each BSC/BEC pair on three inputs has five face chords of 41 probes, and
+    # each of its less-noisy chords two ends per probe; at a small block both
+    # are scored in runs of chords, so the peaks stay well under those of
+    # scoring every chord at once (about 35 MB and 43 MB here)
     rng = np.random.default_rng(5)
-    a = np.stack([bsc(p).rows for p in rng.uniform(0.02, 0.48, 1000)])
-    b = np.stack([bec(e).rows for e in rng.uniform(0.05, 0.95, 1000)])
+    a = np.stack([_on_inputs(bsc(p).rows, 3) for p in rng.uniform(0.02, 0.48, 300)])
+    b = np.stack([_on_inputs(bec(e).rows, 3) for e in rng.uniform(0.05, 0.95, 300)])
     monkeypatch.setattr(ordering, "_HESSIAN_BLOCK", 1 << 14)
     peaks = []
     for search in (lambda: ordering._gap_search(a, b, 0.02), lambda: ordering.less_noisy_stack(a, b)):
@@ -894,7 +920,7 @@ def _curvature_pair(rng, kind, m, n):
 
 @settings(_PROPERTY, max_examples=60)
 @given(
-    m=st.integers(2, 5),
+    m=st.integers(3, 5),
     kinds=st.lists(
         st.sampled_from(["circulant", "erasure", "sparse", "equal", "near", "cascade", "free"]), min_size=1, max_size=4
     ),
@@ -959,7 +985,7 @@ def test_less_noisy_diagnostics_keys():
     assert fails.fails
     assert set(fails.diagnostics) == {"grid_step", "grid_points", "max_curvature", "violation", "witness_pair"}
     assert fails.diagnostics["grid_step"] == 0.02
-    holds = ordering.test_less_noisy(bec(0.3), bsc(0.1))
+    holds = ordering.test_less_noisy(_channel_on(bec(0.3)), _channel_on(bsc(0.1)))
     assert holds.holds
     assert set(holds.diagnostics) == {"grid_step", "grid_points", "max_curvature"}
     six = Dmc.normalized(np.ones((6, 2)), ("0", "1"))
@@ -1014,13 +1040,16 @@ def test_more_capable_examples():
 
 @pytest.mark.parametrize("p, e", [(0.143641, 0.925798), (0.132669, 0.919705)])
 def test_more_capable_face_probes_find_the_dip(p, e):
-    # the gap dips to about -3.8e-9 at x ~ 3.6e-8, far inside the first grid cell
-    verdict = ordering.test_more_capable(bsc(p), bec(e))
-    assert verdict.fails
-    assert verdict.diagnostics["min_gap"] < -VERDICT_TOL
-    px = verdict.witness.probs
-    brute = brute_mi(px[:, None] * bsc(p).rows) - brute_mi(px[:, None] * bec(e).rows)
-    assert brute < -VERDICT_TOL
+    # the gap dips to about -3.8e-9 at x ~ 3.6e-8, far inside the first grid
+    # cell; on three inputs the face probes find it, on two the exact pieces
+    for m in (2, 3):
+        a, b = _channel_on(bsc(p), m), _channel_on(bec(e), m)
+        verdict = ordering.test_more_capable(a, b)
+        assert verdict.fails
+        assert verdict.diagnostics["min_gap"] < -VERDICT_TOL
+        px = verdict.witness.probs
+        brute = brute_mi(px[:, None] * a.rows) - brute_mi(px[:, None] * b.rows)
+        assert brute < -VERDICT_TOL
 
 
 def test_dominant_c_symmetry_examples():

@@ -16,6 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 import bcorder
 from bcorder import regions, verifysuite
 from bcorder.bscbec import PHASE_GRID_CAP
+from bcorder.channels import bec, bsc
 from bcorder.cli import DCURVE_SAMPLES_CAP, main
 from bcorder.verifysuite import check_names
 
@@ -96,19 +97,36 @@ def test_classify_text_shows_grid_coarsening(tmp_path):
     assert verdicts[f"{paths[0]} degraded w.r.t. {paths[1]}"] in ("holds", "fails")
 
 
-def test_classify_text_shows_face_cap(monkeypatch):
+def _three_input_files(tmp_path, p, e):
+    """Channel files of BSC(p) and BEC(e) with a third input repeating input 0.
+
+    The gap of the pair on three inputs is the binary gap at
+    (x0 + x2, x1), so every ordering keeps its verdict, but the tests take
+    the grid route, with its face scan, instead of the binary one.
+    """
+    paths = []
+    for name, rows in (("bsc", bsc(p).rows), ("bec", bec(e).rows)):
+        path = tmp_path / f"{name}3.json"
+        labels = [str(o) for o in range(rows.shape[1])]
+        path.write_text(json.dumps({"input_size": 3, "output_labels": labels, "rows": rows[[0, 1, 0]].tolist()}))
+        paths.append(str(path))
+    return paths
+
+
+def test_classify_text_shows_face_cap(monkeypatch, tmp_path):
     # with a cap of one pair the one face scan of both directions stops at
     # its second face; only the BSC-over-BEC direction can pull, because
     # only the BEC has zero cells, so only it is cut
     monkeypatch.setattr("bcorder.classify._FACE_PAIR_CAP", 1)
-    code, out, _ = run_cli("classify", "--bsc", "0.1", "--bec", "0.5")
+    first, second = _three_input_files(tmp_path, 0.1, 0.5)
+    code, out, _ = run_cli("classify", "--channel1", first, "--channel2", second)
     assert code == 0
     verdicts = dict(line.split(": ", 1) for line in out.splitlines())
     note = "(faces checked for their first 1 face/input pairs)"
     for test in ("less noisy", "more capable"):
-        assert verdicts[f"BSC side {test}"].endswith(note)
-        assert verdicts[f"BSC side {test}"].split()[0] in ("holds", "fails")
-        assert verdicts[f"BEC side {test}"] in ("holds", "fails")
+        assert verdicts[f"{first} {test}"].endswith(note)
+        assert verdicts[f"{first} {test}"].split()[0] in ("holds", "fails")
+        assert verdicts[f"{second} {test}"] in ("holds", "fails")
 
 
 def test_classify_rejects_mixed_pair_style():
@@ -538,6 +556,26 @@ def test_parser_rejections_print_one_error_line(argv, culprit, reason):
     assert culprit in err and reason in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("region", *_BSC_BEC, "--which", "foo\nbar"),
+        ("classify", "--channel1", "no\nfile", "--channel2", "paper6vi"),
+        ("region", *_BSC_BEC, "--which", "theorem1", "--class", "no\nfile"),
+        ("classify", "--channel1", "{bad}", "--channel2", "{bad}"),
+        ("region", *_BSC_BEC, "--which", "theorem1", "--class", "{bad}"),
+    ],
+)
+def test_rejections_quote_user_text_with_a_newline(tmp_path, argv):
+    # the text is quoted as a Python literal, so its newline prints as \n
+    # and the rejection stays one line; {bad} is a file of invalid JSON
+    bad = tmp_path / "bad\nname.json"
+    bad.write_text("{")
+    code, out, err = run_cli(*(str(bad) if a == "{bad}" else a for a in argv))
+    _assert_rejected(code, out, err)
+    assert "\\n" in err
+
+
 def test_verify_grid_caps_refuse_before_any_check_runs(monkeypatch):
     cap = verifysuite._REGION_GRID_CAP
     assert (cap + 1) ** 3 <= regions._SWEEP_CAP < (cap + 2) ** 3
@@ -650,7 +688,7 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
         assert res.stdout == "0 []\n", (argv, res.stdout, res.stderr)
 
 
-def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch):
+def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch, tmp_path):
     from bcorder import classify
 
     counts = {"refine": 0, "symmetry": 0, "grid": 0}
@@ -665,7 +703,8 @@ def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch):
     monkeypatch.setattr(classify, "_refine_extremum", counted("refine", classify._refine_extremum))
     monkeypatch.setattr(classify, "detect_c_symmetry", counted("symmetry", classify.detect_c_symmetry))
     monkeypatch.setattr(classify, "simplex_grid", counted("grid", classify.simplex_grid))
-    argv = ("classify", "--bsc", "0.1", "--bec", "0.5", "--format", "json")
+    bsc_path, bec_path = _three_input_files(tmp_path, 0.1, 0.5)
+    argv = ("classify", "--channel1", bsc_path, "--channel2", bec_path, "--format", "json")
     first = run_cli(*argv)
     counts.update(refine=0, symmetry=0, grid=0)
     assert run_cli(*argv) == first
