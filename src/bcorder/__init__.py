@@ -29,8 +29,10 @@ _EXPORTS = {
         "binary_entropy",
         "entropy",
         "entropy_vec",
+        "simplex_grid",
     ),
     "channels": (
+        "AuxDecomposition",
         "ChannelFormatError",
         "CSymmetryWitness",
         "Dmc",
@@ -65,7 +67,6 @@ _EXPORTS = {
         "thresholds",
     ),
     "classify": (
-        "AuxDecomposition",
         "ClassVerdict",
         "Outcome",
         "degraded_stack",
@@ -73,7 +74,6 @@ _EXPORTS = {
         "less_noisy_stack",
         "more_capable_stack",
         "ordering_verdicts",
-        "simplex_grid",
         "test_degraded",
         "test_dominant_c_symmetry",
         "test_essentially_less_noisy",

@@ -160,6 +160,51 @@ def aux_mi_batch(rows: np.ndarray, weights: np.ndarray, conds: np.ndarray) -> np
 
 
 @dataclass(frozen=True, eq=False)
+class AuxDecomposition:
+    """An auxiliary input decomposition: a law on U plus one X-row per U symbol."""
+
+    pu: Dist
+    px_given_u: np.ndarray
+
+    def __post_init__(self):
+        shape = np.shape(self.px_given_u)
+        if len(shape) != 2 or shape[0] != self.pu.size:
+            raise DomainError("px_given_u must be a (|U|, |X|) matrix")
+        object.__setattr__(self, "px_given_u", stochastic_array(self.px_given_u, "px_given_u"))
+
+    @property
+    def aux_size(self) -> int:
+        return int(self.px_given_u.shape[0])
+
+    @property
+    def input_size(self) -> int:
+        return int(self.px_given_u.shape[1])
+
+    def induced_marginal(self) -> Dist:
+        return Dist(self.pu.probs @ self.px_given_u)
+
+    def mi_aux(self, channel: Dmc) -> float:
+        """I(U;Y) through the channel."""
+        val = aux_mi_batch(
+            channel.rows, self.pu.probs[None, :], self.px_given_u[None, :, :]
+        )
+        return float(val[0])
+
+    def mi_conditional(self, channel: Dmc) -> float:
+        """I(X;Y | U) through the channel."""
+        per_u = mi_batch(channel.rows, self.px_given_u)
+        return float(self.pu.probs @ per_u)
+
+
+def _require_same_input(a: Dmc, b: Dmc) -> int:
+    if a.input_size != b.input_size:
+        raise DomainError(
+            f"input alphabets differ: {a.input_size} vs {b.input_size}"
+        )
+    return a.input_size
+
+
+@dataclass(frozen=True, eq=False)
 class CSymmetryWitness:
     """A one-step output permutation certifying cyclic input symmetry.
 

@@ -27,29 +27,36 @@ from typing import Sequence
 import numpy as np
 
 from .channels import (
+    AuxDecomposition,
     Dmc,
     NotCSymmetricError,
+    _require_same_input,
     aux_mi_batch,
     detect_c_symmetry,
     mi_batch,
     mi_from_entropies,
 )
 from .probcore import (
+    _POINT_GRID_CAP,
     CELL_FLOOR,
     REFINE_FLOOR,
     SIMPLEX_TOL,
     VERDICT_TOL,
     Dist,
     DomainError,
+    _bounded_step,
     entropy_vec,
+    simplex_grid,
     stochastic_array,
 )
 
-_POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
-# max array entries of one block: pairs x points x (m-1) x max(m-1, outputs) in the curvature scan,
-# pairs x points or chords x halvings, x outputs, on the gap grid or its probes, chords x halvings
+# max array entries of one block: chords x halvings x outputs on the gap grid's face probes, chords x halvings
 # x 2 x max(m, outputs) on the less-noisy chords, starts x rungs x moves x m in a refinement call
 _HESSIAN_BLOCK = 1 << 21
+# max array entries of one cache-sized block, under _HESSIAN_BLOCK: pairs x points x (m-1) x max(m-1, outputs)
+# in the curvature scan, pairs x points x outputs on the gap grid; the fastest of 2^11-2^21 on 3- to 5-input
+# scans, and of 2^12 to a whole 23k-point grid on a 4-input gap grid
+_SCAN_BLOCK = 1 << 15
 _HALVINGS = 40            # spreads tried along a witness chord: t_max / 2^k
 _FACE_PAIR_CAP = 1024     # max (face, input) pairs examined for face pulls
 _PIVOT_CAP = 10_000       # simplex pivots before a solve counts as failed
@@ -82,79 +89,6 @@ class ClassVerdict:
         return self.outcome is Outcome.FAILS
 
 
-@dataclass(frozen=True, eq=False)
-class AuxDecomposition:
-    """An auxiliary input decomposition: a law on U plus one X-row per U symbol."""
-
-    pu: Dist
-    px_given_u: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.px_given_u)
-        if len(shape) != 2 or shape[0] != self.pu.size:
-            raise DomainError("px_given_u must be a (|U|, |X|) matrix")
-        object.__setattr__(self, "px_given_u", stochastic_array(self.px_given_u, "px_given_u"))
-
-    @property
-    def aux_size(self) -> int:
-        return int(self.px_given_u.shape[0])
-
-    @property
-    def input_size(self) -> int:
-        return int(self.px_given_u.shape[1])
-
-    def induced_marginal(self) -> Dist:
-        return Dist(self.pu.probs @ self.px_given_u)
-
-    def mi_aux(self, channel: Dmc) -> float:
-        """I(U;Y) through the channel."""
-        val = aux_mi_batch(
-            channel.rows, self.pu.probs[None, :], self.px_given_u[None, :, :]
-        )
-        return float(val[0])
-
-    def mi_conditional(self, channel: Dmc) -> float:
-        """I(X;Y | U) through the channel."""
-        per_u = mi_batch(channel.rows, self.px_given_u)
-        return float(self.pu.probs @ per_u)
-
-
-def _require_same_input(a: Dmc, b: Dmc) -> int:
-    if a.input_size != b.input_size:
-        raise DomainError(
-            f"input alphabets differ: {a.input_size} vs {b.input_size}"
-        )
-    return a.input_size
-
-
-def simplex_grid(m: int, step: float) -> np.ndarray:
-    """All laws on m letters with coordinates that are multiples of ~step.
-
-    The grid is the set of integer compositions of K = round(1/step) scaled
-    by 1/K, enumerated in lexicographic order.
-    """
-    if step <= 0 or step > 1:
-        raise DomainError("grid step must lie in (0, 1]")
-    k_parts = max(1, round(1.0 / step))
-    # expand each prefix by every value its remaining mass allows, in order
-    comp = np.zeros((1, 0), dtype=np.int64)
-    rem = np.array([k_parts])
-    for _ in range(m - 1):
-        counts = rem + 1
-        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-        comp = np.column_stack([np.repeat(comp, counts, axis=0), value])
-        rem = np.repeat(rem, counts) - value
-    return np.column_stack([comp, rem]) / k_parts
-
-
-def _bounded_step(m: int, step: float, cap: int) -> float:
-    """Coarsen step until the simplex grid fits under cap points."""
-    eff = step
-    while math.comb(max(1, round(1.0 / eff)) + m - 1, m - 1) > cap and eff < 1.0:
-        eff = min(1.0, eff * 2.0)
-    return eff
-
-
 @functools.lru_cache(maxsize=4)
 def _grid_points(m: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     """The simplex grid and its interior points, read-only, for the gap searches and the curvature scan.
@@ -169,6 +103,19 @@ def _grid_points(m: int, step: float) -> tuple[np.ndarray, np.ndarray]:
     grid.flags.writeable = False
     interior.flags.writeable = False
     return grid, interior
+
+
+def _point_blocks(total: int, size: int) -> list[slice]:
+    """Blocks of ``size`` points, at least two, covering ``total`` points.
+
+    The last block ends at ``total`` and overlaps the one before it rather
+    than run short, so every block has one shape.  numpy takes the products
+    of a one-point block as matrix-vector ones, which round otherwise; with
+    two or more points, a point's values came out the same in every block
+    size measured (up to five inputs and fifteen outputs).
+    """
+    size = min(max(total, 1), max(2, size))
+    return [slice(lo, lo + size) for lo in (min(lo, total - size) for lo in range(0, total, size))]
 
 
 def _gap_vec(a: np.ndarray, b: np.ndarray, pxs: np.ndarray) -> np.ndarray:
@@ -521,6 +468,17 @@ def _binary_runs(a: np.ndarray, b: np.ndarray) -> list[_BinaryPieces]:
     return [_binary_pieces(a[lo:lo + run], b[lo:lo + run]) for lo in range(0, max(len(a), 1), run)]
 
 
+def _exact_extrema(runs: list[_BinaryPieces]) -> _ExactExtrema:
+    """The extrema of every pair of ``runs``, in order, as one _ExactExtrema (see _BinaryPieces.extrema)."""
+    parts = [pieces.extrema() for pieces in runs]
+    return _ExactExtrema(
+        points=np.concatenate([x.points for x in parts], axis=1),
+        values=np.concatenate([x.values for x in parts], axis=1),
+        uniform=np.concatenate([x.uniform for x in parts]),
+        pieces=np.concatenate([x.pieces for x in parts]),
+    )
+
+
 def _binary_pieces(a: np.ndarray, b: np.ndarray) -> _BinaryPieces:
     """The runs of g'' of one sign, for (P, 2, na) and (P, 2, nb) row stacks.
 
@@ -558,7 +516,7 @@ def _binary_pieces(a: np.ndarray, b: np.ndarray) -> _BinaryPieces:
     trail = kept.argmax(axis=1)
     degree = np.where(kept.any(axis=1), n - 1 - kept[:, ::-1].argmax(axis=1) - trail, 0)
     cuts = np.full((count, n), np.inf)
-    for k in np.unique(degree[degree > 0]).tolist():
+    for k in (np.flatnonzero(np.bincount(degree)[1:]) + 1).tolist():  # np.unique would import numpy.ma
         sel = np.flatnonzero(degree == k)
         c = coefs[sel[:, None], trail[sel, None] + np.arange(k + 1)]
         companion = np.zeros((sel.size, k, k))
@@ -608,20 +566,16 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _Extrema:
     """
     count, m = a.shape[:2]
     if m == 2:
-        parts = [pieces.extrema() for pieces in _binary_runs(a, b)]
-        return _ExactExtrema(
-            points=np.concatenate([x.points for x in parts], axis=1),
-            values=np.concatenate([x.values for x in parts], axis=1),
-            uniform=np.concatenate([x.uniform for x in parts]),
-            pieces=np.concatenate([x.pieces for x in parts]),
-        )
+        return _exact_extrema(_binary_runs(a, b))
     eff = _bounded_step(m, step, _POINT_GRID_CAP)
     grid = _grid_points(m, eff)[0]
-    # scored in runs of pairs, then of chords, each under _HESSIAN_BLOCK entries of output laws
+    # scored in runs of pairs, or pair by pair in blocks of points, under _SCAN_BLOCK entries of output laws
     g = np.empty((count, grid.shape[0]))
-    run = max(1, _HESSIAN_BLOCK // (grid.shape[0] * max(a.shape[2], b.shape[2])))
+    cap = min(_SCAN_BLOCK, _HESSIAN_BLOCK) // max(a.shape[2], b.shape[2])
+    run = max(1, cap // grid.shape[0])
     for lo in range(0, count, run):
-        g[lo:lo + run] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid)
+        for block in _point_blocks(grid.shape[0], cap):
+            g[lo:lo + run, block] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid[block])
     picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
     x0 = grid[picks]
     # the grid's min g(a, b) and min g(b, a) = -max g
@@ -630,6 +584,7 @@ def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _Extrema:
     ts = (step * 0.5 ** np.arange(_HALVINGS + 1))[:, None]
     # each chord's first minimum, side 1's of 0.0 - g, then each owner's first over its chords
     along, chord_min = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+    # chords in runs under _HESSIAN_BLOCK entries of output laws
     run = max(1, _HESSIAN_BLOCK // (ts.size * max(a.shape[2], b.shape[2])))
     for lo in range(0, owner.size, run):
         own = owner[lo:lo + run]
@@ -907,28 +862,39 @@ def _tangent_basis(m: int) -> np.ndarray:
     return basis
 
 
-def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
-    """The largest eigenvalue of _tangent_hessian at every point, as (P, k).
+def _top_eigenvalues(
+    proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray, both: bool = False
+) -> np.ndarray:
+    """The largest eigenvalue of _tangent_hessian at every point, as (1, P, k), with ``both`` (2, P, k).
 
-    For d = m-1 in {2, 3} it is taken in closed form: row o of a per-pair
-    table holds +-proj[:, o] proj[:, o]^T / ln 2, + for b's outputs and -
-    for a's, so one GEMM of it with 1/q gives every Hessian's entries.  The
-    top eigenvalue is then the 2x2 formula for d = 2 and the trigonometric
-    formula for d = 3, with the 3x3 determinant written out.  Larger d takes
-    eigvalsh of each Hessian.  Binary inputs (d = 1) never get here: they
-    take _BinaryPieces.
+    ``q`` is (P, n, k) here, one column per point.  Row 0 is that of the
+    arguments' Hessians H and, with ``both``, row 1 that of the swapped
+    pair's, which are 0.0 - H.  For d = m-1 in {2, 3} it is taken in
+    closed form: row o of a per-pair table holds proj[:, o] proj[:, o]^T /
+    ln 2, so one GEMM per channel with 1/q gives that channel's term of
+    every Hessian entry, and H is b's term minus a's.  The top eigenvalue
+    is then the 2x2 formula for d = 2 and the trigonometric formula for
+    d = 3, with the 3x3 determinant written out.  Negating H negates the
+    mean, the centred entries, det and r exactly and keeps p, so row 1
+    shares them; it takes its own arccos, since arccos(-r) does not round
+    as pi - arccos(r), and so equals the one-direction call on the swapped
+    pair.  Larger d takes eigvalsh of H and of 0.0 - H.  Binary inputs
+    (d = 1) never get here: they take _BinaryPieces.
     """
-    count, d, nb = proj_b.shape
+    count, d, _ = proj_b.shape
     if d > 3:
-        return np.linalg.eigvalsh(_tangent_hessian(proj_b, q_b, proj_a, q_a))[..., -1]
-    proj = np.concatenate((proj_b, proj_a), axis=2)
-    table = (proj[:, :, None, :] * proj[:, None, :, :]).reshape(count, d * d, proj.shape[2])
-    table[:, :, nb:] *= -1.0
-    # entries as (P, d*d, k), so that each entry's values are contiguous
-    h = (table / math.log(2.0)) @ (1.0 / np.concatenate((q_b, q_a), axis=2)).transpose(0, 2, 1)
+        hess = _tangent_hessian(proj_b, q_b.transpose(0, 2, 1), proj_a, q_a.transpose(0, 2, 1))
+        return np.stack([np.linalg.eigvalsh(h)[..., -1] for h in ((hess, 0.0 - hess) if both else (hess,))])
+    # each channel's entries as (P, d*d, k), so that each entry's values are contiguous
+    h_b, h_a = (
+        ((proj[:, :, None, :] * proj[:, None, :, :]).reshape(count, d * d, proj.shape[2]) / math.log(2.0)) @ (1.0 / q)
+        for proj, q in ((proj_b, q_b), (proj_a, q_a))
+    )
+    h = h_b - h_a
     if d == 2:
         a, b, c = h[:, 0], h[:, 1], h[:, 3]
-        return 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        mid, rad = 0.5 * (a + c), np.hypot(0.5 * (a - c), b)
+        return np.stack([mid + rad, (0.0 - mid) + rad] if both else [mid + rad])
     a11, a12, a13, a22, a23, a33 = (h[:, i] for i in (0, 1, 2, 4, 5, 8))
     mean = (a11 + a22 + a33) / 3.0
     b11, b22, b33 = a11 - mean, a22 - mean, a33 - mean
@@ -936,7 +902,10 @@ def _top_eigenvalues(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_
     det = b11 * (b22 * b33 - a23 * a23) - a12 * (a12 * b33 - a23 * a13) + a13 * (a12 * a23 - b22 * a13)
     # |det| <= 2 p^3 exactly; where p^3 underflows, any r in [-1, 1] is within 3p
     r = np.clip(det / np.maximum(2.0 * p * p * p, np.finfo(float).tiny), -1.0, 1.0)
-    return mean + 2.0 * p * np.cos(np.arccos(r) / 3.0)
+    top = [mean + 2.0 * p * np.cos(np.arccos(r) / 3.0)]
+    if both:
+        top.append((0.0 - mean) + 2.0 * p * np.cos(np.arccos(0.0 - r) / 3.0))
+    return np.stack(top)
 
 
 def _max_curvature(
@@ -945,18 +914,15 @@ def _max_curvature(
     """Largest tangent-space eigenvalue over ``pts`` per pair, its first point and eigenvector.
 
     Every point's top eigenvalue is taken by _top_eigenvalues, in blocks of
-    about _HESSIAN_BLOCK array entries over all pairs, so memory stays
-    bounded on large alphabets.  At each pair's first point of largest
-    value, eigh decomposes the Hessian once: its top eigenvalue is the
-    pair's maximum and its eigenvector the direction returned.  An output
-    that no input of the pair reaches gets a zeroed column in the
+    about _SCAN_BLOCK array entries over all pairs (see _point_blocks),
+    which keeps a block's temporaries in cache.  At each pair's first point
+    of largest value, eigh decomposes the Hessian once: its top eigenvalue
+    is the pair's maximum and its eigenvector the direction returned.  An
+    output that no input of the pair reaches gets a zeroed column in the
     projection and q = 1, so it adds nothing to the Hessian.  Every array
     returned has a leading axis of directions: (a, b), then with ``both``
-    (b, a), scanned in the same pass on the same output laws.  Those
-    Hessians are 0.0 - H exactly, but their closed form runs its own GEMM:
-    one sum over the outputs in b-then-a order does not round as its
-    negation in a-then-b order, and each direction keeps the values of its
-    own one-direction scan.
+    (b, a), whose Hessians are 0.0 - H of the same pass; each direction
+    keeps the values of its own one-direction scan.
     """
     count, m = a.shape[:2]
     d = m - 1
@@ -965,21 +931,16 @@ def _max_curvature(
     proj_b, proj_a = q_basis.T @ (b * reach_b), q_basis.T @ (a * reach_a)
     # an unreached output's column of ones gives it q = sum p = 1
     lift_b, lift_a = np.where(reach_b, b, 1.0), np.where(reach_a, a, 1.0)
-
-    def hessian_args(x):
-        # _tangent_hessian's arguments at the (P, k, m) or (k, m) laws x
-        return proj_b, x @ lift_b, proj_a, x @ lift_a
-
-    sides = 2 if both else 1
-    size = max(1, _HESSIAN_BLOCK // (d * max(d, a.shape[2], b.shape[2]) * max(count, 1)))
-    top = np.empty((sides, count, pts.shape[0]))
-    for lo in range(0, pts.shape[0], size):
-        args = hessian_args(pts[lo:lo + size])
-        top[0, :, lo:lo + size] = _top_eigenvalues(*args)
-        if both:
-            top[1, :, lo:lo + size] = _top_eigenvalues(*args[2:], *args[:2])
+    # a block's (m, k) laws x give its (P, n, k) output laws as out @ x, one column per point
+    out_b, out_a = lift_b.transpose(0, 2, 1), lift_a.transpose(0, 2, 1)
+    top = np.empty((2 if both else 1, count, pts.shape[0]))
+    per_point = d * max(d, a.shape[2], b.shape[2]) * max(count, 1)
+    for block in _point_blocks(pts.shape[0], min(_SCAN_BLOCK, _HESSIAN_BLOCK) // per_point):
+        x = pts[block].T
+        top[:, :, block] = _top_eigenvalues(proj_b, out_b @ x, proj_a, out_a @ x, both)
     where = top.argmax(axis=2)
-    hess = np.stack([_tangent_hessian(*hessian_args(pts[k][:, None, :]))[:, 0] for k in where])
+    # each direction's Hessians at its chosen (P, 1, m) laws
+    hess = np.stack([_tangent_hessian(proj_b, x @ lift_b, proj_a, x @ lift_a)[:, 0] for x in pts[where][:, :, None]])
     hess[1:] = 0.0 - hess[1:]
     vals, vecs = np.linalg.eigh(hess)
     curv, vec = vals[..., -1], (q_basis @ vecs[..., -1:])[..., 0]

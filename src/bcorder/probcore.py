@@ -13,6 +13,7 @@ constructors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ REFINE_FLOOR = 1e-7   # the extremum refinement halves its step down to this
 # of its rate polygon; kept here so that naming them loads no sweep code.
 REGION_BOUND_KINDS = {"ib": "sum", "theorem1": "two", "theorem2": "sum", "ob": "r1cap"}
 REGION_BOUNDS = tuple(REGION_BOUND_KINDS)
+
+_POINT_GRID_CAP = 300_000  # max grid points of a scan or sweep over one simplex
 
 
 class DomainError(ValueError):
@@ -146,3 +149,31 @@ class Dist:
 def entropy(d: Dist) -> float:
     """H(d) in bits.  0 <= H <= log2(alphabet size)."""
     return float(entropy_vec(d.probs))
+
+
+def simplex_grid(m: int, step: float) -> np.ndarray:
+    """All laws on m letters with coordinates that are multiples of ~step.
+
+    The grid is the set of integer compositions of K = round(1/step) scaled
+    by 1/K, enumerated in lexicographic order.
+    """
+    if step <= 0 or step > 1:
+        raise DomainError("grid step must lie in (0, 1]")
+    k_parts = max(1, round(1.0 / step))
+    # expand each prefix by every value its remaining mass allows, in order
+    comp = np.zeros((1, 0), dtype=np.int64)
+    rem = np.array([k_parts])
+    for _ in range(m - 1):
+        counts = rem + 1
+        value = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        comp = np.column_stack([np.repeat(comp, counts, axis=0), value])
+        rem = np.repeat(rem, counts) - value
+    return np.column_stack([comp, rem]) / k_parts
+
+
+def _bounded_step(m: int, step: float, cap: int) -> float:
+    """Coarsen step until the simplex grid fits under cap points."""
+    eff = step
+    while math.comb(max(1, round(1.0 / eff)) + m - 1, m - 1) > cap and eff < 1.0:
+        eff = min(1.0, eff * 2.0)
+    return eff

@@ -69,15 +69,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import Dmc, mi_batch
-from .classify import (
+from .channels import AuxDecomposition, Dmc, _require_same_input, mi_batch
+from .probcore import (
     _POINT_GRID_CAP,
-    AuxDecomposition,
+    CELL_FLOOR,
+    REGION_BOUNDS,
+    SIMPLEX_TOL,
+    VERDICT_TOL,
+    Dist,
+    DomainError,
     _bounded_step,
-    _require_same_input,
+    entropy_vec,
     simplex_grid,
 )
-from .probcore import CELL_FLOOR, REGION_BOUNDS, SIMPLEX_TOL, VERDICT_TOL, Dist, DomainError, entropy_vec
 from .probcore import REGION_BOUND_KINDS as _BOUND_KINDS  # the constraint kind of each bound's rate polygon
 
 _COARSE_PAIR_CAP = 140  # max grid points per side in the all-pairs batch

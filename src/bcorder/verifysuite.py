@@ -30,7 +30,8 @@ from .channels import (
 )
 from .classify import (
     AuxDecomposition,
-    _gap_search,
+    _binary_runs,
+    _exact_extrema,
     degraded_stack,
     less_noisy_stack,
     more_capable_stack,
@@ -147,14 +148,16 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     tag = regime(ps[clear], es[clear])[0]
     cells = list(zip(ps[clear], es[clear]))
     chan_b, chan_s = _erasure_crossover_rows(cells)
-    # one gap search gives both the more-capable test of the erasure side and
-    # the uniform dominance of the crossover side; BSC and BEC are c-symmetric
-    gaps = _gap_search(chan_b, chan_s, 0.02)
+    # one set of exact pieces of g serves the less-noisy test and the extrema, which give
+    # both the more-capable test of the erasure side and the uniform dominance of the
+    # crossover side; BSC and BEC are c-symmetric
+    runs = _binary_runs(chan_b, chan_s)
+    gaps = _exact_extrema(runs)
     # keep only the outcomes, so one test's verdicts are alive at a time
     got = np.array(
         [
             [v.holds for v in degraded_stack(chan_b, chan_s)],
-            [v.holds for v in less_noisy_stack(chan_b, chan_s)],
+            [v.holds for pieces in runs for v in pieces.less_noisy()[0]],
             [v.holds for v in gaps.capable(0)],
             [v.holds for v in gaps.dominant(1)],
         ]

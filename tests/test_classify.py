@@ -979,6 +979,66 @@ def test_curvature_scan_is_within_its_bound_of_the_full_scan(m, kinds, step, blo
     assert [v.outcome for v in got] == [v.outcome for v in want]
 
 
+def _scan_args(a, b, pts):
+    """The arguments of every _top_eigenvalues call of a two-direction _max_curvature scan."""
+    calls = []
+    real = ordering._top_eigenvalues
+
+    def spy(*args):
+        calls.append(args[:4])
+        return real(*args)
+
+    with mock.patch.object(ordering, "_top_eigenvalues", spy):
+        ordering._max_curvature(a, b, pts, both=True)
+    return calls
+
+
+@_PROPERTY
+@given(
+    m=st.integers(3, 5),
+    na=st.integers(2, 5),
+    nb=st.integers(2, 5),
+    zeros=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_both_top_eigenvalue_directions_equal_one_direction_calls(m, na, nb, zeros, seed):
+    # d = m - 1 in {2, 3} takes the closed forms, d = 4 eigvalsh; a sparse
+    # channel may leave an output unreached, whose column is zeroed
+    rng = np.random.default_rng(seed)
+    a, b = _random_channel(rng, m, na, sparse=zeros), _random_channel(rng, m, nb, sparse=not zeros)
+    pts = ordering._grid_points(m, 0.125)[1]
+    for proj_b, q_b, proj_a, q_a in _scan_args(a.rows[None], b.rows[None], pts):
+        both = ordering._top_eigenvalues(proj_b, q_b, proj_a, q_a, both=True)
+        assert both[0].tobytes() == ordering._top_eigenvalues(proj_b, q_b, proj_a, q_a)[0].tobytes()
+        assert both[1].tobytes() == ordering._top_eigenvalues(proj_a, q_a, proj_b, q_b)[0].tobytes()
+
+
+@_PROPERTY
+@given(
+    m=st.integers(3, 5),
+    kinds=st.lists(
+        st.sampled_from(["circulant", "erasure", "sparse", "equal", "near", "cascade", "free"]), min_size=1, max_size=3
+    ),
+    few=st.integers(3, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_curvature_scan_does_not_depend_on_its_blocks(m, kinds, few, seed):
+    # every point's value is the same in blocks of two points (the least the
+    # scan takes), of a few points and of the whole grid, so the same point
+    # wins even where the top eigenvalue ties across the grid
+    rng = np.random.default_rng(seed)
+    n = m if "circulant" in kinds else m + 1 if "erasure" in kinds else int(rng.integers(2, 5))
+    pairs = [_curvature_pair(rng, kind, m, n) for kind in kinds]
+    a, b = (np.stack([p[side] / p[side].sum(axis=1, keepdims=True) for p in pairs]) for side in (0, 1))
+    pts = ordering._grid_points(m, 0.1)[1]
+    per_point = (m - 1) * max(m - 1, n) * len(kinds)
+    scans = []
+    for block in (1, few * per_point, 1 << 40):
+        with mock.patch.multiple(ordering, _SCAN_BLOCK=block, _HESSIAN_BLOCK=max(block, ordering._HESSIAN_BLOCK)):
+            scans.append([x.tobytes() for x in ordering._max_curvature(a, b, pts, both=True)])
+    assert scans[0] == scans[1] == scans[2]
+
+
 def test_less_noisy_diagnostics_keys():
     y1, y2 = split_input_pair()
     fails = ordering.test_less_noisy(y1, y2)

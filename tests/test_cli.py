@@ -714,6 +714,24 @@ def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch, tmp_p
     assert counts == {"refine": 1, "symmetry": 2, "grid": 0}
 
 
+def test_threshold_grid_builds_the_binary_pieces_once(monkeypatch):
+    # the less-noisy test and the gap search of the check share one set of pieces
+    from bcorder import classify
+
+    calls = []
+    real = classify._binary_runs
+
+    def counted(a, b):
+        calls.append(len(a))
+        return real(a, b)
+
+    monkeypatch.setattr(classify, "_binary_runs", counted)
+    monkeypatch.setattr(verifysuite, "_binary_runs", counted)
+    code, out, _ = run_cli("verify-paper", "--check", "threshold-grid", "--grid", "20")
+    assert code == 0 and "[PASS] threshold-grid" in out
+    assert len(calls) == 1 and calls[0] > 0
+
+
 def test_symmetry_searches_each_channel_once(monkeypatch):
     from bcorder import channels, classify, cli
 
