@@ -5,11 +5,12 @@ The orderings are universal statements ("for every input law", "for every
 auxiliary chain"), so a grid search can refute but never prove them: Fails
 always carries a concrete witness that re-validates independently, while
 Holds means "no counterexample at the stated resolution" and carries the
-search metadata in ``diagnostics``.  Degradedness is the exception: it is a
-finite linear feasibility problem and is decided exactly up to tolerance.
+search metadata in ``diagnostics``.  Degradedness is the exception: it is
+decided exactly up to tolerance, on binary inputs by the Blackwell order of
+the two dichotomies and otherwise as a finite linear feasibility problem.
 So are the other tests on binary inputs, where the gap is a function of
 one variable whose concave and convex pieces are found exactly (see
-_BinaryPieces); their verdicts state ``"resolution": "exact"``.
+_BinaryPieces).  Every binary verdict states ``"resolution": "exact"``.
 
 Searches are deterministic: grids are enumerated in lexicographic order
 and ties resolve to the first index.
@@ -28,6 +29,7 @@ import numpy as np
 
 from .channels import (
     AuxDecomposition,
+    CSymmetryWitness,
     Dmc,
     NotCSymmetricError,
     _require_same_input,
@@ -686,8 +688,37 @@ def _simplex(lp: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarra
     return x, y
 
 
-def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -> list[ClassVerdict]:
-    """Degradedness verdicts for (P, m, na) and (P, m, nb) row stacks, all LPs in one _simplex call.
+def _blackwell_margins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Blackwell margins of binary-input pairs: (P, 2, na) and (P, 2, nb) row stacks.
+
+    phi_c(lam) = sum_y max((1 - lam) r0_y, lam r1_y) is the success
+    probability of the best test between the two inputs of channel c under
+    the prior (1 - lam, lam), one minus its Bayes risk.  b is a garbling of
+    a iff phi_a >= phi_b on [0, 1] (Blackwell, Ann. Math. Statist. 1953;
+    for dichotomies, Torgersen, Comparison of Statistical Experiments,
+    1991).  Both are convex and piecewise linear, phi_c with kinks at
+    lam_y = r0_y / (r0_y + r1_y).  Between two kinks of a, phi_a is linear,
+    so phi_a - phi_b is concave there and least at an end: its minimum
+    over lam = 0, lam = 1 and a's kinks is its minimum on [0, 1], the
+    margin.  An output that neither input of a reaches is given the kink 0.
+    Returns the (P,) margins, the first lam that attains each and the
+    (2, P) values phi_a and phi_b there, whose difference is the margin.
+    """
+    count = len(a)
+    mass = a[:, 0] + a[:, 1]
+    kinks = np.divide(a[:, 0], mass, out=np.zeros_like(mass), where=mass > 0.0)
+    lam = np.concatenate([np.zeros((count, 1)), np.ones((count, 1)), kinks], axis=1)
+    phi = np.stack(
+        [np.maximum((1.0 - lam)[:, :, None] * rows[:, None, 0], lam[:, :, None] * rows[:, None, 1]).sum(axis=2) for rows in (a, b)]
+    )
+    diff = phi[0] - phi[1]
+    worst = diff.argmin(axis=1)
+    lane = np.arange(count)
+    return diff[lane, worst], lam[lane, worst], phi[:, lane, worst]
+
+
+def _degradedness_lp(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The degradedness LPs of (P, m, na) and (P, m, nb) row stacks, all in one _simplex call.
 
     Pair p's LP is min t subject to -t <= (a W - b)[i, y] <= t for every
     cell and W row-stochastic, in equality form with a slack per cell
@@ -698,11 +729,9 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     below by sum_o min_y (a^T Z)[o, y] - <Z, b>, Blackwell's distinguishing
     test (Ann. Math. Statist. 1953); Z is the difference of the two bounds'
     final duals, scaled down to sum |Z| <= 1 where rounding leaves it
-    above.  Each verdict carries W, with ``labels`` as its outputs, the
-    residual of W (its largest cell), the worst cell (the first within
-    SIMPLEX_TOL of the residual), the LP optimum and this dual bound.  A
-    residual above ``tol`` whose dual bound lies below tol - SIMPLEX_TOL
-    means the simplex stopped short of the optimum, and raises RuntimeError.
+    above.  Returns per pair W (P, na, nb), its residual (largest cell of
+    |a W - b|), its worst cell (the first within SIMPLEX_TOL of the
+    residual, flat), the LP optimum, the dual bound and Z (P, m, nb).
     """
     count, m, na = a.shape
     nb = b.shape[2]
@@ -736,23 +765,83 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     z = (duals[:, cells:2 * cells] - duals[:, :cells]).reshape(count, m, nb)
     z /= np.maximum(np.abs(z).sum(axis=(1, 2)), 1.0)[:, None, None]
     bound = np.einsum("pio,piy->poy", a, z).min(axis=2).sum(axis=1) - np.einsum("piy,piy->p", z, b)
-    verdicts = []
-    for wp, r, cell, objective, lower in zip(w, resid.tolist(), worst.tolist(), x[:, t_col].tolist(), bound.tolist()):
-        if r > tol and lower <= tol - SIMPLEX_TOL:
-            raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
-        d = dict(residual=r, worst_cell=list(divmod(cell, nb)), lp_objective=objective, dual_bound=lower, tol=tol)
-        outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
-        verdicts.append(ClassVerdict(outcome, witness=Dmc(wp, labels), diagnostics=d))
+    return w, resid, worst, x[:, t_col], bound, z
+
+
+def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -> list[ClassVerdict]:
+    """Degradedness verdicts for (P, m, na) and (P, m, nb) row stacks.
+
+    On binary inputs (m = 2) the verdict reads the Blackwell margin of
+    _blackwell_margins, min over lam of phi_a(lam) - phi_b(lam), a
+    difference of Bayes success probabilities: Holds iff it is >= -tol,
+    with ``"resolution": "exact"``.  This is not the LP's reading, the
+    largest cell of |a W - b|: an LP optimum t gives a margin of at least
+    -nb t, since |phi_{aW} - phi_b| <= nb t and garbling a cannot raise
+    phi_a, so a pair the LP holds at tol / nb holds here, but pairs near
+    the boundary can split either way.  A Fails carries its worst lam as
+    the witness prior (1 - lam, lam) and ``lambda``, ``phi_a`` and
+    ``phi_b`` in its diagnostics, and runs no LP.  Only Holds pairs run
+    _degradedness_lp, all in one _simplex call, for the witness W; its
+    ``residual`` is stated and may exceed ``tol`` on such a split.
+
+    On m >= 3 the verdict reads the LP: Holds iff W's residual, its
+    largest cell of |a W - b|, is within ``tol``.  A Fails adds Z as
+    ``dual_test``.
+
+    Every verdict that ran the LP carries W, with ``labels`` as its
+    outputs, its residual, its worst cell, the LP optimum and the dual
+    bound.  A residual above ``tol`` whose dual bound lies below
+    tol - SIMPLEX_TOL means the simplex stopped short of the optimum, and
+    raises RuntimeError.
+    """
+    count, m, nb = b.shape
+    verdicts: list = [None] * count
+    fit = np.arange(count)
+    if m == 2:
+        margin, lam, phi = _blackwell_margins(a, b)
+        fit = np.flatnonzero(margin >= -tol)
+        for p in np.flatnonzero(margin < -tol).tolist():
+            d = {
+                "resolution": "exact",
+                "margin": float(margin[p]),
+                "lambda": float(lam[p]),
+                "phi_a": float(phi[0, p]),
+                "phi_b": float(phi[1, p]),
+                "tol": tol,
+            }
+            verdicts[p] = ClassVerdict(Outcome.FAILS, witness=Dist(np.array([1.0 - lam[p], lam[p]])), diagnostics=d)
+    if fit.size:
+        w, resid, worst, objective, bound, z = _degradedness_lp(a[fit], b[fit])
+        for k, p in enumerate(fit.tolist()):
+            r, lower = float(resid[k]), float(bound[k])
+            if r > tol and lower <= tol - SIMPLEX_TOL:
+                raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
+            d = {
+                "residual": r,
+                "worst_cell": list(divmod(int(worst[k]), nb)),
+                "lp_objective": float(objective[k]),
+                "dual_bound": lower,
+                "tol": tol,
+            }
+            if m == 2:
+                outcome, d = Outcome.HOLDS, {"resolution": "exact", "margin": float(margin[p]), **d}
+            else:
+                outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
+                if outcome is Outcome.FAILS:
+                    d["dual_test"] = z[k].tolist()
+            verdicts[p] = ClassVerdict(outcome, witness=Dmc(w[k], labels), diagnostics=d)
     return verdicts
 
 
 def degraded_stack(a, b) -> list[ClassVerdict]:
     """``test_degraded`` for P pairs at once, one verdict per pair.
 
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  The
-    LPs of up to _LP_LANES pairs pivot in lockstep, each on its own data
-    only, so every verdict equals ``test_degraded``'s on its pair, witness
-    W included; W's outputs are labelled "0", "1", ...
+    ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  On
+    binary inputs every pair's Blackwell margin decides it and only the
+    Holds pairs run the LP, for their witness W (see _degraded).  The LPs
+    of up to _LP_LANES pairs pivot in lockstep, each on its own data only,
+    so every verdict equals ``test_degraded``'s on its pair, witness
+    included; W's outputs are labelled "0", "1", ...
     """
     a, b = _stacked_pairs(a, b)
     labels = [str(y) for y in range(b.shape[2])]
@@ -763,13 +852,20 @@ def degraded_stack(a, b) -> list[ClassVerdict]:
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:
     """Can ``b`` be produced by postprocessing ``a``'s output?
 
-    Solves min_t { |cascade(a, W) - b| <= t cellwise, W row-stochastic } as
-    a linear program.  Holds (with the witness W) iff the optimum is within
-    ``tol``; otherwise Fails with the worst-matched cell in diagnostics,
-    beside ``dual_bound``, a lower bound on the optimum that holds whatever
-    the solver did and must exceed ``tol`` too (see _degraded).  This
-    test is exact up to the tolerance, never Inconclusive.  It is the
-    one-pair case of ``degraded_stack``.
+    On binary inputs this is decided exactly by the Blackwell order: Holds
+    iff no prior lets b's best test between the two inputs beat a's by
+    more than ``tol`` (the margin, see _degraded).  A Holds carries the
+    witness W from the LP below; a Fails carries the worst prior
+    (1 - lam, lam) and both success probabilities there, and runs no LP.
+
+    On larger inputs it solves min_t { |cascade(a, W) - b| <= t cellwise,
+    W row-stochastic } as a linear program.  Holds (with the witness W)
+    iff W's largest cell is within ``tol``; otherwise Fails with the
+    worst-matched cell in diagnostics, beside ``dual_bound``, a lower
+    bound on the optimum that holds whatever the solver did and must
+    exceed ``tol`` too, and the distinguishing test ``dual_test`` that
+    gives it.  This test is exact up to the tolerance, never
+    Inconclusive.  It is the one-pair case of ``degraded_stack``.
     """
     _require_same_input(a, b)
     return _degraded(a.rows[None], b.rows[None], tol, b.output_labels)[0]
@@ -1081,16 +1177,26 @@ def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
     return _gap_search(a, b, 0.02).dominant(0)
 
 
-def test_dominant_c_symmetry(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
+def test_dominant_c_symmetry(
+    a: Dmc, b: Dmc, step: float = 0.02, symmetries: tuple[CSymmetryWitness, CSymmetryWitness] | None = None
+) -> ClassVerdict:
     """Does the uniform input maximize the gap I(X;Y_a) - I(X;Y_b)?
 
     Both channels must be c-symmetric (that is the setting in which the
-    property implies an ordering).  Maximizes the gap over a simplex grid
-    plus refinement, or exactly on binary inputs, and compares with the gap
-    at uniform.  It is the one-pair case of ``dominant_c_symmetry_stack``.
+    property implies an ordering).  ``symmetries``, the detect_c_symmetry
+    witnesses of a and b that a caller already holds, replace the search
+    for them: each generator is rechecked on its own channel instead, and
+    NotCSymmetricError raised where it fails.  Maximizes the gap over a
+    simplex grid plus refinement, or exactly on binary inputs, and compares
+    with the gap at uniform.  It is the one-pair case of
+    ``dominant_c_symmetry_stack``.
     """
     _require_same_input(a, b)
-    _require_c_symmetric(a.rows[None], b.rows[None])
+    if symmetries is None:
+        _require_c_symmetric(a.rows[None], b.rows[None])
+    else:
+        for chan, found in zip((a, b), symmetries, strict=True):
+            CSymmetryWitness(chan, found.generator).validate()
     return _gap_search(a.rows[None], b.rows[None], step).dominant(0)[0]
 
 

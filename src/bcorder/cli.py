@@ -610,6 +610,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     if args.bec_e is not None:
         chans.append((f"BEC({args.bec_e:g})", bec(args.bec_e)))
     report: dict = {"channels": []}
+    found = []
     for name, chan in chans:
         try:
             wit = detect_c_symmetry(chan)
@@ -619,17 +620,17 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
         if wit is None:
             report["channels"].append({"name": name, "status": "no cyclic symmetry found"})
         else:
+            found.append(wit)
             report["channels"].append(
                 {"name": name, "status": "c-symmetric", "generator": list(wit.generator)}
             )
     # dominance is only defined for a c-symmetric pair; the status lines say why it is missing
-    if len(chans) == 2 and all(entry["status"] == "c-symmetric" for entry in report["channels"]):
-        from .classify import _gap_search, _require_same_input
+    if len(chans) == 2 and len(found) == 2:
+        from .classify import test_dominant_c_symmetry
 
-        # both are known to be c-symmetric: no second symmetry search
+        # the symmetries found above are rechecked, not searched again
         first, second = chans[0][1], chans[1][1]
-        _require_same_input(first, second)
-        [dom] = _gap_search(first.rows[None], second.rows[None], 1.0 / args.grid).dominant(0)
+        dom = test_dominant_c_symmetry(first, second, 1.0 / args.grid, symmetries=tuple(found))
         report["uniform_dominance"] = {
             "first_over_second": dom.outcome.value,
             "diagnostics": dom.diagnostics,

@@ -47,3 +47,15 @@ def decomposition(joint):
 def chain_table(dec, chan):
     """The (U, X, Y) joint table of an auxiliary decomposition through a channel."""
     return dec.pu.probs[:, None, None] * dec.px_given_u[:, :, None] * chan.rows[None, :, :]
+
+
+def brute_bayes_success(rows, lam):
+    """sum_y max((1 - lam) r0_y, lam r1_y) of a binary-input channel's rows, output by output.
+
+    It is the success probability of the best test between the two inputs
+    under the prior (1 - lam, lam), one minus its Bayes risk.
+    """
+    total = 0.0
+    for r0, r1 in zip(rows[0], rows[1]):
+        total += max((1.0 - lam) * float(r0), lam * float(r1))
+    return total

@@ -21,12 +21,13 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bcorder import classify as ordering
 from bcorder.channels import Dmc, bec, bsc
 from bcorder.cli import main
-from bcorder.probcore import VERDICT_TOL, binary_entropy
-from info_oracles import brute_mi, chain_table
+from bcorder.probcore import SIMPLEX_TOL, VERDICT_TOL, binary_entropy
+from info_oracles import brute_bayes_success, brute_mi, chain_table
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +350,88 @@ def test_exact_route_diagnostics():
         assert {"resolution", "pieces", "max_gap", "argmax", "uniform_gap"} <= set(res[key].diagnostics)
     # g is convex next to both vertices, where the BEC's I'' diverges, and concave between
     assert {res[key].diagnostics["pieces"] for key in res if "degraded" not in key} == {3}
-    assert all(res[key].diagnostics["resolution"] == "exact" for key in res if "degraded" not in key)
+    assert all(v.diagnostics["resolution"] == "exact" for v in res.values())
     holds = ordering.test_less_noisy(bec(0.3), bsc(0.1))
     assert holds.holds and holds.diagnostics == {"resolution": "exact", "pieces": 1}
+
+
+# ---------------------------------------------------------------------------
+# degradedness: the Blackwell order of dichotomies
+
+
+def _garbling(rng, a, nb, sparse):
+    """a W for a random row-stochastic W with nb outputs; a sparse W keeps every row's largest entry."""
+    w = rng.dirichlet(np.ones(nb), size=a.shape[1])
+    if sparse:
+        w = np.where(w < 0.2, 0.0, w)
+        w /= w.sum(axis=1, keepdims=True)
+    return a @ w
+
+
+def test_bsc_is_degraded_wrt_bec_iff_e_is_at_most_2p():
+    # p = k/40 and e = j/20, so e <= 2p compares j with k exactly; no BEC
+    # with e < 1 is degraded w.r.t. any BSC with p > 0
+    p, e = np.meshgrid(np.arange(1, 21) / 40.0, np.arange(20) / 20.0)
+    p, e = p.ravel(), e.ravel()
+    crossover, erasure = np.stack([bsc(x).rows for x in p]), np.stack([bec(x).rows for x in e])
+    holds = [v.holds for v in ordering.degraded_stack(erasure, crossover)]
+    assert holds == (e <= 2.0 * p).tolist()
+    assert not any(v.holds for v in ordering.degraded_stack(crossover, erasure))
+
+
+def test_blackwell_fails_witnesses_recheck_by_brute_force():
+    # a binary Fails names a prior (1 - lam, lam) at which b's best test
+    # beats a's; the oracle re-reads both success probabilities there, and
+    # no prior on a fine grid makes the margin smaller than stated
+    rng = np.random.default_rng(1953)
+    pairs = [(bec(0.25), bsc(0.1)), (bsc(0.05), bec(0.05)), (bsc(0.2), bec(0.3)), (bsc(0.0), bec(0.0))]
+    pairs += [(_channel(_random_binary(rng, 3, k % 2 == 0)), _channel(_random_binary(rng, 4, k % 3 == 0))) for k in range(12)]
+    priors = np.linspace(0.0, 1.0, 1001)
+    fails = 0
+    for a, b in pairs:
+        verdict = ordering.test_degraded(a, b)
+        if verdict.holds:
+            continue
+        fails += 1
+        d = verdict.diagnostics
+        lam = d["lambda"]
+        assert verdict.witness.probs.tolist() == [1.0 - lam, lam]
+        phi_a, phi_b = brute_bayes_success(a.rows, lam), brute_bayes_success(b.rows, lam)
+        assert abs(phi_a - d["phi_a"]) <= 1e-15 and abs(phi_b - d["phi_b"]) <= 1e-15
+        assert phi_a - phi_b < -VERDICT_TOL
+        grid = [brute_bayes_success(a.rows, x) - brute_bayes_success(b.rows, x) for x in priors]
+        assert min(grid) >= d["margin"] - SIMPLEX_TOL
+    assert fails >= 8
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(
+    na=st.integers(2, 4),
+    nb=st.integers(2, 4),
+    noise=st.sampled_from([0.0, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]),
+    sparse=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blackwell_margin_agrees_with_the_lp(na, nb, noise, sparse, seed):
+    # on exact garblings the margin is at least -SIMPLEX_TOL; away from ties
+    # the LP's optimum, min t with |a W - b| <= t, gives the same verdict
+    rng = np.random.default_rng(seed)
+    a = np.stack([_random_binary(rng, na, sparse) for _ in range(4)])
+    b = np.stack([_garbling(rng, rows, nb, k % 2 == 0) for k, rows in enumerate(a)])
+    exact = ordering._blackwell_margins(a, b)[0]
+    assert np.all(exact >= -SIMPLEX_TOL)
+    # perturbed garblings and an unrelated channel
+    shifted = b + noise * rng.standard_normal(b.shape)
+    shifted = np.clip(shifted, 0.0, None)
+    shifted /= shifted.sum(axis=2, keepdims=True)
+    b = np.concatenate([shifted, np.stack([_random_binary(rng, nb, sparse)])])
+    a = np.concatenate([a, a[:1]])
+    margin = ordering._blackwell_margins(a, b)[0]
+    optimum = ordering._degradedness_lp(a, b)[3]
+    away = np.abs(margin) > 10 * VERDICT_TOL
+    assert np.array_equal((margin >= -VERDICT_TOL)[away], (optimum <= VERDICT_TOL)[away])
+    verdicts = ordering.degraded_stack(a, b)
+    assert [v.holds for v in verdicts] == (margin >= -VERDICT_TOL).tolist()
 
 
 _ONE_OUTPUT = _channel([[1.0], [1.0]])

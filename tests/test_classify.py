@@ -714,16 +714,25 @@ def test_degraded_holds_with_exact_witness():
 
 
 def test_degraded_fails_above_threshold():
+    # BSC(0.1) is degraded w.r.t. BEC(e) iff e <= 0.2; at the prior (1/2, 1/2)
+    # the best tests succeed with 1 - e/2 and 1 - p, so the margin is p - e/2
     verdict = ordering.test_degraded(bec(0.25), bsc(0.1))
     assert verdict.outcome is Outcome.FAILS
-    assert verdict.diagnostics["residual"] > 1e-9
+    d = verdict.diagnostics
+    assert d["resolution"] == "exact" and d["lambda"] == 0.5
+    assert d["margin"] == d["phi_a"] - d["phi_b"] == pytest.approx(0.1 - 0.125, abs=1e-15)
+    assert np.array_equal(verdict.witness.probs, [0.5, 0.5])
+    assert "residual" not in d  # a binary Fails runs no LP
 
 
 def test_degraded_worst_cell_is_the_first_of_tied_residuals():
-    # cells (0,0), (0,2), (1,0) and (1,2) all read 0.0475 up to rounding
-    verdict = ordering.test_degraded(bsc(0.05), bec(0.05))
+    # on the 3-input lifts, which the LP decides, cells (0,0), (0,2), (1,0),
+    # (1,2), (2,0) and (2,2) all read 0.0475 up to rounding
+    verdict = ordering.test_degraded(_channel_on(bsc(0.05)), _channel_on(bec(0.05)))
     assert verdict.diagnostics["worst_cell"] == [0, 0]
-    for a, b in ((bsc(0.05), bec(0.05)), (bec(0.25), bsc(0.1)), (bsc(0.2), bec(0.3))):
+    lifts = [(_channel_on(a), _channel_on(b)) for a, b in ((bsc(0.05), bec(0.05)), (bec(0.25), bsc(0.1)), (bsc(0.2), bec(0.3)))]
+    # and a binary Holds, whose W comes from the same LP
+    for a, b in lifts + [(bec(0.15), bsc(0.1))]:
         verdict = ordering.test_degraded(a, b)
         d = verdict.diagnostics
         table = np.abs(a.rows @ verdict.witness.rows - b.rows).ravel()
@@ -1115,6 +1124,20 @@ def test_more_capable_face_probes_find_the_dip(p, e):
 def test_dominant_c_symmetry_examples():
     assert ordering.test_dominant_c_symmetry(bsc(0.1), bec(0.5)).holds
     assert ordering.test_dominant_c_symmetry(bsc(0.1), bec(0.4)).fails
+
+
+def test_dominance_takes_the_symmetries_already_found(monkeypatch):
+    found = (ordering.detect_c_symmetry(bsc(0.1)), ordering.detect_c_symmetry(bec(0.4)))
+    want = ordering.test_dominant_c_symmetry(bsc(0.1), bec(0.4))
+    monkeypatch.setattr(ordering, "detect_c_symmetry", mock.Mock(side_effect=AssertionError("searched again")))
+    got = ordering.test_dominant_c_symmetry(bsc(0.1), bec(0.4), symmetries=found)
+    assert got.outcome is want.outcome and got.diagnostics == want.diagnostics
+    assert np.array_equal(got.witness.probs, want.witness.probs)
+    # a generator is rechecked on its own channel: this channel is c-symmetric
+    # under (1, 0, 2), not under BEC(0.4)'s generator (2, 1, 0)
+    three = Dmc(np.array([[0.8, 0.15, 0.05], [0.15, 0.8, 0.05]]), ("0", "1", "2"))
+    with pytest.raises(ordering.NotCSymmetricError):
+        ordering.test_dominant_c_symmetry(three, bec(0.4), symmetries=(found[1], found[1]))
 
 
 def test_essentially_less_noisy_examples():

@@ -60,17 +60,22 @@ def _highs_degradedness(a, b):
 
 @pytest.mark.parametrize("count", [1, 256])
 def test_degradedness_optima_match_highs(count):
+    # binary pairs are decided by their Blackwell margin and run the LP on
+    # Holds only, for W; every other m is decided by the LP
     rng = np.random.default_rng(1953 + count)
     for family, a, b in _degradedness_stacks(rng, count):
         want = _highs_degradedness(a, b)
         got = ordering.degraded_stack(a, b)
-        t = np.array([v.diagnostics["lp_objective"] for v in got])
-        bound = np.array([v.diagnostics["dual_bound"] for v in got])
-        assert np.abs(t - want).max() <= SIMPLEX_TOL, family
-        assert np.array_equal(t > VERDICT_TOL, want > VERDICT_TOL), family
+        fails = np.array([v.fails for v in got])
+        assert np.array_equal(fails, want > VERDICT_TOL), family
+        fit = np.array(["lp_objective" in v.diagnostics for v in got])
+        assert np.array_equal(fit, ~fails if a.shape[1] == 2 else np.ones(count, bool)), family
+        t = np.array([v.diagnostics["lp_objective"] for v in got if "lp_objective" in v.diagnostics])
+        bound = np.array([v.diagnostics["dual_bound"] for v in got if "dual_bound" in v.diagnostics])
+        assert np.all(np.abs(t - want[fit]) <= SIMPLEX_TOL), family
         # the dual bound is a valid lower bound on HiGHS's optimum, and tight
-        assert np.all(bound <= want + CELL_FLOOR), family
-        assert np.all(bound >= want - SIMPLEX_TOL), family
+        assert np.all(bound <= want[fit] + CELL_FLOOR), family
+        assert np.all(bound >= want[fit] - SIMPLEX_TOL), family
 
 
 def test_degradedness_verdicts_are_certified():
@@ -79,17 +84,46 @@ def test_degradedness_verdicts_are_certified():
     rng = np.random.default_rng(1977)
     for family, a, b in _degradedness_stacks(rng, 64):
         verdicts = ordering.degraded_stack(a, b)
-        w = np.stack([v.witness.rows for v in verdicts])
-        resid = np.abs(np.einsum("pio,poy->piy", a, w) - b).max(axis=(1, 2))
+        holds = np.array([v.holds for v in verdicts])
+        fit = np.array([isinstance(v.witness, Dmc) for v in verdicts])
+        w = np.array([v.witness.rows for v in verdicts if isinstance(v.witness, Dmc)]).reshape(-1, a.shape[2], b.shape[2])
+        resid = np.abs(np.einsum("pio,poy->piy", a[fit], w) - b[fit]).max(axis=(1, 2))
         keys = ("dual_bound", "lp_objective", "residual")
-        d = {key: np.array([v.diagnostics[key] for v in verdicts]) for key in keys}
-        assert np.abs(resid - d["residual"]).max() <= CELL_FLOOR, family
+        d = {key: np.array([v.diagnostics[key] for v in verdicts if isinstance(v.witness, Dmc)]) for key in keys}
+        assert np.all(np.abs(resid - d["residual"]) <= CELL_FLOOR), family
         assert np.all(d["dual_bound"] <= d["lp_objective"] + CELL_FLOOR), family
         assert np.all(d["lp_objective"] <= d["residual"] + CELL_FLOOR), family
-        holds = np.array([v.holds for v in verdicts])
+        # every Holds W is within the tolerance
+        assert np.all(d["residual"][holds[fit]] <= VERDICT_TOL), family
+        if a.shape[1] == 2:
+            # a binary Fails carries its Blackwell test, not W
+            assert np.array_equal(fit, holds), family
+            continue
         assert np.array_equal(holds, d["residual"] <= VERDICT_TOL), family
         # a Fails is certified by its dual bound alone, up to rounding
         assert np.all(d["dual_bound"][~holds] > VERDICT_TOL - SIMPLEX_TOL), family
+
+
+def test_dual_test_rechecks_the_dual_bound():
+    # an m >= 3 Fails states its distinguishing test Z: sum |Z| <= 1, and
+    # sum_o min_y (a^T Z)[o, y] - <Z, b> is its dual bound, re-read here
+    rng = np.random.default_rng(1953)
+    fails = 0
+    for family, a, b in _degradedness_stacks(rng, 16):
+        if a.shape[1] == 2:
+            continue
+        for rows_a, rows_b, verdict in zip(a, b, ordering.degraded_stack(a, b)):
+            d = verdict.diagnostics
+            if verdict.holds:
+                assert "dual_test" not in d, family
+                continue
+            fails += 1
+            z = np.array(d["dual_test"])
+            assert z.shape == rows_b.shape and np.abs(z).sum() <= 1.0 + SIMPLEX_TOL, family
+            bound = np.einsum("io,iy->oy", rows_a, z).min(axis=1).sum() - np.vdot(z, rows_b)
+            assert abs(bound - d["dual_bound"]) <= 8 * np.finfo(float).eps, family
+            assert bound > VERDICT_TOL, family
+    assert fails > 0
 
 
 def test_uncertified_fails_raises(monkeypatch):
@@ -109,6 +143,12 @@ def test_uncertified_fails_raises(monkeypatch):
         ordering.test_degraded(bsc(0.1), bsc(0.2))
 
 
+def _witness_array(verdict):
+    """A degradedness witness's array: W's rows, or a binary Fails's prior."""
+    w = verdict.witness
+    return w.rows if isinstance(w, Dmc) else w.probs
+
+
 def test_lane_blocks_do_not_move_a_verdict(monkeypatch):
     rng = np.random.default_rng(7)
     for family, a, b in _degradedness_stacks(rng, 8):
@@ -116,7 +156,7 @@ def test_lane_blocks_do_not_move_a_verdict(monkeypatch):
         monkeypatch.setattr(ordering, "_LP_LANES", 3)
         for got, want in zip(ordering.degraded_stack(a, b), whole, strict=True):
             assert got.outcome is want.outcome and got.diagnostics == want.diagnostics, family
-            assert np.array_equal(got.witness.rows, want.witness.rows), family
+            assert np.array_equal(_witness_array(got), _witness_array(want)), family
         monkeypatch.undo()
 
 
@@ -177,5 +217,9 @@ def test_simplex_terminates_on_beale_cycling_lp(row1, row2, cost, optimum):
 
 def test_simplex_pivot_cap_raises(monkeypatch):
     monkeypatch.setattr(ordering, "_PIVOT_CAP", 0)
+    # a binary pair reaches the LP only when it holds, for its witness W
     with pytest.raises(RuntimeError, match="did not finish"):
-        ordering.test_degraded(bec(0.5), bsc(0.1))
+        ordering.test_degraded(bec(0.15), bsc(0.1))
+    with pytest.raises(RuntimeError, match="did not finish"):
+        lift = [0, 1, 1]  # the pair on 3 inputs, which the LP decides
+        ordering.test_degraded(Dmc(bec(0.5).rows[lift], ("0", "e", "1")), Dmc(bsc(0.1).rows[lift], ("0", "1")))
