@@ -164,18 +164,15 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     A sweep that gains nothing leaves the point as it is, so the sweeps
     that follow it until one gains are the start's rungs: its step halved
     0, 1, 2, ... times, while above REFINE_FLOOR, all from the same point.
-    One fn call evaluates W rungs of every start still refining, as one
-    block of W k rows per start, and each start applies the first rung that
-    gains, or all W halvings when none does: the points, values and sweep
-    counts of sweep-by-sweep refinement, in about one call per gain.  A
-    start asks for every rung at its first call, for its step and the next
-    halving after a call that gained, and for twice its last call's rungs
-    after one that gained nothing; W is the largest ask, cut to the rungs
-    left, and a start uses the rungs it was not asked for too.  Each call
-    builds, evaluates and applies its moves in runs of starts of at most
+    Each round evaluates all the rungs that every start still refining has
+    left, as one block of W k rows per start, W the most rungs any of them
+    has left.  A start applies its first rung that gains and stays at that
+    step, or ends when none does: the points, values and sweep counts of
+    sweep-by-sweep refinement, in one round per gain.  A round builds,
+    evaluates and applies its moves in runs of starts of at most
     _HESSIAN_BLOCK entries (one fn call per run), so its memory does not
-    grow with P.  Returns the points, their (P,) values and each start's number
-    of sweeps.  A caller minimizes f by maximizing 0.0 - f, which reverses
+    grow with P.  Returns the points, their (P,) values and each start's
+    number of sweeps.  A caller minimizes f by maximizing 0.0 - f, which reverses
     f's ranks and gains exactly, and maps a value v back as 0.0 - v.
     """
     x = np.array(x0, dtype=float)
@@ -191,13 +188,13 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
     eye = np.eye(m)
     src, dst = np.nonzero(1.0 - eye)
     dirs = eye[dst] - eye[src]
-    # the starts still refining: point, value, rung, sweeps so far and rungs asked for
+    # the starts still refining: point, value, rung and sweeps so far
     live = np.arange(count) if rungs else np.arange(0)
     xl, bl = x[live], best[live]
-    rung, swept, ask = (np.full(live.size, v, dtype=np.int64) for v in (0, 0, rungs))
+    rung, swept = np.zeros(live.size, dtype=np.int64), np.zeros(live.size, dtype=np.int64)
     while live.size:
         left = rungs - rung
-        width = int(min(ask.max(), left.max()))
+        width = int(left.max())
         hit = np.empty(live.size, dtype=bool)
         first = np.empty(live.size, dtype=np.int64)
         # each run of starts builds, evaluates and applies its own moves
@@ -220,14 +217,11 @@ def _refine_extremum(fn, x0: np.ndarray, step0: float):
                 fg = first[r][g]
                 xl[lo + g] = moves[g, fg, vals[g, fg].argmax(1)]
                 bl[lo + g] = top[g, fg]
-        used = np.where(hit, first + 1, np.minimum(width, left))
-        swept += used
-        rung += np.where(hit, first, used)
-        ask = np.where(hit, 2, 2 * used)
-        done = rung >= rungs
-        if done.any():
-            x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], swept[done]
-            live, xl, bl, rung, swept, ask = (v[~done] for v in (live, xl, bl, rung, swept, ask))
+        swept += np.where(hit, first + 1, left)
+        rung += first
+        done = ~hit
+        x[live[done]], best[live[done]], sweeps[live[done]] = xl[done], bl[done], swept[done]
+        live, xl, bl, rung, swept = (v[hit] for v in (live, xl, bl, rung, swept))
     return x, best, sweeps
 
 
@@ -289,7 +283,7 @@ class _Extrema:
 
 @dataclass(frozen=True, eq=False)
 class _GapSearch(_Extrema):
-    """The extrema of a grid search, for m != 2 (see _gap_search).
+    """The extrema of a grid search, for m != 2 (see _GridRoute.extrema).
 
     ``sweeps`` is (2, P), and ``face_probes`` and ``face_capped`` are
     (2, P), the face scan of (a, b) behind min g and of (b, a) behind
@@ -353,8 +347,9 @@ class _BinaryPieces:
     ``sq`` are the outputs of a then b side by side, (P, 2, n), (P, n) and
     (P, n): an output with |d| <= CELL_FLOOR takes d = 0 and rows of ones,
     so its L is 1 and it adds nothing to g' or g''.  Every sum over outputs
-    is taken per channel (np.add.reduceat at ``split``), so swapping a and
-    b negates S, g' and g bit for bit.
+    is taken per channel (np.add.reduceat at a's output count), so swapping
+    a and b negates S, g' and g bit for bit.  A _BinaryRoute holds the
+    pieces of a stack in runs of pairs, each read in turn.
     """
 
     a: np.ndarray
@@ -365,10 +360,6 @@ class _BinaryPieces:
     ends: np.ndarray
     shape: np.ndarray
     pieces: np.ndarray
-
-    @property
-    def split(self) -> list[int]:
-        return [0, self.a.shape[2]]
 
     def extrema(self) -> _ExactExtrema:
         """min g and max g of every pair.
@@ -384,7 +375,7 @@ class _BinaryPieces:
         steps.  g at the uniform law, the run ends and the roots gives the
         extrema, the first of equals; the uniform law's is ``uniform``.
         """
-        a, b = self.a, self.b
+        a, b, split = self.a, self.b, [0, self.a.shape[2]]
         ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
         pair, run = np.nonzero(self.shape)
         rows, d, sq = self.rows[pair], self.d[pair], self.sq[pair]
@@ -395,8 +386,8 @@ class _BinaryPieces:
             # h, dh/dt and dq/dt at logits t, (..., lanes)
             x = _binary_laws(t)
             out = _output_laws(x, rows)
-            drift = np.add.reduceat(d * np.log2(out), self.split, axis=-1)
-            bend = np.add.reduceat(sq / out, self.split, axis=-1)
+            drift = np.add.reduceat(d * np.log2(out), split, axis=-1)
+            bend = np.add.reduceat(sq / out, split, axis=-1)
             dq = x[..., 0] * x[..., 1]
             return gain - (drift[..., 0] - drift[..., 1]), (bend[..., 1] - bend[..., 0]) * dq / math.log(2.0), dq
 
@@ -462,23 +453,6 @@ class _BinaryPieces:
                     verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
             sides.append(verdicts)
         return sides
-
-
-def _binary_runs(a: np.ndarray, b: np.ndarray) -> list[_BinaryPieces]:
-    """_binary_pieces of runs of pairs, each under _HESSIAN_BLOCK array entries, about 2 n^2 per pair."""
-    run = max(1, _HESSIAN_BLOCK // (2 * (a.shape[2] + b.shape[2]) ** 2))
-    return [_binary_pieces(a[lo:lo + run], b[lo:lo + run]) for lo in range(0, max(len(a), 1), run)]
-
-
-def _exact_extrema(runs: list[_BinaryPieces]) -> _ExactExtrema:
-    """The extrema of every pair of ``runs``, in order, as one _ExactExtrema (see _BinaryPieces.extrema)."""
-    parts = [pieces.extrema() for pieces in runs]
-    return _ExactExtrema(
-        points=np.concatenate([x.points for x in parts], axis=1),
-        values=np.concatenate([x.values for x in parts], axis=1),
-        uniform=np.concatenate([x.uniform for x in parts]),
-        pieces=np.concatenate([x.pieces for x in parts]),
-    )
 
 
 def _binary_pieces(a: np.ndarray, b: np.ndarray) -> _BinaryPieces:
@@ -548,80 +522,6 @@ def _binary_pieces(a: np.ndarray, b: np.ndarray) -> _BinaryPieces:
     run_ends[p, run[p, j]] = ends[p, j]
     shape[p, run[p, j]] = sign[p, j]
     return _BinaryPieces(a=a, b=b, rows=rows, d=d, sq=sq, ends=run_ends, shape=shape, pieces=pieces)
-
-
-def _gap_search(a: np.ndarray, b: np.ndarray, step: float) -> _Extrema:
-    """min g and max g of g = I(X;Y_a) - I(X;Y_b) per pair: one grid, one lockstep refinement.
-
-    ``a`` and ``b`` are (P, m, na) and (P, m, nb) row stacks.  The
-    more-capable and uniform-dominance tests, both ways, all read these two
-    extrema (see _Extrema).  Binary inputs (m = 2) take the exact route of
-    _BinaryPieces, which needs no ``step``; every other m searches so:
-    - min g starts from the grid's argmin, or from the face probe of (a, b)
-      (side 0 of _face_chords, t halved down from ``step``) with a smaller
-      gap; ties keep the grid point.
-    - max g likewise starts from the grid's argmax, or from the probe of
-      side 1, (b, a), scored as 0.0 - g, with a smaller gap there.
-    g is scored on the grid, then on every probe, once, and the 2P starts
-    are refined in one _refine_extremum call: min g as the ascent of
-    0.0 - g, reported as 0.0 - v, and max g as the ascent of g.
-    """
-    count, m = a.shape[:2]
-    if m == 2:
-        return _exact_extrema(_binary_runs(a, b))
-    eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid = _grid_points(m, eff)[0]
-    # scored in runs of pairs, or pair by pair in blocks of points, under _SCAN_BLOCK entries of output laws
-    g = np.empty((count, grid.shape[0]))
-    cap = min(_SCAN_BLOCK, _HESSIAN_BLOCK) // max(a.shape[2], b.shape[2])
-    run = max(1, cap // grid.shape[0])
-    for lo in range(0, count, run):
-        for block in _point_blocks(grid.shape[0], cap):
-            g[lo:lo + run, block] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid[block])
-    picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
-    x0 = grid[picks]
-    # the grid's min g(a, b) and min g(b, a) = -max g
-    at_grid = g[np.arange(count), picks] * np.array([[1.0], [-1.0]])
-    base, dirs, owner, capped = _face_chords(a, b)
-    ts = (step * 0.5 ** np.arange(_HALVINGS + 1))[:, None]
-    # each chord's first minimum, side 1's of 0.0 - g, then each owner's first over its chords
-    along, chord_min = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
-    # chords in runs under _HESSIAN_BLOCK entries of output laws
-    run = max(1, _HESSIAN_BLOCK // (ts.size * max(a.shape[2], b.shape[2])))
-    for lo in range(0, owner.size, run):
-        own = owner[lo:lo + run]
-        vals = _gap_vec(a[own % count], b[own % count], base[lo:lo + run] + ts * dirs[lo:lo + run])
-        vals = np.where((own < count)[:, None], vals, 0.0 - vals)
-        along[lo:lo + run] = vals.argmin(axis=1)
-        chord_min[lo:lo + run] = vals[np.arange(own.size), along[lo:lo + run]]
-    owners, best = _first_best(chord_min, owner, maximize=False)
-    side, pair = np.divmod(owners, count)
-    wins = chord_min[best] < at_grid[side, pair]
-    won = best[wins]
-    x0[side[wins], pair[wins]] = base[won, 0] + ts[along[won]] * dirs[won, 0]
-    # start k * P + p is extremum k of pair p; each pair's rows and entropies serve its sweeps
-    ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
-
-    def signed_gaps(q, idx):
-        pair = idx % count
-        gap = mi_from_entropies(a.take(pair, 0), ha.take(pair, 0), q)
-        gap = gap - mi_from_entropies(b.take(pair, 0), hb.take(pair, 0), q)
-        return np.where((idx < count)[:, None], 0.0 - gap, gap)
-
-    x, v, sweeps = _refine_extremum(signed_gaps, x0.reshape(2 * count, m), eff)
-    values = v.reshape(2, count)
-    values[0] = 0.0 - values[0]
-    return _GapSearch(
-        step=step,
-        grid_step=eff,
-        grid_points=int(grid.shape[0]),
-        points=x.reshape(2, count, m),
-        values=values,
-        sweeps=sweeps.reshape(2, count),
-        face_probes=np.bincount(owner, minlength=2 * count).reshape(2, count) * ts.size,
-        face_capped=capped,
-        uniform=_gap_vec(a, b, np.full((1, m), 1.0 / m))[:, 0],
-    )
 
 
 def _simplex(lp: np.ndarray, rhs: np.ndarray, cost: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -914,9 +814,10 @@ def more_capable_stack(a, b) -> list[ClassVerdict]:
     """``test_more_capable`` at its default step for P pairs at once, one verdict per pair.
 
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
-    pairs share one grid and one lockstep refinement.
+    pairs share one _pair_search: one grid, face scan and lockstep
+    refinement, or on binary inputs the _BinaryPieces of runs of pairs.
     """
-    return _gap_search(*_stacked_pairs(a, b), 0.02).capable(0)
+    return _pair_search(*_stacked_pairs(a, b), 0.02).extrema().capable(0)
 
 
 def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -931,7 +832,7 @@ def test_more_capable(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     the one-pair case of ``more_capable_stack``.
     """
     _require_same_input(a, b)
-    return _gap_search(a.rows[None], b.rows[None], step).capable(0)[0]
+    return _pair_search(a.rows[None], b.rows[None], step).extrema().capable(0)[0]
 
 
 def _tangent_hessian(proj_b: np.ndarray, q_b: np.ndarray, proj_a: np.ndarray, q_a: np.ndarray) -> np.ndarray:
@@ -1043,90 +944,194 @@ def _max_curvature(
     return curv, where, vec
 
 
-def _less_noisy(a: np.ndarray, b: np.ndarray, step: float, both: bool = False) -> list[ClassVerdict]:
-    """Less-noisy verdicts of a over b for row stacks: one grid, one face scan, one chord-scoring pass.
+class _BinaryRoute:
+    """The gap search of binary-input pairs: _BinaryPieces in runs under _HESSIAN_BLOCK entries, about 2 n^2 a pair."""
 
-    With ``both`` the verdicts of b over a follow from the same curvature
-    and face scans (see _max_curvature and _face_chords); without it, side
-    1's face chords are dropped.  One auxiliary-information call per channel
-    scores each run of chords under _HESSIAN_BLOCK entries, and each chord
-    keeps its worst halving only.  Each verdict equals that of a
-    one-direction call.  Binary inputs (m = 2) take the exact route of
-    _BinaryPieces instead, which needs no ``step``.
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        run = max(1, _HESSIAN_BLOCK // (2 * (a.shape[2] + b.shape[2]) ** 2))
+        self.runs = [_binary_pieces(a[lo:lo + run], b[lo:lo + run]) for lo in range(0, max(len(a), 1), run)]
+
+    def extrema(self) -> _ExactExtrema:
+        parts = [pieces.extrema() for pieces in self.runs]
+        return _ExactExtrema(
+            points=np.concatenate([x.points for x in parts], axis=1),
+            values=np.concatenate([x.values for x in parts], axis=1),
+            uniform=np.concatenate([x.uniform for x in parts]),
+            pieces=np.concatenate([x.pieces for x in parts]),
+        )
+
+    def less_noisy(self, both: bool = False) -> list[list[ClassVerdict]]:
+        parts = [pieces.less_noisy(both) for pieces in self.runs]
+        return [[v for part in parts for v in part[side]] for side in range(2 if both else 1)]
+
+
+class _GridRoute:
+    """The gap search of pairs on m != 2 inputs: one grid and one face scan serve both readings.
+
+    ``eff`` is the grid step ``step`` resolves to, ``grid`` and ``interior``
+    are _grid_points at it, and ``faces`` is _face_chords of (a, b).
     """
-    count, m = a.shape[:2]
-    if m == 2:
-        parts = [pieces.less_noisy(both) for pieces in _binary_runs(a, b)]
-        return [v for side in range(2 if both else 1) for part in parts for v in part[side]]
-    sides = 2 if both else 1
-    eff = _bounded_step(m, step, _POINT_GRID_CAP)
-    grid, interior = _grid_points(m, eff)
-    base, dirs, owner, capped = _face_chords(a, b)
-    head: dict = {"grid_step": eff, "grid_points": int(grid.shape[0]), "max_curvature": None}
-    if step != eff:
-        head["requested_step"] = step
-    diagnostics = [dict(head, face_pair_cap=_FACE_PAIR_CAP) if cut else dict(head) for cut in capped[:sides].ravel()]
-    # each kind's (origin, back, move, reach, owner): chord c runs from origin - t back, back 0 on
-    # a face chord, to origin + t move, t halved down from reach[c], for owner side * count + pair
-    chords = []
-    if m > 1:
-        curv, k, v = _max_curvature(a, b, interior, both)
-        for d, c in zip(diagnostics, curv.ravel()):
-            d["max_curvature"] = float(c)
-        side, bent = np.nonzero(curv > 0.0)
-        x, u = interior[k[side, bent]], v[side, bent]
-        room = np.divide(x, np.abs(u), out=np.full(x.shape, np.inf), where=np.abs(u) > CELL_FLOOR)
-        chords.append((x, u, u, room.min(axis=1), side * count + bent))
-    keep = owner < sides * count
-    chords.append((base[keep, 0], np.zeros_like(dirs[keep, 0]), dirs[keep, 0], np.ones(keep.sum()), owner[keep]))
-    # a pair's curvature chord goes before its face chords
-    order = np.argsort(np.concatenate([chord[4] for chord in chords]), kind="stable")
-    origin, back, move, reach, owner = (np.concatenate(x)[order] for x in zip(*chords))
-    halvings = 0.5 ** np.arange(_HALVINGS + 1)
 
-    def chord_rows(run, ts: np.ndarray) -> np.ndarray:
-        # the clipped and renormalized (n, k, 2, m) ends of chords ``run`` at the (n, k, 1) spreads ts
-        x = origin[run, None]
-        rows = np.clip(np.stack([x - ts * back[run, None], x + ts * move[run, None]], axis=2), 0.0, None)
-        return rows / rows.sum(axis=3, keepdims=True)
+    def __init__(self, a: np.ndarray, b: np.ndarray, step: float):
+        self.a, self.b, self.step = a, b, step
+        self.eff = _bounded_step(a.shape[1], step, _POINT_GRID_CAP)
+        self.grid, self.interior = _grid_points(a.shape[1], self.eff)
+        self.faces = _face_chords(a, b)
 
-    along, chord_viol = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
-    size = max(1, _HESSIAN_BLOCK // (2 * halvings.size * max(m, a.shape[2], b.shape[2])))
-    for lo in range(0, owner.size, size):
-        run = slice(lo, lo + size)
-        rows = chord_rows(run, (reach[run, None] * halvings)[:, :, None])
-        weights = np.full(rows.shape[:3], 0.5)
-        pair = owner[run] % count
-        info_a, info_b = aux_mi_batch(a[pair], weights, rows), aux_mi_batch(b[pair], weights, rows)
-        viol = np.where((owner[run] < count)[:, None], info_b - info_a, info_a - info_b)
-        # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
-        # variation between its ends, so ends within VERDICT_TOL cannot fail
-        spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
-        viol = np.where(spread, viol, -np.inf)
-        along[run] = viol.argmax(axis=1)
-        chord_viol[run] = viol[np.arange(viol.shape[0]), along[run]]
-    # each owner's first worst chord, the first maximum over its halvings in chord order
-    owners, best = _first_best(chord_viol, owner, maximize=True)
-    fails = chord_viol[best] > VERDICT_TOL
-    owners, best = owners[fails], best[fails]
-    ends = chord_rows(best, (reach[best] * halvings[along[best]])[:, None, None])[:, 0]
-    verdicts = [ClassVerdict(Outcome.HOLDS, diagnostics=d) for d in diagnostics]
-    for p, c, pair_ends in zip(owners.tolist(), best.tolist(), ends):
-        d = diagnostics[p]
-        d["violation"] = float(chord_viol[c])
-        d["witness_pair"] = pair_ends.tolist()
-        verdicts[p] = ClassVerdict(Outcome.FAILS, AuxDecomposition(Dist(np.array([0.5, 0.5])), pair_ends), d)
-    return verdicts
+    def extrema(self) -> _GapSearch:
+        """min g starts from the grid's argmin, or from the face probe of (a, b) with a smaller gap.
+
+        That probe is side 0 of ``faces``, t halved down from ``step``; ties
+        keep the grid point.  max g likewise starts from the grid's argmax,
+        or from the probe of side 1, (b, a), scored as 0.0 - g, with a
+        smaller gap there.  g is scored on the grid, then on every probe,
+        once, and the 2P starts are refined in one _refine_extremum call:
+        min g as the ascent of 0.0 - g, reported as 0.0 - v, and max g as
+        the ascent of g.
+        """
+        a, b, step, eff, grid = self.a, self.b, self.step, self.eff, self.grid
+        count, m = a.shape[:2]
+        # scored in runs of pairs, or pair by pair in blocks of points, under _SCAN_BLOCK entries of output laws
+        g = np.empty((count, grid.shape[0]))
+        cap = min(_SCAN_BLOCK, _HESSIAN_BLOCK) // max(a.shape[2], b.shape[2])
+        run = max(1, cap // grid.shape[0])
+        for lo in range(0, count, run):
+            for block in _point_blocks(grid.shape[0], cap):
+                g[lo:lo + run, block] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid[block])
+        picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
+        x0 = grid[picks]
+        # the grid's min g(a, b) and min g(b, a) = -max g
+        at_grid = g[np.arange(count), picks] * np.array([[1.0], [-1.0]])
+        base, dirs, owner, capped = self.faces
+        ts = (step * 0.5 ** np.arange(_HALVINGS + 1))[:, None]
+        # each chord's first minimum, side 1's of 0.0 - g, then each owner's first over its chords
+        along, chord_min = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+        # chords in runs under _HESSIAN_BLOCK entries of output laws
+        run = max(1, _HESSIAN_BLOCK // (ts.size * max(a.shape[2], b.shape[2])))
+        for lo in range(0, owner.size, run):
+            own = owner[lo:lo + run]
+            vals = _gap_vec(a[own % count], b[own % count], base[lo:lo + run] + ts * dirs[lo:lo + run])
+            vals = np.where((own < count)[:, None], vals, 0.0 - vals)
+            along[lo:lo + run] = vals.argmin(axis=1)
+            chord_min[lo:lo + run] = vals[np.arange(own.size), along[lo:lo + run]]
+        owners, best = _first_best(chord_min, owner, maximize=False)
+        side, pair = np.divmod(owners, count)
+        wins = chord_min[best] < at_grid[side, pair]
+        won = best[wins]
+        x0[side[wins], pair[wins]] = base[won, 0] + ts[along[won]] * dirs[won, 0]
+        # start k * P + p is extremum k of pair p; each pair's rows and entropies serve its sweeps
+        ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
+
+        def signed_gaps(q, idx):
+            pair = idx % count
+            gap = mi_from_entropies(a.take(pair, 0), ha.take(pair, 0), q)
+            gap = gap - mi_from_entropies(b.take(pair, 0), hb.take(pair, 0), q)
+            return np.where((idx < count)[:, None], 0.0 - gap, gap)
+
+        x, v, sweeps = _refine_extremum(signed_gaps, x0.reshape(2 * count, m), eff)
+        values = v.reshape(2, count)
+        values[0] = 0.0 - values[0]
+        return _GapSearch(
+            step=step,
+            grid_step=eff,
+            grid_points=int(grid.shape[0]),
+            points=x.reshape(2, count, m),
+            values=values,
+            sweeps=sweeps.reshape(2, count),
+            face_probes=np.bincount(owner, minlength=2 * count).reshape(2, count) * ts.size,
+            face_capped=capped,
+            uniform=_gap_vec(a, b, np.full((1, m), 1.0 / m))[:, 0],
+        )
+
+    def less_noisy(self, both: bool = False) -> list[list[ClassVerdict]]:
+        """Both directions follow from one curvature scan (see _max_curvature) and the two sides of ``faces``.
+
+        Without ``both``, side 1's face chords are dropped.  One
+        auxiliary-information call per channel scores each run of chords
+        under _HESSIAN_BLOCK entries, and each chord keeps its worst halving
+        only.  Each verdict equals that of a one-direction call.
+        """
+        a, b, step, eff, interior = self.a, self.b, self.step, self.eff, self.interior
+        count, m = a.shape[:2]
+        sides = 2 if both else 1
+        base, dirs, owner, capped = self.faces
+        head: dict = {"grid_step": eff, "grid_points": int(self.grid.shape[0]), "max_curvature": None}
+        if step != eff:
+            head["requested_step"] = step
+        diagnostics = [dict(head, face_pair_cap=_FACE_PAIR_CAP) if cut else dict(head) for cut in capped[:sides].ravel()]
+        # each kind's (origin, back, move, reach, owner): chord c runs from origin - t back, back 0 on
+        # a face chord, to origin + t move, t halved down from reach[c], for owner side * count + pair
+        chords = []
+        if m > 1:
+            curv, k, v = _max_curvature(a, b, interior, both)
+            for d, c in zip(diagnostics, curv.ravel()):
+                d["max_curvature"] = float(c)
+            side, bent = np.nonzero(curv > 0.0)
+            x, u = interior[k[side, bent]], v[side, bent]
+            room = np.divide(x, np.abs(u), out=np.full(x.shape, np.inf), where=np.abs(u) > CELL_FLOOR)
+            chords.append((x, u, u, room.min(axis=1), side * count + bent))
+        keep = owner < sides * count
+        chords.append((base[keep, 0], np.zeros_like(dirs[keep, 0]), dirs[keep, 0], np.ones(keep.sum()), owner[keep]))
+        # a pair's curvature chord goes before its face chords
+        order = np.argsort(np.concatenate([chord[4] for chord in chords]), kind="stable")
+        origin, back, move, reach, owner = (np.concatenate(x)[order] for x in zip(*chords))
+        halvings = 0.5 ** np.arange(_HALVINGS + 1)
+
+        def chord_rows(run, ts: np.ndarray) -> np.ndarray:
+            # the clipped and renormalized (n, k, 2, m) ends of chords ``run`` at the (n, k, 1) spreads ts
+            x = origin[run, None]
+            rows = np.clip(np.stack([x - ts * back[run, None], x + ts * move[run, None]], axis=2), 0.0, None)
+            return rows / rows.sum(axis=3, keepdims=True)
+
+        along, chord_viol = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+        size = max(1, _HESSIAN_BLOCK // (2 * halvings.size * max(m, a.shape[2], b.shape[2])))
+        for lo in range(0, owner.size, size):
+            run = slice(lo, lo + size)
+            rows = chord_rows(run, (reach[run, None] * halvings)[:, :, None])
+            weights = np.full(rows.shape[:3], 0.5)
+            pair = owner[run] % count
+            info_a, info_b = aux_mi_batch(a[pair], weights, rows), aux_mi_batch(b[pair], weights, rows)
+            viol = np.where((owner[run] < count)[:, None], info_b - info_a, info_a - info_b)
+            # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
+            # variation between its ends, so ends within VERDICT_TOL cannot fail
+            spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
+            viol = np.where(spread, viol, -np.inf)
+            along[run] = viol.argmax(axis=1)
+            chord_viol[run] = viol[np.arange(viol.shape[0]), along[run]]
+        # each owner's first worst chord, the first maximum over its halvings in chord order
+        owners, best = _first_best(chord_viol, owner, maximize=True)
+        fails = chord_viol[best] > VERDICT_TOL
+        owners, best = owners[fails], best[fails]
+        ends = chord_rows(best, (reach[best] * halvings[along[best]])[:, None, None])[:, 0]
+        verdicts = [ClassVerdict(Outcome.HOLDS, diagnostics=d) for d in diagnostics]
+        for p, c, pair_ends in zip(owners.tolist(), best.tolist(), ends):
+            d = diagnostics[p]
+            d["violation"] = float(chord_viol[c])
+            d["witness_pair"] = pair_ends.tolist()
+            verdicts[p] = ClassVerdict(Outcome.FAILS, AuxDecomposition(Dist(np.array([0.5, 0.5])), pair_ends), d)
+        return [verdicts[side * count:(side + 1) * count] for side in range(sides)]
+
+
+def _pair_search(a: np.ndarray, b: np.ndarray, step: float) -> _BinaryRoute | _GridRoute:
+    """The search of g = I(X;Y_a) - I(X;Y_b) for (P, m, na) and (P, m, nb) row stacks, on the route m picks.
+
+    Every test read from g goes through it: ``extrema()`` gives min g and
+    max g of every pair (see _Extrema), and ``less_noisy(both)`` the
+    less-noisy verdicts of a over b and, with ``both``, of b over a, one
+    list per direction.  Binary inputs need no ``step`` (see _BinaryRoute).
+    """
+    return _BinaryRoute(a, b) if a.shape[1] == 2 else _GridRoute(a, b, step)
 
 
 def less_noisy_stack(a, b) -> list[ClassVerdict]:
     """``test_less_noisy`` at its default step for P pairs at once, one verdict per pair.
 
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks.  All
-    pairs share one grid; the witness chords of every pair are scored in
-    one pass of the auxiliary-information kernel.
+    pairs share one _pair_search: one grid and face scan, whose witness
+    chords are scored in one pass of the auxiliary-information kernel, or
+    on binary inputs the _BinaryPieces of runs of pairs.
     """
-    return _less_noisy(*_stacked_pairs(a, b), 0.02)
+    return _pair_search(*_stacked_pairs(a, b), 0.02).less_noisy()[0]
 
 
 def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
@@ -1150,7 +1155,7 @@ def test_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerdict:
     ``less_noisy_stack``.
     """
     _require_same_input(a, b)
-    return _less_noisy(a.rows[None], b.rows[None], step)[0]
+    return _pair_search(a.rows[None], b.rows[None], step).less_noisy()[0][0]
 
 
 def _require_c_symmetric(a: np.ndarray, b: np.ndarray) -> None:
@@ -1169,12 +1174,12 @@ def dominant_c_symmetry_stack(a, b) -> list[ClassVerdict]:
     """``test_dominant_c_symmetry`` at its default step for P pairs at once, one verdict per pair.
 
     ``a`` and ``b`` are (P, m, na) and (P, m, nb) channel-row stacks; every
-    channel must be c-symmetric.  All pairs share one grid and one lockstep
-    refinement.
+    channel must be c-symmetric.  All pairs share one _pair_search, as in
+    ``more_capable_stack``.
     """
     a, b = _stacked_pairs(a, b)
     _require_c_symmetric(a, b)
-    return _gap_search(a, b, 0.02).dominant(0)
+    return _pair_search(a, b, 0.02).extrema().dominant(0)
 
 
 def test_dominant_c_symmetry(
@@ -1197,7 +1202,7 @@ def test_dominant_c_symmetry(
     else:
         for chan, found in zip((a, b), symmetries, strict=True):
             CSymmetryWitness(chan, found.generator).validate()
-    return _gap_search(a.rows[None], b.rows[None], step).dominant(0)[0]
+    return _pair_search(a.rows[None], b.rows[None], step).extrema().dominant(0)[0]
 
 
 def _c_symmetric(chan: Dmc) -> bool | str:
@@ -1248,7 +1253,8 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
     """
     m = _require_same_input(a, b)
     sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
-    dom = _gap_search(a.rows[None], b.rows[None], step).dominant(0)[0] if sym_a is True and sym_b is True else None
+    both = sym_a is True and sym_b is True
+    dom = _pair_search(a.rows[None], b.rows[None], step).extrema().dominant(0)[0] if both else None
     return _essentially_less_noisy(sym_a, sym_b, dom, m)
 
 
@@ -1260,25 +1266,20 @@ def ordering_verdicts(
     Keys name channel a "1" and b "2": degradedness (``degraded_2_wrt_1``
     is b degraded w.r.t. a, at tolerance ``tol``), less noisy, more capable
     and essentially less noisy, each both ways.  Each verdict is the one the
-    matching ``test_*`` function returns, but both less-noisy directions
-    come from one curvature scan and one chord-scoring pass (_less_noisy),
-    more capable and the uniform-dominance gate of essentially less noisy,
-    both ways, read the two extrema of one _gap_search, and each channel's
-    cyclic symmetry is searched once.  On binary inputs one _BinaryPieces
-    serves all six gap tests.
+    matching ``test_*`` function returns, but the six gap tests share one
+    _pair_search, so one face scan or one set of _BinaryPieces: both
+    less-noisy directions come from one reading of it, more capable and the
+    uniform-dominance gate of essentially less noisy, both ways, from its
+    two extrema.  Each channel's cyclic symmetry is searched once.
     """
     m = _require_same_input(a, b)
     res = {
         "degraded_2_wrt_1": test_degraded(a, b, tol=tol),
         "degraded_1_wrt_2": test_degraded(b, a, tol=tol),
     }
-    if m == 2:  # one set of pieces serves every gap test
-        pieces = _binary_pieces(a.rows[None], b.rows[None])
-        [res["less_noisy_1"]], [res["less_noisy_2"]] = pieces.less_noisy(both=True)
-        found = pieces.extrema()
-    else:
-        res["less_noisy_1"], res["less_noisy_2"] = _less_noisy(a.rows[None], b.rows[None], step, both=True)
-        found = _gap_search(a.rows[None], b.rows[None], step)
+    search = _pair_search(a.rows[None], b.rows[None], step)
+    [res["less_noisy_1"]], [res["less_noisy_2"]] = search.less_noisy(both=True)
+    found = search.extrema()
     res["more_capable_1"], res["more_capable_2"] = found.capable(0)[0], found.capable(1)[0]
     sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
     both = sym_a is True and sym_b is True

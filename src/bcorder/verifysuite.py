@@ -30,8 +30,7 @@ from .channels import (
 )
 from .classify import (
     AuxDecomposition,
-    _binary_runs,
-    _exact_extrema,
+    _pair_search,
     degraded_stack,
     less_noisy_stack,
     more_capable_stack,
@@ -148,16 +147,15 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     tag = regime(ps[clear], es[clear])[0]
     cells = list(zip(ps[clear], es[clear]))
     chan_b, chan_s = _erasure_crossover_rows(cells)
-    # one set of exact pieces of g serves the less-noisy test and the extrema, which give
-    # both the more-capable test of the erasure side and the uniform dominance of the
-    # crossover side; BSC and BEC are c-symmetric
-    runs = _binary_runs(chan_b, chan_s)
-    gaps = _exact_extrema(runs)
+    # one exact search of g (binary inputs use no step) serves the less-noisy test and the extrema: more
+    # capable of the erasure side and uniform dominance of the crossover side, both c-symmetric
+    search = _pair_search(chan_b, chan_s, 0.02)
+    gaps = search.extrema()
     # keep only the outcomes, so one test's verdicts are alive at a time
     got = np.array(
         [
             [v.holds for v in degraded_stack(chan_b, chan_s)],
-            [v.holds for pieces in runs for v in pieces.less_noisy()[0]],
+            [v.holds for v in search.less_noisy()[0]],
             [v.holds for v in gaps.capable(0)],
             [v.holds for v in gaps.dominant(1)],
         ]

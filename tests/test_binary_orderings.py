@@ -507,7 +507,7 @@ def test_binary_stacks_in_runs_equal_separate_calls(monkeypatch):
     pairs = [(_channel(_random_binary(rng, 3, k % 2 == 0)), _channel(_random_binary(rng, 3, k % 3 == 0))) for k in range(6)]
     rows_a, rows_b = (np.stack([pair[side].rows for pair in pairs]) for side in (0, 1))
     monkeypatch.setattr(ordering, "_HESSIAN_BLOCK", 64)
-    assert len(ordering._binary_runs(rows_a, rows_b)) == len(pairs)
+    assert len(ordering._pair_search(rows_a, rows_b, 0.02).runs) == len(pairs)
     outcomes = set()
     for stacked, scalar in (
         (ordering.less_noisy_stack, ordering.test_less_noisy),

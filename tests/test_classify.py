@@ -197,8 +197,8 @@ def test_refine_extremum_agrees_with_sequential_reference(m, n, sparse, maximize
     # stack where the other pair refines for longer or shorter; dominance of
     # a over b reads max g, and of b over a reads min g
     extremum = 1 if maximize else 0
-    stacked = ordering._gap_search(np.stack([a.rows, b.rows]), np.stack([b.rows, a.rows]), 0.05)
-    alone = [ordering._gap_search(p.rows[None], q.rows[None], 0.05) for p, q in ((a, b), (b, a))]
+    stacked = ordering._pair_search(np.stack([a.rows, b.rows]), np.stack([b.rows, a.rows]), 0.05).extrema()
+    alone = [ordering._pair_search(p.rows[None], q.rows[None], 0.05).extrema() for p, q in ((a, b), (b, a))]
     for pair, lone in enumerate(alone):
         assert stacked.dominant(1 - extremum)[pair].diagnostics["refine_sweeps"] == lone.sweeps[extremum][0]
 
@@ -309,17 +309,17 @@ def _reference_face_chords(a, b, t_max):
 
 
 def _assert_gap_search_is_four_searches(a, b, step):
-    """Each of the four readings of _gap_search equals its test's own search, bit for bit.
+    """Each of the four readings of the extrema of _pair_search equals its test's own search, bit for bit.
 
     More capable of a over b is min g(a, b) from the probes of (a, b), and
     of b over a min g(b, a) from those of (b, a); dominance of a over b is
     max g(a, b) from the probes of (b, a), and of b over a max g(b, a) from
-    those of (a, b).  The first and third are the two extrema _gap_search
+    those of (a, b).  The first and third are the two extrema the search
     stores, min g and max g.  Points and values are compared as bytes, so a
     -0.0 for +0.0 fails.  Returns which pairs' more-capable start was a
     winning probe, per direction.
     """
-    found = ordering._gap_search(a, b, step)
+    found = ordering._pair_search(a, b, step).extrema()
     probes = [_reference_face_chords(first, second, step)[1:3] for first, second in ((a, b), (b, a))]
     uniform = np.full((1, a.shape[1]), 1.0 / a.shape[1])
     won = []
@@ -409,7 +409,7 @@ def test_dominance_refines_from_a_winning_probe(p, e):
     # over BSC is max g(b, a) = 0.0 - min g, so it reads the same refined
     # point, not a grid vertex
     a, b = _channel_on(bsc(p)), _channel_on(bec(e))
-    found = ordering._gap_search(a.rows[None], b.rows[None], 0.02)
+    found = ordering._pair_search(a.rows[None], b.rows[None], 0.02).extrema()
     [dom], [cap] = found.dominant(1), found.capable(0)
     assert dom.diagnostics["argmax"] == cap.diagnostics["argmin"]
     assert dom.diagnostics["max_gap"] == 0.0 - cap.diagnostics["min_gap"] > 0.0
@@ -435,6 +435,15 @@ def test_gap_search_layout_stays_inside_classify(module):
     names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     leaked = sorted(n for n in names if re.fullmatch(r"_(CAPABLE|DOMINANT)_\w*|_dominant", n))
     assert leaked == []
+    # and the only private name either imports from classify is verifysuite's one gap search
+    private = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "classify"
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert private == ({"_pair_search"} if module == "verifysuite" else set())
 
 
 @_PROPERTY
@@ -468,8 +477,8 @@ def test_one_face_scan_is_the_scans_of_both_directions(m, na, nb, count, cap, t_
 
 
 def test_ordering_verdicts_scans_the_faces_once_per_search(monkeypatch):
-    # one scan gives the face chords of both directions: one for the
-    # less-noisy pass and one for the gap search
+    # one scan gives the face chords of both directions, and one search
+    # serves both the less-noisy pass and the extrema
     calls = []
     scan = ordering._face_chords
 
@@ -480,7 +489,7 @@ def test_ordering_verdicts_scans_the_faces_once_per_search(monkeypatch):
     monkeypatch.setattr(ordering, "_face_chords", counted)
     a, b = _channel_on(bsc(0.1)), _channel_on(bec(0.5))
     ordering.ordering_verdicts(a, b)
-    assert calls == [(a.rows.tobytes(), b.rows.tobytes())] * 2
+    assert calls == [(a.rows.tobytes(), b.rows.tobytes())]
 
 
 def _negative_zeros(*arrays):
@@ -513,7 +522,7 @@ def test_no_information_quantity_is_negative_zero(m, n, step, seed):
     pair = BscBecPair(float(rng.choice([0.0, 0.1, 0.5])), float(rng.choice([0.0, 0.5, 1.0])))
     assert _negative_zeros(d_func(pair, np.array([0.0, 0.5, 1.0])), d_func(pair, 0.0), d_func(pair, 1.0)) == 0
     for a, b in ((noiseless, noisy), (noisy, noiseless), (noiseless, noiseless)):
-        found = ordering._gap_search(a[None], b[None], step)
+        found = ordering._pair_search(a[None], b[None], step).extrema()
         assert _negative_zeros(found.values, found.uniform) == 0
 
 
@@ -623,11 +632,11 @@ def test_stacks_over_the_block_budget_equal_separate_calls(monkeypatch):
         pairs.append((a, b))
     rows_a = np.stack([a.rows for a, _ in pairs])
     rows_b = np.stack([b.rows for _, b in pairs])
-    alone = [ordering._gap_search(a.rows[None], b.rows[None], 0.02) for a, b in pairs]
+    alone = [ordering._pair_search(a.rows[None], b.rows[None], 0.02).extrema() for a, b in pairs]
     want_less_noisy = [ordering.test_less_noisy(a, b) for a, b in pairs]
     with monkeypatch.context() as mp:
         mp.setattr(ordering, "_HESSIAN_BLOCK", 64)
-        stacked = ordering._gap_search(rows_a, rows_b, 0.02)
+        stacked = ordering._pair_search(rows_a, rows_b, 0.02).extrema()
         got_less_noisy = ordering.less_noisy_stack(rows_a, rows_b)
     assert stacked.grid_points > 64
     for p, lone in enumerate(alone):
@@ -851,7 +860,7 @@ def test_chord_scoring_is_bounded_by_the_block(monkeypatch):
     b = np.stack([_on_inputs(bec(e).rows, 3) for e in rng.uniform(0.05, 0.95, 300)])
     monkeypatch.setattr(ordering, "_HESSIAN_BLOCK", 1 << 14)
     peaks = []
-    for search in (lambda: ordering._gap_search(a, b, 0.02), lambda: ordering.less_noisy_stack(a, b)):
+    for search in (lambda: ordering._pair_search(a, b, 0.02).extrema(), lambda: ordering.less_noisy_stack(a, b)):
         tracemalloc.start()
         try:
             search()
@@ -979,9 +988,9 @@ def test_curvature_scan_is_within_its_bound_of_the_full_scan(m, kinds, step, blo
         if block is not None:
             mp.setattr(ordering, "_HESSIAN_BLOCK", block)
         (curv,), (where,), _ = ordering._max_curvature(a, b, pts)
-        got = ordering._less_noisy(a, b, step)
+        got = ordering._pair_search(a, b, step).less_noisy()[0]
         mp.setattr(ordering, "_max_curvature", full_scan)
-        want = ordering._less_noisy(a, b, step)
+        want = ordering._pair_search(a, b, step).less_noisy()[0]
     bound = 64.0 * math.sqrt(np.finfo(float).eps) * (traces[lanes, where] + traces[lanes, best])
     assert np.all(np.abs(curv - tops[lanes, best]) <= bound)
     assert np.all(tops[lanes, best] - tops[lanes, where] <= bound)

@@ -715,18 +715,18 @@ def test_classify_searches_the_gap_once_and_each_channel_once(monkeypatch, tmp_p
 
 
 def test_threshold_grid_builds_the_binary_pieces_once(monkeypatch):
-    # the less-noisy test and the gap search of the check share one set of pieces
+    # the less-noisy test and the extrema of the check share one search, one set of pieces
     from bcorder import classify
 
     calls = []
-    real = classify._binary_runs
+    real = classify._pair_search
 
-    def counted(a, b):
+    def counted(a, b, step):
         calls.append(len(a))
-        return real(a, b)
+        return real(a, b, step)
 
-    monkeypatch.setattr(classify, "_binary_runs", counted)
-    monkeypatch.setattr(verifysuite, "_binary_runs", counted)
+    monkeypatch.setattr(classify, "_pair_search", counted)
+    monkeypatch.setattr(verifysuite, "_pair_search", counted)
     code, out, _ = run_cli("verify-paper", "--check", "threshold-grid", "--grid", "20")
     assert code == 0 and "[PASS] threshold-grid" in out
     assert len(calls) == 1 and calls[0] > 0

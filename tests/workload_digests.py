@@ -4,8 +4,11 @@ Runs each distinct ``orderings``, ``regions`` and ``cli-cold`` command of the
 given seeds (default 301-310) in process through ``bcorder.cli.main`` and
 prints one line per command: a 16-hex SHA-256 of (exit code, stdout,
 stderr), the workload, the first seed that draws the command, and its argv.
-The last lines count the commands per workload.  Channel files are written
-to a temporary directory, masked as ``{dir}`` in argv and in the outputs.
+After them come ``verify-paper --format json`` at its default grid and at
+``--grid 100`` (about 2 s together), with ``-`` for the seed, as a group
+of their own.  The last two lines count the commands per workload, then
+those of that group.  Channel files are written to a temporary
+directory, masked as ``{dir}`` in argv and in the outputs.
 Cascade files share names across seeds, so a command's identity includes
 their contents.  The command lists come from ``perfbench/workloads.py``,
 which is imported and not changed.
@@ -36,6 +39,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from bcorder.cli import main  # noqa: E402
 from workloads import DIR_TOKEN, WORKLOADS, bind, generate  # noqa: E402
+
+# verify-paper's JSON report, whose computed values are printed in full, unlike cli-cold's text report
+VERIFY = (("verify-paper", "--format", "json"), ("verify-paper", "--format", "json", "--grid", "100"))
 
 
 def distinct_commands(seeds) -> dict[tuple, int]:
@@ -68,7 +74,10 @@ def report(seeds) -> None:
         for (workload, argv, files), seed in distinct_commands(seeds).items():
             print(f"{run(argv, files, workdir)} {workload} {seed} {shlex.join(argv)}")
             counts[workload] += 1
+        for argv in VERIFY:
+            print(f"{run(argv, (), workdir)} verify-paper - {shlex.join(argv)}")
     print(" ".join(f"{w}={n}" for w, n in counts.items()), f"total={sum(counts.values())}")
+    print(f"verify-paper={len(VERIFY)}")
 
 
 if __name__ == "__main__":
