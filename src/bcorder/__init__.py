@@ -69,6 +69,7 @@ _EXPORTS = {
     "classify": (
         "ClassVerdict",
         "Outcome",
+        "degraded_holds",
         "degraded_stack",
         "dominant_c_symmetry_stack",
         "less_noisy_stack",

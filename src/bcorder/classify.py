@@ -617,7 +617,7 @@ def _blackwell_margins(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
     return diff[lane, worst], lam[lane, worst], phi[:, lane, worst]
 
 
-def _degradedness_lp(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+def _degradedness_lp(a: np.ndarray, b: np.ndarray, tol: float = VERDICT_TOL) -> tuple[np.ndarray, ...]:
     """The degradedness LPs of (P, m, na) and (P, m, nb) row stacks, all in one _simplex call.
 
     Pair p's LP is min t subject to -t <= (a W - b)[i, y] <= t for every
@@ -631,7 +631,10 @@ def _degradedness_lp(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     final duals, scaled down to sum |Z| <= 1 where rounding leaves it
     above.  Returns per pair W (P, na, nb), its residual (largest cell of
     |a W - b|), its worst cell (the first within SIMPLEX_TOL of the
-    residual, flat), the LP optimum, the dual bound and Z (P, m, nb).
+    residual, flat), the LP optimum, the dual bound and Z (P, m, nb).  A
+    residual above ``tol`` whose dual bound lies below tol - SIMPLEX_TOL
+    means the simplex stopped short of the optimum, and raises
+    RuntimeError.
     """
     count, m, na = a.shape
     nb = b.shape[2]
@@ -665,7 +668,26 @@ def _degradedness_lp(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
     z = (duals[:, cells:2 * cells] - duals[:, :cells]).reshape(count, m, nb)
     z /= np.maximum(np.abs(z).sum(axis=(1, 2)), 1.0)[:, None, None]
     bound = np.einsum("pio,piy->poy", a, z).min(axis=2).sum(axis=1) - np.einsum("piy,piy->p", z, b)
+    short = np.flatnonzero((resid > tol) & (bound <= tol - SIMPLEX_TOL))
+    if short.size:
+        r, lower = float(resid[short[0]]), float(bound[short[0]])
+        raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
     return w, resid, worst, x[:, t_col], bound, z
+
+
+def _degraded_outcomes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:
+    """Whether each pair of (P, m, na) and (P, m, nb) row stacks is degraded, and what decided it.
+
+    On binary inputs (m = 2) a pair holds iff its Blackwell margin is at
+    least -tol, and the evidence is _blackwell_margins'.  On m >= 3 it
+    holds iff the LP residual is within ``tol``, and the evidence is
+    _degradedness_lp's.
+    """
+    if a.shape[1] == 2:
+        margins = _blackwell_margins(a, b)
+        return margins[0] >= -tol, margins
+    lp = _degradedness_lp(a, b, tol)
+    return lp[1] <= tol, lp
 
 
 def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -> list[ClassVerdict]:
@@ -688,19 +710,18 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
     largest cell of |a W - b|, is within ``tol``.  A Fails adds Z as
     ``dual_test``.
 
-    Every verdict that ran the LP carries W, with ``labels`` as its
-    outputs, its residual, its worst cell, the LP optimum and the dual
-    bound.  A residual above ``tol`` whose dual bound lies below
-    tol - SIMPLEX_TOL means the simplex stopped short of the optimum, and
-    raises RuntimeError.
+    Both readings are _degraded_outcomes'.  Every verdict that ran the LP
+    carries W, with ``labels`` as its outputs, its residual, its worst
+    cell, the LP optimum and the dual bound.
     """
     count, m, nb = b.shape
     verdicts: list = [None] * count
+    holds, evidence = _degraded_outcomes(a, b, tol)
     fit = np.arange(count)
     if m == 2:
-        margin, lam, phi = _blackwell_margins(a, b)
-        fit = np.flatnonzero(margin >= -tol)
-        for p in np.flatnonzero(margin < -tol).tolist():
+        margin, lam, phi = evidence
+        fit = np.flatnonzero(holds)
+        for p in np.flatnonzero(~holds).tolist():
             d = {
                 "resolution": "exact",
                 "margin": float(margin[p]),
@@ -710,26 +731,23 @@ def _degraded(a: np.ndarray, b: np.ndarray, tol: float, labels: Sequence[str]) -
                 "tol": tol,
             }
             verdicts[p] = ClassVerdict(Outcome.FAILS, witness=Dist(np.array([1.0 - lam[p], lam[p]])), diagnostics=d)
+        if fit.size:
+            evidence = _degradedness_lp(a[fit], b[fit], tol)
     if fit.size:
-        w, resid, worst, objective, bound, z = _degradedness_lp(a[fit], b[fit])
+        w, resid, worst, objective, bound, z = evidence
         for k, p in enumerate(fit.tolist()):
-            r, lower = float(resid[k]), float(bound[k])
-            if r > tol and lower <= tol - SIMPLEX_TOL:
-                raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
             d = {
-                "residual": r,
+                "residual": float(resid[k]),
                 "worst_cell": list(divmod(int(worst[k]), nb)),
                 "lp_objective": float(objective[k]),
-                "dual_bound": lower,
+                "dual_bound": float(bound[k]),
                 "tol": tol,
             }
             if m == 2:
-                outcome, d = Outcome.HOLDS, {"resolution": "exact", "margin": float(margin[p]), **d}
-            else:
-                outcome = Outcome.HOLDS if r <= tol else Outcome.FAILS
-                if outcome is Outcome.FAILS:
-                    d["dual_test"] = z[k].tolist()
-            verdicts[p] = ClassVerdict(outcome, witness=Dmc(w[k], labels), diagnostics=d)
+                d = {"resolution": "exact", "margin": float(margin[p]), **d}
+            elif not holds[p]:
+                d["dual_test"] = z[k].tolist()
+            verdicts[p] = ClassVerdict(Outcome.HOLDS if holds[p] else Outcome.FAILS, witness=Dmc(w[k], labels), diagnostics=d)
     return verdicts
 
 
@@ -747,6 +765,21 @@ def degraded_stack(a, b) -> list[ClassVerdict]:
     labels = [str(y) for y in range(b.shape[2])]
     blocks = (slice(lo, lo + _LP_LANES) for lo in range(0, len(a), _LP_LANES))
     return [verdict for blk in blocks for verdict in _degraded(a[blk], b[blk], VERDICT_TOL, labels)]
+
+
+def degraded_holds(a, b) -> np.ndarray:
+    """``degraded_stack``'s outcomes alone: a (P,) bool array, True where the pair holds.
+
+    It decides each pair exactly as ``degraded_stack`` does and builds no
+    verdict.  On binary inputs the Blackwell margins decide and no LP
+    runs, since no witness W is wanted; on m >= 3 the LPs run in the same
+    blocks of _LP_LANES pairs.
+    """
+    a, b = _stacked_pairs(a, b)
+    holds = np.zeros(len(a), dtype=bool)
+    for lo in range(0, len(a), _LP_LANES):
+        holds[lo:lo + _LP_LANES] = _degraded_outcomes(a[lo:lo + _LP_LANES], b[lo:lo + _LP_LANES], VERDICT_TOL)[0]
+    return holds
 
 
 def test_degraded(a: Dmc, b: Dmc, tol: float = VERDICT_TOL) -> ClassVerdict:

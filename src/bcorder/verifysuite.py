@@ -31,7 +31,7 @@ from .channels import (
 from .classify import (
     AuxDecomposition,
     _pair_search,
-    degraded_stack,
+    degraded_holds,
     less_noisy_stack,
     more_capable_stack,
     test_essentially_more_capable,
@@ -154,7 +154,7 @@ def _check_threshold_grid(grid: int, seed: int, tol: float) -> CheckResult:
     # keep only the outcomes, so one test's verdicts are alive at a time
     got = np.array(
         [
-            [v.holds for v in degraded_stack(chan_b, chan_s)],
+            degraded_holds(chan_b, chan_s),
             [v.holds for v in search.less_noisy()[0]],
             [v.holds for v in gaps.capable(0)],
             [v.holds for v in gaps.dominant(1)],
@@ -246,9 +246,9 @@ def _check_degrading_cascade(grid: int, seed: int, tol: float) -> CheckResult:
         p = rng.uniform(0.05, 0.45)
         e = rng.uniform(2.0 * p + 0.02, 1.0)
         cells.append((p, e))
-    verdicts = degraded_stack(*_erasure_crossover_rows(cells))
-    holds = sum(v.holds for v in verdicts[:20])
-    fails = sum(v.fails for v in verdicts[20:])
+    degraded = degraded_holds(*_erasure_crossover_rows(cells))
+    holds = int(degraded[:20].sum())
+    fails = int((~degraded[20:]).sum())  # degradedness is never inconclusive
     passed = worst_resid <= tol and holds == 20 and fails == 20
     return CheckResult(
         name="degrading-cascade",
@@ -441,7 +441,7 @@ def _check_ordering_hierarchy(grid: int, seed: int, tol: float) -> CheckResult:
     instances = 0
     # the erasure-crossover cells and the 3x3 cascades stack separately, by shape
     for better, worse in (_erasure_crossover_rows(cells), (np.array(tops), np.array(cascades))):
-        degraded = np.array([v.holds for v in degraded_stack(better, worse)], dtype=bool)
+        degraded = degraded_holds(better, worse)
         instances += int(degraded.sum())
         # degradedness of the worse side implies the better side is less
         # noisy (convexity direction) and more capable (gap sign)

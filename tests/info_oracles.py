@@ -5,12 +5,14 @@ batched kernels in ``bcorder.channels``, so agreement between the two is
 evidence rather than a tautology.  ``decomposition`` turns a joint table
 into the form the kernels take, and ``chain_table`` turns a decomposition
 and a channel back into the (U, X, Y) table the oracles read.
+``numpy_entropy`` is the entropy kernel's former one-line form, kept
+frozen as the reference for its summation order.
 """
 
 import numpy as np
 
 from bcorder.classify import AuxDecomposition
-from bcorder.probcore import Dist
+from bcorder.probcore import CELL_FLOOR, Dist
 
 
 def brute_mi(table):
@@ -24,6 +26,11 @@ def brute_mi(table):
             if table[i, j] > 1e-15:
                 total += table[i, j] * np.log2(table[i, j] / (pa[i] * pb[j]))
     return total
+
+
+def numpy_entropy(v):
+    """0.0 - the masked v log2 v summed by numpy's own ``sum`` over the last axis, in bits."""
+    return 0.0 - (np.where(v > CELL_FLOOR, v * np.log2(np.maximum(v, CELL_FLOOR)), 0.0)).sum(axis=-1)
 
 
 def brute_conditional_mi(t):

@@ -695,6 +695,32 @@ def test_stacked_tests_validate_their_rows():
             assert stacked(np.zeros((0, m, 3)), np.zeros((0, m, 2))) == []
 
 
+def test_degraded_holds_are_the_stacked_outcomes(monkeypatch):
+    # the outcomes alone, decided by the same rule as the verdicts: on
+    # binary inputs from the Blackwell margins without any LP, on three
+    # inputs by the LPs, in blocks of _LP_LANES pairs
+    rng = np.random.default_rng(23)
+    for m in (2, 3):
+        pairs = []
+        for k in range(7):
+            a = _random_channel(rng, m, 3, sparse=k % 2 == 0)
+            # a cascade of a holds; a noiseless b fails unless a is noiseless too
+            b = cascade(a, _random_channel(rng, 3, 2, sparse=k % 3 == 0)) if k % 2 else Dmc(np.eye(2)[np.arange(m) % 2], ("0", "1"))
+            pairs.append((a, b))
+        rows_a, rows_b = np.stack([a.rows for a, _ in pairs]), np.stack([b.rows for _, b in pairs])
+        want = [v.holds for v in ordering.degraded_stack(rows_a, rows_b)]
+        assert set(want) == {True, False}
+        with monkeypatch.context() as mp:
+            mp.setattr(ordering, "_LP_LANES", 3)
+            if m == 2:
+                mp.setattr(ordering, "_degradedness_lp", mock.Mock(side_effect=AssertionError("binary LP")))
+            got = ordering.degraded_holds(rows_a, rows_b)
+        assert got.dtype == bool and got.tolist() == want
+    assert ordering.degraded_holds(np.zeros((0, 2, 3)), np.zeros((0, 2, 2))).shape == (0,)
+    with pytest.raises(DomainError):
+        ordering.degraded_holds(np.full((2, 3, 2), 0.5), np.full((2, 2, 2), 0.5))
+
+
 def test_aux_decomposition_validates():
     with pytest.raises(DomainError):
         AuxDecomposition(Dist(np.array([0.5, 0.5])), np.array([[0.9, 0.2], [0.1, 0.9]]))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bcorder.channels import Dmc, aux_mi_batch, bec, bsc, mi_batch
 from bcorder.probcore import (
@@ -11,9 +11,10 @@ from bcorder.probcore import (
     binary_convolve,
     binary_entropy,
     entropy,
+    entropy_vec,
     stochastic_array,
 )
-from info_oracles import brute_conditional_mi, brute_mi, decomposition
+from info_oracles import brute_conditional_mi, brute_mi, decomposition, numpy_entropy
 
 
 def test_dist_validates_simplex():
@@ -120,6 +121,62 @@ def test_binary_entropy_values():
     assert binary_entropy(0.11) == pytest.approx(0.499915958164528, abs=1e-12)
     vec = binary_entropy(np.array([0.1, 0.2]))
     assert vec.shape == (2,)
+
+
+def _same_bits(got, want):
+    """Equal values, signs of zero and shapes, and a scalar where numpy gives one."""
+    return type(got) is type(want) and np.shape(got) == np.shape(want) and np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def _raw_rows(rng, shape):
+    """Laws along the last axis with exact zeros, entries at or just below CELL_FLOOR and rounding negatives."""
+    v = rng.dirichlet(np.full(shape[-1], rng.choice([0.05, 1.0, 20.0])), size=shape[:-1])
+    specials = np.array([0.0, CELL_FLOOR, CELL_FLOOR / 2.0, -1e-17, 1.0])
+    hit = rng.random(shape) < rng.choice([0.0, 0.1, 0.5])
+    return np.where(hit, specials[rng.integers(specials.size, size=shape)], v)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 300), lead=st.lists(st.integers(1, 3), max_size=2), m=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+@example(n=7, lead=[3], m=2, seed=0)
+@example(n=8, lead=[], m=1, seed=1)
+@example(n=128, lead=[2, 3], m=3, seed=2)
+@example(n=129, lead=[1], m=4, seed=3)
+@example(n=300, lead=[2, 2], m=2, seed=4)
+def test_entropy_vec_is_bit_for_bit_numpys_sum(n, lead, m, seed):
+    # the kernel adds outputs one array operation at a time in numpy's
+    # pairwise order; a numpy whose reduction adds in another order fails here
+    rng = np.random.default_rng(seed)
+    raw = _raw_rows(rng, (*lead, n))
+    rows = _raw_rows(rng, (2, m, n))                 # a stack of two channels
+    pxs = _raw_rows(rng, (5, m))
+    weights = rng.dirichlet(np.ones(2), size=5)
+    conds = _raw_rows(rng, (2, 5, 2, m))
+    ry = conds @ rows[..., None, :, :]
+    layouts = [
+        raw,                                          # 1-D, 2-D and 3-D stacks as given
+        rows,                                         # mi_batch's row entropies
+        pxs @ rows,                                   # mi_from_entropies' output laws
+        ry,                                           # aux_mi_batch's laws given U
+        np.einsum("...k,...kj->...j", weights, ry),   # and its output laws
+        pxs @ rows[0],                                # regions._batch_values' laws @ weak.rows
+    ]
+    for v in layouts:
+        got, want = entropy_vec(v, axis=-1), numpy_entropy(v)
+        assert _same_bits(got, want)
+        assert not np.any(np.signbit(got) & (got == 0.0))  # every zero is +0.0
+
+
+def test_entropy_vec_sums_every_row_length_in_numpys_order():
+    rng = np.random.default_rng(11)
+    for n in range(1, 301):
+        v = _raw_rows(rng, (3, n))
+        assert _same_bits(entropy_vec(v), numpy_entropy(v))
+        assert _same_bits(entropy_vec(v[0]), numpy_entropy(v[0]))
+    # another axis is moved last; an empty axis has entropy +0.0
+    v = rng.dirichlet(np.ones(4), size=(2, 3)).transpose(0, 2, 1)
+    assert np.array_equal(entropy_vec(v, axis=1), numpy_entropy(v.transpose(0, 2, 1)))
+    assert _same_bits(entropy_vec(np.zeros((2, 0))), np.zeros(2))
 
 
 def test_binary_convolve_basics():
