@@ -74,70 +74,41 @@ def in_range(x, lo: float, hi: float) -> bool:
 
 def _xlog2x(v: np.ndarray) -> np.ndarray:
     """v log2 v entrywise in one fresh array, 0.0 wherever v is at most CELL_FLOOR."""
-    # out=... keeps a 0-d t an array; the log's argument is positive, so no entry warns
-    t = np.maximum(v, CELL_FLOOR, out=...)
+    # a 0-d v gives a numpy scalar, which asarray makes an array to work in;
+    # the log's argument is positive, so no entry warns
+    t = np.asarray(np.maximum(v, CELL_FLOOR))
     np.log2(t, out=t)
     t *= v
     t[v <= CELL_FLOOR] = 0.0
     return t
 
 
-def _negated_row_sums(cols: np.ndarray) -> np.ndarray:
-    """0.0 - the sum of each row, given as the (n, R) columns of an (R, n) array, in numpy's pairwise order.
-
-    numpy sums a row of n entries left to right when n < 8; when
-    8 <= n <= 128 in eight accumulators r0..r7 over strides of 8, combined
-    as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest
-    left to right; when n > 128 it splits at n // 2 rounded down to a
-    multiple of 8 and adds the sums of the halves (Higham, SIAM J. Sci.
-    Comput. 1993).  Here each step is one array operation over all rows.
-    The partial sums are subtracted from 0.0 rather than added, which
-    rounds to exactly their negation, so the result is 0.0 - numpy's sum
-    bit for bit, and a zero is +0.0.
-    """
-    n = len(cols)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _negated_row_sums(cols[:half]) + _negated_row_sums(cols[half:])
-    if n < 8:
-        s = 0.0 - cols[0] if n else np.zeros(cols.shape[1])
-        for j in range(1, n):
-            s -= cols[j]
-        return s
-    whole = n - n % 8
-    r = cols[:8].copy()
-    for lo in range(8, whole, 8):
-        r += cols[lo:lo + 8]
-    r = r[0::2] + r[1::2]
-    r = r[0::2] + r[1::2]
-    s = 0.0 - r[0]
-    s -= r[1]
-    for j in range(whole, n):
-        s -= cols[j]
-    return s
-
-
 def entropy_vec(p: np.ndarray, axis: int = -1) -> np.ndarray:
     """Shannon entropy in bits along ``axis``.  No validation; raw arrays.
 
     It is 0.0 - sum, not -sum, so a zero entropy is +0.0 and so is every
-    information quantity taken from it.  Along the last axis the value is
-    bit for bit 0.0 - _xlog2x(p).sum(axis=-1), numpy's own pairwise
-    summation of rows contiguous in memory (every caller's layout), but
-    the sum is taken output by output: one array operation per output
-    (per eight outputs from eight on) over all rows, since numpy's
-    reduction pays its inner-loop call once per row of a few outputs.
-    tests/test_probcore.py guards the order against numpy's.  Another
-    ``axis`` is moved last and summed the same way, so its values may
-    differ from numpy's own ``sum`` over that axis in the last bit.
+    information quantity taken from it.  The value is bit for bit
+    0.0 - _xlog2x(p).sum(axis=axis).  numpy's reduction pays its
+    inner-loop call once per row, which on the scans' rows of a few
+    outputs costs more than the logarithm, so rows of fewer than 8
+    outputs are summed output by output instead: one array operation per
+    output over all rows, left to right, the order in which numpy adds a
+    row of fewer than 8 entries.  From 8 outputs on numpy sums pairwise
+    in blocks of eight, and a single row is one inner-loop call anyway, so
+    both keep numpy's own sum.  tests/test_probcore.py guards the order.
     """
     v = np.asarray(p, dtype=float)
     if axis != -1:
         v = np.moveaxis(v, axis, -1)
     t = _xlog2x(v)
-    lead = t.shape[:-1]
-    h = _negated_row_sums(t.reshape(math.prod(lead), t.shape[-1]).T)
-    return h.reshape(lead) if lead else h[0]  # a 1-D p has a scalar entropy, as numpy's sum gives
+    *lead, n = t.shape
+    if not lead or not 0 < n < 8:
+        return 0.0 - t.sum(axis=-1)
+    cols = t.reshape(-1, n).T
+    h = 0.0 - cols[0]
+    for j in range(1, n):
+        h -= cols[j]
+    return h.reshape(lead)
 
 
 def binary_entropy(x):

@@ -28,9 +28,9 @@ def brute_mi(table):
     return total
 
 
-def numpy_entropy(v):
-    """0.0 - the masked v log2 v summed by numpy's own ``sum`` over the last axis, in bits."""
-    return 0.0 - (np.where(v > CELL_FLOOR, v * np.log2(np.maximum(v, CELL_FLOOR)), 0.0)).sum(axis=-1)
+def numpy_entropy(v, axis=-1):
+    """0.0 - the masked v log2 v summed by numpy's own ``sum`` over ``axis``, in bits."""
+    return 0.0 - (np.where(v > CELL_FLOOR, v * np.log2(np.maximum(v, CELL_FLOOR)), 0.0)).sum(axis=axis)
 
 
 def brute_conditional_mi(t):

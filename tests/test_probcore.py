@@ -144,8 +144,8 @@ def _raw_rows(rng, shape):
 @example(n=129, lead=[1], m=4, seed=3)
 @example(n=300, lead=[2, 2], m=2, seed=4)
 def test_entropy_vec_is_bit_for_bit_numpys_sum(n, lead, m, seed):
-    # the kernel adds outputs one array operation at a time in numpy's
-    # pairwise order; a numpy whose reduction adds in another order fails here
+    # under 8 outputs the kernel adds outputs one array operation at a time,
+    # left to right; a numpy whose reduction adds in another order fails here
     rng = np.random.default_rng(seed)
     raw = _raw_rows(rng, (*lead, n))
     rows = _raw_rows(rng, (2, m, n))                 # a stack of two channels
@@ -173,9 +173,12 @@ def test_entropy_vec_sums_every_row_length_in_numpys_order():
         v = _raw_rows(rng, (3, n))
         assert _same_bits(entropy_vec(v), numpy_entropy(v))
         assert _same_bits(entropy_vec(v[0]), numpy_entropy(v[0]))
-    # another axis is moved last; an empty axis has entropy +0.0
-    v = rng.dirichlet(np.ones(4), size=(2, 3)).transpose(0, 2, 1)
-    assert np.array_equal(entropy_vec(v, axis=1), numpy_entropy(v.transpose(0, 2, 1)))
+    # another axis, summed across strided rows, still gives numpy's bits;
+    # an empty axis has entropy +0.0
+    for n in (3, 8, 130):
+        v = _raw_rows(rng, (2, 3, n)).transpose(0, 2, 1)
+        for axis in (0, 1, 2, -2):
+            assert _same_bits(entropy_vec(v, axis=axis), numpy_entropy(v, axis=axis))
     assert _same_bits(entropy_vec(np.zeros((2, 0))), np.zeros(2))
 
 
