@@ -118,10 +118,13 @@ def _add_pair_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--normalize", action="store_true", help="renormalize near-stochastic rows on load")
 
 
-def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], fmt: str, grid: int, cap=sys.float_info.max):
+def _add_grid(sp: argparse.ArgumentParser, grid: int, cap=sys.float_info.max) -> None:
     # the step 1/grid is taken in floats, so no grid exceeds the largest float
     grid_type = _ranged(int, lambda n: 2 <= n <= cap, f"lie in [2, {cap:.4g}]")
     sp.add_argument("--grid", type=grid_type, default=grid, metavar="N", help="resolution knob (sweep step is 1/N)")
+
+
+def _add_common(sp: argparse.ArgumentParser, formats: tuple[str, ...], fmt: str) -> None:
     sp.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     sp.add_argument("--format", dest="fmt", choices=formats, default=fmt, help="output format")
 
@@ -137,17 +140,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_flags(sp)
     tol_type = _ranged(float, lambda x: 0.0 < x < np.inf, "be finite and positive")
     sp.add_argument("--tol", type=tol_type, default=VERDICT_TOL, metavar="X", help="degradedness verdict tolerance")
-    _add_common(sp, ("text", "json"), "text", 50)
+    _add_grid(sp, 50)
+    _add_common(sp, ("text", "json"), "text")
 
     sp = sub.add_parser("dcurve", help="sample the gap curve of a (p, e) pair")
     sp.add_argument("--p", type=_BSC, required=True, metavar="P", help="crossover rate")
     sp.add_argument("--e", type=_BEC, required=True, metavar="E", help="erasure rate")
     samples_type = _ranged(int, lambda n: 2 <= n <= DCURVE_SAMPLES_CAP, f"lie in [2, {DCURVE_SAMPLES_CAP}]")
     sp.add_argument("--samples", type=samples_type, default=1001, metavar="N", help="number of sample points")
-    _add_common(sp, ("csv", "svg", "json"), "csv", 50)
+    _add_common(sp, ("csv", "svg", "json"), "csv")
 
     sp = sub.add_parser("phase-map", help="regime map over the (p, e) rectangle")
-    _add_common(sp, ("csv", "svg", "json"), "csv", 50, PHASE_GRID_CAP)
+    _add_grid(sp, 50, PHASE_GRID_CAP)
+    _add_common(sp, ("csv", "svg", "json"), "csv")
 
     sp = sub.add_parser("region", help="rate-region frontiers for a channel pair")
     _add_pair_flags(sp)
@@ -164,11 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CLASS",
         help="input-law class: 'uniform', 'uniform01', or a JSON file of laws",
     )
-    _add_common(sp, ("csv", "svg", "json"), "csv", 50)
+    _add_grid(sp, 50)
+    _add_common(sp, ("csv", "svg", "json"), "csv")
 
     sp = sub.add_parser("symmetry", help="cyclic-symmetry report for one or two channels")
     _add_pair_flags(sp)
-    _add_common(sp, ("text", "json"), "text", 50)
+    _add_grid(sp, 50)
+    _add_common(sp, ("text", "json"), "text")
 
     sp = sub.add_parser("verify-paper", help="run the built-in golden-value check suite")
     sp.add_argument("--list", dest="list_checks", action="store_true", help="list check names and exit")
@@ -177,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tolerance", type=tolerance_type, metavar="X", help="override every selected check's tolerance")
     seed_type = _ranged(int, lambda n: n >= 0, "be nonnegative")
     sp.add_argument("--seed", type=seed_type, default=0, metavar="N", help="seed of the seeded checks")
-    _add_common(sp, ("text", "json"), "text", 32)
+    _add_grid(sp, 32)
+    _add_common(sp, ("text", "json"), "text")
 
     return parser
 
@@ -226,28 +234,9 @@ def _emit(args: argparse.Namespace, payload: str) -> None:
             fh.write(payload)
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, np.ndarray):
-        return [_jsonable(x) for x in v.tolist()]
-    if v is None or isinstance(v, (str, bool)):
-        return v
-    if isinstance(v, (np.floating, float)):
-        return float(v)
-    if isinstance(v, (np.integer, int)):
-        return int(v)
-    if isinstance(v, Dist):
-        return [float(x) for x in v.probs]
-    if isinstance(v, Dmc):
-        return {"rows": v.rows.tolist(), "output_labels": list(v.output_labels)}
-    return str(v)
-
-
-def _json_doc(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+def _json_doc(doc: dict) -> str:
+    """``doc`` holds only JSON types: the library casts its diagnostics where it builds them."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -417,11 +417,9 @@ def _chunk_survivors(kind: str, a: np.ndarray, b: np.ndarray, c: np.ndarray, off
         axis, rest = s, [(s - cap, cap)]
     elif kind == "two":
         axis, rest = b, [(b - a, a)]
-    elif kind == "r1cap":
+    else:  # "r1cap"
         c1 = np.minimum(c, b)
         axis, rest = c1, [(np.minimum(c, b - a), a), (c1, np.minimum(b - c1, a))]
-    else:
-        raise ValueError(f"unknown constraint kind: {kind}")
     axis = np.maximum(axis, 0.0)
     first = int(np.argmax(axis))
     r1s, r2s = [axis[first:first + 1]], [np.zeros(1)]
@@ -767,8 +765,6 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
     aux3_offset = sum(batch.weights.shape[0] for batch in batches)
     for batch in batches + aux3_batches:
         n = batch.weights.shape[0]
-        if n == 0:
-            continue
         stored.append((offset, batch))
         values, (fresh_laws, fresh_marginals) = _batch_values(dominant, weak, batch, memo)
         laws += fresh_laws
@@ -781,8 +777,6 @@ def _sweep_frontier(dominant: Dmc, weak: Dmc, batches: list, aux3_batches: list,
                 pts_lists[kind].append(pts)
                 idx_lists[kind].append(pids)
         offset += n
-    if offset == 0:
-        raise DomainError("empty decomposition grid after constraint filtering")
     aux3_swept = aux3_offset < offset
 
     frontiers = {}
@@ -830,13 +824,11 @@ class _SweepIds(NamedTuple):
 
 
 def _resolve_decomposition(stored, i: int) -> AuxDecomposition:
-    for offset, batch in reversed(stored):
-        if i >= offset:
-            w = np.asarray(batch.weights[i - offset], dtype=float)
-            r = np.array(batch.table[batch.cond_idx[i - offset]], dtype=float)
-            r = r / np.maximum(r.sum(axis=1, keepdims=True), 1e-300)
-            return AuxDecomposition(Dist(w / w.sum()), r)
-    raise IndexError(f"decomposition index {i} out of range")
+    offset, batch = next(entry for entry in reversed(stored) if i >= entry[0])  # the first offset is 0
+    w = np.asarray(batch.weights[i - offset], dtype=float)
+    r = np.array(batch.table[batch.cond_idx[i - offset]], dtype=float)
+    r = r / np.maximum(r.sum(axis=1, keepdims=True), 1e-300)
+    return AuxDecomposition(Dist(w / w.sum()), r)
 
 
 # ---------------------------------------------------------------------------

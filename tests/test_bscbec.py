@@ -210,9 +210,12 @@ def test_convexity_flag_matches_threshold():
 
 def test_degrading_channel_exact_cascade():
     rng = np.random.default_rng(8)
+    cases = []
     for _ in range(20):
         p = rng.uniform(0.05, 0.45)
-        e = rng.uniform(0.0, 2.0 * p)
+        cases.append((p, rng.uniform(0.0, 2.0 * p)))
+    # e = 1 forces p = 1/2: every output is an erasure, resolved by a fair coin
+    for p, e in [*cases, (0.5, 1.0)]:
         pair = BscBecPair(p, e)
         w = degrading_channel(pair)
         assert w is not None

@@ -16,8 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 import bcorder
 from bcorder import regions, verifysuite
 from bcorder.bscbec import PHASE_GRID_CAP
-from bcorder.channels import bec, bsc
+from bcorder.channels import Dmc, bec, bsc
+from bcorder.classify import ordering_verdicts
 from bcorder.cli import DCURVE_SAMPLES_CAP, main
+from bcorder.probcore import REGION_BOUNDS, Dist
+from bcorder.regions import region_frontiers
 from bcorder.verifysuite import check_names
 
 
@@ -166,6 +169,13 @@ def test_dcurve_svg():
     check_svg(out)
 
 
+def test_dcurve_json():
+    code, out, _ = run_cli("dcurve", "--p", "0.1", "--e", "0.5", "--samples", "3", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["samples"] == 3 and [x for x, _ in doc["points"]] == [0.0, 0.5, 1.0]
+
+
 def test_dcurve_out_file(tmp_path):
     target = tmp_path / "curve.csv"
     code, out, _ = run_cli("dcurve", "--p", "0.1", "--e", "0.5", "--samples", "11",
@@ -205,6 +215,14 @@ def test_phase_map_csv_matches_per_cell_rendering(grid):
         for j, e in enumerate(es.tolist()):
             want.append(f"{p:.9f},{e:.9f},{names[tags[i, j]]},{int(flags[i, j])}")
     assert run_cli("phase-map", "--grid", str(grid)) == (0, "\n".join(want) + "\n", "")
+
+
+def test_phase_map_json():
+    code, out, _ = run_cli("phase-map", "--grid", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["grid"] == 2
+    assert [(c["p"], c["e"]) for c in doc["cells"]] == [(0.0, 0.0), (0.0, 1.0), (0.5, 0.0), (0.5, 1.0)]
 
 
 def test_phase_map_svg():
@@ -317,6 +335,29 @@ def test_region_malformed_class_file(tmp_path, content):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(
+    m=st.integers(1, 5),
+    na=st.integers(1, 4),
+    nb=st.integers(1, 4),
+    family=st.sampled_from(("random", "bscbec")),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_library_diagnostics_are_plain_json(m, na, nb, family, seed):
+    # the CLI writes diagnostics with plain json.dumps, so the library casts
+    # them where it builds them: no numpy scalar or array, no tuple, string keys
+    rng = np.random.default_rng(seed)
+    if family == "bscbec":  # c-symmetric, so the dominance test runs too
+        m, a, b = 2, bsc(rng.uniform(0.0, 0.5)), bec(rng.uniform(0.0, 1.0))
+    else:
+        a, b = (Dmc.normalized(rng.dirichlet(np.ones(n), size=m), [str(y) for y in range(n)]) for n in (na, nb))
+    diagnostics = [v.diagnostics for v in ordering_verdicts(a, b, step=0.25).values()]
+    for members in (None, [Dist.uniform(m)]):
+        diagnostics += [fr.diagnostics for fr in region_frontiers(a, b, REGION_BOUNDS, members, 0.5).values()]
+    for diag in diagnostics:
+        assert json.loads(json.dumps(diag)) == diag
+
+
 def test_region_unknown_name():
     for name in ("foo", "vx"):
         code, _, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", name)
@@ -328,6 +369,19 @@ def test_region_unknown_name():
         code, out, err = run_cli("region", "--bsc", "0.1", "--bec", "0.5", "--which", which)
         _assert_rejected(code, out, err)
         assert "more than once" in err
+
+
+def test_region_selects_at_least_one_name():
+    code, out, err = run_cli("region", *_BSC_BEC, "--which", ",")
+    _assert_rejected(code, out, err)
+    assert "selected no regions" in err
+
+
+def test_region_rejects_channels_of_different_input_sizes(tmp_path):
+    first, _ = _one_input_files(tmp_path)
+    code, out, err = run_cli("region", "--channel1", first, "--channel2", "paper6vi")
+    _assert_rejected(code, out, err)
+    assert "share an input alphabet" in err
 
 
 def test_region_svg():
@@ -359,6 +413,75 @@ def test_symmetry_report_without_c_symmetric_pair():
     doc = json.loads(out)
     assert "uniform_dominance" not in doc
     assert [c["status"] for c in doc["channels"]] == ["no cyclic symmetry found"] * 2
+
+
+def test_symmetry_needs_a_channel():
+    code, out, err = run_cli("symmetry")
+    _assert_rejected(code, out, err)
+    assert "give at least one channel" in err
+
+
+def _one_input_files(tmp_path):
+    """Channel files of two one-input channels, whose only input law is the point law."""
+    paths = []
+    for name, labels, row in (("one2", ["0", "1"], [0.25, 0.75]), ("one3", ["0", "e", "1"], [0.5, 0.25, 0.25])):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"input_size": 1, "output_labels": labels, "rows": [row]}))
+        paths.append(str(path))
+    return paths
+
+
+def test_classify_one_input_pair(tmp_path):
+    # every law is the point law, so each receiver gets zero information:
+    # the pair is degraded, less noisy and more capable both ways, and no
+    # c-symmetry search runs on one input
+    first, second = _one_input_files(tmp_path)
+    code, out, _ = run_cli("classify", "--channel1", first, "--channel2", second, "--format", "json")
+    assert code == 0
+    tests = json.loads(out)["tests"]
+    holding = ("degraded_2_wrt_1", "degraded_1_wrt_2", "less_noisy_1", "less_noisy_2", "more_capable_1", "more_capable_2")
+    assert {name: tests[name]["outcome"] for name in holding} == dict.fromkeys(holding, "holds")
+    for side in ("1", "2"):
+        assert tests[f"more_capable_{side}"]["diagnostics"]["refine_sweeps"] == 18
+        assert tests[f"essentially_less_noisy_{side}"] == {
+            "outcome": "inconclusive",
+            "diagnostics": {"reason": "symmetry search unavailable: c-symmetry needs an input alphabet of size >= 2"},
+        }
+
+
+def test_region_one_input_pair(tmp_path):
+    first, second = _one_input_files(tmp_path)
+    pair = ("region", "--channel1", first, "--channel2", second)
+    assert run_cli(*pair)[:2] == (0, "which,r1,r2\nib,0.000000000,0.000000000\nob,0.000000000,0.000000000\n")
+    code, out, _ = run_cli(*pair, "--format", "svg")  # a one-point frontier is drawn as a segment from r1 = 0
+    assert code == 0
+    check_svg(out)
+    code, out, err = run_cli(*pair, "--class", "uniform01")
+    _assert_rejected(code, out, err)
+    assert "uniform01 needs an input alphabet of size at least 2" in err
+
+
+def test_symmetry_one_input_channel(tmp_path):
+    first, _ = _one_input_files(tmp_path)
+    code, out, _ = run_cli("symmetry", "--channel1", first)
+    assert code == 0
+    assert out == f"{first}: search unavailable: c-symmetry needs an input alphabet of size >= 2\n"
+
+
+def test_normalize_renormalizes_near_stochastic_rows(tmp_path):
+    # a row and a class member off by 1e-10, past SIMPLEX_TOL
+    chan = tmp_path / "near.json"
+    rows = [[0.9000000001, 0.1], [0.1, 0.9]]
+    chan.write_text(json.dumps({"input_size": 2, "output_labels": ["0", "1"], "rows": rows}))
+    laws = tmp_path / "laws.json"
+    laws.write_text(json.dumps([[0.5000000001, 0.5]]))
+    for argv in (("classify", "--channel1", str(chan), "--channel2", str(chan)),
+                 ("region", *_BSC_BEC, "--which", "ib", "--class", str(laws), "--grid", "10")):
+        code, out, err = run_cli(*argv)
+        _assert_rejected(code, out, err)
+        assert "does not sum to 1" in err
+        code, out, _ = run_cli(*argv, "--normalize")
+        assert code == 0 and out
 
 
 def test_malformed_channel_file(tmp_path):
@@ -514,9 +637,9 @@ _BAD_FLAGS = (
     ("--e", _outside(0.0, 1.0), (("dcurve", "--p", "0.1"),)),
     ("--tol", _NON_FINITE | st.floats(max_value=0.0), (("classify", *_BSC_BEC),)),
     ("--tolerance", _NON_FINITE | st.floats(max_value=-1e-6), (("verify-paper", "--check", "aux-informations"),)),
-    ("--grid", st.integers(max_value=1), (("phase-map",), _DCURVE, ("verify-paper",))),
+    ("--grid", st.integers(max_value=1), (("phase-map",), ("verify-paper",))),
     ("--grid", st.integers(_FLOAT_MAX_INT + 1, _HUGE),
-     (("classify", *_BSC_BEC), ("symmetry", *_BSC_BEC), ("verify-paper",), _DCURVE)),
+     (("classify", *_BSC_BEC), ("symmetry", *_BSC_BEC), ("verify-paper",))),
     ("--grid", st.integers(PHASE_GRID_CAP + 1, _HUGE), (("phase-map",), ("verify-paper", "--check", "threshold-grid"))),
     ("--grid", st.integers(_MESH_GRID_MIN, _HUGE), (("region", *_BSC_BEC), ("verify-paper",))),
     ("--seed", st.integers(max_value=-1), (("verify-paper", "--check", "derivative-check"),)),
@@ -548,6 +671,7 @@ def test_fuzz_invalid_flag_value_exits_two(argv):
         (("dcurve", "--e", "0.5"), "--p", "the following arguments are required"),
         (("classify", *_BSC_BEC, "--grid", "x"), "--grid", "invalid int value: 'x'"),
         (("classify", "--bsc", "abc", "--bec", "0.5"), "--bsc", "invalid float value: 'abc'"),
+        ((*_DCURVE, "--grid", "50"), "--grid", "unrecognized arguments"),
     ],
 )
 def test_parser_rejections_print_one_error_line(argv, culprit, reason):

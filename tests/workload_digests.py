@@ -4,11 +4,13 @@ Runs each distinct ``orderings``, ``regions`` and ``cli-cold`` command of the
 given seeds (default 301-310) in process through ``bcorder.cli.main`` and
 prints one line per command: a 16-hex SHA-256 of (exit code, stdout,
 stderr), the workload, the first seed that draws the command, and its argv.
-After them come ``verify-paper --format json`` at its default grid and at
-``--grid 100`` (about 2 s together), with ``-`` for the seed, as a group
-of their own.  The last two lines count the commands per workload, then
-those of that group.  Channel files are written to a temporary
-directory, masked as ``{dir}`` in argv and in the outputs.
+After them come two groups of their own, with ``-`` for the seed:
+``verify-paper --format json`` at its default grid and at ``--grid 100``
+(about 2 s together), then ``cli-json``, the JSON outputs of ``dcurve``,
+``phase-map`` and ``symmetry``, which no workload prints.  The last two
+lines count the commands per workload, then those of each group.  Channel
+files are written to a temporary directory, masked as ``{dir}`` in argv and
+in the outputs.
 Cascade files share names across seeds, so a command's identity includes
 their contents.  The command lists come from ``perfbench/workloads.py``,
 which is imported and not changed.
@@ -40,8 +42,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 from bcorder.cli import main  # noqa: E402
 from workloads import DIR_TOKEN, WORKLOADS, bind, generate  # noqa: E402
 
-# verify-paper's JSON report, whose computed values are printed in full, unlike cli-cold's text report
-VERIFY = (("verify-paper", "--format", "json"), ("verify-paper", "--format", "json", "--grid", "100"))
+GROUPS = {
+    # verify-paper's JSON report, whose computed values are printed in full, unlike cli-cold's text report
+    "verify-paper": (("verify-paper", "--format", "json"), ("verify-paper", "--format", "json", "--grid", "100")),
+    "cli-json": (
+        ("dcurve", "--p", "0.1", "--e", "0.5", "--format", "json"),
+        ("phase-map", "--grid", "20", "--format", "json"),
+        ("symmetry", "--bsc", "0.1", "--bec", "0.5", "--format", "json"),
+        ("symmetry", "--channel1", "paper6vi", "--channel2", "paper6vi", "--format", "json"),
+    ),
+}
 
 
 def distinct_commands(seeds) -> dict[tuple, int]:
@@ -74,10 +84,11 @@ def report(seeds) -> None:
         for (workload, argv, files), seed in distinct_commands(seeds).items():
             print(f"{run(argv, files, workdir)} {workload} {seed} {shlex.join(argv)}")
             counts[workload] += 1
-        for argv in VERIFY:
-            print(f"{run(argv, (), workdir)} verify-paper - {shlex.join(argv)}")
+        for group, commands in GROUPS.items():
+            for argv in commands:
+                print(f"{run(argv, (), workdir)} {group} - {shlex.join(argv)}")
     print(" ".join(f"{w}={n}" for w, n in counts.items()), f"total={sum(counts.values())}")
-    print(f"verify-paper={len(VERIFY)}")
+    print(" ".join(f"{group}={len(commands)}" for group, commands in GROUPS.items()))
 
 
 if __name__ == "__main__":
