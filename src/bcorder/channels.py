@@ -70,9 +70,6 @@ class Dmc:
     def output_size(self) -> int:
         return int(self.rows.shape[1])
 
-    def row(self, i: int) -> Dist:
-        return Dist(self.rows[i])
-
     @classmethod
     def normalized(cls, rows, output_labels) -> "Dmc":
         """Explicitly renormalize each row before constructing."""

@@ -66,6 +66,7 @@ _LP_LANES = 1024          # degradedness LPs per lockstep solve, which bounds th
 _LOGIT_CAP = 50.0         # binary root searches keep q and 1 - q above e^-50, about 2e-22
 _NEWTON_CAP = 64          # steps of one binary root search, above the ~45 bisections its bracket can need
 _FLIP = np.array([1.0, -1.0])  # the signs of the logit in the exponents of 1 - q and q
+_HALVES = Dist(np.array([0.5, 0.5]))  # the weights of a witness chord's two ends, read-only
 
 
 class Outcome(enum.Enum):
@@ -133,19 +134,44 @@ def _stacked_pairs(a, b) -> tuple[np.ndarray, np.ndarray]:
     return stochastic_array(a, "first channel rows"), stochastic_array(b, "second channel rows")
 
 
-def _first_best(vals: np.ndarray, owner: np.ndarray, maximize: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Each owner's extreme value among ``vals``, as np.argmax/argmin would pick it.
+def _grid_head(step: float, grid_step: float, grid_points: int) -> dict:
+    """The diagnostics that state a searched grid: its step and size, and ``requested_step`` if coarsened."""
+    head = {"grid_step": grid_step, "grid_points": grid_points}
+    if step != grid_step:
+        head["requested_step"] = step
+    return head
 
-    Returns the owners present, ascending, and the index of each one's
-    largest (or smallest) value; ties go to the lowest index.
+
+def _first_worst(owner: np.ndarray, per_chord: int, score) -> tuple[np.ndarray, ...]:
+    """Each owner's first worst chord, scored in runs of chords under _HESSIAN_BLOCK entries.
+
+    ``owner`` holds each chord's owner, ascending, and ``per_chord`` the
+    array entries that scoring one chord takes.  ``score(run)`` maps a
+    slice of chords to their (len, k) scores at k spreads, larger being
+    worse.  Each chord keeps its first worst spread and each owner its
+    first worst chord, as np.argmax picks them.  Returns the owners
+    present, ascending, and each one's chord, spread and score.
     """
-    if owner.size and owner[0] == owner[-1] and (owner == owner[0]).all():
-        return owner[:1], np.array([vals.argmax() if maximize else vals.argmin()])
-    order = np.lexsort((np.arange(vals.size), -vals if maximize else vals, owner))
+    along, worst = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
+    size = max(1, _HESSIAN_BLOCK // per_chord)
+    for lo in range(0, owner.size, size):
+        run = slice(lo, lo + size)
+        vals = score(run)
+        along[run] = vals.argmax(axis=1)
+        worst[run] = vals[np.arange(vals.shape[0]), along[run]]
+    order = np.lexsort((np.arange(owner.size), -worst, owner))
     ranked = owner[order]
     lead = np.ones(order.size, dtype=bool)
     lead[1:] = ranked[1:] != ranked[:-1]
-    return ranked[lead], order[lead]
+    best = order[lead]
+    return ranked[lead], best, along[best], worst[best]
+
+
+def _chord_fails(d: dict, violation: float, ends: np.ndarray) -> ClassVerdict:
+    """A less-noisy Fails whose witness is the chord ``ends`` with weights 1/2; ``d`` gains both."""
+    d["violation"] = float(violation)
+    d["witness_pair"] = ends.tolist()
+    return ClassVerdict(Outcome.FAILS, AuxDecomposition(_HALVES, ends), d)
 
 
 def _refine_extremum(fn, x0: np.ndarray, step0: float):
@@ -234,16 +260,13 @@ class _Extrema:
     Since g(b, a) is 0.0 - g bit for bit, each test in each direction reads
     one extremum: more capable of a over b reads min g and of b over a
     0.0 - max g; uniform dominance of a over b reads max g and of b over a
-    0.0 - min g.  Each route states how it searched in ``_search``.
+    0.0 - min g.  Each route's ``_search(k, side, p, capable)`` states how
+    extremum k of pair p was found, for a test of ``side``.
     """
 
     points: np.ndarray
     values: np.ndarray
     uniform: np.ndarray
-
-    def _search(self, k: int, side: int, p: int, capable: bool) -> dict:
-        """The diagnostics that say how extremum k of pair p was found, for a test of ``side``."""
-        raise NotImplementedError
 
     def capable(self, side: int) -> list[ClassVerdict]:
         """More-capable verdicts, one per pair, of a over b (side 0) or b over a (side 1).
@@ -287,20 +310,16 @@ class _GapSearch(_Extrema):
 
     ``sweeps`` is (2, P), and ``face_probes`` and ``face_capped`` are
     (2, P), the face scan of (a, b) behind min g and of (b, a) behind
-    max g.
+    max g.  ``head`` is the route's _grid_head.
     """
 
-    step: float
-    grid_step: float
-    grid_points: int
+    head: dict
     sweeps: np.ndarray
     face_probes: np.ndarray
     face_capped: np.ndarray
 
     def _search(self, k: int, side: int, p: int, capable: bool) -> dict:
-        d = {"grid_step": self.grid_step, "grid_points": self.grid_points, "refine_sweeps": int(self.sweeps[k, p])}
-        if self.step != self.grid_step:
-            d["requested_step"] = self.step
+        d = {**self.head, "refine_sweeps": int(self.sweeps[k, p])}
         if capable:
             d["face_probes"] = int(self.face_probes[side, p])
             if self.face_capped[side, p]:
@@ -439,16 +458,14 @@ class _BinaryPieces:
         chords = _binary_laws(ends)[:, np.add.outer(np.arange(ends.shape[1] - 1), [0, 1])]
         weights = np.full(chords.shape[:3], 0.5)
         info_a, info_b = aux_mi_batch(self.a, weights, chords), aux_mi_batch(self.b, weights, chords)
-        sides, halves = [], Dist(np.array([0.5, 0.5]))
+        sides = []
         for shape, viol in ((-1.0, info_b - info_a), (1.0, info_a - info_b))[: 2 if both else 1]:
             viol = np.where(self.shape == shape, viol, -np.inf)
             verdicts = []
             for p, (c, pieces) in enumerate(zip(viol.argmax(axis=1).tolist(), self.pieces.tolist())):
                 d = {"resolution": "exact", "pieces": pieces}
                 if viol[p, c] > VERDICT_TOL:
-                    d["violation"] = float(viol[p, c])
-                    d["witness_pair"] = chords[p, c].tolist()
-                    verdicts.append(ClassVerdict(Outcome.FAILS, AuxDecomposition(halves, chords[p, c]), d))
+                    verdicts.append(_chord_fails(d, viol[p, c], chords[p, c]))
                 else:
                     verdicts.append(ClassVerdict(Outcome.HOLDS, diagnostics=d))
             sides.append(verdicts)
@@ -965,7 +982,7 @@ def _max_curvature(
     out_b, out_a = lift_b.transpose(0, 2, 1), lift_a.transpose(0, 2, 1)
     top = np.empty((2 if both else 1, count, pts.shape[0]))
     per_point = d * max(d, a.shape[2], b.shape[2]) * max(count, 1)
-    for block in _point_blocks(pts.shape[0], min(_SCAN_BLOCK, _HESSIAN_BLOCK) // per_point):
+    for block in _point_blocks(pts.shape[0], _SCAN_BLOCK // per_point):
         x = pts[block].T
         top[:, :, block] = _top_eigenvalues(proj_b, out_b @ x, proj_a, out_a @ x, both)
     where = top.argmax(axis=2)
@@ -1002,13 +1019,15 @@ class _GridRoute:
     """The gap search of pairs on m != 2 inputs: one grid and one face scan serve both readings.
 
     ``eff`` is the grid step ``step`` resolves to, ``grid`` and ``interior``
-    are _grid_points at it, and ``faces`` is _face_chords of (a, b).
+    are _grid_points at it, ``head`` is their _grid_head and ``faces`` is
+    _face_chords of (a, b).
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, step: float):
         self.a, self.b, self.step = a, b, step
         self.eff = _bounded_step(a.shape[1], step, _POINT_GRID_CAP)
         self.grid, self.interior = _grid_points(a.shape[1], self.eff)
+        self.head = _grid_head(step, self.eff, int(self.grid.shape[0]))
         self.faces = _face_chords(a, b)
 
     def extrema(self) -> _GapSearch:
@@ -1016,42 +1035,39 @@ class _GridRoute:
 
         That probe is side 0 of ``faces``, t halved down from ``step``; ties
         keep the grid point.  max g likewise starts from the grid's argmax,
-        or from the probe of side 1, (b, a), scored as 0.0 - g, with a
-        smaller gap there.  g is scored on the grid, then on every probe,
-        once, and the 2P starts are refined in one _refine_extremum call:
-        min g as the ascent of 0.0 - g, reported as 0.0 - v, and max g as
-        the ascent of g.
+        or from the probe of side 1, (b, a), with a larger gap there.  g is
+        scored on the grid, then on every probe, once: a probe of side 0
+        scores 0.0 - g and one of side 1 g, so each side's worst probe in
+        _first_worst is its least gap in that side's direction.  The 2P
+        starts are refined in one _refine_extremum call: min g as the
+        ascent of 0.0 - g, reported as 0.0 - v, and max g as the ascent of g.
         """
         a, b, step, eff, grid = self.a, self.b, self.step, self.eff, self.grid
         count, m = a.shape[:2]
         # scored in runs of pairs, or pair by pair in blocks of points, under _SCAN_BLOCK entries of output laws
         g = np.empty((count, grid.shape[0]))
-        cap = min(_SCAN_BLOCK, _HESSIAN_BLOCK) // max(a.shape[2], b.shape[2])
+        cap = _SCAN_BLOCK // max(a.shape[2], b.shape[2])
         run = max(1, cap // grid.shape[0])
         for lo in range(0, count, run):
             for block in _point_blocks(grid.shape[0], cap):
                 g[lo:lo + run, block] = _gap_vec(a[lo:lo + run], b[lo:lo + run], grid[block])
         picks = np.stack([g.argmin(axis=1), g.argmax(axis=1)])
         x0 = grid[picks]
-        # the grid's min g(a, b) and min g(b, a) = -max g
-        at_grid = g[np.arange(count), picks] * np.array([[1.0], [-1.0]])
+        # the grid's signed probe scores: -min g and max g
+        at_grid = g[np.arange(count), picks] * np.array([[-1.0], [1.0]])
         base, dirs, owner, capped = self.faces
         ts = (step * 0.5 ** np.arange(_HALVINGS + 1))[:, None]
-        # each chord's first minimum, side 1's of 0.0 - g, then each owner's first over its chords
-        along, chord_min = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
-        # chords in runs under _HESSIAN_BLOCK entries of output laws
-        run = max(1, _HESSIAN_BLOCK // (ts.size * max(a.shape[2], b.shape[2])))
-        for lo in range(0, owner.size, run):
-            own = owner[lo:lo + run]
-            vals = _gap_vec(a[own % count], b[own % count], base[lo:lo + run] + ts * dirs[lo:lo + run])
-            vals = np.where((own < count)[:, None], vals, 0.0 - vals)
-            along[lo:lo + run] = vals.argmin(axis=1)
-            chord_min[lo:lo + run] = vals[np.arange(own.size), along[lo:lo + run]]
-        owners, best = _first_best(chord_min, owner, maximize=False)
+
+        def signed(run):
+            own = owner[run]
+            vals = _gap_vec(a[own % count], b[own % count], base[run] + ts * dirs[run])
+            return np.where((own < count)[:, None], 0.0 - vals, vals)
+
+        owners, best, along, worst = _first_worst(owner, ts.size * max(a.shape[2], b.shape[2]), signed)
         side, pair = np.divmod(owners, count)
-        wins = chord_min[best] < at_grid[side, pair]
+        wins = worst > at_grid[side, pair]
         won = best[wins]
-        x0[side[wins], pair[wins]] = base[won, 0] + ts[along[won]] * dirs[won, 0]
+        x0[side[wins], pair[wins]] = base[won, 0] + ts[along[wins]] * dirs[won, 0]
         # start k * P + p is extremum k of pair p; each pair's rows and entropies serve its sweeps
         ha, hb = entropy_vec(a, axis=-1), entropy_vec(b, axis=-1)
 
@@ -1065,9 +1081,7 @@ class _GridRoute:
         values = v.reshape(2, count)
         values[0] = 0.0 - values[0]
         return _GapSearch(
-            step=step,
-            grid_step=eff,
-            grid_points=int(grid.shape[0]),
+            head=self.head,
             points=x.reshape(2, count, m),
             values=values,
             sweeps=sweeps.reshape(2, count),
@@ -1081,16 +1095,15 @@ class _GridRoute:
 
         Without ``both``, side 1's face chords are dropped.  One
         auxiliary-information call per channel scores each run of chords
-        under _HESSIAN_BLOCK entries, and each chord keeps its worst halving
-        only.  Each verdict equals that of a one-direction call.
+        that _first_worst asks for, and each owner keeps its first worst
+        chord and halving.  Each verdict equals that of a one-direction
+        call.
         """
-        a, b, step, eff, interior = self.a, self.b, self.step, self.eff, self.interior
+        a, b, interior = self.a, self.b, self.interior
         count, m = a.shape[:2]
         sides = 2 if both else 1
         base, dirs, owner, capped = self.faces
-        head: dict = {"grid_step": eff, "grid_points": int(self.grid.shape[0]), "max_curvature": None}
-        if step != eff:
-            head["requested_step"] = step
+        head = dict(self.head, max_curvature=None)
         diagnostics = [dict(head, face_pair_cap=_FACE_PAIR_CAP) if cut else dict(head) for cut in capped[:sides].ravel()]
         # each kind's (origin, back, move, reach, owner): chord c runs from origin - t back, back 0 on
         # a face chord, to origin + t move, t halved down from reach[c], for owner side * count + pair
@@ -1116,10 +1129,7 @@ class _GridRoute:
             rows = np.clip(np.stack([x - ts * back[run, None], x + ts * move[run, None]], axis=2), 0.0, None)
             return rows / rows.sum(axis=3, keepdims=True)
 
-        along, chord_viol = np.empty(owner.size, dtype=np.intp), np.empty(owner.size)
-        size = max(1, _HESSIAN_BLOCK // (2 * halvings.size * max(m, a.shape[2], b.shape[2])))
-        for lo in range(0, owner.size, size):
-            run = slice(lo, lo + size)
+        def violations(run):
             rows = chord_rows(run, (reach[run, None] * halvings)[:, :, None])
             weights = np.full(rows.shape[:3], 0.5)
             pair = owner[run] % count
@@ -1128,20 +1138,15 @@ class _GridRoute:
             # a chord's I(U;Y_b) is a Jensen-Shannon divergence, at most the total
             # variation between its ends, so ends within VERDICT_TOL cannot fail
             spread = np.abs(rows[:, :, 0] - rows[:, :, 1]).sum(axis=2) > 2.0 * VERDICT_TOL
-            viol = np.where(spread, viol, -np.inf)
-            along[run] = viol.argmax(axis=1)
-            chord_viol[run] = viol[np.arange(viol.shape[0]), along[run]]
-        # each owner's first worst chord, the first maximum over its halvings in chord order
-        owners, best = _first_best(chord_viol, owner, maximize=True)
-        fails = chord_viol[best] > VERDICT_TOL
-        owners, best = owners[fails], best[fails]
-        ends = chord_rows(best, (reach[best] * halvings[along[best]])[:, None, None])[:, 0]
+            return np.where(spread, viol, -np.inf)
+
+        owners, best, along, viol = _first_worst(owner, 2 * halvings.size * max(m, a.shape[2], b.shape[2]), violations)
+        fails = viol > VERDICT_TOL
+        owners, best, along, viol = owners[fails], best[fails], along[fails], viol[fails]
+        ends = chord_rows(best, (reach[best] * halvings[along])[:, None, None])[:, 0]
         verdicts = [ClassVerdict(Outcome.HOLDS, diagnostics=d) for d in diagnostics]
-        for p, c, pair_ends in zip(owners.tolist(), best.tolist(), ends):
-            d = diagnostics[p]
-            d["violation"] = float(chord_viol[c])
-            d["witness_pair"] = pair_ends.tolist()
-            verdicts[p] = ClassVerdict(Outcome.FAILS, AuxDecomposition(Dist(np.array([0.5, 0.5])), pair_ends), d)
+        for p, v, pair_ends in zip(owners.tolist(), viol, ends):
+            verdicts[p] = _chord_fails(diagnostics[p], v, pair_ends)
         return [verdicts[side * count:(side + 1) * count] for side in range(sides)]
 
 
@@ -1367,14 +1372,7 @@ def test_essentially_more_capable(
         val = float(weights @ gaps[atoms])
         if val > best_val:
             best_val, best = val, (idx, weights, pts[atoms])
-    diagnostics = {
-        "grid_step": eff_max,
-        "grid_points": points,
-        "max_conditional_gap": best_val,
-        "sufficiency_assumed": True,
-    }
-    if eff_max != step:
-        diagnostics["requested_step"] = step
+    diagnostics = {**_grid_head(step, eff_max, points), "max_conditional_gap": best_val, "sufficiency_assumed": True}
     if best_val > VERDICT_TOL:
         idx, weights, rows = best
         diagnostics["violation"] = best_val

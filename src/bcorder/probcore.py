@@ -154,9 +154,6 @@ class Dist:
     def size(self) -> int:
         return int(self.probs.size)
 
-    def __len__(self) -> int:
-        return self.size
-
     @classmethod
     def uniform(cls, n: int) -> "Dist":
         return cls(np.full(n, 1.0 / n))

@@ -262,11 +262,15 @@ def _reference_gap_extremum(a, b, step, maximize, probes=None):
     if probes is not None and probes[1].size:
         pts, owner = probes
         vals = ordering._gap_vec(a[owner], b[owner], pts).ravel()
-        pairs, first = ordering._first_best(vals, np.repeat(owner, pts.shape[1]), maximize)
-        at_grid = gaps[pairs, pick[pairs]]
-        wins = vals[first] > at_grid if maximize else vals[first] < at_grid
-        x0[pairs[wins]] = pts.reshape(-1, m)[first[wins]]
-        won[pairs[wins]] = True
+        probe_owner = np.repeat(owner, pts.shape[1])
+        for pair in np.unique(owner):
+            # the pair's first extreme probe, chord by chord and halving by halving
+            mine = np.flatnonzero(probe_owner == pair)
+            first = mine[vals[mine].argmax() if maximize else vals[mine].argmin()]
+            at_grid = gaps[pair, pick[pair]]
+            if vals[first] > at_grid if maximize else vals[first] < at_grid:
+                x0[pair] = pts.reshape(-1, m)[first]
+                won[pair] = True
     ha, hb = ordering.entropy_vec(a, axis=-1), ordering.entropy_vec(b, axis=-1)
     x, v, sweeps = _reference_refine(
         lambda q, idx: ordering.mi_from_entropies(a.take(idx, 0), ha.take(idx, 0), q)
@@ -636,9 +640,10 @@ def test_stacks_over_the_block_budget_equal_separate_calls(monkeypatch):
     want_less_noisy = [ordering.test_less_noisy(a, b) for a, b in pairs]
     with monkeypatch.context() as mp:
         mp.setattr(ordering, "_HESSIAN_BLOCK", 64)
+        mp.setattr(ordering, "_SCAN_BLOCK", 64)
         stacked = ordering._pair_search(rows_a, rows_b, 0.02).extrema()
         got_less_noisy = ordering.less_noisy_stack(rows_a, rows_b)
-    assert stacked.grid_points > 64
+    assert stacked.head["grid_points"] > 64
     for p, lone in enumerate(alone):
         assert stacked.points[:, p].tobytes() == lone.points[:, 0].tobytes()
         assert stacked.values[:, p].tobytes() == lone.values[:, 0].tobytes()
@@ -1013,6 +1018,7 @@ def test_curvature_scan_is_within_its_bound_of_the_full_scan(m, kinds, step, blo
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
             mp.setattr(ordering, "_HESSIAN_BLOCK", block)
+            mp.setattr(ordering, "_SCAN_BLOCK", block)
         (curv,), (where,), _ = ordering._max_curvature(a, b, pts)
         got = ordering._pair_search(a, b, step).less_noisy()[0]
         mp.setattr(ordering, "_max_curvature", full_scan)

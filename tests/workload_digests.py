@@ -21,12 +21,20 @@ Two checkouts give the same outputs when their digests do not differ:
     (cd ../other-checkout && python tests/workload_digests.py) > old.txt
     diff old.txt new.txt
 
+With ``--dump DIR`` it also writes each command's masked exit code, stdout
+and stderr to ``DIR/NNN.txt``, NNN the number of its report line from 0, under a
+first line holding that line without its digest; ``diff -r`` of two
+checkouts' dumps then shows which output fields moved:
+
+    python tests/workload_digests.py --dump new > new.txt
+
 The ``src`` and ``perfbench`` directories of the checkout holding this file
 come first on the import path.  pytest does not collect this file.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import io
 import json
@@ -67,29 +75,38 @@ def distinct_commands(seeds) -> dict[tuple, int]:
     return found
 
 
-def run(argv: tuple[str, ...], files: tuple[tuple[str, str], ...], workdir: str) -> str:
-    """16-hex digest of (exit code, stdout, stderr) with the work directory masked."""
+def run(argv: tuple[str, ...], files: tuple[tuple[str, str], ...], workdir: str) -> list:
+    """(exit code, stdout, stderr) with the work directory masked."""
     for name, text in files:
         Path(workdir, name).write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(bind(list(argv), workdir))
-    result = [code, out.getvalue().replace(workdir, DIR_TOKEN), err.getvalue().replace(workdir, DIR_TOKEN)]
-    return hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16]
+    return [code, out.getvalue().replace(workdir, DIR_TOKEN), err.getvalue().replace(workdir, DIR_TOKEN)]
 
 
-def report(seeds) -> None:
+def report(seeds, dump: Path | None = None) -> None:
     counts = dict.fromkeys(WORKLOADS, 0)
+    commands = [(workload, seed, argv, files) for (workload, argv, files), seed in distinct_commands(seeds).items()]
+    commands += [(group, "-", argv, ()) for group, group_commands in GROUPS.items() for argv in group_commands]
+    if dump is not None:
+        dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
-        for (workload, argv, files), seed in distinct_commands(seeds).items():
-            print(f"{run(argv, files, workdir)} {workload} {seed} {shlex.join(argv)}")
-            counts[workload] += 1
-        for group, commands in GROUPS.items():
-            for argv in commands:
-                print(f"{run(argv, (), workdir)} {group} - {shlex.join(argv)}")
+        for i, (workload, seed, argv, files) in enumerate(commands):
+            result = run(argv, files, workdir)
+            name = f"{workload} {seed} {shlex.join(argv)}"
+            print(hashlib.sha256(json.dumps(result).encode()).hexdigest()[:16], name)
+            if dump is not None:
+                (dump / f"{i:03d}.txt").write_text("{}\nexit {}\n--- stdout\n{}--- stderr\n{}".format(name, *result))
+            if workload in counts:
+                counts[workload] += 1
     print(" ".join(f"{w}={n}" for w, n in counts.items()), f"total={sum(counts.values())}")
     print(" ".join(f"{group}={len(commands)}" for group, commands in GROUPS.items()))
 
 
 if __name__ == "__main__":
-    report([int(s) for s in sys.argv[1:]] or range(301, 311))
+    parser = argparse.ArgumentParser(description="Digest every distinct benchmark workload command.")
+    parser.add_argument("seeds", nargs="*", type=int, help="workload seeds (default 301-310)")
+    parser.add_argument("--dump", type=Path, metavar="DIR", help="also write each command's outputs to DIR")
+    args = parser.parse_args()
+    report(args.seeds or range(301, 311), args.dump)
