@@ -689,7 +689,8 @@ def _degradedness_lp(a: np.ndarray, b: np.ndarray, tol: float = VERDICT_TOL) -> 
     if short.size:
         r, lower = float(resid[short[0]]), float(bound[short[0]])
         raise RuntimeError(f"simplex stopped short: residual {r!r} but dual bound {lower!r}")
-    return w, resid, worst, x[:, t_col], bound, z
+    # + 0.0 turns the -0.0 that a zero optimum, bound or dual entry can round to into 0.0
+    return w, resid, worst, x[:, t_col] + 0.0, bound + 0.0, z + 0.0
 
 
 def _degraded_outcomes(a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, tuple]:

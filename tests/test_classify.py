@@ -530,6 +530,18 @@ def test_no_information_quantity_is_negative_zero(m, n, step, seed):
         assert _negative_zeros(found.values, found.uniform) == 0
 
 
+@pytest.mark.parametrize("p, e, m", [(0.0, 0.0, 2), (0.5, 1.0, 2), (0.1, 0.5, 3)])
+def test_no_degradedness_diagnostic_is_negative_zero(p, e, m):
+    # a zero LP optimum (both binary pairs, both ways) and the dual test of a
+    # pair with input 0 repeated round to -0.0 unless the LP maps them to
+    # +0.0, and a JSON output would print -0.0
+    a, b = _channel_on(bsc(p), m), _channel_on(bec(e), m)
+    for key in ("degraded_2_wrt_1", "degraded_1_wrt_2"):
+        d = ordering.ordering_verdicts(a, b)[key].diagnostics
+        numbers = [v for v in d.values() if isinstance(v, float)]
+        assert _negative_zeros(numbers, d.get("dual_test", [])) == 0
+
+
 def _circulant(rng, m, sparse):
     """A c-symmetric channel: row i is a random law on m outputs shifted by i."""
     law = rng.dirichlet(np.ones(m))
