@@ -13,7 +13,6 @@ ordering tests.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 
@@ -28,8 +27,6 @@ from .probcore import (
     in_range,
     stochastic_array,
 )
-
-MAX_SYMMETRY_OUTPUTS = 8  # permutation search is exhaustive; 8! = 40320
 
 
 class ChannelFormatError(ValueError):
@@ -237,29 +234,38 @@ class CSymmetryWitness:
 
 
 def detect_c_symmetry(c: Dmc) -> CSymmetryWitness | None:
-    """Search for a one-step symmetry permutation; None if there is none.
+    """Match each output column to a one-step symmetry permutation; None if there is none.
 
-    The search is exhaustive over output permutations and returns the
-    lexicographically smallest valid generator.  It only looks for
-    single-generator cyclic families, which covers the symmetric binary
-    channels and their cascades.
+    The identity rows[(i+1) % m][pi[y]] = rows[i][y] says that column y
+    reappears one input later as column pi[y], so each output y in turn
+    takes the first unused output z whose shifted column equals its own
+    within SIMPLEX_TOL.  The result is kept only if the witness passes
+    ``validate``.  Where the columns that are equal within SIMPLEX_TOL form
+    equivalence classes, this is the lexicographically first permutation
+    that passes the one-step check.  Where near-equalities chain without
+    closing, the match can end at an output with no free partner, or at a
+    generator that fails ``validate``, and return None although some other
+    permutation would pass.  Only single-generator cyclic families are
+    sought, which covers the symmetric binary channels and their cascades.
     """
-    if c.input_size < 2:
-        raise DomainError("c-symmetry needs an input alphabet of size >= 2")
-    n = c.output_size
-    if n > MAX_SYMMETRY_OUTPUTS:
-        raise DomainError(
-            f"c-symmetry search supports at most {MAX_SYMMETRY_OUTPUTS} outputs"
-        )
     rows = c.rows
-    shifted_rows = np.roll(rows, -1, axis=0)  # row i -> original row i+1
-    for perm in itertools.permutations(range(n)):
-        # need rows[(i+1) % m][perm[y]] == rows[i][y]
-        if float(np.max(np.abs(shifted_rows[:, list(perm)] - rows))) <= SIMPLEX_TOL:
-            witness = CSymmetryWitness(c, tuple(perm))
-            witness.validate()
-            return witness
-    return None
+    shifted = np.roll(rows, -1, axis=0)  # row i -> original row i+1
+    free = np.ones(c.output_size, dtype=bool)
+    perm = []
+    for y in range(c.output_size):
+        # one column at a time, so memory stays O(m n)
+        close = np.max(np.abs(shifted - rows[:, y : y + 1]), axis=0) <= SIMPLEX_TOL
+        match = np.flatnonzero(close & free)
+        if match.size == 0:
+            return None
+        perm.append(int(match[0]))
+        free[match[0]] = False
+    witness = CSymmetryWitness(c, tuple(perm))
+    try:
+        witness.validate()
+    except NotCSymmetricError:
+        return None
+    return witness
 
 
 @dataclass(frozen=True, eq=False)

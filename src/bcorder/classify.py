@@ -1244,25 +1244,12 @@ def test_dominant_c_symmetry(
     return _pair_search(a.rows[None], b.rows[None], step).extrema().dominant(0)[0]
 
 
-def _c_symmetric(chan: Dmc) -> bool | str:
-    """Whether chan has a cyclic input symmetry, or why the search for one is unavailable."""
-    try:
-        return detect_c_symmetry(chan) is not None
-    except DomainError as exc:
-        return f"symmetry search unavailable: {exc}"
-
-
-def _essentially_less_noisy(
-    sym_a: bool | str, sym_b: bool | str, dom: ClassVerdict | None, m: int
-) -> ClassVerdict:
-    """Essentially-less-noisy verdict of a over b, given _c_symmetric of each.
+def _essentially_less_noisy(sym_a: bool, sym_b: bool, dom: ClassVerdict | None, m: int) -> ClassVerdict:
+    """Essentially-less-noisy verdict of a over b, given whether each is c-symmetric.
 
     ``dom``, the uniform-dominance verdict of a over b, is read only when
     both channels are c-symmetric.
     """
-    for sym in (sym_a, sym_b):
-        if isinstance(sym, str):
-            return ClassVerdict(Outcome.INCONCLUSIVE, diagnostics={"reason": sym})
     if not (sym_a and sym_b):
         which = "first" if not sym_a else "second"
         return ClassVerdict(
@@ -1291,9 +1278,8 @@ def test_essentially_less_noisy(a: Dmc, b: Dmc, step: float = 0.02) -> ClassVerd
     (see diagnostics["note"]).
     """
     m = _require_same_input(a, b)
-    sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
-    both = sym_a is True and sym_b is True
-    dom = _pair_search(a.rows[None], b.rows[None], step).extrema().dominant(0)[0] if both else None
+    sym_a, sym_b = detect_c_symmetry(a) is not None, detect_c_symmetry(b) is not None
+    dom = _pair_search(a.rows[None], b.rows[None], step).extrema().dominant(0)[0] if sym_a and sym_b else None
     return _essentially_less_noisy(sym_a, sym_b, dom, m)
 
 
@@ -1320,10 +1306,9 @@ def ordering_verdicts(
     [res["less_noisy_1"]], [res["less_noisy_2"]] = search.less_noisy(both=True)
     found = search.extrema()
     res["more_capable_1"], res["more_capable_2"] = found.capable(0)[0], found.capable(1)[0]
-    sym_a, sym_b = _c_symmetric(a), _c_symmetric(b)
-    both = sym_a is True and sym_b is True
+    sym_a, sym_b = detect_c_symmetry(a) is not None, detect_c_symmetry(b) is not None
     for side, first, second in ((0, sym_a, sym_b), (1, sym_b, sym_a)):
-        dom = found.dominant(side)[0] if both else None
+        dom = found.dominant(side)[0] if sym_a and sym_b else None
         res[f"essentially_less_noisy_{side + 1}"] = _essentially_less_noisy(first, second, dom, m)
     return res
 

@@ -601,11 +601,7 @@ def cmd_symmetry(args: argparse.Namespace) -> int:
     report: dict = {"channels": []}
     found = []
     for name, chan in chans:
-        try:
-            wit = detect_c_symmetry(chan)
-        except DomainError as exc:
-            report["channels"].append({"name": name, "status": f"search unavailable: {exc}"})
-            continue
+        wit = detect_c_symmetry(chan)
         if wit is None:
             report["channels"].append({"name": name, "status": "no cyclic symmetry found"})
         else:

@@ -5,7 +5,9 @@ import pytest
 
 from bcorder.channels import (
     ChannelFormatError,
+    CSymmetryWitness,
     Dmc,
+    NotCSymmetricError,
     bec,
     bec_rows,
     bsc,
@@ -21,8 +23,8 @@ from bcorder.channels import (
     split_input_pair,
     symmetrize,
 )
-from bcorder.probcore import Dist, DomainError
-from info_oracles import brute_mi, decomposition
+from bcorder.probcore import SIMPLEX_TOL, Dist, DomainError
+from info_oracles import brute_mi, brute_symmetry_generator, decomposition, near_cyclic_rows, nine_output_cyclic_rows
 
 
 def test_dmc_validates_rows():
@@ -128,6 +130,59 @@ def test_bec_symmetry_witness():
 def test_asymmetric_channel_has_no_witness():
     c = Dmc(np.array([[0.9, 0.1], [0.3, 0.7]]), ("0", "1"))
     assert detect_c_symmetry(c) is None
+
+
+def test_near_symmetric_channel_has_no_witness():
+    # the one-step identity of generator (1, 2, 3, 0) holds within SIMPLEX_TOL, shift 2 does not
+    rows = near_cyclic_rows()
+    chan = Dmc(rows, tuple("0123"))
+    assert np.max(np.abs(np.roll(rows, -1, axis=0)[:, [1, 2, 3, 0]] - rows)) <= SIMPLEX_TOL
+    with pytest.raises(NotCSymmetricError, match="at shift 2"):
+        CSymmetryWitness(chan, (1, 2, 3, 0)).validate()
+    assert detect_c_symmetry(chan) is None
+
+
+def test_nine_output_channel_is_searched():
+    wit = detect_c_symmetry(Dmc(nine_output_cyclic_rows(), tuple(str(y) for y in range(9))))
+    assert wit is not None
+    assert wit.generator == (3, 4, 5, 6, 7, 8, 0, 1, 2)
+
+
+def _cyclic_rows(rng, m, n, base):
+    """Rows rows[i][s^i(y)] = base[y] for an output permutation s with s^m = id, outputs then relabelled."""
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    order = rng.permutation(n)
+    sigma = np.arange(n)
+    start = 0
+    while start < n:
+        length = int(rng.choice([d for d in divisors if d <= n - start]))
+        cycle = order[start : start + length]
+        sigma[cycle] = np.roll(cycle, -1)
+        start += length
+    rows = np.empty((m, n))
+    image = np.arange(n)
+    for i in range(m):
+        rows[i, image] = base
+        image = sigma[image]
+    return rows[:, rng.permutation(n)]
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_column_match_agrees_with_the_permutation_brute_force(m):
+    rng = np.random.default_rng(40 + m)
+    for n in range(1, 7):
+        for family in ("circulant", "repeated", "dirichlet"):
+            for _ in range(3):
+                if family == "dirichlet":
+                    rows = rng.dirichlet(np.ones(n), size=m)
+                else:
+                    base = rng.dirichlet(np.ones(n)) if family == "circulant" else rng.integers(1, 3, n) / 1.0
+                    rows = _cyclic_rows(rng, m, n, base / base.sum())
+                wit = detect_c_symmetry(Dmc(rows, tuple(str(y) for y in range(n))))
+                want = brute_symmetry_generator(rows)
+                assert (wit and wit.generator) == want, (family, rows)
+                if family != "dirichlet" or m == 1 or n == 1:
+                    assert want is not None
 
 
 def test_symmetrize_postconditions():

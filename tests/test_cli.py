@@ -22,6 +22,7 @@ from bcorder.cli import DCURVE_SAMPLES_CAP, main
 from bcorder.probcore import REGION_BOUNDS, Dist
 from bcorder.regions import region_frontiers
 from bcorder.verifysuite import check_names
+from info_oracles import near_cyclic_rows, nine_output_cyclic_rows
 
 
 def run_cli(*argv):
@@ -433,20 +434,20 @@ def _one_input_files(tmp_path):
 
 def test_classify_one_input_pair(tmp_path):
     # every law is the point law, so each receiver gets zero information:
-    # the pair is degraded, less noisy and more capable both ways, and no
-    # c-symmetry search runs on one input
+    # every ordering holds both ways, and the identity is a one-input
+    # channel's cyclic symmetry, so {uniform} is a sufficient class
     first, second = _one_input_files(tmp_path)
     code, out, _ = run_cli("classify", "--channel1", first, "--channel2", second, "--format", "json")
     assert code == 0
     tests = json.loads(out)["tests"]
-    holding = ("degraded_2_wrt_1", "degraded_1_wrt_2", "less_noisy_1", "less_noisy_2", "more_capable_1", "more_capable_2")
-    assert {name: tests[name]["outcome"] for name in holding} == dict.fromkeys(holding, "holds")
+    assert {name: verdict["outcome"] for name, verdict in tests.items()} == dict.fromkeys(tests, "holds")
+    assert len(tests) == 8
     for side in ("1", "2"):
         assert tests[f"more_capable_{side}"]["diagnostics"]["refine_sweeps"] == 18
-        assert tests[f"essentially_less_noisy_{side}"] == {
-            "outcome": "inconclusive",
-            "diagnostics": {"reason": "symmetry search unavailable: c-symmetry needs an input alphabet of size >= 2"},
-        }
+        diagnostics = tests[f"essentially_less_noisy_{side}"]["diagnostics"]
+        assert diagnostics["route"] == "uniform-dominance on a c-symmetric pair"
+        assert diagnostics["sufficient_class"] == "uniform"
+        assert diagnostics["max_gap"] == diagnostics["uniform_gap"] == 0.0
 
 
 def test_region_one_input_pair(tmp_path):
@@ -462,10 +463,49 @@ def test_region_one_input_pair(tmp_path):
 
 
 def test_symmetry_one_input_channel(tmp_path):
-    first, _ = _one_input_files(tmp_path)
+    # with one input the shift is the identity, and so is its output permutation
+    first, second = _one_input_files(tmp_path)
     code, out, _ = run_cli("symmetry", "--channel1", first)
     assert code == 0
-    assert out == f"{first}: search unavailable: c-symmetry needs an input alphabet of size >= 2\n"
+    assert out == f"{first}: c-symmetric, generator (0, 1)\n"
+    code, out, _ = run_cli("symmetry", "--channel1", first, "--channel2", second)
+    assert code == 0
+    assert out == (
+        f"{first}: c-symmetric, generator (0, 1)\n{second}: c-symmetric, generator (0, 1, 2)\n"
+        f"uniform-input dominance of {first} over {second}: holds\n"
+    )
+
+
+def _edge_symmetry_files(tmp_path):
+    """Channel files of near_cyclic_rows and nine_output_cyclic_rows."""
+    paths = []
+    for name, rows in (("near", near_cyclic_rows()), ("nine", nine_output_cyclic_rows())):
+        path = tmp_path / f"{name}.json"
+        labels = [str(y) for y in range(rows.shape[1])]
+        path.write_text(json.dumps({"input_size": rows.shape[0], "output_labels": labels, "rows": rows.tolist()}))
+        paths.append(str(path))
+    return paths
+
+
+def test_near_symmetric_channel_reads_no_cyclic_symmetry(tmp_path):
+    # a generator that meets the one-step identity but not shift 2 is no symmetry, and no traceback
+    near, _ = _edge_symmetry_files(tmp_path)
+    code, out, _ = run_cli("classify", "--channel1", near, "--channel2", "paper6vi", "--format", "json")
+    assert code == 0
+    tests = json.loads(out)["tests"]
+    for side in ("1", "2"):
+        assert tests[f"essentially_less_noisy_{side}"] == {
+            "outcome": "inconclusive",
+            "diagnostics": {"reason": "first channel has no cyclic symmetry"},
+        }
+    assert run_cli("symmetry", "--channel1", near)[:2] == (0, f"{near}: no cyclic symmetry found\n")
+
+
+def test_symmetry_searches_channels_with_many_outputs(tmp_path):
+    _, nine = _edge_symmetry_files(tmp_path)
+    code, out, _ = run_cli("symmetry", "--channel1", nine)
+    assert code == 0
+    assert out == f"{nine}: c-symmetric, generator (3, 4, 5, 6, 7, 8, 0, 1, 2)\n"
 
 
 def test_normalize_renormalizes_near_stochastic_rows(tmp_path):

@@ -4,13 +4,17 @@ Runs each distinct ``orderings``, ``regions`` and ``cli-cold`` command of the
 given seeds (default 301-310) in process through ``bcorder.cli.main`` and
 prints one line per command: a 16-hex SHA-256 of (exit code, stdout,
 stderr), the workload, the first seed that draws the command, and its argv.
-After them come two groups of their own, with ``-`` for the seed:
+After them come three groups of their own, with ``-`` for the seed:
 ``verify-paper --format json`` at its default grid and at ``--grid 100``
 (about 2 s together), then ``cli-json``, the JSON outputs of ``dcurve``,
-``phase-map`` and ``symmetry``, which no workload prints.  The last two
-lines count the commands per workload, then those of each group.  Channel
-files are written to a temporary directory, masked as ``{dir}`` in argv and
-in the outputs.
+``phase-map`` and ``symmetry``, which no workload prints, then
+``edge-json``, ``classify`` and ``symmetry`` JSON on channels at the edges
+of the cyclic-symmetry search: a one-input pair, a 9-output channel and a
+channel that fits a generator one step at a time but not over two.  A
+command whose ``main`` raises gets the exception's type and message in
+place of its exit code.  The last two lines count the commands per
+workload, then those of each group.  Channel files are written to a
+temporary directory, masked as ``{dir}`` in argv and in the outputs.
 Cascade files share names across seeds, so a command's identity includes
 their contents.  The command lists come from ``perfbench/workloads.py``,
 which is imported and not changed.
@@ -48,7 +52,20 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 from bcorder.cli import main  # noqa: E402
+from info_oracles import near_cyclic_rows, nine_output_cyclic_rows  # noqa: E402
 from workloads import DIR_TOKEN, WORKLOADS, bind, generate  # noqa: E402
+
+
+def _channel_file(rows) -> str:
+    return json.dumps({"input_size": len(rows), "output_labels": [str(y) for y in range(len(rows[0]))], "rows": rows})
+
+
+EDGE_FILES = {
+    "one2.json": _channel_file([[0.25, 0.75]]),
+    "one3.json": _channel_file([[0.5, 0.25, 0.25]]),
+    "nine.json": _channel_file(nine_output_cyclic_rows().tolist()),
+    "near.json": _channel_file(near_cyclic_rows().tolist()),
+}
 
 GROUPS = {
     # verify-paper's JSON report, whose computed values are printed in full, unlike cli-cold's text report
@@ -59,7 +76,22 @@ GROUPS = {
         ("symmetry", "--bsc", "0.1", "--bec", "0.5", "--format", "json"),
         ("symmetry", "--channel1", "paper6vi", "--channel2", "paper6vi", "--format", "json"),
     ),
+    "edge-json": tuple(
+        (command, "--channel1", f"{DIR_TOKEN}/{first}", "--channel2", second, "--format", "json")
+        for first, second in (
+            ("one2.json", f"{DIR_TOKEN}/one3.json"),
+            ("nine.json", f"{DIR_TOKEN}/nine.json"),
+            ("near.json", "paper6vi"),
+        )
+        for command in ("classify", "symmetry")
+    ),
 }
+
+
+def argv_files(argv: tuple[str, ...], files: dict[str, str]) -> tuple[tuple[str, str], ...]:
+    """(name, contents) of each channel file that argv names in the work directory."""
+    names = [a.removeprefix(DIR_TOKEN + "/") for a in argv if a.startswith(DIR_TOKEN + "/")]
+    return tuple((n, files[n]) for n in names)
 
 
 def distinct_commands(seeds) -> dict[tuple, int]:
@@ -70,25 +102,29 @@ def distinct_commands(seeds) -> dict[tuple, int]:
             ops, files = generate(workload, seed)
             for op in ops:
                 argv = tuple(op["argv"])
-                names = [a.removeprefix(DIR_TOKEN + "/") for a in argv if a.startswith(DIR_TOKEN + "/")]
-                found.setdefault((workload, argv, tuple((n, files[n]) for n in names)), seed)
+                found.setdefault((workload, argv, argv_files(argv, files)), seed)
     return found
 
 
 def run(argv: tuple[str, ...], files: tuple[tuple[str, str], ...], workdir: str) -> list:
-    """(exit code, stdout, stderr) with the work directory masked."""
+    """(exit code, stdout, stderr), the work directory masked; an exception's type and message replace the code."""
     for name, text in files:
         Path(workdir, name).write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
-        code = main(bind(list(argv), workdir))
-    return [code, out.getvalue().replace(workdir, DIR_TOKEN), err.getvalue().replace(workdir, DIR_TOKEN)]
+        try:
+            code = main(bind(list(argv), workdir))
+        except Exception as exc:  # recorded, so one crash does not hide the commands after it
+            code = f"{type(exc).__name__}: {exc}"
+    return [v.replace(workdir, DIR_TOKEN) if isinstance(v, str) else v for v in (code, out.getvalue(), err.getvalue())]
 
 
 def report(seeds, dump: Path | None = None) -> None:
     counts = dict.fromkeys(WORKLOADS, 0)
     commands = [(workload, seed, argv, files) for (workload, argv, files), seed in distinct_commands(seeds).items()]
-    commands += [(group, "-", argv, ()) for group, group_commands in GROUPS.items() for argv in group_commands]
+    commands += [
+        (group, "-", argv, argv_files(argv, EDGE_FILES)) for group, argvs in GROUPS.items() for argv in argvs
+    ]
     if dump is not None:
         dump.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory() as workdir:
